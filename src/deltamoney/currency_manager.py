@@ -78,11 +78,17 @@ class BalanceRow:
 
 
 class TemporalBalanceTable:
-    """Valid-time balance history: closed rows are immutable facts."""
+    """Valid-time balance history: closed rows are immutable facts.
+
+    Besides the full history in write order, the table indexes each
+    client's rows and its one open row, so per-client lookups and the
+    conservation audit never scan other clients' history.
+    """
 
     def __init__(self) -> None:
         self.rows: list[BalanceRow] = []
         self._open: dict[int, BalanceRow] = {}
+        self._by_client: dict[int, list[BalanceRow]] = {}
 
     def open_row(self, client_id: int) -> BalanceRow:
         return self._open[client_id]
@@ -91,8 +97,7 @@ class TemporalBalanceTable:
         row = BalanceRow(
             timestamp, client_id, 0, timestamp, FOREVER, EMPTY_TREE_DIGEST, remarks
         )
-        self.rows.append(row)
-        self._open[client_id] = row
+        self._add(row)
         return row
 
     def advance(
@@ -109,24 +114,35 @@ class TemporalBalanceTable:
         row = BalanceRow(
             timestamp, client_id, new_balance, timestamp, FOREVER, mhtr, remarks
         )
-        self.rows.append(row)
-        self._open[client_id] = row
+        self._add(row)
         return row
 
+    def _add(self, row: BalanceRow) -> None:
+        self.rows.append(row)
+        self._open[row.client_id] = row
+        self._by_client.setdefault(row.client_id, []).append(row)
+
+    def row_at(self, client_id: int, at: int) -> Optional[BalanceRow]:
+        """The client's row valid at tick ``at``, if any."""
+        for row in self._by_client.get(client_id, ()):
+            if row.valid_from <= at < row.valid_to:
+                return row
+        return None
+
     def balance_at(self, client_id: int, at: int) -> int:
-        for row in self.rows:
-            if row.client_id == client_id and row.valid_from <= at < row.valid_to:
-                return row.valid_balance
-        raise UnknownClient(f"no balance row for client {client_id} at {at}")
+        row = self.row_at(client_id, at)
+        if row is None:
+            raise UnknownClient(f"no balance row for client {client_id} at {at}")
+        return row.valid_balance
 
     def open_rows(self) -> list[BalanceRow]:
-        return [row for row in self.rows if row.open]
+        return list(self._open.values())
 
     def closed_provenances(self, client_id: int) -> set[Digest]:
         return {
             row.provenance_mhtr
-            for row in self.rows
-            if row.client_id == client_id and not row.open
+            for row in self._by_client.get(client_id, ())
+            if not row.open
         }
 
 
@@ -415,17 +431,17 @@ class CurrencyManager:
     # conservation
 
     def check_conservation(self, at: Optional[int] = None) -> ConservationVerdict:
+        # re-summed from the rows on every audit, so a row edited in place
+        # (a forged balance) shows up as a discrepancy
         if at is None:
             actual = sum(row.valid_balance for row in self.table.open_rows())
             expected = self.supply.net
         else:
             actual = 0
             for client_id in self.registry:
-                for row in self.table.rows:
-                    if (row.client_id == client_id
-                            and row.valid_from <= at < row.valid_to):
-                        actual += row.valid_balance
-                        break
+                row = self.table.row_at(client_id, at)
+                if row is not None:
+                    actual += row.valid_balance
             expected = self.supply.net_at(at)
         return ConservationVerdict(actual == expected, expected, actual, at)
 

@@ -208,15 +208,16 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
         raise NotRegisteredPeers(f"subject has no pair {key}")
     if attestation is None:
         raise UnknownTransaction(f"no validated root on file for pair {key}")
+    # leaf i of the current epoch holds pair_seq epoch_start + 1 + i
     epoch_start = ptt.last_seq - len(ptt.records)
+    first = max(seq_lo - epoch_start - 1, 0)
     entries = []
     records = []
-    for index, record in enumerate(ptt.records):
-        if not seq_lo <= record.pair_seq <= seq_hi:
-            continue
+    for index in range(first, min(seq_hi - epoch_start, len(ptt.records))):
+        record = ptt.records[index]
         if record.pair_seq in omit:
             continue
-        proof = ptt._tree.prove(index)
+        proof = ptt.prove(index)
         entries.append((record.to_bytes(), proof.to_bytes()))
         records.append(record)
     vo = TransactionInclusionVO(

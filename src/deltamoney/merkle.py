@@ -5,6 +5,13 @@ with the internal tag, and an unpaired rightmost node is promoted unchanged
 to the next level (no duplicate-and-hash, which is malleable). The root is a
 pure function of the ordered leaf payloads.
 
+Updates cost O(log n) hashes. Appending, removing or replacing a leaf can
+change only that leaf's ancestors, one node per level, so a mutation hashes
+the leaf and then rehashes the path from it to the root: a node with a
+sibling is ``hash_internal(left, right)``, an unpaired rightmost node is
+carried up as is, and each level is cut to half the size of the one below
+(rounded up), which drops the nodes of a removed leaf.
+
 Proofs carry explicit sides so verification needs no knowledge of the tree
 shape: each path entry says on which side the sibling digest sits.
 """
@@ -48,12 +55,16 @@ class InclusionProof:
 
 
 class MerkleTree:
-    """Binary hash tree over an ordered list of byte payloads."""
+    """Binary hash tree over an ordered list of byte payloads.
+
+    ``_levels[0]`` holds the leaf digests and each later level the nodes one
+    step up, so the last level is the root. Every mutation keeps all levels
+    current, which makes ``root`` and ``prove`` plain reads.
+    """
 
     def __init__(self, scheme: HashScheme = SHA256):
         self.scheme = scheme
-        self._leaves: list[Digest] = []
-        self._levels: list[list[Digest]] | None = None
+        self._levels: list[list[Digest]] = [[]]
 
     @classmethod
     def build(cls, leaf_payloads, scheme: HashScheme = SHA256) -> "MerkleTree":
@@ -61,71 +72,86 @@ class MerkleTree:
         if not payloads:
             raise EmptyTree("cannot build a tree with no leaves")
         tree = cls(scheme)
-        if scheme is SHA256:
-            tree._leaves = _kernels.hash_leaves(payloads)
-        else:
-            tree._leaves = [hash_leaf(p, scheme) for p in payloads]
+        level = [hash_leaf(p, scheme) for p in payloads]
+        tree._levels = [level]
+        while len(level) > 1:
+            nxt = [
+                hash_internal(level[i], level[i + 1], scheme)
+                for i in range(0, len(level) - 1, 2)
+            ]
+            if len(level) % 2:
+                nxt.append(level[-1])
+            tree._levels.append(nxt)
+            level = nxt
         return tree
 
     def append(self, payload: bytes) -> None:
-        self._leaves.append(hash_leaf(payload, self.scheme) if self.scheme is not SHA256
-                            else _kernels.hash_leaves([payload])[0])
-        self._levels = None
+        leaves = self._levels[0]
+        leaves.append(hash_leaf(payload, self.scheme))
+        self._update_path(len(leaves) - 1)
 
     def remove_last(self) -> None:
-        if not self._leaves:
+        leaves = self._levels[0]
+        if not leaves:
             raise EmptyTree("nothing to remove")
-        self._leaves.pop()
-        self._levels = None
+        leaves.pop()
+        self._update_path(len(leaves) - 1)
 
     def replace_leaf(self, leaf_index: int, payload: bytes) -> None:
-        if not 0 <= leaf_index < len(self._leaves):
-            raise IndexOutOfRange(
-                f"leaf {leaf_index} outside tree of {len(self._leaves)}"
-            )
-        self._leaves[leaf_index] = hash_leaf(payload, self.scheme)
-        self._levels = None
+        self._check_index(leaf_index)
+        self._levels[0][leaf_index] = hash_leaf(payload, self.scheme)
+        self._update_path(leaf_index)
+
+    def _update_path(self, index: int) -> None:
+        """Recompute the ancestors of leaf ``index`` and fit every level's size.
+
+        Only the touched leaf's ancestors can change, and the levels above
+        hold ceil(len(below) / 2) nodes, so a level that grew gains its last
+        node here and one that shrank loses it. A negative index (the tree
+        just became empty) only trims.
+        """
+        levels = self._levels
+        depth = 0
+        while len(levels[depth]) > 1:
+            level = levels[depth]
+            index //= 2
+            left = 2 * index
+            if left + 1 < len(level):
+                node = hash_internal(level[left], level[left + 1], self.scheme)
+            else:  # unpaired rightmost node: promoted unchanged
+                node = level[left]
+            depth += 1
+            if depth == len(levels):
+                levels.append([])
+            parent = levels[depth]
+            if index < len(parent):
+                parent[index] = node
+            else:
+                parent.append(node)
+            del parent[(len(level) + 1) // 2:]
+        del levels[depth + 1:]
+
+    def _check_index(self, leaf_index: int) -> None:
+        if not 0 <= leaf_index < len(self):
+            raise IndexOutOfRange(f"leaf {leaf_index} outside tree of {len(self)}")
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return len(self._levels[0])
 
     @property
     def leaf_digests(self) -> list[Digest]:
-        return list(self._leaves)
-
-    def _computed_levels(self) -> list[list[Digest]]:
-        if not self._leaves:
-            raise EmptyTree("tree has no leaves")
-        if self._levels is None:
-            if self.scheme is SHA256:
-                self._levels = _kernels.build_levels(self._leaves)
-            else:
-                levels = [list(self._leaves)]
-                level = levels[0]
-                while len(level) > 1:
-                    nxt = [
-                        hash_internal(level[i], level[i + 1], self.scheme)
-                        for i in range(0, len(level) - 1, 2)
-                    ]
-                    if len(level) % 2:
-                        nxt.append(level[-1])
-                    levels.append(nxt)
-                    level = nxt
-                self._levels = levels
-        return self._levels
+        return list(self._levels[0])
 
     def root(self) -> Digest:
-        return self._computed_levels()[-1][0]
+        if not self._levels[0]:
+            raise EmptyTree("tree has no leaves")
+        return self._levels[-1][0]
 
     def prove(self, leaf_index: int) -> InclusionProof:
-        if not 0 <= leaf_index < len(self._leaves):
-            raise IndexOutOfRange(
-                f"leaf {leaf_index} outside tree of {len(self._leaves)}"
-            )
-        levels = self._computed_levels()
+        self._check_index(leaf_index)
         path = []
         index = leaf_index
-        for level in levels[:-1]:
+        for level in self._levels[:-1]:
             sibling = index ^ 1
             if sibling < len(level):
                 side = SIDE_LEFT if sibling < index else SIDE_RIGHT

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 from .encoding import Reader, u64
 from .errors import (
     EmptyTree,
+    IndexOutOfRange,
     InsufficientBalance,
     LimitExceeded,
     MissingCounterSignature,
@@ -35,7 +36,7 @@ from .hashing import (
     Signature,
     commit_balance,
 )
-from .merkle import MerkleTree
+from .merkle import InclusionProof, MerkleTree
 
 RECORD_SIZE = 232
 
@@ -219,6 +220,12 @@ class PeerTransactionTree:
         if self._tree is None:
             return EMPTY_TREE_DIGEST
         return self._tree.root()
+
+    def prove(self, index: int) -> InclusionProof:
+        """Inclusion proof of the current epoch's leaf ``index`` against ``root()``."""
+        if self._tree is None:
+            raise IndexOutOfRange(f"pair {self.pair_key} has no leaf {index}")
+        return self._tree.prove(index)
 
     def tamper_leaf(self, index: int, payload: bytes) -> None:
         """Overwrite a raw leaf payload in place (fault injection only)."""

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -299,3 +300,73 @@ def test_no_transaction_records_stored():
             walk(vars(obj))
 
     walk(cm)
+
+
+def test_per_client_index_matches_linear_scan():
+    """Seeded issue, redeem and out-of-order report steps; every lookup is
+    compared with a scan over the whole table."""
+    rng = random.Random(7)
+    cm = CurrencyManager()
+    clients = [cm.enroll(b"pk%d" % i, 10_000, timestamp=i) for i in range(5)]
+    balance = {c: 0 for c in clients}  # each client's own view, ahead of the CM
+    root = {c: EMPTY_TREE_DIGEST for c in clients}
+    in_flight = []  # undelivered report_balance arguments
+    parked = 0
+    tick = len(clients)
+    for step in range(400):
+        tick += rng.choice((0, 0, 1, 2))
+        c = rng.choice(clients)
+        idle = not any(r[0] == c for r in in_flight)
+        op = rng.random()
+        if op < 0.15 and idle:
+            amount = rng.randint(1, 500)
+            balance[c] += amount
+            cm.issue(c, amount, tick)
+        elif op < 0.25 and idle and balance[c]:
+            amount = rng.randint(1, balance[c])
+            balance[c] -= amount
+            cm.redeem(c, amount, tick)
+        elif op < 0.65 and balance[c]:
+            payee = rng.choice([p for p in clients if p != c])
+            amount = rng.randint(1, balance[c])
+            priors = (root[c], root[payee])
+            for who, delta, peer_prior in ((c, -amount, priors[1]),
+                                           (payee, amount, priors[0])):
+                balance[who] += delta
+                new_root = digest(f"{who}:{step}")
+                in_flight.append((who, balance[who], new_root, root[who],
+                                  peer_prior))
+                root[who] = new_root
+        elif in_flight:
+            args = in_flight.pop(rng.randrange(len(in_flight)))
+            parked += cm.report_balance(*args, timestamp=tick).status == "parked"
+    for args in in_flight:
+        cm.report_balance(*args, timestamp=tick)
+    assert parked and cm.parked_count() == 0
+    rows = cm.table.rows
+    assert len(rows) > 300 and any(r.valid_from == r.valid_to for r in rows)
+
+    def scan_row(client_id, at):
+        for row in rows:
+            if row.client_id == client_id and row.valid_from <= at < row.valid_to:
+                return row
+        return None
+
+    assert {id(r) for r in cm.table.open_rows()} == {id(r) for r in rows if r.open}
+    assert cm.check_conservation().actual == sum(r.valid_balance for r in rows if r.open)
+    assert cm.check_conservation().holds
+    for at in range(tick + 2):
+        for client_id in clients:
+            row = scan_row(client_id, at)
+            if row is None:
+                with pytest.raises(UnknownClient):
+                    cm.table.balance_at(client_id, at)
+            else:
+                assert cm.table.balance_at(client_id, at) == row.valid_balance
+        verdict = cm.check_conservation(at=at)
+        actual = sum(r.valid_balance for r in map(scan_row, clients, [at] * 5) if r)
+        assert (verdict.actual, verdict.expected) == (actual, cm.supply.net_at(at))
+    for client_id in clients:
+        assert cm.table.closed_provenances(client_id) == {
+            r.provenance_mhtr for r in rows if r.client_id == client_id and not r.open
+        }

@@ -25,6 +25,7 @@ from deltamoney.errors import (
 )
 from deltamoney.hashing import KeyStore, Signature
 from deltamoney.integrity_manager import IntegrityManager, PTTRAttestation
+from deltamoney.peer_ledger import reset_epoch
 
 
 def build_world(n_transfers=6):
@@ -167,6 +168,23 @@ def test_forged_attestation_signature_fails_correctness():
     records, vo = query_transactions(grant, (1, 2), 1, 6, a, forged_att)
     verdict = verify_vo(vo, ks, latest_for(im, (1, 2)))
     assert not verdict.correct
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 12), (8, 9), (9, 9), (3, 8), (1, 6),
+                                   (11, 20), (9, 8), (-3, 0)])
+def test_query_returns_exactly_the_requested_range_of_the_epoch(lo, hi):
+    # pair_seq 1..6 are archived by the epoch reset; the current epoch holds 7..10
+    ks, treasury, a, b, im, tick = build_world()
+    root = a.ptts[(1, 2)].root()
+    for node in (a, b):
+        reset_epoch(node.ptts[(1, 2)], [ks.sign(1, root), ks.sign(2, root)], ks)
+    for i in range(4):
+        transact(a, b, 10 + i, tick + i)
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    records, vo = query_transactions(grant, (1, 2), lo, hi, a,
+                                     im.attest_pttr((1, 2)))
+    assert vo.epoch_start == 6
+    assert [r.pair_seq for r in records] == [s for s in range(7, 11) if lo <= s <= hi]
 
 
 def test_subject_without_pair_refused():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltamoney.errors import EmptyTree, IndexOutOfRange
-from deltamoney.hashing import HashScheme, hash_internal, hash_leaf
+from deltamoney.errors import EmptyPayload, EmptyTree, IndexOutOfRange
+from deltamoney.hashing import SHA256, HashScheme, hash_internal, hash_leaf
 from deltamoney.merkle import InclusionProof, MerkleTree, verify
 
 
@@ -191,6 +191,79 @@ def test_custom_scheme_path():
     assert tree.root() != MerkleTree.build(items).root()
     for i in range(6):
         assert verify(items[i], tree.prove(i), tree.root(), scheme)
+
+
+def counting_scheme():
+    calls = [0]
+
+    def counted(data: bytes) -> bytes:
+        calls[0] += 1
+        return hashlib.sha256(data).digest()
+
+    return HashScheme("counted-sha256", counted), calls
+
+
+@pytest.mark.parametrize("scheme", [SHA256, counting_scheme()[0]],
+                         ids=["sha256", "custom"])
+def test_empty_payload_rejected_by_every_scheme(scheme):
+    with pytest.raises(EmptyPayload):
+        MerkleTree.build([b""], scheme)
+    tree = MerkleTree.build([b"p"], scheme)
+    with pytest.raises(EmptyPayload):
+        tree.append(b"")
+    assert len(tree) == 1 and tree.root() == hash_leaf(b"p", scheme)
+
+
+def test_incremental_updates_match_rebuild():
+    """A seeded mix of appends, removals and replacements over 1..300 leaves."""
+    rng = random.Random(2205)
+    items = [b"seed"]
+    tree = MerkleTree.build(items)
+    step = 0
+    while len(items) < 300:
+        step += 1
+        op = rng.random()
+        if op < 0.6:
+            items.append(b"leaf-%d" % step)
+            tree.append(items[-1])
+        elif op < 0.8 and len(items) > 1:
+            items.pop()
+            tree.remove_last()
+        else:
+            index = rng.randrange(len(items))
+            items[index] = b"replaced-%d" % step
+            tree.replace_leaf(index, items[index])
+        n = len(items)
+        built = MerkleTree.build(items)
+        assert len(tree) == n
+        assert len(tree._levels) == len(built._levels) == math.ceil(math.log2(n)) + 1
+        assert tree.root() == built.root() == brute_force_root(items)
+        for i in range(n):
+            assert tree.prove(i) == built.prove(i)
+
+
+def test_emptied_tree_grows_again():
+    tree = MerkleTree.build(payloads(3))
+    for _ in range(3):
+        tree.remove_last()
+    with pytest.raises(EmptyTree):
+        tree.root()
+    with pytest.raises(EmptyTree):
+        tree.remove_last()
+    for payload in payloads(5):
+        tree.append(payload)
+    assert tree.root() == brute_force_root(payloads(5))
+
+
+def test_append_then_root_hashes_one_path():
+    # a two-leaf root needs two hashes, so the bound starts at n = 2
+    scheme, calls = counting_scheme()
+    tree = MerkleTree.build(payloads(2), scheme)
+    for n in range(2, 301):
+        calls[0] = 0
+        tree.append(b"payload-%d" % n)
+        tree.root()
+        assert calls[0] <= math.ceil(math.log2(n)) + 1, n
 
 
 def test_backends_agree(tmp_path):
