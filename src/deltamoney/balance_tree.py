@@ -12,10 +12,17 @@ just outside the range ride along in full as boundary witnesses.  A
 verifier refolds the skeleton to check correctness against a trusted
 root and scans the flattened leaf order to check nothing in range was
 skipped.
+
+Costs: an insert rehashes the rightmost path, and internal nodes keep
+their separator keys encoded so a rehash only joins bytes.  A range query
+returning k records costs O(log n + k): the two boundary witnesses are
+found by descending the separator keys, and the skeleton enters only the
+subtrees whose separator range overlaps the touched keys.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -36,6 +43,7 @@ from .hashing import (
 )
 
 RECORD_SIZE = 80
+KEY_SIZE = 16  # encoded (timestamp, client_seq)
 MIN_FANOUT = 3
 MAX_FANOUT = 64
 SNAPSHOT_MAGIC = b"DMHT"
@@ -113,10 +121,15 @@ class _Leaf:
 
 
 class _Internal:
-    __slots__ = ("keys", "children", "hash")
+    """Children and separators: ``keys[i]`` is the first key under
+    ``children[i + 1]``; ``key_bytes`` holds the same keys encoded,
+    ``KEY_SIZE`` bytes each, so a rehash does not re-pack them."""
+
+    __slots__ = ("keys", "key_bytes", "children", "hash")
 
     def __init__(self) -> None:
         self.keys: list[Key] = []
+        self.key_bytes = b""
         self.children: list = []
         self.hash = b""
 
@@ -124,7 +137,7 @@ class _Internal:
         self.hash = scheme(
             TAG_BTREE_INTERNAL
             + b"".join(child.hash for child in self.children)
-            + b"".join(_key_bytes(k) for k in self.keys)
+            + self.key_bytes
         )
 
 
@@ -181,6 +194,7 @@ class BalanceMHT:
             sep, right = split
             new_root = _Internal()
             new_root.keys = [sep]
+            new_root.key_bytes = _key_bytes(sep)
             new_root.children = [self._root, right]
             new_root.rehash(self.scheme)
             self._root = new_root
@@ -210,14 +224,17 @@ class BalanceMHT:
         if split is not None:
             sep, right = split
             node.keys.append(sep)
+            node.key_bytes += _key_bytes(sep)
             node.children.append(right)
             if len(node.keys) > self.fanout - 1:
                 mid = len(node.keys) // 2
                 new_right = _Internal()
                 new_right.keys = node.keys[mid + 1 :]
+                new_right.key_bytes = node.key_bytes[(mid + 1) * KEY_SIZE :]
                 new_right.children = node.children[mid + 1 :]
                 promoted = node.keys[mid]
                 node.keys = node.keys[:mid]
+                node.key_bytes = node.key_bytes[: mid * KEY_SIZE]
                 node.children = node.children[: mid + 1]
                 node.rehash(self.scheme)
                 new_right.rehash(self.scheme)
@@ -248,41 +265,72 @@ class BalanceMHT:
         if self._root is None:
             vo = RangeVO(key_lo, key_hi, EMPTY_TREE_DIGEST, ("empty",))
             return [], vo
-        results = []
-        left_boundary = right_boundary = None
-        for rec in self.records_in_order():
-            if rec.key < key_lo:
-                left_boundary = rec
-            elif rec.key > key_hi:
-                right_boundary = rec
-                break
-            else:
-                results.append(rec)
-        witnesses = {id(left_boundary), id(right_boundary)}
-        index_of = {id(rec): i for i, rec in enumerate(results)}
-        skeleton = self._prune(self._root, index_of, witnesses)
+        # The touched records are every key in [first, last]: the results
+        # plus the last key below key_lo and the first above key_hi, the
+        # boundary witnesses, where those exist.
+        first = self._key_below(key_lo)
+        last = self._key_above(key_hi)
+        span = (key_lo if first is None else first,
+                key_hi if last is None else last)
+        results: list[BalanceChangeRecord] = []
+        skeleton = self._prune(self._root, key_lo, key_hi, span, results)
         return results, RangeVO(key_lo, key_hi, self._root.hash, skeleton)
 
-    def _prune(self, node, index_of, witnesses):
+    def _key_below(self, key: Key) -> Optional[Key]:
+        """Largest record key less than ``key``, or None."""
+        node = self._root
+        while isinstance(node, _Internal):
+            # keys[c - 1] < key is the first key under children[c], so for
+            # c > 0 the answer lies under children[c]
+            node = node.children[bisect_left(node.keys, key)]
+        below = None
+        for rec in node.records:
+            if rec.key >= key:
+                break
+            below = rec.key
+        return below
+
+    def _key_above(self, key: Key) -> Optional[Key]:
+        """Smallest record key greater than ``key``, or None."""
+        node = self._root
+        above = None
+        while isinstance(node, _Internal):
+            index = bisect_right(node.keys, key)
+            if index < len(node.keys):
+                above = node.keys[index]  # first key of the next subtree
+            node = node.children[index]
+        for rec in node.records:
+            if rec.key > key:
+                return rec.key
+        return above
+
+    def _prune(self, node, key_lo: Key, key_hi: Key, span, results):
+        """Skeleton of ``node`` keeping the touched keys, those in ``span``.
+
+        Separators bound every child's keys, so only children whose
+        separator range overlaps ``span`` are entered; each of them holds
+        a touched key, and every other child becomes a digest stub.
+        """
+        first, last = span
         if isinstance(node, _Leaf):
             slots = []
-            keep = False
             for rec, digest in zip(node.records, node.digests):
-                if id(rec) in index_of:
-                    slots.append(("result", index_of[id(rec)]))
-                    keep = True
-                elif id(rec) in witnesses:
+                if key_lo <= rec.key <= key_hi:
+                    slots.append(("result", len(results)))
+                    results.append(rec)
+                elif first <= rec.key <= last:
                     slots.append(("boundary", rec.to_bytes()))
-                    keep = True
                 else:
                     slots.append(("stub", digest))
-            if keep:
-                return ("leaf", tuple(slots))
-            return ("stub", node.hash)
-        children = [self._prune(c, index_of, witnesses) for c in node.children]
-        if all(c[0] == "stub" for c in children):
-            return ("stub", node.hash)
-        return ("node", tuple(node.keys), tuple(children))
+            return ("leaf", tuple(slots))
+        start = bisect_right(node.keys, first)
+        stop = bisect_right(node.keys, last)
+        children = tuple(
+            self._prune(child, key_lo, key_hi, span, results)
+            if start <= index <= stop else ("stub", child.hash)
+            for index, child in enumerate(node.children)
+        )
+        return ("node", tuple(node.keys), children)
 
     # ------------------------------------------------------------------
     # persistence
@@ -346,7 +394,8 @@ class RangeVO:
         key_hi = (r.u64(), r.u64())
         mhtr = r.take(32)
         skeleton = _decode_skeleton(r)
-        r.done()
+        if not r.done():
+            raise ValueError("trailing bytes after the range VO")
         return cls(key_lo, key_hi, mhtr, skeleton)
 
 

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .hashing import Digest, KeyStore
 from .integrity_manager import TransactionReport
-from .merkle import MerkleTree
 from .peer_ledger import (
+    RECORD_SIZE,
     AccountView,
     PeerTransactionTree,
     TransactionPairRecord,
@@ -362,7 +362,7 @@ class ClientNode:
             epoch=ptt.epoch,
             archived_roots=tuple(ptt.archived_roots),
             carried_net_low=ptt._carried_net_low,
-            seq_at_epoch_start=ptt.last_seq - len(ptt.records),
+            seq_at_epoch_start=ptt.epoch_start,
         )
 
     def wipe(self) -> None:
@@ -383,22 +383,24 @@ class ClientNode:
     ) -> None:
         """Rebuild all pair trees and the balance tree from partner data.
 
-        Each partner's record set is replayed into a fresh tree; the
+        Each partner's records are checked and hashed into a fresh pair
+        tree in one build pass (about 2n hashes for n records); the
         rebuilt root must match both the partner's claim and, when the
         Integrity Manager has one, the archived validated root.  The
         balance tree is then rebuilt by replaying every record in
-        timestamp order.
+        timestamp order, each citing the root its pair tree had right
+        after it, read from the levels that build already stored
+        (popcount(size) - 1 hashes, no second tree).
         """
         rebuilt: dict[tuple[int, int], PeerTransactionTree] = {}
         for data in partners:
             key = pair_of(self.id, data.peer_id)
-            ptt = PeerTransactionTree(*key)
-            ptt.epoch = data.epoch
-            ptt.archived_roots = list(data.archived_roots)
-            ptt._carried_net_low = data.carried_net_low
-            ptt.last_seq = data.seq_at_epoch_start
-            for record in data.records:
-                ptt.append_record(record)
+            ptt = PeerTransactionTree.restore(
+                key, data.records, epoch=data.epoch,
+                archived_roots=data.archived_roots,
+                carried_net_low=data.carried_net_low,
+                seq_at_epoch_start=data.seq_at_epoch_start,
+            )
             root = ptt.root()
             if root != data.claimed_root:
                 raise PartnerRootDisagreement(
@@ -421,7 +423,6 @@ class ClientNode:
             for record in ptt.records:
                 timeline.append((record.timestamp, key, record))
         timeline.sort(key=lambda item: (item[0], item[1], item[2].pair_seq))
-        replay: dict[tuple[int, int], MerkleTree] = {}
         balance = self.opening_reserve
         if self.opening_reserve:
             self.client_seq = 1
@@ -431,12 +432,6 @@ class ClientNode:
                 causing_pttr=self.mht.root(),
             ))
         for timestamp, key, record in timeline:
-            payload = record.to_bytes()
-            tree = replay.get(key)
-            if tree is None:
-                tree = replay[key] = MerkleTree.build([payload])
-            else:
-                tree.append(payload)
             delta = record.amount if record.payee_id == self.id else -record.amount
             balance += delta
             self.client_seq += 1
@@ -447,7 +442,7 @@ class ClientNode:
                 peer_id=key[0] if key[1] == self.id else key[1],
                 delta=delta,
                 new_balance=balance,
-                causing_pttr=tree.root(),
+                causing_pttr=rebuilt[key].root_after(record.pair_seq),
             ))
             self.local_views[key].append(local_view(
                 record, self.id, balance - delta
@@ -529,20 +524,21 @@ class ClientNode:
             node.fanout = node.mht.fanout
             node.client_seq = client_seq
             for _ in range(r.u32()):
-                a, b = r.u64(), r.u64()
-                ptt = PeerTransactionTree(a, b)
-                ptt.epoch = r.u64()
+                key = (r.u64(), r.u64())
+                epoch = r.u64()
                 last_seq = r.u64()
-                ptt._carried_net_low = r.i64()
-                ptt.archived_roots = [
-                    (r.u64(), r.take(32)) for _ in range(r.u32())
-                ]
+                carried_net_low = r.i64()
+                archived_roots = [(r.u64(), r.take(32)) for _ in range(r.u32())]
                 n_records = r.u64()
-                ptt.last_seq = last_seq - n_records
-                for _ in range(n_records):
-                    ptt.append_record(
-                        TransactionPairRecord.from_bytes(r.take(232))
-                    )
+                records = [
+                    TransactionPairRecord.from_bytes(r.take(RECORD_SIZE))
+                    for _ in range(n_records)
+                ]
+                ptt = PeerTransactionTree.restore(
+                    key, records, epoch=epoch, archived_roots=archived_roots,
+                    carried_net_low=carried_net_low,
+                    seq_at_epoch_start=last_seq - n_records,
+                )
                 expected_root = r.take(32)
                 if ptt.root() != expected_root:
                     raise CorruptSnapshot(

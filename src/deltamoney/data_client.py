@@ -209,7 +209,7 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
     if attestation is None:
         raise UnknownTransaction(f"no validated root on file for pair {key}")
     # leaf i of the current epoch holds pair_seq epoch_start + 1 + i
-    epoch_start = ptt.last_seq - len(ptt.records)
+    epoch_start = ptt.epoch_start
     first = max(seq_lo - epoch_start - 1, 0)
     entries = []
     records = []

@@ -51,7 +51,10 @@ class InclusionProof:
         leaf_index = r.u64()
         count = r.u32()
         path = tuple((r.take(1)[0], r.take(DIGEST_SIZE)) for _ in range(count))
-        return cls(leaf_index, path, r.take(DIGEST_SIZE))
+        proof = cls(leaf_index, path, r.take(DIGEST_SIZE))
+        if not r.done():
+            raise ValueError("trailing bytes after the inclusion proof")
+        return proof
 
 
 class MerkleTree:
@@ -146,6 +149,28 @@ class MerkleTree:
         if not self._levels[0]:
             raise EmptyTree("tree has no leaves")
         return self._levels[-1][0]
+
+    def root_at(self, size: int) -> Digest:
+        """Root the tree had when it held only its first ``size`` leaves.
+
+        The prefix splits into perfect subtrees, one per set bit of
+        ``size`` and the largest leftmost; each is a node already stored
+        in ``_levels`` (level h, index i covers leaves [i * 2**h,
+        (i + 1) * 2**h)).  Promoting unpaired nodes makes the prefix root
+        these peaks folded from the right, RFC 6962's Merkle Tree Hash, so
+        this costs popcount(size) - 1 hashes and rehashes no leaf.
+        """
+        if not 1 <= size <= len(self):
+            raise IndexOutOfRange(f"prefix {size} outside tree of {len(self)}")
+        peaks = [
+            self._levels[h][(size >> h) - 1]
+            for h in range(size.bit_length())
+            if size >> h & 1
+        ]
+        node = peaks[0]
+        for peak in peaks[1:]:
+            node = hash_internal(peak, node, self.scheme)
+        return node
 
     def prove(self, leaf_index: int) -> InclusionProof:
         self._check_index(leaf_index)

@@ -239,6 +239,75 @@ def test_empty_range_between_adjacent_keys():
     assert [r for r in records if (t, records[4].client_seq + 1) <= r.key <= (t + 1, 0)] == []
 
 
+def scan_range_query(tree, key_lo, key_hi):
+    """Reference range query: scan every record in order, then prune every node."""
+    if tree._root is None:
+        return [], RangeVO(key_lo, key_hi, EMPTY_TREE_DIGEST, ("empty",))
+    results = []
+    left_boundary = right_boundary = None
+    for rec in tree.records_in_order():
+        if rec.key < key_lo:
+            left_boundary = rec
+        elif rec.key > key_hi:
+            right_boundary = rec
+            break
+        else:
+            results.append(rec)
+    witnesses = {id(left_boundary), id(right_boundary)}
+    index_of = {id(rec): i for i, rec in enumerate(results)}
+
+    def prune(node):
+        if isinstance(node, _Leaf):
+            slots = []
+            keep = False
+            for rec, digest in zip(node.records, node.digests):
+                if id(rec) in index_of:
+                    slots.append(("result", index_of[id(rec)]))
+                    keep = True
+                elif id(rec) in witnesses:
+                    slots.append(("boundary", rec.to_bytes()))
+                    keep = True
+                else:
+                    slots.append(("stub", digest))
+            return ("leaf", tuple(slots)) if keep else ("stub", node.hash)
+        children = [prune(c) for c in node.children]
+        if all(c[0] == "stub" for c in children):
+            return ("stub", node.hash)
+        return ("node", tuple(node.keys), tuple(children))
+
+    return results, RangeVO(key_lo, key_hi, tree._root.hash, prune(tree._root))
+
+
+@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
+def test_range_query_matches_scan_oracle(fanout):
+    """Seeded trees of 0..300 records; ranges inside, around and outside the keys."""
+    rng = random.Random(fanout)
+    records = history(300, seed=fanout)
+    keys = [r.key for r in records]
+    tree = BalanceMHT(fanout)
+    for n in range(301):
+        if n:
+            tree.insert(records[n - 1])
+        # the n records so far have the keys (1, 1) .. (n, n)
+        candidates = [(t, c) for t in range(n + 3) for c in (t - 1, t, t + 1)
+                      if c >= 0]
+        lo, hi = sorted(rng.sample(candidates, 2))
+        ranges = [
+            (lo, hi),
+            ((0, 0), (1, 0)),  # before the first key
+            ((n, n + 1), (2**64 - 1, 2**64 - 1)),  # after the last key
+            ((0, 0), (2**64 - 1, 2**64 - 1)),
+        ]
+        if n:
+            k = rng.choice(keys[:n])
+            ranges.append((k, k))
+        for key_lo, key_hi in ranges:
+            got, vo = tree.range_query(key_lo, key_hi)
+            want, want_vo = scan_range_query(tree, key_lo, key_hi)
+            assert got == want, (n, key_lo, key_hi)
+            assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
+
+
 def test_inverted_range_rejected():
     tree = build(history(5))
     with pytest.raises(InvertedRange):

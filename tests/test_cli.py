@@ -76,7 +76,7 @@ def test_run_seed_override_changes_nothing_on_fixed_script(tmp_path):
 
 
 def test_shipped_scenarios_run_clean(tmp_path):
-    for name in ("table4.scn", "grid3.scn"):
+    for name in ("table4.scn", "grid3.scn", "recover.scn"):
         assert main(["run", str(SCENARIOS / name),
                      "--log", str(tmp_path / "out.log")]) == 0
 

@@ -146,6 +146,23 @@ def test_mutated_record_fails_only_correctness():
     assert verdict == Verdict(False, True, True)
 
 
+def test_padded_inclusion_proof_fails_correctness():
+    ks, treasury, a, b, im, tick = build_world()
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    records, vo = query_transactions(
+        grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
+    )
+    entries = list(vo.entries)
+    record, proof = entries[2]
+    entries[2] = (record, proof + b"junk")
+    padded = TransactionInclusionVO(
+        vo.pair_key, vo.seq_lo, vo.seq_hi, vo.epoch_start,
+        tuple(entries), vo.attestation,
+    )
+    verdict = verify_vo(parse_vo(padded.to_bytes()), ks, latest_for(im, (1, 2)))
+    assert not verdict.correct
+
+
 def test_superseded_attestation_fails_only_freshness():
     ks, treasury, a, b, im, tick = build_world()
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
@@ -247,6 +264,18 @@ class TestBalanceVO:
             vo.range_vo, vo.attestation,
         )
         verdict = verify_vo(forged, ks, att.mhtr)
+        assert not verdict.correct
+
+    def test_padded_range_vo_fails_correctness(self):
+        ks, a, b, cm, tick = self.setup_world()
+        att = cm.attest_mhtr(1)
+        records, vo = query_balance_history(
+            self.grant_for(1), (0, 0), (tick, 999), a, att
+        )
+        padded = BalanceRangeVO(
+            vo.client_id, vo.records, vo.range_vo + b"junk", vo.attestation
+        )
+        verdict = verify_vo(parse_vo(padded.to_bytes()), ks, att.mhtr)
         assert not verdict.correct
 
     def test_stale_balance_attestation_fails_freshness(self):

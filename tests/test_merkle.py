@@ -266,6 +266,26 @@ def test_append_then_root_hashes_one_path():
         assert calls[0] <= math.ceil(math.log2(n)) + 1, n
 
 
+def test_root_at_equals_prefix_build():
+    items = payloads(300)
+    tree = MerkleTree.build(items)
+    for k in range(1, 301):
+        want = MerkleTree.build(items[:k]).root()
+        assert tree.root_at(k) == want == brute_force_root(items[:k]), k
+    for size in (0, 301):
+        with pytest.raises(IndexOutOfRange):
+            tree.root_at(size)
+
+
+def test_root_at_hashes_one_per_extra_peak():
+    scheme, calls = counting_scheme()
+    tree = MerkleTree.build(payloads(300), scheme)
+    for k in range(1, 301):
+        calls[0] = 0
+        tree.root_at(k)
+        assert calls[0] == bin(k).count("1") - 1, k
+
+
 def test_backends_agree(tmp_path):
     from deltamoney._kernels import BACKEND, pure
 
