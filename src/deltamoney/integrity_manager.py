@@ -280,6 +280,20 @@ class IntegrityManager:
                 raised.append(alert)
         return raised
 
+    def next_deadline(self) -> Optional[int]:
+        """Earliest tick at which ``check_deadlines`` can raise, or None.
+
+        A pending report not yet alerted falls due the first tick past
+        its reporting deadline; between such ticks ``check_deadlines``
+        raises nothing, so a caller may skip them.
+        """
+        if not self._pending:
+            return None
+        first = min((pending.first_seen for pending in self._pending.values()
+                     if pending.first_seen is not None
+                     and not pending.deadline_alerted), default=None)
+        return None if first is None else first + self.reporting_deadline + 1
+
     def cross_check_balance(self, client: int, mhtr_from_client: Digest,
                             mhtr_from_manager: Digest,
                             now: int = 0) -> ValidationOutcome:

@@ -356,6 +356,28 @@ class TestRecovery:
         assert a.persist_snapshot() == blob_before
         assert a.balance == a.expected_balance() == 10_000 - 30 + 12 - 7 - 5 + 3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "recover_transactions starts the balance replay at the opening "
+        "reserve and drops each pair's carried_net_low; ROADMAP item 6 "
+        "fixes this and removes the marker"))
+    def test_recovery_keeps_the_net_of_an_archived_epoch(self):
+        treasury, nodes, tick = make_funded(1, 2, 3)
+        a, b, c = nodes[1], nodes[2], nodes[3]
+        for amount in (10, 11, 12):
+            assert transact(a, b, amount, tick).committed
+            tick += 1
+        key = pair_of(1, 2)
+        root = a.ptts[key].root()
+        signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
+        for node in (a, b):
+            reset_epoch(node.ptts[key], signatures, a.keystore)
+        partners = [treasury.export_recovery_data(1)]
+        partners += [node.export_recovery_data(1) for node in (b, c)]
+        a.wipe()
+        a.recover_transactions(partners, lambda key: None)
+        assert a.expected_balance() == 10_000 - 10 - 11 - 12
+        assert a.balance == a.expected_balance()
+
     def test_partner_claiming_wrong_root_is_caught(self):
         treasury, nodes, tick = run_traffic()
         data = nodes[2].export_recovery_data(1)

@@ -107,6 +107,21 @@ def test_missing_counterpart_deadline():
     assert out.status == "validated"
 
 
+def test_next_deadline_is_the_earliest_unalerted_due_tick():
+    im = fresh_im()
+    assert im.next_deadline() is None
+    im.ingest_report(report(1, (1, 2), 5, digest("root"), t=7), now=7)
+    im.ingest_report(report(3, (3, 4), 1, digest("root"), t=3), now=3)
+    im.ingest_report(report(2, (2, 3), 2, digest("root"), t=9), now=9)
+    assert im.next_deadline() == 3 + im.reporting_deadline + 1
+    assert im.check_deadlines(now=im.next_deadline() - 1) == []
+    assert len(im.check_deadlines(now=im.next_deadline())) == 1
+    assert im.next_deadline() == 7 + im.reporting_deadline + 1
+    im.check_deadlines(now=100)
+    assert len(im.alerts) == 3
+    assert im.next_deadline() is None  # all still pending, all alerted
+
+
 def test_cross_check_balance():
     im = fresh_im()
     assert im.cross_check_balance(1, digest("m"), digest("m")).status == "validated"

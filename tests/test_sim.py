@@ -1,8 +1,12 @@
 """Simulator behavior: determinism, fault detection, eventual consistency."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from deltamoney.errors import ScenarioParseError, StepLimitExceeded, UnknownTarget
+from deltamoney.integrity_manager import AlertKind
 from deltamoney.scenario import parse_scenario, run_scenario
 from deltamoney.sim import DeliveryPolicy, Simulation
 
@@ -18,6 +22,18 @@ def small_world(seed=11, clients=3):
         sim.issue(c, 1_000 * c)
     sim.advance(10 * clients)
     return sim
+
+
+def crash_before_commit():
+    """The payee crashes before the CommitMsg lands; its report never comes."""
+    sim = small_world(seed=26)
+    sim.transfer(1, 2, 100)
+    sim.advance(3)  # payer has committed; CommitMsg still in flight
+    sim.inject("crash-client", 2)
+    sim.quiesce()
+    sim.advance(30)  # walk past the reporting deadline
+    return sim
+
 
 
 def test_table4_flow_reaches_published_balances():
@@ -143,14 +159,49 @@ class TestFaultDetection:
         assert {k: t.root() for k, t in sim.clients[2].ptts.items()} == want_roots
 
     def test_crash_before_commit_raises_missing_counterpart(self):
-        sim = small_world(seed=26)
-        sim.transfer(1, 2, 100)
-        sim.advance(3)  # payer has committed; CommitMsg still in flight
-        sim.inject("crash-client", 2)
-        sim.quiesce()
-        sim.advance(30)  # walk past the reporting deadline
+        sim = crash_before_commit()
         kinds = [k for k, _, _ in sim.alerts]
         assert "MissingCounterpartReport" in kinds
+
+    def test_deadline_alerts_land_on_their_exact_ticks(self):
+        """One long advance crosses two deadlines; each fires on its tick.
+
+        The clock skips idle ticks, so this pins that it still stops at
+        first_seen + reporting_deadline + 1 for every unmatched report.
+        """
+        sim = small_world(seed=30)
+        for payee in (2, 3):
+            sim.transfer(1, payee, 100)
+            sim.advance(3)  # payer has committed; CommitMsg still in flight
+            sim.inject("crash-client", payee)
+        sim.advance(60)
+        held = {}
+        for line in sim.log.lines:
+            tick, _, event, details = line.split("|")
+            if event == "txn-report" and details.endswith("status=held"):
+                held[details.split(" seq=")[0]] = int(tick)
+        first_seen = {(2,): held["pair=(1, 2)"], (3,): held["pair=(1, 3)"]}
+        assert first_seen[(2,)] != first_seen[(3,)]
+        alerts = [a for a in sim.im.alerts
+                  if a.kind is AlertKind.MISSING_COUNTERPART_REPORT]
+        assert sorted(a.subjects for a in alerts) == [(2,), (3,)]
+        for alert in alerts:
+            due = first_seen[alert.subjects] + sim.im.reporting_deadline + 1
+            assert alert.raised_at == due
+            assert any(
+                line.startswith(f"{due}|im|alert|kind=MissingCounterpartReport "
+                                f"subjects={list(alert.subjects)} ")
+                for line in sim.log.lines
+            )
+
+    def test_alert_raised_between_runs_is_logged_on_the_next_tick(self):
+        sim = small_world(seed=31)
+        sim.im.cross_check_balance(1, b"\x01" * 32, b"\x02" * 32, now=sim.now)
+        raised_at = sim.now
+        sim.advance(20)
+        assert sim.alerts == [("BalanceCrossCheckFailure", (1,), raised_at)]
+        assert [line.split("|")[0] for line in sim.log.lines
+                if "|im|alert|" in line] == [str(raised_at + 1)]
 
     def test_partitioned_managers_hear_reports_eventually(self):
         sim = small_world(seed=27)
@@ -305,14 +356,31 @@ def test_scenario_parse_errors_cite_line_numbers(line, fragment):
     assert "line" in str(err.value)
 
 
-def test_shipped_scenarios_pass(tmp_path):
-    from pathlib import Path
+def _shipped(name):
+    text = Path(__file__).resolve().parent.parent.joinpath(
+        "scenarios", name).read_text()
+    return run_scenario(parse_scenario(text))
 
+
+def test_shipped_scenarios_pass():
     for name in ("table4.scn", "grid3.scn"):
-        text = Path(__file__).resolve().parent.parent.joinpath(
-            "scenarios", name).read_text()
-        sim = run_scenario(parse_scenario(text))
-        assert sim.log.failures == [], name
+        assert _shipped(name).log.failures == [], name
+
+
+# sha256 of the event log, fixed when the clock still stepped through every
+# tick: skipping idle ticks must leave every log byte for byte as it was
+@pytest.mark.parametrize("run, digest", [
+    (lambda: _shipped("table4.scn"),
+     "442da3ba2750696ba5cdceb9eec238d78131049eaca1e28375b57e621fd64e36"),
+    (lambda: _shipped("grid3.scn"),
+     "e17beb710bc88eb5f2a45666e3ec418a8ffce8d19bd7cb7e08148f7bec2fa180"),
+    (lambda: _shipped("recover.scn"),
+     "d78675591d92c060439032d76858f60642c40eceb4149f877e6d7a131461bed9"),
+    (crash_before_commit,
+     "4735e9e66b62d07efe77fbdcb588866b43ba33e17463607ee68a71dd5e08cd91"),
+], ids=["table4", "grid3", "recover", "crash-before-commit"])
+def test_event_logs_match_golden_digests(run, digest):
+    assert hashlib.sha256(run().log.text().encode()).hexdigest() == digest
 
 
 def test_scenario_fault_steps_drive_detection():
