@@ -14,17 +14,21 @@ root and scans the flattened leaf order to check nothing in range was
 skipped.
 
 Costs: an insert rehashes the rightmost path, and internal nodes keep
-their separator keys encoded so a rehash only joins bytes.  A range query
-returning k records costs O(log n + k): the two boundary witnesses are
-found by descending the separator keys, and the skeleton enters only the
-subtrees whose separator range overlaps the touched keys.
+their separator keys encoded so a rehash only joins bytes.  ``build``
+loads a whole history, as recovery and snapshot loading do: it places
+records with the same split rule but hashes in one pass at the end, each
+record digest once and each node once, where n inserts would rehash the
+rightmost path n times.  A range query returning k records costs
+O(log n + k): the two boundary witnesses are found by descending the
+separator keys, and the skeleton enters only the subtrees whose
+separator range overlaps the touched keys.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .encoding import Reader, i64, u32, u64
 from .errors import (
@@ -141,6 +145,14 @@ class _Internal:
         )
 
 
+def _hash_subtree(node, scheme: HashScheme) -> None:
+    """Hash every node under ``node``, children before their parent."""
+    if isinstance(node, _Internal):
+        for child in node.children:
+            _hash_subtree(child, scheme)
+    node.rehash(scheme)
+
+
 class BalanceMHT:
     """Append-ordered hashed B+ tree of balance-change records.
 
@@ -177,6 +189,27 @@ class BalanceMHT:
         return 0 if self._max_record is None else self._max_record.new_balance
 
     def insert(self, record: BalanceChangeRecord) -> None:
+        self._add(record, rehash=True)
+
+    @classmethod
+    def build(cls, records: Iterable[BalanceChangeRecord], fanout: int = 8,
+              scheme: HashScheme = SHA256) -> "BalanceMHT":
+        """The tree that inserting ``records`` in order would give.
+
+        Records pass the same checks and land where ``insert`` puts them,
+        but no node is hashed while they are placed: each record is
+        hashed once, then every node once, bottom-up, at the end.
+        """
+        tree = cls(fanout, scheme)
+        for record in records:
+            tree._add(record, rehash=False)
+        if tree._root is not None:
+            _hash_subtree(tree._root, scheme)
+        return tree
+
+    def _add(self, record: BalanceChangeRecord, rehash: bool) -> None:
+        """Check and place ``record``; ``rehash`` refreshes the touched
+        nodes' hashes, which ``build`` leaves to its one final pass."""
         if self._max_record is not None and record.key <= self._max_record.key:
             raise NonMonotonicKey(
                 f"key {record.key} not greater than current max {self._max_record.key}"
@@ -189,24 +222,26 @@ class BalanceMHT:
         if self._root is None:
             leaf = _Leaf()
             self._root = leaf
-        split = self._insert(self._root, record)
+        split = self._insert(self._root, record, rehash)
         if split is not None:
             sep, right = split
             new_root = _Internal()
             new_root.keys = [sep]
             new_root.key_bytes = _key_bytes(sep)
             new_root.children = [self._root, right]
-            new_root.rehash(self.scheme)
+            if rehash:
+                new_root.rehash(self.scheme)
             self._root = new_root
         self._count += 1
         self._max_record = record
 
-    def _insert(self, node, record):
+    def _insert(self, node, record, rehash):
         if isinstance(node, _Leaf):
             node.records.append(record)
             node.digests.append(self.scheme(record.to_bytes()))
             if len(node.records) <= self.fanout - 1:
-                node.rehash(self.scheme)
+                if rehash:
+                    node.rehash(self.scheme)
                 return None
             mid = self.fanout // 2
             right = _Leaf()
@@ -216,11 +251,12 @@ class BalanceMHT:
             node.digests = node.digests[:mid]
             right.next = node.next
             node.next = right
-            node.rehash(self.scheme)
-            right.rehash(self.scheme)
+            if rehash:
+                node.rehash(self.scheme)
+                right.rehash(self.scheme)
             return right.records[0].key, right
         # append-only keys: new records always belong under the last child
-        split = self._insert(node.children[-1], record)
+        split = self._insert(node.children[-1], record, rehash)
         if split is not None:
             sep, right = split
             node.keys.append(sep)
@@ -236,10 +272,12 @@ class BalanceMHT:
                 node.keys = node.keys[:mid]
                 node.key_bytes = node.key_bytes[: mid * KEY_SIZE]
                 node.children = node.children[: mid + 1]
-                node.rehash(self.scheme)
-                new_right.rehash(self.scheme)
+                if rehash:
+                    node.rehash(self.scheme)
+                    new_right.rehash(self.scheme)
                 return promoted, new_right
-        node.rehash(self.scheme)
+        if rehash:
+            node.rehash(self.scheme)
         return None
 
     def _first_leaf(self) -> Optional[_Leaf]:
@@ -358,9 +396,11 @@ class BalanceMHT:
         if len(data) != 20 + count * RECORD_SIZE + 32:
             raise CorruptSnapshot("snapshot length does not match record count")
         try:
-            tree = cls(fanout, scheme)
-            for _ in range(count):
-                tree.insert(BalanceChangeRecord.from_bytes(r.take(RECORD_SIZE)))
+            tree = cls.build(
+                (BalanceChangeRecord.from_bytes(r.take(RECORD_SIZE))
+                 for _ in range(count)),
+                fanout, scheme,
+            )
         except (ValueError, NonMonotonicKey, NegativeBalance) as exc:
             raise CorruptSnapshot(f"snapshot records are inconsistent: {exc}") from exc
         checksum = r.take(32)

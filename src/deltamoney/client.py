@@ -38,7 +38,7 @@ from .errors import (
     PeerSuspended,
     WrongAddressee,
 )
-from .hashing import Digest, KeyStore
+from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore
 from .integrity_manager import TransactionReport
 from .peer_ledger import (
     RECORD_SIZE,
@@ -168,11 +168,15 @@ class ClientNode:
         self._reports: list[tuple[str, object]] = []
         if opening_reserve:
             self.client_seq = 1
-            self.mht.insert(BalanceChangeRecord(
-                pair_seq=0, timestamp=0, client_seq=1, peer_id=client_id,
-                delta=opening_reserve, new_balance=opening_reserve,
-                causing_pttr=self.mht.root(),
-            ))
+            self.mht.insert(self._opening_record())
+
+    def _opening_record(self) -> BalanceChangeRecord:
+        """The first balance record of a node with an opening reserve."""
+        return BalanceChangeRecord(
+            pair_seq=0, timestamp=0, client_seq=1, peer_id=self.id,
+            delta=self.opening_reserve, new_balance=self.opening_reserve,
+            causing_pttr=EMPTY_TREE_DIGEST,
+        )
 
     # ------------------------------------------------------------------
     # basic state
@@ -387,10 +391,11 @@ class ClientNode:
         tree in one build pass (about 2n hashes for n records); the
         rebuilt root must match both the partner's claim and, when the
         Integrity Manager has one, the archived validated root.  The
-        balance tree is then rebuilt by replaying every record in
-        timestamp order, each citing the root its pair tree had right
-        after it, read from the levels that build already stored
-        (popcount(size) - 1 hashes, no second tree).
+        balance records are then replayed in timestamp order, each citing
+        the root its pair tree had right after it, read from the levels
+        that build already stored (popcount(size) - 1 hashes, no second
+        tree), and the balance tree is built from them in one pass: each
+        record and each node hashed once.
         """
         rebuilt: dict[tuple[int, int], PeerTransactionTree] = {}
         for data in partners:
@@ -424,18 +429,15 @@ class ClientNode:
                 timeline.append((record.timestamp, key, record))
         timeline.sort(key=lambda item: (item[0], item[1], item[2].pair_seq))
         balance = self.opening_reserve
+        records = []
         if self.opening_reserve:
             self.client_seq = 1
-            self.mht.insert(BalanceChangeRecord(
-                pair_seq=0, timestamp=0, client_seq=1, peer_id=self.id,
-                delta=self.opening_reserve, new_balance=self.opening_reserve,
-                causing_pttr=self.mht.root(),
-            ))
+            records.append(self._opening_record())
         for timestamp, key, record in timeline:
             delta = record.amount if record.payee_id == self.id else -record.amount
             balance += delta
             self.client_seq += 1
-            self.mht.insert(BalanceChangeRecord(
+            records.append(BalanceChangeRecord(
                 pair_seq=record.pair_seq,
                 timestamp=timestamp,
                 client_seq=self.client_seq,
@@ -447,6 +449,7 @@ class ClientNode:
             self.local_views[key].append(local_view(
                 record, self.id, balance - delta
             ))
+        self.mht = BalanceMHT.build(records, self.fanout)
 
     def recover_balance(self, manager) -> int:
         """Derive own balance from totals, cross-checked with the manager."""

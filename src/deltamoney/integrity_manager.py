@@ -24,6 +24,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Optional
 
 from .encoding import u64
@@ -121,9 +123,8 @@ class PTTRAttestation:
 
 @dataclass
 class _PendingPair:
+    first_seen: int
     reports: dict[int, TransactionReport] = field(default_factory=dict)
-    first_seen: Optional[int] = None
-    deadline_alerted: bool = False
 
 
 def _grid_hashes(cells, scheme=SHA256):
@@ -151,6 +152,12 @@ class IntegrityManager:
         self.alerts: list[Alert] = []
         self._seen_reports: set[Digest] = set()
         self._pending: dict[tuple, _PendingPair] = {}
+        # heap of (first_seen, creation number, key, entry) over the pending
+        # entries not yet alerted; the creation number is the entry's place
+        # in _pending's order.  An entry whose counterpart arrived stays in
+        # the heap until popped, so readers skip entries not in _pending.
+        self._due: list[tuple] = []
+        self._created = 0
         self._pending_aborts: dict[tuple, dict[int, TransactionReport]] = {}
         self._validated: dict[tuple, TransactionReport] = {}
         self.latest_validated: dict[tuple[int, int], tuple[int, Digest]] = {}
@@ -205,9 +212,11 @@ class IntegrityManager:
             )
             return ValidationOutcome("replay", alert)
 
-        pending = self._pending.setdefault(key, _PendingPair())
-        if pending.first_seen is None:
-            pending.first_seen = now
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = _PendingPair(now)
+            heappush(self._due, (now, self._created, key, pending))
+            self._created += 1
         pending.reports[report.reporter] = report
         if len(pending.reports) < 2:
             return ValidationOutcome("held")
@@ -215,6 +224,9 @@ class IntegrityManager:
         a, b = report.pair_key
         left, right = pending.reports[a], pending.reports[b]
         del self._pending[key]
+        if len(self._due) > 2 * len(self._pending) + 16:
+            self._due = [entry for entry in self._due if self._live(entry)]
+            heapify(self._due)
         if left.pttr == right.pttr and left.record_digest == right.record_digest:
             self._validated[key] = report
             # reports may cross on the wire: keep the highest sequence, not
@@ -262,22 +274,33 @@ class IntegrityManager:
         )
         return ValidationOutcome("mismatch", alert)
 
+    def _live(self, entry: tuple) -> bool:
+        return self._pending.get(entry[2]) is entry[3]
+
     def check_deadlines(self, now: int) -> list[Alert]:
+        """Alert every pending report whose counterpart is past due.
+
+        Due entries leave the deadline heap, so each is alerted once and
+        the cost is O(log n) per entry that falls due; the entry itself
+        stays pending for a late counterpart.  Alerts follow the order of
+        the entries in ``_pending``.
+        """
+        heap, due = self._due, []
+        while heap and now - heap[0][0] > self.reporting_deadline:
+            entry = heappop(heap)
+            if self._live(entry):
+                due.append(entry)
+        due.sort(key=itemgetter(1))
         raised = []
-        for (pair_key, pair_seq), pending in self._pending.items():
-            if pending.deadline_alerted or pending.first_seen is None:
-                continue
-            if now - pending.first_seen > self.reporting_deadline:
-                silent = [c for c in pair_key if c not in pending.reports]
-                alert = self._raise_alert(
-                    AlertKind.MISSING_COUNTERPART_REPORT,
-                    silent or pair_key,
-                    f"pair {pair_key} seq {pair_seq}: no counterpart report "
-                    f"within {self.reporting_deadline} ticks",
-                    now,
-                )
-                pending.deadline_alerted = True
-                raised.append(alert)
+        for _, _, (pair_key, pair_seq), pending in due:
+            silent = [c for c in pair_key if c not in pending.reports]
+            raised.append(self._raise_alert(
+                AlertKind.MISSING_COUNTERPART_REPORT,
+                silent or pair_key,
+                f"pair {pair_key} seq {pair_seq}: no counterpart report "
+                f"within {self.reporting_deadline} ticks",
+                now,
+            ))
         return raised
 
     def next_deadline(self) -> Optional[int]:
@@ -287,12 +310,10 @@ class IntegrityManager:
         its reporting deadline; between such ticks ``check_deadlines``
         raises nothing, so a caller may skip them.
         """
-        if not self._pending:
-            return None
-        first = min((pending.first_seen for pending in self._pending.values()
-                     if pending.first_seen is not None
-                     and not pending.deadline_alerted), default=None)
-        return None if first is None else first + self.reporting_deadline + 1
+        heap = self._due
+        while heap and not self._live(heap[0]):
+            heappop(heap)
+        return heap[0][0] + self.reporting_deadline + 1 if heap else None
 
     def cross_check_balance(self, client: int, mhtr_from_client: Digest,
                             mhtr_from_manager: Digest,

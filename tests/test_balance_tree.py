@@ -19,7 +19,7 @@ from deltamoney.errors import (
     NegativeBalance,
     NonMonotonicKey,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST
+from deltamoney.hashing import EMPTY_TREE_DIGEST, HashScheme
 
 
 def sha(data):
@@ -59,7 +59,7 @@ def history(n, seed=0, start_tick=1):
     return records
 
 
-def build(records, fanout=4):
+def insert_all(records, fanout=4):
     tree = BalanceMHT(fanout)
     for rec in records:
         tree.insert(rec)
@@ -114,7 +114,7 @@ def test_empty_tree_sentinel_and_zero_balance():
 
 def test_single_record_root_is_tagged_leaf_hash():
     rec = BalanceChangeRecord(1, 1, 1, 2, 1000, 1000, sha(b"p"))
-    tree = build([rec])
+    tree = insert_all([rec])
     assert tree.root() == sha(b"\x04" + sha(rec.to_bytes()))
     assert tree.latest_balance() == 1000
 
@@ -129,7 +129,7 @@ def test_fanout_bounds():
 
 def test_twenty_inserts_fanout_4_shape_and_order():
     records = history(20)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     assert isinstance(tree._root, _Internal)
     assert list(tree.records_in_order()) == records
     assert sorted(r.key for r in records) == [r.key for r in records]
@@ -137,7 +137,7 @@ def test_twenty_inserts_fanout_4_shape_and_order():
 
 def test_non_monotonic_key_rejected():
     records = history(5)
-    tree = build(records)
+    tree = insert_all(records)
     stale = BalanceChangeRecord(
         9, records[-1].timestamp, records[-1].client_seq,
         2, 0 if tree.latest_balance() else 1,
@@ -148,7 +148,7 @@ def test_non_monotonic_key_rejected():
 
 
 def test_running_sum_violation_rejected():
-    tree = build(history(3))
+    tree = insert_all(history(3))
     bad = BalanceChangeRecord(4, 99, 99, 2, 10, tree.latest_balance() + 11, sha(b"x"))
     with pytest.raises(ValueError):
         tree.insert(bad)
@@ -157,14 +157,14 @@ def test_running_sum_violation_rejected():
 def test_latest_balance_matches_delta_fold():
     for seed in range(5):
         records = history(50, seed=seed)
-        tree = build(records, fanout=5)
+        tree = insert_all(records, fanout=5)
         assert tree.latest_balance() == sum(r.delta for r in records)
 
 
 def test_same_history_same_root_changed_delta_changes_root():
     for seed in range(10):
         records = history(30, seed=seed)
-        a, b = build(records, fanout=4), build(records, fanout=4)
+        a, b = insert_all(records, fanout=4), insert_all(records, fanout=4)
         assert a.root() == b.root()
         mutated = list(records)
         idx = seed % len(records)
@@ -180,20 +180,20 @@ def test_same_history_same_root_changed_delta_changes_root():
                 r.pair_seq, r.timestamp, r.client_seq, r.peer_id,
                 r.delta, r.new_balance + 1, r.causing_pttr,
             )
-        assert build(mutated, fanout=4).root() != a.root()
+        assert insert_all(mutated, fanout=4).root() != a.root()
 
 
 @pytest.mark.parametrize("fanout", range(3, 9))
 def test_cached_hashes_equal_full_rebuild(fanout):
     records = history(200, seed=fanout)
-    tree = build(records, fanout=fanout)
+    tree = insert_all(records, fanout=fanout)
     assert tree.root() == rebuild_hash(tree._root)
 
 
 @pytest.mark.parametrize("fanout", range(3, 9))
 def test_bplus_shape_invariants(fanout):
     records = history(200, seed=fanout + 10)
-    tree = build(records, fanout=fanout)
+    tree = insert_all(records, fanout=fanout)
     assert len(set(depths(tree._root))) == 1
     low = math.ceil(fanout / 2) - 1
     for count in internal_key_counts(tree._root):
@@ -203,7 +203,7 @@ def test_bplus_shape_invariants(fanout):
 
 def test_different_fanouts_differ_in_root():
     records = history(40)
-    assert build(records, 3).root() != build(records, 8).root()
+    assert insert_all(records, 3).root() != insert_all(records, 8).root()
 
 
 def full_range(tree):
@@ -212,7 +212,7 @@ def full_range(tree):
 
 def test_full_range_query_verifies():
     records = history(30)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = full_range(tree)
     got, vo = tree.range_query(lo, hi)
     assert got == records
@@ -221,7 +221,7 @@ def test_full_range_query_verifies():
 
 def test_subrange_query_and_boundaries():
     records = history(30)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = records[7].key, records[19].key
     got, vo = tree.range_query(lo, hi)
     assert got == records[7:20]
@@ -230,7 +230,7 @@ def test_subrange_query_and_boundaries():
 
 def test_empty_range_between_adjacent_keys():
     records = history(10)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     t = records[4].timestamp
     got, vo = tree.range_query((t, records[4].client_seq + 1), (t + 1, 0))
     assert got == []
@@ -278,38 +278,173 @@ def scan_range_query(tree, key_lo, key_hi):
     return results, RangeVO(key_lo, key_hi, tree._root.hash, prune(tree._root))
 
 
+def sample_ranges(rng, n):
+    """Ranges inside, around, before and after the keys (1, 1) .. (n, n)
+    that history(n) gives."""
+    candidates = [(t, c) for t in range(n + 3) for c in (t - 1, t, t + 1)
+                  if c >= 0]
+    lo, hi = sorted(rng.sample(candidates, 2))
+    ranges = [
+        (lo, hi),
+        ((0, 0), (1, 0)),  # before the first key
+        ((n, n + 1), (2**64 - 1, 2**64 - 1)),  # after the last key
+        ((0, 0), (2**64 - 1, 2**64 - 1)),
+    ]
+    if n:
+        k = rng.choice(range(1, n + 1))
+        ranges.append(((k, k), (k, k)))
+    return ranges
+
+
 @pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
 def test_range_query_matches_scan_oracle(fanout):
     """Seeded trees of 0..300 records; ranges inside, around and outside the keys."""
     rng = random.Random(fanout)
     records = history(300, seed=fanout)
-    keys = [r.key for r in records]
     tree = BalanceMHT(fanout)
     for n in range(301):
         if n:
             tree.insert(records[n - 1])
-        # the n records so far have the keys (1, 1) .. (n, n)
-        candidates = [(t, c) for t in range(n + 3) for c in (t - 1, t, t + 1)
-                      if c >= 0]
-        lo, hi = sorted(rng.sample(candidates, 2))
-        ranges = [
-            (lo, hi),
-            ((0, 0), (1, 0)),  # before the first key
-            ((n, n + 1), (2**64 - 1, 2**64 - 1)),  # after the last key
-            ((0, 0), (2**64 - 1, 2**64 - 1)),
-        ]
-        if n:
-            k = rng.choice(keys[:n])
-            ranges.append((k, k))
-        for key_lo, key_hi in ranges:
+        for key_lo, key_hi in sample_ranges(rng, n):
             got, vo = tree.range_query(key_lo, key_hi)
             want, want_vo = scan_range_query(tree, key_lo, key_hi)
             assert got == want, (n, key_lo, key_hi)
             assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
 
 
+def counting_scheme():
+    calls = [0]
+
+    def counted(data: bytes) -> bytes:
+        calls[0] += 1
+        return sha(data)
+
+    return HashScheme("counted-sha256", counted), calls
+
+
+def count_nodes(node):
+    if node is None:
+        return 0
+    if isinstance(node, _Leaf):
+        return 1
+    return 1 + sum(count_nodes(child) for child in node.children)
+
+
+def height(tree):
+    return 0 if tree._root is None else depths(tree._root)[-1] + 1
+
+
+@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
+def test_build_matches_one_insert_at_a_time(fanout):
+    """build(records[:n]) against n inserts for n = 0..300: same root,
+    snapshot, leaf sizes, depths and range answers."""
+    rng = random.Random(fanout)
+    records = history(300, seed=fanout)
+    inserted = BalanceMHT(fanout)
+    for n in range(301):
+        if n:
+            inserted.insert(records[n - 1])
+        built = BalanceMHT.build(records[:n], fanout)
+        assert built.root() == inserted.root(), n
+        assert built.snapshot_bytes() == inserted.snapshot_bytes(), n
+        assert len(built) == n
+        assert built.max_key == inserted.max_key
+        assert built.latest_balance() == inserted.latest_balance()
+        assert ([len(leaf.records) for leaf in leaves_of(built)]
+                == [len(leaf.records) for leaf in leaves_of(inserted)]), n
+        if n:
+            assert depths(built._root) == depths(inserted._root), n
+        for key_lo, key_hi in sample_ranges(rng, n):
+            got, vo = built.range_query(key_lo, key_hi)
+            want, want_vo = inserted.range_query(key_lo, key_hi)
+            assert got == want, (n, key_lo, key_hi)
+            assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
+
+
+@pytest.mark.parametrize("split", [0, 1, 2, 3, 7, 50, 199])
+def test_built_tree_keeps_growing_by_insert(split):
+    records = history(200, seed=split)
+    tree = BalanceMHT.build(records[:split], fanout=3)
+    for record in records[split:]:
+        tree.insert(record)
+    assert tree.root() == insert_all(records, fanout=3).root()
+    assert tree.root() == rebuild_hash(tree._root)
+
+
+@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
+def test_build_hashes_each_record_and_each_node_once(fanout):
+    scheme, calls = counting_scheme()
+    assert BalanceMHT.build([], fanout, scheme).root() == EMPTY_TREE_DIGEST
+    assert calls[0] == 0
+    records = history(300, seed=fanout)
+    tree = BalanceMHT.build(records, fanout, scheme)
+    assert calls[0] == len(records) + count_nodes(tree._root)
+
+
+# hashes taken by 300 inserts of history(300, seed=fanout), counted before
+# build existed: insert's cost must not change
+INSERT_HASHES = {3: 3074, 4: 1957, 5: 1855, 8: 1373, 16: 1089}
+
+
+@pytest.mark.parametrize("fanout", sorted(INSERT_HASHES))
+def test_insert_hashes_record_new_path_and_split_halves(fanout):
+    """An insert hashes its record, each node on the new rightmost path
+    and the left half of each node it split."""
+    scheme, calls = counting_scheme()
+    tree = BalanceMHT(fanout, scheme)
+    for record in history(300, seed=fanout):
+        before, nodes, levels = calls[0], count_nodes(tree._root), height(tree)
+        tree.insert(record)
+        # every split adds one node, and a new root one more
+        splits = count_nodes(tree._root) - nodes - (height(tree) - levels)
+        assert calls[0] - before == 1 + height(tree) + splits
+    assert calls[0] == INSERT_HASHES[fanout]
+
+
+def broken_histories():
+    records = history(20, seed=3)
+    r = records[9]
+    sum_off = BalanceChangeRecord(
+        r.pair_seq, r.timestamp, r.client_seq, r.peer_id, r.delta,
+        r.new_balance + 1, r.causing_pttr,
+    )
+    return {
+        "repeated key": (records[:10] + [records[9]], NonMonotonicKey),
+        "earlier key": (records[:10] + [records[4]], NonMonotonicKey),
+        "broken running sum": (records[:9] + [sum_off], ValueError),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(broken_histories()))
+def test_build_raises_what_insert_raises(case):
+    records, error = broken_histories()[case]
+    with pytest.raises(error) as inserted:
+        insert_all(records)
+    with pytest.raises(error) as built:
+        BalanceMHT.build(records, fanout=4)
+    assert type(built.value) is type(inserted.value) is error
+    assert str(built.value) == str(inserted.value)
+
+
+@pytest.mark.parametrize("case", sorted(broken_histories()))
+def test_snapshot_of_a_broken_history_is_corrupt(case):
+    records, _ = broken_histories()[case]
+    blob = insert_all(records[:-1]).snapshot_bytes()
+    header = blob[:12] + len(records).to_bytes(8, "big")
+    body = blob[20:-32] + records[-1].to_bytes()
+    with pytest.raises(CorruptSnapshot, match="inconsistent"):
+        BalanceMHT.from_snapshot(header + body + blob[-32:])
+
+
+def test_snapshot_with_a_bad_fanout_is_corrupt():
+    blob = bytearray(insert_all(history(5)).snapshot_bytes())
+    blob[8:12] = (2).to_bytes(4, "big")
+    with pytest.raises(CorruptSnapshot, match="fanout"):
+        BalanceMHT.from_snapshot(bytes(blob))
+
+
 def test_inverted_range_rejected():
-    tree = build(history(5))
+    tree = insert_all(history(5))
     with pytest.raises(InvertedRange):
         tree.range_query((5, 0), (4, 0))
 
@@ -324,7 +459,7 @@ def test_empty_tree_range_query():
 
 def test_dropped_record_detected():
     records = history(30)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = records[5].key, records[15].key
     got, vo = tree.range_query(lo, hi)
     assert not verify_range(got[:-1], vo, tree.root())
@@ -333,7 +468,7 @@ def test_dropped_record_detected():
 
 def test_every_single_omission_and_mutation_detected():
     records = history(30, seed=2)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = full_range(tree)
     got, vo = tree.range_query(lo, hi)
     root = tree.root()
@@ -352,7 +487,7 @@ def test_every_single_omission_and_mutation_detected():
 
 def test_stale_vo_fails_against_new_root():
     records = history(12)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = records[2].key, records[6].key
     got, vo = tree.range_query(lo, hi)
     old_root = tree.root()
@@ -366,7 +501,7 @@ def test_stale_vo_fails_against_new_root():
 
 def test_hidden_qualifying_record_as_boundary_detected():
     records = history(8)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     lo, hi = records[2].key, records[5].key
     got, vo = tree.range_query(lo, hi)
 
@@ -389,7 +524,7 @@ def test_hidden_qualifying_record_as_boundary_detected():
 
 def test_vo_serialization_round_trip():
     records = history(25)
-    tree = build(records, fanout=4)
+    tree = insert_all(records, fanout=4)
     for lo, hi in (((0, 0), (2**64 - 1, 2**64 - 1)),
                    (records[3].key, records[9].key),
                    ((records[5].timestamp, records[5].client_seq + 1), (records[5].timestamp + 1, 0))):
@@ -401,7 +536,7 @@ def test_vo_serialization_round_trip():
 
 def test_snapshot_round_trip_and_tamper():
     records = history(37, seed=9)
-    tree = build(records, fanout=5)
+    tree = insert_all(records, fanout=5)
     blob = tree.snapshot_bytes()
     loaded = BalanceMHT.from_snapshot(blob)
     assert loaded.root() == tree.root()

@@ -45,10 +45,11 @@ def make_nodes(*ids, limit=10**9):
     return nodes
 
 
-def make_funded(*ids, amount=10_000, limit=10**9):
+def make_funded(*ids, amount=10_000, limit=10**9, fanouts=None):
     ks = KeyStore("stub")
     treasury = ClientNode(MANAGER_ID, ks, opening_reserve=TREASURY_RESERVE)
-    nodes = {i: ClientNode(i, ks, transaction_limit=limit) for i in ids}
+    nodes = {i: ClientNode(i, ks, transaction_limit=limit,
+                           fanout=(fanouts or {}).get(i, 8)) for i in ids}
     tick = 1
     for i in ids:
         treasury.register_peer(i)
@@ -290,6 +291,21 @@ def run_traffic(seed=7, n_clients=3, rounds=60):
     return treasury, nodes, tick
 
 
+def view_tuples(node):
+    return {
+        k: [(v.pair_seq, v.leg_id, v.own_prior_balance, v.own_new_balance)
+            for v in views]
+        for k, views in node.local_views.items()
+    }
+
+
+def tree_depth(node):
+    depth = 1
+    while hasattr(node, "children"):
+        node, depth = node.children[0], depth + 1
+    return depth
+
+
 class TestRecovery:
     def test_recovered_state_is_bit_identical(self):
         treasury, nodes, tick = run_traffic()
@@ -297,11 +313,7 @@ class TestRecovery:
         mhtr_before = victim.mht.root()
         balance_before = victim.balance
         ptt_roots_before = {k: p.root() for k, p in victim.ptts.items()}
-        views_before = {
-            k: [(v.pair_seq, v.leg_id, v.own_prior_balance, v.own_new_balance)
-                for v in views]
-            for k, views in victim.local_views.items()
-        }
+        views_before = view_tuples(victim)
         seq_before = victim.client_seq
 
         partners = [treasury.export_recovery_data(1)]
@@ -312,12 +324,37 @@ class TestRecovery:
         assert victim.balance == balance_before
         assert victim.client_seq == seq_before
         assert {k: p.root() for k, p in victim.ptts.items()} == ptt_roots_before
-        views_after = {
-            k: [(v.pair_seq, v.leg_id, v.own_prior_balance, v.own_new_balance)
-                for v in views]
-            for k, views in victim.local_views.items()
-        }
-        assert views_after == views_before
+        assert view_tuples(victim) == views_before
+
+    def test_deep_balance_tree_recovery_is_bit_identical(self):
+        """A fanout-3 victim with over 200 balance records, so internal
+        nodes split at several levels, and the treasury with its opening
+        reserve record both rebuild the trees they had before the crash."""
+        treasury, nodes, tick = make_funded(1, 2, 3, fanouts={1: 3})
+        rng = random.Random(5)
+        victim = nodes[1]
+        while len(victim.mht) < 220:
+            other = nodes[rng.choice((2, 3))]
+            payer, payee = rng.sample([victim, other], 2)
+            assert transact(payer, payee, rng.randint(1, 60), tick).committed
+            tick += 1
+        assert tree_depth(victim.mht._root) >= 5
+
+        def crash_and_recover(node, partners):
+            partners = [p.export_recovery_data(node.id) for p in partners]
+            before = (node.mht.root(), node.persist_snapshot(),
+                      node.client_seq, view_tuples(node))
+            node.wipe()
+            node.recover_transactions(partners, lambda key: None)
+            assert (node.mht.root(), node.persist_snapshot(),
+                    node.client_seq, view_tuples(node)) == before
+            loaded = ClientNode.load_snapshot(node.persist_snapshot(),
+                                              node.keystore)
+            assert loaded.mht.root() == node.mht.root()
+            assert loaded.mht.fanout == node.fanout
+
+        crash_and_recover(victim, [treasury, nodes[2], nodes[3]])
+        crash_and_recover(treasury, list(nodes.values()))
 
     def test_recovery_after_epoch_reset_is_bit_identical(self):
         """Records after an epoch reset cite roots of the new epoch's tree.

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -25,8 +26,8 @@ def digest(tag):
     return hashlib.sha256(tag.encode()).digest()
 
 
-def fresh_im(**kwargs):
-    im = IntegrityManager(KeyStore(), IM_ID, **kwargs)
+def fresh_im(cls=IntegrityManager, **kwargs):
+    im = cls(KeyStore(), IM_ID, **kwargs)
     for c in (1, 2, 3, 4):
         im.note_client(c)
     for pair in itertools.combinations((1, 2, 3, 4), 2):
@@ -120,6 +121,86 @@ def test_next_deadline_is_the_earliest_unalerted_due_tick():
     im.check_deadlines(now=100)
     assert len(im.alerts) == 3
     assert im.next_deadline() is None  # all still pending, all alerted
+
+
+class ScanIM(IntegrityManager):
+    """The deadline rule as a scan of every pending entry: alert, in
+    pending order, each entry not yet alerted whose first report is more
+    than the reporting deadline old."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.alerted = {}  # id -> entry, kept alive so ids stay unique
+
+    def check_deadlines(self, now):
+        raised = []
+        for (pair_key, pair_seq), pending in self._pending.items():
+            if id(pending) in self.alerted:
+                continue
+            if now - pending.first_seen > self.reporting_deadline:
+                silent = [c for c in pair_key if c not in pending.reports]
+                raised.append(self._raise_alert(
+                    AlertKind.MISSING_COUNTERPART_REPORT,
+                    silent or pair_key,
+                    f"pair {pair_key} seq {pair_seq}: no counterpart report "
+                    f"within {self.reporting_deadline} ticks",
+                    now,
+                ))
+                self.alerted[id(pending)] = pending
+        return raised
+
+    def next_deadline(self):
+        first = min((pending.first_seen for pending in self._pending.values()
+                     if id(pending) not in self.alerted), default=None)
+        return None if first is None else first + self.reporting_deadline + 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_deadlines_match_the_scan_rule(seed):
+    """Seeded ingest/check sequences: late and missing counterparts,
+    mismatches that reopen a key, aborts, duplicates and clocks that
+    jump back; every answer and alert must equal the scan rule's."""
+    rng = random.Random(seed)
+    deadline = rng.choice([0, 1, 3, 10])
+    fast = fresh_im(reporting_deadline=deadline)
+    scan = fresh_im(ScanIM, reporting_deadline=deadline)
+    pairs = list(itertools.combinations((1, 2, 3, 4), 2))
+    now = 0
+    for step in range(400):
+        now = max(0, now + rng.choice([0, 1, 1, 2, 5, 13, -4]))
+        op = rng.random()
+        if op < 0.6:
+            pair = rng.choice(pairs)
+            r = TransactionReport(
+                rng.choice(pair), pair, rng.randint(1, 12),
+                digest(rng.choice("aab")), digest("rec"),
+                rng.randint(0, now + 3), aborted=rng.random() < 0.05,
+            )
+            at = None if rng.random() < 0.2 else now
+            got = fast.ingest_report(r, now=at)
+            want = scan.ingest_report(r, now=at)
+            assert got == want, step
+        elif op < 0.8:
+            at = now + rng.choice([-3, 0, 0, 2, deadline + 1])
+            assert fast.check_deadlines(at) == scan.check_deadlines(at), step
+        else:
+            assert fast.next_deadline() == scan.next_deadline(), step
+    assert fast.next_deadline() == scan.next_deadline()
+    assert fast.alerts == scan.alerts
+    assert any(a.kind is AlertKind.MISSING_COUNTERPART_REPORT
+               for a in fast.alerts)
+
+
+def test_deadline_heap_stays_bounded_without_checks():
+    """Reports matched in direct mode, with no deadline check or
+    next_deadline call, do not pile up behind the pending entries."""
+    im = fresh_im()
+    for seq in range(1, 2001):
+        im.ingest_report(report(1, (1, 2), seq, digest("root"), t=seq))
+        im.ingest_report(report(2, (1, 2), seq, digest("root"), t=seq))
+    assert not im._pending
+    assert len(im._due) <= 16
+    assert im.next_deadline() is None
 
 
 def test_cross_check_balance():
