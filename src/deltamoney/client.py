@@ -144,6 +144,15 @@ def pair_of(a: int, b: int) -> tuple[int, int]:
     return (min(a, b), max(a, b))
 
 
+def record_digest(record: TransactionPairRecord) -> Digest:
+    """SHA-256 of a record's encoding: what a report tells the IM it holds.
+
+    Computed afresh on each call: caching ``to_bytes()`` on the frozen
+    record measured slower end to end than encoding it again.
+    """
+    return hashlib.sha256(record.to_bytes()).digest()
+
+
 class ClientNode:
     """One currency client (or the manager's treasury when id is 0)."""
 
@@ -312,9 +321,8 @@ class ClientNode:
         if MANAGER_ID in key:
             return
         self._reports.append(("im", TransactionReport(
-            self.id, key, record.pair_seq, my_root,
-            hashlib.sha256(record.to_bytes()).digest(), record.timestamp,
-            aborted=True,
+            self.id, key, record.pair_seq, my_root, record_digest(record),
+            record.timestamp, aborted=True,
         )))
 
     def _finalize(self, record: TransactionPairRecord, root: Digest) -> None:
@@ -344,8 +352,8 @@ class ClientNode:
         else:
             peer_provenance = record.payer_provenance
         self._reports.append(("im", TransactionReport(
-            self.id, key, record.pair_seq, root,
-            hashlib.sha256(record.to_bytes()).digest(), record.timestamp,
+            self.id, key, record.pair_seq, root, record_digest(record),
+            record.timestamp,
         )))
         self._reports.append(("cm", BalanceReport(
             self.id, view.own_new_balance, self.mht.root(), prior_mhtr,
@@ -396,6 +404,10 @@ class ClientNode:
         that build already stored (popcount(size) - 1 hashes, no second
         tree), and the balance tree is built from them in one pass: each
         record and each node hashed once.
+
+        All of that is built aside; only once every check has passed is
+        the node wiped and the new state swapped in, so a recovery that
+        raises leaves the node as it was.
         """
         rebuilt: dict[tuple[int, int], PeerTransactionTree] = {}
         for data in partners:
@@ -420,36 +432,37 @@ class ClientNode:
                 )
             rebuilt[key] = ptt
 
-        self.wipe()
-        self.ptts = rebuilt
-        self.local_views = {key: [] for key in rebuilt}
+        local_views = {key: [] for key in rebuilt}
         timeline = []
         for key, ptt in rebuilt.items():
             for record in ptt.records:
                 timeline.append((record.timestamp, key, record))
         timeline.sort(key=lambda item: (item[0], item[1], item[2].pair_seq))
         balance = self.opening_reserve
+        client_seq = 0
         records = []
         if self.opening_reserve:
-            self.client_seq = 1
+            client_seq = 1
             records.append(self._opening_record())
         for timestamp, key, record in timeline:
             delta = record.amount if record.payee_id == self.id else -record.amount
             balance += delta
-            self.client_seq += 1
+            client_seq += 1
             records.append(BalanceChangeRecord(
                 pair_seq=record.pair_seq,
                 timestamp=timestamp,
-                client_seq=self.client_seq,
+                client_seq=client_seq,
                 peer_id=key[0] if key[1] == self.id else key[1],
                 delta=delta,
                 new_balance=balance,
                 causing_pttr=rebuilt[key].root_after(record.pair_seq),
             ))
-            self.local_views[key].append(local_view(
-                record, self.id, balance - delta
-            ))
-        self.mht = BalanceMHT.build(records, self.fanout)
+            local_views[key].append(local_view(record, self.id, balance - delta))
+        mht = BalanceMHT.build(records, self.fanout)
+
+        self.wipe()
+        self.ptts, self.local_views = rebuilt, local_views
+        self.client_seq, self.mht = client_seq, mht
 
     def recover_balance(self, manager) -> int:
         """Derive own balance from totals, cross-checked with the manager."""

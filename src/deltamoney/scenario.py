@@ -21,7 +21,7 @@ written ``A:B``.  The grammar:
     fault partition-manager TICKS
     fault omit-record SUBJECT A:B SEQ
     advance N                      run the clock forward N ticks
-    quiesce                        run until no event remains
+    quiesce                        run until no event or timer remains
     capture EPOCH                  capture a Merkle hash grid
     recover CLIENT                 rebuild a crashed client from partners
     query SUBJECT A:B LO HI        data-client query with verification

@@ -8,6 +8,13 @@ ticks where an Integrity Manager reporting deadline falls due, so idle
 ticks cost nothing.  With a fixed seed the run is fully deterministic:
 same scenario, same log, byte for byte.
 
+Report-resend timers sit in a heap of their own, keyed like events by
+(tick, insertion order) from the same counter, and the loop merges the
+two heaps, so a timer fires exactly where it would as an event.  A timer
+whose report was acknowledged meanwhile is discarded when it falls due:
+it moves the clock to its tick but is not delivered and not counted in
+``steps``, which counts delivered events only.
+
 The three-message transfer handshake travels the peer channel and is
 always delivered next tick.  Asynchronous manager traffic (transaction
 reports, balance reports, supply notices) goes through the configurable
@@ -90,12 +97,6 @@ class ReportAck:
 
 
 @dataclass(frozen=True)
-class RetryCmd:
-    env_id: int
-    interval: int
-
-
-@dataclass(frozen=True)
 class DeliveryPolicy:
     """How manager-bound messages travel; peers always get next-tick."""
 
@@ -157,10 +158,12 @@ class Simulation:
         self.default_limit = default_limit
         self.step_limit = step_limit
         self.now = 0
-        self.steps = 0
+        self.steps = 0  # delivered events; discarded resend timers not included
         self._seq = 0
         self._env_seq = 0
         self.queue: list = []
+        # report-resend timers: (tick, seq, env_id, interval, client actor)
+        self.timers: list = []
         self.log = SimulationLog()
         self.policy = DeliveryPolicy()
         self.cm = CurrencyManager(self.keystore)
@@ -170,6 +173,7 @@ class Simulation:
                                    transaction_limit=2**62,
                                    opening_reserve=TREASURY_RESERVE)
         self.clients: dict[int, ClientNode] = {MANAGER_ID: self.treasury}
+        self._actor_ids: dict[str, int] = {self._client_actor(MANAGER_ID): MANAGER_ID}
         self.registered_pairs: set = set()
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
@@ -238,21 +242,41 @@ class Simulation:
             self._new_alerts()
 
     def run_until(self, target_tick: Optional[int]) -> None:
-        """Process events up to target_tick; None means drain everything."""
-        queue, im, heappop = self.queue, self.im, heapq.heappop
-        while queue:
-            tick, _, target, sender, message = queue[0]
+        """Process events up to target_tick; None means drain everything.
+
+        Events and resend timers are taken in (tick, seq) order across
+        both heaps.  Each delivered event counts one step, and so does a
+        timer whose report is still unacknowledged (it resends) or whose
+        client has crashed (it is dropped, as any delivery to that client
+        is).  Any other timer only moves the clock to its tick.
+        """
+        queue, timers, im, heappop = self.queue, self.timers, self.im, heapq.heappop
+        unacked, crashed = self.unacked, self.crashed
+        while queue or timers:
+            heap = timers if timers and (not queue or timers[0] < queue[0]) else queue
+            entry = heap[0]
+            tick = entry[0]
             if target_tick is not None and tick > target_tick:
                 break
-            heappop(queue)
+            heappop(heap)
             if tick > self.now:
                 self._advance_time_to(tick)
+            if heap is timers:
+                _, _, env_id, interval, actor = entry
+                if env_id not in unacked and (
+                        not crashed or self._actor_ids[actor] not in crashed):
+                    continue  # acknowledged meanwhile: no step, no dispatch
             self.steps += 1
             if self.steps > self.step_limit:
                 raise StepLimitExceeded(
                     f"exceeded {self.step_limit} events at tick {self.now}"
                 )
-            self._deliver(target, sender, message)
+            if heap is queue:
+                self._deliver(entry[2], entry[3], entry[4])
+            elif env_id in unacked:
+                self._retry_report(actor, env_id, interval)
+            else:
+                self.emit("net", "drop", f"target={actor} reason=crashed")
             if len(im.alerts) > self._im_alerts_seen:
                 self._new_alerts()
         if target_tick is not None and target_tick > self.now:
@@ -262,6 +286,7 @@ class Simulation:
         self.run_until(self.now + ticks)
 
     def quiesce(self) -> None:
+        """Drain every event and timer; log ``steps``, the events delivered."""
         self.run_until(None)
         self.emit("sim", "quiesce", f"steps={self.steps}")
 
@@ -274,25 +299,27 @@ class Simulation:
                 and self._partitioned(self.now)):
             self.emit("net", "drop", f"target={target} reason=partition")
             return
-        if target == "cm":
-            self._handle_cm(sender, message)
-        elif target == "im":
-            self._handle_im(sender, message)
-        elif target.startswith("client:"):
-            client_id = int(target.split(":", 1)[1])
+        client_id = self._actor_ids.get(target)
+        if client_id is not None:
             if client_id in self.crashed:
                 self.emit("net", "drop", f"target={target} reason=crashed")
                 return
-            self._handle_client(client_id, sender, message)
+            self._handle_client(client_id, target, sender, message)
+        elif target == "cm":
+            self._handle_cm(sender, message)
+        elif target == "im":
+            self._handle_im(sender, message)
         else:
             raise UnknownTarget(f"no actor {target}")
 
     # -- client actor ---------------------------------------------------
 
-    def _handle_client(self, client_id: int, sender: str, message) -> None:
+    def _handle_client(self, client_id: int, actor: str, sender: str,
+                       message) -> None:
         node = self.clients[client_id]
-        actor = self._client_actor(client_id)
-        if isinstance(message, StartTransferCmd):
+        if isinstance(message, ReportAck):
+            self.unacked.pop(message.env_id, None)
+        elif isinstance(message, StartTransferCmd):
             self._start_transfer(node, actor, message)
         elif isinstance(message, ProposeMsg):
             try:
@@ -338,10 +365,6 @@ class Simulation:
             cmd = self.inflight_cmd.pop((client_id, message.pair_key), None)
             if cmd is not None and message.reason == "busy":
                 self._requeue_busy(actor, cmd)
-        elif isinstance(message, RetryCmd):
-            self._retry_report(actor, message)
-        elif isinstance(message, ReportAck):
-            self.unacked.pop(message.env_id, None)
         else:
             raise UnknownTarget(f"unhandled message {type(message).__name__}")
 
@@ -382,31 +405,24 @@ class Simulation:
             target = "im" if kind == "im" else "cm"
             self.unacked[envelope.env_id] = (target, envelope, 0)
             self.send(target, actor, envelope, policy=True)
-            self._seq += 1
-            heapq.heappush(
-                self.queue,
-                (self.now + RETRY_BASE, self._seq, actor, actor,
-                 RetryCmd(envelope.env_id, RETRY_BASE)),
-            )
+            self._set_timer(envelope.env_id, RETRY_BASE, actor)
 
-    def _retry_report(self, actor: str, cmd: RetryCmd) -> None:
-        entry = self.unacked.get(cmd.env_id)
-        if entry is None:
-            return
-        target, envelope, attempts = entry
-        if attempts >= RETRY_MAX_ATTEMPTS:
-            self.emit(actor, "give-up", f"report={envelope.env_id}")
-            del self.unacked[cmd.env_id]
-            return
-        self.unacked[cmd.env_id] = (target, envelope, attempts + 1)
-        self.send(target, actor, envelope, policy=True)
-        interval = min(cmd.interval * 2, 64)
+    def _set_timer(self, env_id: int, interval: int, actor: str) -> None:
+        """Resend report ``env_id`` in ``interval`` ticks unless acked."""
         self._seq += 1
         heapq.heappush(
-            self.queue,
-            (self.now + interval, self._seq, actor, actor,
-             RetryCmd(cmd.env_id, interval)),
+            self.timers, (self.now + interval, self._seq, env_id, interval, actor)
         )
+
+    def _retry_report(self, actor: str, env_id: int, interval: int) -> None:
+        target, envelope, attempts = self.unacked[env_id]
+        if attempts >= RETRY_MAX_ATTEMPTS:
+            self.emit(actor, "give-up", f"report={envelope.env_id}")
+            del self.unacked[env_id]
+            return
+        self.unacked[env_id] = (target, envelope, attempts + 1)
+        self.send(target, actor, envelope, policy=True)
+        self._set_timer(env_id, min(interval * 2, 64), actor)
 
     # -- manager actors ---------------------------------------------------
 
@@ -479,6 +495,7 @@ class Simulation:
             )
         node = ClientNode(client_id, self.keystore, transaction_limit=limit)
         self.clients[client_id] = node
+        self._actor_ids[self._client_actor(client_id)] = client_id
         self.im.note_client(client_id)
         self.treasury.register_peer(client_id)
         node.register_peer(MANAGER_ID)
