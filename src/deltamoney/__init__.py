@@ -9,6 +9,4 @@ protocol, injects faults, and checks that every tamper is detected.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
-
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

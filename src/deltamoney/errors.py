@@ -119,10 +119,6 @@ class PeerUnreachable(DeltaMoneyError):
     pass
 
 
-class ManagerUnreachable(DeltaMoneyError):
-    pass
-
-
 class PartnerRootDisagreement(DeltaMoneyError):
     pass
 

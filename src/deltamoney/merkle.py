@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .encoding import Reader, u32, u64
 from .errors import EmptyTree, IndexOutOfRange
 from .hashing import DIGEST_SIZE, SHA256, Digest, HashScheme, hash_internal, hash_leaf
@@ -194,12 +193,9 @@ def verify(
 ) -> bool:
     """True iff folding the payload's leaf digest up the path hits the root."""
     try:
-        leaf = hash_leaf(payload, scheme)
+        node = hash_leaf(payload, scheme)
     except Exception:
         return False
-    if scheme is SHA256:
-        return _kernels.fold_proof(leaf, list(proof.path)) == expected_root
-    node = leaf
     for side, sibling in proof.path:
         if side == SIDE_LEFT:
             node = hash_internal(sibling, node, scheme)

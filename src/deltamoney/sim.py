@@ -52,6 +52,7 @@ from .currency_manager import MANAGER_ID, CurrencyManager
 from .data_client import authorize, query_transactions, verify_vo
 from .errors import (
     DeltaMoneyError,
+    PeerUnreachable,
     StaleProvenance,
     StepLimitExceeded,
     UnknownTarget,
@@ -550,14 +551,25 @@ class Simulation:
         return grid
 
     def recover(self, client_id: int) -> None:
+        """Rebuild a crashed client from the pair data its partners hold.
+
+        Every partner must be up: a crashed one holds no records, so the
+        rebuilt node would lack that pair and its balance. The recovery
+        is refused before the node is touched, and it stays crashed.
+        """
         node = self.clients[client_id]
         partners = sorted(
             other
             for key in self.registered_pairs
             if client_id in key
             for other in key
-            if other != client_id and other not in self.crashed
+            if other != client_id
         )
+        down = [p for p in partners if p in self.crashed]
+        if down:
+            raise PeerUnreachable(
+                f"cannot recover client {client_id}: partners {down} are crashed"
+            )
         data = [self.clients[p].export_recovery_data(client_id) for p in partners]
         node.recover_transactions(
             data,

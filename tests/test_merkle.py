@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import random
 
 import pytest
@@ -286,12 +285,27 @@ def test_root_at_hashes_one_per_extra_peak():
         assert calls[0] == bin(k).count("1") - 1, k
 
 
-def test_backends_agree(tmp_path):
-    from deltamoney._kernels import BACKEND, pure
+def test_verify_agrees_with_brute_force_for_every_scheme():
+    """Every proof of trees of 1..300 leaves folds to the brute-force root.
 
-    items = payloads(13)
-    tree = MerkleTree.build(items)
-    leaves = pure.hash_leaves(items)
-    assert pure.build_levels(leaves)[-1][0] == tree.root()
-    if BACKEND == "python":
-        pytest.skip("compiled kernels unavailable")
+    One fold serves every scheme: under a counting scheme each verify
+    hashes the leaf and then one node per path entry, and reaches the same
+    verdict as under SHA-256, for the true root and for a wrong one.
+    """
+    scheme, calls = counting_scheme()
+    items = payloads(300)
+    tree = MerkleTree.build(items[:1])
+    for n in range(1, 301):
+        if n > 1:
+            tree.append(items[n - 1])
+        root = tree.root()
+        assert root == brute_force_root(items[:n])
+        wrong = hashlib.sha256(root).digest()
+        for i in range(n):
+            proof = tree.prove(i)
+            for expected, verdict in ((root, True), (wrong, False)):
+                assert verify(items[i], proof, expected) is verdict
+                calls[0] = 0
+                assert verify(items[i], proof, expected, scheme) is verdict
+                assert calls[0] == len(proof.path) + 1
+        assert not verify(b"", tree.prove(0), root)

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from deltamoney.errors import ScenarioParseError, StepLimitExceeded, UnknownTarget
+from deltamoney.errors import (
+    PeerUnreachable,
+    ScenarioParseError,
+    StepLimitExceeded,
+    UnknownTarget,
+)
 from deltamoney.integrity_manager import AlertKind
 from deltamoney.scenario import parse_scenario, run_scenario
 from deltamoney.sim import DeliveryPolicy, Simulation
@@ -158,6 +163,22 @@ class TestFaultDetection:
         assert sim.clients[2].balance == want_balance
         assert sim.clients[2].mht.root() == want_mhtr
         assert {k: t.root() for k, t in sim.clients[2].ptts.items()} == want_roots
+
+    def test_recovery_with_a_crashed_partner_is_refused(self):
+        # client 2 alone holds pair (1, 2): recovering 1 without it
+        # would drop the 100 and break conservation on 1's next transfer
+        sim = small_world(seed=25)
+        sim.transfer(2, 1, 100)
+        sim.quiesce()
+        assert sim.clients[1].balance == 1100
+        sim.inject("crash-client", 2)
+        sim.inject("crash-client", 1)
+        logged = list(sim.log.lines)
+        with pytest.raises(PeerUnreachable, match=r"partners \[2\] are crashed"):
+            sim.recover(1)
+        assert sim.crashed == {1, 2}
+        assert sim.clients[1].balance == 0 and not sim.clients[1].ptts
+        assert sim.log.lines == logged
 
     def test_crash_before_commit_raises_missing_counterpart(self):
         sim = crash_before_commit()
