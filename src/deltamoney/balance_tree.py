@@ -94,7 +94,7 @@ class BalanceChangeRecord:
         if len(data) != RECORD_SIZE:
             raise ValueError(f"expected {RECORD_SIZE} bytes, got {len(data)}")
         r = Reader(data)
-        rec = cls(
+        return cls(
             pair_seq=r.u64(),
             timestamp=r.u64(),
             client_seq=r.u64(),
@@ -103,8 +103,6 @@ class BalanceChangeRecord:
             new_balance=r.u64(),
             causing_pttr=r.take(32),
         )
-        r.done()
-        return rec
 
 
 def _key_bytes(key: Key) -> bytes:
@@ -404,7 +402,6 @@ class BalanceMHT:
         except (ValueError, NonMonotonicKey, NegativeBalance) as exc:
             raise CorruptSnapshot(f"snapshot records are inconsistent: {exc}") from exc
         checksum = r.take(32)
-        r.done()
         if tree.root() != checksum:
             raise CorruptSnapshot("recomputed root does not match stored checksum")
         return tree

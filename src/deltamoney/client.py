@@ -325,20 +325,38 @@ class ClientNode:
             record.timestamp, aborted=True,
         )))
 
+    def _balance_change(self, record: TransactionPairRecord,
+                        prior_balance: int, client_seq: int,
+                        causing_pttr: Digest):
+        """The balance record and local view a committed ``record`` adds.
+
+        The balance record is built first, so a replay that drives the
+        balance negative raises ``NegativeBalance`` before ``local_view``
+        finds the prior balance off the record's commitment.
+        """
+        if record.payee_id == self.id:
+            delta, peer_id = record.amount, record.payer_id
+        else:
+            delta, peer_id = -record.amount, record.payee_id
+        change = BalanceChangeRecord(
+            pair_seq=record.pair_seq,
+            timestamp=record.timestamp,
+            client_seq=client_seq,
+            peer_id=peer_id,
+            delta=delta,
+            new_balance=prior_balance + delta,
+            causing_pttr=causing_pttr,
+        )
+        return change, local_view(record, self.id, prior_balance)
+
     def _finalize(self, record: TransactionPairRecord, root: Digest) -> None:
         key = pair_of(record.payer_id, record.payee_id)
         prior_mhtr = self.mht.root()
-        view = local_view(record, self.id, self.balance)
+        change, view = self._balance_change(
+            record, self.balance, self.client_seq + 1, root
+        )
         self.client_seq += 1
-        self.mht.insert(BalanceChangeRecord(
-            pair_seq=record.pair_seq,
-            timestamp=record.timestamp,
-            client_seq=self.client_seq,
-            peer_id=key[0] if key[1] == self.id else key[1],
-            delta=view.own_new_balance - view.own_prior_balance,
-            new_balance=view.own_new_balance,
-            causing_pttr=root,
-        ))
+        self.mht.insert(change)
         self.local_views[key].append(view)
         if MANAGER_ID in key:
             if self.id != MANAGER_ID:
@@ -356,7 +374,7 @@ class ClientNode:
             record.timestamp,
         )))
         self._reports.append(("cm", BalanceReport(
-            self.id, view.own_new_balance, self.mht.root(), prior_mhtr,
+            self.id, change.new_balance, self.mht.root(), prior_mhtr,
             peer_provenance, record.timestamp,
         )))
 
@@ -444,20 +462,15 @@ class ClientNode:
         if self.opening_reserve:
             client_seq = 1
             records.append(self._opening_record())
-        for timestamp, key, record in timeline:
-            delta = record.amount if record.payee_id == self.id else -record.amount
-            balance += delta
+        for _, key, record in timeline:
             client_seq += 1
-            records.append(BalanceChangeRecord(
-                pair_seq=record.pair_seq,
-                timestamp=timestamp,
-                client_seq=client_seq,
-                peer_id=key[0] if key[1] == self.id else key[1],
-                delta=delta,
-                new_balance=balance,
-                causing_pttr=rebuilt[key].root_after(record.pair_seq),
-            ))
-            local_views[key].append(local_view(record, self.id, balance - delta))
+            change, view = self._balance_change(
+                record, balance, client_seq,
+                rebuilt[key].root_after(record.pair_seq),
+            )
+            records.append(change)
+            local_views[key].append(view)
+            balance = change.new_balance
         mht = BalanceMHT.build(records, self.fanout)
 
         self.wipe()

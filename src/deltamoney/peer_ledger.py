@@ -85,7 +85,7 @@ class TransactionPairRecord:
         if len(data) != RECORD_SIZE:
             raise ValueError(f"expected {RECORD_SIZE} bytes, got {len(data)}")
         r = Reader(data)
-        rec = cls(
+        return cls(
             pair_seq=r.u64(),
             timestamp=r.u64(),
             payer_id=r.u64(),
@@ -98,8 +98,6 @@ class TransactionPairRecord:
             payer_provenance=r.take(32),
             payee_provenance=r.take(32),
         )
-        r.done()
-        return rec
 
     def leg_id(self, client_id: int) -> str:
         if client_id == self.payer_id:

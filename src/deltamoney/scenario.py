@@ -33,9 +33,12 @@ written ``A:B``.  The grammar:
 
 Commands are scheduled, not executed, until an ``advance`` or ``quiesce``
 runs the clock.  ``advance`` keeps step timing independent of the delivery
-policy; ``quiesce`` stretches the clock until every retry has landed, so
-scripts comparing final state across policies should sequence exchanges
-with ``advance`` and save ``quiesce`` for the end.
+policy; ``quiesce`` stretches the clock until every retry has landed or
+given up.  Busy transfer commands and unacknowledged reports retry on one
+jittered exponential backoff (4 ticks, then up to 8, 16, 32 and 64; see
+``deltamoney.sim``), so scripts comparing final state across policies
+should sequence exchanges with ``advance`` and save ``quiesce`` for the
+end.
 """
 
 from __future__ import annotations

@@ -18,9 +18,19 @@ it moves the clock to its tick but is not delivered and not counted in
 The three-message transfer handshake travels the peer channel and is
 always delivered next tick.  Asynchronous manager traffic (transaction
 reports, balance reports, supply notices) goes through the configurable
-delivery policy, which may delay or duplicate; clients keep retrying
-unacknowledged reports with exponential backoff, so every report is
-eventually processed even across manager partitions.
+delivery policy, which may delay or duplicate.
+
+One retry rule serves both things that are retried: a transfer command
+whose payer or payee is busy with another exchange, and a report not yet
+acknowledged.  ``retry_delay`` sets every wait: the first retry waits
+``RETRY_BASE`` ticks, and retry k+1 waits somewhere in [span/2, span],
+span = min(RETRY_BASE * 2**k, RETRY_CAP), picked by hashing k with the
+command's key (the insertion number it was scheduled with) or the
+report's envelope id.  The jitter pulls colliding clients out of
+lockstep; being a hash, not a draw from the seeded rng, it leaves the
+delivery policy's draws where they were.  Each command and each report
+gets ``RETRY_MAX_ATTEMPTS`` retries and then a ``give-up`` line.  A busy
+retry is an event in the queue; a report resend is a timer.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
@@ -33,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .client import (
@@ -66,10 +76,19 @@ from .integrity_manager import (
 
 IM_SIGNER = 10_000
 RETRY_BASE = 4
+RETRY_CAP = 64
 RETRY_MAX_ATTEMPTS = 40
-BUSY_RETRY_DELAY = 2
-BUSY_MAX_ATTEMPTS = 400
 MANAGER_ACTORS = frozenset(("cm", "im"))
+REPORT_TARGET = {"im": "im", "cm": "cm", "supply": "cm"}  # report kind -> manager
+
+
+def retry_delay(key: int, attempt: int) -> int:
+    """Ticks to wait before retry ``attempt + 1`` of command or report ``key``."""
+    if attempt == 0:
+        return RETRY_BASE
+    span = min(RETRY_BASE << attempt, RETRY_CAP)
+    mix = hashlib.blake2b(f"{key}:{attempt}".encode(), digest_size=8).digest()
+    return span // 2 + int.from_bytes(mix, "big") % (span // 2 + 1)
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +100,7 @@ class StartTransferCmd:
     payer: int
     payee: int
     amount: int
+    key: int  # seeds the jitter of this command's retries
     attempts: int = 0
 
 
@@ -163,7 +183,7 @@ class Simulation:
         self._seq = 0
         self._env_seq = 0
         self.queue: list = []
-        # report-resend timers: (tick, seq, env_id, interval, client actor)
+        # report-resend timers: (tick, seq, env_id, client actor)
         self.timers: list = []
         self.log = SimulationLog()
         self.policy = DeliveryPolicy()
@@ -179,7 +199,7 @@ class Simulation:
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
         self.partitions: list = []  # (start, end) manager unreachability
-        self.unacked: dict[int, tuple] = {}  # env_id -> (target, envelope, attempts)
+        self.unacked: dict[int, tuple] = {}  # env_id -> (envelope, attempts)
         self._seen_envelopes: set = set()  # manager-side transport dedup
         self.inflight_cmd: dict = {}  # (payer, pair) -> StartTransferCmd
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
@@ -263,7 +283,7 @@ class Simulation:
             if tick > self.now:
                 self._advance_time_to(tick)
             if heap is timers:
-                _, _, env_id, interval, actor = entry
+                _, _, env_id, actor = entry
                 if env_id not in unacked and (
                         not crashed or self._actor_ids[actor] not in crashed):
                     continue  # acknowledged meanwhile: no step, no dispatch
@@ -275,7 +295,7 @@ class Simulation:
             if heap is queue:
                 self._deliver(entry[2], entry[3], entry[4])
             elif env_id in unacked:
-                self._retry_report(actor, env_id, interval)
+                self._retry_report(actor, env_id)
             else:
                 self.emit("net", "drop", f"target={actor} reason=crashed")
             if len(im.alerts) > self._im_alerts_seen:
@@ -387,43 +407,47 @@ class Simulation:
         self.send(self._client_actor(cmd.payee), actor, msg)
 
     def _requeue_busy(self, actor: str, cmd: StartTransferCmd) -> None:
-        if cmd.attempts >= BUSY_MAX_ATTEMPTS:
+        if cmd.attempts >= RETRY_MAX_ATTEMPTS:
             self.emit(actor, "give-up",
                       f"payee={cmd.payee} amount={cmd.amount} reason=busy")
             return
-        retry = replace(cmd, attempts=cmd.attempts + 1)
+        retry = StartTransferCmd(cmd.payer, cmd.payee, cmd.amount, cmd.key,
+                                 cmd.attempts + 1)
         self._seq += 1
         heapq.heappush(
             self.queue,
-            (self.now + BUSY_RETRY_DELAY, self._seq,
-             self._client_actor(cmd.payer), actor, retry),
+            (self.now + retry_delay(cmd.key, cmd.attempts), self._seq,
+             actor, actor, retry),
         )
 
     def _flush_reports(self, node: ClientNode, actor: str) -> None:
         for kind, payload in node.drain_reports():
             self._env_seq += 1
-            envelope = ReportEnvelope(self._env_seq, kind, payload, node.id)
-            target = "im" if kind == "im" else "cm"
-            self.unacked[envelope.env_id] = (target, envelope, 0)
-            self.send(target, actor, envelope, policy=True)
-            self._set_timer(envelope.env_id, RETRY_BASE, actor)
+            env_id = self._env_seq
+            envelope = ReportEnvelope(env_id, kind, payload, node.id)
+            self.unacked[env_id] = (envelope, 0)
+            self.send(REPORT_TARGET[kind], actor, envelope, policy=True)
+            self._set_timer(env_id, 0, actor)
 
-    def _set_timer(self, env_id: int, interval: int, actor: str) -> None:
-        """Resend report ``env_id`` in ``interval`` ticks unless acked."""
+    def _set_timer(self, env_id: int, attempt: int, actor: str) -> None:
+        """Resend report ``env_id`` in ``retry_delay(env_id, attempt)`` ticks
+        unless it is acknowledged first."""
         self._seq += 1
         heapq.heappush(
-            self.timers, (self.now + interval, self._seq, env_id, interval, actor)
+            self.timers,
+            (self.now + retry_delay(env_id, attempt), self._seq, env_id, actor),
         )
 
-    def _retry_report(self, actor: str, env_id: int, interval: int) -> None:
-        target, envelope, attempts = self.unacked[env_id]
+    def _retry_report(self, actor: str, env_id: int) -> None:
+        envelope, attempts = self.unacked[env_id]
         if attempts >= RETRY_MAX_ATTEMPTS:
-            self.emit(actor, "give-up", f"report={envelope.env_id}")
+            self.emit(actor, "give-up", f"report={env_id}")
             del self.unacked[env_id]
             return
-        self.unacked[env_id] = (target, envelope, attempts + 1)
-        self.send(target, actor, envelope, policy=True)
-        self._set_timer(env_id, min(interval * 2, 64), actor)
+        attempts += 1
+        self.unacked[env_id] = (envelope, attempts)
+        self.send(REPORT_TARGET[envelope.kind], actor, envelope, policy=True)
+        self._set_timer(env_id, attempts, actor)
 
     # -- manager actors ---------------------------------------------------
 
@@ -512,23 +536,24 @@ class Simulation:
         self.emit("cm", "register", f"pair={pair_of(a, b)}")
 
     def issue(self, client_id: int, amount: int) -> None:
-        self._command(StartTransferCmd(MANAGER_ID, client_id, amount))
+        self._command(MANAGER_ID, client_id, amount)
         self.emit("sim", "issue-cmd", f"client={client_id} amount={amount}")
 
     def redeem(self, client_id: int, amount: int) -> None:
-        self._command(StartTransferCmd(client_id, MANAGER_ID, amount))
+        self._command(client_id, MANAGER_ID, amount)
         self.emit("sim", "redeem-cmd", f"client={client_id} amount={amount}")
 
     def transfer(self, payer: int, payee: int, amount: int) -> None:
-        self._command(StartTransferCmd(payer, payee, amount))
+        self._command(payer, payee, amount)
         self.emit("sim", "transfer-cmd",
                   f"payer={payer} payee={payee} amount={amount}")
 
-    def _command(self, cmd: StartTransferCmd) -> None:
+    def _command(self, payer: int, payee: int, amount: int) -> None:
         self._seq += 1
+        cmd = StartTransferCmd(payer, payee, amount, self._seq)
         heapq.heappush(
             self.queue,
-            (self.now + 1, self._seq, self._client_actor(cmd.payer), "sim", cmd),
+            (self.now + 1, self._seq, self._client_actor(payer), "sim", cmd),
         )
 
     def capture(self, epoch: int):
@@ -670,7 +695,7 @@ class Simulation:
             raise UnknownTarget(f"cannot crash {client_id}")
         self.clients[client_id].wipe()
         self.crashed.add(client_id)
-        for env_id in [e for e, (_, env, _) in self.unacked.items()
+        for env_id in [e for e, (env, _) in self.unacked.items()
                        if env.reporter == client_id]:
             del self.unacked[env_id]
         self.emit(self._client_actor(client_id), "crash", "")

@@ -76,9 +76,11 @@ def test_run_seed_override_changes_nothing_on_fixed_script(tmp_path):
 
 
 def test_shipped_scenarios_run_clean(tmp_path):
-    for name in ("table4.scn", "grid3.scn", "recover.scn"):
-        assert main(["run", str(SCENARIOS / name),
-                     "--log", str(tmp_path / "out.log")]) == 0
+    paths = sorted(SCENARIOS.glob("*.scn"))
+    assert len(paths) >= 4
+    for path in paths:
+        assert main(["run", str(path),
+                     "--log", str(tmp_path / "out.log")]) == 0, path.name
 
 
 def test_verify_grid_accepts_untouched_state(state, capsys):
