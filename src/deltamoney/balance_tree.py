@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .encoding import Reader, i64, u32, u64
+from .encoding import BALANCE_RECORD, KEY, Reader, u32, u64
 from .errors import (
     CorruptSnapshot,
     InvertedRange,
@@ -38,6 +38,7 @@ from .errors import (
     NonMonotonicKey,
 )
 from .hashing import (
+    DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
     SHA256,
     TAG_BTREE_INTERNAL,
@@ -46,8 +47,8 @@ from .hashing import (
     HashScheme,
 )
 
-RECORD_SIZE = 80
-KEY_SIZE = 16  # encoded (timestamp, client_seq)
+RECORD_SIZE = BALANCE_RECORD.size  # 80
+KEY_SIZE = KEY.size  # encoded (timestamp, client_seq), 16
 MIN_FANOUT = 3
 MAX_FANOUT = 64
 SNAPSHOT_MAGIC = b"DMHT"
@@ -73,40 +74,36 @@ class BalanceChangeRecord:
             raise NegativeBalance(
                 f"balance may not go negative, got {self.new_balance}"
             )
+        if len(self.causing_pttr) != DIGEST_SIZE:
+            raise ValueError(
+                f"causing_pttr must be {DIGEST_SIZE} bytes, "
+                f"got {len(self.causing_pttr)}"
+            )
 
     @property
     def key(self) -> Key:
         return (self.timestamp, self.client_seq)
 
     def to_bytes(self) -> bytes:
-        return (
-            u64(self.pair_seq)
-            + u64(self.timestamp)
-            + u64(self.client_seq)
-            + u64(self.peer_id)
-            + i64(self.delta)
-            + u64(self.new_balance)
-            + self.causing_pttr
+        return BALANCE_RECORD.pack(
+            self.pair_seq,
+            self.timestamp,
+            self.client_seq,
+            self.peer_id,
+            self.delta,
+            self.new_balance,
+            self.causing_pttr,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalanceChangeRecord":
         if len(data) != RECORD_SIZE:
             raise ValueError(f"expected {RECORD_SIZE} bytes, got {len(data)}")
-        r = Reader(data)
-        return cls(
-            pair_seq=r.u64(),
-            timestamp=r.u64(),
-            client_seq=r.u64(),
-            peer_id=r.u64(),
-            delta=r.i64(),
-            new_balance=r.u64(),
-            causing_pttr=r.take(32),
-        )
+        return cls(*BALANCE_RECORD.unpack(data))
 
 
 def _key_bytes(key: Key) -> bytes:
-    return u64(key[0]) + u64(key[1])
+    return KEY.pack(*key)
 
 
 class _Leaf:
@@ -119,7 +116,7 @@ class _Leaf:
         self.hash = b""
 
     def rehash(self, scheme: HashScheme) -> None:
-        self.hash = scheme(TAG_BTREE_LEAF + b"".join(self.digests))
+        self.hash = scheme.function(TAG_BTREE_LEAF + b"".join(self.digests))
 
 
 class _Internal:
@@ -136,7 +133,7 @@ class _Internal:
         self.hash = b""
 
     def rehash(self, scheme: HashScheme) -> None:
-        self.hash = scheme(
+        self.hash = scheme.function(
             TAG_BTREE_INTERNAL
             + b"".join(child.hash for child in self.children)
             + self.key_bytes
@@ -236,7 +233,7 @@ class BalanceMHT:
     def _insert(self, node, record, rehash):
         if isinstance(node, _Leaf):
             node.records.append(record)
-            node.digests.append(self.scheme(record.to_bytes()))
+            node.digests.append(self.scheme.function(record.to_bytes()))
             if len(node.records) <= self.fanout - 1:
                 if rehash:
                     node.rehash(self.scheme)
@@ -489,19 +486,20 @@ def _fold_skeleton(node, records, scheme) -> Digest:
     kind = node[0]
     if kind == "stub":
         return node[1]
+    hash_fn = scheme.function
     if kind == "leaf":
         digests = []
         for slot in node[1]:
             if slot[0] == "stub":
                 digests.append(slot[1])
             elif slot[0] == "result":
-                digests.append(scheme(records[slot[1]].to_bytes()))
+                digests.append(hash_fn(records[slot[1]].to_bytes()))
             else:
-                digests.append(scheme(slot[1]))
-        return scheme(TAG_BTREE_LEAF + b"".join(digests))
+                digests.append(hash_fn(slot[1]))
+        return hash_fn(TAG_BTREE_LEAF + b"".join(digests))
     child_digests = b"".join(_fold_skeleton(c, records, scheme) for c in node[2])
     keys = b"".join(_key_bytes(k) for k in node[1])
-    return scheme(TAG_BTREE_INTERNAL + child_digests + keys)
+    return hash_fn(TAG_BTREE_INTERNAL + child_digests + keys)
 
 
 def _flatten(node, out) -> None:

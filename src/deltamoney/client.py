@@ -145,10 +145,13 @@ def pair_of(a: int, b: int) -> tuple[int, int]:
 
 
 def record_digest(record: TransactionPairRecord) -> Digest:
-    """SHA-256 of a record's encoding: what a report tells the IM it holds.
+    """What a report tells the IM the reporter holds for one exchange.
 
-    Computed afresh on each call: caching ``to_bytes()`` on the frozen
-    record measured slower end to end than encoding it again.
+    The untagged SHA-256 of the record's 232-byte ``PAIR_RECORD``
+    encoding; the tree leaf over the same bytes is ``hash_leaf``, tagged
+    0x00, so the two never coincide. The record is encoded afresh on each
+    call: one ``struct`` pack, cheaper than keeping the bytes on the
+    frozen record (a cached ``to_bytes()`` measured slower end to end).
     """
     return hashlib.sha256(record.to_bytes()).digest()
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .encoding import FOREVER, u64
+from .encoding import BALANCE_REPORT_FP, FOREVER, u64
 from .errors import (
     ClientSuspended,
     InsufficientBalance,
@@ -221,14 +221,14 @@ class _Report:
     timestamp: int
 
     def fingerprint(self) -> Digest:
-        return hashlib.sha256(
-            u64(self.client_id)
-            + u64(self.new_balance)
-            + self.mhtr
-            + self.prior_mhtr
-            + self.peer_provenance
-            + u64(self.timestamp)
-        ).digest()
+        return hashlib.sha256(BALANCE_REPORT_FP.pack(
+            self.client_id,
+            self.new_balance,
+            self.mhtr,
+            self.prior_mhtr,
+            self.peer_provenance,
+            self.timestamp,
+        )).digest()
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,31 @@ All integers are big-endian and fixed-width: client ids, sequence numbers,
 amounts, balances and timestamps take 8 bytes each; digests are raw 32-byte
 values. Fields are concatenated in declared order with no delimiters, so two
 parties encoding the same record always produce identical bytes.
+
+Every fixed-width layout is packed by one precompiled ``struct.Struct``
+(``Q`` an unsigned and ``q`` a signed 8-byte integer, ``32s`` a digest,
+``c`` one tag byte, ``?`` one 0/1 byte):
+
+- ``PAIR_RECORD``, ``>5Q`` then six ``32s``, 232 bytes: a
+  ``TransactionPairRecord`` (pair_seq, timestamp, payer_id, payee_id,
+  amount, the four balance commitments, the two provenance roots);
+- ``BALANCE_RECORD``, ``>4QqQ32s``, 80 bytes: a ``BalanceChangeRecord``
+  (pair_seq, timestamp, client_seq, peer_id, delta, new_balance,
+  causing_pttr);
+- ``BALANCE_COMMIT``, ``>cQQQ``, 25 bytes: what ``commit_balance`` hashes
+  (the 0x02 tag, client_id, seq, balance);
+- ``TXN_REPORT_FP``, ``>4Q32s32sQ?``, 105 bytes: what
+  ``TransactionReport.fingerprint`` hashes (reporter, the pair key,
+  pair_seq, pttr, record_digest, timestamp, aborted);
+- ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what the CM's
+  report fingerprint hashes (client_id, new_balance, mhtr, prior_mhtr,
+  peer_provenance, timestamp);
+- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
+
+A ``32s`` field pads or truncates silently, so the two records check the
+length of their digest fields when they are built. Variable-length
+encodings (verification objects, proofs, snapshots) are built from
+``u64``, ``i64`` and ``u32`` and read back with ``Reader``.
 """
 
 import struct
@@ -11,6 +36,13 @@ import struct
 U64 = struct.Struct(">Q")
 I64 = struct.Struct(">q")
 U32 = struct.Struct(">I")
+
+PAIR_RECORD = struct.Struct(">5Q32s32s32s32s32s32s")
+BALANCE_RECORD = struct.Struct(">4QqQ32s")
+BALANCE_COMMIT = struct.Struct(">cQQQ")
+TXN_REPORT_FP = struct.Struct(">4Q32s32sQ?")
+BALANCE_REPORT_FP = struct.Struct(">QQ32s32s32sQ")
+KEY = struct.Struct(">QQ")
 
 #: Largest encodable timestamp, used as the open-interval sentinel.
 FOREVER = 2**64 - 1
@@ -29,7 +61,7 @@ def u32(value: int) -> bytes:
 
 
 class Reader:
-    """Sequential decoder for the fixed-width layouts above."""
+    """Sequential decoder for the variable-length layouts."""
 
     def __init__(self, data: bytes, offset: int = 0):
         self.data = data

@@ -1,8 +1,8 @@
 """Hashing primitives, balance commitments and root signatures.
 
-Every hash in the engine is domain-separated by a single prefix byte so a
-leaf digest can never be replayed as an internal node, a balance commitment,
-or a grid cell:
+The tree and commitment hashes are domain-separated by a single prefix byte,
+so a leaf digest can never be replayed as an internal node, a balance
+commitment, or a grid cell:
 
     0x00  transaction-tree leaf
     0x01  transaction-tree internal node
@@ -12,9 +12,17 @@ or a grid cell:
     0x05  balance-tree internal node
     0x06  empty grid cell
 
+Other hashes carry no tag: the grid's row, column and grid digests, the
+report fingerprints the managers deduplicate by, ``client.record_digest``,
+the client snapshot checksum and ``KeyStore``'s key derivation. None of
+them is ever compared with a tree node; the grid digests are pinned by
+golden event logs, so adding a tag would change recorded output.
+
 The hash function itself is pluggable (tests substitute counting doubles);
-the default is SHA-256. Root signatures are equally pluggable: a real
-Ed25519 scheme and a deterministic HMAC-style stub ship with the engine.
+the default is SHA-256. Every call site invokes ``scheme.function`` itself,
+so a digest costs one Python frame over ``hashlib``. Root signatures are
+equally pluggable: a real Ed25519 scheme and a deterministic HMAC-style stub
+ship with the engine.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Callable
 
-from .encoding import u64
+from .encoding import BALANCE_COMMIT, u64
 from .errors import EmptyPayload, NegativeBalance, UnknownKey
 
 Digest = bytes
@@ -42,16 +50,19 @@ TAG_EMPTY_CELL = b"\x06"
 
 @dataclass(frozen=True)
 class HashScheme:
-    """A named collision-resistant hash with 32-byte output."""
+    """A named collision-resistant hash with 32-byte output.
+
+    Callers invoke ``function`` directly; a ``__call__`` in between would
+    add a Python frame to every digest.
+    """
 
     name: str
     function: Callable[[bytes], Digest]
 
-    def __call__(self, data: bytes) -> Digest:
-        return self.function(data)
-
 
 def _sha256(data: bytes) -> Digest:
+    # looked up on every call, so a counter patched over hashlib.sha256
+    # sees each digest
     return hashlib.sha256(data).digest()
 
 
@@ -68,12 +79,12 @@ def hash_leaf(payload: bytes, scheme: HashScheme = SHA256) -> Digest:
     """Digest of a data block destined for a tree leaf."""
     if not payload:
         raise EmptyPayload("leaf payload must be non-empty")
-    return scheme(TAG_LEAF + payload)
+    return scheme.function(TAG_LEAF + payload)
 
 
 def hash_internal(left: Digest, right: Digest, scheme: HashScheme = SHA256) -> Digest:
     """Digest of two concatenated child digests."""
-    return scheme(TAG_INTERNAL + left + right)
+    return scheme.function(TAG_INTERNAL + left + right)
 
 
 def commit_balance(
@@ -87,7 +98,7 @@ def commit_balance(
     """
     if balance < 0:
         raise NegativeBalance(f"cannot commit negative balance {balance}")
-    return scheme(TAG_BALANCE + u64(client_id) + u64(seq) + u64(balance))
+    return scheme.function(BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance))
 
 
 # --- root signatures -------------------------------------------------------

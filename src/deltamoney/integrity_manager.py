@@ -28,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Optional
 
-from .encoding import u64
+from .encoding import TXN_REPORT_FP, u64
 from .errors import (
     BadSignature,
     NotQuiescent,
@@ -68,16 +68,16 @@ class TransactionReport:
     aborted: bool = False
 
     def fingerprint(self) -> Digest:
-        return hashlib.sha256(
-            u64(self.reporter)
-            + u64(self.pair_key[0])
-            + u64(self.pair_key[1])
-            + u64(self.pair_seq)
-            + self.pttr
-            + self.record_digest
-            + u64(self.timestamp)
-            + (b"\x01" if self.aborted else b"\x00")
-        ).digest()
+        return hashlib.sha256(TXN_REPORT_FP.pack(
+            self.reporter,
+            self.pair_key[0],
+            self.pair_key[1],
+            self.pair_seq,
+            self.pttr,
+            self.record_digest,
+            self.timestamp,
+            self.aborted,
+        )).digest()
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,10 @@ class _PendingPair:
 
 def _grid_hashes(cells, scheme=SHA256):
     n = len(cells)
-    rows = tuple(scheme(b"".join(cells[i][j] for j in range(n))) for i in range(n))
-    cols = tuple(scheme(b"".join(cells[i][j] for i in range(n))) for j in range(n))
-    grid = scheme(b"".join(rows) + b"".join(cols))
+    hash_fn = scheme.function
+    rows = tuple(hash_fn(b"".join(cells[i][j] for j in range(n))) for i in range(n))
+    cols = tuple(hash_fn(b"".join(cells[i][j] for i in range(n))) for j in range(n))
+    grid = hash_fn(b"".join(rows) + b"".join(cols))
     return rows, cols, grid
 
 

@@ -50,6 +50,11 @@ class InclusionProof:
         leaf_index = r.u64()
         count = r.u32()
         path = tuple((r.take(1)[0], r.take(DIGEST_SIZE)) for _ in range(count))
+        for side, _ in path:
+            # verify reads every side but SIDE_LEFT as right: only the two
+            # canonical bytes parse, so one proof has one encoding
+            if side not in (SIDE_LEFT, SIDE_RIGHT):
+                raise ValueError(f"proof side byte {side} is neither 0 nor 1")
         proof = cls(leaf_index, path, r.take(DIGEST_SIZE))
         if not r.done():
             raise ValueError("trailing bytes after the inclusion proof")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .encoding import Reader, u64
+from .encoding import PAIR_RECORD
 from .errors import (
     EmptyTree,
     IndexOutOfRange,
@@ -30,6 +30,7 @@ from .errors import (
     WrongAddressee,
 )
 from .hashing import (
+    DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
     SHA256,
     KeyStore,
@@ -38,7 +39,17 @@ from .hashing import (
 )
 from .merkle import InclusionProof, MerkleTree
 
-RECORD_SIZE = 232
+RECORD_SIZE = PAIR_RECORD.size  # 232
+
+# the 32-byte fields of a record, which PAIR_RECORD would pad or truncate
+_DIGEST_FIELDS = (
+    "payer_prior_commit",
+    "payer_new_commit",
+    "payee_prior_commit",
+    "payee_new_commit",
+    "payer_provenance",
+    "payee_provenance",
+)
 
 
 @dataclass(frozen=True)
@@ -62,42 +73,33 @@ class TransactionPairRecord:
             raise NonPositiveAmount(f"amount must be positive, got {self.amount}")
         if self.payer_id == self.payee_id:
             raise ValueError("payer and payee must be distinct clients")
+        for name in _DIGEST_FIELDS:
+            if len(getattr(self, name)) != DIGEST_SIZE:
+                raise ValueError(
+                    f"{name} must be {DIGEST_SIZE} bytes, "
+                    f"got {len(getattr(self, name))}"
+                )
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                u64(self.pair_seq),
-                u64(self.timestamp),
-                u64(self.payer_id),
-                u64(self.payee_id),
-                u64(self.amount),
-                self.payer_prior_commit,
-                self.payer_new_commit,
-                self.payee_prior_commit,
-                self.payee_new_commit,
-                self.payer_provenance,
-                self.payee_provenance,
-            )
+        return PAIR_RECORD.pack(
+            self.pair_seq,
+            self.timestamp,
+            self.payer_id,
+            self.payee_id,
+            self.amount,
+            self.payer_prior_commit,
+            self.payer_new_commit,
+            self.payee_prior_commit,
+            self.payee_new_commit,
+            self.payer_provenance,
+            self.payee_provenance,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TransactionPairRecord":
         if len(data) != RECORD_SIZE:
             raise ValueError(f"expected {RECORD_SIZE} bytes, got {len(data)}")
-        r = Reader(data)
-        return cls(
-            pair_seq=r.u64(),
-            timestamp=r.u64(),
-            payer_id=r.u64(),
-            payee_id=r.u64(),
-            amount=r.u64(),
-            payer_prior_commit=r.take(32),
-            payer_new_commit=r.take(32),
-            payee_prior_commit=r.take(32),
-            payee_new_commit=r.take(32),
-            payer_provenance=r.take(32),
-            payee_provenance=r.take(32),
-        )
+        return cls(*PAIR_RECORD.unpack(data))
 
     def leg_id(self, client_id: int) -> str:
         if client_id == self.payer_id:

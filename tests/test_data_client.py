@@ -163,6 +163,25 @@ def test_padded_inclusion_proof_fails_correctness():
     assert not verdict.correct
 
 
+def test_non_canonical_side_byte_fails_correctness():
+    ks, treasury, a, b, im, tick = build_world()
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    records, vo = query_transactions(
+        grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
+    )
+    entries = list(vo.entries)
+    record, proof = entries[2]
+    flipped = bytearray(proof)
+    flipped[12] |= 0x06  # first side byte: 0 or 1 becomes 6 or 7
+    entries[2] = (record, bytes(flipped))
+    forged = TransactionInclusionVO(
+        vo.pair_key, vo.seq_lo, vo.seq_hi, vo.epoch_start,
+        tuple(entries), vo.attestation,
+    )
+    verdict = verify_vo(parse_vo(forged.to_bytes()), ks, latest_for(im, (1, 2)))
+    assert not verdict.correct
+
+
 def test_superseded_attestation_fails_only_freshness():
     ks, treasury, a, b, im, tick = build_world()
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})

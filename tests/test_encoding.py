@@ -1,0 +1,175 @@
+"""Fixed-width byte layouts against a field-by-field reference.
+
+Each layout packs through one precompiled ``struct``; the references below
+rebuild the same bytes one field at a time with ``u64``/``i64``, so a
+swapped field or a signed/unsigned mix-up in a format string shows up as
+different bytes (or as a pack error at 2**64 - 1 or a negative delta).
+"""
+
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from deltamoney.balance_tree import BalanceChangeRecord, _key_bytes
+from deltamoney.currency_manager import _Report
+from deltamoney.encoding import i64, u64
+from deltamoney.hashing import commit_balance
+from deltamoney.integrity_manager import TransactionReport
+from deltamoney.peer_ledger import TransactionPairRecord
+
+CASES = 300
+U64_MAX = 2**64 - 1
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
+def sha(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+def unsigned(rng, low=0):
+    return rng.choice([low, low + 1, 2**63, U64_MAX, rng.randrange(low, 2**64)])
+
+
+def signed(rng):
+    return rng.choice([0, -1, 1, I64_MIN, I64_MAX, rng.randrange(I64_MIN, I64_MAX + 1)])
+
+
+def digest(rng):
+    return rng.randbytes(32)
+
+
+# --- references, one field at a time -----------------------------------
+
+
+def ref_pair_record(r: TransactionPairRecord) -> bytes:
+    return (
+        u64(r.pair_seq) + u64(r.timestamp) + u64(r.payer_id)
+        + u64(r.payee_id) + u64(r.amount)
+        + r.payer_prior_commit + r.payer_new_commit
+        + r.payee_prior_commit + r.payee_new_commit
+        + r.payer_provenance + r.payee_provenance
+    )
+
+
+def ref_balance_record(r: BalanceChangeRecord) -> bytes:
+    return (
+        u64(r.pair_seq) + u64(r.timestamp) + u64(r.client_seq)
+        + u64(r.peer_id) + i64(r.delta) + u64(r.new_balance) + r.causing_pttr
+    )
+
+
+def ref_commit(client_id, seq, balance) -> bytes:
+    return sha(b"\x02" + u64(client_id) + u64(seq) + u64(balance))
+
+
+def ref_txn_fingerprint(r: TransactionReport) -> bytes:
+    return sha(
+        u64(r.reporter) + u64(r.pair_key[0]) + u64(r.pair_key[1])
+        + u64(r.pair_seq) + r.pttr + r.record_digest + u64(r.timestamp)
+        + (b"\x01" if r.aborted else b"\x00")
+    )
+
+
+def ref_balance_fingerprint(r: _Report) -> bytes:
+    return sha(
+        u64(r.client_id) + u64(r.new_balance) + r.mhtr + r.prior_mhtr
+        + r.peer_provenance + u64(r.timestamp)
+    )
+
+
+# --- random values -------------------------------------------------------
+
+
+def pair_record(rng) -> TransactionPairRecord:
+    payer = unsigned(rng)
+    payee = unsigned(rng)
+    while payee == payer:
+        payee = rng.randrange(2**64)
+    return TransactionPairRecord(
+        unsigned(rng), unsigned(rng), payer, payee, unsigned(rng, low=1),
+        *(digest(rng) for _ in range(6)),
+    )
+
+
+def balance_record(rng) -> BalanceChangeRecord:
+    return BalanceChangeRecord(
+        unsigned(rng), unsigned(rng), unsigned(rng), unsigned(rng),
+        signed(rng), unsigned(rng), digest(rng),
+    )
+
+
+def test_pair_record_layout_matches_reference_and_round_trips():
+    rng = random.Random(901)
+    for _ in range(CASES):
+        rec = pair_record(rng)
+        data = rec.to_bytes()
+        assert data == ref_pair_record(rec)
+        assert len(data) == 232
+        assert TransactionPairRecord.from_bytes(data) == rec
+
+
+def test_balance_record_layout_matches_reference_and_round_trips():
+    rng = random.Random(902)
+    deltas = set()
+    for _ in range(CASES):
+        rec = balance_record(rng)
+        deltas.add(rec.delta < 0)
+        data = rec.to_bytes()
+        assert data == ref_balance_record(rec)
+        assert len(data) == 80
+        assert BalanceChangeRecord.from_bytes(data) == rec
+    assert deltas == {True, False}
+
+
+def test_balance_commitment_layout_matches_reference():
+    rng = random.Random(903)
+    for _ in range(CASES):
+        triple = unsigned(rng), unsigned(rng), unsigned(rng)
+        assert commit_balance(*triple) == ref_commit(*triple)
+
+
+def test_transaction_report_fingerprint_matches_reference():
+    rng = random.Random(904)
+    for _ in range(CASES):
+        report = TransactionReport(
+            unsigned(rng), (unsigned(rng), unsigned(rng)), unsigned(rng),
+            digest(rng), digest(rng), unsigned(rng), aborted=rng.random() < 0.5,
+        )
+        assert report.fingerprint() == ref_txn_fingerprint(report)
+
+
+def test_balance_report_fingerprint_matches_reference():
+    rng = random.Random(905)
+    for _ in range(CASES):
+        report = _Report(
+            unsigned(rng), unsigned(rng), digest(rng), digest(rng),
+            digest(rng), unsigned(rng),
+        )
+        assert report.fingerprint() == ref_balance_fingerprint(report)
+
+
+def test_balance_tree_key_layout_matches_reference():
+    rng = random.Random(906)
+    for _ in range(CASES):
+        key = unsigned(rng), unsigned(rng)
+        assert _key_bytes(key) == u64(key[0]) + u64(key[1])
+
+
+@pytest.mark.parametrize("size", [31, 33])
+@pytest.mark.parametrize("name", [
+    "payer_prior_commit", "payer_new_commit", "payee_prior_commit",
+    "payee_new_commit", "payer_provenance", "payee_provenance",
+])
+def test_pair_record_rejects_wrong_length_digest(name, size):
+    rec = pair_record(random.Random(907))
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(rec, **{name: b"\x05" * size})
+
+
+@pytest.mark.parametrize("size", [31, 33])
+def test_balance_record_rejects_wrong_length_pttr(size):
+    rec = balance_record(random.Random(908))
+    with pytest.raises(ValueError, match="causing_pttr"):
+        dataclasses.replace(rec, causing_pttr=b"\x05" * size)

@@ -180,6 +180,19 @@ def test_proof_serialization_round_trip():
         assert InclusionProof.from_bytes(proof.to_bytes()) == proof
 
 
+def test_non_canonical_side_byte_does_not_parse():
+    items = payloads(5)
+    tree = MerkleTree.build(items)
+    blob = bytearray(tree.prove(0).to_bytes())
+    assert blob[12] == 1  # leaf index (8), path length (4), first side
+    for side in (2, 7, 255):
+        blob[12] = side
+        with pytest.raises(ValueError, match="side byte"):
+            InclusionProof.from_bytes(bytes(blob))
+    blob[12] = 1
+    assert verify(items[0], InclusionProof.from_bytes(bytes(blob)), tree.root())
+
+
 def test_custom_scheme_path():
     def doubled(data: bytes) -> bytes:
         return hashlib.sha256(data + data).digest()

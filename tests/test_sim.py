@@ -480,6 +480,27 @@ def test_faultfree_transfer_costs_handshake_and_reports_only():
     assert sim.queue == [] and sim.timers == []
 
 
+def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
+    sim = small_world(seed=11)
+    sim.quiesce()
+    real_sha256 = hashlib.sha256
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_sha256(*args, **kwargs)
+
+    # patched where every digest looks it up, as the benchmark tracer does
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    monkeypatch.undo()
+    # 8 balance commitments, the first leaf of each replica's pair tree,
+    # a record digest and a leaf rehash in each balance tree, 2 report
+    # digests, and one fingerprint per report at the IM and the CM
+    assert len(calls) == 20
+
+
 @pytest.mark.parametrize("name, ticks", [
     ("table4", [28]),
     ("grid3", [68]),
