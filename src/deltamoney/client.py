@@ -8,10 +8,15 @@ commit does each side insert a balance-change record into its own
 balance tree and queue the two asynchronous reports (root hash to the
 Integrity Manager, new balance to the Currency Manager).
 
-A client handles one exchange at a time: while busy it rejects incoming
-proposals and refuses to start new ones.  That serializes its balance
-commitments, which bind the exact before/after amounts into the shared
-record.
+A client handles one exchange at a time, and keeps it in one slot: the
+pair key plus the proposal it sent as payer or the record it accepted as
+payee.  While the slot is full the client rejects incoming proposals and
+refuses to start new ones; only a message about that pair, for that
+role, empties it.  That serializes its balance commitments, which bind
+the exact before/after amounts into the shared record, so a proposal
+never needs to reserve funds.  Plaintext balances live only in the
+balance tree; each pair record's commitments are checked against them
+(``local_view``) when the record commits, is replayed, or is loaded.
 
 Transactions with the manager's treasury (client id 0) are issuance and
 redemption.  They run through the same handshake but queue no reports;
@@ -170,13 +175,12 @@ class ClientNode:
         self.fanout = fanout
         self.mht = BalanceMHT(fanout)
         self.ptts: dict[tuple[int, int], PeerTransactionTree] = {}
-        self.local_views: dict[tuple[int, int], list] = {}
         self.client_seq = 0
         self.suspended = False
         self.opening_reserve = opening_reserve
-        self._busy: Optional[tuple[int, int]] = None
-        self._pending_out: dict[tuple[int, int], TransactionProposal] = {}
-        self._pending_in: dict[tuple[int, int], TransactionPairRecord] = {}
+        # the exchange in flight: (pair key, proposal sent as payer or
+        # record accepted as payee), or None when idle
+        self._exchange: Optional[tuple] = None
         self._reports: list[tuple[str, object]] = []
         if opening_reserve:
             self.client_seq = 1
@@ -199,13 +203,12 @@ class ClientNode:
 
     @property
     def busy(self) -> bool:
-        return self._busy is not None
+        return self._exchange is not None
 
     def register_peer(self, peer_id: int) -> PeerTransactionTree:
         key = pair_of(self.id, peer_id)
         if key not in self.ptts:
             self.ptts[key] = PeerTransactionTree(*key)
-            self.local_views.setdefault(key, [])
         return self.ptts[key]
 
     def account_view(self) -> AccountView:
@@ -229,20 +232,19 @@ class ClientNode:
     def start_transfer(self, peer_id: int, amount: int,
                        now: int) -> Optional[ProposeMsg]:
         """Open an exchange as payer; None means busy, try again later."""
-        if self._busy is not None:
+        if self._exchange is not None:
             return None
         key = pair_of(self.id, peer_id)
         proposal = propose(
             self.account_view(), self.ptts.get(key), peer_id, amount, now
         )
-        self._busy = key
-        self._pending_out[key] = proposal
+        self._exchange = (key, proposal)
         return ProposeMsg(proposal)
 
     def receive_propose(self, msg: ProposeMsg, now: int):
         proposal = msg.proposal
         key = pair_of(proposal.payer_id, proposal.payee_id)
-        if self._busy is not None:
+        if self._exchange is not None:
             return RejectMsg(key, proposal.pair_seq, "busy")
         ptt = self.ptts.get(key)
         if ptt is None:
@@ -253,15 +255,14 @@ class ClientNode:
             )
         record = accept(proposal, self.account_view(), suspended=self.suspended)
         ptt.append_record(record)
-        self._busy = key
-        self._pending_in[key] = record
+        self._exchange = (key, record)
         return AcceptMsg(record, ptt.root())
 
     def receive_accept(self, msg: AcceptMsg, now: int):
         record = msg.record
         key = pair_of(record.payer_id, record.payee_id)
-        proposal = self._pending_out.get(key)
-        if proposal is None or self._busy != key:
+        proposal = self._release(key, TransactionProposal)
+        if proposal is None:
             raise WrongAddressee(f"no pending proposal for pair {key}")
         if (record.pair_seq, record.amount, record.payer_id, record.payee_id,
                 record.payer_prior_commit, record.payer_new_commit,
@@ -277,16 +278,13 @@ class ClientNode:
         if my_root != msg.payee_root:
             ptt.rollback_last()
             return self._abort(key, record, "root mismatch", my_root)
-        del self._pending_out[key]
-        self._busy = None
         self._finalize(record, my_root)
         return CommitMsg(key, record.pair_seq, my_root)
 
     def receive_commit(self, msg: CommitMsg, now: int) -> None:
-        record = self._pending_in.pop(msg.pair_key, None)
+        record = self._release(msg.pair_key, TransactionPairRecord)
         if record is None:
             return
-        self._busy = None
         root = self.ptts[msg.pair_key].root()
         if root != msg.payer_root:
             # should have been an abort; report the divergence
@@ -296,8 +294,7 @@ class ClientNode:
         self._finalize(record, root)
 
     def receive_abort(self, msg: AbortMsg, now: int) -> None:
-        record = self._pending_in.pop(msg.pair_key, None)
-        self._busy = None
+        record = self._release(msg.pair_key, TransactionPairRecord)
         if record is None:
             return
         ptt = self.ptts[msg.pair_key]
@@ -306,14 +303,25 @@ class ClientNode:
         self._report_divergence(record, divergent_root)
 
     def receive_reject(self, msg: RejectMsg, now: int) -> None:
-        self._pending_out.pop(msg.pair_key, None)
-        if self._busy == msg.pair_key:
-            self._busy = None
+        self._release(msg.pair_key, TransactionProposal)
+
+    def _release(self, key: tuple[int, int], role: type):
+        """Empty the slot if it holds ``key``'s exchange in ``role``.
+
+        ``role`` is ``TransactionProposal`` for the payer's side and
+        ``TransactionPairRecord`` for the payee's.  Returns what the slot
+        held, or None, leaving the slot alone, for any other message.
+        """
+        if self._exchange is None:
+            return None
+        held_key, pending = self._exchange
+        if held_key != key or not isinstance(pending, role):
+            return None
+        self._exchange = None
+        return pending
 
     def _abort(self, key, record, reason: str,
                my_root: Optional[Digest] = None) -> AbortMsg:
-        self._pending_out.pop(key, None)
-        self._busy = None
         if my_root is not None:
             self._report_divergence(record, my_root)
         return AbortMsg(key, record.pair_seq, my_root or b"\x00" * 32, reason)
@@ -330,8 +338,8 @@ class ClientNode:
 
     def _balance_change(self, record: TransactionPairRecord,
                         prior_balance: int, client_seq: int,
-                        causing_pttr: Digest):
-        """The balance record and local view a committed ``record`` adds.
+                        causing_pttr: Digest) -> BalanceChangeRecord:
+        """The balance record a committed ``record`` adds, once checked.
 
         The balance record is built first, so a replay that drives the
         balance negative raises ``NegativeBalance`` before ``local_view``
@@ -350,17 +358,17 @@ class ClientNode:
             new_balance=prior_balance + delta,
             causing_pttr=causing_pttr,
         )
-        return change, local_view(record, self.id, prior_balance)
+        local_view(record, self.id, prior_balance)
+        return change
 
     def _finalize(self, record: TransactionPairRecord, root: Digest) -> None:
         key = pair_of(record.payer_id, record.payee_id)
         prior_mhtr = self.mht.root()
-        change, view = self._balance_change(
+        change = self._balance_change(
             record, self.balance, self.client_seq + 1, root
         )
         self.client_seq += 1
         self.mht.insert(change)
-        self.local_views[key].append(view)
         if MANAGER_ID in key:
             if self.id != MANAGER_ID:
                 self._reports.append(("supply", SupplyNotice(
@@ -402,11 +410,8 @@ class ClientNode:
         """Drop all volatile state, as a crash would."""
         self.mht = BalanceMHT(self.fanout)
         self.ptts = {}
-        self.local_views = {}
         self.client_seq = 0
-        self._busy = None
-        self._pending_out = {}
-        self._pending_in = {}
+        self._exchange = None
         self._reports = []
 
     def recover_transactions(
@@ -453,7 +458,6 @@ class ClientNode:
                 )
             rebuilt[key] = ptt
 
-        local_views = {key: [] for key in rebuilt}
         timeline = []
         for key, ptt in rebuilt.items():
             for record in ptt.records:
@@ -467,18 +471,16 @@ class ClientNode:
             records.append(self._opening_record())
         for _, key, record in timeline:
             client_seq += 1
-            change, view = self._balance_change(
+            change = self._balance_change(
                 record, balance, client_seq,
                 rebuilt[key].root_after(record.pair_seq),
             )
             records.append(change)
-            local_views[key].append(view)
             balance = change.new_balance
         mht = BalanceMHT.build(records, self.fanout)
 
         self.wipe()
-        self.ptts, self.local_views = rebuilt, local_views
-        self.client_seq, self.mht = client_seq, mht
+        self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
 
     def recover_balance(self, manager) -> int:
         """Derive own balance from totals, cross-checked with the manager."""
@@ -577,31 +579,26 @@ class ClientNode:
                         f"pair {ptt.pair_key}: rebuilt root does not match"
                     )
                 node.ptts[ptt.pair_key] = ptt
-                node.local_views[ptt.pair_key] = []
             if not r.done():
                 raise CorruptSnapshot("trailing bytes after the last section")
+            node._check_commitments()
         except CorruptSnapshot:
             raise
         except Exception as exc:
             raise CorruptSnapshot(f"snapshot does not parse: {exc}") from exc
-        node._rebuild_local_views()
         return node
 
-    def _rebuild_local_views(self) -> None:
+    def _check_commitments(self) -> None:
+        """Check each pair record against the balance record it caused."""
         by_peer_seq = {}
         for mrec in self.mht.records_in_order():
             by_peer_seq[(mrec.peer_id, mrec.pair_seq)] = mrec
         for key, ptt in self.ptts.items():
             peer = key[0] if key[1] == self.id else key[1]
-            views = []
             for record in ptt.records:
                 mrec = by_peer_seq.get((peer, record.pair_seq))
-                if mrec is None:
-                    continue
-                views.append(local_view(
-                    record, self.id, mrec.new_balance - mrec.delta
-                ))
-            self.local_views[key] = views
+                if mrec is not None:
+                    local_view(record, self.id, mrec.new_balance - mrec.delta)
 
 
 # ----------------------------------------------------------------------

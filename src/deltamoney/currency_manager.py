@@ -181,22 +181,6 @@ class ConservationVerdict:
 
 
 @dataclass(frozen=True)
-class IssuanceReceipt:
-    client_id: int
-    amount: int
-    timestamp: int
-    new_balance: int
-
-
-@dataclass(frozen=True)
-class RedemptionReceipt:
-    client_id: int
-    amount: int
-    timestamp: int
-    new_balance: int
-
-
-@dataclass(frozen=True)
 class ReportOutcome:
     status: str  # applied | parked | duplicate
     conservation: Optional[ConservationVerdict] = None
@@ -313,7 +297,7 @@ class CurrencyManager:
     # supply
 
     def issue(self, client_id: int, amount: int, timestamp: int,
-              provenance: Optional[Digest] = None) -> IssuanceReceipt:
+              provenance: Optional[Digest] = None) -> None:
         self._require_active(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"issue amount must be positive, got {amount}")
@@ -329,10 +313,9 @@ class CurrencyManager:
         self.supply.issue(amount, timestamp)
         self._drain_parked(client_id)
         self._audit(timestamp)
-        return IssuanceReceipt(client_id, amount, timestamp, new_balance)
 
     def redeem(self, client_id: int, amount: int, timestamp: int,
-               provenance: Optional[Digest] = None) -> RedemptionReceipt:
+               provenance: Optional[Digest] = None) -> None:
         self._require_active(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"redeem amount must be positive, got {amount}")
@@ -352,7 +335,6 @@ class CurrencyManager:
         self.supply.redeem(amount, timestamp)
         self._drain_parked(client_id)
         self._audit(timestamp)
-        return RedemptionReceipt(client_id, amount, timestamp, new_balance)
 
     # ------------------------------------------------------------------
     # balance reports

@@ -23,12 +23,15 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
 - ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what the CM's
   report fingerprint hashes (client_id, new_balance, mhtr, prior_mhtr,
   peer_provenance, timestamp);
-- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
+- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq);
+- ``PROOF_ENTRY``, ``>B32s``, 33 bytes: one inclusion-proof path entry
+  (side byte, sibling digest).
 
 A ``32s`` field pads or truncates silently, so the two records check the
 length of their digest fields when they are built. Variable-length
 encodings (verification objects, proofs, snapshots) are built from
-``u64``, ``i64`` and ``u32`` and read back with ``Reader``.
+``u64``, ``i64`` and ``u32`` around those layouts and read back with
+``Reader``.
 """
 
 import struct
@@ -43,6 +46,7 @@ BALANCE_COMMIT = struct.Struct(">cQQQ")
 TXN_REPORT_FP = struct.Struct(">4Q32s32sQ?")
 BALANCE_REPORT_FP = struct.Struct(">QQ32s32s32sQ")
 KEY = struct.Struct(">QQ")
+PROOF_ENTRY = struct.Struct(">B32s")
 
 #: Largest encodable timestamp, used as the open-interval sentinel.
 FOREVER = 2**64 - 1

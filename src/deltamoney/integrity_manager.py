@@ -140,13 +140,11 @@ class IntegrityManager:
     """Single logical actor ingesting reports and capturing grids."""
 
     def __init__(self, keystore: KeyStore, signer_id: int,
-                 store_full_records: bool = False,
                  reporting_deadline: int = DEFAULT_REPORTING_DEADLINE) -> None:
         self.keystore = keystore
         self.signer_id = signer_id
         if not keystore.has(signer_id):
             keystore.generate(signer_id)
-        self.store_full_records = store_full_records
         self.reporting_deadline = reporting_deadline
         self.known_clients: set[int] = set()
         self.known_pairs: set[tuple[int, int]] = set()
@@ -163,7 +161,6 @@ class IntegrityManager:
         self._validated: dict[tuple, TransactionReport] = {}
         self.latest_validated: dict[tuple[int, int], tuple[int, Digest]] = {}
         self.archived_epochs: dict[tuple[int, int], list[tuple[int, Digest]]] = {}
-        self.record_store: dict[Digest, Optional[bytes]] = {}
         self.grids: list[MerkleHashGrid] = []
 
     # ------------------------------------------------------------------
@@ -339,13 +336,6 @@ class IntegrityManager:
 
     def archived(self, pair_key: tuple[int, int]) -> list[tuple[int, Digest]]:
         return list(self.archived_epochs.get(pair_key, []))
-
-    def store_record(self, record_digest: Digest,
-                     full_record: Optional[bytes] = None) -> None:
-        if self.store_full_records and full_record is not None:
-            self.record_store[record_digest] = full_record
-        else:
-            self.record_store[record_digest] = None
 
     def validated_root(self, pair_key: tuple[int, int],
                        pair_seq: int) -> Optional[Digest]:

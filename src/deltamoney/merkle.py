@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import Reader, u32, u64
+from .encoding import PROOF_ENTRY, Reader, u32, u64
 from .errors import EmptyTree, IndexOutOfRange
 from .hashing import DIGEST_SIZE, SHA256, Digest, HashScheme, hash_internal, hash_leaf
 
@@ -38,9 +38,7 @@ class InclusionProof:
 
     def to_bytes(self) -> bytes:
         parts = [u64(self.leaf_index), u32(len(self.path))]
-        for side, sibling in self.path:
-            parts.append(bytes([side]))
-            parts.append(sibling)
+        parts.extend(PROOF_ENTRY.pack(*entry) for entry in self.path)
         parts.append(self.claimed_root)
         return b"".join(parts)
 
@@ -49,7 +47,7 @@ class InclusionProof:
         r = Reader(data)
         leaf_index = r.u64()
         count = r.u32()
-        path = tuple((r.take(1)[0], r.take(DIGEST_SIZE)) for _ in range(count))
+        path = tuple(PROOF_ENTRY.iter_unpack(r.take(count * PROOF_ENTRY.size)))
         for side, _ in path:
             # verify reads every side but SIDE_LEFT as right: only the two
             # canonical bytes parse, so one proof has one encoding

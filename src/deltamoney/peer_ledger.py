@@ -5,13 +5,14 @@ credit-debit pair record whose canonical encoding is byte-identical no
 matter which side produced it.  Each peer appends the record to its copy
 of the pair's transaction tree and the transaction counts as committed
 only when both copies produce the same Merkle root.  Plaintext balances
-never enter the shared record; each side keeps them in a private
-LocalView alongside the blinded commitments.
+never enter the shared record, only blinded commitments to them; each
+side keeps its balances in its own balance tree, and ``local_view``
+checks a record's commitments against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .encoding import PAIR_RECORD
@@ -32,7 +33,6 @@ from .errors import (
 from .hashing import (
     DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
-    SHA256,
     KeyStore,
     Signature,
     commit_balance,
@@ -101,13 +101,6 @@ class TransactionPairRecord:
             raise ValueError(f"expected {RECORD_SIZE} bytes, got {len(data)}")
         return cls(*PAIR_RECORD.unpack(data))
 
-    def leg_id(self, client_id: int) -> str:
-        if client_id == self.payer_id:
-            return f"{self.pair_seq}.1"
-        if client_id == self.payee_id:
-            return f"{self.pair_seq}.2"
-        raise UnknownClient(f"client {client_id} is not a party to this record")
-
 
 @dataclass(frozen=True)
 class TransactionProposal:
@@ -124,41 +117,18 @@ class TransactionProposal:
 
 
 @dataclass(frozen=True)
-class LocalView:
-    """One party's private plaintext view of a committed pair record."""
-
-    pair_seq: int
-    leg_id: str
-    own_prior_balance: int
-    own_new_balance: int
-    record: TransactionPairRecord
-
-
-@dataclass(frozen=True)
-class CommitOutcome:
-    committed: bool
-    root: Optional[bytes]
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class AccountView:
     """The slice of client state the handshake needs.
 
-    ``balance`` is the ledger balance the commitments are computed over;
-    ``available`` (defaults to ``balance``) is what the payer may spend
-    once in-flight reservations are subtracted.
+    ``balance`` is the ledger balance the commitments are computed over,
+    and all the payer may spend: a client runs one exchange at a time, so
+    nothing is ever reserved.
     """
 
     client_id: int
     balance: int
     transaction_limit: int
     provenance: bytes
-    available: Optional[int] = None
-
-    @property
-    def spendable(self) -> int:
-        return self.balance if self.available is None else self.available
 
 
 class PeerTransactionTree:
@@ -294,9 +264,9 @@ def propose(
         raise LimitExceeded(
             f"amount {amount} exceeds transaction limit {payer.transaction_limit}"
         )
-    if amount > payer.spendable:
+    if amount > payer.balance:
         raise InsufficientBalance(
-            f"amount {amount} exceeds available balance {payer.spendable}"
+            f"amount {amount} exceeds available balance {payer.balance}"
         )
     seq = ptt.next_seq()
     return TransactionProposal(
@@ -341,40 +311,15 @@ def accept(
     )
 
 
-def commit(
-    payer_ptt: PeerTransactionTree,
-    payee_ptt: PeerTransactionTree,
-    record: TransactionPairRecord,
-    payee_record: Optional[TransactionPairRecord] = None,
-) -> CommitOutcome:
-    """Append on both sides, exchange roots, keep the leaf only on agreement.
-
-    ``payee_record`` lets fault scenarios hand the payee divergent bytes;
-    honest peers share one record.
-    """
-    payer_ptt.append_record(record)
-    try:
-        payee_ptt.append_record(payee_record or record)
-    except Exception:
-        payer_ptt.rollback_last()
-        raise
-    payer_root = payer_ptt.root()
-    payee_root = payee_ptt.root()
-    if payer_root == payee_root:
-        return CommitOutcome(committed=True, root=payer_root)
-    payer_ptt.rollback_last()
-    payee_ptt.rollback_last()
-    return CommitOutcome(
-        committed=False,
-        root=None,
-        reason="root mismatch: replicas disagree after append",
-    )
-
-
 def local_view(
     record: TransactionPairRecord, self_id: int, prior_balance: int
-) -> LocalView:
-    """Build one party's plaintext view, checking it matches the record."""
+) -> None:
+    """Check one party's plaintext balances against the record's commitments.
+
+    ``prior_balance`` is the party's balance before the record; both it
+    and the balance after must open that party's two commitments, or
+    ``ValueError`` is raised.
+    """
     if self_id == record.payer_id:
         new_balance = prior_balance - record.amount
         expect_prior = record.payer_prior_commit
@@ -390,13 +335,6 @@ def local_view(
         raise ValueError("prior balance does not match the record's commitment")
     if commit_balance(self_id, seq, new_balance) != expect_new:
         raise ValueError("new balance does not match the record's commitment")
-    return LocalView(
-        pair_seq=seq,
-        leg_id=record.leg_id(self_id),
-        own_prior_balance=prior_balance,
-        own_new_balance=new_balance,
-        record=record,
-    )
 
 
 def net_position(ptt: PeerTransactionTree, self_id: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: run, verify-grid, export-balances, prove, check."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -182,3 +183,88 @@ def test_state_dir_snapshots_reload(state):
     assert clients[1].balance == 3_775
     assert clients[2].balance == 4_150
     assert clients[3].balance == 4_075
+
+
+# sha256 of every file ``run --state-dir`` writes for each shipped
+# scenario: snapshots, balance table, attestations, grids and keys
+STATE_DIGESTS = {
+    "grid3.scn": {
+        "attestations.psv":
+            "6f549ec831aa46a61a1224f6cd7c60e3a8cce68fa2ab455db8db60771cc221ad",
+        "balances.psv":
+            "15c3d82d5bf9be0173fa3271312a0e1bb099d8dd63b3193c662708cedfbe7dc8",
+        "client_0.snap":
+            "e68aa4fc0b6149211f81bca225c40245ebd271ab7664621180f576da3636e7c1",
+        "client_1.snap":
+            "6318aa36644da57f57e14e3db919ac40b7b4f6e6c8873c9ee9c04cd113463d88",
+        "client_2.snap":
+            "91f464e29ae8bbf9144fbe9292e0849be05ba69983557bf62597b7d7f6ef7619",
+        "client_3.snap":
+            "6be0d8ed48f0e516e7064b4897dfea9a1a7ebbe60ee53c82c6fefcc498212f0f",
+        "grid_0.txt":
+            "cb72e5736adab7d10a2c95f1d83fd77c7b2e57a1b7b453e9e49e93449f6773ce",
+        "keys.json":
+            "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
+    },
+    "recover.scn": {
+        "attestations.psv":
+            "61b4128f3723e817f0ad376f58d22d76148be17c29bfbe2e7f58a9bfc8aac224",
+        "balances.psv":
+            "153f67680863e6d2aa8965550eb4e70bc83d58601ac6d87ddcb84a9ec92252ed",
+        "client_0.snap":
+            "2c8e6a38d1d84ffe5e25c311b5e474f34fede2280ac09f9fa4cfaa01f47b7ded",
+        "client_1.snap":
+            "aa6489f98a14b49b2d5252b2e5d7663e0b070d5a074095f33928e2dd487357f7",
+        "client_2.snap":
+            "50ad3abd067e311c84a48ebb482727133a30cf5c5e5a6c6dc2bd9e1724a634da",
+        "client_3.snap":
+            "a6f5ac9e84138f64dbec99ec8ec121b5b982c779667424ef47b638ec6401b2b9",
+        "client_4.snap":
+            "f258dd0988311cccf45e281df5d52fd6e836f9cc2f19eabe176339ff3f6aeee7",
+        "keys.json":
+            "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
+    },
+    "ring.scn": {
+        "attestations.psv":
+            "b3852f12f6e727242e5b9570c2f91128fffd149bae7ddf5ff38fb935c434175e",
+        "balances.psv":
+            "9b9f72f72cbf53188fb396f3280b86de8b63366875b37e344309a9722ed0811e",
+        "client_0.snap":
+            "c7b35dd8b6be497580601e315cc6d22a2b431cfce79726d4b4253145c78994c7",
+        "client_1.snap":
+            "ce3f6005f40a679b4abff8e92caff02901e26c8f4a8a921889f6b5ca18356a18",
+        "client_2.snap":
+            "9ce572e19ae61051878e17728a3c1df0caabc563dfd742068b89da2083f564c0",
+        "client_3.snap":
+            "b0bb9cd992ccfc1a3c96d95aa5022442775f423575a167b6498e5181a7b82441",
+        "client_4.snap":
+            "68419ea9d04dd18df1283e4bcf1dd5b54a1e0b55e974350d7b5a4851740e680b",
+        "keys.json":
+            "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
+    },
+    "table4.scn": {
+        "attestations.psv":
+            "4d73a7c9d5cfc874702ba858d4ec38ae057e92c361f7d070338983390079262d",
+        "balances.psv":
+            "0aeca4633c926bc9ee17094ae65cb2c651449a1503600163774cab709b68394f",
+        "client_0.snap":
+            "6d9bd1bafd9440c610a120de7d368dd318f39f2162c3dacca5f4a0e22f589915",
+        "client_1.snap":
+            "60a085190d2970f3afc201a8aa9e212c395b005113276fbfb057e87058a6ef8a",
+        "client_2.snap":
+            "f3679a1ccf98079a6005e288c28b3461444fd849028a8a38f6f488224927c20a",
+        "keys.json":
+            "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+def test_state_dir_files_match_pinned_digests(name, tmp_path):
+    assert sorted(p.name for p in SCENARIOS.glob("*.scn")) == sorted(STATE_DIGESTS)
+    state_dir = tmp_path / "state"
+    assert main(["run", str(SCENARIOS / name), "--log", str(tmp_path / "run.log"),
+                 "--state-dir", str(state_dir)]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in state_dir.iterdir()}
+    assert got == STATE_DIGESTS[name]

@@ -1,5 +1,6 @@
 """Client node tests: handshake, finalization, recovery, snapshots."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -78,9 +79,8 @@ def test_direct_transfer_commits_and_moves_balances():
     assert b.balance == 10_300
     key = pair_of(1, 2)
     assert a.ptts[key].root() == b.ptts[key].root() == outcome.root
-    assert len(a.local_views[key]) == len(b.local_views[key]) == 1
-    assert a.local_views[key][0].leg_id.endswith(".1")
-    assert b.local_views[key][0].leg_id.endswith(".2")
+    assert view_tuples(a)[-1] == (2, 1, 10_000, 9_700)
+    assert view_tuples(b)[-1] == (1, 1, 10_000, 10_300)
 
 
 def test_commit_queues_one_im_and_one_cm_report_per_side():
@@ -150,6 +150,36 @@ def test_busy_node_rejects_incoming_proposals():
     assert isinstance(result, CommitMsg)
     b.receive_commit(result, tick)
     assert not a.busy and not b.busy
+
+
+def test_stray_messages_leave_a_busy_client_busy():
+    """Only a message about the pair and role in the slot empties it."""
+    treasury, nodes, tick = make_funded(1, 2, 3)
+    one, two, three = nodes[1], nodes[2], nodes[3]
+    opened = three.start_transfer(2, 100, tick)
+    accepted = two.receive_propose(opened, tick)
+    assert isinstance(accepted, AcceptMsg)
+    two.receive_abort(AbortMsg((1, 2), 1, b"\x00" * 32, "stray"), tick)
+    two.receive_commit(CommitMsg((1, 2), 1, b"\x00" * 32), tick)
+    two.receive_reject(RejectMsg((2, 3), 1, "stray"), tick)
+    assert two.busy
+    # the payer's side ignores a commit, abort or reject meant for another
+    # pair, and a commit or abort for its own pair, which only a payee gets
+    three.receive_reject(RejectMsg((1, 3), 1, "stray"), tick)
+    three.receive_commit(CommitMsg((2, 3), 1, b"\x00" * 32), tick)
+    three.receive_abort(AbortMsg((2, 3), 1, b"\x00" * 32, "stray"), tick)
+    assert three.busy
+    second = one.start_transfer(2, 40, tick)
+    assert two.receive_propose(second, tick).reason == "busy"
+    one.receive_reject(RejectMsg((1, 2), second.proposal.pair_seq, "busy"), tick)
+    result = three.receive_accept(accepted, tick)
+    assert isinstance(result, CommitMsg)
+    two.receive_commit(result, tick)
+    assert not two.busy and not three.busy
+    assert transact(one, two, 40, tick + 1).committed
+    assert (one.balance, two.balance, three.balance) == (9_960, 10_140, 9_900)
+    for node in (one, two, three):
+        assert node.balance == node.expected_balance()
 
 
 def test_payer_guards_propagate():
@@ -315,11 +345,9 @@ def run_traffic(seed=7, n_clients=3, rounds=60):
 
 
 def view_tuples(node):
-    return {
-        k: [(v.pair_seq, v.leg_id, v.own_prior_balance, v.own_new_balance)
-            for v in views]
-        for k, views in node.local_views.items()
-    }
+    """(peer, pair_seq, prior, new) of each balance change, in tree order."""
+    return [(r.peer_id, r.pair_seq, r.new_balance - r.delta, r.new_balance)
+            for r in node.mht.records_in_order()]
 
 
 def tree_depth(node):
@@ -547,12 +575,7 @@ class TestSnapshots:
         assert {k: p.root() for k, p in loaded.ptts.items()} == {
             k: p.root() for k, p in node.ptts.items()
         }
-        for key in node.local_views:
-            got = [(v.pair_seq, v.own_prior_balance, v.own_new_balance)
-                   for v in loaded.local_views[key]]
-            want = [(v.pair_seq, v.own_prior_balance, v.own_new_balance)
-                    for v in node.local_views[key]]
-            assert got == want
+        assert view_tuples(loaded) == view_tuples(node)
         # the reloaded node keeps transacting from where it left off
         loaded.register_peer(3)
 
@@ -569,6 +592,20 @@ class TestSnapshots:
         blob[where] ^= 0x40
         with pytest.raises(CorruptSnapshot):
             ClientNode.load_snapshot(bytes(blob), KeyStore("stub"))
+
+    def test_record_disagreeing_with_the_balance_tree_is_corrupt(self):
+        """A well-formed snapshot whose pair record does not commit to the
+        balances in the balance tree; every checksum is valid."""
+        treasury, nodes, tick = make_funded(1, 2)
+        a = nodes[1]
+        assert transact(a, nodes[2], 30, tick).committed
+        ptt = a.ptts[pair_of(1, 2)]
+        forged = dataclasses.replace(ptt.records[-1],
+                                     payer_prior_commit=b"\x00" * 32)
+        ptt.rollback_last()
+        ptt.append_record(forged)
+        with pytest.raises(CorruptSnapshot, match="prior balance"):
+            ClientNode.load_snapshot(a.persist_snapshot(), KeyStore("stub"))
 
     def test_truncated_snapshot_is_detected(self):
         treasury, nodes, tick = make_funded(1, 2)

@@ -14,9 +14,10 @@ import pytest
 
 from deltamoney.balance_tree import BalanceChangeRecord, _key_bytes
 from deltamoney.currency_manager import _Report
-from deltamoney.encoding import i64, u64
+from deltamoney.encoding import i64, u32, u64
 from deltamoney.hashing import commit_balance
 from deltamoney.integrity_manager import TransactionReport
+from deltamoney.merkle import InclusionProof
 from deltamoney.peer_ledger import TransactionPairRecord
 
 CASES = 300
@@ -77,6 +78,11 @@ def ref_balance_fingerprint(r: _Report) -> bytes:
         u64(r.client_id) + u64(r.new_balance) + r.mhtr + r.prior_mhtr
         + r.peer_provenance + u64(r.timestamp)
     )
+
+
+def ref_proof(p: InclusionProof) -> bytes:
+    entries = b"".join(bytes([side]) + sibling for side, sibling in p.path)
+    return u64(p.leaf_index) + u32(len(p.path)) + entries + p.claimed_root
 
 
 # --- random values -------------------------------------------------------
@@ -155,6 +161,18 @@ def test_balance_tree_key_layout_matches_reference():
     for _ in range(CASES):
         key = unsigned(rng), unsigned(rng)
         assert _key_bytes(key) == u64(key[0]) + u64(key[1])
+
+
+def test_inclusion_proof_layout_matches_reference_and_round_trips():
+    rng = random.Random(909)
+    for _ in range(CASES):
+        path = tuple((rng.randrange(2), digest(rng))
+                     for _ in range(rng.choice([0, 1, rng.randrange(40)])))
+        proof = InclusionProof(unsigned(rng), path, digest(rng))
+        data = proof.to_bytes()
+        assert data == ref_proof(proof)
+        assert len(data) == 8 + 4 + 33 * len(path) + 32
+        assert InclusionProof.from_bytes(data) == proof
 
 
 @pytest.mark.parametrize("size", [31, 33])

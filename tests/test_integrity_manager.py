@@ -357,15 +357,6 @@ def test_archive_and_attestation():
     assert im.keystore.verify(att.signature, att.message())
 
 
-def test_record_store_modes():
-    im = fresh_im(store_full_records=False)
-    im.store_record(digest("d"), b"full bytes")
-    assert im.record_store[digest("d")] is None
-    im2 = fresh_im(store_full_records=True)
-    im2.store_record(digest("d"), b"full bytes")
-    assert im2.record_store[digest("d")] == b"full bytes"
-
-
 def test_no_balance_state_stored():
     from deltamoney.balance_tree import BalanceChangeRecord
     from deltamoney.currency_manager import BalanceRow

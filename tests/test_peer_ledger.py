@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from deltamoney.errors import (
     NonPositiveAmount,
     NotRegisteredPeers,
     PeerSuspended,
+    UnknownClient,
     UnregisteredPair,
     WrongAddressee,
 )
@@ -20,7 +22,6 @@ from deltamoney.peer_ledger import (
     PeerTransactionTree,
     TransactionPairRecord,
     accept,
-    commit,
     local_view,
     net_position,
     propose,
@@ -36,6 +37,12 @@ def account(client_id, balance, limit=10_000, provenance=b"\x07" * 32):
 
 def fresh_pair():
     return PeerTransactionTree(ALICE, BOB), PeerTransactionTree(ALICE, BOB)
+
+
+def append_both(a_ptt, b_ptt, rec):
+    """Append one record to both replicas, as the two peers of a commit do."""
+    a_ptt.append_record(rec)
+    b_ptt.append_record(rec)
 
 
 def make_record(payer_ptt, payer_balance, payee_balance, amount, timestamp=1,
@@ -90,15 +97,6 @@ def test_propose_guards():
         propose(account(BOB, 2000), a_ptt, ALICE, -5, 1)
 
 
-def test_propose_checks_available_not_ledger_balance():
-    a_ptt, _ = fresh_pair()
-    view = AccountView(BOB, 2000, 10_000, b"\x07" * 32, available=300)
-    with pytest.raises(InsufficientBalance):
-        propose(view, a_ptt, ALICE, 400, 1)
-    proposal = propose(view, a_ptt, ALICE, 300, 1)
-    assert proposal.payer_prior_commit == commit_balance(BOB, 1, 2000)
-
-
 def test_accept_guards():
     a_ptt, _ = fresh_pair()
     proposal = propose(account(BOB, 2000), a_ptt, ALICE, 500, 1)
@@ -111,9 +109,8 @@ def test_accept_guards():
 def test_commit_honest_roots_agree():
     a_ptt, b_ptt = fresh_pair()
     rec = make_record(a_ptt, 2000, 1000, 500)
-    outcome = commit(a_ptt, b_ptt, rec)
-    assert outcome.committed
-    assert a_ptt.root() == b_ptt.root() == outcome.root
+    append_both(a_ptt, b_ptt, rec)
+    assert a_ptt.root() == b_ptt.root() != EMPTY_TREE_DIGEST
 
 
 def test_three_commits_match_batch_build_oracle():
@@ -123,8 +120,7 @@ def test_three_commits_match_batch_build_oracle():
     for i in range(3):
         amount = 100 * (i + 1)
         rec = make_record(a_ptt, payer_bal, payee_bal, amount, timestamp=i + 1)
-        outcome = commit(a_ptt, b_ptt, rec)
-        assert outcome.committed
+        append_both(a_ptt, b_ptt, rec)
         assert a_ptt.root() == b_ptt.root()
         records.append(rec)
         payer_bal -= amount
@@ -136,15 +132,17 @@ def test_three_commits_match_batch_build_oracle():
 def test_commit_mismatch_rolls_both_back():
     a_ptt, b_ptt = fresh_pair()
     first = make_record(a_ptt, 2000, 1000, 500)
-    assert commit(a_ptt, b_ptt, first).committed
-    pre_a, pre_b = a_ptt.root(), b_ptt.root()
+    append_both(a_ptt, b_ptt, first)
+    pre_a = a_ptt.root()
     # adversary flips a byte of its committed prior leaf
     forged = bytearray(first.to_bytes())
     forged[0] ^= 1
     b_ptt.tamper_leaf(0, bytes(forged))
     second = make_record(a_ptt, 1500, 1500, 200, timestamp=2)
-    outcome = commit(a_ptt, b_ptt, second)
-    assert not outcome.committed
+    append_both(a_ptt, b_ptt, second)
+    assert a_ptt.root() != b_ptt.root()
+    a_ptt.rollback_last()
+    b_ptt.rollback_last()
     assert len(a_ptt) == len(b_ptt) == 1
     assert a_ptt.root() == pre_a
     honest = MerkleTree.build([first.to_bytes()])
@@ -155,7 +153,7 @@ def test_commit_mismatch_rolls_both_back():
 def test_replayed_sequence_rejected():
     a_ptt, b_ptt = fresh_pair()
     rec = make_record(a_ptt, 2000, 1000, 500)
-    assert commit(a_ptt, b_ptt, rec).committed
+    append_both(a_ptt, b_ptt, rec)
     with pytest.raises(NonMonotonicSequence):
         a_ptt.append_record(rec)
 
@@ -168,36 +166,28 @@ def test_foreign_record_rejected():
         a_ptt.append_record(rec)
 
 
-def test_failed_payee_append_rolls_back_payer():
-    a_ptt, b_ptt = fresh_pair()
+def test_local_view_checks_both_commitments():
+    a_ptt, _ = fresh_pair()
     rec = make_record(a_ptt, 2000, 1000, 500)
-    assert commit(a_ptt, b_ptt, rec).committed
-    stale = make_record(a_ptt, 1500, 1500, 100, timestamp=2)
-    b_ptt.rollback_last()  # payee lost its last leaf, seq now out of step
-    with pytest.raises(NonMonotonicSequence):
-        commit(a_ptt, b_ptt, stale)
-    assert len(a_ptt) == 1
-
-
-def test_leg_ids_follow_pair_seq():
-    a_ptt, b_ptt = fresh_pair()
-    rec = make_record(a_ptt, 2000, 1000, 500)
-    commit(a_ptt, b_ptt, rec)
-    assert rec.leg_id(BOB) == "1.1"
-    assert rec.leg_id(ALICE) == "1.2"
-    payer_view = local_view(rec, BOB, 2000)
-    payee_view = local_view(rec, ALICE, 1000)
-    assert payer_view.leg_id == "1.1" and payer_view.own_new_balance == 1500
-    assert payee_view.leg_id == "1.2" and payee_view.own_new_balance == 1500
-    with pytest.raises(ValueError):
-        local_view(rec, ALICE, 999)
+    local_view(rec, BOB, 2000)
+    local_view(rec, ALICE, 1000)
+    for who, prior in ((BOB, 1999), (ALICE, 999), (ALICE, 2000)):
+        with pytest.raises(ValueError, match="prior balance"):
+            local_view(rec, who, prior)
+    # the right prior balance, but the record's new commitment is off
+    forged = dataclasses.replace(
+        rec, payee_new_commit=commit_balance(ALICE, 1, 1499))
+    with pytest.raises(ValueError, match="new balance"):
+        local_view(forged, ALICE, 1000)
+    with pytest.raises(UnknownClient):
+        local_view(rec, 3, 1000)
 
 
 def test_net_position_empty_and_single():
     a_ptt, b_ptt = fresh_pair()
     assert net_position(a_ptt, ALICE) == 0
     rec = make_record(a_ptt, 2000, 1000, 500)
-    commit(a_ptt, b_ptt, rec)
+    append_both(a_ptt, b_ptt, rec)
     assert net_position(a_ptt, ALICE) == 500
     assert net_position(a_ptt, BOB) == -500
 
@@ -212,7 +202,7 @@ def test_net_position_matches_linear_scan_oracle():
         amount = rng.randint(1, 200)
         rec = make_record(a_ptt, bal[payer], bal[payee], amount,
                           timestamp=i + 1, payer=payer, payee=payee)
-        assert commit(a_ptt, b_ptt, rec).committed
+        append_both(a_ptt, b_ptt, rec)
         bal[payer] -= amount
         bal[payee] += amount
         expected_alice += amount if payee == ALICE else -amount
@@ -233,7 +223,7 @@ def test_reset_epoch_archives_root_and_keeps_net():
     bal = {ALICE: 1000, BOB: 2000}
     for i, amount in enumerate((500, 100, 50)):
         rec = make_record(a_ptt, bal[BOB], bal[ALICE], amount, timestamp=i + 1)
-        commit(a_ptt, b_ptt, rec)
+        append_both(a_ptt, b_ptt, rec)
         bal[BOB] -= amount
         bal[ALICE] += amount
     pre_root = a_ptt.root()
@@ -253,14 +243,14 @@ def test_commit_after_reset_starts_fresh_tree():
         ks.generate(cid)
     a_ptt, b_ptt = fresh_pair()
     rec = make_record(a_ptt, 2000, 1000, 500)
-    commit(a_ptt, b_ptt, rec)
+    append_both(a_ptt, b_ptt, rec)
     root0 = a_ptt.root()
     for ptt in (a_ptt, b_ptt):
         reset_epoch(ptt, signed_by(ks, (ALICE, BOB), root0), ks)
     rec2 = make_record(a_ptt, 1500, 1500, 100, timestamp=2)
     assert rec2.pair_seq == 2  # sequence continues across epochs
-    outcome = commit(a_ptt, b_ptt, rec2)
-    assert outcome.committed and len(a_ptt) == 1
+    append_both(a_ptt, b_ptt, rec2)
+    assert a_ptt.root() == b_ptt.root() and len(a_ptt) == 1
     assert a_ptt.archived_roots == [(0, root0)]
 
 
@@ -269,7 +259,7 @@ def test_reset_epoch_requires_both_signatures():
     for cid in (ALICE, BOB):
         ks.generate(cid)
     a_ptt, b_ptt = fresh_pair()
-    commit(a_ptt, b_ptt, make_record(a_ptt, 2000, 1000, 500))
+    append_both(a_ptt, b_ptt, make_record(a_ptt, 2000, 1000, 500))
     root = a_ptt.root()
     with pytest.raises(MissingCounterSignature):
         reset_epoch(a_ptt, signed_by(ks, (ALICE,), root), ks)
