@@ -19,9 +19,12 @@ balance tree; each pair record's commitments are checked against them
 (``local_view``) when the record commits, is replayed, or is loaded.
 
 Transactions with the manager's treasury (client id 0) are issuance and
-redemption.  They run through the same handshake but queue no reports;
-the Currency Manager updates its rows as part of the issue/redeem call
-itself.
+redemption.  They run through the same handshake, and the client queues
+the same balance report as for a transfer, carrying the signed supply
+amount (+amount issued, -amount redeemed; 0 for a peer transfer), so the
+Currency Manager chains it like any other.  They send no transaction
+report, as the Integrity Manager tracks no treasury pair, and the
+treasury itself reports nothing.
 """
 
 from __future__ import annotations
@@ -106,22 +109,7 @@ class BalanceReport:
     prior_mhtr: Digest
     peer_provenance: Digest
     timestamp: int
-
-
-@dataclass(frozen=True)
-class SupplyNotice:
-    """Client-side notice that an issuance or redemption settled.
-
-    The treasury pair skips the usual transaction/balance reports; the
-    manager instead updates the supply ledger from this notice, using the
-    client's post-exchange MHT root as the row provenance.
-    """
-
-    client_id: int
-    amount: int
-    issued: bool
-    new_mhtr: Digest
-    timestamp: int
+    supply: int = 0  # 0 for a transfer, +amount issued, -amount redeemed
 
 
 @dataclass(frozen=True)
@@ -369,24 +357,23 @@ class ClientNode:
         )
         self.client_seq += 1
         self.mht.insert(change)
-        if MANAGER_ID in key:
-            if self.id != MANAGER_ID:
-                self._reports.append(("supply", SupplyNotice(
-                    self.id, record.amount, self.id == record.payee_id,
-                    self.mht.root(), record.timestamp,
-                )))
+        if self.id == MANAGER_ID:
             return
         if self.id == record.payer_id:
             peer_provenance = record.payee_provenance
         else:
             peer_provenance = record.payer_provenance
-        self._reports.append(("im", TransactionReport(
-            self.id, key, record.pair_seq, root, record_digest(record),
-            record.timestamp,
-        )))
+        if MANAGER_ID in key:
+            supply = change.delta
+        else:
+            supply = 0
+            self._reports.append(("im", TransactionReport(
+                self.id, key, record.pair_seq, root, record_digest(record),
+                record.timestamp,
+            )))
         self._reports.append(("cm", BalanceReport(
             self.id, change.new_balance, self.mht.root(), prior_mhtr,
-            peer_provenance, record.timestamp,
+            peer_provenance, record.timestamp, supply,
         )))
 
     # ------------------------------------------------------------------

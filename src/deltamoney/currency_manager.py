@@ -7,13 +7,18 @@ the running totals of issued and redeemed currency.  Double spends
 surface here: a balance report whose prior root matches an already
 closed row is spending from a state that was spent from before.
 
-Balance reports for the two legs of one transfer arrive independently
-and possibly out of order.  Reports whose prior root is not yet known
-are parked until the chain catches up, and conservation is checked
-automatically only once both legs of a transfer have landed (the two
-legs carry the same unordered {own prior, peer prior} digest pair,
-which is how they are matched without the manager ever seeing the
-transaction itself).
+Every change to a client's row arrives as a balance report, and
+``report_balance`` is the one path that advances a row: a peer transfer,
+an issuance and a redemption differ only in the report's signed supply
+amount (0, +amount, -amount).  Reports arrive independently and possibly
+out of order, so one whose prior root is not yet the open row's is
+parked until the chain catches up; issuances and redemptions chain and
+park exactly like transfers, which puts a redemption's funds check on
+the row it actually follows.  A supply report is audited as soon as it
+applies.  Only the two legs of a transfer wait for a counterpart:
+conservation is checked once both have landed (they carry the same
+unordered {own prior, peer prior} digest pair, which is how they are
+matched without the manager ever seeing the transaction itself).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Callable, Optional
 from .encoding import BALANCE_REPORT_FP, FOREVER, u64
 from .errors import (
     ClientSuspended,
+    DeltaMoneyError,
     InsufficientBalance,
     NonPositiveAmount,
     StaleProvenance,
@@ -203,6 +209,9 @@ class _Report:
     prior_mhtr: Digest
     peer_provenance: Digest
     timestamp: int
+    # 0 for a transfer, +amount issued, -amount redeemed; left out of the
+    # fingerprint, as mhtr already commits to the balance record's delta
+    supply: int = 0
 
     def fingerprint(self) -> Digest:
         return hashlib.sha256(BALANCE_REPORT_FP.pack(
@@ -296,81 +305,73 @@ class CurrencyManager:
     # ------------------------------------------------------------------
     # supply
 
-    def issue(self, client_id: int, amount: int, timestamp: int,
-              provenance: Optional[Digest] = None) -> None:
+    def issue(self, client_id: int, amount: int, timestamp: int) -> None:
+        """Check an issuance and book it on the supply ledger."""
         self._require_active(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"issue amount must be positive, got {amount}")
-        prev = self.table.open_row(client_id)
-        new_balance = prev.valid_balance + amount
-        self.table.advance(
-            client_id,
-            timestamp,
-            new_balance,
-            provenance if provenance is not None else prev.provenance_mhtr,
-            remarks="Issued",
-        )
         self.supply.issue(amount, timestamp)
-        self._drain_parked(client_id)
-        self._audit(timestamp)
 
-    def redeem(self, client_id: int, amount: int, timestamp: int,
-               provenance: Optional[Digest] = None) -> None:
+    def redeem(self, client_id: int, amount: int, timestamp: int) -> None:
+        """Check a redemption against the open row and book it."""
         self._require_active(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"redeem amount must be positive, got {amount}")
-        prev = self.table.open_row(client_id)
-        if amount > prev.valid_balance:
-            raise InsufficientBalance(
-                f"redeem {amount} exceeds balance {prev.valid_balance}"
-            )
-        new_balance = prev.valid_balance - amount
-        self.table.advance(
-            client_id,
-            timestamp,
-            new_balance,
-            provenance if provenance is not None else prev.provenance_mhtr,
-            remarks="Redeemed",
-        )
+        balance = self.table.open_row(client_id).valid_balance
+        if amount > balance:
+            raise InsufficientBalance(f"redeem {amount} exceeds balance {balance}")
         self.supply.redeem(amount, timestamp)
-        self._drain_parked(client_id)
-        self._audit(timestamp)
 
     # ------------------------------------------------------------------
     # balance reports
 
     def report_balance(self, client_id: int, new_balance: int, mhtr: Digest,
                        prior_mhtr: Digest, peer_provenance: Digest,
-                       timestamp: int) -> ReportOutcome:
+                       timestamp: int, supply: int = 0) -> ReportOutcome:
+        """Apply a report that follows the open row, or park it until it does.
+
+        A report citing a closed row raises ``StaleProvenance``; one the
+        supply checks refuse raises too, and leaves the row as it was.
+        """
         self._require_active(client_id)
         report = _Report(
-            client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp
+            client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
+            supply,
         )
         fp = report.fingerprint()
         if fp in self._seen_reports:
             return ReportOutcome("duplicate")
-        open_row = self.table.open_row(client_id)
-        if report.prior_mhtr == open_row.provenance_mhtr:
+        if prior_mhtr != self.table.open_row(client_id).provenance_mhtr:
+            if prior_mhtr in self.table.closed_provenances(client_id):
+                raise StaleProvenance(
+                    f"client {client_id} reported from an already spent state"
+                )
             self._seen_reports.add(fp)
-            verdict = self._apply(report)
-            verdict = self._drain_parked(client_id) or verdict
-            return ReportOutcome("applied", verdict)
-        if report.prior_mhtr in self.table.closed_provenances(client_id):
-            raise StaleProvenance(
-                f"client {client_id} reported from an already spent state"
-            )
+            self._parked.setdefault(client_id, []).append(report)
+            return ReportOutcome("parked")
+        verdict = self._apply(report)
         self._seen_reports.add(fp)
-        self._parked.setdefault(client_id, []).append(report)
-        return ReportOutcome("parked")
+        verdict = self._drain_parked(client_id) or verdict
+        return ReportOutcome("applied", verdict)
 
     def _apply(self, report: _Report) -> Optional[ConservationVerdict]:
+        supply = report.supply
+        remarks = "Transaction"
+        if supply > 0:
+            self.issue(report.client_id, supply, report.timestamp)
+            remarks = "Issued"
+        elif supply < 0:
+            self.redeem(report.client_id, -supply, report.timestamp)
+            remarks = "Redeemed"
         self.table.advance(
             report.client_id,
             report.timestamp,
             report.new_balance,
             report.mhtr,
-            remarks="Transaction",
+            remarks=remarks,
         )
+        if supply:
+            return self._audit(report.timestamp)
         leg = frozenset((report.prior_mhtr, report.peer_provenance))
         if leg in self._pending_legs:
             del self._pending_legs[leg]
@@ -379,18 +380,24 @@ class CurrencyManager:
         return None
 
     def _drain_parked(self, client_id: int) -> Optional[ConservationVerdict]:
+        """Apply the parked reports the client's chain has now reached.
+
+        A parked report the supply checks refuse stays parked: the row it
+        would follow cannot move past it, so it stalls only its own chain.
+        """
         verdict = None
-        queue = self._parked.get(client_id, [])
-        progressed = True
-        while progressed and queue:
-            progressed = False
-            open_row = self.table.open_row(client_id)
-            for report in list(queue):
-                if report.prior_mhtr == open_row.provenance_mhtr:
-                    queue.remove(report)
-                    verdict = self._apply(report) or verdict
-                    progressed = True
-                    break
+        queue = self._parked.get(client_id)
+        while queue:
+            open_mhtr = self.table.open_row(client_id).provenance_mhtr
+            ready = next((r for r in queue if r.prior_mhtr == open_mhtr), None)
+            if ready is None:
+                break
+            try:
+                applied = self._apply(ready)
+            except DeltaMoneyError:
+                break
+            queue.remove(ready)
+            verdict = applied or verdict
         if not queue:
             self._parked.pop(client_id, None)
         return verdict
@@ -465,22 +472,3 @@ class CurrencyManager:
                 row = self.table.open_row(client_id)
                 row.remarks = (row.remarks + "; " + note).strip("; ")
         return record
-
-    # ------------------------------------------------------------------
-    # export
-
-    def export_rows(self) -> str:
-        """Delimiter-separated balance history in enrollment row order."""
-        header = (
-            "Transaction Time-stamp|Client ID|Valid Balance"
-            "|Valid From|Valid To|Remarks|Provenance"
-        )
-        lines = [header]
-        for row in self.table.rows:
-            valid_to = "inf" if row.valid_to == FOREVER else str(row.valid_to)
-            lines.append(
-                f"{row.txn_timestamp}|{row.client_id}|{row.valid_balance}"
-                f"|{row.valid_from}|{valid_to}|{row.remarks}"
-                f"|{row.provenance_mhtr.hex()}"
-            )
-        return "\n".join(lines)

@@ -17,8 +17,10 @@ it moves the clock to its tick but is not delivered and not counted in
 
 The three-message transfer handshake travels the peer channel and is
 always delivered next tick.  Asynchronous manager traffic (transaction
-reports, balance reports, supply notices) goes through the configurable
-delivery policy, which may delay or duplicate.
+reports, and the balance reports of transfers, issuances and
+redemptions) goes through the configurable delivery policy, which may
+delay or duplicate.  A report the Currency Manager refuses is logged as
+``cm|refuse`` and acknowledged, and the run goes on.
 
 One retry rule serves both things that are retried: a transfer command
 whose payer or payee is busy with another exchange, and a report not yet
@@ -54,7 +56,6 @@ from .client import (
     CommitMsg,
     ProposeMsg,
     RejectMsg,
-    SupplyNotice,
     TREASURY_RESERVE,
     pair_of,
 )
@@ -79,7 +80,6 @@ RETRY_BASE = 4
 RETRY_CAP = 64
 RETRY_MAX_ATTEMPTS = 40
 MANAGER_ACTORS = frozenset(("cm", "im"))
-REPORT_TARGET = {"im": "im", "cm": "cm", "supply": "cm"}  # report kind -> manager
 
 
 def retry_delay(key: int, attempt: int) -> int:
@@ -107,7 +107,7 @@ class StartTransferCmd:
 @dataclass(frozen=True)
 class ReportEnvelope:
     env_id: int
-    kind: str  # im | cm | supply
+    kind: str  # the manager it is bound for: im | cm
     payload: object
     reporter: int
 
@@ -426,7 +426,7 @@ class Simulation:
             env_id = self._env_seq
             envelope = ReportEnvelope(env_id, kind, payload, node.id)
             self.unacked[env_id] = (envelope, 0)
-            self.send(REPORT_TARGET[kind], actor, envelope, policy=True)
+            self.send(kind, actor, envelope, policy=True)
             self._set_timer(env_id, 0, actor)
 
     def _set_timer(self, env_id: int, attempt: int, actor: str) -> None:
@@ -446,52 +446,52 @@ class Simulation:
             return
         attempts += 1
         self.unacked[env_id] = (envelope, attempts)
-        self.send(REPORT_TARGET[envelope.kind], actor, envelope, policy=True)
+        self.send(envelope.kind, actor, envelope, policy=True)
         self._set_timer(env_id, attempts, actor)
 
     # -- manager actors ---------------------------------------------------
 
     def _handle_cm(self, sender: str, message) -> None:
-        if isinstance(message, ReportEnvelope):
-            if message.env_id in self._seen_envelopes:
-                self.send(sender, "cm", ReportAck(message.env_id))
-                return
-            self._seen_envelopes.add(message.env_id)
-            if message.kind == "supply":
-                notice: SupplyNotice = message.payload
-                if notice.issued:
-                    self.cm.issue(notice.client_id, notice.amount,
-                                  notice.timestamp, provenance=notice.new_mhtr)
-                    self.emit("cm", "issued",
-                              f"client={notice.client_id} amount={notice.amount}")
-                else:
-                    self.cm.redeem(notice.client_id, notice.amount,
-                                   notice.timestamp, provenance=notice.new_mhtr)
-                    self.emit("cm", "redeemed",
-                              f"client={notice.client_id} amount={notice.amount}")
-            else:
-                report: BalanceReport = message.payload
-                try:
-                    outcome = self.cm.report_balance(
-                        report.client_id, report.new_balance, report.mhtr,
-                        report.prior_mhtr, report.peer_provenance,
-                        report.timestamp,
-                    )
-                    self.emit("cm", "balance-report",
-                              f"client={report.client_id} "
-                              f"balance={report.new_balance} "
-                              f"status={outcome.status}")
-                except StaleProvenance as exc:
-                    self.alerts.append(
-                        (AlertKind.STALE_PROVENANCE.value,
-                         (report.client_id,), self.now)
-                    )
-                    self.emit("cm", "alert",
-                              f"kind=StaleProvenance "
-                              f"subjects=[{report.client_id}] evidence={exc}")
-            self.send(sender, "cm", ReportAck(message.env_id))
-        else:
+        if not isinstance(message, ReportEnvelope):
             raise UnknownTarget(f"cm cannot handle {type(message).__name__}")
+        if message.env_id not in self._seen_envelopes:
+            self._seen_envelopes.add(message.env_id)
+            self._cm_report(message.payload)
+        self.send(sender, "cm", ReportAck(message.env_id))
+
+    def _cm_report(self, report: BalanceReport) -> None:
+        """Hand one balance report to the CM and log what it made of it.
+
+        A supply report logs ``issued`` or ``redeemed`` with its amount,
+        plus ``status=`` when it did not apply at once; a transfer's
+        report logs ``balance-report`` with its status.
+        """
+        client_id = report.client_id
+        try:
+            outcome = self.cm.report_balance(
+                client_id, report.new_balance, report.mhtr, report.prior_mhtr,
+                report.peer_provenance, report.timestamp, report.supply,
+            )
+        except StaleProvenance as exc:
+            self.alerts.append(
+                (AlertKind.STALE_PROVENANCE.value, (client_id,), self.now)
+            )
+            self.emit("cm", "alert",
+                      f"kind=StaleProvenance subjects=[{client_id}] "
+                      f"evidence={exc}")
+            return
+        except DeltaMoneyError as exc:
+            self.emit("cm", "refuse", f"client={client_id} reason={exc}")
+            return
+        if not report.supply:
+            self.emit("cm", "balance-report",
+                      f"client={client_id} balance={report.new_balance} "
+                      f"status={outcome.status}")
+            return
+        details = f"client={client_id} amount={abs(report.supply)}"
+        if outcome.status != "applied":
+            details += f" status={outcome.status}"
+        self.emit("cm", "issued" if report.supply > 0 else "redeemed", details)
 
     def _handle_im(self, sender: str, message) -> None:
         if isinstance(message, ReportEnvelope):

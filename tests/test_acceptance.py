@@ -5,6 +5,7 @@ capture so the gate is visible in any run, then asserts.  Stated runtime
 bounds are asserted alongside the functional checks.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -101,18 +102,8 @@ class World:
             for kind, payload in node.drain_reports():
                 if kind == "im":
                     self.im.ingest_report(payload, now=self.tick)
-                elif kind == "cm":
-                    self.cm.report_balance(
-                        payload.client_id, payload.new_balance, payload.mhtr,
-                        payload.prior_mhtr, payload.peer_provenance,
-                        payload.timestamp,
-                    )
-                elif payload.issued:
-                    self.cm.issue(payload.client_id, payload.amount,
-                                  payload.timestamp, provenance=payload.new_mhtr)
                 else:
-                    self.cm.redeem(payload.client_id, payload.amount,
-                                   payload.timestamp, provenance=payload.new_mhtr)
+                    self.cm.report_balance(*dataclasses.astuple(payload))
 
     def pay(self, payer: int, payee: int, amount: int):
         outcome = transact(self.nodes[payer], self.nodes[payee], amount, self.tick)

@@ -125,6 +125,22 @@ def test_export_balances_prints_table(state, capsys):
     assert any("forever" in line for line in out.splitlines())
 
 
+def test_balances_psv_lists_table_rows_then_supply_totals(state):
+    lines = (state / "balances.psv").read_text().splitlines()
+    assert lines[0].split("|") == [
+        "txn_timestamp", "client_id", "valid_balance", "valid_from",
+        "valid_to", "remarks",
+    ]
+    rows = [line.split("|") for line in lines[1:-1]]
+    issued = [row for row in rows if row[5] == "Issued"]
+    assert [(row[1], row[2]) for row in issued] == [
+        ("1", "4000"), ("2", "4000"), ("3", "4000"),
+    ]
+    assert all(row[4] != "forever" for row in issued)  # closed by the transfers
+    assert sorted(row[1] for row in rows if row[4] == "forever") == ["1", "2", "3"]
+    assert lines[-1] == "supply|12000|0"
+
+
 def test_prove_then_check_round_trip(state, tmp_path, capsys):
     vo_path = tmp_path / "p.vo"
     assert main(["prove", str(state), "--pair", "1:2", "--seq", "1",
@@ -241,6 +257,20 @@ STATE_DIGESTS = {
             "68419ea9d04dd18df1283e4bcf1dd5b54a1e0b55e974350d7b5a4851740e680b",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
+    },
+    "supply.scn": {
+        "attestations.psv":
+            "1061d8df5efa0c99b0e0b820c29f5a2a989dacae1effa82dc253d4e9a371a635",
+        "balances.psv":
+            "420b6c1acf3cdfaa75dce7ae40ea576032c3d53bf085a9c265176e1a9f116729",
+        "client_0.snap":
+            "714132e9a86510641d7068fd61c58a2d1c03628cb5446480c7c59507d6865dbc",
+        "client_1.snap":
+            "02257d3f1aa1ece314c8446f72b019766e967b0a2051862c80c383f20b6a90e8",
+        "client_2.snap":
+            "b3e4b17b81884ed603a1facc5cd32713a00e2089838ca4566b70c97f635b1837",
+        "keys.json":
+            "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },
     "table4.scn": {
         "attestations.psv":

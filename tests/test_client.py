@@ -15,7 +15,6 @@ from deltamoney.client import (
     PartnerRecoveryData,
     ProposeMsg,
     RejectMsg,
-    SupplyNotice,
     TREASURY_RESERVE,
     pair_of,
     record_digest,
@@ -33,7 +32,7 @@ from deltamoney.errors import (
     PartnerRootDisagreement,
     PeerSuspended,
 )
-from deltamoney.hashing import KeyStore
+from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore
 from deltamoney.integrity_manager import TransactionReport
 from deltamoney.peer_ledger import net_position, reset_epoch
 
@@ -102,18 +101,26 @@ def test_commit_queues_one_im_and_one_cm_report_per_side():
     assert node.drain_reports() == []
 
 
-def test_issuance_pair_queues_only_a_supply_notice():
+def test_treasury_pair_queues_only_a_chained_supply_report():
     treasury, nodes, tick = make_funded(1)
     reports = nodes[1].drain_reports()
-    assert [k for k, _ in reports] == ["supply"]
-    notice = reports[0][1]
-    assert isinstance(notice, SupplyNotice)
-    assert notice.issued and notice.client_id == 1
-    assert notice.amount == 10_000
-    assert notice.new_mhtr == nodes[1].mht.root()
+    assert [k for k, _ in reports] == ["cm"]
+    issued = reports[0][1]
+    assert isinstance(issued, BalanceReport)
+    assert (issued.client_id, issued.supply, issued.new_balance) == (1, 10_000, 10_000)
+    assert issued.prior_mhtr == EMPTY_TREE_DIGEST
+    assert issued.mhtr == nodes[1].mht.root()
     assert treasury.drain_reports() == []
     assert nodes[1].balance == 10_000
     assert treasury.balance == TREASURY_RESERVE - 10_000
+
+    assert transact(nodes[1], treasury, 400, tick).committed
+    [(kind, redeemed)] = nodes[1].drain_reports()
+    assert kind == "cm"
+    assert (redeemed.supply, redeemed.new_balance) == (-400, 9_600)
+    assert redeemed.prior_mhtr == issued.mhtr
+    assert redeemed.mhtr == nodes[1].mht.root()
+    assert treasury.drain_reports() == []
 
 
 def test_handshake_is_three_messages_and_none_to_managers():
@@ -543,8 +550,8 @@ class TestRecoverBalance:
             assigned = cm.enroll(b"pk", limit=10**9)
             assert assigned == i
         for i in nodes:
-            cm.issue(i, nodes[i].balance, timestamp=1,
-                     provenance=nodes[i].mht.root())
+            for _, report in nodes[i].drain_reports():
+                cm.report_balance(*dataclasses.astuple(report))
         return cm
 
     def test_recover_balance_agrees(self):

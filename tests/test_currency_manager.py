@@ -32,6 +32,18 @@ def manager_with_two_clients():
     return cm, c1, c2
 
 
+def supply(cm, client_id, amount, t, mhtr=None):
+    """Deliver the client's report of an issuance (amount > 0) or a
+    redemption (amount < 0), following its open row."""
+    row = cm.table.open_row(client_id)
+    if mhtr is None:
+        mhtr = digest(f"supply:{client_id}:{len(cm.table.rows)}")
+    return cm.report_balance(client_id, row.valid_balance + amount, mhtr,
+                             prior_mhtr=row.provenance_mhtr,
+                             peer_provenance=digest("treasury"), timestamp=t,
+                             supply=amount)
+
+
 def report_transfer(cm, payer, payee, amount, t, payer_prior, payee_prior,
                     payer_new, payee_new, payer_bal, payee_bal):
     """Deliver both legs of a transfer to the manager."""
@@ -75,12 +87,15 @@ def test_register_pair_guards():
 
 def test_issue_matches_table_rows():
     cm, c1, c2 = manager_with_two_clients()
-    cm.issue(c1, 1000, timestamp=1, provenance=digest("m1"))
-    cm.issue(c2, 2000, timestamp=2, provenance=digest("m2"))
+    out = supply(cm, c1, 1000, 1, digest("m1"))
+    assert out.status == "applied" and out.conservation.holds  # audited at once
+    supply(cm, c2, 2000, 2, digest("m2"))
     open_rows = {r.client_id: r for r in cm.table.open_rows()}
     assert open_rows[c1].valid_balance == 1000
     assert open_rows[c2].valid_balance == 2000
     assert open_rows[c2].valid_to == FOREVER
+    assert open_rows[c2].provenance_mhtr == digest("m2")
+    assert open_rows[c2].remarks == "Issued"
     verdict = cm.check_conservation()
     assert verdict.holds and verdict.actual == 3000
     assert cm.supply.total_issued == 3000
@@ -96,23 +111,60 @@ def test_issue_guards():
 
 def test_redeem_updates_supply_and_rows():
     cm, c1, _ = manager_with_two_clients()
-    cm.issue(c1, 1000, 1)
-    cm.redeem(c1, 400, 2)
+    supply(cm, c1, 1000, 1)
+    supply(cm, c1, -400, 2)
     assert cm.table.open_row(c1).valid_balance == 600
+    assert cm.table.open_row(c1).remarks == "Redeemed"
     assert cm.supply.net == 600
     assert cm.check_conservation().holds
-    cm.redeem(c1, 600, 3)
+    supply(cm, c1, -600, 3)
     assert cm.table.open_row(c1).valid_balance == 0
     assert cm.check_conservation().holds
+    rows, row = len(cm.table.rows), cm.table.open_row(c1)
     with pytest.raises(InsufficientBalance):
-        cm.redeem(c1, 1, 4)
+        cm.report_balance(c1, 0, digest("over"), prior_mhtr=row.provenance_mhtr,
+                          peer_provenance=digest("treasury"), timestamp=4,
+                          supply=-1)
+    assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 1000
+
+
+def test_supply_report_parks_behind_the_report_it_follows():
+    """A redemption that overtakes the transfer before it waits for it, and
+    its funds check then runs against the row the transfer left."""
+    cm, c1, c2 = manager_with_two_clients()
+    m1, m2, n1, r1 = digest("m1"), digest("m2"), digest("n1"), digest("r1")
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 1000, 2, m2)
+    early = cm.report_balance(c1, 1050, r1, prior_mhtr=n1,
+                              peer_provenance=digest("treasury"), timestamp=5,
+                              supply=-50)
+    assert early.status == "parked" and cm.supply.total_redeemed == 0
+    report_transfer(cm, c2, c1, 100, 3, m2, m1, digest("n2"), n1, 900, 1100)
+    assert cm.parked_count() == 0 and cm.supply.total_redeemed == 50
+    assert cm.table.open_row(c1).valid_balance == 1050
+    assert cm.table.open_row(c1).provenance_mhtr == r1
+    assert cm.check_conservation().holds
+
+
+def test_refused_parked_redemption_stays_parked():
+    cm, c1, c2 = manager_with_two_clients()
+    m1, m2, n1 = digest("m1"), digest("m2"), digest("n1")
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 1000, 2, m2)
+    cm.report_balance(c1, 0, digest("r1"), prior_mhtr=n1,
+                      peer_provenance=digest("treasury"), timestamp=5,
+                      supply=-1050)
+    report_transfer(cm, c1, c2, 100, 3, m1, m2, n1, digest("n2"), 900, 1100)
+    assert cm.parked_count(c1) == 1
+    assert cm.table.open_row(c1).provenance_mhtr == n1
+    assert cm.supply.total_redeemed == 0 and cm.check_conservation().holds
 
 
 def test_table4_transfer_rows_and_conservation():
     cm, c1, c2 = manager_with_two_clients()
     m1, m2 = digest("mhtr1@issue"), digest("mhtr2@issue")
-    cm.issue(c1, 1000, 1, provenance=m1)
-    cm.issue(c2, 2000, 2, provenance=m2)
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 2000, 2, m2)
     n1, n2 = digest("mhtr1@t3"), digest("mhtr2@t3")
     out_payer, out_payee = report_transfer(
         cm, c2, c1, 500, 3, payer_prior=m2, payee_prior=m1,
@@ -137,8 +189,8 @@ def test_table4_transfer_rows_and_conservation():
 def test_historical_conservation_windows():
     cm, c1, c2 = manager_with_two_clients()
     m1, m2 = digest("m1"), digest("m2")
-    cm.issue(c1, 1000, 1, provenance=m1)
-    cm.issue(c2, 2000, 2, provenance=m2)
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 2000, 2, m2)
     report_transfer(cm, c2, c1, 500, 3, m2, m1, digest("n2"), digest("n1"),
                     1500, 1500)
     at1 = cm.check_conservation(at=1)
@@ -154,8 +206,8 @@ def test_historical_conservation_windows():
 def test_double_spend_raises_stale_provenance():
     cm, c1, c2 = manager_with_two_clients()
     m1, m2 = digest("m1"), digest("m2")
-    cm.issue(c1, 1000, 1, provenance=m1)
-    cm.issue(c2, 2000, 2, provenance=m2)
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 2000, 2, m2)
     report_transfer(cm, c2, c1, 500, 3, m2, m1, digest("n2"), digest("n1"),
                     1500, 1500)
     # second spend from the same prior state m2
@@ -167,8 +219,8 @@ def test_double_spend_raises_stale_provenance():
 def test_duplicate_report_is_idempotent():
     cm, c1, c2 = manager_with_two_clients()
     m1, m2 = digest("m1"), digest("m2")
-    cm.issue(c1, 1000, 1, provenance=m1)
-    cm.issue(c2, 2000, 2, provenance=m2)
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 2000, 2, m2)
     args = dict(prior_mhtr=m2, peer_provenance=m1, timestamp=3)
     first = cm.report_balance(c2, 1500, digest("n2"), **args)
     assert first.status == "applied"
@@ -182,7 +234,7 @@ def test_duplicate_report_is_idempotent():
 def test_out_of_order_reports_park_then_apply():
     cm, c1, c2 = manager_with_two_clients()
     m1 = digest("m1")
-    cm.issue(c1, 1000, 1, provenance=m1)
+    supply(cm, c1, 1000, 1, m1)
     a, b = digest("after-first"), digest("after-second")
     # second hop arrives first: prior is a state the manager has not seen
     out = cm.report_balance(c1, 700, b, prior_mhtr=a,
@@ -219,7 +271,7 @@ def test_suspension_log_and_reinstate():
 
 def test_repair_annotates_rows_and_delegates():
     cm, c1, c2 = manager_with_two_clients()
-    cm.issue(c1, 1000, 1)
+    supply(cm, c1, 1000, 1)
     calls = []
 
     def executor(pair_key, pair_seq):
@@ -248,7 +300,7 @@ def test_repair_unknown_transaction():
 def test_forged_balance_breaks_conservation():
     cm, c1, c2 = manager_with_two_clients()
     m1 = digest("m1")
-    cm.issue(c1, 1000, 1, provenance=m1)
+    supply(cm, c1, 1000, 1, m1)
     out = cm.report_balance(c1, 1100, digest("forged-root"), prior_mhtr=m1,
                             peer_provenance=digest("nobody"), timestamp=2)
     assert out.status == "applied"
@@ -257,28 +309,13 @@ def test_forged_balance_breaks_conservation():
     assert verdict.discrepancy == 100
 
 
-def test_export_mirrors_table_columns():
-    cm, c1, c2 = manager_with_two_clients()
-    cm.issue(c1, 1000, 1, provenance=digest("m1"))
-    text = cm.export_rows()
-    lines = text.splitlines()
-    assert lines[0].split("|")[:6] == [
-        "Transaction Time-stamp", "Client ID", "Valid Balance",
-        "Valid From", "Valid To", "Remarks",
-    ]
-    issued = [l for l in lines if "Issued" in l]
-    assert len(issued) == 1
-    fields = issued[0].split("|")
-    assert fields[1] == str(c1) and fields[2] == "1000" and fields[4] == "inf"
-
-
 def test_no_transaction_records_stored():
     from deltamoney.peer_ledger import TransactionPairRecord
 
     cm, c1, c2 = manager_with_two_clients()
     m1, m2 = digest("m1"), digest("m2")
-    cm.issue(c1, 1000, 1, provenance=m1)
-    cm.issue(c2, 2000, 2, provenance=m2)
+    supply(cm, c1, 1000, 1, m1)
+    supply(cm, c2, 2000, 2, m2)
     report_transfer(cm, c2, c1, 500, 3, m2, m1, digest("n2"), digest("n1"),
                     1500, 1500)
 
@@ -303,45 +340,46 @@ def test_no_transaction_records_stored():
 
 
 def test_per_client_index_matches_linear_scan():
-    """Seeded issue, redeem and out-of-order report steps; every lookup is
-    compared with a scan over the whole table."""
+    """Seeded issue, redeem, transfer and out-of-order report steps; every
+    lookup is compared with a scan over the whole table."""
     rng = random.Random(7)
     cm = CurrencyManager()
     clients = [cm.enroll(b"pk%d" % i, 10_000, timestamp=i) for i in range(5)]
     balance = {c: 0 for c in clients}  # each client's own view, ahead of the CM
     root = {c: EMPTY_TREE_DIGEST for c in clients}
     in_flight = []  # undelivered report_balance arguments
+
+    def move(who, delta, peer_prior, step, supply=0):
+        balance[who] += delta
+        new_root = digest(f"{who}:{step}")
+        in_flight.append(dict(client_id=who, new_balance=balance[who],
+                              mhtr=new_root, prior_mhtr=root[who],
+                              peer_provenance=peer_prior, supply=supply))
+        root[who] = new_root
+
     parked = 0
     tick = len(clients)
     for step in range(400):
         tick += rng.choice((0, 0, 1, 2))
         c = rng.choice(clients)
-        idle = not any(r[0] == c for r in in_flight)
         op = rng.random()
-        if op < 0.15 and idle:
+        if op < 0.15:
             amount = rng.randint(1, 500)
-            balance[c] += amount
-            cm.issue(c, amount, tick)
-        elif op < 0.25 and idle and balance[c]:
+            move(c, amount, digest("treasury"), step, supply=amount)
+        elif op < 0.25 and balance[c]:
             amount = rng.randint(1, balance[c])
-            balance[c] -= amount
-            cm.redeem(c, amount, tick)
+            move(c, -amount, digest("treasury"), step, supply=-amount)
         elif op < 0.65 and balance[c]:
             payee = rng.choice([p for p in clients if p != c])
             amount = rng.randint(1, balance[c])
             priors = (root[c], root[payee])
-            for who, delta, peer_prior in ((c, -amount, priors[1]),
-                                           (payee, amount, priors[0])):
-                balance[who] += delta
-                new_root = digest(f"{who}:{step}")
-                in_flight.append((who, balance[who], new_root, root[who],
-                                  peer_prior))
-                root[who] = new_root
+            move(c, -amount, priors[1], step)
+            move(payee, amount, priors[0], step)
         elif in_flight:
             args = in_flight.pop(rng.randrange(len(in_flight)))
-            parked += cm.report_balance(*args, timestamp=tick).status == "parked"
+            parked += cm.report_balance(**args, timestamp=tick).status == "parked"
     for args in in_flight:
-        cm.report_balance(*args, timestamp=tick)
+        cm.report_balance(**args, timestamp=tick)
     assert parked and cm.parked_count() == 0
     rows = cm.table.rows
     assert len(rows) > 300 and any(r.valid_from == r.valid_to for r in rows)

@@ -23,7 +23,7 @@ from deltamoney.errors import (
     UnknownSubject,
     UnknownTransaction,
 )
-from deltamoney.hashing import KeyStore, Signature
+from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, Signature
 from deltamoney.integrity_manager import IntegrityManager, PTTRAttestation
 from deltamoney.peer_ledger import reset_epoch
 
@@ -238,8 +238,12 @@ class TestBalanceVO:
         cm = CurrencyManager(ks)
         for node in (a, b):
             assert cm.enroll(b"pk", limit=10**9) == node.id
-        cm.issue(1, a.balance, timestamp=tick, provenance=a.mht.root())
-        cm.issue(2, b.balance, timestamp=tick, provenance=b.mht.root())
+        # one issuance from the opening row stands in for each history:
+        # the VO needs only the row's balance and provenance
+        for node in (a, b):
+            cm.report_balance(node.id, node.balance, node.mht.root(),
+                              EMPTY_TREE_DIGEST, EMPTY_TREE_DIGEST, tick,
+                              supply=node.balance)
         return ks, a, b, cm, tick
 
     def grant_for(self, subject):

@@ -328,6 +328,11 @@ def test_eventual_consistency_matches_instant_delivery(policy):
         for i in range(5):
             sim.transfer(1 + i % 2, 2 - i % 2, 11 + i)
             sim.advance(4)
+            if i == 2:  # supply reports travel under the same policy
+                sim.issue(2, 70)
+                sim.advance(4)
+                sim.redeem(1, 40)
+                sim.advance(4)
         sim.quiesce()
         return sim
 
@@ -339,6 +344,50 @@ def test_eventual_consistency_matches_instant_delivery(policy):
             == {r.client_id: r.valid_balance for r in base.cm.table.open_rows()})
     assert dict(run_p.im.latest_validated) == dict(base.im.latest_validated)
     assert run_p.alerts == [] and run_p.cm.check_conservation().holds
+
+
+OVERTAKING_REDEMPTION = """
+seed 1
+clients 2
+register 1 2
+issue 1 1000
+issue 2 1000
+advance 20
+policy delay 6
+transfer 2 1 100
+advance 4
+policy normal
+redeem 1 1050
+advance 30
+quiesce
+assert-balance 1 50
+assert-conservation holds
+assert-no-alerts
+"""
+
+
+def test_redemption_overtaking_the_transfer_that_funds_it_waits_for_it():
+    """The redemption's report lands before the delayed transfer report it
+    follows; it parks, then passes its funds check in chain order."""
+    sim = run_scenario(parse_scenario(OVERTAKING_REDEMPTION))
+    assert sim.log.failures == []
+    assert "|cm|redeemed|client=1 amount=1050 status=parked" in sim.log.text()
+    assert sim.cm.parked_count() == 0
+    assert sim.cm.table.open_row(1).valid_balance == 50
+
+
+def test_cm_refusal_is_logged_and_acknowledged_not_raised():
+    sim = small_world(seed=12, clients=2)
+    sim.quiesce()
+    sim.cm.suspend(1, "x")
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    refusals = [line for line in sim.log.lines if "|cm|refuse|" in line]
+    assert len(refusals) == 1
+    assert refusals[0].endswith("|cm|refuse|client=1 reason=client 1 is suspended")
+    assert sim.unacked == {}  # acknowledged, so never resent
+    assert sim.cm.table.open_row(1).valid_balance == 1_000
+    assert sim.cm.table.open_row(2).valid_balance == 2_010
 
 
 def test_grid_capture_is_deterministic_and_sensitive():
