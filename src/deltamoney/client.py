@@ -290,8 +290,8 @@ class ClientNode:
         ptt.rollback_last()
         self._report_divergence(record, divergent_root)
 
-    def receive_reject(self, msg: RejectMsg, now: int) -> None:
-        self._release(msg.pair_key, TransactionProposal)
+    def receive_reject(self, msg: RejectMsg, now: int):
+        return self._release(msg.pair_key, TransactionProposal)
 
     def _release(self, key: tuple[int, int], role: type):
         """Empty the slot if it holds ``key``'s exchange in ``role``.

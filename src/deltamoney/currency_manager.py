@@ -33,6 +33,7 @@ from .errors import (
     ClientSuspended,
     DeltaMoneyError,
     InsufficientBalance,
+    NegativeBalance,
     NonPositiveAmount,
     StaleProvenance,
     UnknownClient,
@@ -330,10 +331,12 @@ class CurrencyManager:
                        timestamp: int, supply: int = 0) -> ReportOutcome:
         """Apply a report that follows the open row, or park it until it does.
 
-        A report citing a closed row raises ``StaleProvenance``; one the
-        supply checks refuse raises too, and leaves the row as it was.
+        A report citing a closed row raises ``StaleProvenance``; a negative
+        balance or a failed supply check raises too, leaving the row alone.
         """
         self._require_active(client_id)
+        if new_balance < 0:
+            raise NegativeBalance(f"client {client_id} reported balance {new_balance}")
         report = _Report(
             client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
             supply,

@@ -32,13 +32,13 @@ written ``A:B``.  The grammar:
     assert-verdict T|F T|F T|F     (correct, complete, fresh)
 
 Commands are scheduled, not executed, until an ``advance`` or ``quiesce``
-runs the clock.  ``advance`` keeps step timing independent of the delivery
-policy; ``quiesce`` stretches the clock until every retry has landed or
-given up.  Busy transfer commands and unacknowledged reports retry on one
-jittered exponential backoff (4 ticks, then up to 8, 16, 32 and 64; see
-``deltamoney.sim``), so scripts comparing final state across policies
-should sequence exchanges with ``advance`` and save ``quiesce`` for the
-end.
+runs the clock.  Each payer runs its transfers one at a time, in order.
+A busy payee and an unacknowledged report are retried on one jittered
+backoff (4, then up to 8, 16, 32 and 64 ticks; see ``deltamoney.sim``); a
+message dropped at a crashed client is answered ``unreachable``, and a
+crashed payer gives up its transfers.  ``advance`` keeps step timing
+independent of the delivery policy, so scripts comparing final state
+across policies should sequence exchanges with it and end on ``quiesce``.
 """
 
 from __future__ import annotations

@@ -22,17 +22,20 @@ redemptions) goes through the configurable delivery policy, which may
 delay or duplicate.  A report the Currency Manager refuses is logged as
 ``cm|refuse`` and acknowledged, and the run goes on.
 
-One retry rule serves both things that are retried: a transfer command
-whose payer or payee is busy with another exchange, and a report not yet
-acknowledged.  ``retry_delay`` sets every wait: the first retry waits
-``RETRY_BASE`` ticks, and retry k+1 waits somewhere in [span/2, span],
-span = min(RETRY_BASE * 2**k, RETRY_CAP), picked by hashing k with the
-command's key (the insertion number it was scheduled with) or the
-report's envelope id.  The jitter pulls colliding clients out of
-lockstep; being a hash, not a draw from the seeded rng, it leaves the
-delivery policy's draws where they were.  Each command and each report
-gets ``RETRY_MAX_ATTEMPTS`` retries and then a ``give-up`` line.  A busy
-retry is an event in the queue; a report resend is a timer.
+Each payer's transfer commands wait in one queue of their own; only the
+head proposes, once the payer's slot is free, and a commit, abort,
+refusal or any reject but ``busy`` ends it.  A head that a busy payee
+rejected, and a report not yet acknowledged, retry on one rule: the first
+retry waits ``RETRY_BASE`` ticks, and retry k+1 waits somewhere in
+[span/2, span], span = min(RETRY_BASE * 2**k, RETRY_CAP), picked by
+hashing k with the command's own number or the report's envelope id, so
+colliding clients leave lockstep without a draw from the seeded rng.
+Each gets ``RETRY_MAX_ATTEMPTS`` retries, then a ``give-up`` line.  A busy
+retry is an event in the queue; a report resend is a timer.  A handshake
+message is lost only at a crashed client; the transport answers the drop
+on that tick, as a refused connection would: a proposal with a reject, an
+acceptance with an abort, both ``reason=unreachable``.  A crashed payer's
+queued commands, and any sent to it while down, give up ``reason=crashed``.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
@@ -45,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,13 +99,14 @@ def retry_delay(key: int, attempt: int) -> int:
 # sim-internal messages
 
 
-@dataclass(frozen=True)
+@dataclass
 class StartTransferCmd:
     payer: int
     payee: int
     amount: int
-    key: int  # seeds the jitter of this command's retries
-    attempts: int = 0
+    key: int  # the command's own number; seeds the jitter of its retries
+    attempts: int = 0  # busy retries so far
+    due: int = 0  # a head backing off from a busy payee waits for this tick
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,7 @@ class Simulation:
         self.steps = 0  # delivered events; discarded resend timers not included
         self._seq = 0
         self._env_seq = 0
+        self._cmd_seq = 0
         self.queue: list = []
         # report-resend timers: (tick, seq, env_id, client actor)
         self.timers: list = []
@@ -201,7 +207,7 @@ class Simulation:
         self.partitions: list = []  # (start, end) manager unreachability
         self.unacked: dict[int, tuple] = {}  # env_id -> (envelope, attempts)
         self._seen_envelopes: set = set()  # manager-side transport dedup
-        self.inflight_cmd: dict = {}  # (payer, pair) -> StartTransferCmd
+        self.outbox: dict[int, deque] = defaultdict(deque)  # payer -> commands
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
         self.last_verdict = None
         self.grids: list = []
@@ -213,8 +219,8 @@ class Simulation:
         self.log.lines.append(f"{self.now}|{actor}|{event}|{details}")
 
     def send(self, target: str, sender: str, message,
-             policy: bool = False) -> None:
-        offsets = self.policy.offsets(self.rng) if policy else [1]
+             policy: bool = False, delay: int = 1) -> None:
+        offsets = self.policy.offsets(self.rng) if policy else [delay]
         for offset in offsets:
             self._seq += 1
             heapq.heappush(
@@ -324,6 +330,7 @@ class Simulation:
         if client_id is not None:
             if client_id in self.crashed:
                 self.emit("net", "drop", f"target={target} reason=crashed")
+                self._answer_drop(target, sender, message)
                 return
             self._handle_client(client_id, target, sender, message)
         elif target == "cm":
@@ -333,6 +340,23 @@ class Simulation:
         else:
             raise UnknownTarget(f"no actor {target}")
 
+    def _answer_drop(self, target: str, sender: str, message) -> None:
+        """Answer the drop now: a later recovery could copy an open record."""
+        if isinstance(message, ProposeMsg):
+            p = message.proposal
+            self.send(sender, target, RejectMsg(
+                pair_of(p.payer_id, p.payee_id), p.pair_seq, "unreachable"), delay=0)
+        elif isinstance(message, AcceptMsg):
+            r = message.record
+            self.send(sender, target, AbortMsg(pair_of(r.payer_id, r.payee_id),
+                      r.pair_seq, b"\x00" * 32, "unreachable"), delay=0)
+        elif isinstance(message, StartTransferCmd) and not message.attempts:
+            self._give_up(target, message, "crashed")
+
+    def _give_up(self, actor: str, cmd: StartTransferCmd, reason: str) -> None:
+        self.emit(actor, "give-up",
+                  f"payee={cmd.payee} amount={cmd.amount} reason={reason}")
+
     # -- client actor ---------------------------------------------------
 
     def _handle_client(self, client_id: int, actor: str, sender: str,
@@ -340,8 +364,10 @@ class Simulation:
         node = self.clients[client_id]
         if isinstance(message, ReportAck):
             self.unacked.pop(message.env_id, None)
-        elif isinstance(message, StartTransferCmd):
-            self._start_transfer(node, actor, message)
+            return
+        if isinstance(message, StartTransferCmd):
+            if not message.attempts:  # a retry wakes the head it already is
+                self.outbox[client_id].append(message)
         elif isinstance(message, ProposeMsg):
             try:
                 reply = node.receive_propose(message, self.now)
@@ -354,6 +380,7 @@ class Simulation:
                 self.emit(actor, "reject",
                           f"pair={reply.pair_key} reason={reply.reason}")
             self.send(sender, actor, reply)
+            return
         elif isinstance(message, AcceptMsg):
             result = node.receive_accept(message, self.now)
             key = pair_of(message.record.payer_id, message.record.payee_id)
@@ -361,12 +388,11 @@ class Simulation:
                 self.emit(actor, "commit",
                           f"pair={key} seq={result.pair_seq} "
                           f"root={result.payer_root.hex()[:16]}")
-                self.inflight_cmd.pop((client_id, key), None)
             else:
                 self.emit(actor, "abort",
                           f"pair={key} seq={result.pair_seq} "
                           f"reason={result.reason}")
-                self.inflight_cmd.pop((client_id, key), None)
+            self.outbox[client_id].popleft()
             self.send(sender, actor, result)
             self._flush_reports(node, actor)
         elif isinstance(message, CommitMsg):
@@ -382,43 +408,39 @@ class Simulation:
                       f"reason={message.reason}")
             self._flush_reports(node, actor)
         elif isinstance(message, RejectMsg):
-            node.receive_reject(message, self.now)
-            cmd = self.inflight_cmd.pop((client_id, message.pair_key), None)
-            if cmd is not None and message.reason == "busy":
-                self._requeue_busy(actor, cmd)
+            if node.receive_reject(message, self.now) is None:
+                return  # not this payer's exchange in flight
+            head = self.outbox[client_id][0]
+            if message.reason == "busy" and head.attempts < RETRY_MAX_ATTEMPTS:
+                delay = retry_delay(head.key, head.attempts)
+                head.attempts, head.due = head.attempts + 1, self.now + delay
+                self.send(actor, actor, head, delay=delay)
+                return
+            if message.reason == "busy":
+                self._give_up(actor, head, "busy")
+            elif message.reason == "unreachable":
+                self.emit(actor, "abort", f"pair={message.pair_key} "
+                          f"seq={message.pair_seq} reason=unreachable")
+            self.outbox[client_id].popleft()
         else:
             raise UnknownTarget(f"unhandled message {type(message).__name__}")
+        self._propose_head(node, actor)
 
-    def _start_transfer(self, node: ClientNode, actor: str,
-                        cmd: StartTransferCmd) -> None:
-        try:
-            msg = node.start_transfer(cmd.payee, cmd.amount, self.now)
-        except DeltaMoneyError as exc:
-            self.emit(actor, "refuse",
-                      f"payee={cmd.payee} amount={cmd.amount} reason={exc}")
-            return
-        if msg is None:
-            self._requeue_busy(actor, cmd)
-            return
-        key = pair_of(cmd.payer, cmd.payee)
-        self.inflight_cmd[(cmd.payer, key)] = cmd
-        self.emit(actor, "propose",
-                  f"pair={key} seq={msg.proposal.pair_seq} amount={cmd.amount}")
-        self.send(self._client_actor(cmd.payee), actor, msg)
-
-    def _requeue_busy(self, actor: str, cmd: StartTransferCmd) -> None:
-        if cmd.attempts >= RETRY_MAX_ATTEMPTS:
-            self.emit(actor, "give-up",
-                      f"payee={cmd.payee} amount={cmd.amount} reason=busy")
-            return
-        retry = StartTransferCmd(cmd.payer, cmd.payee, cmd.amount, cmd.key,
-                                 cmd.attempts + 1)
-        self._seq += 1
-        heapq.heappush(
-            self.queue,
-            (self.now + retry_delay(cmd.key, cmd.attempts), self._seq,
-             actor, actor, retry),
-        )
+    def _propose_head(self, node: ClientNode, actor: str) -> None:
+        """Propose the payer's head command once its slot is free."""
+        queued = self.outbox.get(node.id)
+        while queued and not node.busy and queued[0].due <= self.now:
+            cmd = queued[0]
+            try:
+                msg = node.start_transfer(cmd.payee, cmd.amount, self.now)
+            except DeltaMoneyError as exc:
+                self.emit(actor, "refuse",
+                          f"payee={cmd.payee} amount={cmd.amount} reason={exc}")
+                queued.popleft()
+                continue
+            self.emit(actor, "propose", f"pair={pair_of(cmd.payer, cmd.payee)} "
+                      f"seq={msg.proposal.pair_seq} amount={cmd.amount}")
+            self.send(self._client_actor(cmd.payee), actor, msg)
 
     def _flush_reports(self, node: ClientNode, actor: str) -> None:
         for kind, payload in node.drain_reports():
@@ -549,12 +571,9 @@ class Simulation:
                   f"payer={payer} payee={payee} amount={amount}")
 
     def _command(self, payer: int, payee: int, amount: int) -> None:
-        self._seq += 1
-        cmd = StartTransferCmd(payer, payee, amount, self._seq)
-        heapq.heappush(
-            self.queue,
-            (self.now + 1, self._seq, self._client_actor(payer), "sim", cmd),
-        )
+        self._cmd_seq += 1
+        self.send(self._client_actor(payer), "sim",
+                  StartTransferCmd(payer, payee, amount, self._cmd_seq))
 
     def capture(self, epoch: int):
         mhtrs = {
@@ -699,6 +718,8 @@ class Simulation:
                        if env.reporter == client_id]:
             del self.unacked[env_id]
         self.emit(self._client_actor(client_id), "crash", "")
+        for cmd in self.outbox.pop(client_id, ()):
+            self._give_up(self._client_actor(client_id), cmd, "crashed")
 
     def _fault_partition(self, ticks: int) -> None:
         self.partitions.append((self.now, self.now + ticks))

@@ -204,85 +204,101 @@ def test_state_dir_snapshots_reload(state):
 # sha256 of every file ``run --state-dir`` writes for each shipped
 # scenario: snapshots, balance table, attestations, grids and keys
 STATE_DIGESTS = {
+    "crash.scn": {
+        "attestations.psv":
+            "a97e7f243da00471d872504309ab59f5e80c13730678a568e08224da0b703f02",
+        "balances.psv":
+            "e5b404bfebd0da7035235b25708e4d21c17b2b9fb70709eb9b32c388a5801ca6",
+        "client_0.snap":
+            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+        "client_1.snap":
+            "db5aea9d6c8fe5525a56121611a64bdafefca82568e01322a050b8cbf92f1be2",
+        "client_2.snap":
+            "1b09caa841d7b88fa32546e6f4ef0ab4b292f3790c5b866dbf9ffe46f59428b1",
+        "client_3.snap":
+            "d9e6532371441bb1d843a58117dc4b3548ea163bc399b7194a78f807286e6713",
+        "keys.json":
+            "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
+    },
     "grid3.scn": {
         "attestations.psv":
-            "6f549ec831aa46a61a1224f6cd7c60e3a8cce68fa2ab455db8db60771cc221ad",
+            "0d4565f520a62c3aebcf40c5e7e0ace81c03e3f5a6bf301d670a544ff6aaf2c2",
         "balances.psv":
-            "15c3d82d5bf9be0173fa3271312a0e1bb099d8dd63b3193c662708cedfbe7dc8",
+            "48491bf78af4211e6641078ebeb22fe31bf54ad5b2d82fc5e258a34969ddfe8c",
         "client_0.snap":
-            "e68aa4fc0b6149211f81bca225c40245ebd271ab7664621180f576da3636e7c1",
+            "2794c3cd97d82ed2ac3e4ad33bca05139e5f74c5d1fb2a4a92eecf29e99c5c0d",
         "client_1.snap":
-            "6318aa36644da57f57e14e3db919ac40b7b4f6e6c8873c9ee9c04cd113463d88",
+            "49cbb89232cd15f452fd7170d5b786b3585bf53ae5aa9082a4634f366acdb414",
         "client_2.snap":
-            "91f464e29ae8bbf9144fbe9292e0849be05ba69983557bf62597b7d7f6ef7619",
+            "6cab6bd2d1319770b4d8040437d2122b7c1fe88a2aa75cbf1fbcb530a26d0d67",
         "client_3.snap":
-            "6be0d8ed48f0e516e7064b4897dfea9a1a7ebbe60ee53c82c6fefcc498212f0f",
+            "5ae2a2a6932537badd4ea39794b5194f496ca4dd65ec2c7694d7ce6a2bb4ae6e",
         "grid_0.txt":
-            "cb72e5736adab7d10a2c95f1d83fd77c7b2e57a1b7b453e9e49e93449f6773ce",
+            "6869b1fb299f555c34748d8851862fb30d66ff12838f28520ae855ab241caf9e",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "recover.scn": {
         "attestations.psv":
-            "61b4128f3723e817f0ad376f58d22d76148be17c29bfbe2e7f58a9bfc8aac224",
+            "5914ac7404f01edb35ecda3336e754b22c3e7856b516df807832238f28015ed4",
         "balances.psv":
-            "153f67680863e6d2aa8965550eb4e70bc83d58601ac6d87ddcb84a9ec92252ed",
+            "180af5a4e93889d4d30874e241bad721b59b7a94c837e62471c74be9814a0661",
         "client_0.snap":
-            "2c8e6a38d1d84ffe5e25c311b5e474f34fede2280ac09f9fa4cfaa01f47b7ded",
+            "9477e551a82e7752b46721adb1b93315ed418215a6da0562c379019206afef24",
         "client_1.snap":
-            "aa6489f98a14b49b2d5252b2e5d7663e0b070d5a074095f33928e2dd487357f7",
+            "f17ef7a7be73a7a1657718960fff508ca46b6fce2ccebc9e645b449654f31bfa",
         "client_2.snap":
-            "50ad3abd067e311c84a48ebb482727133a30cf5c5e5a6c6dc2bd9e1724a634da",
+            "42023f7603851d4dc5dec3865fcd2abda0f467ccd1ab93b6b45ca0c5912b7ca1",
         "client_3.snap":
-            "a6f5ac9e84138f64dbec99ec8ec121b5b982c779667424ef47b638ec6401b2b9",
+            "adf6fb6211d33edadab2e8c6fee7b3cba897a625b1efe42e08e3a4eb16ce568c",
         "client_4.snap":
-            "f258dd0988311cccf45e281df5d52fd6e836f9cc2f19eabe176339ff3f6aeee7",
+            "540873dda23875c7f46ef7dca3341a76baefb74bee6caf3019d28da6da825bed",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "ring.scn": {
         "attestations.psv":
-            "b3852f12f6e727242e5b9570c2f91128fffd149bae7ddf5ff38fb935c434175e",
+            "e5b7caaf197a0146ce4630f2a6a74aa56dab997616fe22970a3476488e119c39",
         "balances.psv":
-            "9b9f72f72cbf53188fb396f3280b86de8b63366875b37e344309a9722ed0811e",
+            "e4cbe525d840342e0ad63f0ccfb313adc78c2d368db9b021f3e5b0f36c895d4e",
         "client_0.snap":
-            "c7b35dd8b6be497580601e315cc6d22a2b431cfce79726d4b4253145c78994c7",
+            "ed31a016067b3e4636ae1f34c68b58a48e9b77e279f6efc4632a9c182cfb6bc9",
         "client_1.snap":
-            "ce3f6005f40a679b4abff8e92caff02901e26c8f4a8a921889f6b5ca18356a18",
+            "0b1e1e1909ad9219baf21b7b1906750fdca5bce7bd0c15ddcaae6da92cdbe24d",
         "client_2.snap":
-            "9ce572e19ae61051878e17728a3c1df0caabc563dfd742068b89da2083f564c0",
+            "6ede071d61fbc16faa689f1e711d195a2a8290df7244d377db685adf5c0176c0",
         "client_3.snap":
-            "b0bb9cd992ccfc1a3c96d95aa5022442775f423575a167b6498e5181a7b82441",
+            "05e94cd0a8436e7dacc41b7d464a3beae0d5baf1cdfcd9ea042bf32c2b6c61c6",
         "client_4.snap":
-            "68419ea9d04dd18df1283e4bcf1dd5b54a1e0b55e974350d7b5a4851740e680b",
+            "46e25b7b25781503c0db9fec2d853c38163cc00bc0c562b1b50196440ede9015",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "supply.scn": {
         "attestations.psv":
-            "1061d8df5efa0c99b0e0b820c29f5a2a989dacae1effa82dc253d4e9a371a635",
+            "7c51010b3f02719e5e07b656ea2d3fad65e121dcd90c5cbbc4afbe89a2d9a9de",
         "balances.psv":
-            "420b6c1acf3cdfaa75dce7ae40ea576032c3d53bf085a9c265176e1a9f116729",
+            "6aea38bca6700abfeaa83c455b9acd4d4e872183a8637f1e6eaec320e97a8de0",
         "client_0.snap":
-            "714132e9a86510641d7068fd61c58a2d1c03628cb5446480c7c59507d6865dbc",
+            "2cc8124acf74941dc179a3e9eee98cd4054ab74a6d3199b200435d8d3302cbca",
         "client_1.snap":
-            "02257d3f1aa1ece314c8446f72b019766e967b0a2051862c80c383f20b6a90e8",
+            "20f70f194473b92174955ed7cd0349d0ffc934490d6510ff086399eed76970ce",
         "client_2.snap":
-            "b3e4b17b81884ed603a1facc5cd32713a00e2089838ca4566b70c97f635b1837",
+            "256e665dc00605b63ec6f5ee662b586db5db3f3a41b9e55648ebd8f7659909bf",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },
     "table4.scn": {
         "attestations.psv":
-            "4d73a7c9d5cfc874702ba858d4ec38ae057e92c361f7d070338983390079262d",
+            "47c4f9012ff1bdb2c72e4b179d7141ccd34b9c05c7872297b93880db11551f94",
         "balances.psv":
-            "0aeca4633c926bc9ee17094ae65cb2c651449a1503600163774cab709b68394f",
+            "8ba4bec996b5c5347a000ba735c643a88fc4a2134ac0b4d02ef1a71806970ca7",
         "client_0.snap":
-            "6d9bd1bafd9440c610a120de7d368dd318f39f2162c3dacca5f4a0e22f589915",
+            "1d679c7db15a0b4ba4f91fc4f7d3c2fd43cf37668ec3084d69eafdae8fcac0d1",
         "client_1.snap":
-            "60a085190d2970f3afc201a8aa9e212c395b005113276fbfb057e87058a6ef8a",
+            "b8af30cd6707ac02916b5e4bc13ca511721c312ccf37779226b503e8c1b8b7b4",
         "client_2.snap":
-            "f3679a1ccf98079a6005e288c28b3461444fd849028a8a38f6f488224927c20a",
+            "bf3adcc4f951c1298d868380bd76e1303247494d55f441571fe09f726d3f5ef8",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },

@@ -13,6 +13,7 @@ from deltamoney.encoding import FOREVER
 from deltamoney.errors import (
     ClientSuspended,
     InsufficientBalance,
+    NegativeBalance,
     NonPositiveAmount,
     StaleProvenance,
     UnknownClient,
@@ -126,6 +127,17 @@ def test_redeem_updates_supply_and_rows():
                           peer_provenance=digest("treasury"), timestamp=4,
                           supply=-1)
     assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 1000
+
+
+def test_negative_report_balance_is_refused_before_it_is_fingerprinted():
+    cm, c1, _ = manager_with_two_clients()
+    supply(cm, c1, 1000, 1)
+    rows, row = len(cm.table.rows), cm.table.open_row(c1)
+    with pytest.raises(NegativeBalance):
+        cm.report_balance(c1, -1, digest("over"), prior_mhtr=row.provenance_mhtr,
+                          peer_provenance=digest("treasury"), timestamp=2,
+                          supply=-1001)
+    assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 0
 
 
 def test_supply_report_parks_behind_the_report_it_follows():
