@@ -13,15 +13,18 @@ verifier refolds the skeleton to check correctness against a trusted
 root and scans the flattened leaf order to check nothing in range was
 skipped.
 
-Costs: an insert rehashes the rightmost path, and internal nodes keep
-their separator keys encoded so a rehash only joins bytes.  ``build``
-loads a whole history, as recovery and snapshot loading do: it places
-records with the same split rule but hashes in one pass at the end, each
-record digest once and each node once, where n inserts would rehash the
-rightmost path n times.  A range query returning k records costs
-O(log n + k): the two boundary witnesses are found by descending the
-separator keys, and the skeleton enters only the subtrees whose
-separator range overlaps the touched keys.
+Costs: an insert walks the rightmost path down and back up once, with no
+recursion: it hashes the record, then each node on the path bottom-up
+(both halves of a node it splits), one ``scheme.function`` call per
+digest.  Internal nodes keep their separator keys encoded, so a rehash
+only joins bytes: the child digests from a list, then the keys.
+``build`` loads a whole history, as recovery and snapshot loading do: it
+checks and hashes each record once, lays out the shape those inserts
+would have left a level at a time, and hashes each node once, where n
+inserts would rehash the rightmost path n times.  A range query
+returning k records costs O(log n + k): the two boundary witnesses are
+found by descending the separator keys, and the skeleton enters only the
+subtrees whose separator range overlaps the touched keys.
 """
 
 from __future__ import annotations
@@ -115,37 +118,63 @@ class _Leaf:
         self.next: Optional["_Leaf"] = None
         self.hash = b""
 
-    def rehash(self, scheme: HashScheme) -> None:
-        self.hash = scheme.function(TAG_BTREE_LEAF + b"".join(self.digests))
-
 
 class _Internal:
     """Children and separators: ``keys[i]`` is the first key under
     ``children[i + 1]``; ``key_bytes`` holds the same keys encoded,
-    ``KEY_SIZE`` bytes each, so a rehash does not re-pack them."""
+    ``KEY_SIZE`` bytes each, and ``digests[i]`` is ``children[i].hash``,
+    so a rehash only joins bytes already at hand."""
 
-    __slots__ = ("keys", "key_bytes", "children", "hash")
+    __slots__ = ("keys", "key_bytes", "children", "digests", "hash")
 
     def __init__(self) -> None:
         self.keys: list[Key] = []
         self.key_bytes = b""
         self.children: list = []
+        self.digests: list[Digest] = []
         self.hash = b""
 
-    def rehash(self, scheme: HashScheme) -> None:
-        self.hash = scheme.function(
-            TAG_BTREE_INTERNAL
-            + b"".join(child.hash for child in self.children)
-            + self.key_bytes
+
+def _check_next(last: Optional[BalanceChangeRecord],
+                record: BalanceChangeRecord) -> None:
+    """Raise unless ``record`` may follow ``last`` (None: the first one)."""
+    prior = 0
+    if last is not None:
+        if record.key <= last.key:
+            raise NonMonotonicKey(
+                f"key {record.key} not greater than current max {last.key}"
+            )
+        prior = last.new_balance
+    if record.new_balance != prior + record.delta:
+        raise ValueError(
+            "new_balance breaks the running sum: "
+            f"{prior} + {record.delta} != {record.new_balance}"
         )
 
 
-def _hash_subtree(node, scheme: HashScheme) -> None:
+def _node_sizes(count: int, capacity: int, keep: int) -> list[int]:
+    """Entry counts of the nodes one level of ``count`` entries fills.
+
+    A node holds up to ``capacity``; one more splits it, leaving ``keep``
+    behind, and only the last node ever grows, so every node but the
+    last holds ``keep`` and the last between ``capacity + 1 - keep`` and
+    ``capacity``.
+    """
+    if count <= capacity:
+        return [count]
+    full = (count - (capacity + 1 - keep)) // keep
+    return [keep] * full + [count - full * keep]
+
+
+def _hash_subtree(node, fn) -> None:
     """Hash every node under ``node``, children before their parent."""
-    if isinstance(node, _Internal):
-        for child in node.children:
-            _hash_subtree(child, scheme)
-    node.rehash(scheme)
+    if isinstance(node, _Leaf):
+        node.hash = fn(TAG_BTREE_LEAF + b"".join(node.digests))
+        return
+    for child in node.children:
+        _hash_subtree(child, fn)
+    node.digests = [child.hash for child in node.children]
+    node.hash = fn(TAG_BTREE_INTERNAL + b"".join(node.digests) + node.key_bytes)
 
 
 class BalanceMHT:
@@ -184,96 +213,136 @@ class BalanceMHT:
         return 0 if self._max_record is None else self._max_record.new_balance
 
     def insert(self, record: BalanceChangeRecord) -> None:
-        self._add(record, rehash=True)
+        """Check and add ``record``, rehashing the nodes it touched.
 
-    @classmethod
-    def build(cls, records: Iterable[BalanceChangeRecord], fanout: int = 8,
-              scheme: HashScheme = SHA256) -> "BalanceMHT":
-        """The tree that inserting ``records`` in order would give.
-
-        Records pass the same checks and land where ``insert`` puts them,
-        but no node is hashed while they are placed: each record is
-        hashed once, then every node once, bottom-up, at the end.
+        Keys only grow, so the record lands in the last leaf.  The walk
+        goes down the rightmost path and back up it once: each level
+        takes the split of the level below, splits in turn when it
+        overflows, and hashes the nodes it touched (the node, then its
+        new right sibling).
         """
-        tree = cls(fanout, scheme)
-        for record in records:
-            tree._add(record, rehash=False)
-        if tree._root is not None:
-            _hash_subtree(tree._root, scheme)
-        return tree
-
-    def _add(self, record: BalanceChangeRecord, rehash: bool) -> None:
-        """Check and place ``record``; ``rehash`` refreshes the touched
-        nodes' hashes, which ``build`` leaves to its one final pass."""
-        if self._max_record is not None and record.key <= self._max_record.key:
-            raise NonMonotonicKey(
-                f"key {record.key} not greater than current max {self._max_record.key}"
-            )
-        if record.new_balance != self.latest_balance() + record.delta:
-            raise ValueError(
-                "new_balance breaks the running sum: "
-                f"{self.latest_balance()} + {record.delta} != {record.new_balance}"
-            )
-        if self._root is None:
-            leaf = _Leaf()
-            self._root = leaf
-        split = self._insert(self._root, record, rehash)
+        _check_next(self._max_record, record)
+        fn = self.scheme.function
+        limit = self.fanout - 1
+        node = self._root
+        if node is None:
+            node = self._root = _Leaf()
+        path = []
+        while type(node) is _Internal:
+            path.append(node)
+            node = node.children[-1]
+        leaf = node
+        records, digests = leaf.records, leaf.digests
+        records.append(record)
+        digests.append(fn(record.to_bytes()))
+        split = None
+        touched = (leaf,)
+        if len(records) > limit:
+            mid = self.fanout // 2
+            # fresh lists, not ``del``: the left half keeps no spare room
+            right = _Leaf()
+            right.records, right.digests = records[mid:], digests[mid:]
+            leaf.records, leaf.digests = records[:mid], digests[:mid]
+            right.next, leaf.next = leaf.next, right
+            split = right.records[0].key, right
+            touched = (leaf, right)
+        for node in touched:
+            node.hash = fn(TAG_BTREE_LEAF + b"".join(node.digests))
+        child = leaf
+        for node in reversed(path):
+            digests = node.digests
+            digests[-1] = child.hash
+            touched = (node,)
+            if split is not None:
+                sep, right = split
+                split = None
+                node.keys.append(sep)
+                node.key_bytes += _key_bytes(sep)
+                node.children.append(right)
+                digests.append(right.hash)
+                if len(node.keys) > limit:
+                    mid = len(node.keys) // 2
+                    new_right = _Internal()
+                    new_right.keys = node.keys[mid + 1:]
+                    new_right.key_bytes = node.key_bytes[(mid + 1) * KEY_SIZE:]
+                    new_right.children = node.children[mid + 1:]
+                    new_right.digests = digests[mid + 1:]
+                    split = node.keys[mid], new_right
+                    node.keys = node.keys[:mid]
+                    node.children = node.children[:mid + 1]
+                    node.digests = digests[:mid + 1]
+                    node.key_bytes = node.key_bytes[:mid * KEY_SIZE]
+                    touched = (node, new_right)
+            for inner in touched:
+                inner.hash = fn(TAG_BTREE_INTERNAL + b"".join(inner.digests)
+                                + inner.key_bytes)
+            child = node
         if split is not None:
             sep, right = split
             new_root = _Internal()
             new_root.keys = [sep]
             new_root.key_bytes = _key_bytes(sep)
             new_root.children = [self._root, right]
-            if rehash:
-                new_root.rehash(self.scheme)
+            new_root.digests = [self._root.hash, right.hash]
+            new_root.hash = fn(TAG_BTREE_INTERNAL + b"".join(new_root.digests)
+                               + new_root.key_bytes)
             self._root = new_root
         self._count += 1
         self._max_record = record
 
-    def _insert(self, node, record, rehash):
-        if isinstance(node, _Leaf):
-            node.records.append(record)
-            node.digests.append(self.scheme.function(record.to_bytes()))
-            if len(node.records) <= self.fanout - 1:
-                if rehash:
-                    node.rehash(self.scheme)
-                return None
-            mid = self.fanout // 2
-            right = _Leaf()
-            right.records = node.records[mid:]
-            right.digests = node.digests[mid:]
-            node.records = node.records[:mid]
-            node.digests = node.digests[:mid]
-            right.next = node.next
-            node.next = right
-            if rehash:
-                node.rehash(self.scheme)
-                right.rehash(self.scheme)
-            return right.records[0].key, right
-        # append-only keys: new records always belong under the last child
-        split = self._insert(node.children[-1], record, rehash)
-        if split is not None:
-            sep, right = split
-            node.keys.append(sep)
-            node.key_bytes += _key_bytes(sep)
-            node.children.append(right)
-            if len(node.keys) > self.fanout - 1:
-                mid = len(node.keys) // 2
-                new_right = _Internal()
-                new_right.keys = node.keys[mid + 1 :]
-                new_right.key_bytes = node.key_bytes[(mid + 1) * KEY_SIZE :]
-                new_right.children = node.children[mid + 1 :]
-                promoted = node.keys[mid]
-                node.keys = node.keys[:mid]
-                node.key_bytes = node.key_bytes[: mid * KEY_SIZE]
-                node.children = node.children[: mid + 1]
-                if rehash:
-                    node.rehash(self.scheme)
-                    new_right.rehash(self.scheme)
-                return promoted, new_right
-        if rehash:
-            node.rehash(self.scheme)
-        return None
+    @classmethod
+    def build(cls, records: Iterable[BalanceChangeRecord], fanout: int = 8,
+              scheme: HashScheme = SHA256) -> "BalanceMHT":
+        """The tree that inserting ``records`` in order would give.
+
+        Records pass insert's checks and each is hashed once, in order;
+        then the shape is laid out a level at a time and every node is
+        hashed once, bottom-up.  Inserts only ever split the last node of
+        a level, so the shape follows from the counts alone: a leaf
+        splits on reaching ``fanout`` records and keeps ``fanout // 2``,
+        an internal node on reaching ``fanout + 1`` children and keeps
+        ``fanout // 2 + 1``, and a separator is the first key under the
+        child to its right.
+        """
+        tree = cls(fanout, scheme)
+        fn = scheme.function
+        entries: list[BalanceChangeRecord] = []
+        digests: list[Digest] = []
+        last = None
+        for record in records:
+            _check_next(last, record)
+            entries.append(record)
+            digests.append(fn(record.to_bytes()))
+            last = record
+        if last is None:
+            return tree
+        keep = fanout // 2
+        level, first_keys, start = [], [], 0
+        for size in _node_sizes(len(entries), fanout - 1, keep):
+            leaf = _Leaf()
+            leaf.records = entries[start:start + size]
+            leaf.digests = digests[start:start + size]
+            if level:
+                level[-1].next = leaf
+            level.append(leaf)
+            first_keys.append(entries[start].key)
+            start += size
+        while len(level) > 1:
+            parents, parent_keys, start = [], [], 0
+            for size in _node_sizes(len(level), fanout, keep + 1):
+                node = _Internal()
+                node.children = level[start:start + size]
+                node.keys = first_keys[start + 1:start + size]
+                node.key_bytes = b"".join(map(_key_bytes, node.keys))
+                parents.append(node)
+                parent_keys.append(first_keys[start])
+                start += size
+            level, first_keys = parents, parent_keys
+        tree._root = level[0]
+        tree._count = len(entries)
+        tree._max_record = last
+        _hash_subtree(tree._root, fn)
+        return tree
 
     def _first_leaf(self) -> Optional[_Leaf]:
         node = self._root

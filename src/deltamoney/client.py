@@ -30,6 +30,7 @@ treasury itself reports nothing.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -44,7 +45,6 @@ from .errors import (
     NotRegisteredPeers,
     PartnerRootDisagreement,
     PeerSuspended,
-    WrongAddressee,
 )
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore
 from .integrity_manager import TransactionReport
@@ -62,6 +62,12 @@ from .peer_ledger import (
 
 DEFAULT_LIMIT = 2**32
 TREASURY_RESERVE = 2**48
+
+#: Abort reason for an acceptance that reaches a payer holding no proposal
+STALE = "stale"
+#: Abort reasons of exchanges the payer never appended: there is no second
+#: root to compare, so the payee's rollback reports nothing
+ONE_SIDED_ABORTS = frozenset({"unreachable", STALE})
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +153,12 @@ def record_digest(record: TransactionPairRecord) -> Digest:
     frozen record (a cached ``to_bytes()`` measured slower end to end).
     """
     return hashlib.sha256(record.to_bytes()).digest()
+
+
+def _timeline(key: tuple[int, int], ptt: PeerTransactionTree):
+    """``ptt``'s records as (timestamp, pair key, pair_seq, record), in order."""
+    for record in ptt.records:
+        yield record.timestamp, key, record.pair_seq, record
 
 
 class ClientNode:
@@ -251,7 +263,7 @@ class ClientNode:
         key = pair_of(record.payer_id, record.payee_id)
         proposal = self._release(key, TransactionProposal)
         if proposal is None:
-            raise WrongAddressee(f"no pending proposal for pair {key}")
+            return self._answer_stale(key, record)
         if (record.pair_seq, record.amount, record.payer_id, record.payee_id,
                 record.payer_prior_commit, record.payer_new_commit,
                 record.payer_provenance, record.timestamp) != (
@@ -268,6 +280,27 @@ class ClientNode:
             return self._abort(key, record, "root mismatch", my_root)
         self._finalize(record, my_root)
         return CommitMsg(key, record.pair_seq, my_root)
+
+    def _answer_stale(self, key: tuple[int, int], record) -> AbortMsg:
+        """Abort an acceptance of a proposal this node no longer holds.
+
+        Only a payer that crashed with its proposal in flight, and was
+        rebuilt before the acceptance came, gets one.  If the payee had
+        already accepted when the payer was rebuilt, the rebuilt pair tree
+        copied the record from it; this acceptance shows the payer never
+        committed the record, so its leaf and balance change go again.
+        Had the payer committed before it crashed, no acceptance would
+        come, and the copy stays.
+        """
+        ptt = self.ptts.get(key)
+        if ptt is not None and ptt.records and ptt.records[-1] == record:
+            # the copy is the latest balance change: its timestamp is the
+            # proposal's tick, and nothing commits here until the answer
+            ptt.rollback_last()
+            changes = list(self.mht.records_in_order())
+            self.mht = BalanceMHT.build(changes[:-1], self.fanout)
+            self.client_seq -= 1
+        return AbortMsg(key, record.pair_seq, b"\x00" * 32, STALE)
 
     def receive_commit(self, msg: CommitMsg, now: int) -> None:
         record = self._release(msg.pair_key, TransactionPairRecord)
@@ -288,7 +321,8 @@ class ClientNode:
         ptt = self.ptts[msg.pair_key]
         divergent_root = ptt.root()
         ptt.rollback_last()
-        self._report_divergence(record, divergent_root)
+        if msg.reason not in ONE_SIDED_ABORTS:
+            self._report_divergence(record, divergent_root)
 
     def receive_reject(self, msg: RejectMsg, now: int):
         return self._release(msg.pair_key, TransactionProposal)
@@ -337,14 +371,10 @@ class ClientNode:
             delta, peer_id = record.amount, record.payer_id
         else:
             delta, peer_id = -record.amount, record.payee_id
+        # positional, in field order: recovery builds one per record
         change = BalanceChangeRecord(
-            pair_seq=record.pair_seq,
-            timestamp=record.timestamp,
-            client_seq=client_seq,
-            peer_id=peer_id,
-            delta=delta,
-            new_balance=prior_balance + delta,
-            causing_pttr=causing_pttr,
+            record.pair_seq, record.timestamp, client_seq, peer_id, delta,
+            prior_balance + delta, causing_pttr,
         )
         local_view(record, self.id, prior_balance)
         return change
@@ -412,11 +442,12 @@ class ClientNode:
         tree in one build pass (about 2n hashes for n records); the
         rebuilt root must match both the partner's claim and, when the
         Integrity Manager has one, the archived validated root.  The
-        balance records are then replayed in timestamp order, each citing
-        the root its pair tree had right after it, read from the levels
-        that build already stored (popcount(size) - 1 hashes, no second
-        tree), and the balance tree is built from them in one pass: each
-        record and each node hashed once.
+        balance records are then replayed in timestamp order, merged from
+        the pairs' record lists, each citing the root its pair tree had
+        right after it, read from the levels that build already stored
+        (popcount(size) - 1 hashes, no second tree), and the balance tree
+        is built from them in one pass: each record and each node hashed
+        once.
 
         All of that is built aside; only once every check has passed is
         the node wiped and the new state swapped in, so a recovery that
@@ -445,22 +476,20 @@ class ClientNode:
                 )
             rebuilt[key] = ptt
 
-        timeline = []
-        for key, ptt in rebuilt.items():
-            for record in ptt.records:
-                timeline.append((record.timestamp, key, record))
-        timeline.sort(key=lambda item: (item[0], item[1], item[2].pair_seq))
+        # each pair's records are already in timestamp order, so merging
+        # the pairs gives the replay order with no list of every record;
+        # a record's prefix root is read when its turn comes
+        timeline = heapq.merge(*(_timeline(key, ptt) for key, ptt in rebuilt.items()))
         balance = self.opening_reserve
         client_seq = 0
         records = []
         if self.opening_reserve:
             client_seq = 1
             records.append(self._opening_record())
-        for _, key, record in timeline:
+        for _, key, pair_seq, record in timeline:
             client_seq += 1
             change = self._balance_change(
-                record, balance, client_seq,
-                rebuilt[key].root_after(record.pair_seq),
+                record, balance, client_seq, rebuilt[key].root_after(pair_seq)
             )
             records.append(change)
             balance = change.new_balance

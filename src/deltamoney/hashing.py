@@ -19,10 +19,12 @@ them is ever compared with a tree node; the grid digests are pinned by
 golden event logs, so adding a tag would change recorded output.
 
 The hash function itself is pluggable (tests substitute counting doubles);
-the default is SHA-256. Every call site invokes ``scheme.function`` itself,
-so a digest costs one Python frame over ``hashlib``. Root signatures are
-equally pluggable: a real Ed25519 scheme and a deterministic HMAC-style stub
-ship with the engine.
+the default is SHA-256. Every call site invokes ``scheme.function`` on the
+tagged bytes itself, the two trees' loops included, so a digest costs one
+Python frame over ``hashlib``. ``hash_leaf`` and ``hash_internal`` state
+the transaction tree's two node digests; ``merkle`` inlines them, and the
+tests hold it to them. Root signatures are equally pluggable: a real
+Ed25519 scheme and a deterministic HMAC-style stub ship with the engine.
 """
 
 from __future__ import annotations

@@ -3,14 +3,19 @@
 Leaves are hashed with the leaf tag, adjacent nodes are paired left to right
 with the internal tag, and an unpaired rightmost node is promoted unchanged
 to the next level (no duplicate-and-hash, which is malleable). The root is a
-pure function of the ordered leaf payloads.
+pure function of the ordered leaf payloads, and equals RFC 6962's Merkle
+Tree Hash (section 2.1) of them.
 
-Updates cost O(log n) hashes. Appending, removing or replacing a leaf can
-change only that leaf's ancestors, one node per level, so a mutation hashes
-the leaf and then rehashes the path from it to the root: a node with a
-sibling is ``hash_internal(left, right)``, an unpaired rightmost node is
-carried up as is, and each level is cut to half the size of the one below
-(rounded up), which drops the nodes of a removed leaf.
+Costs: appending or removing the last leaf changes only the right edge,
+one node per level, so it hashes at most one node per level.  The edge is
+walked with bit arithmetic on the leaf index: a node at an odd index has a
+left sibling and is hashed with it, one at an even index is the unpaired
+rightmost node and is carried up as is.  An append fills new slots up to
+the first odd index and overwrites existing ones above it; a removal trims
+each level to its new size and rehashes the edge of the last leaf left.
+Replacing a leaf, which only fault injection does, refolds every level
+above the leaves.  Every digest is one ``scheme.function`` call on the
+tagged bytes, with no helper frame in between.
 
 Proofs carry explicit sides so verification needs no knowledge of the tree
 shape: each path entry says on which side the sibling digest sits.
@@ -21,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encoding import PROOF_ENTRY, Reader, u32, u64
-from .errors import EmptyTree, IndexOutOfRange
-from .hashing import DIGEST_SIZE, SHA256, Digest, HashScheme, hash_internal, hash_leaf
+from .errors import EmptyPayload, EmptyTree, IndexOutOfRange
+from .hashing import DIGEST_SIZE, SHA256, TAG_INTERNAL, TAG_LEAF, Digest, HashScheme
 
 SIDE_LEFT = 0  # sibling hashes in on the left
 SIDE_RIGHT = 1
@@ -73,68 +78,79 @@ class MerkleTree:
 
     @classmethod
     def build(cls, leaf_payloads, scheme: HashScheme = SHA256) -> "MerkleTree":
-        payloads = list(leaf_payloads)
-        if not payloads:
+        fn = scheme.function
+        leaves = []
+        for payload in leaf_payloads:
+            if not payload:
+                raise EmptyPayload("leaf payload must be non-empty")
+            leaves.append(fn(TAG_LEAF + payload))
+        if not leaves:
             raise EmptyTree("cannot build a tree with no leaves")
         tree = cls(scheme)
-        level = [hash_leaf(p, scheme) for p in payloads]
-        tree._levels = [level]
-        while len(level) > 1:
-            nxt = [
-                hash_internal(level[i], level[i + 1], scheme)
-                for i in range(0, len(level) - 1, 2)
-            ]
-            if len(level) % 2:
-                nxt.append(level[-1])
-            tree._levels.append(nxt)
-            level = nxt
+        tree._levels = _fold_levels(leaves, fn)
         return tree
 
     def append(self, payload: bytes) -> None:
-        leaves = self._levels[0]
-        leaves.append(hash_leaf(payload, self.scheme))
-        self._update_path(len(leaves) - 1)
+        if not payload:
+            raise EmptyPayload("leaf payload must be non-empty")
+        fn = self.scheme.function
+        node = fn(TAG_LEAF + payload)
+        levels = self._levels
+        index = len(levels[0])
+        levels[0].append(node)
+        # an even index is the unpaired rightmost node, promoted into a
+        # parent slot that is new as long as the node itself is new
+        depth = 0
+        while index and not index & 1:
+            index >>= 1
+            depth += 1
+            levels[depth].append(node)
+        if index == 1:
+            # the leaf index was a power of two: the old root gains a
+            # right sibling, and the tree a level
+            levels.append([fn(TAG_INTERNAL + levels[depth][0] + node)])
+            return
+        # past the first odd index every parent slot exists already
+        while index:
+            if index & 1:
+                node = fn(TAG_INTERNAL + levels[depth][index - 1] + node)
+            index >>= 1
+            depth += 1
+            levels[depth][index] = node
 
     def remove_last(self) -> None:
-        leaves = self._levels[0]
+        levels = self._levels
+        leaves = levels[0]
         if not leaves:
             raise EmptyTree("nothing to remove")
         leaves.pop()
-        self._update_path(len(leaves) - 1)
+        last = len(leaves) - 1
+        if last < 0:
+            del levels[1:]
+            return
+        # a tree whose last leaf is ``last`` has last.bit_length() + 1
+        # levels, and level h ends at node last >> h
+        del levels[last.bit_length() + 1:]
+        fn = self.scheme.function
+        node = leaves[last]
+        index, depth = last, 0
+        while index:
+            if index & 1:
+                node = fn(TAG_INTERNAL + levels[depth][index - 1] + node)
+            index >>= 1
+            depth += 1
+            level = levels[depth]
+            del level[index + 1:]
+            level[index] = node
 
     def replace_leaf(self, leaf_index: int, payload: bytes) -> None:
+        """Overwrite one leaf and refold the levels above (fault injection)."""
         self._check_index(leaf_index)
-        self._levels[0][leaf_index] = hash_leaf(payload, self.scheme)
-        self._update_path(leaf_index)
-
-    def _update_path(self, index: int) -> None:
-        """Recompute the ancestors of leaf ``index`` and fit every level's size.
-
-        Only the touched leaf's ancestors can change, and the levels above
-        hold ceil(len(below) / 2) nodes, so a level that grew gains its last
-        node here and one that shrank loses it. A negative index (the tree
-        just became empty) only trims.
-        """
-        levels = self._levels
-        depth = 0
-        while len(levels[depth]) > 1:
-            level = levels[depth]
-            index //= 2
-            left = 2 * index
-            if left + 1 < len(level):
-                node = hash_internal(level[left], level[left + 1], self.scheme)
-            else:  # unpaired rightmost node: promoted unchanged
-                node = level[left]
-            depth += 1
-            if depth == len(levels):
-                levels.append([])
-            parent = levels[depth]
-            if index < len(parent):
-                parent[index] = node
-            else:
-                parent.append(node)
-            del parent[(len(level) + 1) // 2:]
-        del levels[depth + 1:]
+        if not payload:
+            raise EmptyPayload("leaf payload must be non-empty")
+        leaves = self._levels[0]
+        leaves[leaf_index] = self.scheme.function(TAG_LEAF + payload)
+        self._levels = _fold_levels(leaves, self.scheme.function)
 
     def _check_index(self, leaf_index: int) -> None:
         if not 0 <= leaf_index < len(self):
@@ -160,18 +176,21 @@ class MerkleTree:
         in ``_levels`` (level h, index i covers leaves [i * 2**h,
         (i + 1) * 2**h)).  Promoting unpaired nodes makes the prefix root
         these peaks folded from the right, RFC 6962's Merkle Tree Hash, so
-        this costs popcount(size) - 1 hashes and rehashes no leaf.
+        this visits only the set bits of ``size``, costs popcount(size) - 1
+        hashes and rehashes no leaf.
         """
-        if not 1 <= size <= len(self):
+        if not 1 <= size <= len(self._levels[0]):
             raise IndexOutOfRange(f"prefix {size} outside tree of {len(self)}")
-        peaks = [
-            self._levels[h][(size >> h) - 1]
-            for h in range(size.bit_length())
-            if size >> h & 1
-        ]
-        node = peaks[0]
-        for peak in peaks[1:]:
-            node = hash_internal(peak, node, self.scheme)
+        levels, fn = self._levels, self.scheme.function
+        bit = size & -size
+        depth = bit.bit_length() - 1
+        node = levels[depth][(size >> depth) - 1]
+        rest = size ^ bit
+        while rest:
+            bit = rest & -rest
+            depth = bit.bit_length() - 1
+            node = fn(TAG_INTERNAL + levels[depth][(size >> depth) - 1] + node)
+            rest ^= bit
         return node
 
     def prove(self, leaf_index: int) -> InclusionProof:
@@ -188,6 +207,20 @@ class MerkleTree:
         return InclusionProof(leaf_index, tuple(path), self.root())
 
 
+def _fold_levels(leaves: list[Digest], fn) -> list[list[Digest]]:
+    """Every level of the tree over ``leaves``, leaves first, root last."""
+    levels = [leaves]
+    level = leaves
+    while len(level) > 1:
+        nxt = [fn(TAG_INTERNAL + level[i] + level[i + 1])
+               for i in range(0, len(level) - 1, 2)]
+        if len(level) & 1:  # the unpaired rightmost node is promoted
+            nxt.append(level[-1])
+        levels.append(nxt)
+        level = nxt
+    return levels
+
+
 def verify(
     payload: bytes,
     proof: InclusionProof,
@@ -195,13 +228,16 @@ def verify(
     scheme: HashScheme = SHA256,
 ) -> bool:
     """True iff folding the payload's leaf digest up the path hits the root."""
+    fn = scheme.function
     try:
-        node = hash_leaf(payload, scheme)
+        if not payload:
+            return False
+        node = fn(TAG_LEAF + payload)
     except Exception:
         return False
     for side, sibling in proof.path:
         if side == SIDE_LEFT:
-            node = hash_internal(sibling, node, scheme)
+            node = fn(TAG_INTERNAL + sibling + node)
         else:
-            node = hash_internal(node, sibling, scheme)
+            node = fn(TAG_INTERNAL + node + sibling)
     return node == expected_root

@@ -200,7 +200,10 @@ class PeerTransactionTree:
 
     def _admit(self, record: TransactionPairRecord) -> None:
         """Check that ``record`` is this pair's next one and take it in."""
-        if {record.payer_id, record.payee_id} != set(self.pair_key):
+        # a record's two parties differ, so either order of them matches
+        key = self.pair_key
+        if ((record.payer_id, record.payee_id) != key
+                and (record.payee_id, record.payer_id) != key):
             raise UnregisteredPair(
                 f"record for pair ({record.payer_id}, {record.payee_id}) "
                 f"does not belong to {self.pair_key}"

@@ -35,8 +35,9 @@ Commands are scheduled, not executed, until an ``advance`` or ``quiesce``
 runs the clock.  Each payer runs its transfers one at a time, in order.
 A busy payee and an unacknowledged report are retried on one jittered
 backoff (4, then up to 8, 16, 32 and 64 ticks; see ``deltamoney.sim``); a
-message dropped at a crashed client is answered ``unreachable``, and a
-crashed payer gives up its transfers.  ``advance`` keeps step timing
+message dropped at a crashed client is answered ``unreachable``, a
+crashed payer gives up its transfers, and an acceptance reaching it once
+rebuilt is answered ``stale``.  ``advance`` keeps step timing
 independent of the delivery policy, so scripts comparing final state
 across policies should sequence exchanges with it and end on ``quiesce``.
 """

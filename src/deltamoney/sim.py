@@ -35,7 +35,9 @@ retry is an event in the queue; a report resend is a timer.  A handshake
 message is lost only at a crashed client; the transport answers the drop
 on that tick, as a refused connection would: a proposal with a reject, an
 acceptance with an abort, both ``reason=unreachable``.  A crashed payer's
-queued commands, and any sent to it while down, give up ``reason=crashed``.
+queued commands, and any sent to it while down, give up ``reason=crashed``;
+an acceptance that reaches the payer once it is rebuilt is aborted
+``reason=stale`` (see ``ClientNode.receive_accept``).
 
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
@@ -60,6 +62,7 @@ from .client import (
     CommitMsg,
     ProposeMsg,
     RejectMsg,
+    STALE,
     TREASURY_RESERVE,
     pair_of,
 )
@@ -392,7 +395,8 @@ class Simulation:
                 self.emit(actor, "abort",
                           f"pair={key} seq={result.pair_seq} "
                           f"reason={result.reason}")
-            self.outbox[client_id].popleft()
+            if not isinstance(result, AbortMsg) or result.reason != STALE:
+                self.outbox[client_id].popleft()  # the head's exchange ended
             self.send(sender, actor, result)
             self._flush_reports(node, actor)
         elif isinstance(message, CommitMsg):

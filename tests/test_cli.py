@@ -274,6 +274,22 @@ STATE_DIGESTS = {
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
+    "stale.scn": {
+        "attestations.psv":
+            "1a8cd890bb0ea4d9deb1d2fa093db7fb32f41bcd0c2691a41f585e0fcd6f4476",
+        "balances.psv":
+            "089ad1d3727a4ad6dc5b2d64f43e573d2d1dee8c73cf7d4f2a885402180b6c74",
+        "client_0.snap":
+            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+        "client_1.snap":
+            "4421993cf148a6832b8a939b728954b0e4858d2cf8dd62145942c8a8739d06de",
+        "client_2.snap":
+            "a4ab18beaa3f7ceac2ad65ae48ec40a785a83941b8d923843c78e9fa51358e2e",
+        "client_3.snap":
+            "c7310e63857c1d228b70bad431f75c9defee4b359594c8c9ebc20171dcff341b",
+        "keys.json":
+            "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
+    },
     "supply.scn": {
         "attestations.psv":
             "7c51010b3f02719e5e07b656ea2d3fad65e121dcd90c5cbbc4afbe89a2d9a9de",

@@ -414,6 +414,26 @@ class TestRecovery:
         crash_and_recover(victim, [treasury, nodes[2], nodes[3]])
         crash_and_recover(treasury, list(nodes.values()))
 
+    @pytest.mark.parametrize("count", [255, 256, 257])
+    def test_one_pair_around_a_power_of_two_recovers_bit_identical(self, count):
+        """A pair of 2**8 - 1, 2**8 and 2**8 + 1 records: the prefix roots
+        the replay cites fold one to nine peaks, and the pair tree gains
+        its ninth level at 257."""
+        treasury, nodes, tick = make_funded(1, 2)
+        a, b = nodes[1], nodes[2]
+        for index in range(count):
+            payer, payee = (a, b) if index % 3 else (b, a)
+            assert transact(payer, payee, 1 + index % 5, tick).committed
+            tick += 1
+        assert len(a.ptts[(1, 2)]) == count
+        records = list(a.mht.records_in_order())
+        snapshot = a.persist_snapshot()
+        partners = [treasury.export_recovery_data(1), b.export_recovery_data(1)]
+        a.wipe()
+        a.recover_transactions(partners, lambda key: None)
+        assert list(a.mht.records_in_order()) == records
+        assert a.persist_snapshot() == snapshot
+
     def test_recovery_after_epoch_reset_is_bit_identical(self):
         """Records after an epoch reset cite roots of the new epoch's tree.
 

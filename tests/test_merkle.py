@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,25 @@ def brute_force_root(payloads):
 
 def payloads(n):
     return [b"payload-%d" % i for i in range(n)]
+
+
+def mth_oracle(items):
+    """RFC 6962 section 2.1 Merkle Tree Hash of ``items``, by its recursion.
+
+    MTH of one entry is SHA-256(0x00 || d); of n > 1 entries it is
+    SHA-256(0x01 || MTH(D[0:k]) || MTH(D[k:n])) for the largest power of
+    two k < n.  The result is a function of [lo, hi), memoized per call.
+    """
+
+    @lru_cache(maxsize=None)
+    def mth(lo, hi):
+        n = hi - lo
+        if n == 1:
+            return hashlib.sha256(b"\x00" + items[lo]).digest()
+        k = 1 << ((n - 1).bit_length() - 1)
+        return hashlib.sha256(b"\x01" + mth(lo, lo + k) + mth(lo + k, hi)).digest()
+
+    return mth
 
 
 def test_build_rejects_empty():
@@ -287,6 +307,55 @@ def test_root_at_equals_prefix_build():
     for size in (0, 301):
         with pytest.raises(IndexOutOfRange):
             tree.root_at(size)
+
+
+def test_root_at_equals_rfc6962_mth_for_every_prefix():
+    items = payloads(300)
+    mth = mth_oracle(items)
+    tree = MerkleTree()
+    for n in range(1, 301):
+        tree.append(items[n - 1])
+        assert tree.root() == mth(0, n), n
+        for k in range(1, n + 1):
+            assert tree.root_at(k) == mth(0, k), (n, k)
+
+
+# an operation: ("append",), ("remove",) or ("replace", index seed)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.just(("append",)),
+        st.just(("remove",)),
+        st.tuples(st.just("replace"), st.integers(min_value=0, max_value=10**6)),
+    ),
+    max_size=120,
+)
+
+
+@given(OPERATIONS)
+@settings(max_examples=150, deadline=None)
+def test_incremental_levels_equal_build(operations):
+    """Every stored node, not only the root, matches a fresh build."""
+    items = [b"first"]
+    tree = MerkleTree.build(items)
+    for step, op in enumerate(operations):
+        if op[0] == "append":
+            items.append(b"leaf-%d" % step)
+            tree.append(items[-1])
+        elif op[0] == "remove":
+            if not items:
+                with pytest.raises(EmptyTree):
+                    tree.remove_last()
+                continue
+            items.pop()
+            tree.remove_last()
+        elif items:
+            index = op[1] % len(items)
+            items[index] = b"replaced-%d" % step
+            tree.replace_leaf(index, items[index])
+        if items:
+            assert tree._levels == MerkleTree.build(items)._levels
+        else:
+            assert tree._levels == [[]]
 
 
 def test_root_at_hashes_one_per_extra_peak():

@@ -218,6 +218,58 @@ def test_payer_crash_after_acceptance_rolls_the_payee_back():
     rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
     assert rows == {c: sim.clients[c].balance for c in (1, 2, 3)}
     assert not sim.clients[3].busy
+    # the payer never appended, so the payee's rollback files no report
+    assert sim.im._pending_aborts == {}
+
+
+def assert_settled(sim, pair):
+    """Equal replica roots, CM rows equal to balances, no alert, all free."""
+    a, b = pair
+    assert sim.clients[a].ptts[pair].root() == sim.clients[b].ptts[pair].root()
+    rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
+    assert rows == {c: sim.clients[c].balance for c in rows}
+    assert sim.alerts == [] and sim.cm.check_conservation().holds
+    assert not any(node.busy for node in sim.clients.values())
+    assert sim.im._pending_aborts == {}
+
+
+@pytest.mark.parametrize("ticks, recovered_balance", [
+    (1, 1_000),  # rebuilt before client 2 accepts
+    (2, 990),  # rebuilt after it accepted: the copied record goes again
+], ids=["before-acceptance", "after-acceptance"])
+def test_acceptance_reaching_a_rebuilt_payer_aborts_stale(ticks, recovered_balance):
+    sim = small_world(seed=11)
+    sim.transfer(1, 2, 10)
+    sim.advance(ticks)
+    sim.inject("crash-client", 1)
+    sim.recover(1)
+    assert f"|client:1|recover|partners=[0, 2, 3] balance={recovered_balance} " in (
+        sim.log.lines[-1])
+    sim.quiesce()
+    assert "33|client:1|abort|pair=(1, 2) seq=1 reason=stale" in sim.log.lines
+    assert "34|client:2|abort|pair=(1, 2) seq=1 reason=stale" in sim.log.lines
+    assert [sim.clients[c].balance for c in (1, 2, 3)] == [1_000, 2_000, 3_000]
+    assert len(sim.clients[1].ptts[(1, 2)]) == 0
+    assert sim.clients[1].client_seq == 1  # the issuance only
+    assert_settled(sim, (1, 2))
+    sim.transfer(1, 2, 25)
+    sim.quiesce()
+    assert [sim.clients[c].balance for c in (1, 2)] == [975, 2_025]
+    assert_settled(sim, (1, 2))
+
+
+def test_payer_rebuilt_after_committing_keeps_the_copied_record():
+    """The payer committed, then crashed with its commit still on the way:
+    no acceptance comes back, so the record copied from the payee stands."""
+    sim = small_world(seed=11)
+    sim.transfer(1, 2, 10)
+    sim.advance(3)
+    assert sim.log.lines[-1].startswith("33|client:1|commit|pair=(1, 2) seq=1 ")
+    sim.inject("crash-client", 1)
+    sim.recover(1)
+    sim.quiesce()
+    assert [sim.clients[c].balance for c in (1, 2, 3)] == [990, 2_010, 3_000]
+    assert_settled(sim, (1, 2))
 
 
 def test_reject_reaching_a_recovered_payer_is_ignored():
