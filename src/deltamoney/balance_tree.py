@@ -200,10 +200,6 @@ class BalanceMHT:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def max_key(self) -> Optional[Key]:
-        return None if self._max_record is None else self._max_record.key
-
     def root(self) -> Digest:
         if self._root is None:
             return EMPTY_TREE_DIGEST

@@ -44,7 +44,6 @@ from .errors import (
     NotQuiescent,
     NotRegisteredPeers,
     PartnerRootDisagreement,
-    PeerSuspended,
 )
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore
 from .integrity_manager import TransactionReport
@@ -116,14 +115,6 @@ class BalanceReport:
     peer_provenance: Digest
     timestamp: int
     supply: int = 0  # 0 for a transfer, +amount issued, -amount redeemed
-
-
-@dataclass(frozen=True)
-class TransactionOutcome:
-    committed: bool
-    pair_seq: int
-    root: Optional[Digest] = None
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -434,14 +425,19 @@ class ClientNode:
     def recover_transactions(
         self,
         partners: Iterable[PartnerRecoveryData],
-        validated_root: Callable[[tuple[int, int]], Optional[Digest]],
+        validated: Callable[[tuple[int, int]], Optional[tuple[int, Digest]]],
     ) -> None:
         """Rebuild all pair trees and the balance tree from partner data.
 
         Each partner's records are checked and hashed into a fresh pair
         tree in one build pass (about 2n hashes for n records); the
-        rebuilt root must match both the partner's claim and, when the
-        Integrity Manager has one, the archived validated root.  The
+        rebuilt root must match the partner's claim.  When the Integrity
+        Manager has validated a ``(seq, root)`` for the pair, the rebuilt
+        history must reach ``seq`` (a shorter one is truncated) and its
+        prefix root at ``seq`` must be that root: the IM lags the peers,
+        so an honest history may run past what it validated.  A ``seq``
+        at or before the current epoch's start has no prefix in the
+        rebuilt tree, and is compared with its whole root.  The
         balance records are then replayed in timestamp order, merged from
         the pairs' record lists, each citing the root its pair tree had
         right after it, read from the levels that build already stored
@@ -468,12 +464,21 @@ class ClientNode:
                     f"pair {key}: partner claims {data.claimed_root.hex()[:16]}, "
                     f"records rebuild to {root.hex()[:16]}"
                 )
-            trusted = validated_root(key)
-            if trusted is not None and root != trusted:
-                raise PartnerRootDisagreement(
-                    f"pair {key}: rebuilt root {root.hex()[:16]} does not match "
-                    f"the validated root {trusted.hex()[:16]}"
-                )
+            latest = validated(key)
+            if latest is not None:
+                seq, trusted = latest
+                if seq > ptt.last_seq:
+                    raise PartnerRootDisagreement(
+                        f"pair {key}: rebuilt history ends at seq {ptt.last_seq}, "
+                        f"before the validated seq {seq}"
+                    )
+                if ptt.epoch_start < seq < ptt.last_seq:
+                    root = ptt.root_after(seq)
+                if root != trusted:
+                    raise PartnerRootDisagreement(
+                        f"pair {key}: rebuilt root {root.hex()[:16]} at seq {seq} "
+                        f"does not match the validated root {trusted.hex()[:16]}"
+                    )
             rebuilt[key] = ptt
 
         # each pair's records are already in timestamp order, so merging
@@ -615,32 +620,3 @@ class ClientNode:
                 mrec = by_peer_seq.get((peer, record.pair_seq))
                 if mrec is not None:
                     local_view(record, self.id, mrec.new_balance - mrec.delta)
-
-
-# ----------------------------------------------------------------------
-# direct-mode driver
-
-
-def transact(payer: ClientNode, payee: ClientNode, amount: int,
-             timestamp: int) -> TransactionOutcome:
-    """Run a whole exchange synchronously between two co-resident nodes."""
-    msg = payer.start_transfer(payee.id, amount, timestamp)
-    if msg is None:
-        return TransactionOutcome(False, 0, reason="payer busy")
-    try:
-        reply = payee.receive_propose(msg, timestamp)
-    except (PeerSuspended, NotRegisteredPeers, NonMonotonicSequence):
-        payer.receive_reject(
-            RejectMsg(pair_of(payer.id, payee.id), msg.proposal.pair_seq, "error"),
-            timestamp,
-        )
-        raise
-    if isinstance(reply, RejectMsg):
-        payer.receive_reject(reply, timestamp)
-        return TransactionOutcome(False, reply.pair_seq, reason=reply.reason)
-    result = payer.receive_accept(reply, timestamp)
-    if isinstance(result, AbortMsg):
-        payee.receive_abort(result, timestamp)
-        return TransactionOutcome(False, result.pair_seq, reason=result.reason)
-    payee.receive_commit(result, timestamp)
-    return TransactionOutcome(True, result.pair_seq, result.payer_root)

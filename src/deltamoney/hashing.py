@@ -188,14 +188,6 @@ class Ed25519PublicKey:
             return False
 
 
-def sign_root(root: Digest, keypair) -> Signature:
-    return keypair.sign(root)
-
-
-def verify_root(root: Digest, signature: Signature, public_key) -> bool:
-    return public_key.verify(root, signature)
-
-
 class KeyStore:
     """Per-participant key handles, indexed by signer id."""
 
@@ -233,4 +225,4 @@ class KeyStore:
             public = self.public(signature.signer_id)
         except UnknownKey:
             return False
-        return verify_root(message, signature, public)
+        return public.verify(message, signature)

@@ -159,10 +159,6 @@ class MerkleTree:
     def __len__(self) -> int:
         return len(self._levels[0])
 
-    @property
-    def leaf_digests(self) -> list[Digest]:
-        return list(self._levels[0])
-
     def root(self) -> Digest:
         if not self._levels[0]:
             raise EmptyTree("tree has no leaves")

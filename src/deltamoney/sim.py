@@ -619,10 +619,7 @@ class Simulation:
                 f"cannot recover client {client_id}: partners {down} are crashed"
             )
         data = [self.clients[p].export_recovery_data(client_id) for p in partners]
-        node.recover_transactions(
-            data,
-            lambda key: (self.im.latest_validated.get(key) or (None, None))[1],
-        )
+        node.recover_transactions(data, self.im.latest_validated.get)
         self.crashed.discard(client_id)
         self.emit(self._client_actor(client_id), "recover",
                   f"partners={partners} balance={node.balance} "

@@ -2,10 +2,10 @@
 
 Each criterion prints ``criterion NN: PASS/FAIL`` outside pytest's
 capture so the gate is visible in any run, then asserts.  Stated runtime
-bounds are asserted alongside the functional checks.
+bounds are asserted alongside the functional checks.  Every history runs
+through ``Simulation``, the same driver as the CLI and the benchmark.
 """
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -20,22 +20,17 @@ from deltamoney.balance_tree import (
     verify_range,
 )
 from deltamoney.balance_tree import _Leaf
-from deltamoney.client import (
-    ClientNode,
-    TREASURY_RESERVE,
-    pair_of,
-    transact,
-)
-from deltamoney.currency_manager import MANAGER_ID, CurrencyManager, ReparationRecord
-from deltamoney.hashing import EMPTY_CELL_DIGEST, KeyStore
+from deltamoney.client import pair_of
+from deltamoney.currency_manager import MANAGER_ID, ReparationRecord
+from deltamoney.hashing import EMPTY_CELL_DIGEST
 from deltamoney.integrity_manager import (
     AlertKind,
     IntegrityManager,
     TransactionReport,
 )
 from deltamoney.merkle import InclusionProof, MerkleTree, verify
-from deltamoney.scenario import parse_scenario, run_scenario
 from deltamoney.sim import DeliveryPolicy, Simulation
+from worlds import run_transfers, small_world
 
 
 _CAPTURE = None
@@ -63,53 +58,11 @@ def report(n: int, label: str, ok: bool, started: float, bound: float = None):
         assert took < bound, f"criterion {n} exceeded {bound}s: took {took:.2f}s"
 
 
-# ----------------------------------------------------------------------
-# direct-driver world: clients wired straight to both managers
-
-
-class World:
-    """Synchronous harness: every commit's reports land immediately."""
-
-    def __init__(self, n_clients: int, fund: int = 10_000, limit: int = 10**9):
-        self.ks = KeyStore("stub")
-        self.cm = CurrencyManager(self.ks)
-        self.im = IntegrityManager(self.ks, signer_id=9_900)
-        self.treasury = ClientNode(MANAGER_ID, self.ks, transaction_limit=2**62,
-                                   opening_reserve=TREASURY_RESERVE)
-        self.nodes = {}
-        self.tick = 1
-        for c in range(1, n_clients + 1):
-            assert self.cm.enroll(b"pk", limit) == c
-            node = ClientNode(c, self.ks, transaction_limit=limit)
-            self.nodes[c] = node
-            self.im.note_client(c)
-            self.treasury.register_peer(c)
-            node.register_peer(MANAGER_ID)
-        for a in self.nodes:
-            for b in self.nodes:
-                if a < b:
-                    self.cm.register_pair(a, b, consent_a=True, consent_b=True)
-                    self.im.note_pair(a, b)
-                    self.nodes[a].register_peer(b)
-                    self.nodes[b].register_peer(a)
-        for c, node in self.nodes.items():
-            transact(self.treasury, node, fund, self.tick)
-            self.tick += 1
-            self.pump()
-
-    def pump(self):
-        for node in [self.treasury, *self.nodes.values()]:
-            for kind, payload in node.drain_reports():
-                if kind == "im":
-                    self.im.ingest_report(payload, now=self.tick)
-                else:
-                    self.cm.report_balance(*dataclasses.astuple(payload))
-
-    def pay(self, payer: int, payee: int, amount: int):
-        outcome = transact(self.nodes[payer], self.nodes[payee], amount, self.tick)
-        self.tick += 1
-        self.pump()
-        return outcome
+def random_moves(rng, ids, count, max_amount):
+    """``count`` (payer, payee, amount) draws for ``run_transfers``."""
+    for _ in range(count):
+        payer, payee = rng.sample(ids, 2)
+        yield payer, payee, rng.randint(1, max_amount)
 
 
 # ----------------------------------------------------------------------
@@ -160,18 +113,12 @@ def test_criterion_01_table4_reproduction():
 
 def test_criterion_02_table5_grid():
     started = time.perf_counter()
-    world = World(3, fund=5_000)
-    world.pay(1, 2, 250)
-    world.pay(2, 3, 125)
-    world.pay(1, 3, 75)
-    mhtrs = {c: n.mht.root() for c, n in world.nodes.items()}
-    pttrs = {
-        key: ptt.root()
-        for c, n in world.nodes.items()
-        for key, ptt in n.ptts.items()
-        if MANAGER_ID not in key and key[0] == c
-    }
-    grid = world.im.capture_grid(0, mhtrs, pttrs)
+    sim = small_world(seed=2, fund=5_000)
+    run_transfers(sim, [(1, 2, 250), (2, 3, 125), (1, 3, 75)])
+    grid = sim.capture(0)
+    mhtrs = {c: sim.clients[c].mht.root() for c in (1, 2, 3)}
+    pttrs = {key: sim.clients[key[0]].ptts[key].root()
+             for key in ((1, 2), (1, 3), (2, 3))}
 
     ok = grid.client_index == (1, 2, 3)
     for i in range(3):
@@ -195,7 +142,7 @@ def test_criterion_02_table5_grid():
     ok = ok and grid.row_hashes == want_rows
     ok = ok and grid.column_hashes == want_cols
     ok = ok and grid.grid_hash == want_grid
-    ok = ok and world.ks.verify(grid.signature, grid.grid_hash)
+    ok = ok and sim.keystore.verify(grid.signature, grid.grid_hash)
     report(2, "3-peer grid matches concatenate-and-hash oracle exactly",
            ok, started, bound=1.0)
 
@@ -207,25 +154,28 @@ def test_criterion_02_table5_grid():
 def test_criterion_03_commit_symmetry():
     started = time.perf_counter()
     rng = random.Random(33)
-    world = World(5, fund=50_000)
-    ids = sorted(world.nodes)
+    sim = small_world(seed=33, clients=5, fund=50_000)
+    ids = [1, 2, 3, 4, 5]
     commits = 0
     symmetric = 0
     for _ in range(500):
         payer, payee = rng.sample(ids, 2)
-        spendable = world.nodes[payer].balance
+        spendable = sim.clients[payer].balance
         amount = rng.randint(1, max(1, min(spendable, 900)))
-        outcome = world.pay(payer, payee, amount)
-        if not outcome.committed:
+        key = pair_of(payer, payee)
+        ptt = sim.clients[payer].ptts[key]
+        seq = ptt.next_seq()
+        run_transfers(sim, [(payer, payee, amount)])
+        if ptt.last_seq != seq:
             continue
         commits += 1
-        key = pair_of(payer, payee)
-        if (world.nodes[payer].ptts[key].root()
-                == world.nodes[payee].ptts[key].root() == outcome.root):
+        root = ptt.root()
+        if (sim.clients[payee].ptts[key].root() == root
+                and sim.im.latest_validated[key] == (seq, root)):
             symmetric += 1
     ok = commits == 500 and symmetric == 500
-    ok = ok and world.im.alerts == []
-    ok = ok and world.cm.check_conservation().holds
+    ok = ok and sim.alerts == []
+    ok = ok and sim.cm.check_conservation().holds
     report(3, f"{symmetric}/{commits} commits symmetric across 5 clients, "
               "zero alerts", ok, started, bound=10.0)
 
@@ -237,14 +187,12 @@ def test_criterion_03_commit_symmetry():
 def test_criterion_04_exhaustive_tamper_detection():
     started = time.perf_counter()
     rng = random.Random(44)
-    world = World(5, fund=50_000)
-    ids = sorted(world.nodes)
-    for _ in range(50):
-        payer, payee = rng.sample(ids, 2)
-        world.pay(payer, payee, rng.randint(1, 400))
+    sim = small_world(seed=44, clients=5, fund=50_000)
+    ids = [1, 2, 3, 4, 5]
+    run_transfers(sim, random_moves(rng, ids, 50, 400))
 
     def fresh_im():
-        im = IntegrityManager(world.ks, signer_id=9_901)
+        im = IntegrityManager(sim.keystore, signer_id=9_901)
         for c in ids:
             im.note_client(c)
         for a in ids:
@@ -256,13 +204,13 @@ def test_criterion_04_exhaustive_tamper_detection():
     leaves = detected = false_positives = 0
     pairs = sorted({
         key
-        for node in world.nodes.values()
-        for key in node.ptts
+        for c in ids
+        for key in sim.clients[c].ptts
         if MANAGER_ID not in key
     })
     for key in pairs:
         a, b = key
-        ptt = world.nodes[a].ptts[key]
+        ptt = sim.clients[a].ptts[key]
         payloads = [r.to_bytes() for r in ptt.records]
         if not payloads:
             continue
@@ -349,34 +297,23 @@ def test_criterion_05_double_spend_and_replay_trials():
 def test_criterion_06_recovery_fidelity():
     started = time.perf_counter()
     rng = random.Random(66)
-    world = World(5, fund=20_000)
-    ids = sorted(world.nodes)
-    for _ in range(40):
-        payer, payee = rng.sample(ids, 2)
-        world.pay(payer, payee, rng.randint(1, 300))
+    sim = small_world(seed=66, clients=5, fund=20_000)
+    run_transfers(sim, random_moves(rng, [1, 2, 3, 4, 5], 40, 300))
 
-    victim = world.nodes[3]
+    victim = sim.clients[3]
     want_mhtr = victim.mht.root()
     want_roots = {k: t.root() for k, t in victim.ptts.items()}
     want_balance = victim.balance
 
-    exports = [
-        peer.export_recovery_data(3)
-        for peer in [world.treasury, *world.nodes.values()]
-        if peer.id != 3 and pair_of(peer.id, 3) in peer.ptts
-    ]
-    victim.wipe()
+    sim.inject("crash-client", 3)
     assert victim.balance == 0 and victim.ptts == {}
-    victim.recover_transactions(
-        exports,
-        lambda key: (world.im.latest_validated.get(key) or (None, None))[1],
-    )
+    sim.recover(3)
 
     ok = victim.mht.root() == want_mhtr
     ok = ok and {k: t.root() for k, t in victim.ptts.items()} == want_roots
     ok = ok and victim.balance == want_balance
-    derived = victim.recover_balance(world.cm)
-    ok = ok and derived == world.cm.table.open_row(3).valid_balance
+    derived = victim.recover_balance(sim.cm)
+    ok = ok and derived == sim.cm.table.open_row(3).valid_balance
     report(6, "wiped client rebuilt bit-identical, balance matches manager",
            ok, started)
 
@@ -563,39 +500,39 @@ def test_criterion_09_eventual_consistency():
 def test_criterion_10_reparation_round_trip():
     started = time.perf_counter()
     rng = random.Random(10)
-    world = World(4, fund=25_000)
-    ids = sorted(world.nodes)
+    sim = small_world(seed=10, clients=4, fund=25_000)
+    ids = [1, 2, 3, 4]
 
     def executor(pair_key, pair_seq):
-        holder = world.nodes[pair_key[0]]
-        record = next(
-            (r for r in holder.ptts[pair_key].records if r.pair_seq == pair_seq),
-            None,
-        )
+        ptt = sim.clients[pair_key[0]].ptts[pair_key]
+        record = next((r for r in ptt.records if r.pair_seq == pair_seq), None)
         if record is None:
             return None
-        outcome = world.pay(record.payee_id, record.payer_id, record.amount)
-        return ReparationRecord(pair_key, pair_seq, outcome.pair_seq,
-                                record.amount, world.tick - 1)
+        sim.transfer(record.payee_id, record.payer_id, record.amount)
+        sim.quiesce()
+        reversal = ptt.records[-1]
+        return ReparationRecord(pair_key, pair_seq, reversal.pair_seq,
+                                record.amount, reversal.timestamp)
 
     restored = 0
-    for _ in range(100):
-        payer, payee = rng.sample(ids, 2)
-        before = {c: world.nodes[c].balance for c in ids}
-        amount = rng.randint(1, 500)
-        outcome = world.pay(payer, payee, amount)
-        mid_ok = world.cm.check_conservation().holds
-        record = world.cm.repair(pair_of(payer, payee), outcome.pair_seq, executor)
-        after = {c: world.nodes[c].balance for c in ids}
-        rows = {r.client_id: r.valid_balance for r in world.cm.table.open_rows()}
+    for payer, payee, amount in random_moves(rng, ids, 100, 500):
+        key = pair_of(payer, payee)
+        before = {c: sim.clients[c].balance for c in ids}
+        run_transfers(sim, [(payer, payee, amount)])
+        mid_ok = sim.cm.check_conservation().holds
+        record = sim.cm.repair(key, sim.clients[payer].ptts[key].last_seq,
+                               executor)
+        after = {c: sim.clients[c].balance for c in ids}
+        rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
         if (record.amount == amount and mid_ok
-                and world.cm.check_conservation().holds
+                and record.compensating_pair_seq == record.original_pair_seq + 1
+                and sim.cm.check_conservation().holds
                 and after == before
                 and all(rows[c] == before[c] for c in ids)):
             restored += 1
     annotated = sum(
-        1 for r in world.cm.table.open_rows() if "Reparation" in r.remarks
+        1 for r in sim.cm.table.open_rows() if "Reparation" in r.remarks
     )
-    ok = restored == 100 and world.im.alerts == [] and annotated > 0
+    ok = restored == 100 and sim.alerts == [] and annotated > 0
     report(10, f"{restored}/100 reparations restored balances, "
                "conservation held throughout", ok, started)

@@ -348,7 +348,7 @@ def test_build_matches_one_insert_at_a_time(fanout):
         assert built.root() == inserted.root(), n
         assert built.snapshot_bytes() == inserted.snapshot_bytes(), n
         assert len(built) == n
-        assert built.max_key == inserted.max_key
+        assert built._max_record == inserted._max_record
         assert built.latest_balance() == inserted.latest_balance()
         assert ([len(leaf.records) for leaf in leaves_of(built)]
                 == [len(leaf.records) for leaf in leaves_of(inserted)]), n

@@ -1,4 +1,8 @@
-"""Client node tests: handshake, finalization, recovery, snapshots."""
+"""Client node tests: handshake, finalization, recovery, snapshots.
+
+Histories run through ``Simulation``; a test that pins one handshake step
+calls that step on the simulation's nodes directly.
+"""
 
 import dataclasses
 import hashlib
@@ -6,6 +10,7 @@ import random
 
 import pytest
 
+from deltamoney.balance_tree import BalanceMHT
 from deltamoney.client import (
     AbortMsg,
     AcceptMsg,
@@ -18,9 +23,8 @@ from deltamoney.client import (
     TREASURY_RESERVE,
     pair_of,
     record_digest,
-    transact,
 )
-from deltamoney.currency_manager import MANAGER_ID, CurrencyManager
+from deltamoney.currency_manager import MANAGER_ID
 from deltamoney.errors import (
     ConservationViolation,
     CorruptSnapshot,
@@ -30,63 +34,32 @@ from deltamoney.errors import (
     NotQuiescent,
     NotRegisteredPeers,
     PartnerRootDisagreement,
-    PeerSuspended,
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore
 from deltamoney.integrity_manager import TransactionReport
 from deltamoney.peer_ledger import net_position, reset_epoch
-
-
-def make_nodes(*ids, limit=10**9):
-    ks = KeyStore("stub")
-    nodes = {i: ClientNode(i, ks, transaction_limit=limit) for i in ids}
-    for a in ids:
-        for b in ids:
-            if a < b:
-                nodes[a].register_peer(b)
-                nodes[b].register_peer(a)
-    return nodes
-
-
-def make_funded(*ids, amount=10_000, limit=10**9, fanouts=None):
-    ks = KeyStore("stub")
-    treasury = ClientNode(MANAGER_ID, ks, opening_reserve=TREASURY_RESERVE)
-    nodes = {i: ClientNode(i, ks, transaction_limit=limit,
-                           fanout=(fanouts or {}).get(i, 8)) for i in ids}
-    tick = 1
-    for i in ids:
-        treasury.register_peer(i)
-        nodes[i].register_peer(MANAGER_ID)
-        outcome = transact(treasury, nodes[i], amount, tick)
-        assert outcome.committed
-        tick += 1
-    for a in ids:
-        for b in ids:
-            if a < b:
-                nodes[a].register_peer(b)
-                nodes[b].register_peer(a)
-    return treasury, nodes, tick
+from deltamoney.sim import Simulation
+from worlds import run_transfers, small_world
 
 
 def test_direct_transfer_commits_and_moves_balances():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    a.drain_reports(), b.drain_reports()
-    outcome = transact(a, b, 300, tick)
-    assert outcome.committed
+    sim = small_world(clients=2, fund=10_000)
+    a, b = sim.clients[1], sim.clients[2]
+    run_transfers(sim, [(1, 2, 300)])
     assert a.balance == 9_700
     assert b.balance == 10_300
     key = pair_of(1, 2)
-    assert a.ptts[key].root() == b.ptts[key].root() == outcome.root
+    assert sim.im.latest_validated[key] == (1, a.ptts[key].root())
+    assert b.ptts[key].root() == a.ptts[key].root()
     assert view_tuples(a)[-1] == (2, 1, 10_000, 9_700)
     assert view_tuples(b)[-1] == (1, 1, 10_000, 10_300)
 
 
 def test_commit_queues_one_im_and_one_cm_report_per_side():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    a.drain_reports(), b.drain_reports()
-    transact(a, b, 50, tick)
+    sim = small_world(clients=2, fund=10_000)
+    a, b = sim.clients[1], sim.clients[2]
+    accepted = b.receive_propose(a.start_transfer(2, 50, sim.now), sim.now)
+    b.receive_commit(a.receive_accept(accepted, sim.now), sim.now)
     for node in (a, b):
         reports = node.drain_reports()
         kinds = [kind for kind, _ in reports]
@@ -102,31 +75,37 @@ def test_commit_queues_one_im_and_one_cm_report_per_side():
 
 
 def test_treasury_pair_queues_only_a_chained_supply_report():
-    treasury, nodes, tick = make_funded(1)
-    reports = nodes[1].drain_reports()
+    sim = Simulation()
+    sim.enroll(1)
+    treasury, client = sim.treasury, sim.clients[1]
+    accepted = client.receive_propose(
+        treasury.start_transfer(1, 10_000, sim.now), sim.now)
+    client.receive_commit(treasury.receive_accept(accepted, sim.now), sim.now)
+    reports = client.drain_reports()
     assert [k for k, _ in reports] == ["cm"]
     issued = reports[0][1]
     assert isinstance(issued, BalanceReport)
     assert (issued.client_id, issued.supply, issued.new_balance) == (1, 10_000, 10_000)
     assert issued.prior_mhtr == EMPTY_TREE_DIGEST
-    assert issued.mhtr == nodes[1].mht.root()
+    assert issued.mhtr == client.mht.root()
     assert treasury.drain_reports() == []
-    assert nodes[1].balance == 10_000
+    assert client.balance == 10_000
     assert treasury.balance == TREASURY_RESERVE - 10_000
 
-    assert transact(nodes[1], treasury, 400, tick).committed
-    [(kind, redeemed)] = nodes[1].drain_reports()
+    accepted = treasury.receive_propose(
+        client.start_transfer(MANAGER_ID, 400, sim.now), sim.now)
+    treasury.receive_commit(client.receive_accept(accepted, sim.now), sim.now)
+    [(kind, redeemed)] = client.drain_reports()
     assert kind == "cm"
     assert (redeemed.supply, redeemed.new_balance) == (-400, 9_600)
     assert redeemed.prior_mhtr == issued.mhtr
-    assert redeemed.mhtr == nodes[1].mht.root()
+    assert redeemed.mhtr == client.mht.root()
     assert treasury.drain_reports() == []
 
 
 def test_handshake_is_three_messages_and_none_to_managers():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    a.drain_reports(), b.drain_reports()
+    sim = small_world(clients=2, fund=10_000)
+    a, b, tick = sim.clients[1], sim.clients[2], sim.now
     wire = []
     msg = a.start_transfer(2, 75, tick)
     wire.append(msg)
@@ -141,8 +120,8 @@ def test_handshake_is_three_messages_and_none_to_managers():
 
 
 def test_busy_node_rejects_incoming_proposals():
-    treasury, nodes, tick = make_funded(1, 2, 3)
-    a, b, c = nodes[1], nodes[2], nodes[3]
+    sim = small_world(fund=10_000)
+    a, b, c, tick = sim.clients[1], sim.clients[2], sim.clients[3], sim.now
     opened = a.start_transfer(2, 10, tick)
     assert opened is not None and a.busy
     assert a.start_transfer(3, 10, tick) is None
@@ -161,8 +140,9 @@ def test_busy_node_rejects_incoming_proposals():
 
 def test_stray_messages_leave_a_busy_client_busy():
     """Only a message about the pair and role in the slot empties it."""
-    treasury, nodes, tick = make_funded(1, 2, 3)
-    one, two, three = nodes[1], nodes[2], nodes[3]
+    sim = small_world(fund=10_000)
+    one, two, three = sim.clients[1], sim.clients[2], sim.clients[3]
+    tick = sim.now
     opened = three.start_transfer(2, 100, tick)
     accepted = two.receive_propose(opened, tick)
     assert isinstance(accepted, AcceptMsg)
@@ -183,47 +163,60 @@ def test_stray_messages_leave_a_busy_client_busy():
     assert isinstance(result, CommitMsg)
     two.receive_commit(result, tick)
     assert not two.busy and not three.busy
-    assert transact(one, two, 40, tick + 1).committed
+    run_transfers(sim, [(1, 2, 40)])
     assert (one.balance, two.balance, three.balance) == (9_960, 10_140, 9_900)
     for node in (one, two, three):
         assert node.balance == node.expected_balance()
 
 
 def test_payer_guards_propagate():
-    treasury, nodes, tick = make_funded(1, 2, amount=100, limit=50)
-    a, b = nodes[1], nodes[2]
+    sim = small_world(clients=2, fund=100, limit=50)
+    a, b = sim.clients[1], sim.clients[2]
+    for amount in (60, 50, 45, 20):  # the last finds only 5 left
+        sim.transfer(1, 2, amount)
+    sim.quiesce()
+    assert [line.split("|", 1)[1] for line in sim.log.lines
+            if "|refuse|" in line] == [
+        "client:1|refuse|payee=2 amount=60 reason=amount 60 exceeds "
+        "transaction limit 50",
+        "client:1|refuse|payee=2 amount=20 reason=amount 20 exceeds "
+        "available balance 5",
+    ]
     with pytest.raises(LimitExceeded):
-        transact(a, b, 60, tick)
-    transact(a, b, 50, tick)
-    transact(a, b, 45, tick + 1)
+        a.start_transfer(2, 60, sim.now)
     with pytest.raises(InsufficientBalance):
-        transact(a, b, 20, tick + 2)  # only 5 left
+        a.start_transfer(2, 20, sim.now)
     assert not a.busy and not b.busy
     assert a.balance == 5 and b.balance == 195
 
 
 def test_suspended_payee_refuses():
-    treasury, nodes, tick = make_funded(1, 2)
-    nodes[2].suspended = True
-    with pytest.raises(PeerSuspended):
-        transact(nodes[1], nodes[2], 10, tick)
-    assert not nodes[1].busy
-    assert nodes[1].balance == 10_000
+    sim = small_world(clients=2, fund=10_000)
+    sim.clients[2].suspended = True
+    run_transfers(sim, [(1, 2, 10)])
+    assert ("|client:2|refuse|pair=(1, 2) reason=client 2 is suspended"
+            in sim.log.text())
+    assert "|client:2|reject|pair=(1, 2) reason=PeerSuspended" in sim.log.text()
+    assert not sim.clients[1].busy
+    assert sim.clients[1].balance == 10_000
 
 
 def test_unregistered_pair_refuses():
-    ks = KeyStore("stub")
-    a = ClientNode(1, ks)
-    b = ClientNode(2, ks)
+    sim = small_world(clients=2)
+    stranger = ClientNode(2, KeyStore("stub"))  # holds no pair with client 1
     with pytest.raises(NotRegisteredPeers):
-        transact(a, b, 10, 1)
+        stranger.start_transfer(1, 10, sim.now)
+    assert not stranger.busy
+    proposal = sim.clients[1].start_transfer(2, 10, sim.now)
+    with pytest.raises(NotRegisteredPeers):
+        stranger.receive_propose(proposal, sim.now)
 
 
 def test_commit_and_abort_reports_carry_the_record_digest():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    a.drain_reports(), b.drain_reports()
-    transact(a, b, 50, tick)
+    sim = small_world(clients=2, fund=10_000)
+    a, b, tick = sim.clients[1], sim.clients[2], sim.now
+    accepted = b.receive_propose(a.start_transfer(2, 50, tick), tick)
+    b.receive_commit(a.receive_accept(accepted, tick), tick)
     record = a.ptts[pair_of(1, 2)].records[-1]
     want = hashlib.sha256(record.to_bytes()).digest()
     assert record_digest(record) == want
@@ -240,9 +233,8 @@ def test_commit_and_abort_reports_carry_the_record_digest():
 
 
 def test_divergent_payee_root_aborts_and_rolls_back():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    a.drain_reports(), b.drain_reports()
+    sim = small_world(clients=2, fund=10_000)
+    a, b, tick = sim.clients[1], sim.clients[2], sim.now
     key = pair_of(1, 2)
     root_before_a = a.ptts[key].root()
     root_before_b = b.ptts[key].root()
@@ -266,10 +258,10 @@ def test_divergent_payee_root_aborts_and_rolls_back():
 
 
 def test_tampered_replica_aborts_with_divergent_reports():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    transact(a, b, 10, tick)
-    a.drain_reports(), b.drain_reports()
+    sim = small_world(clients=2, fund=10_000)
+    a, b = sim.clients[1], sim.clients[2]
+    run_transfers(sim, [(1, 2, 10)])
+    tick = sim.now
     key = pair_of(1, 2)
     b.ptts[key].tamper_leaf(0, b"\xde" * 232)
     msg = a.start_transfer(2, 20, tick + 1)
@@ -294,9 +286,8 @@ def test_tampered_replica_aborts_with_divergent_reports():
 
 
 def test_byzantine_commit_root_is_rolled_back_and_reported():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    b.drain_reports()
+    sim = small_world(clients=2, fund=10_000)
+    a, b, tick = sim.clients[1], sim.clients[2], sim.now
     key = pair_of(1, 2)
     before = b.ptts[key].root()
     msg = a.start_transfer(2, 25, tick)
@@ -310,45 +301,38 @@ def test_byzantine_commit_root_is_rolled_back_and_reported():
 
 
 def test_balance_matches_net_positions_after_random_traffic():
-    random.seed(42)
-    treasury, nodes, tick = make_funded(1, 2, 3, 4)
-    ids = list(nodes)
-    for _ in range(200):
-        payer, payee = random.sample(ids, 2)
-        amount = random.randint(1, 50)
-        if nodes[payer].balance < amount:
-            continue
-        outcome = transact(nodes[payer], nodes[payee], amount, tick)
-        assert outcome.committed
-        tick += 1
-    for node in nodes.values():
+    sim = run_traffic(seed=42, n_clients=4, rounds=200)
+    log = sim.log.text()
+    assert "|refuse|" not in log and "|abort|" not in log
+    nodes = [sim.clients[c] for c in (1, 2, 3, 4)]
+    for node in nodes:
         assert node.balance == node.expected_balance()
-    assert treasury.balance == treasury.expected_balance()
-    total = sum(node.balance for node in nodes.values())
+    assert sim.treasury.balance == sim.treasury.expected_balance()
+    total = sum(node.balance for node in nodes)
     assert total == 4 * 10_000
 
 
 def test_mht_records_cross_reference_ptt_roots():
-    treasury, nodes, tick = make_funded(1, 2)
-    a, b = nodes[1], nodes[2]
-    transact(a, b, 10, tick)
-    transact(b, a, 4, tick + 1)
+    sim = small_world(clients=2, fund=10_000)
+    a = sim.clients[1]
+    run_transfers(sim, [(1, 2, 10), (2, 1, 4)])
     key = pair_of(1, 2)
     records = [r for r in a.mht.records_in_order() if r.peer_id == 2]
     assert records[-1].causing_pttr == a.ptts[key].root()
 
 
 def run_traffic(seed=7, n_clients=3, rounds=60):
-    random.seed(seed)
-    treasury, nodes, tick = make_funded(*range(1, n_clients + 1))
-    ids = list(nodes)
+    """``rounds`` random transfers of 1-40, each run to its end; a payer
+    short of the amount sits its round out."""
+    rng = random.Random(seed)
+    sim = small_world(seed=seed, clients=n_clients, fund=10_000)
+    ids = list(range(1, n_clients + 1))
     for _ in range(rounds):
-        payer, payee = random.sample(ids, 2)
-        amount = random.randint(1, 40)
-        if nodes[payer].balance >= amount:
-            transact(nodes[payer], nodes[payee], amount, tick)
-        tick += 1
-    return treasury, nodes, tick
+        payer, payee = rng.sample(ids, 2)
+        amount = rng.randint(1, 40)
+        if sim.clients[payer].balance >= amount:
+            run_transfers(sim, [(payer, payee, amount)])
+    return sim
 
 
 def view_tuples(node):
@@ -366,16 +350,15 @@ def tree_depth(node):
 
 class TestRecovery:
     def test_recovered_state_is_bit_identical(self):
-        treasury, nodes, tick = run_traffic()
-        victim = nodes[1]
+        sim = run_traffic()
+        victim = sim.clients[1]
         mhtr_before = victim.mht.root()
         balance_before = victim.balance
         ptt_roots_before = {k: p.root() for k, p in victim.ptts.items()}
         views_before = view_tuples(victim)
         seq_before = victim.client_seq
 
-        partners = [treasury.export_recovery_data(1)]
-        partners += [nodes[i].export_recovery_data(1) for i in (2, 3)]
+        partners = [sim.clients[i].export_recovery_data(1) for i in (0, 2, 3)]
         victim.recover_transactions(partners, lambda key: None)
 
         assert victim.mht.root() == mhtr_before
@@ -388,18 +371,24 @@ class TestRecovery:
         """A fanout-3 victim with over 200 balance records, so internal
         nodes split at several levels, and the treasury with its opening
         reserve record both rebuild the trees they had before the crash."""
-        treasury, nodes, tick = make_funded(1, 2, 3, fanouts={1: 3})
+        sim = small_world(seed=5, fund=10_000)
+        victim = sim.clients[1]
+        # a one-record tree hashes alike at any fanout, so the balance
+        # report chain the issuance started still holds
+        victim.fanout = 3
+        victim.mht = BalanceMHT.build(list(victim.mht.records_in_order()), 3)
         rng = random.Random(5)
-        victim = nodes[1]
         while len(victim.mht) < 220:
-            other = nodes[rng.choice((2, 3))]
-            payer, payee = rng.sample([victim, other], 2)
-            assert transact(payer, payee, rng.randint(1, 60), tick).committed
-            tick += 1
+            count = len(victim.mht)
+            payer, payee = rng.sample([1, rng.choice((2, 3))], 2)
+            run_transfers(sim, [(payer, payee, rng.randint(1, 60))])
+            assert len(victim.mht) == count + 1
         assert tree_depth(victim.mht._root) >= 5
+        assert sim.alerts == [] and sim.cm.check_conservation().holds
 
         def crash_and_recover(node, partners):
-            partners = [p.export_recovery_data(node.id) for p in partners]
+            partners = [sim.clients[p].export_recovery_data(node.id)
+                        for p in partners]
             before = (node.mht.root(), node.persist_snapshot(),
                       node.client_seq, view_tuples(node))
             node.wipe()
@@ -411,24 +400,22 @@ class TestRecovery:
             assert loaded.mht.root() == node.mht.root()
             assert loaded.mht.fanout == node.fanout
 
-        crash_and_recover(victim, [treasury, nodes[2], nodes[3]])
-        crash_and_recover(treasury, list(nodes.values()))
+        crash_and_recover(victim, [0, 2, 3])
+        crash_and_recover(sim.treasury, [1, 2, 3])
 
     @pytest.mark.parametrize("count", [255, 256, 257])
     def test_one_pair_around_a_power_of_two_recovers_bit_identical(self, count):
         """A pair of 2**8 - 1, 2**8 and 2**8 + 1 records: the prefix roots
         the replay cites fold one to nine peaks, and the pair tree gains
         its ninth level at 257."""
-        treasury, nodes, tick = make_funded(1, 2)
-        a, b = nodes[1], nodes[2]
-        for index in range(count):
-            payer, payee = (a, b) if index % 3 else (b, a)
-            assert transact(payer, payee, 1 + index % 5, tick).committed
-            tick += 1
+        sim = small_world(clients=2, fund=10_000)
+        a = sim.clients[1]
+        run_transfers(sim, (((1, 2) if index % 3 else (2, 1)) + (1 + index % 5,)
+                            for index in range(count)))
         assert len(a.ptts[(1, 2)]) == count
         records = list(a.mht.records_in_order())
         snapshot = a.persist_snapshot()
-        partners = [treasury.export_recovery_data(1), b.export_recovery_data(1)]
+        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2)]
         a.wipe()
         a.recover_transactions(partners, lambda key: None)
         assert list(a.mht.records_in_order()) == records
@@ -442,11 +429,9 @@ class TestRecovery:
         epoch nets to zero for client 1, so its balance is unaffected.  A
         second crash must rebuild that state byte for byte.
         """
-        treasury, nodes, tick = make_funded(1, 2, 3)
-        a, b, c = nodes[1], nodes[2], nodes[3]
-        for payer, payee in ((a, b), (b, a)) * 2:
-            assert transact(payer, payee, 25, tick).committed
-            tick += 1
+        sim = small_world(fund=10_000)
+        a, b = sim.clients[1], sim.clients[2]
+        run_transfers(sim, [(1, 2, 25), (2, 1, 25)] * 2)
         key = pair_of(1, 2)
         root = a.ptts[key].root()
         signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
@@ -454,16 +439,13 @@ class TestRecovery:
             reset_epoch(node.ptts[key], signatures, a.keystore)
 
         def crash_and_recover():
-            partners = [treasury.export_recovery_data(1)]
-            partners += [node.export_recovery_data(1) for node in (b, c)]
+            partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
             a.wipe()
             a.recover_transactions(partners, lambda key: None)
 
         crash_and_recover()
-        for payer, payee, amount in ((a, b, 30), (b, a, 12), (a, c, 7),
-                                     (a, b, 5), (c, a, 3)):
-            assert transact(payer, payee, amount, tick).committed
-            tick += 1
+        run_transfers(sim, [(1, 2, 30), (2, 1, 12), (1, 3, 7), (1, 2, 5),
+                            (3, 1, 3)])
         assert a.ptts[key].epoch_start == 4
         mhtr_before, blob_before = a.mht.root(), a.persist_snapshot()
         crash_and_recover()
@@ -476,18 +458,15 @@ class TestRecovery:
         "reserve and drops each pair's carried_net_low; ROADMAP item 6 "
         "fixes this and removes the marker"))
     def test_recovery_keeps_the_net_of_an_archived_epoch(self):
-        treasury, nodes, tick = make_funded(1, 2, 3)
-        a, b, c = nodes[1], nodes[2], nodes[3]
-        for amount in (10, 11, 12):
-            assert transact(a, b, amount, tick).committed
-            tick += 1
+        sim = small_world(fund=10_000)
+        a, b = sim.clients[1], sim.clients[2]
+        run_transfers(sim, [(1, 2, 10), (1, 2, 11), (1, 2, 12)])
         key = pair_of(1, 2)
         root = a.ptts[key].root()
         signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
         for node in (a, b):
             reset_epoch(node.ptts[key], signatures, a.keystore)
-        partners = [treasury.export_recovery_data(1)]
-        partners += [node.export_recovery_data(1) for node in (b, c)]
+        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
         a.wipe()
         a.recover_transactions(partners, lambda key: None)
         assert a.expected_balance() == 10_000 - 10 - 11 - 12
@@ -506,21 +485,19 @@ class TestRecovery:
         and the first payment would go negative.  Either way the node
         keeps the state it had before the call.
         """
-        treasury, nodes, tick = make_funded(1, 2, 3)
-        a, b, c = nodes[1], nodes[2], nodes[3]
-        for amount in (10, 11, 12):
-            assert transact(a, b, amount, tick).committed
-            tick += 1
+        sim = small_world(fund=10_000)
+        a, b = sim.clients[1], sim.clients[2]
+        run_transfers(sim, [(1, 2, 10), (1, 2, 11), (1, 2, 12)])
         key = pair_of(1, 2)
         if case == "archived-epoch":
             root = a.ptts[key].root()
             signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
             for node in (a, b):
                 reset_epoch(node.ptts[key], signatures, a.keystore)
-        assert transact(a, b, 5, tick).committed
-        partners = [node.export_recovery_data(1) for node in (b, c)]
+        run_transfers(sim, [(1, 2, 5)])
+        partners = [sim.clients[p].export_recovery_data(1) for p in (2, 3)]
         if case == "archived-epoch":
-            partners.append(treasury.export_recovery_data(1))
+            partners.append(sim.treasury.export_recovery_data(1))
 
         def state():
             return (a.persist_snapshot(), a.balance, len(a.mht), a.client_seq,
@@ -534,8 +511,8 @@ class TestRecovery:
         assert state() == before
 
     def test_partner_claiming_wrong_root_is_caught(self):
-        treasury, nodes, tick = run_traffic()
-        data = nodes[2].export_recovery_data(1)
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
         lying = PartnerRecoveryData(
             peer_id=data.peer_id, records=data.records,
             claimed_root=b"\x01" * 32, epoch=data.epoch,
@@ -544,53 +521,58 @@ class TestRecovery:
             seq_at_epoch_start=data.seq_at_epoch_start,
         )
         with pytest.raises(PartnerRootDisagreement):
-            nodes[1].recover_transactions([lying], lambda key: None)
+            sim.clients[1].recover_transactions([lying], lambda key: None)
 
     def test_validated_root_disagreement_is_caught(self):
-        treasury, nodes, tick = run_traffic()
-        data = nodes[2].export_recovery_data(1)
-        with pytest.raises(PartnerRootDisagreement):
-            nodes[1].recover_transactions([data], lambda key: b"\x02" * 32)
+        """A forged validated root, at the latest seq or at an earlier one."""
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
+        last = data.records[-1].pair_seq
+        for seq in (last, last - 1):
+            with pytest.raises(PartnerRootDisagreement):
+                sim.clients[1].recover_transactions(
+                    [data], lambda key: (seq, b"\x02" * 32))
+
+    def test_validated_seq_past_the_rebuilt_history_is_caught(self):
+        """Partners that hand over a truncated history are refused."""
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
+        truncated = dataclasses.replace(
+            data, records=data.records[:-1],
+            claimed_root=sim.clients[2].ptts[(1, 2)].root_after(
+                data.records[-2].pair_seq))
+        validated = (data.records[-1].pair_seq, data.claimed_root)
+        with pytest.raises(PartnerRootDisagreement, match="before the validated"):
+            sim.clients[1].recover_transactions([truncated], lambda key: validated)
 
     def test_validated_root_agreement_passes(self):
-        treasury, nodes, tick = run_traffic()
-        data = nodes[2].export_recovery_data(1)
-        trusted = {pair_of(1, 2): data.claimed_root}
-        nodes[1].recover_transactions(
-            [data, treasury.export_recovery_data(1),
-             nodes[3].export_recovery_data(1)],
-            lambda key: trusted.get(key),
-        )
+        """The IM's root at the latest seq, or at an earlier one it has
+        validated while later reports are still in flight."""
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
+        ptt = sim.clients[2].ptts[(1, 2)]
+        last = data.records[-1].pair_seq
+        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
+        for seq in (last, last - 1):
+            trusted = {pair_of(1, 2): (seq, ptt.root_after(seq))}
+            sim.clients[1].recover_transactions(partners, trusted.get)
 
 
 class TestRecoverBalance:
-    def setup_cm(self, nodes):
-        cm = CurrencyManager()
-        for i in sorted(nodes):
-            assigned = cm.enroll(b"pk", limit=10**9)
-            assert assigned == i
-        for i in nodes:
-            for _, report in nodes[i].drain_reports():
-                cm.report_balance(*dataclasses.astuple(report))
-        return cm
-
     def test_recover_balance_agrees(self):
-        treasury, nodes, tick = make_funded(1, 2, 3)
-        cm = self.setup_cm(nodes)
-        assert nodes[2].recover_balance(cm) == 10_000
+        sim = small_world(fund=10_000)
+        assert sim.clients[2].recover_balance(sim.cm) == 10_000
 
     def test_recover_balance_detects_forged_row(self):
-        treasury, nodes, tick = make_funded(1, 2, 3)
-        cm = self.setup_cm(nodes)
-        cm.table.open_row(3).valid_balance += 5
+        sim = small_world(fund=10_000)
+        sim.inject("forge-balance", 3, 5)
         with pytest.raises(ConservationViolation):
-            nodes[2].recover_balance(cm)
+            sim.clients[2].recover_balance(sim.cm)
 
 
 class TestSnapshots:
     def test_round_trip_preserves_everything(self):
-        treasury, nodes, tick = run_traffic(seed=11)
-        node = nodes[2]
+        node = run_traffic(seed=11).clients[2]
         blob = node.persist_snapshot()
         ks = KeyStore("stub")
         loaded = ClientNode.load_snapshot(blob, ks)
@@ -607,15 +589,14 @@ class TestSnapshots:
         loaded.register_peer(3)
 
     def test_snapshot_refused_mid_exchange(self):
-        treasury, nodes, tick = make_funded(1, 2)
-        nodes[1].start_transfer(2, 5, tick)
+        sim = small_world(clients=2, fund=10_000)
+        sim.clients[1].start_transfer(2, 5, sim.now)
         with pytest.raises(NotQuiescent):
-            nodes[1].persist_snapshot()
+            sim.clients[1].persist_snapshot()
 
     @pytest.mark.parametrize("where", [2, 40, 130, -40, -1])
     def test_any_flipped_byte_is_detected(self, where):
-        treasury, nodes, tick = run_traffic(seed=13)
-        blob = bytearray(nodes[1].persist_snapshot())
+        blob = bytearray(run_traffic(seed=13).clients[1].persist_snapshot())
         blob[where] ^= 0x40
         with pytest.raises(CorruptSnapshot):
             ClientNode.load_snapshot(bytes(blob), KeyStore("stub"))
@@ -623,9 +604,9 @@ class TestSnapshots:
     def test_record_disagreeing_with_the_balance_tree_is_corrupt(self):
         """A well-formed snapshot whose pair record does not commit to the
         balances in the balance tree; every checksum is valid."""
-        treasury, nodes, tick = make_funded(1, 2)
-        a = nodes[1]
-        assert transact(a, nodes[2], 30, tick).committed
+        sim = small_world(clients=2, fund=10_000)
+        a = sim.clients[1]
+        run_transfers(sim, [(1, 2, 30)])
         ptt = a.ptts[pair_of(1, 2)]
         forged = dataclasses.replace(ptt.records[-1],
                                      payer_prior_commit=b"\x00" * 32)
@@ -635,14 +616,13 @@ class TestSnapshots:
             ClientNode.load_snapshot(a.persist_snapshot(), KeyStore("stub"))
 
     def test_truncated_snapshot_is_detected(self):
-        treasury, nodes, tick = make_funded(1, 2)
-        blob = nodes[1].persist_snapshot()
+        blob = small_world(clients=2, fund=10_000).clients[1].persist_snapshot()
         with pytest.raises(CorruptSnapshot):
             ClientNode.load_snapshot(blob[: len(blob) // 2], KeyStore("stub"))
 
 
 def test_treasury_invariant_holds():
-    treasury, nodes, tick = make_funded(1, 2, amount=500)
+    treasury = small_world(clients=2, fund=500).treasury
     assert treasury.balance == TREASURY_RESERVE - 1000
     assert treasury.expected_balance() == treasury.balance
     key = pair_of(MANAGER_ID, 1)

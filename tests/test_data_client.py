@@ -4,8 +4,7 @@ import inspect
 
 import pytest
 
-from deltamoney.client import ClientNode, TREASURY_RESERVE, pair_of, transact
-from deltamoney.currency_manager import MANAGER_ID, CurrencyManager
+from deltamoney.client import ClientNode
 from deltamoney.data_client import (
     BalanceRangeVO,
     Grant,
@@ -23,40 +22,18 @@ from deltamoney.errors import (
     UnknownSubject,
     UnknownTransaction,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, Signature
-from deltamoney.integrity_manager import IntegrityManager, PTTRAttestation
+from deltamoney.hashing import Signature
+from deltamoney.integrity_manager import PTTRAttestation
 from deltamoney.peer_ledger import reset_epoch
+from worlds import run_transfers, small_world
 
 
 def build_world(n_transfers=6):
-    ks = KeyStore("stub")
-    treasury = ClientNode(MANAGER_ID, ks, opening_reserve=TREASURY_RESERVE)
-    a = ClientNode(1, ks)
-    b = ClientNode(2, ks)
-    im = IntegrityManager(ks, signer_id=900)
-    for node in (a, b):
-        treasury.register_peer(node.id)
-        node.register_peer(MANAGER_ID)
-        im.note_client(node.id)
-    im.note_pair(1, 2)
-    a.register_peer(2)
-    b.register_peer(1)
-    transact(treasury, a, 5_000, 1)
-    transact(treasury, b, 5_000, 2)
-    tick = 3
-    for i in range(n_transfers):
-        payer, payee = (a, b) if i % 2 == 0 else (b, a)
-        transact(payer, payee, 100 + i, tick)
-        tick += 1
-    pump_im(im, a, b)
-    return ks, treasury, a, b, im, tick
-
-
-def pump_im(im, *nodes):
-    for node in nodes:
-        for kind, payload in node.drain_reports():
-            if kind == "im":
-                im.ingest_report(payload)
+    """Clients 1 and 2 with 5000 each pay each other in turn, 100 + i."""
+    sim = small_world(clients=2, fund=5_000)
+    run_transfers(sim, (((1, 2) if i % 2 == 0 else (2, 1)) + (100 + i,)
+                        for i in range(n_transfers)))
+    return sim
 
 
 def latest_for(im, pair):
@@ -71,27 +48,31 @@ def test_authorize_requires_known_subject():
 
 def test_empty_scope_refuses_everything():
     grant = authorize(50, 1, [], enrolled={1, 2})
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     with pytest.raises(ScopeViolation):
         query_transactions(grant, (1, 2), 1, 3, a, im.attest_pttr((1, 2)))
 
 
 def test_out_of_scope_pair_refused():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 3)], enrolled={1, 2, 3})
     with pytest.raises(ScopeViolation):
         query_transactions(grant, (1, 2), 1, 3, a, im.attest_pttr((1, 2)))
 
 
 def test_unattested_pair_refused():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     with pytest.raises(UnknownTransaction):
         query_transactions(grant, (1, 2), 1, 3, a, None)
 
 
 def test_honest_transaction_vo_passes_the_triad():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     att = im.attest_pttr((1, 2))
     records, vo = query_transactions(grant, (1, 2), 1, 6, a, att)
@@ -102,7 +83,8 @@ def test_honest_transaction_vo_passes_the_triad():
 
 
 def test_vo_serialization_round_trips():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 2, 4, a, im.attest_pttr((1, 2))
@@ -117,7 +99,8 @@ def test_vo_serialization_round_trips():
 
 
 def test_omitted_record_fails_only_completeness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2)), omit=frozenset({3})
@@ -128,7 +111,8 @@ def test_omitted_record_fails_only_completeness():
 
 
 def test_mutated_record_fails_only_correctness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
@@ -147,7 +131,8 @@ def test_mutated_record_fails_only_correctness():
 
 
 def test_padded_inclusion_proof_fails_correctness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
@@ -164,7 +149,8 @@ def test_padded_inclusion_proof_fails_correctness():
 
 
 def test_non_canonical_side_byte_fails_correctness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
@@ -183,18 +169,19 @@ def test_non_canonical_side_byte_fails_correctness():
 
 
 def test_superseded_attestation_fails_only_freshness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     att = im.attest_pttr((1, 2))
     records, vo = query_transactions(grant, (1, 2), 1, 6, a, att)
-    transact(a, b, 7, tick)
-    pump_im(im, a, b)
+    run_transfers(sim, [(1, 2, 7)])
     verdict = verify_vo(vo, ks, latest_for(im, (1, 2)))
     assert verdict == Verdict(True, True, False)
 
 
 def test_forged_attestation_signature_fails_correctness():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     att = im.attest_pttr((1, 2))
     forged_att = PTTRAttestation(
@@ -210,12 +197,12 @@ def test_forged_attestation_signature_fails_correctness():
                                    (11, 20), (9, 8), (-3, 0)])
 def test_query_returns_exactly_the_requested_range_of_the_epoch(lo, hi):
     # pair_seq 1..6 are archived by the epoch reset; the current epoch holds 7..10
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     root = a.ptts[(1, 2)].root()
-    for node in (a, b):
+    for node in (a, sim.clients[2]):
         reset_epoch(node.ptts[(1, 2)], [ks.sign(1, root), ks.sign(2, root)], ks)
-    for i in range(4):
-        transact(a, b, 10 + i, tick + i)
+    run_transfers(sim, [(1, 2, 10 + i) for i in range(4)])
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(grant, (1, 2), lo, hi, a,
                                      im.attest_pttr((1, 2)))
@@ -224,7 +211,8 @@ def test_query_returns_exactly_the_requested_range_of_the_epoch(lo, hi):
 
 
 def test_subject_without_pair_refused():
-    ks, treasury, a, b, im, tick = build_world()
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     c = ClientNode(3, ks)
     grant = authorize(50, 3, [(1, 2)], enrolled={1, 2, 3})
     att = im.attest_pttr((1, 2))
@@ -234,17 +222,8 @@ def test_subject_without_pair_refused():
 
 class TestBalanceVO:
     def setup_world(self):
-        ks, treasury, a, b, im, tick = build_world()
-        cm = CurrencyManager(ks)
-        for node in (a, b):
-            assert cm.enroll(b"pk", limit=10**9) == node.id
-        # one issuance from the opening row stands in for each history:
-        # the VO needs only the row's balance and provenance
-        for node in (a, b):
-            cm.report_balance(node.id, node.balance, node.mht.root(),
-                              EMPTY_TREE_DIGEST, EMPTY_TREE_DIGEST, tick,
-                              supply=node.balance)
-        return ks, a, b, cm, tick
+        sim = build_world()
+        return sim.keystore, sim.clients[1], sim.clients[2], sim.cm, sim.now
 
     def grant_for(self, subject):
         return authorize(51, subject, [], enrolled={1, 2}, balance=True)
@@ -320,7 +299,8 @@ def test_parse_vo_rejects_garbage():
         parse_vo(b"")
     with pytest.raises(ValueError):
         parse_vo(b"\x07junk")
-    ks, treasury, a, b, im, tick = build_world(n_transfers=2)
+    sim = build_world(n_transfers=2)
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
         grant, (1, 2), 1, 2, a, im.attest_pttr((1, 2))

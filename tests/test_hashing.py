@@ -14,8 +14,6 @@ from deltamoney.hashing import (
     commit_balance,
     hash_internal,
     hash_leaf,
-    sign_root,
-    verify_root,
 )
 
 
@@ -102,17 +100,17 @@ def test_pluggable_scheme_is_used():
 def test_sign_verify_round_trip(pair_cls):
     pair = pair_cls(9, b"\x11" * 32)
     root = hash_leaf(b"root")
-    sig = sign_root(root, pair)
-    assert verify_root(root, sig, pair.public_key())
+    sig = pair.sign(root)
+    assert pair.public_key().verify(root, sig)
 
 
 @pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])
 def test_verify_rejects_flipped_root(pair_cls):
     pair = pair_cls(9, b"\x11" * 32)
     root = hash_leaf(b"root")
-    sig = sign_root(root, pair)
+    sig = pair.sign(root)
     flipped = bytes([root[0] ^ 1]) + root[1:]
-    assert not verify_root(flipped, sig, pair.public_key())
+    assert not pair.public_key().verify(flipped, sig)
 
 
 @pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])
@@ -120,8 +118,8 @@ def test_verify_rejects_other_signer(pair_cls):
     pair = pair_cls(9, b"\x11" * 32)
     other = pair_cls(10, b"\x22" * 32)
     root = hash_leaf(b"root")
-    sig = sign_root(root, pair)
-    assert not verify_root(root, sig, other.public_key())
+    sig = pair.sign(root)
+    assert not other.public_key().verify(root, sig)
 
 
 def test_keystore_unknown_handle():

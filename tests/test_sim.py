@@ -1,6 +1,7 @@
 """Simulator behavior: determinism, fault detection, eventual consistency."""
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -21,19 +22,7 @@ from deltamoney.sim import (
     Simulation,
     retry_delay,
 )
-
-
-def small_world(seed=11, clients=3):
-    sim = Simulation(seed=seed)
-    for c in range(1, clients + 1):
-        sim.enroll(c)
-    for a in range(1, clients + 1):
-        for b in range(a + 1, clients + 1):
-            sim.register(a, b)
-    for c in range(1, clients + 1):
-        sim.issue(c, 1_000 * c)
-    sim.advance(10 * clients)
-    return sim
+from worlds import small_world
 
 
 def crash_before_commit():
@@ -270,6 +259,38 @@ def test_payer_rebuilt_after_committing_keeps_the_copied_record():
     sim.quiesce()
     assert [sim.clients[c].balance for c in (1, 2, 3)] == [990, 2_010, 3_000]
     assert_settled(sim, (1, 2))
+
+
+def test_recovery_accepts_a_history_the_integrity_manager_has_not_caught_up_with():
+    """The IM validated seq 1; both replicas hold seq 2, reports in flight."""
+    sim = small_world(seed=11)
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    sim.transfer(1, 2, 5)
+    sim.advance(4)
+    assert sim.im.latest_validated[(1, 2)][0] == 1
+    sim.inject("crash-client", 1)
+    sim.recover(1)
+    assert "|client:1|recover|" in sim.log.lines[-1]
+    sim.quiesce()
+    assert sim.clients[1].balance == sim.cm.table.open_row(1).valid_balance == 985
+    assert_settled(sim, (1, 2))
+
+
+@pytest.mark.parametrize("crash_after", [0, 2, 4, 6])
+def test_no_crash_timing_refuses_honest_partners(crash_after):
+    """Four transfers 0, 2 or 4 ticks apart, then client 1 crashes and is
+    rebuilt: whatever the IM has validated by then, honest partner data
+    must not read as a root disagreement."""
+    moves = [(1, 2, 10), (3, 1, 5), (1, 2, 11), (3, 1, 6)]
+    for gaps in itertools.product((0, 2, 4), repeat=len(moves) - 1):
+        sim = small_world(seed=11)
+        for (payer, payee, amount), gap in zip(moves, gaps + (crash_after,)):
+            sim.transfer(payer, payee, amount)
+            sim.advance(gap)
+        sim.inject("crash-client", 1)
+        sim.recover(1)
+        sim.quiesce()
 
 
 def test_reject_reaching_a_recovered_payer_is_ignored():
