@@ -25,6 +25,13 @@ amount (+amount issued, -amount redeemed; 0 for a peer transfer), so the
 Currency Manager chains it like any other.  They send no transaction
 report, as the Integrity Manager tracks no treasury pair, and the
 treasury itself reports nothing.
+
+The handshake messages and the balance report are ``NamedTuple``s: every
+transfer builds several of them, and a tuple is built in a fraction of
+the time a frozen dataclass takes, while staying just as immutable.
+They compare as plain tuples, so two messages of different types with
+equal fields are ``==``; receivers tell messages apart by type
+(``isinstance``), never by comparing them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
 from .currency_manager import MANAGER_ID
@@ -73,41 +80,35 @@ ONE_SIDED_ABORTS = frozenset({"unreachable", STALE})
 # protocol messages
 
 
-@dataclass(frozen=True)
-class ProposeMsg:
+class ProposeMsg(NamedTuple):
     proposal: TransactionProposal
 
 
-@dataclass(frozen=True)
-class AcceptMsg:
+class AcceptMsg(NamedTuple):
     record: TransactionPairRecord
     payee_root: Digest
 
 
-@dataclass(frozen=True)
-class CommitMsg:
+class CommitMsg(NamedTuple):
     pair_key: tuple[int, int]
     pair_seq: int
     payer_root: Digest
 
 
-@dataclass(frozen=True)
-class AbortMsg:
+class AbortMsg(NamedTuple):
     pair_key: tuple[int, int]
     pair_seq: int
     payer_root: Digest
     reason: str
 
 
-@dataclass(frozen=True)
-class RejectMsg:
+class RejectMsg(NamedTuple):
     pair_key: tuple[int, int]
     pair_seq: int
     reason: str
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     client_id: int
     new_balance: int
     mhtr: Digest
@@ -141,7 +142,7 @@ def record_digest(record: TransactionPairRecord) -> Digest:
     encoding; the tree leaf over the same bytes is ``hash_leaf``, tagged
     0x00, so the two never coincide. The record is encoded afresh on each
     call: one ``struct`` pack, cheaper than keeping the bytes on the
-    frozen record (a cached ``to_bytes()`` measured slower end to end).
+    record (a cached ``to_bytes()`` measured slower end to end).
     """
     return hashlib.sha256(record.to_bytes()).digest()
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .encoding import BALANCE_REPORT_FP, FOREVER, u64
 from .errors import (
@@ -175,8 +175,7 @@ class SupplyLedger:
         return self.total_issued - self.total_redeemed
 
 
-@dataclass(frozen=True)
-class ConservationVerdict:
+class ConservationVerdict(NamedTuple):
     holds: bool
     expected: int
     actual: int
@@ -187,10 +186,14 @@ class ConservationVerdict:
         return self.actual - self.expected
 
 
-@dataclass(frozen=True)
-class ReportOutcome:
+class ReportOutcome(NamedTuple):
     status: str  # applied | parked | duplicate
     conservation: Optional[ConservationVerdict] = None
+
+
+# the outcomes that carry no verdict, shared by every report that gets one
+_DUPLICATE = ReportOutcome("duplicate")
+_PARKED = ReportOutcome("parked")
 
 
 @dataclass(frozen=True)
@@ -202,8 +205,16 @@ class ReparationRecord:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class _Report:
+def _fingerprint(client_id: int, new_balance: int, mhtr: Digest,
+                 prior_mhtr: Digest, peer_provenance: Digest,
+                 timestamp: int) -> Digest:
+    """What the manager remembers of a balance report, to drop a repeat."""
+    return hashlib.sha256(BALANCE_REPORT_FP.pack(
+        client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
+    )).digest()
+
+
+class _Report(NamedTuple):
     client_id: int
     new_balance: int
     mhtr: Digest
@@ -215,14 +226,7 @@ class _Report:
     supply: int = 0
 
     def fingerprint(self) -> Digest:
-        return hashlib.sha256(BALANCE_REPORT_FP.pack(
-            self.client_id,
-            self.new_balance,
-            self.mhtr,
-            self.prior_mhtr,
-            self.peer_provenance,
-            self.timestamp,
-        )).digest()
+        return _fingerprint(*self[:6])
 
 
 @dataclass(frozen=True)
@@ -333,17 +337,19 @@ class CurrencyManager:
 
         A report citing a closed row raises ``StaleProvenance``; a negative
         balance or a failed supply check raises too, leaving the row alone.
+        A repeat is told by its fingerprint before anything is built.
         """
         self._require_active(client_id)
         if new_balance < 0:
             raise NegativeBalance(f"client {client_id} reported balance {new_balance}")
+        fp = _fingerprint(client_id, new_balance, mhtr, prior_mhtr,
+                          peer_provenance, timestamp)
+        if fp in self._seen_reports:
+            return _DUPLICATE
         report = _Report(
             client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
             supply,
         )
-        fp = report.fingerprint()
-        if fp in self._seen_reports:
-            return ReportOutcome("duplicate")
         if prior_mhtr != self.table.open_row(client_id).provenance_mhtr:
             if prior_mhtr in self.table.closed_provenances(client_id):
                 raise StaleProvenance(
@@ -351,7 +357,7 @@ class CurrencyManager:
                 )
             self._seen_reports.add(fp)
             self._parked.setdefault(client_id, []).append(report)
-            return ReportOutcome("parked")
+            return _PARKED
         verdict = self._apply(report)
         self._seen_reports.add(fp)
         verdict = self._drain_parked(client_id) or verdict
@@ -426,7 +432,7 @@ class CurrencyManager:
         # re-summed from the rows on every audit, so a row edited in place
         # (a forged balance) shows up as a discrepancy
         if at is None:
-            actual = sum(row.valid_balance for row in self.table.open_rows())
+            actual = sum(row.valid_balance for row in self.table._open.values())
             expected = self.supply.net
         else:
             actual = 0

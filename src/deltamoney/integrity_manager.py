@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .encoding import TXN_REPORT_FP, u64
 from .errors import (
@@ -57,8 +57,7 @@ class Alert:
     raised_at: int
 
 
-@dataclass(frozen=True)
-class TransactionReport:
+class TransactionReport(NamedTuple):
     reporter: int
     pair_key: tuple[int, int]
     pair_seq: int
@@ -80,10 +79,14 @@ class TransactionReport:
         )).digest()
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
+class ValidationOutcome(NamedTuple):
     status: str  # held | validated | mismatch | replay | duplicate | aborted
     alert: Optional[Alert] = None
+
+
+# the outcomes that carry no alert, shared by every report that gets one
+_HELD = ValidationOutcome("held")
+_VALIDATED = ValidationOutcome("validated")
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,7 @@ class IntegrityManager:
             self._created += 1
         pending.reports[report.reporter] = report
         if len(pending.reports) < 2:
-            return ValidationOutcome("held")
+            return _HELD
 
         a, b = report.pair_key
         left, right = pending.reports[a], pending.reports[b]
@@ -234,7 +237,7 @@ class IntegrityManager:
                 self.latest_validated[report.pair_key] = (
                     report.pair_seq, report.pttr,
                 )
-            return ValidationOutcome("validated")
+            return _VALIDATED
         alert = self._raise_alert(
             AlertKind.ROOT_MISMATCH,
             report.pair_key,
@@ -256,7 +259,7 @@ class IntegrityManager:
         held = self._pending_aborts.setdefault(key, {})
         held[report.reporter] = report
         if len(held) < 2:
-            return ValidationOutcome("held")
+            return _HELD
         a, b = report.pair_key
         left, right = held[a], held[b]
         del self._pending_aborts[key]
@@ -317,7 +320,7 @@ class IntegrityManager:
                             mhtr_from_manager: Digest,
                             now: int = 0) -> ValidationOutcome:
         if mhtr_from_client == mhtr_from_manager:
-            return ValidationOutcome("validated")
+            return _VALIDATED
         alert = self._raise_alert(
             AlertKind.BALANCE_CROSS_CHECK_FAILURE,
             (client,),

@@ -13,7 +13,7 @@ checks a record's commitments against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .encoding import PAIR_RECORD
 from .errors import (
@@ -73,12 +73,17 @@ class TransactionPairRecord:
             raise NonPositiveAmount(f"amount must be positive, got {self.amount}")
         if self.payer_id == self.payee_id:
             raise ValueError("payer and payee must be distinct clients")
-        for name in _DIGEST_FIELDS:
-            if len(getattr(self, name)) != DIGEST_SIZE:
-                raise ValueError(
-                    f"{name} must be {DIGEST_SIZE} bytes, "
-                    f"got {len(getattr(self, name))}"
-                )
+        # one chained comparison per record; the loop only names the field
+        if not (len(self.payer_prior_commit) == len(self.payer_new_commit)
+                == len(self.payee_prior_commit) == len(self.payee_new_commit)
+                == len(self.payer_provenance) == len(self.payee_provenance)
+                == DIGEST_SIZE):
+            for name in _DIGEST_FIELDS:
+                if len(getattr(self, name)) != DIGEST_SIZE:
+                    raise ValueError(
+                        f"{name} must be {DIGEST_SIZE} bytes, "
+                        f"got {len(getattr(self, name))}"
+                    )
 
     def to_bytes(self) -> bytes:
         return PAIR_RECORD.pack(
@@ -102,8 +107,7 @@ class TransactionPairRecord:
         return cls(*PAIR_RECORD.unpack(data))
 
 
-@dataclass(frozen=True)
-class TransactionProposal:
+class TransactionProposal(NamedTuple):
     """Payer half of a record, sent to the payee for completion."""
 
     pair_seq: int
@@ -116,8 +120,7 @@ class TransactionProposal:
     payer_provenance: bytes
 
 
-@dataclass(frozen=True)
-class AccountView:
+class AccountView(NamedTuple):
     """The slice of client state the handshake needs.
 
     ``balance`` is the ledger balance the commitments are computed over,

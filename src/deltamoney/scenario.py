@@ -10,9 +10,10 @@ written ``A:B``.  The grammar:
     redeem CLIENT AMOUNT           CLIENT redeems AMOUNT at the treasury
     transfer PAYER PAYEE AMOUNT    start one transfer
     policy normal                  manager reports arrive next tick
-    policy delay N                 ... arrive N ticks late
+    policy delay N                 ... arrive N ticks late (N >= 0)
     policy duplicate               ... arrive twice
     policy random P_DELAY MAX P_DUP   seeded mix of delays and duplicates
+                                   (probabilities in [0, 1], MAX >= 0)
     fault tamper-leaf HOLDER A:B INDEX
     fault double-spend CLIENT AMOUNT
     fault replay-report A:B
@@ -112,6 +113,32 @@ def _want(parts: list, count: int, lineno: int, usage: str) -> None:
         raise _fail(lineno, f"usage: {usage}")
 
 
+def _policy(parts: list, lineno: int) -> DeliveryPolicy:
+    """The policy of one ``policy KIND [ARGS]`` line, checked as it is built."""
+    kind = parts[1]
+    try:
+        if kind == "normal":
+            _want(parts, 1, lineno, "policy normal")
+            return DeliveryPolicy()
+        if kind == "delay":
+            _want(parts, 2, lineno, "policy delay N")
+            return DeliveryPolicy("delay", delay=_int(parts[2], lineno, "delay"))
+        if kind == "duplicate":
+            _want(parts, 1, lineno, "policy duplicate")
+            return DeliveryPolicy("duplicate")
+        if kind == "random":
+            _want(parts, 4, lineno, "policy random P_DELAY MAX_DELAY P_DUP")
+            return DeliveryPolicy(
+                "random",
+                p_delay=_float(parts[2], lineno, "p_delay"),
+                max_delay=_int(parts[3], lineno, "max_delay"),
+                p_duplicate=_float(parts[4], lineno, "p_duplicate"),
+            )
+    except ValueError as exc:
+        raise _fail(lineno, str(exc)) from None
+    raise _fail(lineno, f"unknown policy {kind!r}")
+
+
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     seed_seen = False
@@ -154,27 +181,7 @@ def parse_scenario(text: str) -> Scenario:
         elif op == "policy":
             if len(parts) < 2:
                 raise _fail(lineno, "usage: policy KIND [ARGS]")
-            kind = parts[1]
-            if kind == "normal":
-                _want(parts, 1, lineno, "policy normal")
-                policy = DeliveryPolicy()
-            elif kind == "delay":
-                _want(parts, 2, lineno, "policy delay N")
-                policy = DeliveryPolicy("delay", delay=_int(parts[2], lineno, "delay"))
-            elif kind == "duplicate":
-                _want(parts, 1, lineno, "policy duplicate")
-                policy = DeliveryPolicy("duplicate")
-            elif kind == "random":
-                _want(parts, 4, lineno, "policy random P_DELAY MAX_DELAY P_DUP")
-                policy = DeliveryPolicy(
-                    "random",
-                    p_delay=_float(parts[2], lineno, "p_delay"),
-                    max_delay=_int(parts[3], lineno, "max_delay"),
-                    p_duplicate=_float(parts[4], lineno, "p_duplicate"),
-                )
-            else:
-                raise _fail(lineno, f"unknown policy {kind!r}")
-            scenario.steps.append(Step(lineno, "policy", (policy,)))
+            scenario.steps.append(Step(lineno, "policy", (_policy(parts, lineno),)))
         elif op == "fault":
             if len(parts) < 2:
                 raise _fail(lineno, "usage: fault KIND [ARGS]")

@@ -39,6 +39,13 @@ queued commands, and any sent to it while down, give up ``reason=crashed``;
 an acceptance that reaches the payer once it is rebuilt is aborted
 ``reason=stale`` (see ``ClientNode.receive_accept``).
 
+Every message, report, envelope and acknowledgement is immutable: the
+wire types are ``NamedTuple``s, built several times per transfer at a
+fraction of a frozen dataclass's cost.  They compare as plain tuples, so
+a message of one type can equal one of another; the actors dispatch on
+type, never on ``==``, and a queue entry's unique insertion number keeps
+the heap from ever comparing two messages.
+
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
 partitions, and record omission in data-client queries.  Each fault maps
@@ -52,7 +59,7 @@ import heapq
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .client import (
     AbortMsg,
@@ -112,28 +119,45 @@ class StartTransferCmd:
     due: int = 0  # a head backing off from a busy payee waits for this tick
 
 
-@dataclass(frozen=True)
-class ReportEnvelope:
+class ReportEnvelope(NamedTuple):
     env_id: int
     kind: str  # the manager it is bound for: im | cm
     payload: object
     reporter: int
 
 
-@dataclass(frozen=True)
-class ReportAck:
+class ReportAck(NamedTuple):
     env_id: int
+
+
+POLICY_KINDS = ("normal", "delay", "duplicate", "random")
 
 
 @dataclass(frozen=True)
 class DeliveryPolicy:
-    """How manager-bound messages travel; peers always get next-tick."""
+    """How manager-bound messages travel; peers always get next-tick.
+
+    Checked when built: an unknown kind, a negative delay and a
+    probability outside [0, 1] raise ``ValueError``.
+    """
 
     kind: str = "normal"  # normal | delay | duplicate | random
     delay: int = 0
     p_delay: float = 0.0
     max_delay: int = 0
     p_duplicate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in POLICY_KINDS:
+            raise ValueError(f"unknown delivery policy {self.kind!r}")
+        for name in ("delay", "max_delay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, "
+                                 f"got {getattr(self, name)}")
+        for name in ("p_delay", "p_duplicate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], "
+                                 f"got {getattr(self, name)}")
 
     def offsets(self, rng: random.Random) -> list[int]:
         if self.kind == "normal":
@@ -142,15 +166,13 @@ class DeliveryPolicy:
             return [1 + self.delay]
         if self.kind == "duplicate":
             return [1, 2]
-        if self.kind == "random":
-            base = 1
-            if rng.random() < self.p_delay:
-                base += rng.randint(1, max(1, self.max_delay))
-            out = [base]
-            if rng.random() < self.p_duplicate:
-                out.append(base + rng.randint(1, max(1, self.max_delay)))
-            return out
-        raise ValueError(f"unknown delivery policy {self.kind}")
+        base = 1  # random
+        if rng.random() < self.p_delay:
+            base += rng.randint(1, max(1, self.max_delay))
+        out = [base]
+        if rng.random() < self.p_duplicate:
+            out.append(base + rng.randint(1, max(1, self.max_delay)))
+        return out
 
 
 @dataclass
@@ -203,7 +225,10 @@ class Simulation:
                                    transaction_limit=2**62,
                                    opening_reserve=TREASURY_RESERVE)
         self.clients: dict[int, ClientNode] = {MANAGER_ID: self.treasury}
-        self._actor_ids: dict[str, int] = {self._client_actor(MANAGER_ID): MANAGER_ID}
+        # actor name <-> client id, both ways, formatted once per client
+        self._actor_ids: dict[str, int] = {}
+        self._actor_names: dict[int, str] = {}
+        self._add_actor(MANAGER_ID)
         self.registered_pairs: set = set()
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
@@ -223,18 +248,34 @@ class Simulation:
 
     def send(self, target: str, sender: str, message,
              policy: bool = False, delay: int = 1) -> None:
-        offsets = self.policy.offsets(self.rng) if policy else [delay]
-        for offset in offsets:
-            self._seq += 1
-            heapq.heappush(
-                self.queue, (self.now + offset, self._seq, target, sender, message)
-            )
+        """Queue ``message`` for delivery ``delay`` ticks from now.
+
+        With ``policy`` the delivery policy sets the ticks instead: next
+        tick under ``normal``, otherwise one or more drawn offsets, each
+        delivered as an event of its own.
+        """
+        if policy:
+            if self.policy.kind != "normal":
+                for offset in self.policy.offsets(self.rng):
+                    self._seq += 1
+                    heapq.heappush(self.queue, (self.now + offset, self._seq,
+                                                target, sender, message))
+                return
+            delay = 1
+        self._seq += 1
+        heapq.heappush(self.queue,
+                       (self.now + delay, self._seq, target, sender, message))
 
     def _partitioned(self, tick: int) -> bool:
         return any(start <= tick < end for start, end in self.partitions)
 
     def _client_actor(self, client_id: int) -> str:
-        return f"client:{client_id}"
+        return self._actor_names.get(client_id) or f"client:{client_id}"
+
+    def _add_actor(self, client_id: int) -> None:
+        name = f"client:{client_id}"
+        self._actor_ids[name] = client_id
+        self._actor_names[client_id] = name
 
     def _new_alerts(self) -> None:
         while self._im_alerts_seen < len(self.im.alerts):
@@ -335,6 +376,9 @@ class Simulation:
                 self.emit("net", "drop", f"target={target} reason=crashed")
                 self._answer_drop(target, sender, message)
                 return
+            if type(message) is ReportAck:
+                self.unacked.pop(message.env_id, None)
+                return
             self._handle_client(client_id, target, sender, message)
         elif target == "cm":
             self._handle_cm(sender, message)
@@ -365,9 +409,6 @@ class Simulation:
     def _handle_client(self, client_id: int, actor: str, sender: str,
                        message) -> None:
         node = self.clients[client_id]
-        if isinstance(message, ReportAck):
-            self.unacked.pop(message.env_id, None)
-            return
         if isinstance(message, StartTransferCmd):
             if not message.attempts:  # a retry wakes the head it already is
                 self.outbox[client_id].append(message)
@@ -546,7 +587,7 @@ class Simulation:
             )
         node = ClientNode(client_id, self.keystore, transaction_limit=limit)
         self.clients[client_id] = node
-        self._actor_ids[self._client_actor(client_id)] = client_id
+        self._add_actor(client_id)
         self.im.note_client(client_id)
         self.treasury.register_peer(client_id)
         node.register_peer(MANAGER_ID)
@@ -601,10 +642,16 @@ class Simulation:
     def recover(self, client_id: int) -> None:
         """Rebuild a crashed client from the pair data its partners hold.
 
-        Every partner must be up: a crashed one holds no records, so the
-        rebuilt node would lack that pair and its balance. The recovery
-        is refused before the node is touched, and it stays crashed.
+        Only a crashed client is rebuilt: a live one may hold an exchange
+        its partners have not appended yet, and rebuilding it from them
+        would lose its side of that exchange, so that is refused.  Every
+        partner must be up: a crashed one holds no records, so the
+        rebuilt node would lack that pair and its balance.  Either
+        refusal comes before the node is touched, and a crashed client
+        stays crashed.
         """
+        if client_id not in self.crashed:
+            raise UnknownTarget(f"cannot recover client {client_id}: it is not crashed")
         node = self.clients[client_id]
         partners = sorted(
             other

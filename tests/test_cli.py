@@ -67,6 +67,16 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
 
+    # a step the simulation refuses ends the run: here recovering a payee
+    # that never crashed, while it holds a record its payer has not appended
+    live = tmp_path / "live.scn"
+    live.write_text("seed 11\nclients 3\nregister 1 2\nregister 1 3\n"
+                    "issue 1 1000\nissue 2 1000\nissue 3 1000\nquiesce\n"
+                    "transfer 1 2 10\nadvance 2\nrecover 2\nquiesce\n"
+                    "assert-conservation holds\n")
+    assert main(["run", str(live)]) == 2
+    assert "cannot recover client 2: it is not crashed" in capsys.readouterr().err
+
 
 def test_run_seed_override_changes_nothing_on_fixed_script(tmp_path):
     scn = SCENARIOS / "table4.scn"
@@ -253,6 +263,24 @@ STATE_DIGESTS = {
             "adf6fb6211d33edadab2e8c6fee7b3cba897a625b1efe42e08e3a4eb16ce568c",
         "client_4.snap":
             "540873dda23875c7f46ef7dca3341a76baefb74bee6caf3019d28da6da825bed",
+        "keys.json":
+            "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
+    },
+    "reorder.scn": {
+        "attestations.psv":
+            "edb42eec4b955b8d383012227c07fc9a2855b14478a318c45f2c16c12d37021b",
+        "balances.psv":
+            "b15f7d2da1af7e6da1473ea946e618ae052fd754f69eb4652605100ac4f1a9d3",
+        "client_0.snap":
+            "9380bb5e310ba38946e8d9113903549ced01ab6bf456b5b5f064af85abc5703c",
+        "client_1.snap":
+            "cd946e054b93b9b5765bdaa177893c5078298d4cdc613a8238c43d4b1e68148c",
+        "client_2.snap":
+            "d5a5afa30cdba4280d487f52b1a858ddfcea513f9df7ab378973d7ad48f8b8d6",
+        "client_3.snap":
+            "6c7239560c3b403147b6b63b4a25ef5826899088a870a389efd238778010f744",
+        "client_4.snap":
+            "fa1dcc3704c4a84923aa8670d51f3045cc62f52ea32ab764b32a5537aaa04213",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },

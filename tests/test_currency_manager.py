@@ -345,8 +345,15 @@ def test_no_transaction_records_stored():
         elif isinstance(obj, (list, tuple, set, frozenset)):
             for item in obj:
                 walk(item)
-        elif hasattr(obj, "__dict__"):
-            walk(vars(obj))
+        else:
+            if hasattr(obj, "__dict__"):
+                walk(vars(obj))
+            # a slotted object keeps its attributes outside __dict__
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, name):
+                        walk(getattr(obj, name))
 
     walk(cm)
 

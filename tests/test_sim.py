@@ -377,6 +377,27 @@ class TestFaultDetection:
         assert sim.clients[1].balance == 0 and not sim.clients[1].ptts
         assert sim.log.lines == logged
 
+    def test_recovery_of_a_live_client_is_refused(self):
+        # client 2 has accepted and holds the record; its payer has not
+        # appended it yet, so a node rebuilt from the payer would lack the
+        # record, ignore the commit, and lose the 10 from conservation
+        sim = small_world(fund=1000)
+        sim.quiesce()
+        sim.transfer(1, 2, 10)
+        sim.advance(2)
+        payee = sim.clients[2]
+        assert payee.busy
+        ptts, mht, logged = dict(payee.ptts), payee.mht, list(sim.log.lines)
+        with pytest.raises(UnknownTarget, match="client 2: it is not crashed"):
+            sim.recover(2)
+        assert payee.busy and payee.ptts == ptts and payee.mht is mht
+        assert sim.log.lines == logged
+        sim.quiesce()
+        assert (sim.clients[1].balance, sim.clients[2].balance) == (990, 1010)
+        verdict = sim.cm.check_conservation()
+        assert verdict.holds and verdict.actual == 3000
+        assert sim.alerts == []
+
     def test_crash_before_commit_raises_missing_counterpart(self):
         sim = crash_before_commit()
         kinds = [k for k, _, _ in sim.alerts]
@@ -451,6 +472,19 @@ class TestFaultDetection:
         sim = small_world(seed=29)
         with pytest.raises(UnknownTarget):
             sim.inject("melt-coins", 1)
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"kind": "sideways"}, "unknown delivery policy 'sideways'"),
+    ({"kind": "delay", "delay": -5}, "delay must not be negative"),
+    ({"kind": "random", "max_delay": -1}, "max_delay must not be negative"),
+    ({"kind": "random", "p_delay": 1.5}, r"p_delay must lie in \[0, 1\]"),
+    ({"kind": "random", "p_duplicate": -0.1}, r"p_duplicate must lie in \[0, 1\]"),
+    ({"kind": "random", "p_delay": float("nan")}, "p_delay must lie in"),
+])
+def test_delivery_policy_is_checked_when_built(kwargs, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        DeliveryPolicy(**kwargs)
 
 
 def policy_grid():
@@ -608,6 +642,7 @@ def test_scenario_comments_and_blank_lines_are_ignored():
     ("clients", "usage:"),
     ("register 1", "usage:"),
     ("policy sideways", "unknown policy"),
+    ("policy delay -5", "delay must not be negative"),
     ("fault melt 1", "unknown fault"),
     ("fault tamper-leaf 1 2 3", "pair must look like A:B"),
     ("fault crash-client", "takes 1 argument"),
@@ -643,6 +678,7 @@ GOLDEN_RUNS = {
     "grid3": lambda: _shipped("grid3.scn"),
     "recover": lambda: _shipped("recover.scn"),
     "crash-before-commit": crash_before_commit,
+    "reorder": lambda: _shipped("reorder.scn"),
 }
 
 
@@ -654,6 +690,7 @@ GOLDEN_RUNS = {
     ("recover", "2a199615d6dbecb02e45ce6f0d4a30c11ec9a56ecd5ccc132821c99dbd197fea"),
     ("crash-before-commit",
      "e8e40f7fdcd82045e79c73dba54dc9542ee7219a1003c6f53ab62a562d163d2a"),
+    ("reorder", "fbefa22a273c19ec3f69ba7250ed3e71cfcdcb5815eb4741877cbb45ae1d6faf"),
 ], ids=list(GOLDEN_RUNS))
 def test_event_logs_match_golden_digests(name, digest):
     log = GOLDEN_RUNS[name]().log.text()
@@ -703,6 +740,7 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
     ("grid3", [68]),
     ("recover", [78, 86]),
     ("crash-before-commit", [37]),
+    ("reorder", [14, 68]),
 ], ids=list(GOLDEN_RUNS))
 def test_quiesce_ends_on_the_tick_of_the_last_timer(name, ticks):
     lines = GOLDEN_RUNS[name]().log.lines
@@ -793,3 +831,43 @@ def test_scenario_query_and_verdict_steps():
     """
     sim = run_scenario(parse_scenario(scn))
     assert sim.log.failures == []
+
+
+# ----------------------------------------------------------------------
+# wire and verdict types
+
+
+def _wire_values():
+    """One value of each message, report and verdict type that is a NamedTuple."""
+    from deltamoney import client, currency_manager, integrity_manager, peer_ledger
+    from deltamoney import sim as sim_module
+
+    digest = b"\x01" * 32
+    proposal = peer_ledger.TransactionProposal(1, 0, 1, 2, 5, digest, digest, digest)
+    return [
+        client.ProposeMsg(proposal),
+        client.AcceptMsg(None, digest),
+        client.CommitMsg((1, 2), 1, digest),
+        client.AbortMsg((1, 2), 1, digest, "stale"),
+        client.RejectMsg((1, 2), 1, "busy"),
+        client.BalanceReport(1, 10, digest, digest, digest, 0),
+        sim_module.ReportEnvelope(1, "cm", None, 1),
+        sim_module.ReportAck(1),
+        proposal,
+        peer_ledger.AccountView(1, 10, 100, digest),
+        integrity_manager.TransactionReport(1, (1, 2), 1, digest, digest, 0),
+        integrity_manager.ValidationOutcome("held"),
+        currency_manager._Report(1, 10, digest, digest, digest, 0),
+        currency_manager.ReportOutcome("parked"),
+        currency_manager.ConservationVerdict(True, 10, 10),
+    ]
+
+
+@pytest.mark.parametrize("value", _wire_values(),
+                         ids=lambda value: type(value).__name__)
+def test_wire_and_verdict_types_reject_attribute_assignment(value):
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
