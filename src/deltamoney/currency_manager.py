@@ -257,7 +257,6 @@ class CurrencyManager:
         self._parked: dict[int, list[_Report]] = {}
         self._pending_legs: dict[frozenset, int] = {}
         self.suspension_log: list[tuple[int, str]] = []
-        self.conservation_log: list[ConservationVerdict] = []
 
     # ------------------------------------------------------------------
     # enrollment and registration
@@ -336,16 +335,20 @@ class CurrencyManager:
         """Apply a report that follows the open row, or park it until it does.
 
         A report citing a closed row raises ``StaleProvenance``; a negative
-        balance or a failed supply check raises too, leaving the row alone.
-        A repeat is told by its fingerprint before anything is built.
+        balance, a client that is not active or a failed supply check
+        raises too, leaving the row alone.  A repeat is told by its
+        fingerprint before anything is built, and the fingerprint is kept
+        before any check past the balance's sign can raise, so a repeat of
+        a refused report is a duplicate, not a second refusal.
         """
-        self._require_active(client_id)
         if new_balance < 0:
             raise NegativeBalance(f"client {client_id} reported balance {new_balance}")
         fp = _fingerprint(client_id, new_balance, mhtr, prior_mhtr,
                           peer_provenance, timestamp)
         if fp in self._seen_reports:
             return _DUPLICATE
+        self._seen_reports.add(fp)
+        self._require_active(client_id)
         report = _Report(
             client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
             supply,
@@ -355,11 +358,9 @@ class CurrencyManager:
                 raise StaleProvenance(
                     f"client {client_id} reported from an already spent state"
                 )
-            self._seen_reports.add(fp)
             self._parked.setdefault(client_id, []).append(report)
             return _PARKED
         verdict = self._apply(report)
-        self._seen_reports.add(fp)
         verdict = self._drain_parked(client_id) or verdict
         return ReportOutcome("applied", verdict)
 
@@ -380,11 +381,11 @@ class CurrencyManager:
             remarks=remarks,
         )
         if supply:
-            return self._audit(report.timestamp)
+            return self.check_conservation()
         leg = frozenset((report.prior_mhtr, report.peer_provenance))
         if leg in self._pending_legs:
             del self._pending_legs[leg]
-            return self._audit(report.timestamp)
+            return self.check_conservation()
         self._pending_legs[leg] = report.client_id
         return None
 
@@ -442,11 +443,6 @@ class CurrencyManager:
                     actual += row.valid_balance
             expected = self.supply.net_at(at)
         return ConservationVerdict(actual == expected, expected, actual, at)
-
-    def _audit(self, timestamp: int) -> ConservationVerdict:
-        verdict = self.check_conservation()
-        self.conservation_log.append(verdict)
-        return verdict
 
     # ------------------------------------------------------------------
     # suspension and reparation

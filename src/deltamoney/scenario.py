@@ -22,7 +22,7 @@ written ``A:B``.  The grammar:
     fault partition-manager TICKS
     fault omit-record SUBJECT A:B SEQ
     advance N                      run the clock forward N ticks
-    quiesce                        run until no event or timer remains
+    quiesce                        run until no event remains
     capture EPOCH                  capture a Merkle hash grid
     recover CLIENT                 rebuild a crashed client from partners
     query SUBJECT A:B LO HI        data-client query with verification
@@ -34,11 +34,13 @@ written ``A:B``.  The grammar:
 
 Commands are scheduled, not executed, until an ``advance`` or ``quiesce``
 runs the clock.  Each payer runs its transfers one at a time, in order.
-A busy payee and an unacknowledged report are retried on one jittered
-backoff (4, then up to 8, 16, 32 and 64 ticks; see ``deltamoney.sim``); a
-message dropped at a crashed client is answered ``unreachable``, a
-crashed payer gives up its transfers, and an acceptance reaching it once
-rebuilt is answered ``stale``.  ``advance`` keeps step timing
+A proposal that meets a busy payee is retried on a jittered backoff (4,
+then up to 8, 16, 32 and 64 ticks; see ``deltamoney.sim``).  Each manager
+report is sent once; ``partition-manager`` holds the reports that fall
+due during it and delivers them when it ends.  A message dropped at a
+crashed client is answered ``unreachable``, a crashed payer gives up its
+transfers, and an acceptance reaching it once rebuilt is answered
+``stale``.  ``advance`` keeps step timing
 independent of the delivery policy, so scripts comparing final state
 across policies should sequence exchanges with it and end on ``quiesce``.
 """

@@ -5,46 +5,43 @@ Integrity Manager) are isolated state machines exchanging typed messages
 through a single event queue ordered by (tick, insertion order).  The
 clock jumps straight to the next event, stopping on the way only at
 ticks where an Integrity Manager reporting deadline falls due, so idle
-ticks cost nothing.  With a fixed seed the run is fully deterministic:
-same scenario, same log, byte for byte.
-
-Report-resend timers sit in a heap of their own, keyed like events by
-(tick, insertion order) from the same counter, and the loop merges the
-two heaps, so a timer fires exactly where it would as an event.  A timer
-whose report was acknowledged meanwhile is discarded when it falls due:
-it moves the clock to its tick but is not delivered and not counted in
-``steps``, which counts delivered events only.
+ticks cost nothing.  ``steps`` counts the events delivered.  With a
+fixed seed the run is fully deterministic: same scenario, same log, byte
+for byte.
 
 The three-message transfer handshake travels the peer channel and is
-always delivered next tick.  Asynchronous manager traffic (transaction
-reports, and the balance reports of transfers, issuances and
-redemptions) goes through the configurable delivery policy, which may
-delay or duplicate.  A report the Currency Manager refuses is logged as
-``cm|refuse`` and acknowledged, and the run goes on.
+always delivered next tick.  Manager traffic (transaction reports for the
+Integrity Manager, and the balance reports of transfers, issuances and
+redemptions for the Currency Manager) goes through the configurable
+delivery policy, which may delay or duplicate.  Each report is sent once
+and is never lost: one that falls due while the managers are partitioned
+is held until the partition ends (see ``_deliver``), as a retransmitting
+transport would deliver it, and both managers drop a repeat by its
+content fingerprint.  So a sender keeps no state for its reports and
+nothing acknowledges them.  A report the Currency Manager refuses is
+logged as ``cm|refuse``, and the run goes on.
 
 Each payer's transfer commands wait in one queue of their own; only the
 head proposes, once the payer's slot is free, and a commit, abort,
 refusal or any reject but ``busy`` ends it.  A head that a busy payee
-rejected, and a report not yet acknowledged, retry on one rule: the first
-retry waits ``RETRY_BASE`` ticks, and retry k+1 waits somewhere in
-[span/2, span], span = min(RETRY_BASE * 2**k, RETRY_CAP), picked by
-hashing k with the command's own number or the report's envelope id, so
-colliding clients leave lockstep without a draw from the seeded rng.
-Each gets ``RETRY_MAX_ATTEMPTS`` retries, then a ``give-up`` line.  A busy
-retry is an event in the queue; a report resend is a timer.  A handshake
-message is lost only at a crashed client; the transport answers the drop
-on that tick, as a refused connection would: a proposal with a reject, an
-acceptance with an abort, both ``reason=unreachable``.  A crashed payer's
-queued commands, and any sent to it while down, give up ``reason=crashed``;
-an acceptance that reaches the payer once it is rebuilt is aborted
-``reason=stale`` (see ``ClientNode.receive_accept``).
+rejected retries: the first retry waits ``RETRY_BASE`` ticks, and retry
+k+1 waits somewhere in [span/2, span], span = min(RETRY_BASE * 2**k,
+RETRY_CAP), picked by hashing k with the command's own number, so
+colliding clients leave lockstep without a draw from the seeded rng.  A
+head gets ``RETRY_MAX_ATTEMPTS`` retries, then a ``give-up`` line.  A
+handshake message is lost only at a crashed client; the transport answers
+the drop on that tick, as a refused connection would: a proposal with a
+reject, an acceptance with an abort, both ``reason=unreachable``.  A
+crashed payer's queued commands, and any sent to it while down, give up
+``reason=crashed``; an acceptance that reaches the payer once it is
+rebuilt is aborted ``reason=stale`` (see ``ClientNode.receive_accept``).
 
-Every message, report, envelope and acknowledgement is immutable: the
-wire types are ``NamedTuple``s, built several times per transfer at a
-fraction of a frozen dataclass's cost.  They compare as plain tuples, so
-a message of one type can equal one of another; the actors dispatch on
-type, never on ``==``, and a queue entry's unique insertion number keeps
-the heap from ever comparing two messages.
+Every message and report is an immutable ``NamedTuple``, built several
+times per transfer at a fraction of a frozen dataclass's cost.  They
+compare as plain tuples, so a message of one type can equal one of
+another; the actors dispatch on type, never on ``==``, and a queue
+entry's unique insertion number keeps the heap from ever comparing two
+messages.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
@@ -59,7 +56,7 @@ import heapq
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .client import (
     AbortMsg,
@@ -97,7 +94,8 @@ MANAGER_ACTORS = frozenset(("cm", "im"))
 
 
 def retry_delay(key: int, attempt: int) -> int:
-    """Ticks to wait before retry ``attempt + 1`` of command or report ``key``."""
+    """Ticks a busy-rejected transfer command ``key`` waits before retry
+    ``attempt + 1``."""
     if attempt == 0:
         return RETRY_BASE
     span = min(RETRY_BASE << attempt, RETRY_CAP)
@@ -117,17 +115,6 @@ class StartTransferCmd:
     key: int  # the command's own number; seeds the jitter of its retries
     attempts: int = 0  # busy retries so far
     due: int = 0  # a head backing off from a busy payee waits for this tick
-
-
-class ReportEnvelope(NamedTuple):
-    env_id: int
-    kind: str  # the manager it is bound for: im | cm
-    payload: object
-    reporter: int
-
-
-class ReportAck(NamedTuple):
-    env_id: int
 
 
 POLICY_KINDS = ("normal", "delay", "duplicate", "random")
@@ -209,13 +196,10 @@ class Simulation:
         self.default_limit = default_limit
         self.step_limit = step_limit
         self.now = 0
-        self.steps = 0  # delivered events; discarded resend timers not included
+        self.steps = 0  # delivered events
         self._seq = 0
-        self._env_seq = 0
         self._cmd_seq = 0
         self.queue: list = []
-        # report-resend timers: (tick, seq, env_id, client actor)
-        self.timers: list = []
         self.log = SimulationLog()
         self.policy = DeliveryPolicy()
         self.cm = CurrencyManager(self.keystore)
@@ -233,8 +217,6 @@ class Simulation:
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
         self.partitions: list = []  # (start, end) manager unreachability
-        self.unacked: dict[int, tuple] = {}  # env_id -> (envelope, attempts)
-        self._seen_envelopes: set = set()  # manager-side transport dedup
         self.outbox: dict[int, deque] = defaultdict(deque)  # payer -> commands
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
         self.last_verdict = None
@@ -265,9 +247,6 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self.queue,
                        (self.now + delay, self._seq, target, sender, message))
-
-    def _partitioned(self, tick: int) -> bool:
-        return any(start <= tick < end for start, end in self.partitions)
 
     def _client_actor(self, client_id: int) -> str:
         return self._actor_names.get(client_id) or f"client:{client_id}"
@@ -313,41 +292,21 @@ class Simulation:
             self._new_alerts()
 
     def run_until(self, target_tick: Optional[int]) -> None:
-        """Process events up to target_tick; None means drain everything.
-
-        Events and resend timers are taken in (tick, seq) order across
-        both heaps.  Each delivered event counts one step, and so does a
-        timer whose report is still unacknowledged (it resends) or whose
-        client has crashed (it is dropped, as any delivery to that client
-        is).  Any other timer only moves the clock to its tick.
-        """
-        queue, timers, im, heappop = self.queue, self.timers, self.im, heapq.heappop
-        unacked, crashed = self.unacked, self.crashed
-        while queue or timers:
-            heap = timers if timers and (not queue or timers[0] < queue[0]) else queue
-            entry = heap[0]
-            tick = entry[0]
+        """Deliver events up to target_tick; None means drain everything."""
+        queue, im, heappop = self.queue, self.im, heapq.heappop
+        while queue:
+            tick = queue[0][0]
             if target_tick is not None and tick > target_tick:
                 break
-            heappop(heap)
+            _, _, target, sender, message = heappop(queue)
             if tick > self.now:
                 self._advance_time_to(tick)
-            if heap is timers:
-                _, _, env_id, actor = entry
-                if env_id not in unacked and (
-                        not crashed or self._actor_ids[actor] not in crashed):
-                    continue  # acknowledged meanwhile: no step, no dispatch
             self.steps += 1
             if self.steps > self.step_limit:
                 raise StepLimitExceeded(
                     f"exceeded {self.step_limit} events at tick {self.now}"
                 )
-            if heap is queue:
-                self._deliver(entry[2], entry[3], entry[4])
-            elif env_id in unacked:
-                self._retry_report(actor, env_id)
-            else:
-                self.emit("net", "drop", f"target={actor} reason=crashed")
+            self._deliver(target, sender, message)
             if len(im.alerts) > self._im_alerts_seen:
                 self._new_alerts()
         if target_tick is not None and target_tick > self.now:
@@ -357,7 +316,7 @@ class Simulation:
         self.run_until(self.now + ticks)
 
     def quiesce(self) -> None:
-        """Drain every event and timer; log ``steps``, the events delivered."""
+        """Drain every event; log ``steps``, the events delivered."""
         self.run_until(None)
         self.emit("sim", "quiesce", f"steps={self.steps}")
 
@@ -365,25 +324,48 @@ class Simulation:
     # delivery and actors
 
     def _deliver(self, target: str, sender: str, message) -> None:
-        if (self.partitions
-                and (target in MANAGER_ACTORS or sender in MANAGER_ACTORS)
-                and self._partitioned(self.now)):
-            self.emit("net", "drop", f"target={target} reason=partition")
-            return
+        """Hand ``message`` to its target actor.
+
+        A message for a manager that falls due inside a partition is held:
+        it is queued again for the latest end among the partitions that
+        cover this tick, and logged ``net|hold``.  So a partition delays a
+        report but never loses it.
+
+        The bound on a harmless outage: the payee reports one tick after
+        the payer, and a report's first copy lands at most m ticks after
+        it is sent, m the policy's largest first offset (1 under
+        ``normal`` and ``duplicate``, 1 + N under ``delay N``, at most
+        1 + max(1, MAX) under ``random``).  So the two reports of an
+        exchange land within m ticks of each other.  A partition begins
+        after the events of the tick it is injected on, so one of T ticks
+        holds a report for at most T - 1 ticks.  The Integrity Manager
+        alerts once a counterpart is more than
+        ``DEFAULT_REPORTING_DEADLINE`` ticks late.  So a partition of at
+        most ``DEFAULT_REPORTING_DEADLINE + 1 - m`` ticks cannot raise
+        ``MissingCounterpartReport``; partitions that overlap count as one
+        outage, from the first start to the last end.  A longer outage
+        cannot be told apart from a silent party, and the alert it may
+        draw is correct.
+        """
+        if self.partitions and target in MANAGER_ACTORS:
+            now = self.now
+            end = max((end for start, end in self.partitions if start <= now < end),
+                      default=None)
+            if end is not None:
+                self.emit("net", "hold", f"target={target} until={end}")
+                self.send(target, sender, message, delay=end - now)
+                return
         client_id = self._actor_ids.get(target)
         if client_id is not None:
             if client_id in self.crashed:
                 self.emit("net", "drop", f"target={target} reason=crashed")
                 self._answer_drop(target, sender, message)
                 return
-            if type(message) is ReportAck:
-                self.unacked.pop(message.env_id, None)
-                return
             self._handle_client(client_id, target, sender, message)
         elif target == "cm":
-            self._handle_cm(sender, message)
+            self._handle_cm(message)
         elif target == "im":
-            self._handle_im(sender, message)
+            self._handle_im(message)
         else:
             raise UnknownTarget(f"no actor {target}")
 
@@ -489,50 +471,19 @@ class Simulation:
 
     def _flush_reports(self, node: ClientNode, actor: str) -> None:
         for kind, payload in node.drain_reports():
-            self._env_seq += 1
-            env_id = self._env_seq
-            envelope = ReportEnvelope(env_id, kind, payload, node.id)
-            self.unacked[env_id] = (envelope, 0)
-            self.send(kind, actor, envelope, policy=True)
-            self._set_timer(env_id, 0, actor)
-
-    def _set_timer(self, env_id: int, attempt: int, actor: str) -> None:
-        """Resend report ``env_id`` in ``retry_delay(env_id, attempt)`` ticks
-        unless it is acknowledged first."""
-        self._seq += 1
-        heapq.heappush(
-            self.timers,
-            (self.now + retry_delay(env_id, attempt), self._seq, env_id, actor),
-        )
-
-    def _retry_report(self, actor: str, env_id: int) -> None:
-        envelope, attempts = self.unacked[env_id]
-        if attempts >= RETRY_MAX_ATTEMPTS:
-            self.emit(actor, "give-up", f"report={env_id}")
-            del self.unacked[env_id]
-            return
-        attempts += 1
-        self.unacked[env_id] = (envelope, attempts)
-        self.send(envelope.kind, actor, envelope, policy=True)
-        self._set_timer(env_id, attempts, actor)
+            self.send(kind, actor, payload, policy=True)
 
     # -- manager actors ---------------------------------------------------
 
-    def _handle_cm(self, sender: str, message) -> None:
-        if not isinstance(message, ReportEnvelope):
-            raise UnknownTarget(f"cm cannot handle {type(message).__name__}")
-        if message.env_id not in self._seen_envelopes:
-            self._seen_envelopes.add(message.env_id)
-            self._cm_report(message.payload)
-        self.send(sender, "cm", ReportAck(message.env_id))
-
-    def _cm_report(self, report: BalanceReport) -> None:
+    def _handle_cm(self, report) -> None:
         """Hand one balance report to the CM and log what it made of it.
 
         A supply report logs ``issued`` or ``redeemed`` with its amount,
         plus ``status=`` when it did not apply at once; a transfer's
         report logs ``balance-report`` with its status.
         """
+        if type(report) is not BalanceReport:
+            raise UnknownTarget(f"cm cannot handle {type(report).__name__}")
         client_id = report.client_id
         try:
             outcome = self.cm.report_balance(
@@ -560,20 +511,13 @@ class Simulation:
             details += f" status={outcome.status}"
         self.emit("cm", "issued" if report.supply > 0 else "redeemed", details)
 
-    def _handle_im(self, sender: str, message) -> None:
-        if isinstance(message, ReportEnvelope):
-            if message.env_id in self._seen_envelopes:
-                self.send(sender, "im", ReportAck(message.env_id))
-                return
-            self._seen_envelopes.add(message.env_id)
-            report: TransactionReport = message.payload
-            outcome = self.im.ingest_report(report, now=self.now)
-            self.emit("im", "txn-report",
-                      f"pair={report.pair_key} seq={report.pair_seq} "
-                      f"reporter={report.reporter} status={outcome.status}")
-            self.send(sender, "im", ReportAck(message.env_id))
-        else:
-            raise UnknownTarget(f"im cannot handle {type(message).__name__}")
+    def _handle_im(self, report) -> None:
+        if type(report) is not TransactionReport:
+            raise UnknownTarget(f"im cannot handle {type(report).__name__}")
+        outcome = self.im.ingest_report(report, now=self.now)
+        self.emit("im", "txn-report",
+                  f"pair={report.pair_key} seq={report.pair_seq} "
+                  f"reporter={report.reporter} status={outcome.status}")
 
     # ------------------------------------------------------------------
     # scripted operations
@@ -616,6 +560,9 @@ class Simulation:
                   f"payer={payer} payee={payee} amount={amount}")
 
     def _command(self, payer: int, payee: int, amount: int) -> None:
+        for client_id in (payer, payee):
+            if client_id not in self.clients:
+                raise UnknownTarget(f"client {client_id} is not enrolled")
         self._cmd_seq += 1
         self.send(self._client_actor(payer), "sim",
                   StartTransferCmd(payer, payee, amount, self._cmd_seq))
@@ -735,9 +682,7 @@ class Simulation:
             _junk(f"ds-peer:{client_id}:{self.now}", 32),
             self.now,
         )
-        self._env_seq += 1
-        self.send("cm", self._client_actor(client_id),
-                  ReportEnvelope(self._env_seq, "cm", forged, client_id))
+        self.send("cm", self._client_actor(client_id), forged, policy=True)
 
     def _fault_replay_report(self, pair) -> None:
         key = pair_of(*pair)
@@ -749,9 +694,7 @@ class Simulation:
             key[0], key, seq, root,
             _junk(f"replay:{key}:{self.now}", 32), self.now,
         )
-        self._env_seq += 1
-        self.send("im", self._client_actor(key[0]),
-                  ReportEnvelope(self._env_seq, "im", forged, key[0]))
+        self.send("im", self._client_actor(key[0]), forged, policy=True)
 
     def _fault_forge_balance(self, client_id: int, delta: int) -> None:
         row = self.cm.table.open_row(client_id)
@@ -762,9 +705,6 @@ class Simulation:
             raise UnknownTarget(f"cannot crash {client_id}")
         self.clients[client_id].wipe()
         self.crashed.add(client_id)
-        for env_id in [e for e, (env, _) in self.unacked.items()
-                       if env.reporter == client_id]:
-            del self.unacked[env_id]
         self.emit(self._client_actor(client_id), "crash", "")
         for cmd in self.outbox.pop(client_id, ()):
             self._give_up(self._client_actor(client_id), cmd, "crashed")

@@ -250,15 +250,15 @@ STATE_DIGESTS = {
     },
     "recover.scn": {
         "attestations.psv":
-            "5914ac7404f01edb35ecda3336e754b22c3e7856b516df807832238f28015ed4",
+            "570210c3b709c9882db3a53a0d0782e41b04c252bab511bc4528266beb885cb6",
         "balances.psv":
-            "180af5a4e93889d4d30874e241bad721b59b7a94c837e62471c74be9814a0661",
+            "260cc5cf2d1ce0d6c7f466a3f7798d7dbafa178b732c0241e41db1f06052b05b",
         "client_0.snap":
             "9477e551a82e7752b46721adb1b93315ed418215a6da0562c379019206afef24",
         "client_1.snap":
-            "f17ef7a7be73a7a1657718960fff508ca46b6fce2ccebc9e645b449654f31bfa",
+            "7df56f5fdc59e8ac3428e4e4c9c9ebae60f47324cd2275126dee72a2c9780bf2",
         "client_2.snap":
-            "42023f7603851d4dc5dec3865fcd2abda0f467ccd1ab93b6b45ca0c5912b7ca1",
+            "f26f2f66656f38c84d6ed90ee16f0acda9c595ff130794fa74a6e08d2cea1bf1",
         "client_3.snap":
             "adf6fb6211d33edadab2e8c6fee7b3cba897a625b1efe42e08e3a4eb16ce568c",
         "client_4.snap":
@@ -268,37 +268,37 @@ STATE_DIGESTS = {
     },
     "reorder.scn": {
         "attestations.psv":
-            "edb42eec4b955b8d383012227c07fc9a2855b14478a318c45f2c16c12d37021b",
+            "ed48f5ac3e44eba9d008f785fff3b1839aeb5ea371cb45797e615c92044a7127",
         "balances.psv":
-            "b15f7d2da1af7e6da1473ea946e618ae052fd754f69eb4652605100ac4f1a9d3",
+            "b73b7dcc13f2eb268273eef341413fdc10f6a11d3786a414d0cf001f8f1e1de2",
         "client_0.snap":
-            "9380bb5e310ba38946e8d9113903549ced01ab6bf456b5b5f064af85abc5703c",
+            "89aa931c5d402510cefa6104b85e1a809339d2e5a62336f2c1c1619ccba170b1",
         "client_1.snap":
-            "cd946e054b93b9b5765bdaa177893c5078298d4cdc613a8238c43d4b1e68148c",
+            "23d99c1261321893d443a1f13c3ecc0283b3333456386cf1f36f714d6ae15a7e",
         "client_2.snap":
-            "d5a5afa30cdba4280d487f52b1a858ddfcea513f9df7ab378973d7ad48f8b8d6",
+            "0fe4cce20e38600563f8de8d81534dd9f462d549c2bd645d63ebfc6e1085da0d",
         "client_3.snap":
-            "6c7239560c3b403147b6b63b4a25ef5826899088a870a389efd238778010f744",
+            "005e2b4e8ac0792fb61df336a34b76968fbe7d721f11550e1893e465d83985c2",
         "client_4.snap":
-            "fa1dcc3704c4a84923aa8670d51f3045cc62f52ea32ab764b32a5537aaa04213",
+            "1e1e26f0acdda4c67567276951958a718500138909c9c743b386e02bf3a2e722",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "ring.scn": {
         "attestations.psv":
-            "e5b7caaf197a0146ce4630f2a6a74aa56dab997616fe22970a3476488e119c39",
+            "c647f0956a1a09e843344e4437c741e337aa5e094fb1ecf965cccc2ae9ca8ac5",
         "balances.psv":
-            "e4cbe525d840342e0ad63f0ccfb313adc78c2d368db9b021f3e5b0f36c895d4e",
+            "a722c383562a237e1ef9d5d02b0f48fff088d14801729ad12800ca63a8f57ab2",
         "client_0.snap":
             "ed31a016067b3e4636ae1f34c68b58a48e9b77e279f6efc4632a9c182cfb6bc9",
         "client_1.snap":
-            "0b1e1e1909ad9219baf21b7b1906750fdca5bce7bd0c15ddcaae6da92cdbe24d",
+            "e3435b22ddb135055fc9447ff5c15c4cc7eb7757275f56c1825f8575850bae53",
         "client_2.snap":
-            "6ede071d61fbc16faa689f1e711d195a2a8290df7244d377db685adf5c0176c0",
+            "689aabe6bf64f0b7659089d1aae2310bf655938c43939f23278eb7e595aecec4",
         "client_3.snap":
-            "05e94cd0a8436e7dacc41b7d464a3beae0d5baf1cdfcd9ea042bf32c2b6c61c6",
+            "4308f54dea7202191b5b8ef1cf988c61dd43d20287e4e76967da2e5204535811",
         "client_4.snap":
-            "46e25b7b25781503c0db9fec2d853c38163cc00bc0c562b1b50196440ede9015",
+            "613eedd8dc403e3586e2efc8bfd54835161a3a300e3f0750f8fdc7304fa966df",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },

@@ -270,6 +270,10 @@ def test_report_for_unknown_or_suspended_client():
     with pytest.raises(ClientSuspended):
         cm.report_balance(c1, 10, digest("x"), EMPTY_TREE_DIGEST,
                           digest("p"), 1)
+    # a repeat of the refused report is a duplicate, not a second refusal
+    again = cm.report_balance(c1, 10, digest("x"), EMPTY_TREE_DIGEST,
+                              digest("p"), 1)
+    assert again.status == "duplicate"
 
 
 def test_suspension_log_and_reinstate():

@@ -12,7 +12,7 @@ from deltamoney.errors import (
     StepLimitExceeded,
     UnknownTarget,
 )
-from deltamoney.integrity_manager import AlertKind
+from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
 from deltamoney.scenario import parse_scenario, run_scenario
 from deltamoney.sim import (
     RETRY_BASE,
@@ -450,9 +450,28 @@ class TestFaultDetection:
         sim.quiesce()
         assert sim.cm.check_conservation().holds
         assert sim.im.latest_validated[(1, 2)][0] == 1
-        assert any("|drop|" in line for line in sim.log.lines)
+        assert any("|net|hold|" in line for line in sim.log.lines)
         rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
         assert rows[1] == 900 and rows[2] == 2_100
+        assert sim.alerts == []
+
+    @pytest.mark.parametrize("ticks, alerts", [
+        (DEFAULT_REPORTING_DEADLINE, []),
+        (DEFAULT_REPORTING_DEADLINE + 1, [("MissingCounterpartReport", (2,), 45)]),
+    ], ids=["at-the-bound", "past-the-deadline"])
+    def test_partition_between_the_two_reports_alerts_only_past_the_bound(
+            self, ticks, alerts):
+        """The payer's reports land at 34, then the partition holds the
+        payee's, due at 35, until it ends: ``ticks`` after the first."""
+        sim = small_world(seed=11)
+        sim.transfer(1, 2, 10)
+        sim.advance(4)
+        assert "34|im|txn-report|pair=(1, 2) seq=1 reporter=1 status=held" in sim.log.lines
+        sim.inject("partition-manager", ticks)
+        sim.quiesce()
+        sim.advance(DEFAULT_REPORTING_DEADLINE + 2)
+        assert f"35|net|hold|target=im until={34 + ticks}" in sim.log.lines
+        assert sim.alerts == alerts
 
     def test_omit_record_in_query_reports_incomplete(self):
         sim = small_world(seed=28)
@@ -567,9 +586,71 @@ def test_cm_refusal_is_logged_and_acknowledged_not_raised():
     refusals = [line for line in sim.log.lines if "|cm|refuse|" in line]
     assert len(refusals) == 1
     assert refusals[0].endswith("|cm|refuse|client=1 reason=client 1 is suspended")
-    assert sim.unacked == {}  # acknowledged, so never resent
     assert sim.cm.table.open_row(1).valid_balance == 1_000
     assert sim.cm.table.open_row(2).valid_balance == 2_010
+
+
+def test_duplicated_delivery_of_a_refused_report_is_a_duplicate():
+    """Every report lands twice; the repeat of a refused or stale one
+    is dropped by its fingerprint, not refused or alerted on again."""
+    sim = small_world(seed=12, clients=2)
+    sim.policy = DeliveryPolicy("duplicate")
+    sim.cm.suspend(1, "x")
+    mark = len(sim.log.lines)
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    lines = [line.split("|", 1)[1] for line in sim.log.lines[mark:]
+             if "|cm|" in line and "client=1 " in line]
+    assert lines == ["cm|refuse|client=1 reason=client 1 is suspended",
+                     "cm|balance-report|client=1 balance=990 status=duplicate"]
+    sim.cm.reinstate(1)
+    sim.inject("double-spend", 2, 500)
+    sim.quiesce()
+    assert [k for k, _, _ in sim.alerts] == ["StaleProvenance"]
+    assert sim.log.text().count("|cm|balance-report|client=2 balance=2510 "
+                                "status=duplicate") == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("transfer", (9, 1, 5)),
+    ("transfer", (1, 9, 5)),
+    ("issue", (9, 5)),
+    ("redeem", (9, 5)),
+])
+def test_command_for_an_unenrolled_client_is_refused_at_the_call(command, args):
+    sim = small_world(seed=13)
+    queued, logged = list(sim.queue), list(sim.log.lines)
+    with pytest.raises(UnknownTarget, match="client 9 is not enrolled"):
+        getattr(sim, command)(*args)
+    assert sim.queue == queued and sim.log.lines == logged
+
+
+def harmless_outage(policy):
+    """The longest partition that ``Simulation._deliver`` states cannot alert."""
+    latest_first_copy = {
+        "normal": 1, "duplicate": 1, "delay": 1 + policy.delay,
+        "random": 1 + max(1, policy.max_delay),
+    }[policy.kind]
+    return DEFAULT_REPORTING_DEADLINE + 1 - latest_first_copy
+
+
+@pytest.mark.parametrize("policy", policy_grid(), ids=lambda p: p.kind)
+def test_no_partition_within_the_stated_bound_alerts(policy):
+    """Partitions of the bound's length, begun at every tick of a transfer
+    and its reports, delay the reports but raise nothing."""
+    for start in range(12):
+        sim = small_world(seed=40 + start)
+        sim.policy = policy
+        sim.transfer(1, 2, 10)
+        sim.transfer(2, 3, 20)
+        if start:
+            sim.advance(start)
+        sim.inject("partition-manager", harmless_outage(policy))
+        sim.quiesce()
+        sim.advance(DEFAULT_REPORTING_DEADLINE + 2)
+        assert sim.alerts == [], (policy.kind, start)
+        assert sim.im.latest_validated[(1, 2)][0] == 1
+        assert sim.im.latest_validated[(2, 3)][0] == 1
 
 
 def test_grid_capture_is_deterministic_and_sensitive():
@@ -685,12 +766,12 @@ GOLDEN_RUNS = {
 # sha256 of the event log; a retry tick that moves changes the timestamp
 # of the record committed then, and so every root after it
 @pytest.mark.parametrize("name, digest", [
-    ("table4", "5e747c4d44fadc7f49fc1e68c6f76f358995581bc474d8687561b9c8148ebb5c"),
-    ("grid3", "2a0e2fc1068b36303a319ae4903afd7d324e315e4dde88cdb5c2983117e4f48b"),
-    ("recover", "2a199615d6dbecb02e45ce6f0d4a30c11ec9a56ecd5ccc132821c99dbd197fea"),
+    ("table4", "d74b4906f65700029d1c2554c48874df342d3ddf4fd2a45a26486bc30d42b6f6"),
+    ("grid3", "32c0dc35e7814a96f86608eb38ba7b35a39e8ef41bee26f876a6dfcd4d76ab96"),
+    ("recover", "23ea29b96cda060c402eb5bfd840b191946c239e3bc6c20c34e87b1dc2f94536"),
     ("crash-before-commit",
-     "e8e40f7fdcd82045e79c73dba54dc9542ee7219a1003c6f53ab62a562d163d2a"),
-    ("reorder", "fbefa22a273c19ec3f69ba7250ed3e71cfcdcb5815eb4741877cbb45ae1d6faf"),
+     "6dce7d5ec18071b09432ed3a632f551571cbd71162e0b248baea7225843b2b0a"),
+    ("reorder", "aa45110b6a3b5db51defc956b8fa0cf864a852c22e718dd40de52269477abbb5"),
 ], ids=list(GOLDEN_RUNS))
 def test_event_logs_match_golden_digests(name, digest):
     log = GOLDEN_RUNS[name]().log.text()
@@ -698,7 +779,7 @@ def test_event_logs_match_golden_digests(name, digest):
 
 
 # ----------------------------------------------------------------------
-# report-resend timers
+# event counts and quiesce ticks
 
 
 def test_faultfree_transfer_costs_handshake_and_reports_only():
@@ -707,11 +788,11 @@ def test_faultfree_transfer_costs_handshake_and_reports_only():
     steps, now = sim.steps, sim.now
     sim.transfer(1, 2, 10)
     sim.quiesce()
-    # command, propose, accept, commit; 2 reports per side and their acks
-    assert sim.steps - steps == 12
-    # the last (acknowledged) timer still moves the clock to its tick
-    assert sim.now - now == 8
-    assert sim.queue == [] and sim.timers == []
+    # command, propose, accept, commit; 2 reports per side, each sent once
+    assert sim.steps - steps == 8
+    # the payee's reports land on the fifth tick, and the clock stops there
+    assert sim.now - now == 5
+    assert sim.queue == []
 
 
 def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
@@ -736,21 +817,23 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
 
 
 @pytest.mark.parametrize("name, ticks", [
-    ("table4", [28]),
-    ("grid3", [68]),
-    ("recover", [78, 86]),
-    ("crash-before-commit", [37]),
-    ("reorder", [14, 68]),
+    ("table4", [25]),
+    ("grid3", [65]),
+    ("recover", [75, 80]),
+    ("crash-before-commit", [34]),
+    ("reorder", [11, 64]),
 ], ids=list(GOLDEN_RUNS))
 def test_quiesce_ends_on_the_tick_of_the_last_timer(name, ticks):
+    """The last thing due is a report landing or a busy head's retry: no
+    resend timer outlives its report and carries the clock further."""
     lines = GOLDEN_RUNS[name]().log.lines
     assert [int(line.split("|")[0]) for line in lines
             if "|sim|quiesce|" in line] == ticks
 
 
-def test_resent_report_lands_on_the_same_ticks_across_a_partition():
+def test_held_reports_land_when_the_partition_ends():
     sim = small_world(seed=27)
-    sim.inject("partition-manager", 40)
+    sim.inject("partition-manager", 40)  # ticks 30 to 69
     sim.transfer(1, 2, 100)
     sim.quiesce()
 
@@ -758,31 +841,32 @@ def test_resent_report_lands_on_the_same_ticks_across_a_partition():
         return [int(line.split("|")[0]) for line in sim.log.lines
                 if fragment in line]
 
-    # dropped at 34/35, resent 4 ticks later, then after jittered waits
-    # in [4, 8], [8, 16] and [16, 32] ticks; the partition ends at 70
-    assert ticks("|net|drop|target=im ") == [34, 35, 38, 39, 46, 47, 56, 60]
-    assert ticks("|im|txn-report|") == [88, 88]
-    assert ticks("|cm|balance-report|") == [73, 80]
-    assert sim.now == 143
+    # each report is held once, on the tick it falls due, and no one resends
+    assert ticks("|net|hold|target=im until=70") == [34, 35]
+    assert ticks("|net|hold|target=cm until=70") == [34, 35]
+    assert ticks("|im|txn-report|") == [70, 70]
+    assert ticks("|cm|balance-report|") == [70, 70]
+    assert sim.now == 70
     assert sim.alerts == []
 
 
-def test_crashed_clients_pending_resend_is_dropped_and_logged():
+def test_reports_sent_before_a_crash_still_land():
     sim = small_world(seed=12)
     sim.quiesce()
     sim.transfer(1, 2, 10)
-    sim.advance(3)  # client 1 committed at tick 33; its reports are unacked
+    sim.advance(3)  # client 1 committed at tick 33 and sent its reports
     sim.inject("crash-client", 1)
     steps = sim.steps
     sim.quiesce()
-    drops = [line for line in sim.log.lines if "|net|drop|" in line]
-    # two acks at tick 35, then the two resend timers set at commit + 4
-    assert drops == ["35|net|drop|target=client:1 reason=crashed"] * 2 + [
-        "37|net|drop|target=client:1 reason=crashed"] * 2
-    assert sim.now == 38  # client 2's acknowledged timers
-    # the CommitMsg to client 2; both clients' 2 reports each and their
-    # acks (client 1's dropped); client 1's 2 timers (dropped)
-    assert sim.steps - steps == 11
+    # nothing is sent back to a reporter, so nothing reaches the crashed one
+    assert not any("|net|drop|" in line for line in sim.log.lines)
+    # the CommitMsg to client 2, and both clients' 2 reports each
+    assert sim.steps - steps == 5
+    assert sim.now == 35
+    assert sim.im.latest_validated[(1, 2)][0] == 1
+    rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
+    assert rows == {1: 990, 2: 2_010, 3: 3_000}
+    assert sim.alerts == []
 
 
 def test_delivery_to_an_unknown_client_actor_is_rejected():
@@ -840,7 +924,6 @@ def test_scenario_query_and_verdict_steps():
 def _wire_values():
     """One value of each message, report and verdict type that is a NamedTuple."""
     from deltamoney import client, currency_manager, integrity_manager, peer_ledger
-    from deltamoney import sim as sim_module
 
     digest = b"\x01" * 32
     proposal = peer_ledger.TransactionProposal(1, 0, 1, 2, 5, digest, digest, digest)
@@ -851,8 +934,6 @@ def _wire_values():
         client.AbortMsg((1, 2), 1, digest, "stale"),
         client.RejectMsg((1, 2), 1, "busy"),
         client.BalanceReport(1, 10, digest, digest, digest, 0),
-        sim_module.ReportEnvelope(1, "cm", None, 1),
-        sim_module.ReportAck(1),
         proposal,
         peer_ledger.AccountView(1, 10, 100, digest),
         integrity_manager.TransactionReport(1, (1, 2), 1, digest, digest, 0),

@@ -1,8 +1,9 @@
 """The funded world every test history starts from.
 
 Histories run through ``Simulation``, the driver the CLI and the
-benchmark use, so each test exercises the same transport, retry, dedup
-and deadline code.
+benchmark use, so each test exercises the same transport (reports sent
+once, held across a partition), busy retry, manager dedup and deadline
+code.
 """
 
 from deltamoney.sim import Simulation
