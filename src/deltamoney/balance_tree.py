@@ -632,9 +632,3 @@ def examine_range(records, vo: RangeVO, trusted_mhtr: Digest,
     if any(items[i][0] != "result" for i in range(start, end)):
         return correct, False
     return correct, True
-
-
-def verify_range(records, vo: RangeVO, trusted_mhtr: Digest,
-                 scheme: HashScheme = SHA256) -> bool:
-    correct, complete = examine_range(records, vo, trusted_mhtr, scheme)
-    return correct and complete

@@ -14,11 +14,14 @@ amount (0, +amount, -amount).  Reports arrive independently and possibly
 out of order, so one whose prior root is not yet the open row's is
 parked until the chain catches up; issuances and redemptions chain and
 park exactly like transfers, which puts a redemption's funds check on
-the row it actually follows.  A supply report is audited as soon as it
-applies.  Only the two legs of a transfer wait for a counterpart:
-conservation is checked once both have landed (they carry the same
-unordered {own prior, peer prior} digest pair, which is how they are
-matched without the manager ever seeing the transaction itself).
+the row it actually follows.
+
+Conservation is a property of a settled system, not of each report in
+flight: while one leg of a transfer has landed and the other has not,
+the open rows rightly disagree with the supply.  So no report triggers
+an audit.  ``check_conservation`` sums the rows when it is called, at
+the end of a run or at a past tick (``at=``), and a row edited in place
+shows there as a discrepancy.
 """
 
 from __future__ import annotations
@@ -186,16 +189,6 @@ class ConservationVerdict(NamedTuple):
         return self.actual - self.expected
 
 
-class ReportOutcome(NamedTuple):
-    status: str  # applied | parked | duplicate
-    conservation: Optional[ConservationVerdict] = None
-
-
-# the outcomes that carry no verdict, shared by every report that gets one
-_DUPLICATE = ReportOutcome("duplicate")
-_PARKED = ReportOutcome("parked")
-
-
 @dataclass(frozen=True)
 class ReparationRecord:
     pair_key: tuple[int, int]
@@ -255,7 +248,6 @@ class CurrencyManager:
         self._next_id = 1
         self._seen_reports: set[Digest] = set()
         self._parked: dict[int, list[_Report]] = {}
-        self._pending_legs: dict[frozenset, int] = {}
         self.suspension_log: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
@@ -331,8 +323,10 @@ class CurrencyManager:
 
     def report_balance(self, client_id: int, new_balance: int, mhtr: Digest,
                        prior_mhtr: Digest, peer_provenance: Digest,
-                       timestamp: int, supply: int = 0) -> ReportOutcome:
+                       timestamp: int, supply: int = 0) -> str:
         """Apply a report that follows the open row, or park it until it does.
+
+        Returns ``"applied"``, ``"parked"`` or ``"duplicate"``.
 
         A report citing a closed row raises ``StaleProvenance``; a negative
         balance, a client that is not active or a failed supply check
@@ -346,7 +340,7 @@ class CurrencyManager:
         fp = _fingerprint(client_id, new_balance, mhtr, prior_mhtr,
                           peer_provenance, timestamp)
         if fp in self._seen_reports:
-            return _DUPLICATE
+            return "duplicate"
         self._seen_reports.add(fp)
         self._require_active(client_id)
         report = _Report(
@@ -359,12 +353,12 @@ class CurrencyManager:
                     f"client {client_id} reported from an already spent state"
                 )
             self._parked.setdefault(client_id, []).append(report)
-            return _PARKED
-        verdict = self._apply(report)
-        verdict = self._drain_parked(client_id) or verdict
-        return ReportOutcome("applied", verdict)
+            return "parked"
+        self._apply(report)
+        self._drain_parked(client_id)
+        return "applied"
 
-    def _apply(self, report: _Report) -> Optional[ConservationVerdict]:
+    def _apply(self, report: _Report) -> None:
         supply = report.supply
         remarks = "Transaction"
         if supply > 0:
@@ -380,22 +374,13 @@ class CurrencyManager:
             report.mhtr,
             remarks=remarks,
         )
-        if supply:
-            return self.check_conservation()
-        leg = frozenset((report.prior_mhtr, report.peer_provenance))
-        if leg in self._pending_legs:
-            del self._pending_legs[leg]
-            return self.check_conservation()
-        self._pending_legs[leg] = report.client_id
-        return None
 
-    def _drain_parked(self, client_id: int) -> Optional[ConservationVerdict]:
+    def _drain_parked(self, client_id: int) -> None:
         """Apply the parked reports the client's chain has now reached.
 
         A parked report the supply checks refuse stays parked: the row it
         would follow cannot move past it, so it stalls only its own chain.
         """
-        verdict = None
         queue = self._parked.get(client_id)
         while queue:
             open_mhtr = self.table.open_row(client_id).provenance_mhtr
@@ -403,14 +388,12 @@ class CurrencyManager:
             if ready is None:
                 break
             try:
-                applied = self._apply(ready)
+                self._apply(ready)
             except DeltaMoneyError:
                 break
             queue.remove(ready)
-            verdict = applied or verdict
         if not queue:
             self._parked.pop(client_id, None)
-        return verdict
 
     def parked_count(self, client_id: Optional[int] = None) -> int:
         if client_id is None:

@@ -4,10 +4,10 @@ Every committed transaction produces one report from each peer carrying
 the new pair-tree root.  A report is held until its counterpart arrives;
 matching roots validate the transaction, differing roots raise an alert
 naming both peers, and a counterpart that stays silent past the
-reporting deadline is alerted too.  Validated roots are archived and can
-be attested to data clients.  Aborted exchanges send a separate report
-flavor: their roots are compared the same way but never validated, so a
-retried sequence number stays clean.
+reporting deadline is alerted too.  The latest validated root of each
+pair can be attested to data clients.  Aborted exchanges send a separate
+report flavor: their roots are compared the same way but never
+validated, so a retried sequence number stays clean.
 
 The manager also snapshots the whole system as a Merkle Hash Grid:
 client balance-tree roots on the diagonal, pair-tree roots above it,
@@ -43,10 +43,7 @@ DEFAULT_REPORTING_DEADLINE = 10
 class AlertKind(Enum):
     ROOT_MISMATCH = "RootMismatch"
     MISSING_COUNTERPART_REPORT = "MissingCounterpartReport"
-    BALANCE_CROSS_CHECK_FAILURE = "BalanceCrossCheckFailure"
-    STALE_PROVENANCE = "StaleProvenance"
-    CONSERVATION_VIOLATION = "ConservationViolation"
-    GRID_MISMATCH = "GridMismatch"
+    STALE_PROVENANCE = "StaleProvenance"  # raised by the Currency Manager
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,8 @@ class IntegrityManager:
         self._due: list[tuple] = []
         self._created = 0
         self._pending_aborts: dict[tuple, dict[int, TransactionReport]] = {}
-        self._validated: dict[tuple, TransactionReport] = {}
+        self._validated: set[tuple] = set()
         self.latest_validated: dict[tuple[int, int], tuple[int, Digest]] = {}
-        self.archived_epochs: dict[tuple[int, int], list[tuple[int, Digest]]] = {}
-        self.grids: list[MerkleHashGrid] = []
 
     # ------------------------------------------------------------------
     # roster
@@ -229,7 +224,7 @@ class IntegrityManager:
             self._due = [entry for entry in self._due if self._live(entry)]
             heapify(self._due)
         if left.pttr == right.pttr and left.record_digest == right.record_digest:
-            self._validated[key] = report
+            self._validated.add(key)
             # reports may cross on the wire: keep the highest sequence, not
             # the most recently validated one
             current = self.latest_validated.get(report.pair_key)
@@ -316,34 +311,8 @@ class IntegrityManager:
             heappop(heap)
         return heap[0][0] + self.reporting_deadline + 1 if heap else None
 
-    def cross_check_balance(self, client: int, mhtr_from_client: Digest,
-                            mhtr_from_manager: Digest,
-                            now: int = 0) -> ValidationOutcome:
-        if mhtr_from_client == mhtr_from_manager:
-            return _VALIDATED
-        alert = self._raise_alert(
-            AlertKind.BALANCE_CROSS_CHECK_FAILURE,
-            (client,),
-            f"client {client}: client root {mhtr_from_client.hex()[:16]} "
-            f"!= manager root {mhtr_from_manager.hex()[:16]}",
-            now,
-        )
-        return ValidationOutcome("mismatch", alert)
-
     # ------------------------------------------------------------------
-    # archives
-
-    def archive(self, pair_key: tuple[int, int], epoch: int,
-                root: Digest) -> None:
-        self.archived_epochs.setdefault(pair_key, []).append((epoch, root))
-
-    def archived(self, pair_key: tuple[int, int]) -> list[tuple[int, Digest]]:
-        return list(self.archived_epochs.get(pair_key, []))
-
-    def validated_root(self, pair_key: tuple[int, int],
-                       pair_seq: int) -> Optional[Digest]:
-        report = self._validated.get((pair_key, pair_seq))
-        return None if report is None else report.pttr
+    # attestation
 
     def attest_pttr(self, pair_key: tuple[int, int]) -> Optional[PTTRAttestation]:
         """Sign the latest validated root for a pair, for data clients."""
@@ -382,12 +351,10 @@ class IntegrityManager:
             cells.append(tuple(row))
         cells = tuple(cells)
         rows, cols, grid_hash = _grid_hashes(cells)
-        grid = MerkleHashGrid(
+        return MerkleHashGrid(
             epoch, index, cells, rows, cols, grid_hash,
             self.keystore.sign(self.signer_id, grid_hash),
         )
-        self.grids.append(grid)
-        return grid
 
     def verify_grid(self, grid: MerkleHashGrid, mhtrs: dict[int, Digest],
                     pttrs: dict[tuple[int, int], Digest]) -> GridVerdict:
@@ -398,7 +365,6 @@ class IntegrityManager:
         if not self.keystore.verify(grid.signature, grid.grid_hash):
             raise BadSignature("grid signature does not verify")
         current = self.capture_grid(grid.epoch, mhtrs, pttrs)
-        self.grids.pop()  # verification capture is not a new snapshot
         if current.client_index != grid.client_index:
             raise ValueError("grid covers a different client roster")
         if current.grid_hash == grid.grid_hash:

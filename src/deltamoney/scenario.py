@@ -204,6 +204,8 @@ def parse_scenario(text: str) -> Scenario:
                 args = (_pair(rest[0], lineno),)
             elif kind in ("crash-client", "partition-manager"):
                 args = (_int(rest[0], lineno, "argument"),)
+                if kind == "partition-manager" and args[0] < 1:
+                    raise _fail(lineno, "a partition lasts at least 1 tick")
             else:  # omit-record
                 args = (_int(rest[0], lineno, "subject"), _pair(rest[1], lineno),
                         _int(rest[2], lineno, "sequence"))

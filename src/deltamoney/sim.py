@@ -204,7 +204,6 @@ class Simulation:
         self.policy = DeliveryPolicy()
         self.cm = CurrencyManager(self.keystore)
         self.im = IntegrityManager(self.keystore, IM_SIGNER)
-        self._im_alerts_seen = 0
         self.treasury = ClientNode(MANAGER_ID, self.keystore,
                                    transaction_limit=2**62,
                                    opening_reserve=TREASURY_RESERVE)
@@ -256,16 +255,12 @@ class Simulation:
         self._actor_ids[name] = client_id
         self._actor_names[client_id] = name
 
-    def _new_alerts(self) -> None:
-        while self._im_alerts_seen < len(self.im.alerts):
-            alert = self.im.alerts[self._im_alerts_seen]
-            self._im_alerts_seen += 1
-            self.alerts.append((alert.kind.value, alert.subjects, alert.raised_at))
-            self.emit(
-                "im", "alert",
-                f"kind={alert.kind.value} subjects={list(alert.subjects)} "
-                f"evidence={alert.evidence}",
-            )
+    def _alert(self, actor: str, kind: AlertKind, subjects: tuple,
+               evidence: str) -> None:
+        """Record an alert raised now, and log it."""
+        self.alerts.append((kind.value, subjects, self.now))
+        self.emit(actor, "alert", f"kind={kind.value} subjects={list(subjects)} "
+                  f"evidence={evidence}")
 
     # ------------------------------------------------------------------
     # event loop
@@ -274,26 +269,22 @@ class Simulation:
         """Move the clock forward to ``tick``.
 
         The clock stops on the way only where a reporting deadline falls
-        due, or one tick on when an alert raised outside an event still
-        waits to be logged; every other tick would check deadlines and
-        find nothing.
+        due, and logs the alerts raised there; every other tick would
+        check deadlines and find nothing.
         """
         im = self.im
         while self.now < tick:
-            if len(im.alerts) > self._im_alerts_seen:
-                stop = self.now + 1
-            else:
-                stop = im.next_deadline()
-                if stop is None or stop > tick:
-                    self.now = tick
-                    return
+            stop = im.next_deadline()
+            if stop is None or stop > tick:
+                self.now = tick
+                return
             self.now = max(stop, self.now + 1)
-            im.check_deadlines(self.now)
-            self._new_alerts()
+            for alert in im.check_deadlines(self.now):
+                self._alert("im", alert.kind, alert.subjects, alert.evidence)
 
     def run_until(self, target_tick: Optional[int]) -> None:
         """Deliver events up to target_tick; None means drain everything."""
-        queue, im, heappop = self.queue, self.im, heapq.heappop
+        queue, heappop = self.queue, heapq.heappop
         while queue:
             tick = queue[0][0]
             if target_tick is not None and tick > target_tick:
@@ -307,8 +298,6 @@ class Simulation:
                     f"exceeded {self.step_limit} events at tick {self.now}"
                 )
             self._deliver(target, sender, message)
-            if len(im.alerts) > self._im_alerts_seen:
-                self._new_alerts()
         if target_tick is not None and target_tick > self.now:
             self._advance_time_to(target_tick)
 
@@ -486,17 +475,12 @@ class Simulation:
             raise UnknownTarget(f"cm cannot handle {type(report).__name__}")
         client_id = report.client_id
         try:
-            outcome = self.cm.report_balance(
+            status = self.cm.report_balance(
                 client_id, report.new_balance, report.mhtr, report.prior_mhtr,
                 report.peer_provenance, report.timestamp, report.supply,
             )
         except StaleProvenance as exc:
-            self.alerts.append(
-                (AlertKind.STALE_PROVENANCE.value, (client_id,), self.now)
-            )
-            self.emit("cm", "alert",
-                      f"kind=StaleProvenance subjects=[{client_id}] "
-                      f"evidence={exc}")
+            self._alert("cm", AlertKind.STALE_PROVENANCE, (client_id,), str(exc))
             return
         except DeltaMoneyError as exc:
             self.emit("cm", "refuse", f"client={client_id} reason={exc}")
@@ -504,11 +488,11 @@ class Simulation:
         if not report.supply:
             self.emit("cm", "balance-report",
                       f"client={client_id} balance={report.new_balance} "
-                      f"status={outcome.status}")
+                      f"status={status}")
             return
         details = f"client={client_id} amount={abs(report.supply)}"
-        if outcome.status != "applied":
-            details += f" status={outcome.status}"
+        if status != "applied":
+            details += f" status={status}"
         self.emit("cm", "issued" if report.supply > 0 else "redeemed", details)
 
     def _handle_im(self, report) -> None:
@@ -518,6 +502,9 @@ class Simulation:
         self.emit("im", "txn-report",
                   f"pair={report.pair_key} seq={report.pair_seq} "
                   f"reporter={report.reporter} status={outcome.status}")
+        alert = outcome.alert
+        if alert is not None:
+            self._alert("im", alert.kind, alert.subjects, alert.evidence)
 
     # ------------------------------------------------------------------
     # scripted operations
@@ -697,8 +684,9 @@ class Simulation:
         self.send("im", self._client_actor(key[0]), forged, policy=True)
 
     def _fault_forge_balance(self, client_id: int, delta: int) -> None:
-        row = self.cm.table.open_row(client_id)
-        row.valid_balance += delta
+        if client_id not in self.clients or client_id == MANAGER_ID:
+            raise UnknownTarget(f"no client {client_id}")
+        self.cm.table.open_row(client_id).valid_balance += delta
 
     def _fault_crash_client(self, client_id: int) -> None:
         if client_id not in self.clients or client_id == MANAGER_ID:
@@ -710,6 +698,8 @@ class Simulation:
             self._give_up(self._client_actor(client_id), cmd, "crashed")
 
     def _fault_partition(self, ticks: int) -> None:
+        if ticks < 1:
+            raise UnknownTarget(f"a partition lasts at least 1 tick, got {ticks}")
         self.partitions.append((self.now, self.now + ticks))
 
     def _fault_omit_record(self, subject: int, pair, seq: int) -> None:

@@ -11,7 +11,6 @@ from deltamoney.balance_tree import (
     _Internal,
     _Leaf,
     examine_range,
-    verify_range,
 )
 from deltamoney.errors import (
     CorruptSnapshot,
@@ -216,7 +215,7 @@ def test_full_range_query_verifies():
     lo, hi = full_range(tree)
     got, vo = tree.range_query(lo, hi)
     assert got == records
-    assert verify_range(got, vo, tree.root())
+    assert examine_range(got, vo, tree.root()) == (True, True)
 
 
 def test_subrange_query_and_boundaries():
@@ -225,7 +224,7 @@ def test_subrange_query_and_boundaries():
     lo, hi = records[7].key, records[19].key
     got, vo = tree.range_query(lo, hi)
     assert got == records[7:20]
-    assert verify_range(got, vo, tree.root())
+    assert examine_range(got, vo, tree.root()) == (True, True)
 
 
 def test_empty_range_between_adjacent_keys():
@@ -234,7 +233,7 @@ def test_empty_range_between_adjacent_keys():
     t = records[4].timestamp
     got, vo = tree.range_query((t, records[4].client_seq + 1), (t + 1, 0))
     assert got == []
-    assert verify_range(got, vo, tree.root())
+    assert examine_range(got, vo, tree.root()) == (True, True)
     # scan oracle: nothing lies strictly between those records
     assert [r for r in records if (t, records[4].client_seq + 1) <= r.key <= (t + 1, 0)] == []
 
@@ -453,8 +452,8 @@ def test_empty_tree_range_query():
     tree = BalanceMHT()
     got, vo = tree.range_query((0, 0), (10, 0))
     assert got == []
-    assert verify_range(got, vo, tree.root())
-    assert not verify_range(got, vo, sha(b"other"))
+    assert examine_range(got, vo, tree.root()) == (True, True)
+    assert examine_range(got, vo, sha(b"other")) == (False, True)
 
 
 def test_dropped_record_detected():
@@ -462,8 +461,8 @@ def test_dropped_record_detected():
     tree = insert_all(records, fanout=4)
     lo, hi = records[5].key, records[15].key
     got, vo = tree.range_query(lo, hi)
-    assert not verify_range(got[:-1], vo, tree.root())
-    assert not verify_range(got[1:], vo, tree.root())
+    assert examine_range(got[:-1], vo, tree.root()) == (False, False)
+    assert examine_range(got[1:], vo, tree.root()) == (False, False)
 
 
 def test_every_single_omission_and_mutation_detected():
@@ -474,7 +473,7 @@ def test_every_single_omission_and_mutation_detected():
     root = tree.root()
     for i in range(len(got)):
         omitted = got[:i] + got[i + 1 :]
-        assert not verify_range(omitted, vo, root)
+        assert examine_range(omitted, vo, root) == (False, False)
         r = got[i]
         mutated = list(got)
         mutated[i] = BalanceChangeRecord(
@@ -493,10 +492,9 @@ def test_stale_vo_fails_against_new_root():
     old_root = tree.root()
     extra = history(13)[-1]
     tree.insert(extra)
-    assert verify_range(got, vo, old_root)
-    assert not verify_range(got, vo, tree.root())
-    correct, complete = examine_range(got, vo, vo.mhtr)
-    assert correct and complete
+    assert examine_range(got, vo, old_root) == (True, True)
+    assert examine_range(got, vo, tree.root()) == (False, True)
+    assert examine_range(got, vo, vo.mhtr) == (True, True)
 
 
 def test_hidden_qualifying_record_as_boundary_detected():
@@ -519,7 +517,8 @@ def test_hidden_qualifying_record_as_boundary_detected():
         return node
 
     forged = RangeVO(vo.key_lo, vo.key_hi, vo.mhtr, demote(vo.skeleton))
-    assert not verify_range(got[:3], forged, tree.root())
+    # the hashes still fold to the root; only completeness fails
+    assert examine_range(got[:3], forged, tree.root()) == (True, False)
 
 
 def test_vo_serialization_round_trip():
@@ -531,7 +530,7 @@ def test_vo_serialization_round_trip():
         got, vo = tree.range_query(lo, hi)
         back = RangeVO.from_bytes(vo.to_bytes())
         assert back == vo
-        assert verify_range(got, back, tree.root())
+        assert examine_range(got, back, tree.root()) == (True, True)
 
 
 def test_snapshot_round_trip_and_tamper():

@@ -47,7 +47,6 @@ def test_matching_reports_validate():
     assert out.status == "validated"
     assert im.alerts == []
     assert im.latest_validated[(1, 2)] == (1, digest("root"))
-    assert im.validated_root((1, 2), 1) == digest("root")
 
 
 def test_mismatched_roots_alert_both_peers():
@@ -203,15 +202,6 @@ def test_deadline_heap_stays_bounded_without_checks():
     assert im.next_deadline() is None
 
 
-def test_cross_check_balance():
-    im = fresh_im()
-    assert im.cross_check_balance(1, digest("m"), digest("m")).status == "validated"
-    out = im.cross_check_balance(1, digest("client"), digest("manager"), now=4)
-    assert out.status == "mismatch"
-    assert out.alert.kind is AlertKind.BALANCE_CROSS_CHECK_FAILURE
-    assert out.alert.subjects == (1,)
-
-
 def three_peer_state():
     mhtrs = {1: digest("mht1"), 2: digest("mht2"), 3: digest("mht3")}
     pttrs = {
@@ -346,8 +336,6 @@ def test_grid_export_parse_round_trip():
 
 def test_archive_and_attestation():
     im = fresh_im()
-    im.archive((1, 2), 0, digest("epoch0"))
-    assert im.archived((1, 2)) == [(0, digest("epoch0"))]
     assert im.attest_pttr((1, 2)) is None
     im.ingest_report(report(1, (1, 2), 1, digest("root")))
     im.ingest_report(report(2, (1, 2), 1, digest("root")))
@@ -404,7 +392,7 @@ def test_agreeing_abort_reports_are_discarded_and_retry_validates():
     out = im.ingest_report(abort_report(2, (1, 2), 1, digest("same")))
     assert out.status == "aborted"
     assert im.alerts == []
-    assert im.validated_root((1, 2), 1) is None
+    assert (1, 2) not in im.latest_validated
     # the retried exchange reuses the sequence number without tripping replay
     im.ingest_report(report(1, (1, 2), 1, digest("retry"), t=2))
     out = im.ingest_report(report(2, (1, 2), 1, digest("retry"), t=2))

@@ -12,6 +12,7 @@ from deltamoney.errors import (
     StepLimitExceeded,
     UnknownTarget,
 )
+from deltamoney.currency_manager import CurrencyManager
 from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
 from deltamoney.scenario import parse_scenario, run_scenario
 from deltamoney.sim import (
@@ -146,6 +147,24 @@ def test_ring_commits_every_transfer(clients, rounds):
     assert sim.cm.check_conservation().holds
     assert sim.alerts == []
     assert ring(clients, rounds).log.text() == log
+
+
+@pytest.mark.parametrize("clients, rounds", [(10, 20), (100, 2)])
+def test_reports_never_audit_conservation(monkeypatch, clients, rounds):
+    """The audit sums every open row; run per report it would cost
+    O(clients) per transfer.  Only an explicit call runs it."""
+    calls = []
+    real = CurrencyManager.check_conservation
+
+    def counted(self, at=None):
+        calls.append(at)
+        return real(self, at)
+
+    monkeypatch.setattr(CurrencyManager, "check_conservation", counted)
+    sim = ring(clients, rounds)  # 200 transfers, plus the issuances
+    assert calls == []
+    assert sim.cm.check_conservation().holds
+    assert calls == [None]
 
 
 def test_busy_rejected_head_waits_out_its_retry_delay():
@@ -434,15 +453,6 @@ class TestFaultDetection:
                 for line in sim.log.lines
             )
 
-    def test_alert_raised_between_runs_is_logged_on_the_next_tick(self):
-        sim = small_world(seed=31)
-        sim.im.cross_check_balance(1, b"\x01" * 32, b"\x02" * 32, now=sim.now)
-        raised_at = sim.now
-        sim.advance(20)
-        assert sim.alerts == [("BalanceCrossCheckFailure", (1,), raised_at)]
-        assert [line.split("|")[0] for line in sim.log.lines
-                if "|im|alert|" in line] == [str(raised_at + 1)]
-
     def test_partitioned_managers_hear_reports_eventually(self):
         sim = small_world(seed=27)
         sim.inject("partition-manager", 40)
@@ -491,6 +501,23 @@ class TestFaultDetection:
         sim = small_world(seed=29)
         with pytest.raises(UnknownTarget):
             sim.inject("melt-coins", 1)
+
+    @pytest.mark.parametrize("client_id", [9, 0])
+    def test_forge_balance_on_a_client_without_a_row_is_refused(self, client_id):
+        sim = small_world(seed=29)
+        logged = list(sim.log.lines)
+        with pytest.raises(UnknownTarget, match=f"no client {client_id}"):
+            sim.inject("forge-balance", client_id, 5)
+        assert sim.log.lines == logged
+        assert sim.cm.check_conservation().holds
+
+    @pytest.mark.parametrize("ticks", [0, -3])
+    def test_partition_of_less_than_one_tick_is_refused(self, ticks):
+        sim = small_world(seed=29)
+        logged = list(sim.log.lines)
+        with pytest.raises(UnknownTarget, match="at least 1 tick"):
+            sim.inject("partition-manager", ticks)
+        assert sim.partitions == [] and sim.log.lines == logged
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -727,6 +754,8 @@ def test_scenario_comments_and_blank_lines_are_ignored():
     ("fault melt 1", "unknown fault"),
     ("fault tamper-leaf 1 2 3", "pair must look like A:B"),
     ("fault crash-client", "takes 1 argument"),
+    ("fault partition-manager 0", "at least 1 tick"),
+    ("fault partition-manager -3", "at least 1 tick"),
     ("advance 0", "must move forward"),
     ("assert-conservation maybe", "holds or violated"),
     ("assert-verdict T T", "usage:"),
@@ -939,7 +968,6 @@ def _wire_values():
         integrity_manager.TransactionReport(1, (1, 2), 1, digest, digest, 0),
         integrity_manager.ValidationOutcome("held"),
         currency_manager._Report(1, 10, digest, digest, digest, 0),
-        currency_manager.ReportOutcome("parked"),
         currency_manager.ConservationVerdict(True, 10, 10),
     ]
 
