@@ -9,6 +9,11 @@ properties.  Correct means every returned record folds to the attested
 root.  Complete means nothing inside the queried range was withheld.
 Fresh means the attested root is still the latest one the relevant
 manager knows.
+
+A transaction VO proves its k records (232 bytes each) with one Merkle
+multiproof of d digests (32 bytes each, d <= 2 * ceil(log2 size) for
+adjacent records) against the attested prefix of ``size`` leaves.
+Checking it costs k leaf and k - 1 + d internal hashes.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from .errors import (
     UnknownSubject,
     UnknownTransaction,
 )
-from .hashing import Digest, KeyStore, Signature
+from .hashing import DIGEST_SIZE, Digest, KeyStore, Signature
 from .integrity_manager import PTTRAttestation
-from .merkle import InclusionProof, verify as verify_inclusion
-from .peer_ledger import TransactionPairRecord
+from .merkle import verify as verify_inclusion
+from .peer_ledger import RECORD_SIZE as PAIR_RECORD_SIZE, TransactionPairRecord
 
 
 def _norm(pair) -> tuple[int, int]:
@@ -87,13 +92,19 @@ def _read_sig(r: Reader) -> Signature:
 
 @dataclass(frozen=True)
 class TransactionInclusionVO:
-    """Records of one pair over a seq range, each with an inclusion proof."""
+    """Records of one pair over a seq range and one multiproof for them all.
+
+    The proof is against the attested prefix, ``attestation.pair_seq -
+    epoch_start`` leaves, a size never sent.  Bytes: the header fields and
+    attestation, the record count, the records, then digests to the end.
+    """
 
     pair_key: tuple[int, int]
     seq_lo: int
     seq_hi: int
     epoch_start: int  # pair_seq of the current epoch's first leaf, minus one
-    entries: tuple[tuple[bytes, bytes], ...]  # (record bytes, proof bytes)
+    records: tuple[bytes, ...]
+    proof: tuple[Digest, ...]
     attestation: PTTRAttestation
 
     kind = 0x01
@@ -105,13 +116,10 @@ class TransactionInclusionVO:
             u64(self.pair_key[0]), u64(self.pair_key[1]),
             u64(self.seq_lo), u64(self.seq_hi), u64(self.epoch_start),
             u64(att.pair_seq), att.root, _sig_bytes(att.signature),
-            u32(len(self.entries)),
+            u32(len(self.records)),
         ]
-        for record, proof in self.entries:
-            parts.append(u32(len(record)))
-            parts.append(record)
-            parts.append(u32(len(proof)))
-            parts.append(proof)
+        parts.extend(self.records)
+        parts.extend(self.proof)
         return b"".join(parts)
 
     @classmethod
@@ -122,14 +130,14 @@ class TransactionInclusionVO:
         pair_key = (r.u64(), r.u64())
         seq_lo, seq_hi, epoch_start = r.u64(), r.u64(), r.u64()
         att_seq = r.u64()
-        att_root = r.take(32)
+        att_root = r.take(DIGEST_SIZE)
         sig = _read_sig(r)
-        entries = tuple(
-            (r.take(r.u32()), r.take(r.u32())) for _ in range(r.u32())
-        )
+        records = tuple(r.take(PAIR_RECORD_SIZE) for _ in range(r.u32()))
+        proof = tuple(r.take(DIGEST_SIZE)
+                      for _ in range((len(data) - r.offset) // DIGEST_SIZE))
         if not r.done():
-            raise ValueError("trailing bytes in VO")
-        return cls(pair_key, seq_lo, seq_hi, epoch_start, entries,
+            raise ValueError("VO proof is not a whole number of digests")
+        return cls(pair_key, seq_lo, seq_hi, epoch_start, records, proof,
                    PTTRAttestation(pair_key, att_seq, att_root, sig))
 
 
@@ -193,10 +201,11 @@ def parse_vo(data: bytes) -> VerificationObject:
 def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
                        subject, attestation: Optional[PTTRAttestation],
                        omit: frozenset = frozenset()):
-    """Fetch records in [seq_lo, seq_hi] from the subject with proofs.
+    """Fetch records in [seq_lo, seq_hi] up to the attested seq, with a proof.
 
     ``omit`` makes the subject withhold specific sequence numbers; it
-    exists for fault injection and has no honest use.
+    exists for fault injection and has no honest use; the proof still
+    covers a withheld record, so the VO reads correct but incomplete.
     """
     key = _norm(pair_key)
     if not grant.permits(key):
@@ -210,18 +219,19 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
         raise UnknownTransaction(f"no validated root on file for pair {key}")
     # leaf i of the current epoch holds pair_seq epoch_start + 1 + i
     epoch_start = ptt.epoch_start
-    first = max(seq_lo - epoch_start - 1, 0)
-    entries = []
-    records = []
-    for index in range(first, min(seq_hi - epoch_start, len(ptt.records))):
-        record = ptt.records[index]
-        if record.pair_seq in omit:
-            continue
-        proof = ptt.prove(index)
-        entries.append((record.to_bytes(), proof.to_bytes()))
-        records.append(record)
+    size = attestation.pair_seq - epoch_start
+    if not 1 <= size <= len(ptt.records):
+        raise UnknownTransaction(f"subject's epoch of {key} holds seqs "
+                                 f"{epoch_start + 1}..{ptt.last_seq}, not "
+                                 f"the attested {attestation.pair_seq}")
+    indices = [i for i in range(max(seq_lo - epoch_start - 1, 0),
+                                min(seq_hi - epoch_start, size))
+               if ptt.records[i].pair_seq not in omit]
+    records = [ptt.records[i] for i in indices]
     vo = TransactionInclusionVO(
-        key, seq_lo, seq_hi, epoch_start, tuple(entries), attestation
+        key, seq_lo, seq_hi, epoch_start,
+        tuple(record.to_bytes() for record in records),
+        tuple(ptt._tree.prove(indices, size)), attestation,
     )
     return records, vo
 
@@ -256,22 +266,21 @@ def verify_transaction_vo(vo: TransactionInclusionVO, keystore: KeyStore,
         and keystore.verify(att.signature, att.message())
     )
     seqs = []
-    for record_bytes, proof_bytes in vo.entries:
+    for record_bytes in vo.records:
         try:
             record = TransactionPairRecord.from_bytes(record_bytes)
-            proof = InclusionProof.from_bytes(proof_bytes)
-        except Exception:
+        except ValueError:
             correct = False
             continue
         seqs.append(record.pair_seq)
-        if not verify_inclusion(record_bytes, proof, att.root):
+        if (_norm((record.payer_id, record.payee_id)) != vo.pair_key
+                or not vo.seq_lo <= record.pair_seq <= vo.seq_hi):
             correct = False
-        if proof.leaf_index != record.pair_seq - vo.epoch_start - 1:
-            correct = False
-        if _norm((record.payer_id, record.payee_id)) != vo.pair_key:
-            correct = False
-        if not vo.seq_lo <= record.pair_seq <= vo.seq_hi:
-            correct = False
+    # leaf i holds pair_seq epoch_start + 1 + i; an unparsed record left correct False
+    indices = [seq - vo.epoch_start - 1 for seq in seqs]
+    correct = correct and verify_inclusion(
+        vo.records, indices, att.pair_seq - vo.epoch_start, vo.proof, att.root
+    )
     expected = list(range(vo.seq_lo, min(vo.seq_hi, att.pair_seq) + 1))
     complete = sorted(seqs) == expected
     fresh = latest is not None and att.root == latest

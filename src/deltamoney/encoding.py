@@ -23,13 +23,11 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
 - ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what the CM's
   report fingerprint hashes (client_id, new_balance, mhtr, prior_mhtr,
   peer_provenance, timestamp);
-- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq);
-- ``PROOF_ENTRY``, ``>B32s``, 33 bytes: one inclusion-proof path entry
-  (side byte, sibling digest).
+- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
 
 A ``32s`` field pads or truncates silently, so the two records check the
 length of their digest fields when they are built. Variable-length
-encodings (verification objects, proofs, snapshots) are built from
+encodings (verification objects, snapshots) are built from
 ``u64``, ``i64`` and ``u32`` around those layouts and read back with
 ``Reader``.
 """
@@ -46,7 +44,6 @@ BALANCE_COMMIT = struct.Struct(">cQQQ")
 TXN_REPORT_FP = struct.Struct(">4Q32s32sQ?")
 BALANCE_REPORT_FP = struct.Struct(">QQ32s32s32sQ")
 KEY = struct.Struct(">QQ")
-PROOF_ENTRY = struct.Struct(">B32s")
 
 #: Largest encodable timestamp, used as the open-interval sentinel.
 FOREVER = 2**64 - 1

@@ -1,4 +1,4 @@
-"""Append-capable binary Merkle tree with inclusion proofs.
+"""Append-capable binary Merkle tree with multiproofs over its prefixes.
 
 Leaves are hashed with the leaf tag, adjacent nodes are paired left to right
 with the internal tag, and an unpaired rightmost node is promoted unchanged
@@ -17,51 +17,23 @@ Replacing a leaf, which only fault injection does, refolds every level
 above the leaves.  Every digest is one ``scheme.function`` call on the
 tagged bytes, with no helper frame in between.
 
-Proofs carry explicit sides so verification needs no knowledge of the tree
-shape: each path entry says on which side the sibling digest sits.
+A proof shows sorted leaves against the root of the first ``size`` leaves
+(RFC 9162 section 2.1.3's subtree split, extended to many leaves as in
+Ramabaja and Avdullahu, "Compact Merkle Multiproofs", 2020).  It is a bare
+list of digests, left to right the digest of every maximal subtree of the
+split of ``[0, size)`` that holds no proved leaf; indices and ``size`` fix
+its shape, so it needs no side bytes.  Verifying k leaves hashes them and
+k - 1 + d internal nodes, d the number of digests: at most ceil(log2 size)
+for one leaf and 2 * ceil(log2 size) for a window of adjacent leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import Sequence
 
-from .encoding import PROOF_ENTRY, Reader, u32, u64
 from .errors import EmptyPayload, EmptyTree, IndexOutOfRange
-from .hashing import DIGEST_SIZE, SHA256, TAG_INTERNAL, TAG_LEAF, Digest, HashScheme
-
-SIDE_LEFT = 0  # sibling hashes in on the left
-SIDE_RIGHT = 1
-
-
-@dataclass(frozen=True)
-class InclusionProof:
-    """Authentication path for one leaf against a claimed root."""
-
-    leaf_index: int
-    path: tuple[tuple[int, Digest], ...]  # (side, sibling digest)
-    claimed_root: Digest
-
-    def to_bytes(self) -> bytes:
-        parts = [u64(self.leaf_index), u32(len(self.path))]
-        parts.extend(PROOF_ENTRY.pack(*entry) for entry in self.path)
-        parts.append(self.claimed_root)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "InclusionProof":
-        r = Reader(data)
-        leaf_index = r.u64()
-        count = r.u32()
-        path = tuple(PROOF_ENTRY.iter_unpack(r.take(count * PROOF_ENTRY.size)))
-        for side, _ in path:
-            # verify reads every side but SIDE_LEFT as right: only the two
-            # canonical bytes parse, so one proof has one encoding
-            if side not in (SIDE_LEFT, SIDE_RIGHT):
-                raise ValueError(f"proof side byte {side} is neither 0 nor 1")
-        proof = cls(leaf_index, path, r.take(DIGEST_SIZE))
-        if not r.done():
-            raise ValueError("trailing bytes after the inclusion proof")
-        return proof
+from .hashing import SHA256, TAG_INTERNAL, TAG_LEAF, Digest, HashScheme
 
 
 class MerkleTree:
@@ -69,7 +41,8 @@ class MerkleTree:
 
     ``_levels[0]`` holds the leaf digests and each later level the nodes one
     step up, so the last level is the root. Every mutation keeps all levels
-    current, which makes ``root`` and ``prove`` plain reads.
+    current, which makes ``root`` a plain read and every perfect subtree of
+    any prefix a stored node.
     """
 
     def __init__(self, scheme: HashScheme = SHA256):
@@ -145,16 +118,13 @@ class MerkleTree:
 
     def replace_leaf(self, leaf_index: int, payload: bytes) -> None:
         """Overwrite one leaf and refold the levels above (fault injection)."""
-        self._check_index(leaf_index)
+        if not 0 <= leaf_index < len(self):
+            raise IndexOutOfRange(f"leaf {leaf_index} outside tree of {len(self)}")
         if not payload:
             raise EmptyPayload("leaf payload must be non-empty")
         leaves = self._levels[0]
         leaves[leaf_index] = self.scheme.function(TAG_LEAF + payload)
         self._levels = _fold_levels(leaves, self.scheme.function)
-
-    def _check_index(self, leaf_index: int) -> None:
-        if not 0 <= leaf_index < len(self):
-            raise IndexOutOfRange(f"leaf {leaf_index} outside tree of {len(self)}")
 
     def __len__(self) -> int:
         return len(self._levels[0])
@@ -165,42 +135,61 @@ class MerkleTree:
         return self._levels[-1][0]
 
     def root_at(self, size: int) -> Digest:
-        """Root the tree had when it held only its first ``size`` leaves.
-
-        The prefix splits into perfect subtrees, one per set bit of
-        ``size`` and the largest leftmost; each is a node already stored
-        in ``_levels`` (level h, index i covers leaves [i * 2**h,
-        (i + 1) * 2**h)).  Promoting unpaired nodes makes the prefix root
-        these peaks folded from the right, RFC 6962's Merkle Tree Hash, so
-        this visits only the set bits of ``size``, costs popcount(size) - 1
-        hashes and rehashes no leaf.
-        """
+        """Root the tree had when it held only its first ``size`` leaves."""
         if not 1 <= size <= len(self._levels[0]):
             raise IndexOutOfRange(f"prefix {size} outside tree of {len(self)}")
+        return self._subtree(0, size)
+
+    def _subtree(self, lo: int, hi: int) -> Digest:
+        """Digest of leaves ``[lo, hi)``, a node of the split of a prefix.
+
+        Such a node is perfect, or ends the prefix with ``lo`` a multiple
+        of the power of two above ``hi - lo``.  Either way it splits into
+        perfect subtrees stored in ``_levels``, one per set bit of ``hi -
+        lo`` and the largest leftmost (level h, index i covers leaves
+        [i * 2**h, (i + 1) * 2**h)).  Promoting unpaired nodes makes the
+        digest these peaks folded from the right, RFC 6962's Merkle Tree
+        Hash: popcount(hi - lo) - 1 hashes, and no leaf rehashed.
+        """
         levels, fn = self._levels, self.scheme.function
-        bit = size & -size
-        depth = bit.bit_length() - 1
-        node = levels[depth][(size >> depth) - 1]
-        rest = size ^ bit
+        rest, node = hi - lo, None
         while rest:
             bit = rest & -rest
             depth = bit.bit_length() - 1
-            node = fn(TAG_INTERNAL + levels[depth][(size >> depth) - 1] + node)
+            peak = levels[depth][(hi >> depth) - 1]
+            node = peak if node is None else fn(TAG_INTERNAL + peak + node)
             rest ^= bit
         return node
 
-    def prove(self, leaf_index: int) -> InclusionProof:
-        self._check_index(leaf_index)
-        path = []
-        index = leaf_index
-        for level in self._levels[:-1]:
-            sibling = index ^ 1
-            if sibling < len(level):
-                side = SIDE_LEFT if sibling < index else SIDE_RIGHT
-                path.append((side, level[sibling]))
-            # an unpaired rightmost node was promoted: no path entry
-            index //= 2
-        return InclusionProof(leaf_index, tuple(path), self.root())
+    def prove(self, indices: Sequence[int], size: int) -> list[Digest]:
+        """Multiproof of leaves ``indices`` against ``root_at(size)``.
+
+        Walks the RFC 6962 split of ``[0, size)``, listing left to right
+        the digest of every maximal subtree that holds none of ``indices``
+        and skipping any subtree whose leaves are all proved.
+        """
+        if not (size <= len(self._levels[0]) and _well_formed(indices, size)):
+            raise IndexOutOfRange(f"leaves {list(indices)} do not rise strictly "
+                                  f"in a prefix {size} of a tree of {len(self)}")
+        proof: list[Digest] = []
+
+        def walk(lo: int, hi: int, i: int, j: int) -> None:
+            # indices[i:j] are the proved leaves inside [lo, hi)
+            if i == j:
+                proof.append(self._subtree(lo, hi))
+            elif j - i < hi - lo:
+                mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
+                m = bisect_left(indices, mid, i, j)
+                walk(lo, mid, i, m)
+                walk(mid, hi, m, j)
+
+        walk(0, size, 0, len(indices))
+        return proof
+
+
+def _well_formed(indices: Sequence[int], size: int) -> bool:
+    """True iff ``size`` is positive and ``indices`` rise strictly in ``[0, size)``."""
+    return size > 0 and all(a < b for a, b in zip((-1, *indices), (*indices, size)))
 
 
 def _fold_levels(leaves: list[Digest], fn) -> list[list[Digest]]:
@@ -217,23 +206,33 @@ def _fold_levels(leaves: list[Digest], fn) -> list[list[Digest]]:
     return levels
 
 
-def verify(
-    payload: bytes,
-    proof: InclusionProof,
-    expected_root: Digest,
-    scheme: HashScheme = SHA256,
-) -> bool:
-    """True iff folding the payload's leaf digest up the path hits the root."""
-    fn = scheme.function
-    try:
-        if not payload:
-            return False
-        node = fn(TAG_LEAF + payload)
-    except Exception:
+def verify(leaf_payloads: Sequence[bytes], indices: Sequence[int], size: int,
+           proof: Sequence[Digest], root: Digest,
+           scheme: HashScheme = SHA256) -> bool:
+    """True iff the payloads at leaves ``indices`` and ``proof`` fold to ``root``.
+
+    Repeats ``prove``'s walk: a subtree holding none of ``indices`` takes
+    the next digest of ``proof``, one whose leaves are all given is folded
+    from them, and any other is split.  Every digest must be used.
+    """
+    if (len(leaf_payloads) != len(indices) or not _well_formed(indices, size)
+            or not all(leaf_payloads)):
         return False
-    for side, sibling in proof.path:
-        if side == SIDE_LEFT:
-            node = fn(TAG_INTERNAL + sibling + node)
-        else:
-            node = fn(TAG_INTERNAL + node + sibling)
-    return node == expected_root
+    fn = scheme.function
+    leaves = [fn(TAG_LEAF + payload) for payload in leaf_payloads]
+    digests = iter(proof)
+
+    def fold(lo: int, hi: int, i: int, j: int) -> Digest:
+        if i == j:
+            return next(digests)
+        if j - i == hi - lo:
+            return _fold_levels(leaves[i:j], fn)[-1][0]
+        mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
+        m = bisect_left(indices, mid, i, j)
+        return fn(TAG_INTERNAL + fold(lo, mid, i, m) + fold(mid, hi, m, j))
+
+    try:
+        node = fold(0, size, 0, len(indices))
+    except StopIteration:  # the proof ran out of digests
+        return False
+    return next(digests, None) is None and node == root

@@ -37,7 +37,7 @@ from .hashing import (
     Signature,
     commit_balance,
 )
-from .merkle import InclusionProof, MerkleTree
+from .merkle import MerkleTree
 
 RECORD_SIZE = PAIR_RECORD.size  # 232
 
@@ -239,12 +239,6 @@ class PeerTransactionTree:
         if self._tree is None:
             raise IndexOutOfRange(f"pair {self.pair_key} has no record {pair_seq}")
         return self._tree.root_at(pair_seq - self.epoch_start)
-
-    def prove(self, index: int) -> InclusionProof:
-        """Inclusion proof of the current epoch's leaf ``index`` against ``root()``."""
-        if self._tree is None:
-            raise IndexOutOfRange(f"pair {self.pair_key} has no leaf {index}")
-        return self._tree.prove(index)
 
     def tamper_leaf(self, index: int, payload: bytes) -> None:
         """Overwrite a raw leaf payload in place (fault injection only)."""

@@ -27,7 +27,7 @@ from deltamoney.integrity_manager import (
     IntegrityManager,
     TransactionReport,
 )
-from deltamoney.merkle import InclusionProof, MerkleTree, verify
+from deltamoney.merkle import MerkleTree, verify
 from deltamoney.sim import DeliveryPolicy, Simulation
 from worlds import run_transfers, small_world
 
@@ -332,37 +332,32 @@ def test_criterion_07_merkle_proof_bounds():
         trees[n] = (payloads, tree)
         bound = math.ceil(math.log2(n)) if n > 1 else 0
         for i in range(n):
-            proof = tree.prove(i)
-            ok = ok and verify(payloads[i], proof, tree.root())
-            ok = ok and len(proof.path) <= bound
+            proof = tree.prove([i], n)
+            ok = ok and verify([payloads[i]], [i], n, proof, tree.root())
+            ok = ok and len(proof) <= bound
 
     rejected = 0
     for _ in range(10_000):
         n = rng.randint(1, 64)
         payloads, tree = trees[n]
         i = rng.randrange(n)
-        proof = tree.prove(i)
+        proof = tree.prove([i], n)
         mode = rng.randrange(5)
-        payload = payloads[i]
-        index, path = proof.leaf_index, list(proof.path)
-        if mode == 0 and path:
-            j = rng.randrange(len(path))
-            side, digest = path[j]
-            flipped = bytearray(digest)
+        payload, index = payloads[i], i
+        if mode == 0 and proof:
+            j = rng.randrange(len(proof))
+            flipped = bytearray(proof[j])
             flipped[rng.randrange(32)] ^= 1 + rng.randrange(255)
-            path[j] = (side, bytes(flipped))
-        elif mode == 1 and path:
-            j = rng.randrange(len(path))
-            side, digest = path[j]
-            path[j] = (1 - side, digest)
+            proof[j] = bytes(flipped)
+        elif mode == 1 and n > 1:
+            index = (i + 1 + rng.randrange(n - 1)) % n  # another leaf's place
         elif mode == 2:
             payload = payload + b"!"
-        elif mode == 3 and path:
-            path = path[:-1]
+        elif mode == 3 and proof:
+            proof = proof[:-1]
         else:
-            path = path + [(rng.randrange(2), rng.randbytes(32))]
-        forged = InclusionProof(index, tuple(path), proof.claimed_root)
-        if not verify(payload, forged, tree.root()):
+            proof = proof + [rng.randbytes(32)]
+        if not verify([payload], [index], n, proof, tree.root()):
             rejected += 1
     ok = ok and rejected == 10_000
     report(7, f"proofs within ceil(log2 n) for n=1..64, "

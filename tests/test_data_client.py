@@ -1,5 +1,6 @@
 """Data client tests: grants, VO round trips, and the verification triad."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -25,6 +26,7 @@ from deltamoney.errors import (
 from deltamoney.hashing import Signature
 from deltamoney.integrity_manager import PTTRAttestation
 from deltamoney.peer_ledger import reset_epoch
+from deltamoney.sim import DeliveryPolicy
 from worlds import run_transfers, small_world
 
 
@@ -117,16 +119,12 @@ def test_mutated_record_fails_only_correctness():
     records, vo = query_transactions(
         grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
     )
-    entries = list(vo.entries)
-    record, proof = entries[2]
-    tampered = bytearray(record)
-    tampered[40] ^= 0x01  # somewhere in the amount field
-    entries[2] = (bytes(tampered), proof)
-    forged = TransactionInclusionVO(
-        vo.pair_key, vo.seq_lo, vo.seq_hi, vo.epoch_start,
-        tuple(entries), vo.attestation,
+    tampered = bytearray(vo.records[2])
+    tampered[40] ^= 0x01  # first byte of the payer's prior commitment
+    forged = dataclasses.replace(
+        vo, records=vo.records[:2] + (bytes(tampered),) + vo.records[3:]
     )
-    verdict = verify_vo(forged, ks, latest_for(im, (1, 2)))
+    verdict = verify_vo(parse_vo(forged.to_bytes()), ks, latest_for(im, (1, 2)))
     assert verdict == Verdict(False, True, True)
 
 
@@ -135,37 +133,29 @@ def test_padded_inclusion_proof_fails_correctness():
     ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
-        grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
+        grant, (1, 2), 2, 4, a, im.attest_pttr((1, 2))
     )
-    entries = list(vo.entries)
-    record, proof = entries[2]
-    entries[2] = (record, proof + b"junk")
-    padded = TransactionInclusionVO(
-        vo.pair_key, vo.seq_lo, vo.seq_hi, vo.epoch_start,
-        tuple(entries), vo.attestation,
-    )
-    verdict = verify_vo(parse_vo(padded.to_bytes()), ks, latest_for(im, (1, 2)))
-    assert not verdict.correct
+    assert vo.proof
+    for extra in (b"\x00" * 32, vo.proof[0]):
+        padded = dataclasses.replace(vo, proof=vo.proof + (extra,))
+        verdict = verify_vo(parse_vo(padded.to_bytes()), ks,
+                            latest_for(im, (1, 2)))
+        assert not verdict.correct and verdict.complete
 
 
-def test_non_canonical_side_byte_fails_correctness():
+def test_ragged_proof_digests_do_not_parse():
+    """The digest section runs to the end in whole 32-byte digests: one encoding."""
     sim = build_world()
     ks, a, im = sim.keystore, sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(
-        grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
+        grant, (1, 2), 2, 4, a, im.attest_pttr((1, 2))
     )
-    entries = list(vo.entries)
-    record, proof = entries[2]
-    flipped = bytearray(proof)
-    flipped[12] |= 0x06  # first side byte: 0 or 1 becomes 6 or 7
-    entries[2] = (record, bytes(flipped))
-    forged = TransactionInclusionVO(
-        vo.pair_key, vo.seq_lo, vo.seq_hi, vo.epoch_start,
-        tuple(entries), vo.attestation,
-    )
-    verdict = verify_vo(parse_vo(forged.to_bytes()), ks, latest_for(im, (1, 2)))
-    assert not verdict.correct
+    blob = vo.to_bytes()
+    for ragged in (blob[:-1], blob + b"\x00", blob + b"junk"):
+        with pytest.raises(ValueError, match="whole number of digests"):
+            parse_vo(ragged)
+    assert parse_vo(blob) == vo
 
 
 def test_superseded_attestation_fails_only_freshness():
@@ -308,3 +298,30 @@ def test_parse_vo_rejects_garbage():
     blob = vo.to_bytes()
     with pytest.raises(ValueError):
         parse_vo(blob + b"\x00")
+
+
+def test_delayed_report_does_not_accuse_an_honest_subject():
+    """A record the managers have not validated yet is outside the proof.
+
+    The fourth transfer commits, but its reports travel 30 ticks, so the
+    attestation still covers seq 3 while the subject's tree holds 4
+    leaves.  The VO proves against the attested prefix of 3 leaves, and a
+    query running past the attested seq returns only what it covers.
+    """
+    sim = small_world(clients=2, fund=5_000)
+    for _ in range(3):
+        sim.transfer(1, 2, 10)
+        sim.advance(10)
+    sim.policy = DeliveryPolicy("delay", delay=30)
+    sim.transfer(1, 2, 10)
+    sim.advance(5)
+    assert sim.clients[1].ptts[(1, 2)].last_seq == 4
+    assert sim.im.attest_pttr((1, 2)).pair_seq == 3
+    sim.query(1, (1, 2), 1, 3)
+    assert sim.last_verdict == Verdict(True, True, True)
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    records, vo = query_transactions(grant, (1, 2), 2, 9, sim.clients[1],
+                                     sim.im.attest_pttr((1, 2)))
+    assert [r.pair_seq for r in records] == [2, 3]
+    assert verify_vo(parse_vo(vo.to_bytes()), sim.keystore,
+                     latest_for(sim.im, (1, 2))) == Verdict(True, True, True)

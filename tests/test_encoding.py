@@ -17,7 +17,9 @@ from deltamoney.currency_manager import _Report
 from deltamoney.encoding import i64, u32, u64
 from deltamoney.hashing import commit_balance
 from deltamoney.integrity_manager import TransactionReport
-from deltamoney.merkle import InclusionProof
+from deltamoney.data_client import TransactionInclusionVO, parse_vo
+from deltamoney.hashing import Signature
+from deltamoney.integrity_manager import PTTRAttestation
 from deltamoney.peer_ledger import TransactionPairRecord
 
 CASES = 300
@@ -80,9 +82,15 @@ def ref_balance_fingerprint(r: _Report) -> bytes:
     )
 
 
-def ref_proof(p: InclusionProof) -> bytes:
-    entries = b"".join(bytes([side]) + sibling for side, sibling in p.path)
-    return u64(p.leaf_index) + u32(len(p.path)) + entries + p.claimed_root
+def ref_transaction_vo(vo: TransactionInclusionVO) -> bytes:
+    att, sig = vo.attestation, vo.attestation.signature
+    return (
+        bytes([0x01]) + u64(vo.pair_key[0]) + u64(vo.pair_key[1])
+        + u64(vo.seq_lo) + u64(vo.seq_hi) + u64(vo.epoch_start)
+        + u64(att.pair_seq) + att.root
+        + u64(sig.signer_id) + u32(len(sig.bytes)) + sig.bytes
+        + u32(len(vo.records)) + b"".join(vo.records) + b"".join(vo.proof)
+    )
 
 
 # --- random values -------------------------------------------------------
@@ -164,15 +172,24 @@ def test_balance_tree_key_layout_matches_reference():
 
 
 def test_inclusion_proof_layout_matches_reference_and_round_trips():
+    """A transaction VO: header, 232-byte records, then bare 32-byte digests."""
     rng = random.Random(909)
     for _ in range(CASES):
-        path = tuple((rng.randrange(2), digest(rng))
-                     for _ in range(rng.choice([0, 1, rng.randrange(40)])))
-        proof = InclusionProof(unsigned(rng), path, digest(rng))
-        data = proof.to_bytes()
-        assert data == ref_proof(proof)
-        assert len(data) == 8 + 4 + 33 * len(path) + 32
-        assert InclusionProof.from_bytes(data) == proof
+        pair_key = (unsigned(rng), unsigned(rng))
+        records = tuple(pair_record(rng).to_bytes()
+                        for _ in range(rng.choice([0, 1, rng.randrange(6)])))
+        proof = tuple(digest(rng)
+                      for _ in range(rng.choice([0, 1, rng.randrange(40)])))
+        signature = Signature(rng.randbytes(rng.choice([0, 32, 64])), unsigned(rng))
+        vo = TransactionInclusionVO(
+            pair_key, unsigned(rng), unsigned(rng), unsigned(rng), records, proof,
+            PTTRAttestation(pair_key, unsigned(rng), digest(rng), signature),
+        )
+        data = vo.to_bytes()
+        assert data == ref_transaction_vo(vo)
+        assert len(data) == (97 + len(signature.bytes)
+                             + 232 * len(records) + 32 * len(proof))
+        assert parse_vo(data) == vo
 
 
 @pytest.mark.parametrize("size", [31, 33])

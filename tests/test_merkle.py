@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deltamoney.errors import EmptyPayload, EmptyTree, IndexOutOfRange
 from deltamoney.hashing import SHA256, HashScheme, hash_internal, hash_leaf
-from deltamoney.merkle import InclusionProof, MerkleTree, verify
+from deltamoney.merkle import MerkleTree, verify
 
 
 def brute_force_root(payloads):
@@ -102,24 +102,26 @@ def test_incremental_append_equals_batch(items):
 
 def test_single_leaf_proof_is_empty_path():
     tree = MerkleTree.build([b"only"])
-    proof = tree.prove(0)
-    assert proof.path == ()
-    assert proof.claimed_root == hash_leaf(b"only")
+    assert tree.prove([0], 1) == []
+    assert verify([b"only"], [0], 1, [], hash_leaf(b"only"))
 
 
 def test_eight_leaf_proofs_have_length_three():
     items = payloads(8)
     tree = MerkleTree.build(items)
     for i in range(8):
-        proof = tree.prove(i)
-        assert len(proof.path) == 3
-        assert verify(items[i], proof, brute_force_root(items))
+        proof = tree.prove([i], 8)
+        assert len(proof) == 3
+        assert verify([items[i]], [i], 8, proof, brute_force_root(items))
 
 
 def test_prove_out_of_range():
+    """A leaf or prefix outside the tree, or indices not strictly rising."""
     tree = MerkleTree.build(payloads(4))
-    with pytest.raises(IndexOutOfRange):
-        tree.prove(4)
+    for indices, size in (([4], 4), ([0], 5), ([0], 0), ([], 0), ([-1], 4),
+                          ([2, 1], 4), ([3, 3], 4), ([0, 3, 2], 4)):
+        with pytest.raises(IndexOutOfRange):
+            tree.prove(indices, size)
 
 
 def test_round_trip_all_leaves_16():
@@ -127,16 +129,16 @@ def test_round_trip_all_leaves_16():
     tree = MerkleTree.build(items)
     root = tree.root()
     for i, payload in enumerate(items):
-        assert verify(payload, tree.prove(i), root)
+        assert verify([payload], [i], 16, tree.prove([i], 16), root)
 
 
 def test_verify_rejects_flipped_path_digest():
     items = payloads(8)
     tree = MerkleTree.build(items)
-    proof = tree.prove(3)
-    side, sib = proof.path[1]
-    bad = proof.path[:1] + ((side, bytes([sib[0] ^ 1]) + sib[1:]),) + proof.path[2:]
-    assert not verify(items[3], InclusionProof(3, bad, proof.claimed_root), tree.root())
+    proof = tree.prove([3], 8)
+    sib = proof[1]
+    bad = proof[:1] + [bytes([sib[0] ^ 1]) + sib[1:]] + proof[2:]
+    assert not verify([items[3]], [3], 8, bad, tree.root())
 
 
 def test_foreign_payload_rejected_against_all_proofs():
@@ -148,7 +150,7 @@ def test_foreign_payload_rejected_against_all_proofs():
         foreign = bytes([rng.randrange(256) for _ in range(12)]) + b"!"
         assert foreign not in items
         for i in range(16):
-            assert not verify(foreign, tree.prove(i), root)
+            assert not verify([foreign], [i], 16, tree.prove([i], 16), root)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 33, 64])
@@ -158,9 +160,9 @@ def test_proof_length_bound_and_completeness(n):
     root = tree.root()
     bound = math.ceil(math.log2(n)) if n > 1 else 0
     for i in range(n):
-        proof = tree.prove(i)
-        assert len(proof.path) <= bound
-        assert verify(items[i], proof, root)
+        proof = tree.prove([i], n)
+        assert len(proof) <= bound
+        assert verify([items[i]], [i], n, proof, root)
 
 
 def test_root_sensitive_to_single_bit_flips():
@@ -182,35 +184,11 @@ def test_forged_proofs_rejected():
     rng = random.Random(5)
     rejected = 0
     for _ in range(10_000):
-        depth = rng.randrange(0, 5)
-        path = tuple(
-            (rng.randrange(2), bytes(rng.randrange(256) for _ in range(32)))
-            for _ in range(depth)
-        )
-        payload = bytes(rng.randrange(256) for _ in range(8)) + b"forged"
-        if not verify(payload, InclusionProof(0, path, root), root):
+        proof = [rng.randbytes(32) for _ in range(rng.randrange(0, 5))]
+        payload = rng.randbytes(8) + b"forged"
+        if not verify([payload], [0], 16, proof, root):
             rejected += 1
     assert rejected == 10_000
-
-
-def test_proof_serialization_round_trip():
-    tree = MerkleTree.build(payloads(11))
-    for i in (0, 5, 10):
-        proof = tree.prove(i)
-        assert InclusionProof.from_bytes(proof.to_bytes()) == proof
-
-
-def test_non_canonical_side_byte_does_not_parse():
-    items = payloads(5)
-    tree = MerkleTree.build(items)
-    blob = bytearray(tree.prove(0).to_bytes())
-    assert blob[12] == 1  # leaf index (8), path length (4), first side
-    for side in (2, 7, 255):
-        blob[12] = side
-        with pytest.raises(ValueError, match="side byte"):
-            InclusionProof.from_bytes(bytes(blob))
-    blob[12] = 1
-    assert verify(items[0], InclusionProof.from_bytes(bytes(blob)), tree.root())
 
 
 def test_custom_scheme_path():
@@ -222,7 +200,9 @@ def test_custom_scheme_path():
     tree = MerkleTree.build(items, scheme)
     assert tree.root() != MerkleTree.build(items).root()
     for i in range(6):
-        assert verify(items[i], tree.prove(i), tree.root(), scheme)
+        assert verify([items[i]], [i], 6, tree.prove([i], 6), tree.root(), scheme)
+    assert verify(items[1:5], [1, 2, 3, 4], 6, tree.prove([1, 2, 3, 4], 6),
+                  tree.root(), scheme)
 
 
 def counting_scheme():
@@ -271,7 +251,7 @@ def test_incremental_updates_match_rebuild():
         assert len(tree._levels) == len(built._levels) == math.ceil(math.log2(n)) + 1
         assert tree.root() == built.root() == brute_force_root(items)
         for i in range(n):
-            assert tree.prove(i) == built.prove(i)
+            assert tree.prove([i], n) == built.prove([i], n)
 
 
 def test_emptied_tree_grows_again():
@@ -368,11 +348,11 @@ def test_root_at_hashes_one_per_extra_peak():
 
 
 def test_verify_agrees_with_brute_force_for_every_scheme():
-    """Every proof of trees of 1..300 leaves folds to the brute-force root.
+    """Every one-leaf proof of trees of 1..300 leaves folds to the brute-force root.
 
     One fold serves every scheme: under a counting scheme each verify
-    hashes the leaf and then one node per path entry, and reaches the same
-    verdict as under SHA-256, for the true root and for a wrong one.
+    hashes the leaf and then one node per proof digest, and reaches the
+    same verdict as under SHA-256, for the true root and for a wrong one.
     """
     scheme, calls = counting_scheme()
     items = payloads(300)
@@ -384,10 +364,97 @@ def test_verify_agrees_with_brute_force_for_every_scheme():
         assert root == brute_force_root(items[:n])
         wrong = hashlib.sha256(root).digest()
         for i in range(n):
-            proof = tree.prove(i)
+            proof = tree.prove([i], n)
             for expected, verdict in ((root, True), (wrong, False)):
-                assert verify(items[i], proof, expected) is verdict
+                assert verify([items[i]], [i], n, proof, expected) is verdict
                 calls[0] = 0
-                assert verify(items[i], proof, expected, scheme) is verdict
-                assert calls[0] == len(proof.path) + 1
-        assert not verify(b"", tree.prove(0), root)
+                assert verify([items[i]], [i], n, proof, expected, scheme) is verdict
+                assert calls[0] == len(proof) + 1
+        assert not verify([b""], [0], n, tree.prove([0], n), root)
+
+
+def _subsets(rng, size):
+    """Three seeded random index sets and three random windows of ``range(size)``."""
+    for _ in range(3):
+        yield sorted(rng.sample(range(size), rng.randint(0, size)))
+        lo = rng.randrange(size)
+        yield list(range(lo, rng.randint(lo + 1, size)))
+
+
+def test_multiproofs_match_the_rfc6962_oracle():
+    """Every n <= 64, every prefix size <= n, proved leaves against MTH.
+
+    A tree of 64 leaves proves every contiguous window of every prefix;
+    every smaller tree proves seeded random index sets and windows of each
+    of its prefixes.  Proofs stay within ceil(log2 size) digests for one
+    leaf and 2 * ceil(log2 size) for a window.
+    """
+    rng = random.Random(9162)
+    items = payloads(64)
+    mth = mth_oracle(items)
+    for n in range(1, 65):
+        tree = MerkleTree.build(items[:n])
+        for size in range(1, n + 1):
+            root = mth(0, size)
+            bound = math.ceil(math.log2(size))
+            if n == 64:
+                windows = [list(range(lo, hi)) for lo in range(size)
+                           for hi in range(lo + 1, size + 1)]
+            else:
+                windows = list(_subsets(rng, size))
+            for indices in windows:
+                proof = tree.prove(indices, size)
+                leaves = [items[i] for i in indices]
+                assert verify(leaves, indices, size, proof, root), (n, size, indices)
+                if len(indices) == 1:
+                    assert len(proof) <= bound
+                if indices and indices == list(range(indices[0], indices[-1] + 1)):
+                    assert len(proof) <= 2 * bound
+                if not indices:
+                    assert proof == [root]
+
+
+def test_multiproof_forgeries_rejected():
+    items = payloads(64)
+    tree = MerkleTree.build(items)
+    rng = random.Random(13)
+    checked = 0
+    for size in range(2, 65):
+        root = tree.root_at(size)
+        for _ in range(6):
+            lo = rng.randrange(size)
+            indices = list(range(lo, rng.randint(lo + 1, size)))
+            if rng.random() < 0.5:
+                indices = sorted(rng.sample(range(size), rng.randint(1, size)))
+            leaves = [items[i] for i in indices]
+            proof = tree.prove(indices, size)
+            assert verify(leaves, indices, size, proof, root)
+            forgeries = [
+                # one more digest, anywhere
+                (leaves, indices, proof[:1] + [rng.randbytes(32)] + proof[1:]),
+                # a changed payload
+                (leaves[:-1] + [leaves[-1] + b"!"], indices, proof),
+                # an index past the prefix
+                (leaves, indices[:-1] + [size], proof),
+            ]
+            if proof:
+                j = rng.randrange(len(proof))
+                flipped = bytearray(proof[j])
+                flipped[rng.randrange(32)] ^= 1 + rng.randrange(255)
+                forgeries.append((leaves, indices,
+                                  proof[:j] + [bytes(flipped)] + proof[j + 1:]))
+                forgeries.append((leaves, indices, proof[:j] + proof[j + 1:]))
+            if len(proof) > 1:
+                j, k = sorted(rng.sample(range(len(proof)), 2))
+                swapped = list(proof)
+                swapped[j], swapped[k] = swapped[k], swapped[j]
+                forgeries.append((leaves, indices, swapped))
+            if len(indices) > 1:
+                forgeries.append((leaves[::-1], indices[::-1], proof))
+                forgeries.append((leaves[:1] + leaves[1:],
+                                  indices[:1] + [indices[0]] + indices[2:], proof))
+            for forged_leaves, forged_indices, forged_proof in forgeries:
+                assert not verify(forged_leaves, forged_indices, size,
+                                  forged_proof, root), (size, indices)
+                checked += 1
+    assert checked > 2000
