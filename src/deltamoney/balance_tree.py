@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .encoding import BALANCE_RECORD, KEY, Reader, u32, u64
 from .errors import (
@@ -60,10 +60,10 @@ SNAPSHOT_VERSION = 1
 Key = tuple[int, int]  # (timestamp, client_seq)
 
 
-@dataclass(frozen=True)
-class BalanceChangeRecord:
-    """One leaf entry: a signed delta and the balance it produced."""
+_tuple_new = tuple.__new__
 
+
+class _BalanceRecordFields(NamedTuple):
     pair_seq: int
     timestamp: int
     client_seq: int
@@ -72,31 +72,40 @@ class BalanceChangeRecord:
     new_balance: int
     causing_pttr: bytes
 
-    def __post_init__(self) -> None:
-        if self.new_balance < 0:
+
+class BalanceChangeRecord(_BalanceRecordFields):
+    """One leaf entry: a signed delta and the balance it produced.
+
+    An immutable tuple in ``BALANCE_RECORD`` field order, checked when it
+    is built: ``_make`` and ``_replace`` go through ``__new__`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pair_seq, timestamp, client_seq, peer_id, delta,
+                new_balance, causing_pttr):
+        if new_balance < 0:
             raise NegativeBalance(
-                f"balance may not go negative, got {self.new_balance}"
+                f"balance may not go negative, got {new_balance}"
             )
-        if len(self.causing_pttr) != DIGEST_SIZE:
+        if len(causing_pttr) != DIGEST_SIZE:
             raise ValueError(
                 f"causing_pttr must be {DIGEST_SIZE} bytes, "
-                f"got {len(self.causing_pttr)}"
+                f"got {len(causing_pttr)}"
             )
+        return _tuple_new(cls, (pair_seq, timestamp, client_seq, peer_id,
+                                delta, new_balance, causing_pttr))
+
+    @classmethod
+    def _make(cls, iterable) -> "BalanceChangeRecord":
+        return cls(*iterable)
 
     @property
     def key(self) -> Key:
         return (self.timestamp, self.client_seq)
 
     def to_bytes(self) -> bytes:
-        return BALANCE_RECORD.pack(
-            self.pair_seq,
-            self.timestamp,
-            self.client_seq,
-            self.peer_id,
-            self.delta,
-            self.new_balance,
-            self.causing_pttr,
-        )
+        return BALANCE_RECORD.pack(*self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalanceChangeRecord":

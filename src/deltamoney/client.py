@@ -26,18 +26,18 @@ Currency Manager chains it like any other.  They send no transaction
 report, as the Integrity Manager tracks no treasury pair, and the
 treasury itself reports nothing.
 
-The handshake messages and the balance report are ``NamedTuple``s: every
-transfer builds several of them, and a tuple is built in a fraction of
-the time a frozen dataclass takes, while staying just as immutable.
-They compare as plain tuples, so two messages of different types with
-equal fields are ``==``; receivers tell messages apart by type
-(``isinstance``), never by comparing them.
+The handshake messages, the balance report and both kinds of record are
+immutable ``NamedTuple``s: a transfer builds several of them, a recovery
+one balance record per replayed pair record, and a tuple is built in a
+fraction of the time a frozen dataclass takes.  The records run their
+field checks in ``__new__``.  They compare as plain tuples, so two
+messages of different types with equal fields are ``==``; receivers tell
+messages apart by type (``isinstance``), never by comparing them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -141,16 +141,9 @@ def record_digest(record: TransactionPairRecord) -> Digest:
     The untagged SHA-256 of the record's 232-byte ``PAIR_RECORD``
     encoding; the tree leaf over the same bytes is ``hash_leaf``, tagged
     0x00, so the two never coincide. The record is encoded afresh on each
-    call: one ``struct`` pack, cheaper than keeping the bytes on the
-    record (a cached ``to_bytes()`` measured slower end to end).
+    call, one ``struct`` pack of its fields.
     """
     return hashlib.sha256(record.to_bytes()).digest()
-
-
-def _timeline(key: tuple[int, int], ptt: PeerTransactionTree):
-    """``ptt``'s records as (timestamp, pair key, pair_seq, record), in order."""
-    for record in ptt.records:
-        yield record.timestamp, key, record.pair_seq, record
 
 
 class ClientNode:
@@ -439,12 +432,12 @@ class ClientNode:
         so an honest history may run past what it validated.  A ``seq``
         at or before the current epoch's start has no prefix in the
         rebuilt tree, and is compared with its whole root.  The
-        balance records are then replayed in timestamp order, merged from
+        balance records are then replayed in timestamp order, sorted from
         the pairs' record lists, each citing the root its pair tree had
-        right after it, read from the levels that build already stored
-        (popcount(size) - 1 hashes, no second tree), and the balance tree
-        is built from them in one pass: each record and each node hashed
-        once.
+        right after it: one ``prefix_roots`` call per pair reads them from
+        the levels that build already stored (popcount(size) - 1 hashes
+        each, no second tree).  The balance tree is built from them in
+        one pass: each record and each node hashed once.
 
         All of that is built aside; only once every check has passed is
         the node wiped and the new state swapped in, so a recovery that
@@ -482,21 +475,23 @@ class ClientNode:
                     )
             rebuilt[key] = ptt
 
-        # each pair's records are already in timestamp order, so merging
-        # the pairs gives the replay order with no list of every record;
-        # a record's prefix root is read when its turn comes
-        timeline = heapq.merge(*(_timeline(key, ptt) for key, ptt in rebuilt.items()))
+        # every record with the root its pair tree had right after it,
+        # replayed by (timestamp, pair key, pair_seq): each pair's records
+        # are already in that order, so the sort only interleaves the pairs
+        replay = []
+        for key, ptt in rebuilt.items():
+            replay += [(record.timestamp, key, record.pair_seq, record, root)
+                       for record, root in zip(ptt.records, ptt.prefix_roots())]
+        replay.sort()
         balance = self.opening_reserve
         client_seq = 0
         records = []
         if self.opening_reserve:
             client_seq = 1
             records.append(self._opening_record())
-        for _, key, pair_seq, record in timeline:
+        for _, _, _, record, root in replay:
             client_seq += 1
-            change = self._balance_change(
-                record, balance, client_seq, rebuilt[key].root_after(pair_seq)
-            )
+            change = self._balance_change(record, balance, client_seq, root)
             records.append(change)
             balance = change.new_balance
         mht = BalanceMHT.build(records, self.fanout)

@@ -30,6 +30,7 @@ from .balance_tree import (
 from .currency_manager import MHTRAttestation
 from .encoding import Reader, u32, u64
 from .errors import (
+    DeltaMoneyError,
     NotRegisteredPeers,
     ScopeViolation,
     UnknownSubject,
@@ -269,7 +270,7 @@ def verify_transaction_vo(vo: TransactionInclusionVO, keystore: KeyStore,
     for record_bytes in vo.records:
         try:
             record = TransactionPairRecord.from_bytes(record_bytes)
-        except ValueError:
+        except (ValueError, DeltaMoneyError):  # any field the record refuses
             correct = False
             continue
         seqs.append(record.pair_seq)

@@ -25,8 +25,10 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
   peer_provenance, timestamp);
 - ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
 
-A ``32s`` field pads or truncates silently, so the two records check the
-length of their digest fields when they are built. Variable-length
+Each record is a tuple in its layout's field order, so ``to_bytes`` is
+one ``pack(*record)``. A ``32s`` field pads or truncates silently, so the
+two records check the length of their digest fields in ``__new__``, which
+``_make`` and ``_replace`` also run. Variable-length
 encodings (verification objects, snapshots) are built from
 ``u64``, ``i64`` and ``u32`` around those layouts and read back with
 ``Reader``.

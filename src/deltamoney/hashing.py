@@ -189,12 +189,17 @@ class Ed25519PublicKey:
 
 
 class KeyStore:
-    """Per-participant key handles, indexed by signer id."""
+    """Per-participant key handles, indexed by signer id.
+
+    Each signer's public half is derived once, when its pair is
+    generated, and every later ``public`` and ``verify`` reuses it.
+    """
 
     def __init__(self, scheme: str = "stub", seed: bytes = b"deltamoney"):
         self.scheme = scheme
         self._seed = seed
         self._pairs: dict[int, object] = {}
+        self._publics: dict[int, object] = {}
 
     def generate(self, signer_id: int):
         material = hashlib.sha256(self._seed + u64(signer_id)).digest()
@@ -203,6 +208,7 @@ class KeyStore:
         else:
             pair = StubKeyPair(signer_id, material)
         self._pairs[signer_id] = pair
+        self._publics[signer_id] = pair.public_key()
         return pair
 
     def has(self, signer_id: int) -> bool:
@@ -218,11 +224,11 @@ class KeyStore:
         return self.pair(signer_id).sign(message)
 
     def public(self, signer_id: int):
-        return self.pair(signer_id).public_key()
+        try:
+            return self._publics[signer_id]
+        except KeyError:
+            raise UnknownKey(f"no key registered for signer {signer_id}") from None
 
     def verify(self, signature: Signature, message: bytes) -> bool:
-        try:
-            public = self.public(signature.signer_id)
-        except UnknownKey:
-            return False
-        return public.verify(message, signature)
+        public = self._publics.get(signature.signer_id)
+        return public is not None and public.verify(message, signature)

@@ -140,6 +140,11 @@ class MerkleTree:
             raise IndexOutOfRange(f"prefix {size} outside tree of {len(self)}")
         return self._subtree(0, size)
 
+    def prefix_roots(self) -> list[Digest]:
+        """``root_at(size)`` for every size from 1 to ``len(self)``, in order."""
+        subtree = self._subtree
+        return [subtree(0, size) for size in range(1, len(self._levels[0]) + 1)]
+
     def _subtree(self, lo: int, hi: int) -> Digest:
         """Digest of leaves ``[lo, hi)``, a node of the split of a prefix.
 

@@ -12,7 +12,6 @@ checks a record's commitments against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .encoding import PAIR_RECORD
@@ -41,21 +40,10 @@ from .merkle import MerkleTree
 
 RECORD_SIZE = PAIR_RECORD.size  # 232
 
-# the 32-byte fields of a record, which PAIR_RECORD would pad or truncate
-_DIGEST_FIELDS = (
-    "payer_prior_commit",
-    "payer_new_commit",
-    "payee_prior_commit",
-    "payee_new_commit",
-    "payer_provenance",
-    "payee_provenance",
-)
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class TransactionPairRecord:
-    """Shared leaf payload for one credit-debit transaction pair."""
-
+class _PairRecordFields(NamedTuple):
     pair_seq: int
     timestamp: int
     payer_id: int
@@ -68,37 +56,44 @@ class TransactionPairRecord:
     payer_provenance: bytes
     payee_provenance: bytes
 
-    def __post_init__(self) -> None:
-        if self.amount <= 0:
-            raise NonPositiveAmount(f"amount must be positive, got {self.amount}")
-        if self.payer_id == self.payee_id:
+
+class TransactionPairRecord(_PairRecordFields):
+    """Shared leaf payload for one credit-debit transaction pair.
+
+    An immutable tuple in ``PAIR_RECORD`` field order, checked when it is
+    built: ``_make`` and ``_replace`` go through ``__new__`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pair_seq, timestamp, payer_id, payee_id, amount,
+                payer_prior_commit, payer_new_commit, payee_prior_commit,
+                payee_new_commit, payer_provenance, payee_provenance):
+        if amount <= 0:
+            raise NonPositiveAmount(f"amount must be positive, got {amount}")
+        if payer_id == payee_id:
             raise ValueError("payer and payee must be distinct clients")
+        fields = (pair_seq, timestamp, payer_id, payee_id, amount,
+                  payer_prior_commit, payer_new_commit, payee_prior_commit,
+                  payee_new_commit, payer_provenance, payee_provenance)
         # one chained comparison per record; the loop only names the field
-        if not (len(self.payer_prior_commit) == len(self.payer_new_commit)
-                == len(self.payee_prior_commit) == len(self.payee_new_commit)
-                == len(self.payer_provenance) == len(self.payee_provenance)
+        if not (len(payer_prior_commit) == len(payer_new_commit)
+                == len(payee_prior_commit) == len(payee_new_commit)
+                == len(payer_provenance) == len(payee_provenance)
                 == DIGEST_SIZE):
-            for name in _DIGEST_FIELDS:
-                if len(getattr(self, name)) != DIGEST_SIZE:
+            for name, value in zip(cls._fields[5:], fields[5:]):
+                if len(value) != DIGEST_SIZE:
                     raise ValueError(
-                        f"{name} must be {DIGEST_SIZE} bytes, "
-                        f"got {len(getattr(self, name))}"
+                        f"{name} must be {DIGEST_SIZE} bytes, got {len(value)}"
                     )
+        return _tuple_new(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable) -> "TransactionPairRecord":
+        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
-        return PAIR_RECORD.pack(
-            self.pair_seq,
-            self.timestamp,
-            self.payer_id,
-            self.payee_id,
-            self.amount,
-            self.payer_prior_commit,
-            self.payer_new_commit,
-            self.payee_prior_commit,
-            self.payee_new_commit,
-            self.payer_provenance,
-            self.payee_provenance,
-        )
+        return PAIR_RECORD.pack(*self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TransactionPairRecord":
@@ -239,6 +234,10 @@ class PeerTransactionTree:
         if self._tree is None:
             raise IndexOutOfRange(f"pair {self.pair_key} has no record {pair_seq}")
         return self._tree.root_at(pair_seq - self.epoch_start)
+
+    def prefix_roots(self) -> list[bytes]:
+        """``root_after`` each record of the current epoch, in order."""
+        return [] if self._tree is None else self._tree.prefix_roots()
 
     def tamper_leaf(self, index: int, payload: bytes) -> None:
         """Overwrite a raw leaf payload in place (fault injection only)."""

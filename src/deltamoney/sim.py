@@ -36,9 +36,9 @@ crashed payer's queued commands, and any sent to it while down, give up
 ``reason=crashed``; an acceptance that reaches the payer once it is
 rebuilt is aborted ``reason=stale`` (see ``ClientNode.receive_accept``).
 
-Every message and report is an immutable ``NamedTuple``, built several
-times per transfer at a fraction of a frozen dataclass's cost.  They
-compare as plain tuples, so a message of one type can equal one of
+Every message, report and record is an immutable ``NamedTuple``, built
+several times per transfer at a fraction of a frozen dataclass's cost.
+They compare as plain tuples, so a message of one type can equal one of
 another; the actors dispatch on type, never on ``==``, and a queue
 entry's unique insertion number keeps the heap from ever comparing two
 messages.

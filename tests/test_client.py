@@ -37,7 +37,7 @@ from deltamoney.errors import (
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore
 from deltamoney.integrity_manager import TransactionReport
-from deltamoney.peer_ledger import net_position, reset_epoch
+from deltamoney.peer_ledger import PeerTransactionTree, net_position, reset_epoch
 from deltamoney.sim import Simulation
 from worlds import run_transfers, small_world
 
@@ -558,6 +558,69 @@ class TestRecovery:
             sim.clients[1].recover_transactions(partners, trusted.get)
 
 
+    def test_partner_history_whose_timestamps_fall_back_is_refused(self):
+        """Replay runs in timestamp order, so a record moved before its
+        predecessor meets a balance its commitments do not open."""
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
+        first, second = data.records[0], data.records[1]
+        records = (first, second._replace(timestamp=first.timestamp - 1),
+                   *data.records[2:])
+        rebuilt = PeerTransactionTree.restore(
+            (1, 2), records, epoch=data.epoch, archived_roots=(),
+            carried_net_low=0, seq_at_epoch_start=data.seq_at_epoch_start)
+        forged = dataclasses.replace(data, records=records,
+                                     claimed_root=rebuilt.root())
+        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 3)]
+        victim = sim.clients[1]
+        before = victim.persist_snapshot()
+        with pytest.raises(ValueError, match="prior balance"):
+            victim.recover_transactions([forged, *partners], lambda key: None)
+        assert victim.persist_snapshot() == before
+
+    def test_recovery_and_later_commits_keep_their_digest_counts(self, monkeypatch):
+        """SHA-256 digests of one recovery and of the commits after it.
+
+        Four clients on a ring of four pairs, each issued 10**6, run 200
+        transfers; client 1 crashes and is rebuilt from 101 records, then
+        pays client 2 fifty times.  Every digest is one ``hashlib.sha256``
+        call, so a change to the replay or to any tree's hashing shows.
+        """
+        sim = Simulation(seed=7)
+        pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        for c in range(1, 5):
+            sim.enroll(c)
+        for a, b in pairs:
+            sim.register(a, b)
+        for c in range(1, 5):
+            sim.issue(c, 10**6)
+            sim.advance(10)
+        for i in range(200):
+            a, b = pairs[i % 4]
+            sim.transfer(*((b, a) if i % 3 == 0 else (a, b)), 100 + i)
+            sim.advance(10)
+        sim.quiesce()
+        sim.inject("crash-client", 1)
+
+        digests = [0]
+        real_sha256 = hashlib.sha256
+
+        def counted(*args, **kwargs):
+            digests[0] += 1
+            return real_sha256(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        sim.recover(1)
+        assert len(sim.clients[1].mht) == 101
+        assert digests[0] == 705
+        digests[0] = 0
+        for i in range(50):
+            sim.transfer(1, 2, 7 + i)
+            sim.advance(10)
+        sim.quiesce()
+        assert digests[0] == 1594
+
+
 class TestRecoverBalance:
     def test_recover_balance_agrees(self):
         sim = small_world(fund=10_000)
@@ -608,8 +671,7 @@ class TestSnapshots:
         a = sim.clients[1]
         run_transfers(sim, [(1, 2, 30)])
         ptt = a.ptts[pair_of(1, 2)]
-        forged = dataclasses.replace(ptt.records[-1],
-                                     payer_prior_commit=b"\x00" * 32)
+        forged = ptt.records[-1]._replace(payer_prior_commit=b"\x00" * 32)
         ptt.rollback_last()
         ptt.append_record(forged)
         with pytest.raises(CorruptSnapshot, match="prior balance"):

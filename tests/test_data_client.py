@@ -128,6 +128,28 @@ def test_mutated_record_fails_only_correctness():
     assert verdict == Verdict(False, True, True)
 
 
+@pytest.mark.parametrize("fault", ["zero amount", "payee is payer"])
+def test_record_that_cannot_be_built_fails_correctness(fault):
+    """A record the constructor refuses reads as a verdict, never an error."""
+    sim = build_world()
+    ks, a, im = sim.keystore, sim.clients[1], sim.im
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    records, vo = query_transactions(
+        grant, (1, 2), 1, 6, a, im.attest_pttr((1, 2))
+    )
+    broken = bytearray(vo.records[2])
+    # payer_id sits at bytes 16-24, payee_id at 24-32, amount at 32-40
+    if fault == "zero amount":
+        broken[32:40] = bytes(8)
+    else:
+        broken[24:32] = broken[16:24]
+    forged = dataclasses.replace(
+        vo, records=vo.records[:2] + (bytes(broken),) + vo.records[3:]
+    )
+    verdict = verify_vo(parse_vo(forged.to_bytes()), ks, latest_for(im, (1, 2)))
+    assert verdict == Verdict(False, False, True)
+
+
 def test_padded_inclusion_proof_fails_correctness():
     sim = build_world()
     ks, a, im = sim.keystore, sim.clients[1], sim.im

@@ -6,7 +6,6 @@ swapped field or a signed/unsigned mix-up in a format string shows up as
 different bytes (or as a pack error at 2**64 - 1 or a negative delta).
 """
 
-import dataclasses
 import hashlib
 import random
 
@@ -15,6 +14,7 @@ import pytest
 from deltamoney.balance_tree import BalanceChangeRecord, _key_bytes
 from deltamoney.currency_manager import _Report
 from deltamoney.encoding import i64, u32, u64
+from deltamoney.errors import NegativeBalance, NonPositiveAmount
 from deltamoney.hashing import commit_balance
 from deltamoney.integrity_manager import TransactionReport
 from deltamoney.data_client import TransactionInclusionVO, parse_vo
@@ -200,11 +200,32 @@ def test_inclusion_proof_layout_matches_reference_and_round_trips():
 def test_pair_record_rejects_wrong_length_digest(name, size):
     rec = pair_record(random.Random(907))
     with pytest.raises(ValueError, match=name):
-        dataclasses.replace(rec, **{name: b"\x05" * size})
+        rec._replace(**{name: b"\x05" * size})
 
 
 @pytest.mark.parametrize("size", [31, 33])
 def test_balance_record_rejects_wrong_length_pttr(size):
     rec = balance_record(random.Random(908))
     with pytest.raises(ValueError, match="causing_pttr"):
-        dataclasses.replace(rec, causing_pttr=b"\x05" * size)
+        rec._replace(causing_pttr=b"\x05" * size)
+
+
+def test_pair_record_replace_runs_the_constructor_checks():
+    rec = pair_record(random.Random(909))
+    with pytest.raises(NonPositiveAmount, match="amount must be positive, got 0"):
+        rec._replace(amount=0)
+    with pytest.raises(ValueError, match="payer and payee must be distinct"):
+        rec._replace(payee_id=rec.payer_id)
+    with pytest.raises(ValueError, match="payer and payee must be distinct"):
+        TransactionPairRecord._make(rec[:3] + (rec.payer_id,) + rec[4:])
+    assert rec._replace(amount=rec.amount) == rec
+    assert type(rec._replace(amount=1)) is TransactionPairRecord
+
+
+def test_balance_record_replace_runs_the_constructor_checks():
+    rec = balance_record(random.Random(910))
+    with pytest.raises(NegativeBalance, match="balance may not go negative, got -1"):
+        rec._replace(new_balance=-1)
+    with pytest.raises(NegativeBalance):
+        BalanceChangeRecord._make(rec[:5] + (-1,) + rec[6:])
+    assert type(rec._replace(delta=0)) is BalanceChangeRecord

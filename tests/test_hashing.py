@@ -10,6 +10,7 @@ from deltamoney.hashing import (
     Ed25519KeyPair,
     HashScheme,
     KeyStore,
+    Signature,
     StubKeyPair,
     commit_balance,
     hash_internal,
@@ -133,3 +134,15 @@ def test_keystore_round_trip():
     store.generate(3)
     sig = store.sign(3, b"msg")
     assert store.public(3).verify(b"msg", sig)
+
+
+@pytest.mark.parametrize("scheme", ["stub", "ed25519"])
+def test_keystore_keeps_one_public_key_per_signer(scheme):
+    store = KeyStore(scheme=scheme)
+    store.generate(3)
+    assert store.public(3) is store.public(3)
+    sig = store.sign(3, b"msg")
+    assert store.verify(sig, b"msg") and not store.verify(sig, b"other")
+    assert not store.verify(Signature(sig.bytes, 4), b"msg")
+    with pytest.raises(UnknownKey):
+        store.public(4)

@@ -300,6 +300,20 @@ def test_root_at_equals_rfc6962_mth_for_every_prefix():
             assert tree.root_at(k) == mth(0, k), (n, k)
 
 
+def test_prefix_roots_equal_rfc6962_mth_for_every_prefix():
+    """One call gives the root of every prefix, each from the stored levels."""
+    scheme, calls = counting_scheme()
+    for n in range(1, 65):
+        items = payloads(n)
+        mth = mth_oracle(items)
+        tree = MerkleTree.build(items, scheme)
+        calls[0] = 0
+        assert tree.prefix_roots() == [mth(0, k) for k in range(1, n + 1)], n
+        # popcount(k) - 1 internal hashes per prefix, no leaf rehashed
+        assert calls[0] == sum(bin(k).count("1") - 1 for k in range(1, n + 1))
+    assert MerkleTree().prefix_roots() == []
+
+
 # an operation: ("append",), ("remove",) or ("replace", index seed)
 OPERATIONS = st.lists(
     st.one_of(

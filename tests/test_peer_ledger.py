@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -62,7 +61,7 @@ def test_record_encoding_round_trip():
 def test_encoding_is_side_independent():
     a_ptt, _ = fresh_pair()
     rec = make_record(a_ptt, 2000, 1000, 500)
-    again = TransactionPairRecord(**{f: getattr(rec, f) for f in rec.__dataclass_fields__})
+    again = TransactionPairRecord(**{f: getattr(rec, f) for f in rec._fields})
     assert again.to_bytes() == rec.to_bytes()
 
 
@@ -175,8 +174,7 @@ def test_local_view_checks_both_commitments():
         with pytest.raises(ValueError, match="prior balance"):
             local_view(rec, who, prior)
     # the right prior balance, but the record's new commitment is off
-    forged = dataclasses.replace(
-        rec, payee_new_commit=commit_balance(ALICE, 1, 1499))
+    forged = rec._replace(payee_new_commit=commit_balance(ALICE, 1, 1499))
     with pytest.raises(ValueError, match="new balance"):
         local_view(forged, ALICE, 1000)
     with pytest.raises(UnknownClient):
