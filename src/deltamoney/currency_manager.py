@@ -50,7 +50,6 @@ MANAGER_ID = 0
 class ClientStatus(Enum):
     ACTIVE = "active"
     SUSPENDED = "suspended"
-    DISENROLLED = "disenrolled"
 
 
 @dataclass
@@ -265,7 +264,7 @@ class CurrencyManager:
 
     def _require(self, client_id: int) -> RegisteredClient:
         client = self.registry.get(client_id)
-        if client is None or client.status is ClientStatus.DISENROLLED:
+        if client is None:
             raise UnknownClient(f"client {client_id} is not enrolled")
         return client
 

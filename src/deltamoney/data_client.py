@@ -295,13 +295,13 @@ def verify_balance_vo(vo: BalanceRangeVO, keystore: KeyStore,
         att.client_id == vo.client_id
         and keystore.verify(att.signature, att.message())
     )
+    fresh = latest is not None and att.mhtr == latest
     try:
         records = [BalanceChangeRecord.from_bytes(b) for b in vo.records]
         range_vo = RangeVO.from_bytes(vo.range_vo)
     except Exception:
-        return Verdict(False, False, False)
+        return Verdict(False, False, fresh)
     correct, complete = examine_range(records, range_vo, att.mhtr)
-    fresh = latest is not None and att.mhtr == latest
     return Verdict(correct and sig_ok, complete, fresh)
 
 

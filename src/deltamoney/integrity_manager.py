@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional
 from .encoding import TXN_REPORT_FP, u64
 from .errors import (
     BadSignature,
-    NotQuiescent,
     UnknownReporter,
     UnregisteredPair,
 )
@@ -330,10 +329,7 @@ class IntegrityManager:
     # merkle hash grid
 
     def capture_grid(self, epoch: int, mhtrs: dict[int, Digest],
-                     pttrs: dict[tuple[int, int], Digest],
-                     quiescent: bool = True) -> MerkleHashGrid:
-        if not quiescent:
-            raise NotQuiescent("grid capture requires a quiet period")
+                     pttrs: dict[tuple[int, int], Digest]) -> MerkleHashGrid:
         if not mhtrs:
             raise ValueError("a grid needs at least one client")
         index = tuple(sorted(mhtrs))  # ids are assigned in enrollment order

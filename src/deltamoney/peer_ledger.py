@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple, Optional
 from .encoding import PAIR_RECORD
 from .errors import (
     EmptyTree,
-    IndexOutOfRange,
     InsufficientBalance,
     LimitExceeded,
     MissingCounterSignature,
@@ -147,7 +146,7 @@ class PeerTransactionTree:
         self.archived_roots: list[tuple[int, bytes]] = []
         self.last_seq = 0
         self._carried_net_low = 0
-        self._tree: Optional[MerkleTree] = None
+        self._tree = MerkleTree()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -190,11 +189,7 @@ class PeerTransactionTree:
 
     def append_record(self, record: TransactionPairRecord) -> None:
         self._admit(record)
-        payload = record.to_bytes()
-        if self._tree is None:
-            self._tree = MerkleTree.build([payload])
-        else:
-            self._tree.append(payload)
+        self._tree.append(record.to_bytes())
 
     def _admit(self, record: TransactionPairRecord) -> None:
         """Check that ``record`` is this pair's next one and take it in."""
@@ -217,31 +212,22 @@ class PeerTransactionTree:
         if not self.records:
             raise EmptyTree("nothing to roll back")
         self.records.pop()
-        assert self._tree is not None
-        if len(self._tree) == 1:
-            self._tree = None
-        else:
-            self._tree.remove_last()
+        self._tree.remove_last()
         self.last_seq -= 1
 
     def root(self) -> bytes:
-        if self._tree is None:
-            return EMPTY_TREE_DIGEST
-        return self._tree.root()
+        return self._tree.root() if self.records else EMPTY_TREE_DIGEST
 
     def root_after(self, pair_seq: int) -> bytes:
         """Root the current epoch's tree had right after ``pair_seq`` was appended."""
-        if self._tree is None:
-            raise IndexOutOfRange(f"pair {self.pair_key} has no record {pair_seq}")
         return self._tree.root_at(pair_seq - self.epoch_start)
 
     def prefix_roots(self) -> list[bytes]:
         """``root_after`` each record of the current epoch, in order."""
-        return [] if self._tree is None else self._tree.prefix_roots()
+        return self._tree.prefix_roots()
 
     def tamper_leaf(self, index: int, payload: bytes) -> None:
         """Overwrite a raw leaf payload in place (fault injection only)."""
-        assert self._tree is not None
         self._tree.replace_leaf(index, payload)
 
 
@@ -351,20 +337,15 @@ def net_position(ptt: PeerTransactionTree, self_id: int) -> int:
 def reset_epoch(
     ptt: PeerTransactionTree,
     signatures: Iterable[Signature],
-    keystore: Optional[KeyStore] = None,
+    keystore: KeyStore,
 ) -> PeerTransactionTree:
     """Archive the current root and start a fresh epoch, same tree object.
 
-    Both peers must countersign the root being archived.  When a keystore
-    is supplied the signatures are verified cryptographically; otherwise
-    only signer coverage is checked.
+    Both peers must countersign the root being archived: only a signature
+    that ``keystore`` verifies over that root counts.
     """
     current = ptt.root()
-    signers = set()
-    for sig in signatures:
-        if keystore is not None and not keystore.verify(sig, current):
-            continue
-        signers.add(sig.signer_id)
+    signers = {sig.signer_id for sig in signatures if keystore.verify(sig, current)}
     missing = set(ptt.pair_key) - signers
     if missing:
         raise MissingCounterSignature(
@@ -377,5 +358,5 @@ def reset_epoch(
     ptt.archived_roots.append((ptt.epoch, current))
     ptt.epoch += 1
     ptt.records = []
-    ptt._tree = None
+    ptt._tree = MerkleTree()
     return ptt

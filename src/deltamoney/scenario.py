@@ -48,20 +48,10 @@ across policies should sequence exchanges with it and end on ``quiesce``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import ScenarioParseError
 from .sim import DeliveryPolicy, Simulation
-
-FAULT_ARITY = {
-    "tamper-leaf": 3,
-    "double-spend": 2,
-    "replay-report": 1,
-    "forge-balance": 2,
-    "crash-client": 1,
-    "partition-manager": 1,
-    "omit-record": 3,
-}
 
 
 @dataclass(frozen=True)
@@ -81,185 +71,177 @@ def _fail(lineno: int, why: str) -> ScenarioParseError:
     return ScenarioParseError(f"line {lineno}: {why}")
 
 
-def _int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise _fail(lineno, f"{what} must be an integer, got {token!r}") from None
+# a reader turns one argument token into its value, or fails citing the line
+Reader = Callable[[str, int], object]
 
 
-def _float(token: str, lineno: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise _fail(lineno, f"{what} must be a number, got {token!r}") from None
+def _int(what: str, least: Optional[int] = None, why: str = "") -> Reader:
+    """Reads an integer; one below ``least``, if given, fails with ``why``."""
+    def read(token: str, lineno: int) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise _fail(lineno, f"{what} must be an integer, got {token!r}") from None
+        if least is not None and value < least:
+            raise _fail(lineno, why)
+        return value
+    return read
+
+
+def _number(what: str) -> Reader:
+    def read(token: str, lineno: int) -> float:
+        try:
+            return float(token)
+        except ValueError:
+            raise _fail(lineno, f"{what} must be a number, got {token!r}") from None
+    return read
+
+
+def _flag(yes: tuple, no: tuple, expected: str) -> Reader:
+    """Reads True for a word of ``yes`` and False for one of ``no``."""
+    def read(token: str, lineno: int) -> bool:
+        if token in yes:
+            return True
+        if token in no:
+            return False
+        raise _fail(lineno, f"expected {expected}, got {token!r}")
+    return read
+
+
+_member = _int("pair member")
 
 
 def _pair(token: str, lineno: int) -> tuple[int, int]:
     left, sep, right = token.partition(":")
     if not sep:
         raise _fail(lineno, f"pair must look like A:B, got {token!r}")
-    return (_int(left, lineno, "pair member"), _int(right, lineno, "pair member"))
+    return (_member(left, lineno), _member(right, lineno))
 
 
-def _bool(token: str, lineno: int) -> bool:
-    if token in ("T", "t", "true", "True"):
-        return True
-    if token in ("F", "f", "false", "False"):
-        return False
-    raise _fail(lineno, f"expected T or F, got {token!r}")
+def _word(token: str, lineno: int) -> str:
+    return token
 
 
-def _want(parts: list, count: int, lineno: int, usage: str) -> None:
-    if len(parts) - 1 != count:
-        raise _fail(lineno, f"usage: {usage}")
+_CLIENT, _AMOUNT = _int("client"), _int("amount")
+_TF = _flag(("T", "t", "true", "True"), ("F", "f", "false", "False"), "T or F")
 
 
-def _policy(parts: list, lineno: int) -> DeliveryPolicy:
-    """The policy of one ``policy KIND [ARGS]`` line, checked as it is built."""
-    kind = parts[1]
-    try:
-        if kind == "normal":
-            _want(parts, 1, lineno, "policy normal")
-            return DeliveryPolicy()
-        if kind == "delay":
-            _want(parts, 2, lineno, "policy delay N")
-            return DeliveryPolicy("delay", delay=_int(parts[2], lineno, "delay"))
-        if kind == "duplicate":
-            _want(parts, 1, lineno, "policy duplicate")
-            return DeliveryPolicy("duplicate")
-        if kind == "random":
-            _want(parts, 4, lineno, "policy random P_DELAY MAX_DELAY P_DUP")
-            return DeliveryPolicy(
-                "random",
-                p_delay=_float(parts[2], lineno, "p_delay"),
-                max_delay=_int(parts[3], lineno, "max_delay"),
-                p_duplicate=_float(parts[4], lineno, "p_duplicate"),
-            )
-    except ValueError as exc:
-        raise _fail(lineno, str(exc)) from None
-    raise _fail(lineno, f"unknown policy {kind!r}")
+class Row(NamedTuple):
+    """How one op, or one KIND of ``fault`` or ``policy``, is written and run."""
+
+    usage: str  # its grammar line: the words naming it, then one per argument
+    readers: Union[tuple, dict]  # one per argument; {KIND: Row} for fault and policy
+    run: Optional[Callable] = None  # runs the step's args on a Simulation
+    # the step's args from the values read, its KIND first if it has one
+    make: Callable = lambda *values: values
+
+
+def _table(rows: list, word: int) -> dict:
+    """``rows`` keyed by the ``word``-th word of their usage."""
+    return {row.usage.split()[word]: row for row in rows}
+
+
+def _policy(*fields: str) -> Callable:
+    """``make`` for a policy KIND whose arguments set ``fields``, in order."""
+    return lambda kind, *values: (DeliveryPolicy(kind, **dict(zip(fields, values))),)
+
+
+def _enroll(sim: Simulation, count: int, limit: Optional[int]) -> None:
+    for client_id in range(1, count + 1):
+        sim.enroll(client_id, limit)
+
+
+FAULTS = _table([
+    Row("fault tamper-leaf HOLDER A:B INDEX",
+        (_int("holder"), _pair, _int("leaf index"))),
+    Row("fault double-spend CLIENT AMOUNT", (_CLIENT, _AMOUNT)),
+    Row("fault replay-report A:B", (_pair,)),
+    Row("fault forge-balance CLIENT DELTA", (_CLIENT, _int("delta"))),
+    Row("fault crash-client CLIENT", (_CLIENT,)),
+    Row("fault partition-manager TICKS",
+        (_int("ticks", 1, "a partition lasts at least 1 tick"),)),
+    Row("fault omit-record SUBJECT A:B SEQ",
+        (_int("subject"), _pair, _int("sequence"))),
+], 1)
+
+POLICIES = _table([
+    Row("policy normal", (), make=_policy()),
+    Row("policy delay N", (_int("delay"),), make=_policy("delay")),
+    Row("policy duplicate", (), make=_policy()),
+    Row("policy random P_DELAY MAX P_DUP",
+        (_number("p_delay"), _int("max_delay"), _number("p_duplicate")),
+        make=_policy("p_delay", "max_delay", "p_duplicate")),
+], 1)
+
+# every step but ``seed``, which sets ``Scenario.seed``, runs its ``run``
+STEPS = _table([
+    Row("seed N", (_int("seed"),)),
+    Row("clients N [LIMIT]",
+        (_int("client count", 1, "client count must be positive"), _int("limit")),
+        _enroll, lambda count, limit=None: (count, limit)),
+    Row("register A B", (_CLIENT, _CLIENT), Simulation.register),
+    Row("issue CLIENT AMOUNT", (_CLIENT, _AMOUNT), Simulation.issue),
+    Row("redeem CLIENT AMOUNT", (_CLIENT, _AMOUNT), Simulation.redeem),
+    Row("transfer PAYER PAYEE AMOUNT", (_int("payer"), _int("payee"), _AMOUNT),
+        Simulation.transfer),
+    Row("policy KIND [ARGS]", POLICIES,
+        lambda sim, policy: setattr(sim, "policy", policy)),
+    Row("fault KIND [ARGS]", FAULTS, Simulation.inject),
+    Row("advance N", (_int("ticks", 1, "advance must move forward"),),
+        Simulation.advance),
+    Row("quiesce", (), Simulation.quiesce),
+    Row("capture EPOCH", (_int("epoch"),), Simulation.capture),
+    Row("recover CLIENT", (_CLIENT,), Simulation.recover),
+    Row("query SUBJECT A:B LO HI",
+        (_int("subject"), _pair, _int("lo"), _int("hi")), Simulation.query),
+    Row("assert-balance CLIENT AMOUNT", (_CLIENT, _AMOUNT),
+        Simulation.assert_balance),
+    Row("assert-conservation holds|violated",
+        (_flag(("holds",), ("violated",), "holds or violated"),),
+        Simulation.assert_conservation),
+    Row("assert-alert KIND COUNT", (_word, _int("count")), Simulation.assert_alert),
+    Row("assert-no-alerts", (), Simulation.assert_no_alerts),
+    Row("assert-verdict T|F T|F T|F", (_TF, _TF, _TF), Simulation.assert_verdict),
+], 0)
 
 
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     seed_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        parts = line.split()
-        op = parts[0]
+        op, tokens = words[0], words[1:]
+        row = STEPS.get(op)
+        if row is None:
+            raise _fail(lineno, f"unknown step {op!r}")
+        head = ()
+        if isinstance(row.readers, dict):  # the first token picks the KIND's row
+            if not tokens:
+                raise _fail(lineno, f"usage: {row.usage}")
+            head, tokens = tokens[:1], tokens[1:]
+            row = row.readers.get(head[0])
+            if row is None:
+                raise _fail(lineno, f"unknown {op} {head[0]!r}")
+        readers = row.readers
+        if op == "clients" and len(tokens) == 1:
+            readers = readers[:1]  # LIMIT left out
+        if len(tokens) != len(readers):
+            raise _fail(lineno, f"{op} {head[0]} takes {len(readers)} argument(s)"
+                        if head else f"usage: {row.usage}")
+        values = [read(token, lineno) for read, token in zip(readers, tokens)]
         if op == "seed":
-            _want(parts, 1, lineno, "seed N")
             if seed_seen:
                 raise _fail(lineno, "seed may only appear once")
             seed_seen = True
-            scenario.seed = _int(parts[1], lineno, "seed")
-        elif op == "clients":
-            if len(parts) not in (2, 3):
-                raise _fail(lineno, "usage: clients N [LIMIT]")
-            count = _int(parts[1], lineno, "client count")
-            if count < 1:
-                raise _fail(lineno, "client count must be positive")
-            limit = _int(parts[2], lineno, "limit") if len(parts) == 3 else None
-            scenario.steps.append(Step(lineno, "clients", (count, limit)))
-        elif op == "register":
-            _want(parts, 2, lineno, "register A B")
-            scenario.steps.append(Step(lineno, "register", (
-                _int(parts[1], lineno, "client"), _int(parts[2], lineno, "client"),
-            )))
-        elif op in ("issue", "redeem"):
-            _want(parts, 2, lineno, f"{op} CLIENT AMOUNT")
-            scenario.steps.append(Step(lineno, op, (
-                _int(parts[1], lineno, "client"), _int(parts[2], lineno, "amount"),
-            )))
-        elif op == "transfer":
-            _want(parts, 3, lineno, "transfer PAYER PAYEE AMOUNT")
-            scenario.steps.append(Step(lineno, "transfer", (
-                _int(parts[1], lineno, "payer"), _int(parts[2], lineno, "payee"),
-                _int(parts[3], lineno, "amount"),
-            )))
-        elif op == "policy":
-            if len(parts) < 2:
-                raise _fail(lineno, "usage: policy KIND [ARGS]")
-            scenario.steps.append(Step(lineno, "policy", (_policy(parts, lineno),)))
-        elif op == "fault":
-            if len(parts) < 2:
-                raise _fail(lineno, "usage: fault KIND [ARGS]")
-            kind = parts[1]
-            arity = FAULT_ARITY.get(kind)
-            if arity is None:
-                raise _fail(lineno, f"unknown fault {kind!r}")
-            rest = parts[2:]
-            if len(rest) != arity:
-                raise _fail(lineno, f"fault {kind} takes {arity} argument(s)")
-            if kind == "tamper-leaf":
-                args = (_int(rest[0], lineno, "holder"), _pair(rest[1], lineno),
-                        _int(rest[2], lineno, "leaf index"))
-            elif kind in ("double-spend", "forge-balance"):
-                args = (_int(rest[0], lineno, "client"),
-                        _int(rest[1], lineno, "amount"))
-            elif kind == "replay-report":
-                args = (_pair(rest[0], lineno),)
-            elif kind in ("crash-client", "partition-manager"):
-                args = (_int(rest[0], lineno, "argument"),)
-                if kind == "partition-manager" and args[0] < 1:
-                    raise _fail(lineno, "a partition lasts at least 1 tick")
-            else:  # omit-record
-                args = (_int(rest[0], lineno, "subject"), _pair(rest[1], lineno),
-                        _int(rest[2], lineno, "sequence"))
-            scenario.steps.append(Step(lineno, "fault", (kind,) + args))
-        elif op == "advance":
-            _want(parts, 1, lineno, "advance N")
-            ticks = _int(parts[1], lineno, "ticks")
-            if ticks < 1:
-                raise _fail(lineno, "advance must move forward")
-            scenario.steps.append(Step(lineno, "advance", (ticks,)))
-        elif op == "quiesce":
-            _want(parts, 0, lineno, "quiesce")
-            scenario.steps.append(Step(lineno, "quiesce", ()))
-        elif op == "capture":
-            _want(parts, 1, lineno, "capture EPOCH")
-            scenario.steps.append(Step(lineno, "capture",
-                                       (_int(parts[1], lineno, "epoch"),)))
-        elif op == "recover":
-            _want(parts, 1, lineno, "recover CLIENT")
-            scenario.steps.append(Step(lineno, "recover",
-                                       (_int(parts[1], lineno, "client"),)))
-        elif op == "query":
-            _want(parts, 4, lineno, "query SUBJECT A:B LO HI")
-            scenario.steps.append(Step(lineno, "query", (
-                _int(parts[1], lineno, "subject"), _pair(parts[2], lineno),
-                _int(parts[3], lineno, "lo"), _int(parts[4], lineno, "hi"),
-            )))
-        elif op == "assert-balance":
-            _want(parts, 2, lineno, "assert-balance CLIENT AMOUNT")
-            scenario.steps.append(Step(lineno, "assert-balance", (
-                _int(parts[1], lineno, "client"), _int(parts[2], lineno, "amount"),
-            )))
-        elif op == "assert-conservation":
-            _want(parts, 1, lineno, "assert-conservation holds|violated")
-            if parts[1] not in ("holds", "violated"):
-                raise _fail(lineno, "expected holds or violated")
-            scenario.steps.append(Step(lineno, "assert-conservation",
-                                       (parts[1] == "holds",)))
-        elif op == "assert-alert":
-            _want(parts, 2, lineno, "assert-alert KIND COUNT")
-            scenario.steps.append(Step(lineno, "assert-alert", (
-                parts[1], _int(parts[2], lineno, "count"),
-            )))
-        elif op == "assert-no-alerts":
-            _want(parts, 0, lineno, "assert-no-alerts")
-            scenario.steps.append(Step(lineno, "assert-no-alerts", ()))
-        elif op == "assert-verdict":
-            _want(parts, 3, lineno, "assert-verdict T|F T|F T|F")
-            scenario.steps.append(Step(lineno, "assert-verdict", (
-                _bool(parts[1], lineno), _bool(parts[2], lineno),
-                _bool(parts[3], lineno),
-            )))
-        else:
-            raise _fail(lineno, f"unknown step {op!r}")
+            scenario.seed = values[0]
+            continue
+        try:
+            args = row.make(*head, *values)
+        except ValueError as exc:  # a policy checks its fields as it is built
+            raise _fail(lineno, str(exc)) from None
+        scenario.steps.append(Step(lineno, op, args))
     return scenario
 
 
@@ -268,40 +250,5 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     """Execute parsed steps against a fresh simulation and return it."""
     sim = Simulation(seed=scenario.seed if seed is None else seed, scheme=scheme)
     for step in scenario.steps:
-        if step.op == "clients":
-            count, limit = step.args
-            for client_id in range(1, count + 1):
-                sim.enroll(client_id, limit)
-        elif step.op == "register":
-            sim.register(*step.args)
-        elif step.op == "issue":
-            sim.issue(*step.args)
-        elif step.op == "redeem":
-            sim.redeem(*step.args)
-        elif step.op == "transfer":
-            sim.transfer(*step.args)
-        elif step.op == "policy":
-            sim.policy = step.args[0]
-        elif step.op == "fault":
-            sim.inject(*step.args)
-        elif step.op == "advance":
-            sim.advance(*step.args)
-        elif step.op == "quiesce":
-            sim.quiesce()
-        elif step.op == "capture":
-            sim.capture(*step.args)
-        elif step.op == "recover":
-            sim.recover(*step.args)
-        elif step.op == "query":
-            sim.query(*step.args)
-        elif step.op == "assert-balance":
-            sim.assert_balance(*step.args)
-        elif step.op == "assert-conservation":
-            sim.assert_conservation(*step.args)
-        elif step.op == "assert-alert":
-            sim.assert_alert(*step.args)
-        elif step.op == "assert-no-alerts":
-            sim.assert_no_alerts()
-        elif step.op == "assert-verdict":
-            sim.assert_verdict(*step.args)
+        STEPS[step.op].run(sim, *step.args)
     return sim

@@ -292,6 +292,19 @@ class TestBalanceVO:
         verdict = verify_vo(parse_vo(padded.to_bytes()), ks, att.mhtr)
         assert not verdict.correct
 
+    def test_unparsable_balance_record_keeps_freshness(self):
+        """A record cut short fails correctness; the attestation is still fresh."""
+        ks, a, b, cm, tick = self.setup_world()
+        att = cm.attest_mhtr(1)
+        records, vo = query_balance_history(
+            self.grant_for(1), (0, 0), (tick, 999), a, att
+        )
+        cut = BalanceRangeVO(
+            vo.client_id, (vo.records[0][:79],) + vo.records[1:],
+            vo.range_vo, vo.attestation,
+        )
+        assert verify_vo(cut, ks, att.mhtr) == Verdict(False, False, True)
+
     def test_stale_balance_attestation_fails_freshness(self):
         ks, a, b, cm, tick = self.setup_world()
         grant = self.grant_for(1)

@@ -6,7 +6,6 @@ import pytest
 
 from deltamoney.errors import (
     BadSignature,
-    NotQuiescent,
     UnknownReporter,
     UnregisteredPair,
 )
@@ -250,10 +249,8 @@ def test_single_client_grid():
     assert grid.grid_hash == sha(row + row)
 
 
-def test_grid_requires_quiescence_and_clients():
+def test_grid_requires_clients():
     im = fresh_im()
-    with pytest.raises(NotQuiescent):
-        im.capture_grid(0, {1: digest("m")}, {}, quiescent=False)
     with pytest.raises(ValueError):
         im.capture_grid(0, {}, {})
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from deltamoney.errors import (
+    IndexOutOfRange,
     InsufficientBalance,
     LimitExceeded,
     MissingCounterSignature,
@@ -211,6 +212,19 @@ def test_net_position_matches_linear_scan_oracle():
 
 def signed_by(keystore, ids, root):
     return [keystore.sign(i, root) for i in ids]
+
+
+def test_pair_rolled_back_to_empty_reads_as_a_fresh_one():
+    ptt, _ = fresh_pair()
+    rec = make_record(ptt, 2000, 1000, 500)
+    ptt.append_record(rec)
+    ptt.rollback_last()
+    assert ptt.root() == EMPTY_TREE_DIGEST
+    assert ptt.prefix_roots() == []
+    with pytest.raises(IndexOutOfRange):
+        ptt.root_after(1)
+    ptt.append_record(rec)
+    assert ptt.root() == MerkleTree.build([rec.to_bytes()]).root()
 
 
 def test_reset_epoch_archives_root_and_keeps_net():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from deltamoney.errors import (
 )
 from deltamoney.currency_manager import CurrencyManager
 from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
-from deltamoney.scenario import parse_scenario, run_scenario
+from deltamoney import scenario
+from deltamoney.scenario import STEPS, Step, parse_scenario, run_scenario
 from deltamoney.sim import (
     RETRY_BASE,
     RETRY_CAP,
@@ -767,6 +769,80 @@ def test_scenario_parse_errors_cite_line_numbers(line, fragment):
         parse_scenario(line)
     assert fragment in str(err.value)
     assert "line" in str(err.value)
+
+
+def _table_usages():
+    """The usage of every row of the step table, with each fault and policy KIND."""
+    for row in STEPS.values():
+        if isinstance(row.readers, dict):
+            yield from (kind.usage for kind in row.readers.values())
+        else:
+            yield row.usage
+
+
+def _grammar_usages():
+    """The left column of the grammar in the ``deltamoney.scenario`` docstring."""
+    block = scenario.__doc__.split("The grammar:\n\n", 1)[1].split("\n\n", 1)[0]
+    for line in block.splitlines():
+        line = line.strip()
+        if not line.startswith("("):  # a continued description
+            yield re.split(r"\s{2,}", line)[0]
+
+
+def test_step_table_and_docstring_grammar_agree():
+    assert sorted(_table_usages()) == sorted(_grammar_usages())
+
+
+# one line per row of the step table, and the args it parses to
+SAMPLES = {
+    "seed N": ("seed 3", None),
+    "clients N [LIMIT]": ("clients 2 500", (2, 500)),
+    "register A B": ("register 1 2", (1, 2)),
+    "issue CLIENT AMOUNT": ("issue 1 100", (1, 100)),
+    "redeem CLIENT AMOUNT": ("redeem 1 10", (1, 10)),
+    "transfer PAYER PAYEE AMOUNT": ("transfer 1 2 5", (1, 2, 5)),
+    "policy normal": ("policy normal", (DeliveryPolicy(),)),
+    "policy delay N": ("policy delay 3", (DeliveryPolicy("delay", delay=3),)),
+    "policy duplicate": ("policy duplicate", (DeliveryPolicy("duplicate"),)),
+    "policy random P_DELAY MAX P_DUP": ("policy random 0.3 5 0.2", (DeliveryPolicy(
+        "random", p_delay=0.3, max_delay=5, p_duplicate=0.2),)),
+    "fault tamper-leaf HOLDER A:B INDEX": ("fault tamper-leaf 2 1:2 0",
+                                           ("tamper-leaf", 2, (1, 2), 0)),
+    "fault double-spend CLIENT AMOUNT": ("fault double-spend 1 50",
+                                         ("double-spend", 1, 50)),
+    "fault replay-report A:B": ("fault replay-report 1:2", ("replay-report", (1, 2))),
+    "fault forge-balance CLIENT DELTA": ("fault forge-balance 1 -5",
+                                         ("forge-balance", 1, -5)),
+    "fault crash-client CLIENT": ("fault crash-client 2", ("crash-client", 2)),
+    "fault partition-manager TICKS": ("fault partition-manager 4",
+                                      ("partition-manager", 4)),
+    "fault omit-record SUBJECT A:B SEQ": ("fault omit-record 1 1:2 1",
+                                          ("omit-record", 1, (1, 2), 1)),
+    "advance N": ("advance 5", (5,)),
+    "quiesce": ("quiesce", ()),
+    "capture EPOCH": ("capture 0", (0,)),
+    "recover CLIENT": ("recover 2", (2,)),
+    "query SUBJECT A:B LO HI": ("query 1 1:2 1 2", (1, (1, 2), 1, 2)),
+    "assert-balance CLIENT AMOUNT": ("assert-balance 1 90", (1, 90)),
+    "assert-conservation holds|violated": ("assert-conservation violated", (False,)),
+    "assert-alert KIND COUNT": ("assert-alert RootMismatch 0", ("RootMismatch", 0)),
+    "assert-no-alerts": ("assert-no-alerts", ()),
+    "assert-verdict T|F T|F T|F": ("assert-verdict T F true", (True, False, True)),
+}
+
+
+def test_every_table_row_has_a_sample():
+    assert sorted(SAMPLES) == sorted(_table_usages())
+
+
+@pytest.mark.parametrize("usage", sorted(SAMPLES))
+def test_one_sample_line_per_table_row_parses(usage):
+    line, args = SAMPLES[usage]
+    scn = parse_scenario(line)
+    if args is None:  # seed sets the scenario's seed and adds no step
+        assert (scn.seed, scn.steps) == (3, [])
+    else:
+        assert scn.steps == [Step(1, line.split()[0], args)]
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
