@@ -230,6 +230,22 @@ STATE_DIGESTS = {
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
+    "faults.scn": {
+        "attestations.psv":
+            "dfe4a84751c7a039e48a6a560dddadfad2af76683d9413d57ba5268148da7f68",
+        "balances.psv":
+            "1bc7c7d8f18c6faa7f09518e64fa05005f9d88966b03ac23127bc72f09aa7450",
+        "client_0.snap":
+            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+        "client_1.snap":
+            "06f810c3d789f24dec685916a2c40175247e38793c7538244b51f394a445b393",
+        "client_2.snap":
+            "6c0884218c64f81ebc0b46d4506db391e3c1430323a1fc438a2f29f5825b9c55",
+        "client_3.snap":
+            "a42f2ebfbea40c33a79028a48a9cae0265b6ac35133a3f3fd020df67a77e4532",
+        "keys.json":
+            "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
+    },
     "grid3.scn": {
         "attestations.psv":
             "0d4565f520a62c3aebcf40c5e7e0ace81c03e3f5a6bf301d670a544ff6aaf2c2",

@@ -865,6 +865,7 @@ GOLDEN_RUNS = {
     "recover": lambda: _shipped("recover.scn"),
     "crash-before-commit": crash_before_commit,
     "reorder": lambda: _shipped("reorder.scn"),
+    "faults": lambda: _shipped("faults.scn"),
 }
 
 
@@ -877,6 +878,7 @@ GOLDEN_RUNS = {
     ("crash-before-commit",
      "6dce7d5ec18071b09432ed3a632f551571cbd71162e0b248baea7225843b2b0a"),
     ("reorder", "aa45110b6a3b5db51defc956b8fa0cf864a852c22e718dd40de52269477abbb5"),
+    ("faults", "7148a21fae42e1abbe1000545b28a9ab3d67b0347cd40cb7c3a73ff4200f7534"),
 ], ids=list(GOLDEN_RUNS))
 def test_event_logs_match_golden_digests(name, digest):
     log = GOLDEN_RUNS[name]().log.text()
@@ -927,6 +929,7 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
     ("recover", [75, 80]),
     ("crash-before-commit", [34]),
     ("reorder", [11, 64]),
+    ("faults", [42, 48, 50, 52, 58]),
 ], ids=list(GOLDEN_RUNS))
 def test_quiesce_ends_on_the_tick_of_the_last_timer(name, ticks):
     """The last thing due is a report landing or a busy head's retry: no
