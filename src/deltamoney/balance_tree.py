@@ -15,7 +15,7 @@ skipped.
 
 Costs: an insert walks the rightmost path down and back up once, with no
 recursion: it hashes the record, then each node on the path bottom-up
-(both halves of a node it splits), one ``scheme.function`` call per
+(both halves of a node it splits), one ``hashing.digest`` call per
 digest.  Internal nodes keep their separator keys encoded, so a rehash
 only joins bytes: the child digests from a list, then the keys.
 ``build`` loads a whole history, as recovery and snapshot loading do: it
@@ -43,11 +43,10 @@ from .errors import (
 from .hashing import (
     DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
-    SHA256,
     TAG_BTREE_INTERNAL,
     TAG_BTREE_LEAF,
     Digest,
-    HashScheme,
+    digest,
 )
 
 RECORD_SIZE = BALANCE_RECORD.size  # 80
@@ -175,15 +174,15 @@ def _node_sizes(count: int, capacity: int, keep: int) -> list[int]:
     return [keep] * full + [count - full * keep]
 
 
-def _hash_subtree(node, fn) -> None:
+def _hash_subtree(node) -> None:
     """Hash every node under ``node``, children before their parent."""
     if isinstance(node, _Leaf):
-        node.hash = fn(TAG_BTREE_LEAF + b"".join(node.digests))
+        node.hash = digest(TAG_BTREE_LEAF + b"".join(node.digests))
         return
     for child in node.children:
-        _hash_subtree(child, fn)
+        _hash_subtree(child)
     node.digests = [child.hash for child in node.children]
-    node.hash = fn(TAG_BTREE_INTERNAL + b"".join(node.digests) + node.key_bytes)
+    node.hash = digest(TAG_BTREE_INTERNAL + b"".join(node.digests) + node.key_bytes)
 
 
 class BalanceMHT:
@@ -195,13 +194,12 @@ class BalanceMHT:
     leaf and only the rightmost path is rehashed.
     """
 
-    def __init__(self, fanout: int = 8, scheme: HashScheme = SHA256) -> None:
+    def __init__(self, fanout: int = 8) -> None:
         if not MIN_FANOUT <= fanout <= MAX_FANOUT:
             raise ValueError(
                 f"fanout must be within [{MIN_FANOUT}, {MAX_FANOUT}], got {fanout}"
             )
         self.fanout = fanout
-        self.scheme = scheme
         self._root = None
         self._count = 0
         self._max_record: Optional[BalanceChangeRecord] = None
@@ -227,7 +225,6 @@ class BalanceMHT:
         new right sibling).
         """
         _check_next(self._max_record, record)
-        fn = self.scheme.function
         limit = self.fanout - 1
         node = self._root
         if node is None:
@@ -239,7 +236,7 @@ class BalanceMHT:
         leaf = node
         records, digests = leaf.records, leaf.digests
         records.append(record)
-        digests.append(fn(record.to_bytes()))
+        digests.append(digest(record.to_bytes()))
         split = None
         touched = (leaf,)
         if len(records) > limit:
@@ -252,7 +249,7 @@ class BalanceMHT:
             split = right.records[0].key, right
             touched = (leaf, right)
         for node in touched:
-            node.hash = fn(TAG_BTREE_LEAF + b"".join(node.digests))
+            node.hash = digest(TAG_BTREE_LEAF + b"".join(node.digests))
         child = leaf
         for node in reversed(path):
             digests = node.digests
@@ -279,8 +276,8 @@ class BalanceMHT:
                     node.key_bytes = node.key_bytes[:mid * KEY_SIZE]
                     touched = (node, new_right)
             for inner in touched:
-                inner.hash = fn(TAG_BTREE_INTERNAL + b"".join(inner.digests)
-                                + inner.key_bytes)
+                inner.hash = digest(TAG_BTREE_INTERNAL + b"".join(inner.digests)
+                                    + inner.key_bytes)
             child = node
         if split is not None:
             sep, right = split
@@ -289,15 +286,15 @@ class BalanceMHT:
             new_root.key_bytes = _key_bytes(sep)
             new_root.children = [self._root, right]
             new_root.digests = [self._root.hash, right.hash]
-            new_root.hash = fn(TAG_BTREE_INTERNAL + b"".join(new_root.digests)
-                               + new_root.key_bytes)
+            new_root.hash = digest(TAG_BTREE_INTERNAL + b"".join(new_root.digests)
+                                   + new_root.key_bytes)
             self._root = new_root
         self._count += 1
         self._max_record = record
 
     @classmethod
-    def build(cls, records: Iterable[BalanceChangeRecord], fanout: int = 8,
-              scheme: HashScheme = SHA256) -> "BalanceMHT":
+    def build(cls, records: Iterable[BalanceChangeRecord],
+              fanout: int = 8) -> "BalanceMHT":
         """The tree that inserting ``records`` in order would give.
 
         Records pass insert's checks and each is hashed once, in order;
@@ -309,15 +306,14 @@ class BalanceMHT:
         ``fanout // 2 + 1``, and a separator is the first key under the
         child to its right.
         """
-        tree = cls(fanout, scheme)
-        fn = scheme.function
+        tree = cls(fanout)
         entries: list[BalanceChangeRecord] = []
         digests: list[Digest] = []
         last = None
         for record in records:
             _check_next(last, record)
             entries.append(record)
-            digests.append(fn(record.to_bytes()))
+            digests.append(digest(record.to_bytes()))
             last = record
         if last is None:
             return tree
@@ -346,7 +342,7 @@ class BalanceMHT:
         tree._root = level[0]
         tree._count = len(entries)
         tree._max_record = last
-        _hash_subtree(tree._root, fn)
+        _hash_subtree(tree._root)
         return tree
 
     def _first_leaf(self) -> Optional[_Leaf]:
@@ -453,7 +449,7 @@ class BalanceMHT:
         return header + body + self.root()
 
     @classmethod
-    def from_snapshot(cls, data: bytes, scheme: HashScheme = SHA256) -> "BalanceMHT":
+    def from_snapshot(cls, data: bytes) -> "BalanceMHT":
         if len(data) < 20 + 32 or data[:4] != SNAPSHOT_MAGIC:
             raise CorruptSnapshot("bad snapshot header")
         r = Reader(data[4:])
@@ -468,7 +464,7 @@ class BalanceMHT:
             tree = cls.build(
                 (BalanceChangeRecord.from_bytes(r.take(RECORD_SIZE))
                  for _ in range(count)),
-                fanout, scheme,
+                fanout,
             )
         except (ValueError, NonMonotonicKey, NegativeBalance) as exc:
             raise CorruptSnapshot(f"snapshot records are inconsistent: {exc}") from exc
@@ -556,24 +552,23 @@ def _decode_skeleton(r: Reader):
     raise ValueError(f"unknown skeleton tag {kind}")
 
 
-def _fold_skeleton(node, records, scheme) -> Digest:
+def _fold_skeleton(node, records) -> Digest:
     kind = node[0]
     if kind == "stub":
         return node[1]
-    hash_fn = scheme.function
     if kind == "leaf":
         digests = []
         for slot in node[1]:
             if slot[0] == "stub":
                 digests.append(slot[1])
             elif slot[0] == "result":
-                digests.append(hash_fn(records[slot[1]].to_bytes()))
+                digests.append(digest(records[slot[1]].to_bytes()))
             else:
-                digests.append(hash_fn(slot[1]))
-        return hash_fn(TAG_BTREE_LEAF + b"".join(digests))
-    child_digests = b"".join(_fold_skeleton(c, records, scheme) for c in node[2])
+                digests.append(digest(slot[1]))
+        return digest(TAG_BTREE_LEAF + b"".join(digests))
+    child_digests = b"".join(_fold_skeleton(c, records) for c in node[2])
     keys = b"".join(_key_bytes(k) for k in node[1])
-    return hash_fn(TAG_BTREE_INTERNAL + child_digests + keys)
+    return digest(TAG_BTREE_INTERNAL + child_digests + keys)
 
 
 def _flatten(node, out) -> None:
@@ -594,8 +589,7 @@ def _flatten(node, out) -> None:
             _flatten(child, out)
 
 
-def examine_range(records, vo: RangeVO, trusted_mhtr: Digest,
-                  scheme: HashScheme = SHA256) -> tuple[bool, bool]:
+def examine_range(records, vo: RangeVO, trusted_mhtr: Digest) -> tuple[bool, bool]:
     """(correct, complete) for a range response against a trusted root.
 
     Correctness folds the skeleton and compares digests.  Completeness
@@ -606,7 +600,7 @@ def examine_range(records, vo: RangeVO, trusted_mhtr: Digest,
     try:
         if vo.skeleton[0] == "empty":
             return trusted_mhtr == EMPTY_TREE_DIGEST, not records
-        correct = _fold_skeleton(vo.skeleton, records, scheme) == trusted_mhtr
+        correct = _fold_skeleton(vo.skeleton, records) == trusted_mhtr
         items: list = []
         _flatten(vo.skeleton, items)
     except Exception:

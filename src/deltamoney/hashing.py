@@ -18,13 +18,14 @@ the client snapshot checksum and ``KeyStore``'s key derivation. None of
 them is ever compared with a tree node; the grid digests are pinned by
 golden event logs, so adding a tag would change recorded output.
 
-The hash function itself is pluggable (tests substitute counting doubles);
-the default is SHA-256. Every call site invokes ``scheme.function`` on the
-tagged bytes itself, the two trees' loops included, so a digest costs one
-Python frame over ``hashlib``. ``hash_leaf`` and ``hash_internal`` state
-the transaction tree's two node digests; ``merkle`` inlines them, and the
-tests hold it to them. Root signatures are equally pluggable: a real
-Ed25519 scheme and a deterministic HMAC-style stub ship with the engine.
+Every tree and commitment digest is one call of ``digest``, which runs
+SHA-256 over the tagged bytes and looks ``hashlib.sha256`` up on every
+call, so a counter patched over it sees each digest; the two trees call
+it in their loops, so a digest costs one Python frame over ``hashlib``.
+``hash_leaf`` and ``hash_internal`` state the transaction tree's two node
+digests; ``merkle`` inlines them, and the tests hold it to them. Root
+signatures are pluggable: a real Ed25519 scheme and a deterministic
+HMAC-style stub ship with the engine.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable
 
 from .encoding import BALANCE_COMMIT, u64
 from .errors import EmptyPayload, NegativeBalance, UnknownKey
@@ -50,48 +50,30 @@ TAG_BTREE_INTERNAL = b"\x05"
 TAG_EMPTY_CELL = b"\x06"
 
 
-@dataclass(frozen=True)
-class HashScheme:
-    """A named collision-resistant hash with 32-byte output.
-
-    Callers invoke ``function`` directly; a ``__call__`` in between would
-    add a Python frame to every digest.
-    """
-
-    name: str
-    function: Callable[[bytes], Digest]
-
-
-def _sha256(data: bytes) -> Digest:
-    # looked up on every call, so a counter patched over hashlib.sha256
-    # sees each digest
+def digest(data: bytes) -> Digest:
+    """SHA-256 of ``data``."""
     return hashlib.sha256(data).digest()
 
-
-SHA256 = HashScheme("sha256", _sha256)
-
 #: Root reported by a client whose balance tree holds no records yet.
-EMPTY_TREE_DIGEST = _sha256(TAG_EMPTY_TREE)
+EMPTY_TREE_DIGEST = digest(TAG_EMPTY_TREE)
 
 #: Digest standing in for a grid cell with no registered pair behind it.
-EMPTY_CELL_DIGEST = _sha256(TAG_EMPTY_CELL)
+EMPTY_CELL_DIGEST = digest(TAG_EMPTY_CELL)
 
 
-def hash_leaf(payload: bytes, scheme: HashScheme = SHA256) -> Digest:
+def hash_leaf(payload: bytes) -> Digest:
     """Digest of a data block destined for a tree leaf."""
     if not payload:
         raise EmptyPayload("leaf payload must be non-empty")
-    return scheme.function(TAG_LEAF + payload)
+    return digest(TAG_LEAF + payload)
 
 
-def hash_internal(left: Digest, right: Digest, scheme: HashScheme = SHA256) -> Digest:
+def hash_internal(left: Digest, right: Digest) -> Digest:
     """Digest of two concatenated child digests."""
-    return scheme.function(TAG_INTERNAL + left + right)
+    return digest(TAG_INTERNAL + left + right)
 
 
-def commit_balance(
-    client_id: int, seq: int, balance: int, scheme: HashScheme = SHA256
-) -> Digest:
+def commit_balance(client_id: int, seq: int, balance: int) -> Digest:
     """Binding commitment to a client's balance at a given sequence number.
 
     The sequence number salts the commitment so equal balances at different
@@ -100,7 +82,7 @@ def commit_balance(
     """
     if balance < 0:
         raise NegativeBalance(f"cannot commit negative balance {balance}")
-    return scheme.function(BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance))
+    return digest(BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance))
 
 
 # --- root signatures -------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import (
     UnknownReporter,
     UnregisteredPair,
 )
-from .hashing import EMPTY_CELL_DIGEST, SHA256, Digest, KeyStore, Signature
+from .hashing import EMPTY_CELL_DIGEST, Digest, KeyStore, Signature, digest
 
 DEFAULT_REPORTING_DEADLINE = 10
 
@@ -126,12 +126,11 @@ class _PendingPair:
     reports: dict[int, TransactionReport] = field(default_factory=dict)
 
 
-def _grid_hashes(cells, scheme=SHA256):
+def _grid_hashes(cells):
     n = len(cells)
-    hash_fn = scheme.function
-    rows = tuple(hash_fn(b"".join(cells[i][j] for j in range(n))) for i in range(n))
-    cols = tuple(hash_fn(b"".join(cells[i][j] for i in range(n))) for j in range(n))
-    grid = hash_fn(b"".join(rows) + b"".join(cols))
+    rows = tuple(digest(b"".join(cells[i][j] for j in range(n))) for i in range(n))
+    cols = tuple(digest(b"".join(cells[i][j] for i in range(n))) for j in range(n))
+    grid = digest(b"".join(rows) + b"".join(cols))
     return rows, cols, grid
 
 

@@ -14,7 +14,7 @@ rightmost node and is carried up as is.  An append fills new slots up to
 the first odd index and overwrites existing ones above it; a removal trims
 each level to its new size and rehashes the edge of the last leaf left.
 Replacing a leaf, which only fault injection does, refolds every level
-above the leaves.  Every digest is one ``scheme.function`` call on the
+above the leaves.  Every digest is one ``hashing.digest`` call on the
 tagged bytes, with no helper frame in between.
 
 A proof shows sorted leaves against the root of the first ``size`` leaves
@@ -33,7 +33,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from .errors import EmptyPayload, EmptyTree, IndexOutOfRange
-from .hashing import SHA256, TAG_INTERNAL, TAG_LEAF, Digest, HashScheme
+from .hashing import TAG_INTERNAL, TAG_LEAF, Digest, digest
 
 
 class MerkleTree:
@@ -45,29 +45,26 @@ class MerkleTree:
     any prefix a stored node.
     """
 
-    def __init__(self, scheme: HashScheme = SHA256):
-        self.scheme = scheme
+    def __init__(self):
         self._levels: list[list[Digest]] = [[]]
 
     @classmethod
-    def build(cls, leaf_payloads, scheme: HashScheme = SHA256) -> "MerkleTree":
-        fn = scheme.function
+    def build(cls, leaf_payloads) -> "MerkleTree":
         leaves = []
         for payload in leaf_payloads:
             if not payload:
                 raise EmptyPayload("leaf payload must be non-empty")
-            leaves.append(fn(TAG_LEAF + payload))
+            leaves.append(digest(TAG_LEAF + payload))
         if not leaves:
             raise EmptyTree("cannot build a tree with no leaves")
-        tree = cls(scheme)
-        tree._levels = _fold_levels(leaves, fn)
+        tree = cls()
+        tree._levels = _fold_levels(leaves)
         return tree
 
     def append(self, payload: bytes) -> None:
         if not payload:
             raise EmptyPayload("leaf payload must be non-empty")
-        fn = self.scheme.function
-        node = fn(TAG_LEAF + payload)
+        node = digest(TAG_LEAF + payload)
         levels = self._levels
         index = len(levels[0])
         levels[0].append(node)
@@ -81,12 +78,12 @@ class MerkleTree:
         if index == 1:
             # the leaf index was a power of two: the old root gains a
             # right sibling, and the tree a level
-            levels.append([fn(TAG_INTERNAL + levels[depth][0] + node)])
+            levels.append([digest(TAG_INTERNAL + levels[depth][0] + node)])
             return
         # past the first odd index every parent slot exists already
         while index:
             if index & 1:
-                node = fn(TAG_INTERNAL + levels[depth][index - 1] + node)
+                node = digest(TAG_INTERNAL + levels[depth][index - 1] + node)
             index >>= 1
             depth += 1
             levels[depth][index] = node
@@ -104,12 +101,11 @@ class MerkleTree:
         # a tree whose last leaf is ``last`` has last.bit_length() + 1
         # levels, and level h ends at node last >> h
         del levels[last.bit_length() + 1:]
-        fn = self.scheme.function
         node = leaves[last]
         index, depth = last, 0
         while index:
             if index & 1:
-                node = fn(TAG_INTERNAL + levels[depth][index - 1] + node)
+                node = digest(TAG_INTERNAL + levels[depth][index - 1] + node)
             index >>= 1
             depth += 1
             level = levels[depth]
@@ -123,8 +119,8 @@ class MerkleTree:
         if not payload:
             raise EmptyPayload("leaf payload must be non-empty")
         leaves = self._levels[0]
-        leaves[leaf_index] = self.scheme.function(TAG_LEAF + payload)
-        self._levels = _fold_levels(leaves, self.scheme.function)
+        leaves[leaf_index] = digest(TAG_LEAF + payload)
+        self._levels = _fold_levels(leaves)
 
     def __len__(self) -> int:
         return len(self._levels[0])
@@ -156,13 +152,13 @@ class MerkleTree:
         digest these peaks folded from the right, RFC 6962's Merkle Tree
         Hash: popcount(hi - lo) - 1 hashes, and no leaf rehashed.
         """
-        levels, fn = self._levels, self.scheme.function
+        levels = self._levels
         rest, node = hi - lo, None
         while rest:
             bit = rest & -rest
             depth = bit.bit_length() - 1
             peak = levels[depth][(hi >> depth) - 1]
-            node = peak if node is None else fn(TAG_INTERNAL + peak + node)
+            node = peak if node is None else digest(TAG_INTERNAL + peak + node)
             rest ^= bit
         return node
 
@@ -197,12 +193,12 @@ def _well_formed(indices: Sequence[int], size: int) -> bool:
     return size > 0 and all(a < b for a, b in zip((-1, *indices), (*indices, size)))
 
 
-def _fold_levels(leaves: list[Digest], fn) -> list[list[Digest]]:
+def _fold_levels(leaves: list[Digest]) -> list[list[Digest]]:
     """Every level of the tree over ``leaves``, leaves first, root last."""
     levels = [leaves]
     level = leaves
     while len(level) > 1:
-        nxt = [fn(TAG_INTERNAL + level[i] + level[i + 1])
+        nxt = [digest(TAG_INTERNAL + level[i] + level[i + 1])
                for i in range(0, len(level) - 1, 2)]
         if len(level) & 1:  # the unpaired rightmost node is promoted
             nxt.append(level[-1])
@@ -212,8 +208,7 @@ def _fold_levels(leaves: list[Digest], fn) -> list[list[Digest]]:
 
 
 def verify(leaf_payloads: Sequence[bytes], indices: Sequence[int], size: int,
-           proof: Sequence[Digest], root: Digest,
-           scheme: HashScheme = SHA256) -> bool:
+           proof: Sequence[Digest], root: Digest) -> bool:
     """True iff the payloads at leaves ``indices`` and ``proof`` fold to ``root``.
 
     Repeats ``prove``'s walk: a subtree holding none of ``indices`` takes
@@ -223,18 +218,17 @@ def verify(leaf_payloads: Sequence[bytes], indices: Sequence[int], size: int,
     if (len(leaf_payloads) != len(indices) or not _well_formed(indices, size)
             or not all(leaf_payloads)):
         return False
-    fn = scheme.function
-    leaves = [fn(TAG_LEAF + payload) for payload in leaf_payloads]
+    leaves = [digest(TAG_LEAF + payload) for payload in leaf_payloads]
     digests = iter(proof)
 
     def fold(lo: int, hi: int, i: int, j: int) -> Digest:
         if i == j:
             return next(digests)
         if j - i == hi - lo:
-            return _fold_levels(leaves[i:j], fn)[-1][0]
+            return _fold_levels(leaves[i:j])[-1][0]
         mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
         m = bisect_left(indices, mid, i, j)
-        return fn(TAG_INTERNAL + fold(lo, mid, i, m) + fold(mid, hi, m, j))
+        return digest(TAG_INTERNAL + fold(lo, mid, i, m) + fold(mid, hi, m, j))
 
     try:
         node = fold(0, size, 0, len(indices))

@@ -18,7 +18,7 @@ from deltamoney.errors import (
     NegativeBalance,
     NonMonotonicKey,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST, HashScheme
+from deltamoney.hashing import EMPTY_TREE_DIGEST
 
 
 def sha(data):
@@ -311,16 +311,6 @@ def test_range_query_matches_scan_oracle(fanout):
             assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
 
 
-def counting_scheme():
-    calls = [0]
-
-    def counted(data: bytes) -> bytes:
-        calls[0] += 1
-        return sha(data)
-
-    return HashScheme("counted-sha256", counted), calls
-
-
 def count_nodes(node):
     if node is None:
         return 0
@@ -371,12 +361,13 @@ def test_built_tree_keeps_growing_by_insert(split):
 
 
 @pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
-def test_build_hashes_each_record_and_each_node_once(fanout):
-    scheme, calls = counting_scheme()
-    assert BalanceMHT.build([], fanout, scheme).root() == EMPTY_TREE_DIGEST
-    assert calls[0] == 0
+def test_build_hashes_each_record_and_each_node_once(fanout, sha256_calls):
+    calls = sha256_calls
     records = history(300, seed=fanout)
-    tree = BalanceMHT.build(records, fanout, scheme)
+    calls[0] = 0
+    assert BalanceMHT.build([], fanout).root() == EMPTY_TREE_DIGEST
+    assert calls[0] == 0
+    tree = BalanceMHT.build(records, fanout)
     assert calls[0] == len(records) + count_nodes(tree._root)
 
 
@@ -386,12 +377,14 @@ INSERT_HASHES = {3: 3074, 4: 1957, 5: 1855, 8: 1373, 16: 1089}
 
 
 @pytest.mark.parametrize("fanout", sorted(INSERT_HASHES))
-def test_insert_hashes_record_new_path_and_split_halves(fanout):
+def test_insert_hashes_record_new_path_and_split_halves(fanout, sha256_calls):
     """An insert hashes its record, each node on the new rightmost path
     and the left half of each node it split."""
-    scheme, calls = counting_scheme()
-    tree = BalanceMHT(fanout, scheme)
-    for record in history(300, seed=fanout):
+    calls = sha256_calls
+    records = history(300, seed=fanout)
+    calls[0] = 0
+    tree = BalanceMHT(fanout)
+    for record in records:
         before, nodes, levels = calls[0], count_nodes(tree._root), height(tree)
         tree.insert(record)
         # every split adds one node, and a new root one more

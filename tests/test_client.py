@@ -578,7 +578,7 @@ class TestRecovery:
             victim.recover_transactions([forged, *partners], lambda key: None)
         assert victim.persist_snapshot() == before
 
-    def test_recovery_and_later_commits_keep_their_digest_counts(self, monkeypatch):
+    def test_recovery_and_later_commits_keep_their_digest_counts(self, sha256_calls):
         """SHA-256 digests of one recovery and of the commits after it.
 
         Four clients on a ring of four pairs, each issued 10**6, run 200
@@ -602,14 +602,8 @@ class TestRecovery:
         sim.quiesce()
         sim.inject("crash-client", 1)
 
-        digests = [0]
-        real_sha256 = hashlib.sha256
-
-        def counted(*args, **kwargs):
-            digests[0] += 1
-            return real_sha256(*args, **kwargs)
-
-        monkeypatch.setattr(hashlib, "sha256", counted)
+        digests = sha256_calls
+        digests[0] = 0
         sim.recover(1)
         assert len(sim.clients[1].mht) == 101
         assert digests[0] == 705

@@ -6,9 +6,7 @@ import pytest
 from deltamoney.encoding import u64
 from deltamoney.errors import EmptyPayload, NegativeBalance, UnknownKey
 from deltamoney.hashing import (
-    SHA256,
     Ed25519KeyPair,
-    HashScheme,
     KeyStore,
     Signature,
     StubKeyPair,
@@ -82,19 +80,6 @@ def test_commit_balance_binding_over_random_triples():
         digest = commit_balance(*triple)
         assert seen.setdefault(digest, triple) == triple
     assert len(seen) == len(set(seen.values()))
-
-
-def test_pluggable_scheme_is_used():
-    calls = []
-
-    def recorder(data: bytes) -> bytes:
-        calls.append(data)
-        return hashlib.sha256(b"salted" + data).digest()
-
-    scheme = HashScheme("recorder", recorder)
-    out = hash_leaf(b"A", scheme)
-    assert calls == [b"\x00A"]
-    assert out != hash_leaf(b"A", SHA256)
 
 
 @pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltamoney.errors import EmptyPayload, EmptyTree, IndexOutOfRange
-from deltamoney.hashing import SHA256, HashScheme, hash_internal, hash_leaf
+from deltamoney.hashing import hash_internal, hash_leaf
 from deltamoney.merkle import MerkleTree, verify
 
 
@@ -191,39 +191,17 @@ def test_forged_proofs_rejected():
     assert rejected == 10_000
 
 
-def test_custom_scheme_path():
-    def doubled(data: bytes) -> bytes:
-        return hashlib.sha256(data + data).digest()
-
-    scheme = HashScheme("doubled", doubled)
-    items = payloads(6)
-    tree = MerkleTree.build(items, scheme)
-    assert tree.root() != MerkleTree.build(items).root()
-    for i in range(6):
-        assert verify([items[i]], [i], 6, tree.prove([i], 6), tree.root(), scheme)
-    assert verify(items[1:5], [1, 2, 3, 4], 6, tree.prove([1, 2, 3, 4], 6),
-                  tree.root(), scheme)
-
-
-def counting_scheme():
-    calls = [0]
-
-    def counted(data: bytes) -> bytes:
-        calls[0] += 1
-        return hashlib.sha256(data).digest()
-
-    return HashScheme("counted-sha256", counted), calls
-
-
-@pytest.mark.parametrize("scheme", [SHA256, counting_scheme()[0]],
-                         ids=["sha256", "custom"])
-def test_empty_payload_rejected_by_every_scheme(scheme):
+# custom: every digest taken through a counter patched over hashlib.sha256
+@pytest.mark.parametrize("counted", [False, True], ids=["sha256", "custom"])
+def test_empty_payload_rejected_by_every_scheme(counted, request):
+    calls = request.getfixturevalue("sha256_calls") if counted else [0]
     with pytest.raises(EmptyPayload):
-        MerkleTree.build([b""], scheme)
-    tree = MerkleTree.build([b"p"], scheme)
+        MerkleTree.build([b""])
+    tree = MerkleTree.build([b"p"])
     with pytest.raises(EmptyPayload):
         tree.append(b"")
-    assert len(tree) == 1 and tree.root() == hash_leaf(b"p", scheme)
+    assert calls[0] == int(counted)  # only b"p" was hashed
+    assert len(tree) == 1 and tree.root() == hash_leaf(b"p")
 
 
 def test_incremental_updates_match_rebuild():
@@ -267,10 +245,10 @@ def test_emptied_tree_grows_again():
     assert tree.root() == brute_force_root(payloads(5))
 
 
-def test_append_then_root_hashes_one_path():
+def test_append_then_root_hashes_one_path(sha256_calls):
     # a two-leaf root needs two hashes, so the bound starts at n = 2
-    scheme, calls = counting_scheme()
-    tree = MerkleTree.build(payloads(2), scheme)
+    calls = sha256_calls
+    tree = MerkleTree.build(payloads(2))
     for n in range(2, 301):
         calls[0] = 0
         tree.append(b"payload-%d" % n)
@@ -300,17 +278,18 @@ def test_root_at_equals_rfc6962_mth_for_every_prefix():
             assert tree.root_at(k) == mth(0, k), (n, k)
 
 
-def test_prefix_roots_equal_rfc6962_mth_for_every_prefix():
+def test_prefix_roots_equal_rfc6962_mth_for_every_prefix(sha256_calls):
     """One call gives the root of every prefix, each from the stored levels."""
-    scheme, calls = counting_scheme()
+    calls = sha256_calls
     for n in range(1, 65):
         items = payloads(n)
         mth = mth_oracle(items)
-        tree = MerkleTree.build(items, scheme)
+        tree = MerkleTree.build(items)
         calls[0] = 0
-        assert tree.prefix_roots() == [mth(0, k) for k in range(1, n + 1)], n
+        roots = tree.prefix_roots()
         # popcount(k) - 1 internal hashes per prefix, no leaf rehashed
         assert calls[0] == sum(bin(k).count("1") - 1 for k in range(1, n + 1))
+        assert roots == [mth(0, k) for k in range(1, n + 1)], n
     assert MerkleTree().prefix_roots() == []
 
 
@@ -352,23 +331,22 @@ def test_incremental_levels_equal_build(operations):
             assert tree._levels == [[]]
 
 
-def test_root_at_hashes_one_per_extra_peak():
-    scheme, calls = counting_scheme()
-    tree = MerkleTree.build(payloads(300), scheme)
+def test_root_at_hashes_one_per_extra_peak(sha256_calls):
+    calls = sha256_calls
+    tree = MerkleTree.build(payloads(300))
     for k in range(1, 301):
         calls[0] = 0
         tree.root_at(k)
         assert calls[0] == bin(k).count("1") - 1, k
 
 
-def test_verify_agrees_with_brute_force_for_every_scheme():
+def test_verify_agrees_with_brute_force_for_every_scheme(sha256_calls):
     """Every one-leaf proof of trees of 1..300 leaves folds to the brute-force root.
 
-    One fold serves every scheme: under a counting scheme each verify
-    hashes the leaf and then one node per proof digest, and reaches the
-    same verdict as under SHA-256, for the true root and for a wrong one.
+    Each verify hashes the leaf and then one node per proof digest, and
+    reaches the right verdict for the true root and for a wrong one.
     """
-    scheme, calls = counting_scheme()
+    calls = sha256_calls
     items = payloads(300)
     tree = MerkleTree.build(items[:1])
     for n in range(1, 301):
@@ -380,9 +358,8 @@ def test_verify_agrees_with_brute_force_for_every_scheme():
         for i in range(n):
             proof = tree.prove([i], n)
             for expected, verdict in ((root, True), (wrong, False)):
-                assert verify([items[i]], [i], n, proof, expected) is verdict
                 calls[0] = 0
-                assert verify([items[i]], [i], n, proof, expected, scheme) is verdict
+                assert verify([items[i]], [i], n, proof, expected) is verdict
                 assert calls[0] == len(proof) + 1
         assert not verify([b""], [0], n, tree.prove([0], n), root)
 

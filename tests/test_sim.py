@@ -902,25 +902,16 @@ def test_faultfree_transfer_costs_handshake_and_reports_only():
     assert sim.queue == []
 
 
-def test_faultfree_transfer_hashes_a_fixed_number_of_digests(monkeypatch):
+def test_faultfree_transfer_hashes_a_fixed_number_of_digests(sha256_calls):
     sim = small_world(seed=11)
     sim.quiesce()
-    real_sha256 = hashlib.sha256
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real_sha256(*args, **kwargs)
-
-    # patched where every digest looks it up, as the benchmark tracer does
-    monkeypatch.setattr(hashlib, "sha256", counted)
+    sha256_calls[0] = 0
     sim.transfer(1, 2, 10)
     sim.quiesce()
-    monkeypatch.undo()
     # 8 balance commitments, the first leaf of each replica's pair tree,
     # a record digest and a leaf rehash in each balance tree, 2 report
     # digests, and one fingerprint per report at the IM and the CM
-    assert len(calls) == 20
+    assert sha256_calls[0] == 20
 
 
 @pytest.mark.parametrize("name, ticks", [
