@@ -43,6 +43,13 @@ transfers, and an acceptance reaching it once rebuilt is answered
 ``stale``.  ``advance`` keeps step timing
 independent of the delivery policy, so scripts comparing final state
 across policies should sequence exchanges with it and end on ``quiesce``.
+
+``STEPS`` holds one row per op: its usage line, its argument readers and
+the ``Simulation`` method it runs; the parser and the runner both read
+it.  The KINDs of ``fault`` and ``policy`` are the rows of
+``deltamoney.sim.FAULTS`` and ``POLICIES``, which name their argument
+words, and ``WORDS`` holds one reader per word.  So a new KIND is one row
+in ``deltamoney.sim`` and no edit here.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import ScenarioParseError
-from .sim import DeliveryPolicy, Simulation
+from .sim import FAULTS, POLICIES, DeliveryPolicy, Simulation
 
 
 @dataclass(frozen=True)
@@ -126,24 +133,32 @@ _CLIENT, _AMOUNT = _int("client"), _int("amount")
 _TF = _flag(("T", "t", "true", "True"), ("F", "f", "false", "False"), "T or F")
 
 
-class Row(NamedTuple):
-    """How one op, or one KIND of ``fault`` or ``policy``, is written and run."""
+# the reader of each argument word of a fault or policy KIND
+WORDS = {
+    "HOLDER": _int("holder"), "A:B": _pair, "INDEX": _int("leaf index"),
+    "CLIENT": _CLIENT, "AMOUNT": _AMOUNT, "DELTA": _int("delta"),
+    "TICKS": _int("ticks", 1, "a partition lasts at least 1 tick"),
+    "SUBJECT": _int("subject"), "SEQ": _int("sequence"),
+    "N": _int("delay"), "P_DELAY": _number("p_delay"), "MAX": _int("max_delay"),
+    "P_DUP": _number("p_duplicate"),
+}
 
-    usage: str  # its grammar line: the words naming it, then one per argument
-    readers: Union[tuple, dict]  # one per argument; {KIND: Row} for fault and policy
+
+class Row(NamedTuple):
+    """How one op is written and run."""
+
+    usage: str  # its grammar line: the op, then one word per argument
+    # one reader per argument, or for fault and policy the ``sim`` table
+    # whose KIND rows name their argument words
+    readers: Union[tuple, dict]
     run: Optional[Callable] = None  # runs the step's args on a Simulation
     # the step's args from the values read, its KIND first if it has one
     make: Callable = lambda *values: values
 
 
-def _table(rows: list, word: int) -> dict:
-    """``rows`` keyed by the ``word``-th word of their usage."""
-    return {row.usage.split()[word]: row for row in rows}
-
-
-def _policy(*fields: str) -> Callable:
-    """``make`` for a policy KIND whose arguments set ``fields``, in order."""
-    return lambda kind, *values: (DeliveryPolicy(kind, **dict(zip(fields, values))),)
+def _policy(kind: str, *values) -> tuple:
+    """A policy step's args: the policy whose fields ``values`` set."""
+    return (DeliveryPolicy(kind, **dict(zip(POLICIES[kind].args.values(), values))),)
 
 
 def _enroll(sim: Simulation, count: int, limit: Optional[int]) -> None:
@@ -151,30 +166,8 @@ def _enroll(sim: Simulation, count: int, limit: Optional[int]) -> None:
         sim.enroll(client_id, limit)
 
 
-FAULTS = _table([
-    Row("fault tamper-leaf HOLDER A:B INDEX",
-        (_int("holder"), _pair, _int("leaf index"))),
-    Row("fault double-spend CLIENT AMOUNT", (_CLIENT, _AMOUNT)),
-    Row("fault replay-report A:B", (_pair,)),
-    Row("fault forge-balance CLIENT DELTA", (_CLIENT, _int("delta"))),
-    Row("fault crash-client CLIENT", (_CLIENT,)),
-    Row("fault partition-manager TICKS",
-        (_int("ticks", 1, "a partition lasts at least 1 tick"),)),
-    Row("fault omit-record SUBJECT A:B SEQ",
-        (_int("subject"), _pair, _int("sequence"))),
-], 1)
-
-POLICIES = _table([
-    Row("policy normal", (), make=_policy()),
-    Row("policy delay N", (_int("delay"),), make=_policy("delay")),
-    Row("policy duplicate", (), make=_policy()),
-    Row("policy random P_DELAY MAX P_DUP",
-        (_number("p_delay"), _int("max_delay"), _number("p_duplicate")),
-        make=_policy("p_delay", "max_delay", "p_duplicate")),
-], 1)
-
 # every step but ``seed``, which sets ``Scenario.seed``, runs its ``run``
-STEPS = _table([
+STEPS = {row.usage.split()[0]: row for row in [
     Row("seed N", (_int("seed"),)),
     Row("clients N [LIMIT]",
         (_int("client count", 1, "client count must be positive"), _int("limit")),
@@ -185,7 +178,7 @@ STEPS = _table([
     Row("transfer PAYER PAYEE AMOUNT", (_int("payer"), _int("payee"), _AMOUNT),
         Simulation.transfer),
     Row("policy KIND [ARGS]", POLICIES,
-        lambda sim, policy: setattr(sim, "policy", policy)),
+        lambda sim, policy: setattr(sim, "policy", policy), _policy),
     Row("fault KIND [ARGS]", FAULTS, Simulation.inject),
     Row("advance N", (_int("ticks", 1, "advance must move forward"),),
         Simulation.advance),
@@ -202,7 +195,7 @@ STEPS = _table([
     Row("assert-alert KIND COUNT", (_word, _int("count")), Simulation.assert_alert),
     Row("assert-no-alerts", (), Simulation.assert_no_alerts),
     Row("assert-verdict T|F T|F T|F", (_TF, _TF, _TF), Simulation.assert_verdict),
-], 0)
+]}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -216,15 +209,15 @@ def parse_scenario(text: str) -> Scenario:
         row = STEPS.get(op)
         if row is None:
             raise _fail(lineno, f"unknown step {op!r}")
-        head = ()
-        if isinstance(row.readers, dict):  # the first token picks the KIND's row
+        head, readers = (), row.readers
+        if isinstance(readers, dict):  # the first token picks the KIND's row
             if not tokens:
                 raise _fail(lineno, f"usage: {row.usage}")
             head, tokens = tokens[:1], tokens[1:]
-            row = row.readers.get(head[0])
-            if row is None:
+            kind = readers.get(head[0])
+            if kind is None:
                 raise _fail(lineno, f"unknown {op} {head[0]!r}")
-        readers = row.readers
+            readers = [WORDS[word] for word in kind.args]
         if op == "clients" and len(tokens) == 1:
             readers = readers[:1]  # LIMIT left out
         if len(tokens) != len(readers):

@@ -47,6 +47,11 @@ Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
 partitions, and record omission in data-client queries.  Each fault maps
 to one documented detection (an alert kind or a failed verdict).
+
+``FAULTS`` and ``POLICIES`` hold one row per fault kind and per delivery
+policy kind: its argument words, as the scenario language writes them,
+and the code that runs it.  ``inject``, ``DeliveryPolicy``, ``send`` and
+the scenario parser all read them, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import heapq
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .client import (
     AbortMsg,
@@ -117,25 +122,23 @@ class StartTransferCmd:
     due: int = 0  # a head backing off from a busy payee waits for this tick
 
 
-POLICY_KINDS = ("normal", "delay", "duplicate", "random")
-
-
 @dataclass(frozen=True)
 class DeliveryPolicy:
     """How manager-bound messages travel; peers always get next-tick.
 
-    Checked when built: an unknown kind, a negative delay and a
-    probability outside [0, 1] raise ``ValueError``.
+    ``kind`` names a row of ``POLICIES``.  Checked when built: a kind with
+    no row, a negative delay and a probability outside [0, 1] raise
+    ``ValueError``.
     """
 
-    kind: str = "normal"  # normal | delay | duplicate | random
+    kind: str = "normal"
     delay: int = 0
     p_delay: float = 0.0
     max_delay: int = 0
     p_duplicate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in POLICIES:
             raise ValueError(f"unknown delivery policy {self.kind!r}")
         for name in ("delay", "max_delay"):
             if getattr(self, name) < 0:
@@ -146,20 +149,45 @@ class DeliveryPolicy:
                 raise ValueError(f"{name} must lie in [0, 1], "
                                  f"got {getattr(self, name)}")
 
-    def offsets(self, rng: random.Random) -> list[int]:
-        if self.kind == "normal":
-            return [1]
-        if self.kind == "delay":
-            return [1 + self.delay]
-        if self.kind == "duplicate":
-            return [1, 2]
-        base = 1  # random
-        if rng.random() < self.p_delay:
-            base += rng.randint(1, max(1, self.max_delay))
-        out = [base]
-        if rng.random() < self.p_duplicate:
-            out.append(base + rng.randint(1, max(1, self.max_delay)))
-        return out
+
+class FaultKind(NamedTuple):
+    """One row of ``FAULTS``."""
+
+    args: tuple  # its argument words
+    inject: Callable  # the ``Simulation`` method that injects it
+
+
+class PolicyKind(NamedTuple):
+    """One row of ``POLICIES``."""
+
+    args: dict  # each argument word -> the ``DeliveryPolicy`` field it sets
+    # (policy, rng) -> the ticks from now at which each copy of a report lands
+    offsets: Callable[[DeliveryPolicy, random.Random], list]
+    # policy -> the largest offset of a report's first copy (see ``_deliver``)
+    latest_first_copy: Callable[[DeliveryPolicy], int]
+
+
+def _drawn_offsets(policy: DeliveryPolicy, rng: random.Random) -> list[int]:
+    """A seeded delay with probability ``p_delay``, then a later duplicate
+    with probability ``p_duplicate``, each of 1 to max(1, ``max_delay``)."""
+    base = 1
+    if rng.random() < policy.p_delay:
+        base += rng.randint(1, max(1, policy.max_delay))
+    out = [base]
+    if rng.random() < policy.p_duplicate:
+        out.append(base + rng.randint(1, max(1, policy.max_delay)))
+    return out
+
+
+POLICIES = {
+    "normal": PolicyKind({}, lambda policy, rng: [1], lambda policy: 1),
+    "delay": PolicyKind({"N": "delay"}, lambda policy, rng: [1 + policy.delay],
+                        lambda policy: 1 + policy.delay),
+    "duplicate": PolicyKind({}, lambda policy, rng: [1, 2], lambda policy: 1),
+    "random": PolicyKind(
+        {"P_DELAY": "p_delay", "MAX": "max_delay", "P_DUP": "p_duplicate"},
+        _drawn_offsets, lambda policy: 1 + max(1, policy.max_delay)),
+}
 
 
 @dataclass
@@ -232,12 +260,13 @@ class Simulation:
         """Queue ``message`` for delivery ``delay`` ticks from now.
 
         With ``policy`` the delivery policy sets the ticks instead: next
-        tick under ``normal``, otherwise one or more drawn offsets, each
-        delivered as an event of its own.
+        tick under ``normal``, otherwise the offsets of its row in
+        ``POLICIES``, each delivered as an event of its own.
         """
         if policy:
-            if self.policy.kind != "normal":
-                for offset in self.policy.offsets(self.rng):
+            kind = self.policy.kind
+            if kind != "normal":
+                for offset in POLICIES[kind].offsets(self.policy, self.rng):
                     self._seq += 1
                     heapq.heappush(self.queue, (self.now + offset, self._seq,
                                                 target, sender, message))
@@ -322,19 +351,17 @@ class Simulation:
 
         The bound on a harmless outage: the payee reports one tick after
         the payer, and a report's first copy lands at most m ticks after
-        it is sent, m the policy's largest first offset (1 under
-        ``normal`` and ``duplicate``, 1 + N under ``delay N``, at most
-        1 + max(1, MAX) under ``random``).  So the two reports of an
-        exchange land within m ticks of each other.  A partition begins
-        after the events of the tick it is injected on, so one of T ticks
-        holds a report for at most T - 1 ticks.  The Integrity Manager
-        alerts once a counterpart is more than
-        ``DEFAULT_REPORTING_DEADLINE`` ticks late.  So a partition of at
-        most ``DEFAULT_REPORTING_DEADLINE + 1 - m`` ticks cannot raise
-        ``MissingCounterpartReport``; partitions that overlap count as one
-        outage, from the first start to the last end.  A longer outage
-        cannot be told apart from a silent party, and the alert it may
-        draw is correct.
+        it is sent, m the ``latest_first_copy`` of the policy's row in
+        ``POLICIES``.  So the two reports of an exchange land within m
+        ticks of each other.  A partition begins after the events of the
+        tick it is injected on, so one of T ticks holds a report for at
+        most T - 1 ticks.  The Integrity Manager alerts once a
+        counterpart is more than ``DEFAULT_REPORTING_DEADLINE`` ticks
+        late.  So a partition of at most ``DEFAULT_REPORTING_DEADLINE + 1
+        - m`` ticks cannot raise ``MissingCounterpartReport``; partitions
+        that overlap count as one outage, from the first start to the last
+        end.  A longer outage cannot be told apart from a silent party,
+        and the alert it may draw is correct.
         """
         if self.partitions and target in MANAGER_ACTORS:
             now = self.now
@@ -627,18 +654,11 @@ class Simulation:
     # fault injection
 
     def inject(self, kind: str, *args) -> None:
-        handler = {
-            "tamper-leaf": self._fault_tamper_leaf,
-            "double-spend": self._fault_double_spend,
-            "replay-report": self._fault_replay_report,
-            "forge-balance": self._fault_forge_balance,
-            "crash-client": self._fault_crash_client,
-            "partition-manager": self._fault_partition,
-            "omit-record": self._fault_omit_record,
-        }.get(kind)
-        if handler is None:
+        """Inject the fault ``kind`` of ``FAULTS`` with its ``args``."""
+        fault = FAULTS.get(kind)
+        if fault is None:
             raise UnknownTarget(f"unknown fault kind {kind}")
-        handler(*args)
+        fault.inject(self, *args)
         self.emit("sim", "inject", f"kind={kind} args={list(args)}")
 
     def _fault_tamper_leaf(self, client_id: int, pair, index: int) -> None:
@@ -744,3 +764,16 @@ class Simulation:
         got = None if v is None else (v.correct, v.complete, v.fresh)
         self.check("verdict", ok,
                    f"want=({correct},{complete},{fresh}) got={got}")
+
+
+FAULTS = {
+    "tamper-leaf": FaultKind(("HOLDER", "A:B", "INDEX"),
+                             Simulation._fault_tamper_leaf),
+    "double-spend": FaultKind(("CLIENT", "AMOUNT"), Simulation._fault_double_spend),
+    "replay-report": FaultKind(("A:B",), Simulation._fault_replay_report),
+    "forge-balance": FaultKind(("CLIENT", "DELTA"), Simulation._fault_forge_balance),
+    "crash-client": FaultKind(("CLIENT",), Simulation._fault_crash_client),
+    "partition-manager": FaultKind(("TICKS",), Simulation._fault_partition),
+    "omit-record": FaultKind(("SUBJECT", "A:B", "SEQ"),
+                             Simulation._fault_omit_record),
+}

@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, fault detection, eventual consistency."""
 
+import ast
 import hashlib
 import itertools
 import re
@@ -18,10 +19,14 @@ from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
 from deltamoney import scenario
 from deltamoney.scenario import STEPS, Step, parse_scenario, run_scenario
 from deltamoney.sim import (
+    FAULTS,
+    POLICIES,
     RETRY_BASE,
     RETRY_CAP,
     RETRY_MAX_ATTEMPTS,
     DeliveryPolicy,
+    FaultKind,
+    PolicyKind,
     Simulation,
     retry_delay,
 )
@@ -656,11 +661,8 @@ def test_command_for_an_unenrolled_client_is_refused_at_the_call(command, args):
 
 def harmless_outage(policy):
     """The longest partition that ``Simulation._deliver`` states cannot alert."""
-    latest_first_copy = {
-        "normal": 1, "duplicate": 1, "delay": 1 + policy.delay,
-        "random": 1 + max(1, policy.max_delay),
-    }[policy.kind]
-    return DEFAULT_REPORTING_DEADLINE + 1 - latest_first_copy
+    return (DEFAULT_REPORTING_DEADLINE + 1
+            - POLICIES[policy.kind].latest_first_copy(policy))
 
 
 @pytest.mark.parametrize("policy", policy_grid(), ids=lambda p: p.kind)
@@ -773,9 +775,10 @@ def test_scenario_parse_errors_cite_line_numbers(line, fragment):
 
 def _table_usages():
     """The usage of every row of the step table, with each fault and policy KIND."""
-    for row in STEPS.values():
+    for op, row in STEPS.items():
         if isinstance(row.readers, dict):
-            yield from (kind.usage for kind in row.readers.values())
+            yield from (" ".join((op, name, *kind.args))
+                        for name, kind in row.readers.items())
         else:
             yield row.usage
 
@@ -845,7 +848,63 @@ def test_one_sample_line_per_table_row_parses(usage):
         assert scn.steps == [Step(1, line.split()[0], args)]
 
 
+def test_a_new_fault_or_policy_kind_is_one_row(monkeypatch):
+    """A row put into ``FAULTS`` and one put into ``POLICIES`` parse and run
+    with no other edit; once the rows are gone, so are the kinds."""
+    marked = []
+    monkeypatch.setitem(FAULTS, "mark-pair", FaultKind(
+        ("CLIENT", "A:B"), lambda sim, *args: marked.append(args)))
+    monkeypatch.setitem(POLICIES, "late-twice", PolicyKind(
+        {"N": "delay"}, lambda policy, rng: [1 + policy.delay] * 2,
+        lambda policy: 1 + policy.delay))
+    sim = run_scenario(parse_scenario(
+        "clients 2\nregister 1 2\npolicy late-twice 3\nissue 1 100\n"
+        "fault mark-pair 1 1:2\nquiesce\n"))
+    assert marked == [(1, (1, 2))]
+    assert sim.policy == DeliveryPolicy("late-twice", delay=3)
+    # client 1 commits on tick 4; both copies of its report land 1 + 3 later
+    assert sim.log.lines[-3:] == [
+        "8|cm|issued|client=1 amount=100",
+        "8|cm|issued|client=1 amount=100 status=duplicate",
+        "8|sim|quiesce|steps=6",
+    ]
+    monkeypatch.undo()
+    with pytest.raises(UnknownTarget, match="unknown fault kind mark-pair"):
+        sim.inject("mark-pair", 1, (1, 2))
+    with pytest.raises(ValueError, match="unknown delivery policy 'late-twice'"):
+        DeliveryPolicy("late-twice", delay=3)
+    for line in ("fault mark-pair 1 1:2", "policy late-twice 3"):
+        with pytest.raises(ScenarioParseError, match="unknown"):
+            parse_scenario(line)
+
+
+def _string_literals(tree):
+    """Every string constant in ``tree`` but the docstrings."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings]
+
+
+def test_each_fault_kind_is_named_in_one_string_literal():
+    """Only its row in ``FAULTS`` names a fault kind: no second list of the
+    kinds can drift from the table.  Policy names are left out, because
+    ``delay`` is also a field and ``duplicate`` a manager status."""
+    literals = [literal for path in sorted(SOURCES.glob("*.py"))
+                for literal in _string_literals(ast.parse(path.read_text()))]
+    assert FAULTS
+    for kind in FAULTS:
+        assert sum(kind in literal for literal in literals) == 1, kind
+
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "deltamoney"
 
 
 def _shipped(name):
