@@ -153,7 +153,7 @@ class DeliveryPolicy:
 class FaultKind(NamedTuple):
     """One row of ``FAULTS``."""
 
-    args: tuple  # its argument words
+    args: tuple  # its argument words, each read by ``scenario.WORDS``
     inject: Callable  # the ``Simulation`` method that injects it
 
 
