@@ -18,10 +18,9 @@ the client snapshot checksum and ``KeyStore``'s key derivation. None of
 them is ever compared with a tree node; the grid digests are pinned by
 golden event logs, so adding a tag would change recorded output.
 
-Every tree and commitment digest is one call of ``digest``, which runs
-SHA-256 over the tagged bytes and looks ``hashlib.sha256`` up on every
-call, so a counter patched over it sees each digest; the two trees call
-it in their loops, so a digest costs one Python frame over ``hashlib``.
+Every tree, commitment and grid digest is one call of ``digest``:
+SHA-256, at one Python frame over ``hashlib``. It looks ``hashlib.sha256``
+up on every call, so a counter patched over that sees each digest.
 ``hash_leaf`` and ``hash_internal`` state the transaction tree's two node
 digests; ``merkle`` inlines them, and the tests hold it to them. Root
 signatures are pluggable: a real Ed25519 scheme and a deterministic
