@@ -9,14 +9,17 @@ balance tree and queue the two asynchronous reports (root hash to the
 Integrity Manager, new balance to the Currency Manager).
 
 A client handles one exchange at a time, and keeps it in one slot: the
-pair key plus the proposal it sent as payer or the record it accepted as
-payee.  While the slot is full the client rejects incoming proposals and
-refuses to start new ones; only a message about that pair, for that
-role, empties it.  That serializes its balance commitments, which bind
-the exact before/after amounts into the shared record, so a proposal
-never needs to reserve funds.  Plaintext balances live only in the
-balance tree; each pair record's commitments are checked against them
-(``local_view``) when the record commits, is replayed, or is loaded.
+pair key, the proposal it sent as payer or the record it accepted as
+payee, and the balance it opened the exchange with.  While the slot is
+full the client rejects incoming proposals and refuses to start new
+ones; only a message about that pair, for that role, empties it.  That
+serializes its balance commitments, which bind the exact before/after
+amounts into the shared record, so a proposal never needs to reserve
+funds.  Plaintext balances live only in the balance tree.  A record
+replayed in a recovery or loaded from a snapshot has its commitments
+checked against them (``local_view``); a live commit checks only that
+the balance is still the one the exchange opened with, the one its
+commitments were computed over (``_finalize``).
 
 Transactions with the manager's treasury (client id 0) are issuance and
 redemption.  They run through the same handshake, and the client queues
@@ -45,6 +48,7 @@ from .balance_tree import BalanceChangeRecord, BalanceMHT
 from .currency_manager import MANAGER_ID
 from .encoding import Reader, i64, u32, u64
 from .errors import (
+    CommitmentMismatch,
     ConservationViolation,
     CorruptSnapshot,
     NonMonotonicSequence,
@@ -52,7 +56,7 @@ from .errors import (
     NotRegisteredPeers,
     PartnerRootDisagreement,
 )
-from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore
+from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, hash_leaf
 from .integrity_manager import TransactionReport
 from .peer_ledger import (
     RECORD_SIZE,
@@ -132,18 +136,19 @@ class PartnerRecoveryData:
 
 
 def pair_of(a: int, b: int) -> tuple[int, int]:
-    return (min(a, b), max(a, b))
+    return (a, b) if a < b else (b, a)
 
 
 def record_digest(record: TransactionPairRecord) -> Digest:
     """What a report tells the IM the reporter holds for one exchange.
 
-    The untagged SHA-256 of the record's 232-byte ``PAIR_RECORD``
-    encoding; the tree leaf over the same bytes is ``hash_leaf``, tagged
-    0x00, so the two never coincide. The record is encoded afresh on each
-    call, one ``struct`` pack of its fields.
+    The record's pair-tree leaf, ``hash_leaf`` of its 232-byte
+    ``PAIR_RECORD`` encoding, as an RFC 6962 log names an entry.  A
+    commit report reads the leaf its tree stored on append
+    (``PeerTransactionTree.leaf_digest``); an abort report comes after
+    the rollback, so it hashes the record afresh here.
     """
-    return hashlib.sha256(record.to_bytes()).digest()
+    return hash_leaf(record.to_bytes())
 
 
 class ClientNode:
@@ -164,7 +169,7 @@ class ClientNode:
         self.suspended = False
         self.opening_reserve = opening_reserve
         # the exchange in flight: (pair key, proposal sent as payer or
-        # record accepted as payee), or None when idle
+        # record accepted as payee, balance it opened with), or None
         self._exchange: Optional[tuple] = None
         self._reports: list[tuple[str, object]] = []
         if opening_reserve:
@@ -220,10 +225,9 @@ class ClientNode:
         if self._exchange is not None:
             return None
         key = pair_of(self.id, peer_id)
-        proposal = propose(
-            self.account_view(), self.ptts.get(key), peer_id, amount, now
-        )
-        self._exchange = (key, proposal)
+        view = self.account_view()
+        proposal = propose(view, self.ptts.get(key), peer_id, amount, now)
+        self._exchange = (key, proposal, view.balance)
         return ProposeMsg(proposal)
 
     def receive_propose(self, msg: ProposeMsg, now: int):
@@ -238,17 +242,19 @@ class ClientNode:
             raise NonMonotonicSequence(
                 f"expected seq {ptt.next_seq()}, got {proposal.pair_seq}"
             )
-        record = accept(proposal, self.account_view(), suspended=self.suspended)
+        view = self.account_view()
+        record = accept(proposal, view, suspended=self.suspended)
         ptt.append_record(record)
-        self._exchange = (key, record)
+        self._exchange = (key, record, view.balance)
         return AcceptMsg(record, ptt.root())
 
     def receive_accept(self, msg: AcceptMsg, now: int):
         record = msg.record
         key = pair_of(record.payer_id, record.payee_id)
-        proposal = self._release(key, TransactionProposal)
-        if proposal is None:
+        slot = self._release(key, TransactionProposal)
+        if slot is None:
             return self._answer_stale(key, record)
+        _, proposal, opened = slot
         if (record.pair_seq, record.amount, record.payer_id, record.payee_id,
                 record.payer_prior_commit, record.payer_new_commit,
                 record.payer_provenance, record.timestamp) != (
@@ -263,7 +269,7 @@ class ClientNode:
         if my_root != msg.payee_root:
             ptt.rollback_last()
             return self._abort(key, record, "root mismatch", my_root)
-        self._finalize(record, my_root)
+        self._finalize(key, record, my_root, opened)
         return CommitMsg(key, record.pair_seq, my_root)
 
     def _answer_stale(self, key: tuple[int, int], record) -> AbortMsg:
@@ -288,22 +294,24 @@ class ClientNode:
         return AbortMsg(key, record.pair_seq, b"\x00" * 32, STALE)
 
     def receive_commit(self, msg: CommitMsg, now: int) -> None:
-        record = self._release(msg.pair_key, TransactionPairRecord)
-        if record is None:
+        slot = self._release(msg.pair_key, TransactionPairRecord)
+        if slot is None:
             return
-        root = self.ptts[msg.pair_key].root()
+        key, record, opened = slot
+        root = self.ptts[key].root()
         if root != msg.payer_root:
             # should have been an abort; report the divergence
-            self.ptts[msg.pair_key].rollback_last()
+            self.ptts[key].rollback_last()
             self._report_divergence(record, root)
             return
-        self._finalize(record, root)
+        self._finalize(key, record, root, opened)
 
     def receive_abort(self, msg: AbortMsg, now: int) -> None:
-        record = self._release(msg.pair_key, TransactionPairRecord)
-        if record is None:
+        slot = self._release(msg.pair_key, TransactionPairRecord)
+        if slot is None:
             return
-        ptt = self.ptts[msg.pair_key]
+        key, record, _ = slot
+        ptt = self.ptts[key]
         divergent_root = ptt.root()
         ptt.rollback_last()
         if msg.reason not in ONE_SIDED_ABORTS:
@@ -316,16 +324,15 @@ class ClientNode:
         """Empty the slot if it holds ``key``'s exchange in ``role``.
 
         ``role`` is ``TransactionProposal`` for the payer's side and
-        ``TransactionPairRecord`` for the payee's.  Returns what the slot
-        held, or None, leaving the slot alone, for any other message.
+        ``TransactionPairRecord`` for the payee's.  Returns the slot's
+        (key, proposal or record, opened balance), or None, leaving the
+        slot alone, for any other message.
         """
-        if self._exchange is None:
-            return None
-        held_key, pending = self._exchange
-        if held_key != key or not isinstance(pending, role):
+        slot = self._exchange
+        if slot is None or slot[0] != key or not isinstance(slot[1], role):
             return None
         self._exchange = None
-        return pending
+        return slot
 
     def _abort(self, key, record, reason: str,
                my_root: Optional[Digest] = None) -> AbortMsg:
@@ -346,29 +353,36 @@ class ClientNode:
     def _balance_change(self, record: TransactionPairRecord,
                         prior_balance: int, client_seq: int,
                         causing_pttr: Digest) -> BalanceChangeRecord:
-        """The balance record a committed ``record`` adds, once checked.
-
-        The balance record is built first, so a replay that drives the
-        balance negative raises ``NegativeBalance`` before ``local_view``
-        finds the prior balance off the record's commitment.
-        """
+        """The balance record a committed ``record`` adds; unchecked."""
         if record.payee_id == self.id:
             delta, peer_id = record.amount, record.payer_id
         else:
             delta, peer_id = -record.amount, record.payee_id
         # positional, in field order: recovery builds one per record
-        change = BalanceChangeRecord(
+        return BalanceChangeRecord(
             record.pair_seq, record.timestamp, client_seq, peer_id, delta,
             prior_balance + delta, causing_pttr,
         )
-        local_view(record, self.id, prior_balance)
-        return change
 
-    def _finalize(self, record: TransactionPairRecord, root: Digest) -> None:
-        key = pair_of(record.payer_id, record.payee_id)
+    def _finalize(self, key: tuple[int, int], record: TransactionPairRecord,
+                  root: Digest, opened: int) -> None:
+        """Apply a committed exchange and queue its reports.
+
+        The live check: the balance must still be ``opened``, the one the
+        exchange opened with.  The payee computed its commitments over
+        it, and the payer compared its own byte for byte with its
+        proposal in ``receive_accept``, so only a changed balance (a
+        stale rollback on another pair, see ``_answer_stale``) can break
+        them; that raises ``CommitmentMismatch``.  Replayed records,
+        which come from partners, get ``local_view`` instead.
+        """
+        prior_balance = self.balance
+        if prior_balance != opened:
+            raise CommitmentMismatch(
+                "prior balance does not match the record's commitment")
         prior_mhtr = self.mht.root()
         change = self._balance_change(
-            record, self.balance, self.client_seq + 1, root
+            record, prior_balance, self.client_seq + 1, root
         )
         self.client_seq += 1
         self.mht.insert(change)
@@ -383,8 +397,8 @@ class ClientNode:
         else:
             supply = 0
             self._reports.append(("im", TransactionReport(
-                self.id, key, record.pair_seq, root, record_digest(record),
-                record.timestamp,
+                self.id, key, record.pair_seq, root,
+                self.ptts[key].leaf_digest(record.pair_seq), record.timestamp,
             )))
         self._reports.append(("cm", BalanceReport(
             self.id, change.new_balance, self.mht.root(), prior_mhtr,
@@ -455,8 +469,8 @@ class ClientNode:
             root = ptt.root()
             if root != data.claimed_root:
                 raise PartnerRootDisagreement(
-                    f"pair {key}: partner claims {data.claimed_root.hex()[:16]}, "
-                    f"records rebuild to {root.hex()[:16]}"
+                    f"pair {key}: partner claims {data.claimed_root[:8].hex()}, "
+                    f"records rebuild to {root[:8].hex()}"
                 )
             latest = validated(key)
             if latest is not None:
@@ -470,8 +484,8 @@ class ClientNode:
                     root = ptt.root_after(seq)
                 if root != trusted:
                     raise PartnerRootDisagreement(
-                        f"pair {key}: rebuilt root {root.hex()[:16]} at seq {seq} "
-                        f"does not match the validated root {trusted.hex()[:16]}"
+                        f"pair {key}: rebuilt root {root[:8].hex()} at seq {seq} "
+                        f"does not match the validated root {trusted[:8].hex()}"
                     )
             rebuilt[key] = ptt
 
@@ -491,7 +505,11 @@ class ClientNode:
             records.append(self._opening_record())
         for _, _, _, record, root in replay:
             client_seq += 1
+            # built first, so a replay that drives the balance negative
+            # raises ``NegativeBalance`` before ``local_view`` finds the
+            # prior balance off the record's commitment
             change = self._balance_change(record, balance, client_seq, root)
+            local_view(record, self.id, balance)
             records.append(change)
             balance = change.new_balance
         mht = BalanceMHT.build(records, self.fanout)

@@ -71,8 +71,11 @@ class PairRegistration:
         return set(self.pair_key) <= self.consents
 
 
-@dataclass
+@dataclass(slots=True)
 class BalanceRow:
+    """One row of the temporal balance table; the table keeps every row
+    forever, so a row carries no ``__dict__``."""
+
     txn_timestamp: int
     client_id: int
     valid_balance: int

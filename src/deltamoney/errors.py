@@ -71,6 +71,10 @@ class MissingCounterSignature(DeltaMoneyError):
     pass
 
 
+class CommitmentMismatch(DeltaMoneyError, ValueError):
+    """A party's plaintext balance does not open its commitment in a record."""
+
+
 # balance tree
 
 class NonMonotonicKey(DeltaMoneyError):

@@ -4,7 +4,7 @@ The tree and commitment hashes are domain-separated by a single prefix byte,
 so a leaf digest can never be replayed as an internal node, a balance
 commitment, or a grid cell:
 
-    0x00  transaction-tree leaf
+    0x00  transaction-tree leaf, also the record digest of an IM report
     0x01  transaction-tree internal node
     0x02  balance commitment
     0x03  empty-tree sentinel
@@ -13,10 +13,10 @@ commitment, or a grid cell:
     0x06  empty grid cell
 
 Other hashes carry no tag: the grid's row, column and grid digests, the
-report fingerprints the managers deduplicate by, ``client.record_digest``,
-the client snapshot checksum and ``KeyStore``'s key derivation. None of
-them is ever compared with a tree node; the grid digests are pinned by
-golden event logs, so adding a tag would change recorded output.
+report fingerprints the managers deduplicate by, the client snapshot
+checksum and ``KeyStore``'s key derivation. None of them is ever compared
+with a tree node; the grid digests are pinned by golden event logs, so
+adding a tag would change recorded output.
 
 Every tree, commitment and grid digest is one call of ``digest``:
 SHA-256, at one Python frame over ``hashlib``. It looks ``hashlib.sha256``

@@ -54,6 +54,15 @@ class Alert:
 
 
 class TransactionReport(NamedTuple):
+    """One party's report of an exchange it committed or aborted.
+
+    ``pttr`` is the reporter's pair-tree root after the exchange and
+    ``record_digest`` the record's pair-tree leaf; a seq validates only
+    when both reports agree on both.  A commit report reads the leaf its
+    tree stored on append; an abort report rehashes the record
+    (``client.record_digest``).
+    """
+
     reporter: int
     pair_key: tuple[int, int]
     pair_seq: int
@@ -235,7 +244,7 @@ class IntegrityManager:
             AlertKind.ROOT_MISMATCH,
             report.pair_key,
             f"pair {report.pair_key} seq {report.pair_seq}: "
-            f"{a} says {left.pttr.hex()[:16]}, {b} says {right.pttr.hex()[:16]}",
+            f"{a} says {left.pttr[:8].hex()}, {b} says {right.pttr[:8].hex()}",
             now,
         )
         return ValidationOutcome("mismatch", alert)
@@ -262,8 +271,8 @@ class IntegrityManager:
             AlertKind.ROOT_MISMATCH,
             report.pair_key,
             f"aborted exchange for pair {report.pair_key} seq "
-            f"{report.pair_seq}: {a} says {left.pttr.hex()[:16]}, "
-            f"{b} says {right.pttr.hex()[:16]}",
+            f"{report.pair_seq}: {a} says {left.pttr[:8].hex()}, "
+            f"{b} says {right.pttr[:8].hex()}",
             now,
         )
         return ValidationOutcome("mismatch", alert)

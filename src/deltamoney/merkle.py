@@ -130,6 +130,13 @@ class MerkleTree:
             raise EmptyTree("tree has no leaves")
         return self._levels[-1][0]
 
+    def leaf(self, index: int) -> Digest:
+        """Digest of leaf ``index``, as stored: no payload is rehashed."""
+        leaves = self._levels[0]
+        if not 0 <= index < len(leaves):
+            raise IndexOutOfRange(f"leaf {index} outside tree of {len(leaves)}")
+        return leaves[index]
+
     def root_at(self, size: int) -> Digest:
         """Root the tree had when it held only its first ``size`` leaves."""
         if not 1 <= size <= len(self._levels[0]):

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .encoding import PAIR_RECORD
 from .errors import (
+    CommitmentMismatch,
     EmptyTree,
     InsufficientBalance,
     LimitExceeded,
@@ -218,6 +219,11 @@ class PeerTransactionTree:
     def root(self) -> bytes:
         return self._tree.root() if self.records else EMPTY_TREE_DIGEST
 
+    def leaf_digest(self, pair_seq: int) -> bytes:
+        """Tree leaf of the current epoch's record ``pair_seq``:
+        ``hash_leaf`` of its encoding, stored when it was appended."""
+        return self._tree.leaf(pair_seq - self.epoch_start - 1)
+
     def root_after(self, pair_seq: int) -> bytes:
         """Root the current epoch's tree had right after ``pair_seq`` was appended."""
         return self._tree.root_at(pair_seq - self.epoch_start)
@@ -303,7 +309,10 @@ def local_view(
 
     ``prior_balance`` is the party's balance before the record; both it
     and the balance after must open that party's two commitments, or
-    ``ValueError`` is raised.
+    ``CommitmentMismatch`` is raised.  It checks each record a recovery
+    replays from a partner and each one a snapshot loads; a live commit
+    checks only that the balance is still the one its exchange opened
+    with (``ClientNode._finalize``).
     """
     if self_id == record.payer_id:
         new_balance = prior_balance - record.amount
@@ -317,9 +326,11 @@ def local_view(
         raise UnknownClient(f"client {self_id} is not a party to this record")
     seq = record.pair_seq
     if commit_balance(self_id, seq, prior_balance) != expect_prior:
-        raise ValueError("prior balance does not match the record's commitment")
+        raise CommitmentMismatch(
+            "prior balance does not match the record's commitment")
     if commit_balance(self_id, seq, new_balance) != expect_new:
-        raise ValueError("new balance does not match the record's commitment")
+        raise CommitmentMismatch(
+            "new balance does not match the record's commitment")
 
 
 def net_position(ptt: PeerTransactionTree, self_id: int) -> int:

@@ -240,7 +240,8 @@ class Simulation:
         self._actor_ids: dict[str, int] = {}
         self._actor_names: dict[int, str] = {}
         self._add_actor(MANAGER_ID)
-        self.registered_pairs: set = set()
+        # registered pair key -> its log text, formatted once per pair
+        self.registered_pairs: dict[tuple[int, int], str] = {}
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
         self.partitions: list = []  # (start, end) manager unreachability
@@ -283,6 +284,9 @@ class Simulation:
         name = f"client:{client_id}"
         self._actor_ids[name] = client_id
         self._actor_names[client_id] = name
+
+    def _pair_text(self, key: tuple[int, int]) -> str:
+        return self.registered_pairs.get(key) or str(key)
 
     def _alert(self, actor: str, kind: AlertKind, subjects: tuple,
                evidence: str) -> None:
@@ -415,24 +419,24 @@ class Simulation:
                 reply = node.receive_propose(message, self.now)
             except DeltaMoneyError as exc:
                 key = pair_of(message.proposal.payer_id, message.proposal.payee_id)
-                self.emit(actor, "refuse", f"pair={key} reason={exc}")
+                self.emit(actor, "refuse",
+                          f"pair={self._pair_text(key)} reason={exc}")
                 reply = RejectMsg(key, message.proposal.pair_seq,
                                   type(exc).__name__)
             if isinstance(reply, RejectMsg):
                 self.emit(actor, "reject",
-                          f"pair={reply.pair_key} reason={reply.reason}")
+                          f"pair={self._pair_text(reply.pair_key)} "
+                          f"reason={reply.reason}")
             self.send(sender, actor, reply)
             return
         elif isinstance(message, AcceptMsg):
             result = node.receive_accept(message, self.now)
-            key = pair_of(message.record.payer_id, message.record.payee_id)
+            pair = self._pair_text(result.pair_key)
             if isinstance(result, CommitMsg):
-                self.emit(actor, "commit",
-                          f"pair={key} seq={result.pair_seq} "
-                          f"root={result.payer_root.hex()[:16]}")
+                self.emit(actor, "commit", f"pair={pair} seq={result.pair_seq} "
+                          f"root={result.payer_root[:8].hex()}")
             else:
-                self.emit(actor, "abort",
-                          f"pair={key} seq={result.pair_seq} "
+                self.emit(actor, "abort", f"pair={pair} seq={result.pair_seq} "
                           f"reason={result.reason}")
             if not isinstance(result, AbortMsg) or result.reason != STALE:
                 self.outbox[client_id].popleft()  # the head's exchange ended
@@ -441,14 +445,14 @@ class Simulation:
         elif isinstance(message, CommitMsg):
             node.receive_commit(message, self.now)
             self.emit(actor, "commit",
-                      f"pair={message.pair_key} seq={message.pair_seq} "
-                      f"root={message.payer_root.hex()[:16]}")
+                      f"pair={self._pair_text(message.pair_key)} "
+                      f"seq={message.pair_seq} root={message.payer_root[:8].hex()}")
             self._flush_reports(node, actor)
         elif isinstance(message, AbortMsg):
             node.receive_abort(message, self.now)
             self.emit(actor, "abort",
-                      f"pair={message.pair_key} seq={message.pair_seq} "
-                      f"reason={message.reason}")
+                      f"pair={self._pair_text(message.pair_key)} "
+                      f"seq={message.pair_seq} reason={message.reason}")
             self._flush_reports(node, actor)
         elif isinstance(message, RejectMsg):
             if node.receive_reject(message, self.now) is None:
@@ -462,7 +466,8 @@ class Simulation:
             if message.reason == "busy":
                 self._give_up(actor, head, "busy")
             elif message.reason == "unreachable":
-                self.emit(actor, "abort", f"pair={message.pair_key} "
+                self.emit(actor, "abort",
+                          f"pair={self._pair_text(message.pair_key)} "
                           f"seq={message.pair_seq} reason=unreachable")
             self.outbox[client_id].popleft()
         else:
@@ -481,7 +486,8 @@ class Simulation:
                           f"payee={cmd.payee} amount={cmd.amount} reason={exc}")
                 queued.popleft()
                 continue
-            self.emit(actor, "propose", f"pair={pair_of(cmd.payer, cmd.payee)} "
+            self.emit(actor, "propose",
+                      f"pair={self._pair_text(pair_of(cmd.payer, cmd.payee))} "
                       f"seq={msg.proposal.pair_seq} amount={cmd.amount}")
             self.send(self._client_actor(cmd.payee), actor, msg)
 
@@ -527,7 +533,7 @@ class Simulation:
             raise UnknownTarget(f"im cannot handle {type(report).__name__}")
         outcome = self.im.ingest_report(report, now=self.now)
         self.emit("im", "txn-report",
-                  f"pair={report.pair_key} seq={report.pair_seq} "
+                  f"pair={self._pair_text(report.pair_key)} seq={report.pair_seq} "
                   f"reporter={report.reporter} status={outcome.status}")
         alert = outcome.alert
         if alert is not None:
@@ -549,7 +555,8 @@ class Simulation:
         self.im.note_client(client_id)
         self.treasury.register_peer(client_id)
         node.register_peer(MANAGER_ID)
-        self.registered_pairs.add(pair_of(MANAGER_ID, client_id))
+        key = pair_of(MANAGER_ID, client_id)
+        self.registered_pairs[key] = str(key)
         self.emit("cm", "enroll", f"client={client_id} limit={limit}")
 
     def register(self, a: int, b: int) -> None:
@@ -557,8 +564,9 @@ class Simulation:
         self.im.note_pair(a, b)
         self.clients[a].register_peer(b)
         self.clients[b].register_peer(a)
-        self.registered_pairs.add(pair_of(a, b))
-        self.emit("cm", "register", f"pair={pair_of(a, b)}")
+        key = pair_of(a, b)
+        self.registered_pairs[key] = str(key)
+        self.emit("cm", "register", f"pair={self.registered_pairs[key]}")
 
     def issue(self, client_id: int, amount: int) -> None:
         self._command(MANAGER_ID, client_id, amount)
@@ -597,7 +605,7 @@ class Simulation:
         self.grids.append(grid)
         self.emit("im", "capture",
                   f"epoch={epoch} clients={list(grid.client_index)} "
-                  f"grid={grid.grid_hash.hex()[:16]}")
+                  f"grid={grid.grid_hash[:8].hex()}")
         return grid
 
     def recover(self, client_id: int) -> None:
@@ -631,7 +639,7 @@ class Simulation:
         self.crashed.discard(client_id)
         self.emit(self._client_actor(client_id), "recover",
                   f"partners={partners} balance={node.balance} "
-                  f"mhtr={node.mht.root().hex()[:16]}")
+                  f"mhtr={node.mht.root()[:8].hex()}")
 
     def query(self, subject: int, pair, seq_lo: int, seq_hi: int) -> None:
         key = pair_of(*pair)

@@ -5,7 +5,6 @@ calls that step on the simulation's nodes directly.
 """
 
 import dataclasses
-import hashlib
 import random
 
 import pytest
@@ -26,6 +25,7 @@ from deltamoney.client import (
 )
 from deltamoney.currency_manager import MANAGER_ID
 from deltamoney.errors import (
+    CommitmentMismatch,
     ConservationViolation,
     CorruptSnapshot,
     InsufficientBalance,
@@ -35,7 +35,7 @@ from deltamoney.errors import (
     NotRegisteredPeers,
     PartnerRootDisagreement,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore
+from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, hash_leaf
 from deltamoney.integrity_manager import TransactionReport
 from deltamoney.peer_ledger import PeerTransactionTree, net_position, reset_epoch
 from deltamoney.sim import Simulation
@@ -213,20 +213,24 @@ def test_unregistered_pair_refuses():
 
 
 def test_commit_and_abort_reports_carry_the_record_digest():
+    """A report names the record by its pair-tree leaf: a commit report
+    reads the leaf each reporter stored, an abort report rehashes it."""
     sim = small_world(clients=2, fund=10_000)
     a, b, tick = sim.clients[1], sim.clients[2], sim.now
+    key = pair_of(1, 2)
     accepted = b.receive_propose(a.start_transfer(2, 50, tick), tick)
     b.receive_commit(a.receive_accept(accepted, tick), tick)
-    record = a.ptts[pair_of(1, 2)].records[-1]
-    want = hashlib.sha256(record.to_bytes()).digest()
+    record = a.ptts[key].records[-1]
+    want = hash_leaf(record.to_bytes())
     assert record_digest(record) == want
     for node in (a, b):
+        assert node.ptts[key].leaf_digest(record.pair_seq) == want
         assert node.drain_reports()[0][1].record_digest == want
     msg = a.start_transfer(2, 40, tick + 1)
     reply = b.receive_propose(msg, tick + 1)
     result = a.receive_accept(AcceptMsg(reply.record, b"\x55" * 32), tick + 1)
     b.receive_abort(result, tick + 1)
-    want = hashlib.sha256(reply.record.to_bytes()).digest()
+    want = hash_leaf(reply.record.to_bytes())
     for node in (a, b):
         report = node.drain_reports()[0][1]
         assert report.aborted and report.record_digest == want
@@ -298,6 +302,47 @@ def test_byzantine_commit_root_is_rolled_back_and_reported():
     assert b.ptts[key].root() == before
     assert b.balance == 10_000
     assert [k for k, _ in b.drain_reports()] == ["im"]
+
+
+@pytest.mark.parametrize("copied", [True, False],
+                         ids=["copy-rolled-back", "nothing-copied"])
+def test_commit_after_a_stale_answer_checks_the_opened_balance(copied):
+    """A live commit checks the balance against the one its exchange
+    opened with.
+
+    Client 2 proposes 10 to client 3, crashes and is rebuilt, then
+    accepts 5 from client 1.  Client 3's acceptance of the old proposal
+    reaches it while it holds that exchange.  Rebuilt after client 3
+    accepted, it copied the record, and the stale answer rolls the copy
+    back: the balance its (1, 2) commitments bind is gone, and the
+    commit raises.  Rebuilt before, it has nothing to roll back, and the
+    commit goes through.
+    """
+    sim = small_world(fund=10_000)
+    one, two, three, tick = sim.clients[1], sim.clients[2], sim.clients[3], sim.now
+    proposal = two.start_transfer(3, 10, tick)
+    if copied:
+        old_acceptance = three.receive_propose(proposal, tick)
+    sim.inject("crash-client", 2)
+    sim.recover(2)
+    if not copied:
+        old_acceptance = three.receive_propose(proposal, tick)
+    assert two.balance == (9_990 if copied else 10_000)
+    held = two.receive_propose(one.start_transfer(2, 5, tick + 1), tick + 1)
+    assert isinstance(held, AcceptMsg)
+    stale = two.receive_accept(old_acceptance, tick + 2)
+    assert isinstance(stale, AbortMsg) and stale.reason == "stale"
+    three.receive_abort(stale, tick + 2)
+    assert two.balance == 10_000
+    commit = one.receive_accept(held, tick + 2)
+    assert isinstance(commit, CommitMsg)
+    if copied:
+        with pytest.raises(CommitmentMismatch, match="prior balance"):
+            two.receive_commit(commit, tick + 3)
+    else:
+        two.receive_commit(commit, tick + 3)
+        assert two.balance == 10_005 == two.expected_balance()
+        assert [kind for kind, _ in two.drain_reports()] == ["im", "cm"]
 
 
 def test_balance_matches_net_positions_after_random_traffic():
@@ -585,6 +630,15 @@ class TestRecovery:
         transfers; client 1 crashes and is rebuilt from 101 records, then
         pays client 2 fifty times.  Every digest is one ``hashlib.sha256``
         call, so a change to the replay or to any tree's hashing shows.
+
+        The recovery's 705: 2 commitments per replayed record in
+        ``local_view`` (202), the pair trees' 101 leaves and 98 internal
+        nodes, 172 prefix-root folds, and the balance tree's 101 record
+        digests and 31 nodes.  The 50 commits' 1294: per commit, 4
+        commitments, 2 pair-tree leaves and their right-edge nodes, 2
+        balance-tree inserts (record digest and path) and 4 report
+        fingerprints; a live commit checks no commitment and hashes no
+        report digest.
         """
         sim = Simulation(seed=7)
         pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
@@ -612,7 +666,7 @@ class TestRecovery:
             sim.transfer(1, 2, 7 + i)
             sim.advance(10)
         sim.quiesce()
-        assert digests[0] == 1594
+        assert digests[0] == 1294
 
 
 class TestRecoverBalance:

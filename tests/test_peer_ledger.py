@@ -15,7 +15,7 @@ from deltamoney.errors import (
     UnregisteredPair,
     WrongAddressee,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, commit_balance
+from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, commit_balance, hash_leaf
 from deltamoney.merkle import MerkleTree
 from deltamoney.peer_ledger import (
     AccountView,
@@ -264,6 +264,26 @@ def test_commit_after_reset_starts_fresh_tree():
     append_both(a_ptt, b_ptt, rec2)
     assert a_ptt.root() == b_ptt.root() and len(a_ptt) == 1
     assert a_ptt.archived_roots == [(0, root0)]
+
+
+def test_leaf_digest_reads_the_stored_leaf_by_pair_seq():
+    """Sequence numbers run on across an epoch reset; a leaf is read by
+    its record's ``pair_seq``, and only the current epoch's leaves are."""
+    ks = KeyStore()
+    for cid in (ALICE, BOB):
+        ks.generate(cid)
+    ptt, _ = fresh_pair()
+    ptt.append_record(make_record(ptt, 2000, 1000, 500))
+    reset_epoch(ptt, signed_by(ks, (ALICE, BOB), ptt.root()), ks)
+    records = []
+    for amount in (100, 50):
+        records.append(make_record(ptt, 1500, 1500, amount, timestamp=2))
+        ptt.append_record(records[-1])
+    for rec in records:
+        assert ptt.leaf_digest(rec.pair_seq) == hash_leaf(rec.to_bytes())
+    for seq in (1, 4):
+        with pytest.raises(IndexOutOfRange):
+            ptt.leaf_digest(seq)
 
 
 def test_reset_epoch_requires_both_signatures():

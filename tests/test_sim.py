@@ -967,10 +967,11 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(sha256_calls):
     sha256_calls[0] = 0
     sim.transfer(1, 2, 10)
     sim.quiesce()
-    # 8 balance commitments, the first leaf of each replica's pair tree,
-    # a record digest and a leaf rehash in each balance tree, 2 report
-    # digests, and one fingerprint per report at the IM and the CM
-    assert sha256_calls[0] == 20
+    # 4 balance commitments (2 in the proposal, 2 in the acceptance), the
+    # first leaf of each replica's pair tree (also each IM report's record
+    # digest), a record digest and a leaf rehash in each balance tree, and
+    # one fingerprint per report at the IM and the CM
+    assert sha256_calls[0] == 14
 
 
 @pytest.mark.parametrize("name, ticks", [
