@@ -20,20 +20,25 @@ digest.  Internal nodes keep their separator keys encoded, so a rehash
 only joins bytes: the child digests from a list, then the keys.
 ``build`` loads a whole history, as recovery and snapshot loading do: it
 checks and hashes each record once, lays out the shape those inserts
-would have left a level at a time, and hashes each node once, where n
-inserts would rehash the rightmost path n times.  A range query
-returning k records costs O(log n + k): the two boundary witnesses are
-found by descending the separator keys, and the skeleton enters only the
-subtrees whose separator range overlaps the touched keys.
+would have left a level at a time, and hashes each node once as it lays
+it out, where n inserts would rehash the rightmost path n times.  A
+range query returning k records costs O(log n + k): the two boundary
+witnesses are found by descending the separator keys, and the skeleton
+enters only the subtrees whose separator range overlaps the touched
+keys.  ``RangeVO.from_bytes`` decodes the skeleton in one walk over
+offsets: one precompiled ``struct`` call per count or key block and one
+slice per digest or record.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .encoding import BALANCE_RECORD, KEY, Reader, u32, u64
+from .encoding import BALANCE_RECORD, KEY, RANGE_VO_HEAD, U32, Reader, u32, u64
 from .errors import (
     CorruptSnapshot,
     InvertedRange,
@@ -53,6 +58,10 @@ RECORD_SIZE = BALANCE_RECORD.size  # 80
 KEY_SIZE = KEY.size  # encoded (timestamp, client_seq), 16
 MIN_FANOUT = 3
 MAX_FANOUT = 64
+#: Internal levels a skeleton may nest: every internal node has two or more
+#: children and a tree holds fewer than 2**64 records, so a real one has
+#: fewer; a deeper one is refused before it can exhaust the stack
+MAX_DEPTH = 64
 SNAPSHOT_MAGIC = b"DMHT"
 SNAPSHOT_VERSION = 1
 
@@ -99,9 +108,8 @@ class BalanceChangeRecord(_BalanceRecordFields):
     def _make(cls, iterable) -> "BalanceChangeRecord":
         return cls(*iterable)
 
-    @property
-    def key(self) -> Key:
-        return (self.timestamp, self.client_seq)
+    #: (timestamp, client_seq), fields 1 and 2, read without a Python frame
+    key = property(itemgetter(1, 2))
 
     def to_bytes(self) -> bytes:
         return BALANCE_RECORD.pack(*self)
@@ -172,17 +180,6 @@ def _node_sizes(count: int, capacity: int, keep: int) -> list[int]:
         return [count]
     full = (count - (capacity + 1 - keep)) // keep
     return [keep] * full + [count - full * keep]
-
-
-def _hash_subtree(node) -> None:
-    """Hash every node under ``node``, children before their parent."""
-    if isinstance(node, _Leaf):
-        node.hash = digest(TAG_BTREE_LEAF + b"".join(node.digests))
-        return
-    for child in node.children:
-        _hash_subtree(child)
-    node.digests = [child.hash for child in node.children]
-    node.hash = digest(TAG_BTREE_INTERNAL + b"".join(node.digests) + node.key_bytes)
 
 
 class BalanceMHT:
@@ -297,32 +294,34 @@ class BalanceMHT:
               fanout: int = 8) -> "BalanceMHT":
         """The tree that inserting ``records`` in order would give.
 
-        Records pass insert's checks and each is hashed once, in order;
-        then the shape is laid out a level at a time and every node is
-        hashed once, bottom-up.  Inserts only ever split the last node of
-        a level, so the shape follows from the counts alone: a leaf
-        splits on reaching ``fanout`` records and keeps ``fanout // 2``,
-        an internal node on reaching ``fanout + 1`` children and keeps
-        ``fanout // 2 + 1``, and a separator is the first key under the
-        child to its right.
+        Records pass insert's checks (``_check_next``) in order, and are
+        then hashed once each in one comprehension.  The shape is laid out
+        a level at a time from the leaves up, and each node is hashed as
+        it is laid out, after its children: n records cost n record
+        digests and one digest per node, with no recursion.  Inserts only
+        ever split the last node of a level, so the shape follows from the
+        counts alone: a leaf splits on reaching ``fanout`` records and
+        keeps ``fanout // 2``, an internal node on reaching ``fanout + 1``
+        children and keeps ``fanout // 2 + 1``, and a separator is the
+        first key under the child to its right.
         """
         tree = cls(fanout)
         entries: list[BalanceChangeRecord] = []
-        digests: list[Digest] = []
         last = None
         for record in records:
             _check_next(last, record)
             entries.append(record)
-            digests.append(digest(record.to_bytes()))
             last = record
         if last is None:
             return tree
+        digests = [digest(record.to_bytes()) for record in entries]
         keep = fanout // 2
         level, first_keys, start = [], [], 0
         for size in _node_sizes(len(entries), fanout - 1, keep):
             leaf = _Leaf()
             leaf.records = entries[start:start + size]
             leaf.digests = digests[start:start + size]
+            leaf.hash = digest(TAG_BTREE_LEAF + b"".join(leaf.digests))
             if level:
                 level[-1].next = leaf
             level.append(leaf)
@@ -333,8 +332,11 @@ class BalanceMHT:
             for size in _node_sizes(len(level), fanout, keep + 1):
                 node = _Internal()
                 node.children = level[start:start + size]
+                node.digests = [child.hash for child in node.children]
                 node.keys = first_keys[start + 1:start + size]
                 node.key_bytes = b"".join(map(_key_bytes, node.keys))
+                node.hash = digest(TAG_BTREE_INTERNAL + b"".join(node.digests)
+                                   + node.key_bytes)
                 parents.append(node)
                 parent_keys.append(first_keys[start])
                 start += size
@@ -342,7 +344,6 @@ class BalanceMHT:
         tree._root = level[0]
         tree._count = len(entries)
         tree._max_record = last
-        _hash_subtree(tree._root)
         return tree
 
     def _first_leaf(self) -> Optional[_Leaf]:
@@ -493,14 +494,17 @@ class RangeVO:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeVO":
-        r = Reader(data)
-        key_lo = (r.u64(), r.u64())
-        key_hi = (r.u64(), r.u64())
-        mhtr = r.take(32)
-        skeleton = _decode_skeleton(r)
-        if not r.done():
+        """Decode ``to_bytes``; ``ValueError`` for any other input."""
+        try:
+            lo_time, lo_seq, hi_time, hi_seq, mhtr = RANGE_VO_HEAD.unpack_from(data)
+            skeleton, end = _decode_skeleton(data, RANGE_VO_HEAD.size)
+        except (IndexError, struct.error):
+            raise ValueError("truncated input") from None
+        if end > len(data):  # the last digest or record slice came up short
+            raise ValueError("truncated input")
+        if end < len(data):
             raise ValueError("trailing bytes after the range VO")
-        return cls(key_lo, key_hi, mhtr, skeleton)
+        return cls((lo_time, lo_seq), (hi_time, hi_seq), mhtr, skeleton)
 
 
 def _encode_skeleton(node) -> bytes:
@@ -526,29 +530,53 @@ def _encode_skeleton(node) -> bytes:
     return b"".join(parts)
 
 
-def _decode_skeleton(r: Reader):
-    kind = r.take(1)[0]
-    if kind == 3:
-        return ("empty",)
+def _decode_skeleton(data: bytes, at: int, depth: int = 0):
+    """The skeleton node encoded at ``data[at:]``, and the offset after it.
+
+    One walk over offsets: a tag is one byte, a count one ``U32`` unpack,
+    a node's keys one ``KEY.iter_unpack`` and a digest or record one
+    slice.  Reading past the end raises ``IndexError`` or
+    ``struct.error``, except a short last slice, which leaves the offset
+    past the end; ``RangeVO.from_bytes`` turns either into ``ValueError``.
+    ``depth`` counts the internal nodes above this one.
+    """
+    kind = data[at]
+    at += 1
     if kind == 0:
-        return ("stub", r.take(32))
+        return ("stub", data[at:at + DIGEST_SIZE]), at + DIGEST_SIZE
     if kind == 1:
+        (count,) = U32.unpack_from(data, at)
+        at += 4
         slots = []
-        for _ in range(r.u32()):
-            tag = r.take(1)[0]
+        for _ in range(count):
+            tag = data[at]
             if tag == 0:
-                slots.append(("stub", r.take(32)))
+                slots.append(("stub", data[at + 1:at + 1 + DIGEST_SIZE]))
+                at += 1 + DIGEST_SIZE
             elif tag == 1:
-                slots.append(("result", r.u32()))
+                slots.append(("result", U32.unpack_from(data, at + 1)[0]))
+                at += 5
             elif tag == 2:
-                slots.append(("boundary", r.take(RECORD_SIZE)))
+                slots.append(("boundary", data[at + 1:at + 1 + RECORD_SIZE]))
+                at += 1 + RECORD_SIZE
             else:
                 raise ValueError(f"unknown slot tag {tag}")
-        return ("leaf", tuple(slots))
+        return ("leaf", tuple(slots)), at
     if kind == 2:
-        keys = tuple((r.u64(), r.u64()) for _ in range(r.u32()))
-        children = tuple(_decode_skeleton(r) for _ in range(r.u32()))
-        return ("node", keys, children)
+        if depth == MAX_DEPTH:
+            raise ValueError(f"skeleton nests more than {MAX_DEPTH} internal levels")
+        (count,) = U32.unpack_from(data, at)
+        start, at = at + 4, at + 4 + count * KEY_SIZE
+        keys = tuple(KEY.iter_unpack(data[start:at]))
+        (count,) = U32.unpack_from(data, at)
+        at += 4
+        children = []
+        for _ in range(count):
+            child, at = _decode_skeleton(data, at, depth + 1)
+            children.append(child)
+        return ("node", keys, tuple(children)), at
+    if kind == 3:
+        return ("empty",), at
     raise ValueError(f"unknown skeleton tag {kind}")
 
 

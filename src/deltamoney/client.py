@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
 from .currency_manager import MANAGER_ID
-from .encoding import Reader, i64, u32, u64
+from .encoding import Reader, i64, pair_of, u32, u64
 from .errors import (
     CommitmentMismatch,
     ConservationViolation,
@@ -133,10 +133,6 @@ class PartnerRecoveryData:
     archived_roots: tuple[tuple[int, Digest], ...] = ()
     carried_net_low: int = 0
     seq_at_epoch_start: int = 0
-
-
-def pair_of(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def record_digest(record: TransactionPairRecord) -> Digest:
@@ -438,20 +434,29 @@ class ClientNode:
         """Rebuild all pair trees and the balance tree from partner data.
 
         Each partner's records are checked and hashed into a fresh pair
-        tree in one build pass (about 2n hashes for n records); the
-        rebuilt root must match the partner's claim.  When the Integrity
-        Manager has validated a ``(seq, root)`` for the pair, the rebuilt
-        history must reach ``seq`` (a shorter one is truncated) and its
-        prefix root at ``seq`` must be that root: the IM lags the peers,
-        so an honest history may run past what it validated.  A ``seq``
-        at or before the current epoch's start has no prefix in the
-        rebuilt tree, and is compared with its whole root.  The
-        balance records are then replayed in timestamp order, sorted from
-        the pairs' record lists, each citing the root its pair tree had
-        right after it: one ``prefix_roots`` call per pair reads them from
-        the levels that build already stored (popcount(size) - 1 hashes
-        each, no second tree).  The balance tree is built from them in
-        one pass: each record and each node hashed once.
+        tree in one build pass; the rebuilt root must match the partner's
+        claim.  When the Integrity Manager has validated a ``(seq, root)``
+        for the pair, the rebuilt history must reach ``seq`` (a shorter
+        one is truncated) and its prefix root at ``seq`` must be that
+        root: the IM lags the peers, so an honest history may run past
+        what it validated.  A ``seq`` at or before the current epoch's
+        start has no prefix in the rebuilt tree, and is compared with its
+        whole root.  The balance records are then replayed in timestamp
+        order, sorted from the pairs' record lists, each citing the root
+        its pair tree had right after it: one ``prefix_roots`` call per
+        pair reads them from the levels that build already stored, no
+        second tree.  Each record's balance change is built by
+        ``_balance_change`` and its commitments checked by ``local_view``,
+        and the balance tree is built from the changes in one pass.
+
+        Costs, for n records: the pair trees hash n leaves and fewer than
+        n internal nodes, the prefix roots popcount(size) - 1 for each
+        size of each pair, ``local_view`` two commitments per record, and
+        the balance tree n record digests and one digest per node.  Each
+        record is encoded once for its leaf and its balance change once
+        for its digest.  Around those digests each tree level, and each
+        level of prefix roots, is one comprehension; the replay is one
+        loop of two calls per record.
 
         All of that is built aside; only once every check has passed is
         the node wiped and the new state swapped in, so a recovery that

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .encoding import BALANCE_REPORT_FP, FOREVER, u64
+from .encoding import BALANCE_REPORT_FP, FOREVER, pair_of, u64
 from .errors import (
     ClientSuspended,
     DeltaMoneyError,
@@ -281,7 +281,7 @@ class CurrencyManager:
                       consent_b: bool) -> PairRegistration:
         self._require_active(a)
         self._require_active(b)
-        key = (min(a, b), max(a, b))
+        key = pair_of(a, b)
         reg = self.pairs.setdefault(key, PairRegistration(key))
         if consent_a:
             reg.consents.add(a)
@@ -290,7 +290,7 @@ class CurrencyManager:
         return reg
 
     def pair_active(self, a: int, b: int) -> bool:
-        key = (min(a, b), max(a, b))
+        key = pair_of(a, b)
         reg = self.pairs.get(key)
         if reg is None or not reg.active:
             return False

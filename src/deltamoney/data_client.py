@@ -28,7 +28,7 @@ from .balance_tree import (
     examine_range,
 )
 from .currency_manager import MHTRAttestation
-from .encoding import Reader, u32, u64
+from .encoding import Reader, pair_of, u32, u64
 from .errors import (
     DeltaMoneyError,
     NotRegisteredPeers,
@@ -42,11 +42,6 @@ from .merkle import verify as verify_inclusion
 from .peer_ledger import RECORD_SIZE as PAIR_RECORD_SIZE, TransactionPairRecord
 
 
-def _norm(pair) -> tuple[int, int]:
-    a, b = pair
-    return (min(a, b), max(a, b))
-
-
 @dataclass(frozen=True)
 class Grant:
     """Static query scope issued to one data client about one subject."""
@@ -57,7 +52,7 @@ class Grant:
     balance: bool = False
 
     def permits(self, pair_key) -> bool:
-        return _norm(pair_key) in self.pairs
+        return pair_of(*pair_key) in self.pairs
 
 
 def authorize(data_client_id: int, subject_client: int,
@@ -68,7 +63,7 @@ def authorize(data_client_id: int, subject_client: int,
         raise UnknownSubject(f"client {subject_client} is not enrolled")
     return Grant(
         data_client_id, subject_client,
-        frozenset(_norm(p) for p in scope), balance,
+        frozenset(pair_of(*p) for p in scope), balance,
     )
 
 
@@ -208,7 +203,7 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
     exists for fault injection and has no honest use; the proof still
     covers a withheld record, so the VO reads correct but incomplete.
     """
-    key = _norm(pair_key)
+    key = pair_of(*pair_key)
     if not grant.permits(key):
         raise ScopeViolation(
             f"grant for data client {grant.data_client_id} does not cover {key}"
@@ -274,7 +269,7 @@ def verify_transaction_vo(vo: TransactionInclusionVO, keystore: KeyStore,
             correct = False
             continue
         seqs.append(record.pair_seq)
-        if (_norm((record.payer_id, record.payee_id)) != vo.pair_key
+        if (pair_of(record.payer_id, record.payee_id) != vo.pair_key
                 or not vo.seq_lo <= record.pair_seq <= vo.seq_hi):
             correct = False
     # leaf i holds pair_seq epoch_start + 1 + i; an unparsed record left correct False

@@ -28,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .encoding import TXN_REPORT_FP, u64
+from .encoding import TXN_REPORT_FP, pair_of, u64
 from .errors import (
     BadSignature,
     UnknownReporter,
@@ -175,7 +175,7 @@ class IntegrityManager:
         self.known_clients.add(client_id)
 
     def note_pair(self, a: int, b: int) -> None:
-        self.known_pairs.add((min(a, b), max(a, b)))
+        self.known_pairs.add(pair_of(a, b))
 
     # ------------------------------------------------------------------
     # report ingestion

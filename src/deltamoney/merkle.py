@@ -14,8 +14,12 @@ rightmost node and is carried up as is.  An append fills new slots up to
 the first odd index and overwrites existing ones above it; a removal trims
 each level to its new size and rehashes the edge of the last leaf left.
 Replacing a leaf, which only fault injection does, refolds every level
-above the leaves.  Every digest is one ``hashing.digest`` call on the
-tagged bytes, with no helper frame in between.
+above the leaves.  ``build`` hashes n leaves and n - 1 internal nodes, one
+comprehension per level.  ``prefix_roots`` gives the root of every prefix
+for popcount(size) - 1 hashes each, all read from the stored levels with
+no leaf rehashed, in one comprehension per half-block offset or per block
+of each level.  Every digest is one ``hashing.digest`` call on the tagged
+bytes, with no helper frame in between.
 
 A proof shows sorted leaves against the root of the first ``size`` leaves
 (RFC 9162 section 2.1.3's subtree split, extended to many leaves as in
@@ -50,11 +54,8 @@ class MerkleTree:
 
     @classmethod
     def build(cls, leaf_payloads) -> "MerkleTree":
-        leaves = []
-        for payload in leaf_payloads:
-            if not payload:
-                raise EmptyPayload("leaf payload must be non-empty")
-            leaves.append(digest(TAG_LEAF + payload))
+        leaves = [digest(TAG_LEAF + payload) if payload else _empty_payload()
+                  for payload in leaf_payloads]
         if not leaves:
             raise EmptyTree("cannot build a tree with no leaves")
         tree = cls()
@@ -144,9 +145,41 @@ class MerkleTree:
         return self._subtree(0, size)
 
     def prefix_roots(self) -> list[Digest]:
-        """``root_at(size)`` for every size from 1 to ``len(self)``, in order."""
-        subtree = self._subtree
-        return [subtree(0, size) for size in range(1, len(self._levels[0]) + 1)]
+        """``root_at(size)`` for every size from 1 to ``len(self)``, in order.
+
+        Computed for all sizes at once, a level at a time from the stored
+        levels.  After level h, ``roots[i]`` is the root of the leaves from
+        the start of leaf i's block of 2**(h + 1) leaves through leaf i.
+        A level changes only the indices in the right half of a block: the
+        last one, whose block is then whole, takes the stored parent (so an
+        odd leaf takes its stored parent), and every other one hashes the
+        stored left half with its running root.  The prefix ending at leaf
+        i so costs one hash per set bit of i above its trailing ones, the
+        popcount(i + 1) - 1 of ``_subtree``.  A level runs one
+        comprehension per half-block offset or per block, whichever is
+        fewer, so no per-size Python loop is left.
+        """
+        levels = self._levels
+        roots = list(levels[0])
+        n = len(roots)
+        for h in range(len(levels) - 1):
+            half, block = 1 << h, 2 << h
+            lefts, parents = levels[h], levels[h + 1]
+            # the last index of each whole block takes the stored parent
+            roots[block - 1::block] = parents[:n // block]
+            if half <= n // block:  # few offsets, many blocks: stride them
+                left_halves = lefts[::2]
+                for offset in range(half, block - 1):
+                    roots[offset::block] = [
+                        digest(TAG_INTERNAL + left + root)
+                        for left, root in zip(left_halves, roots[offset::block])]
+            else:  # few blocks: slice each one's right half
+                for start in range(half, n, block):
+                    stop = min(start + half - 1, n)
+                    prefix = TAG_INTERNAL + lefts[(start >> h) - 1]
+                    roots[start:stop] = [digest(prefix + root)
+                                         for root in roots[start:stop]]
+        return roots
 
     def _subtree(self, lo: int, hi: int) -> Digest:
         """Digest of leaves ``[lo, hi)``, a node of the split of a prefix.
@@ -205,13 +238,17 @@ def _fold_levels(leaves: list[Digest]) -> list[list[Digest]]:
     levels = [leaves]
     level = leaves
     while len(level) > 1:
-        nxt = [digest(TAG_INTERNAL + level[i] + level[i + 1])
-               for i in range(0, len(level) - 1, 2)]
+        pairs = iter(level)  # zip(pairs, pairs) yields nodes 0 and 1, 2 and 3, ...
+        nxt = [digest(TAG_INTERNAL + left + right) for left, right in zip(pairs, pairs)]
         if len(level) & 1:  # the unpaired rightmost node is promoted
             nxt.append(level[-1])
         levels.append(nxt)
         level = nxt
     return levels
+
+
+def _empty_payload() -> Digest:
+    raise EmptyPayload("leaf payload must be non-empty")
 
 
 def verify(leaf_payloads: Sequence[bytes], indices: Sequence[int], size: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .encoding import PAIR_RECORD
+from .encoding import PAIR_RECORD, pair_of
 from .errors import (
     CommitmentMismatch,
     EmptyTree,
@@ -141,7 +141,7 @@ class PeerTransactionTree:
     def __init__(self, client_a: int, client_b: int) -> None:
         if client_a == client_b:
             raise ValueError("a pair needs two distinct clients")
-        self.pair_key = (min(client_a, client_b), max(client_a, client_b))
+        self.pair_key = pair_of(client_a, client_b)
         self.epoch = 0
         self.records: list[TransactionPairRecord] = []
         self.archived_roots: list[tuple[int, bytes]] = []
@@ -168,9 +168,10 @@ class PeerTransactionTree:
     ) -> "PeerTransactionTree":
         """Rebuild a replica from its current epoch's records.
 
-        Each record passes ``append_record``'s checks, and the tree is
-        then hashed in one ``MerkleTree.build`` pass (about 2n hashes)
-        instead of n appends of O(log n) hashes each.
+        Each record passes ``append_record``'s checks (``_admit``), and
+        the tree is then hashed in one ``MerkleTree.build`` pass, each
+        record encoded once as it is hashed: n leaves and n - 1 internal
+        nodes, instead of n appends of O(log n) hashes each.
         """
         ptt = cls(*pair_key)
         ptt.epoch = epoch
@@ -180,7 +181,7 @@ class PeerTransactionTree:
         for record in records:
             ptt._admit(record)
         if ptt.records:
-            ptt._tree = MerkleTree.build(rec.to_bytes() for rec in ptt.records)
+            ptt._tree = MerkleTree.build(map(TransactionPairRecord.to_bytes, ptt.records))
         return ptt
 
     @property

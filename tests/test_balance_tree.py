@@ -5,6 +5,7 @@ import random
 import pytest
 
 from deltamoney.balance_tree import (
+    MAX_DEPTH,
     BalanceChangeRecord,
     BalanceMHT,
     RangeVO,
@@ -12,6 +13,7 @@ from deltamoney.balance_tree import (
     _Leaf,
     examine_range,
 )
+from deltamoney.encoding import u32
 from deltamoney.errors import (
     CorruptSnapshot,
     InvertedRange,
@@ -524,6 +526,19 @@ def test_vo_serialization_round_trip():
         back = RangeVO.from_bytes(vo.to_bytes())
         assert back == vo
         assert examine_range(got, back, tree.root()) == (True, True)
+
+
+def test_skeleton_nested_past_max_depth_is_refused():
+    """A chain of one-child internal nodes parses up to ``MAX_DEPTH`` of
+    them and raises ``ValueError`` past that, however deep the chain, so
+    outside bytes never reach the interpreter's recursion limit."""
+    def chain(levels):
+        return bytes(64) + (b"\x02" + u32(0) + u32(1)) * levels + b"\x03"
+
+    assert RangeVO.from_bytes(chain(MAX_DEPTH)).skeleton[0] == "node"
+    for levels in (MAX_DEPTH + 1, 5000):
+        with pytest.raises(ValueError, match="internal levels"):
+            RangeVO.from_bytes(chain(levels))
 
 
 def test_snapshot_round_trip_and_tamper():

@@ -380,6 +380,21 @@ def run_traffic(seed=7, n_clients=3, rounds=60):
     return sim
 
 
+def forged_partners(sim, forge):
+    """Client 1's recovery data from clients 0, 2 and 3, where ``forge``
+    rewrites client 2's list of records on pair (1, 2) in place and the
+    claimed root is rebuilt to match, so only the replay can refuse it."""
+    data = sim.clients[2].export_recovery_data(1)
+    records = list(data.records)
+    forge(records)
+    rebuilt = PeerTransactionTree.restore(
+        (1, 2), records, epoch=data.epoch, archived_roots=(),
+        carried_net_low=0, seq_at_epoch_start=data.seq_at_epoch_start)
+    forged = dataclasses.replace(data, records=tuple(records),
+                                 claimed_root=rebuilt.root())
+    return [forged, *(sim.clients[p].export_recovery_data(1) for p in (0, 3))]
+
+
 def view_tuples(node):
     """(peer, pair_seq, prior, new) of each balance change, in tree order."""
     return [(r.peer_id, r.pair_seq, r.new_balance - r.delta, r.new_balance)
@@ -607,20 +622,66 @@ class TestRecovery:
         """Replay runs in timestamp order, so a record moved before its
         predecessor meets a balance its commitments do not open."""
         sim = run_traffic()
-        data = sim.clients[2].export_recovery_data(1)
-        first, second = data.records[0], data.records[1]
-        records = (first, second._replace(timestamp=first.timestamp - 1),
-                   *data.records[2:])
-        rebuilt = PeerTransactionTree.restore(
-            (1, 2), records, epoch=data.epoch, archived_roots=(),
-            carried_net_low=0, seq_at_epoch_start=data.seq_at_epoch_start)
-        forged = dataclasses.replace(data, records=records,
-                                     claimed_root=rebuilt.root())
-        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 3)]
+
+        def fall_back(records):
+            records[1] = records[1]._replace(timestamp=records[0].timestamp - 1)
+
         victim = sim.clients[1]
         before = victim.persist_snapshot()
         with pytest.raises(ValueError, match="prior balance"):
-            victim.recover_transactions([forged, *partners], lambda key: None)
+            victim.recover_transactions(forged_partners(sim, fall_back),
+                                        lambda key: None)
+        assert victim.persist_snapshot() == before
+
+    def test_forged_new_commitment_mid_history_is_refused(self):
+        """Client 1's new-balance commitment forged on a record halfway
+        through its history with client 2: the prior one still opens, so
+        the replay refuses the record on its new balance."""
+        sim = run_traffic()
+
+        def forge(records):
+            i = len(records) // 2
+            record = records[i]
+            side = "payer" if record.payer_id == 1 else "payee"
+            records[i] = record._replace(**{f"{side}_new_commit": b"\x11" * 32})
+
+        victim = sim.clients[1]
+        before = victim.persist_snapshot()
+        with pytest.raises(CommitmentMismatch, match="new balance"):
+            victim.recover_transactions(forged_partners(sim, forge), lambda key: None)
+        assert victim.persist_snapshot() == before
+
+    @pytest.mark.parametrize("first", ["commitment", "overdraft"])
+    def test_replay_raises_on_the_earliest_forged_record(self, first):
+        """Two records client 1 paid on, one with its prior commitment
+        forged and one with an amount it cannot cover: whichever comes
+        first in the replay raises, and the node is left as it was."""
+        sim = run_traffic()
+
+        def wrong_commitment(record):
+            return record._replace(payer_prior_commit=b"\x11" * 32)
+
+        def overdraft(record):
+            return record._replace(amount=10**9)
+
+        faults = [wrong_commitment, overdraft]
+        if first == "overdraft":
+            faults.reverse()
+
+        def forge(records):
+            paid = [i for i, record in enumerate(records) if record.payer_id == 1]
+            for i, fault in zip((paid[len(paid) // 3], paid[2 * len(paid) // 3]),
+                                faults):
+                records[i] = fault(records[i])
+
+        victim = sim.clients[1]
+        before = victim.persist_snapshot()
+        if first == "commitment":
+            expected = pytest.raises(CommitmentMismatch, match="prior balance")
+        else:
+            expected = pytest.raises(NegativeBalance, match="may not go negative")
+        with expected:
+            victim.recover_transactions(forged_partners(sim, forge), lambda key: None)
         assert victim.persist_snapshot() == before
 
     def test_recovery_and_later_commits_keep_their_digest_counts(self, sha256_calls):

@@ -5,6 +5,7 @@ import inspect
 
 import pytest
 
+from deltamoney.balance_tree import RangeVO
 from deltamoney.client import ClientNode
 from deltamoney.data_client import (
     BalanceRangeVO,
@@ -17,6 +18,7 @@ from deltamoney.data_client import (
     query_transactions,
     verify_vo,
 )
+from deltamoney.encoding import u32
 from deltamoney.errors import (
     NotRegisteredPeers,
     ScopeViolation,
@@ -333,6 +335,90 @@ def test_parse_vo_rejects_garbage():
     blob = vo.to_bytes()
     with pytest.raises(ValueError):
         parse_vo(blob + b"\x00")
+
+
+def skeleton_counts_and_tags(node, at):
+    """Offsets of the tag bytes and of the count bytes in the encoding of
+    skeleton ``node`` starting at ``at``, read off the node's tuples, and
+    the offset after it."""
+    widths = {"stub": 32, "result": 4, "boundary": 80}
+    tags, counts = [at], []
+    at += 1
+    if node[0] == "stub":
+        return tags, counts, at + 32
+    if node[0] == "leaf":
+        counts += range(at, at + 4)
+        at += 4
+        for slot in node[1]:
+            tags.append(at)
+            at += 1 + widths[slot[0]]
+        return tags, counts, at
+    counts += range(at, at + 4)
+    at += 4 + 16 * len(node[1])
+    counts += range(at, at + 4)
+    at += 4
+    for child in node[2]:
+        child_tags, child_counts, at = skeleton_counts_and_tags(child, at)
+        tags += child_tags
+        counts += child_counts
+    return tags, counts, at
+
+
+def damaged(blob, offsets):
+    """Every strict prefix of ``blob``, ``blob`` plus a byte, and ``blob``
+    with the byte at each of ``offsets`` set to 0xFF."""
+    yield from (blob[:end] for end in range(len(blob)))
+    yield blob + b"\x00"
+    for at in offsets:
+        yield blob[:at] + b"\xff" + blob[at + 1:]
+
+
+def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
+    """Cut, padded or with a count or tag blown up, a VO either raises
+    ``ValueError`` when parsed or reads short of all-true, never an
+    ``IndexError`` or ``struct.error``; a cut range VO always raises.
+    The range VO's skeleton has two internal levels above its leaves."""
+    sim = build_world(n_transfers=60)
+    ks, a, im, cm = sim.keystore, sim.clients[1], sim.im, sim.cm
+
+    grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
+    _, txn_vo = query_transactions(grant, (1, 2), 20, 23, a, im.attest_pttr((1, 2)))
+    blob = txn_vo.to_bytes()
+    sig_len = 1 + 6 * 8 + 32 + 8
+    record_count = sig_len + 4 + len(txn_vo.attestation.signature.bytes)
+    assert blob[sig_len:sig_len + 4] == u32(len(txn_vo.attestation.signature.bytes))
+    assert blob[record_count:record_count + 4] == u32(4)
+    latest = latest_for(im, (1, 2))
+    assert verify_vo(parse_vo(blob), ks, latest) == Verdict(True, True, True)
+    for data in damaged(blob, [0, *range(sig_len, sig_len + 4),
+                               *range(record_count, record_count + 4)]):
+        try:
+            vo = parse_vo(data)
+        except ValueError:
+            continue
+        assert verify_vo(vo, ks, latest) != Verdict(True, True, True), data.hex()
+
+    att = cm.attest_mhtr(1)
+    records = list(a.mht.records_in_order())
+    key_lo, key_hi = records[20].key, records[30].key
+    _, balance_vo = query_balance_history(
+        TestBalanceVO().grant_for(1), key_lo, key_hi, a, att)
+    range_vo = RangeVO.from_bytes(balance_vo.range_vo)
+    assert range_vo.skeleton[0] == "node"
+    assert any(child[0] == "node" for child in range_vo.skeleton[2])
+    tags, counts, end = skeleton_counts_and_tags(range_vo.skeleton, 64)
+    assert end == len(balance_vo.range_vo)
+    assert verify_vo(balance_vo, ks, att.mhtr) == Verdict(True, True, True)
+    for end in range(len(balance_vo.range_vo)):  # a cut skeleton never parses
+        with pytest.raises(ValueError):
+            RangeVO.from_bytes(balance_vo.range_vo[:end])
+    for data in damaged(balance_vo.range_vo, tags + counts):
+        try:
+            RangeVO.from_bytes(data)
+        except ValueError:
+            continue
+        vo = dataclasses.replace(balance_vo, range_vo=data)
+        assert verify_vo(vo, ks, att.mhtr) != Verdict(True, True, True), data.hex()
 
 
 def test_delayed_report_does_not_accuse_an_honest_subject():

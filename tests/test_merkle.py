@@ -279,16 +279,21 @@ def test_root_at_equals_rfc6962_mth_for_every_prefix():
 
 
 def test_prefix_roots_equal_rfc6962_mth_for_every_prefix(sha256_calls):
-    """One call gives the root of every prefix, each from the stored levels."""
+    """One call gives the root of every prefix, each from the stored levels.
+
+    Every size up to 64, then one below, at and one past each power of two
+    from 128 to 1024, where the top block ends short, whole or just begun.
+    """
     calls = sha256_calls
-    for n in range(1, 65):
-        items = payloads(n)
-        mth = mth_oracle(items)
-        tree = MerkleTree.build(items)
+    items = payloads(1025)
+    mth = mth_oracle(items)  # MTH of items[0:k] depends on those k alone
+    edges = [2**p + d for p in range(7, 11) for d in (-1, 0, 1)]
+    for n in [*range(1, 65), *edges]:
+        tree = MerkleTree.build(items[:n])
         calls[0] = 0
         roots = tree.prefix_roots()
         # popcount(k) - 1 internal hashes per prefix, no leaf rehashed
-        assert calls[0] == sum(bin(k).count("1") - 1 for k in range(1, n + 1))
+        assert calls[0] == sum(bin(k).count("1") - 1 for k in range(1, n + 1)), n
         assert roots == [mth(0, k) for k in range(1, n + 1)], n
     assert MerkleTree().prefix_roots() == []
 
