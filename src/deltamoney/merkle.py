@@ -34,7 +34,7 @@ for one leaf and 2 * ceil(log2 size) for a window of adjacent leaves.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import EmptyPayload, EmptyTree, IndexOutOfRange
 from .hashing import TAG_INTERNAL, TAG_LEAF, Digest, digest
@@ -247,7 +247,7 @@ def _fold_levels(leaves: list[Digest]) -> list[list[Digest]]:
     return levels
 
 
-def _empty_payload() -> Digest:
+def _empty_payload() -> NoReturn:
     raise EmptyPayload("leaf payload must be non-empty")
 
 

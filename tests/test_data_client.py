@@ -384,14 +384,16 @@ def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     _, txn_vo = query_transactions(grant, (1, 2), 20, 23, a, im.attest_pttr((1, 2)))
     blob = txn_vo.to_bytes()
-    sig_len = 1 + 6 * 8 + 32 + 8
-    record_count = sig_len + 4 + len(txn_vo.attestation.signature.bytes)
-    assert blob[sig_len:sig_len + 4] == u32(len(txn_vo.attestation.signature.bytes))
-    assert blob[record_count:record_count + 4] == u32(4)
+    signature = txn_vo.attestation.signature.bytes
+    # the kind byte, six u64 fields, the attested root and the signer id
+    sig_len_at = 1 + 6 * 8 + 32 + 8
+    record_count_at = sig_len_at + 4 + len(signature)
+    assert blob[sig_len_at:sig_len_at + 4] == u32(len(signature))
+    assert blob[record_count_at:record_count_at + 4] == u32(4)
     latest = latest_for(im, (1, 2))
     assert verify_vo(parse_vo(blob), ks, latest) == Verdict(True, True, True)
-    for data in damaged(blob, [0, *range(sig_len, sig_len + 4),
-                               *range(record_count, record_count + 4)]):
+    for data in damaged(blob, [0, *range(sig_len_at, sig_len_at + 4),
+                               *range(record_count_at, record_count_at + 4)]):
         try:
             vo = parse_vo(data)
         except ValueError:
@@ -401,8 +403,8 @@ def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
     att = cm.attest_mhtr(1)
     records = list(a.mht.records_in_order())
     key_lo, key_hi = records[20].key, records[30].key
-    _, balance_vo = query_balance_history(
-        TestBalanceVO().grant_for(1), key_lo, key_hi, a, att)
+    balance_grant = authorize(51, 1, [], enrolled={1, 2}, balance=True)
+    _, balance_vo = query_balance_history(balance_grant, key_lo, key_hi, a, att)
     range_vo = RangeVO.from_bytes(balance_vo.range_vo)
     assert range_vo.skeleton[0] == "node"
     assert any(child[0] == "node" for child in range_vo.skeleton[2])
