@@ -28,7 +28,7 @@ from .integrity_manager import (
     parse_grid,
 )
 from .scenario import parse_scenario, run_scenario
-from .sim import IM_SIGNER, Simulation
+from .sim import IM_SIGNER, Simulation, grid_roots
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -138,16 +138,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify_grid(args) -> int:
     state_dir = Path(args.state_dir)
     keystore, im_signer = _load_keystore(state_dir / "keys.json")
-    clients = _load_clients(state_dir, keystore)
-    mhtrs = {
-        cid: node.mht.root() for cid, node in clients.items()
-        if cid != MANAGER_ID
-    }
-    pttrs = {}
-    for cid, node in clients.items():
-        for key, ptt in node.ptts.items():
-            if MANAGER_ID not in key:
-                pttrs[key] = ptt.root()
+    mhtrs, pttrs = grid_roots(_load_clients(state_dir, keystore))
     im = IntegrityManager(keystore, im_signer)
     try:
         grid = parse_grid(Path(args.grid_file).read_text())

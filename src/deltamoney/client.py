@@ -29,8 +29,10 @@ Currency Manager chains it like any other.  They send no transaction
 report, as the Integrity Manager tracks no treasury pair, and the
 treasury itself reports nothing.
 
-The handshake messages, the balance report and both kinds of record are
-immutable ``NamedTuple``s: a transfer builds several of them, a recovery
+The handshake messages are immutable ``NamedTuple``s, as are the balance
+report (``currency_manager.BalanceReport``), both kinds of record and
+the ``PairReplica`` a partner hands over for recovery, each defined in
+the module that reads it: a transfer builds several of them, a recovery
 one balance record per replayed pair record, and a tuple is built in a
 fraction of the time a frozen dataclass takes.  The records run their
 field checks in ``__new__``.  They compare as plain tuples, so two
@@ -41,12 +43,11 @@ messages apart by type (``isinstance``), never by comparing them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
-from .currency_manager import MANAGER_ID
-from .encoding import Reader, i64, pair_of, u32, u64
+from .currency_manager import MANAGER_ID, BalanceReport
+from .encoding import Reader, pair_of, u32, u64
 from .errors import (
     CommitmentMismatch,
     ConservationViolation,
@@ -59,8 +60,8 @@ from .errors import (
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, hash_leaf
 from .integrity_manager import TransactionReport
 from .peer_ledger import (
-    RECORD_SIZE,
     AccountView,
+    PairReplica,
     PeerTransactionTree,
     TransactionPairRecord,
     TransactionProposal,
@@ -110,29 +111,6 @@ class RejectMsg(NamedTuple):
     pair_key: tuple[int, int]
     pair_seq: int
     reason: str
-
-
-class BalanceReport(NamedTuple):
-    client_id: int
-    new_balance: int
-    mhtr: Digest
-    prior_mhtr: Digest
-    peer_provenance: Digest
-    timestamp: int
-    supply: int = 0  # 0 for a transfer, +amount issued, -amount redeemed
-
-
-@dataclass(frozen=True)
-class PartnerRecoveryData:
-    """Everything a partner hands over to rebuild one shared pair tree."""
-
-    peer_id: int
-    records: tuple[TransactionPairRecord, ...]
-    claimed_root: Digest
-    epoch: int = 0
-    archived_roots: tuple[tuple[int, Digest], ...] = ()
-    carried_net_low: int = 0
-    seq_at_epoch_start: int = 0
 
 
 def record_digest(record: TransactionPairRecord) -> Digest:
@@ -404,19 +382,9 @@ class ClientNode:
     # ------------------------------------------------------------------
     # recovery
 
-    def export_recovery_data(self, peer_id: int) -> PartnerRecoveryData:
+    def export_recovery_data(self, peer_id: int) -> PairReplica:
         """What this node hands a wiped partner about their shared pair."""
-        key = pair_of(self.id, peer_id)
-        ptt = self.ptts[key]
-        return PartnerRecoveryData(
-            peer_id=self.id,
-            records=tuple(ptt.records),
-            claimed_root=ptt.root(),
-            epoch=ptt.epoch,
-            archived_roots=tuple(ptt.archived_roots),
-            carried_net_low=ptt._carried_net_low,
-            seq_at_epoch_start=ptt.epoch_start,
-        )
+        return self.ptts[pair_of(self.id, peer_id)].replica()
 
     def wipe(self) -> None:
         """Drop all volatile state, as a crash would."""
@@ -428,20 +396,21 @@ class ClientNode:
 
     def recover_transactions(
         self,
-        partners: Iterable[PartnerRecoveryData],
+        partners: Iterable[PairReplica],
         validated: Callable[[tuple[int, int]], Optional[tuple[int, Digest]]],
     ) -> None:
-        """Rebuild all pair trees and the balance tree from partner data.
+        """Rebuild all pair trees and the balance tree from partner replicas.
 
-        Each partner's records are checked and hashed into a fresh pair
-        tree in one build pass; the rebuilt root must match the partner's
-        claim.  When the Integrity Manager has validated a ``(seq, root)``
-        for the pair, the rebuilt history must reach ``seq`` (a shorter
-        one is truncated) and its prefix root at ``seq`` must be that
-        root: the IM lags the peers, so an honest history may run past
-        what it validated.  A ``seq`` at or before the current epoch's
-        start has no prefix in the rebuilt tree, and is compared with its
-        whole root.  The balance records are then replayed in timestamp
+        Each ``PairReplica`` must be of a pair this node belongs to.  Its
+        records are checked and hashed into a fresh pair tree in one
+        build pass (``PeerTransactionTree.restore``); the rebuilt root
+        must match the replica's.  When the Integrity Manager has
+        validated a ``(seq, root)`` for the pair, the rebuilt history must
+        reach ``seq`` (a shorter one is truncated) and its prefix root at
+        ``seq`` must be that root: the IM lags the peers, so an honest
+        history may run past what it validated.  A ``seq`` at or before
+        the current epoch's start has no prefix in the rebuilt tree, and
+        is compared with its whole root.  The balance records are then replayed in timestamp
         order, sorted from the pairs' record lists, each citing the root
         its pair tree had right after it: one ``prefix_roots`` call per
         pair reads them from the levels that build already stored, no
@@ -463,18 +432,16 @@ class ClientNode:
         raises leaves the node as it was.
         """
         rebuilt: dict[tuple[int, int], PeerTransactionTree] = {}
-        for data in partners:
-            key = pair_of(self.id, data.peer_id)
-            ptt = PeerTransactionTree.restore(
-                key, data.records, epoch=data.epoch,
-                archived_roots=data.archived_roots,
-                carried_net_low=data.carried_net_low,
-                seq_at_epoch_start=data.seq_at_epoch_start,
-            )
-            root = ptt.root()
-            if root != data.claimed_root:
+        for replica in partners:
+            key = replica.pair_key
+            if self.id not in key:
                 raise PartnerRootDisagreement(
-                    f"pair {key}: partner claims {data.claimed_root[:8].hex()}, "
+                    f"pair {key} does not include client {self.id}")
+            ptt = PeerTransactionTree.restore(replica)
+            root = ptt.root()
+            if root != replica.root:
+                raise PartnerRootDisagreement(
+                    f"pair {key}: partner claims {replica.root[:8].hex()}, "
                     f"records rebuild to {root[:8].hex()}"
                 )
             latest = validated(key)
@@ -559,19 +526,7 @@ class ClientNode:
         parts.append(u64(len(mht_blob)))
         parts.append(mht_blob)
         parts.append(u32(len(self.ptts)))
-        for key in sorted(self.ptts):
-            ptt = self.ptts[key]
-            section = [
-                u64(key[0]), u64(key[1]), u64(ptt.epoch), u64(ptt.last_seq),
-                i64(ptt._carried_net_low), u32(len(ptt.archived_roots)),
-            ]
-            for epoch, root in ptt.archived_roots:
-                section.append(u64(epoch))
-                section.append(root)
-            section.append(u64(len(ptt.records)))
-            section.extend(rec.to_bytes() for rec in ptt.records)
-            section.append(ptt.root())
-            parts.extend(section)
+        parts += [self.ptts[key].replica().to_bytes() for key in sorted(self.ptts)]
         body = b"".join(parts)
         return body + hashlib.sha256(body).digest()
 
@@ -598,23 +553,9 @@ class ClientNode:
             node.fanout = node.mht.fanout
             node.client_seq = client_seq
             for _ in range(r.u32()):
-                key = (r.u64(), r.u64())
-                epoch = r.u64()
-                last_seq = r.u64()
-                carried_net_low = r.i64()
-                archived_roots = [(r.u64(), r.take(32)) for _ in range(r.u32())]
-                n_records = r.u64()
-                records = [
-                    TransactionPairRecord.from_bytes(r.take(RECORD_SIZE))
-                    for _ in range(n_records)
-                ]
-                ptt = PeerTransactionTree.restore(
-                    key, records, epoch=epoch, archived_roots=archived_roots,
-                    carried_net_low=carried_net_low,
-                    seq_at_epoch_start=last_seq - n_records,
-                )
-                expected_root = r.take(32)
-                if ptt.root() != expected_root:
+                replica = PairReplica.read(r)
+                ptt = PeerTransactionTree.restore(replica)
+                if ptt.root() != replica.root:
                     raise CorruptSnapshot(
                         f"pair {ptt.pair_key}: rebuilt root does not match"
                     )

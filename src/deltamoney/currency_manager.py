@@ -7,10 +7,13 @@ the running totals of issued and redeemed currency.  Double spends
 surface here: a balance report whose prior root matches an already
 closed row is spending from a state that was spent from before.
 
-Every change to a client's row arrives as a balance report, and
+Every change to a client's row arrives as a ``BalanceReport``, defined
+here as the Integrity Manager defines its ``TransactionReport``: the
+client builds it and the transport hands it over unchanged.
 ``report_balance`` is the one path that advances a row: a peer transfer,
 an issuance and a redemption differ only in the report's signed supply
-amount (0, +amount, -amount).  Reports arrive independently and possibly
+amount (0, +amount, -amount).  A repeat is dropped by the report's
+``fingerprint``.  Reports arrive independently and possibly
 out of order, so one whose prior root is not yet the open row's is
 parked until the chain catches up; issuances and redemptions chain and
 park exactly like transfers, which puts a redemption's funds check on
@@ -45,6 +48,24 @@ from .errors import (
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, Signature
 
 MANAGER_ID = 0
+
+
+class BalanceReport(NamedTuple):
+    """A client's report of its new balance, the one the manager chains."""
+
+    client_id: int
+    new_balance: int
+    mhtr: Digest
+    prior_mhtr: Digest
+    peer_provenance: Digest
+    timestamp: int
+    # 0 for a transfer, +amount issued, -amount redeemed; left out of the
+    # fingerprint, as mhtr already commits to the balance record's delta
+    supply: int = 0
+
+    def fingerprint(self) -> Digest:
+        """What the manager remembers of the report, to drop a repeat."""
+        return hashlib.sha256(BALANCE_REPORT_FP.pack(*self[:6])).digest()
 
 
 class ClientStatus(Enum):
@@ -200,30 +221,6 @@ class ReparationRecord:
     timestamp: int
 
 
-def _fingerprint(client_id: int, new_balance: int, mhtr: Digest,
-                 prior_mhtr: Digest, peer_provenance: Digest,
-                 timestamp: int) -> Digest:
-    """What the manager remembers of a balance report, to drop a repeat."""
-    return hashlib.sha256(BALANCE_REPORT_FP.pack(
-        client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
-    )).digest()
-
-
-class _Report(NamedTuple):
-    client_id: int
-    new_balance: int
-    mhtr: Digest
-    prior_mhtr: Digest
-    peer_provenance: Digest
-    timestamp: int
-    # 0 for a transfer, +amount issued, -amount redeemed; left out of the
-    # fingerprint, as mhtr already commits to the balance record's delta
-    supply: int = 0
-
-    def fingerprint(self) -> Digest:
-        return _fingerprint(*self[:6])
-
-
 @dataclass(frozen=True)
 class MHTRAttestation:
     """A signed statement: this is the client's latest reported root."""
@@ -249,7 +246,7 @@ class CurrencyManager:
         self.supply = SupplyLedger()
         self._next_id = 1
         self._seen_reports: set[Digest] = set()
-        self._parked: dict[int, list[_Report]] = {}
+        self._parked: dict[int, list[BalanceReport]] = {}
         self.suspension_log: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
@@ -323,9 +320,7 @@ class CurrencyManager:
     # ------------------------------------------------------------------
     # balance reports
 
-    def report_balance(self, client_id: int, new_balance: int, mhtr: Digest,
-                       prior_mhtr: Digest, peer_provenance: Digest,
-                       timestamp: int, supply: int = 0) -> str:
+    def report_balance(self, report: BalanceReport) -> str:
         """Apply a report that follows the open row, or park it until it does.
 
         Returns ``"applied"``, ``"parked"`` or ``"duplicate"``.
@@ -333,22 +328,20 @@ class CurrencyManager:
         A report citing a closed row raises ``StaleProvenance``; a negative
         balance, a client that is not active or a failed supply check
         raises too, leaving the row alone.  A repeat is told by its
-        fingerprint before anything is built, and the fingerprint is kept
-        before any check past the balance's sign can raise, so a repeat of
-        a refused report is a duplicate, not a second refusal.
+        fingerprint, and the fingerprint is kept before any check past the
+        balance's sign can raise, so a repeat of a refused report is a
+        duplicate, not a second refusal.
         """
-        if new_balance < 0:
-            raise NegativeBalance(f"client {client_id} reported balance {new_balance}")
-        fp = _fingerprint(client_id, new_balance, mhtr, prior_mhtr,
-                          peer_provenance, timestamp)
+        client_id = report.client_id
+        if report.new_balance < 0:
+            raise NegativeBalance(
+                f"client {client_id} reported balance {report.new_balance}")
+        fp = report.fingerprint()
         if fp in self._seen_reports:
             return "duplicate"
         self._seen_reports.add(fp)
         self._require_active(client_id)
-        report = _Report(
-            client_id, new_balance, mhtr, prior_mhtr, peer_provenance, timestamp,
-            supply,
-        )
+        prior_mhtr = report.prior_mhtr
         if prior_mhtr != self.table.open_row(client_id).provenance_mhtr:
             if prior_mhtr in self.table.closed_provenances(client_id):
                 raise StaleProvenance(
@@ -360,7 +353,7 @@ class CurrencyManager:
         self._drain_parked(client_id)
         return "applied"
 
-    def _apply(self, report: _Report) -> None:
+    def _apply(self, report: BalanceReport) -> None:
         supply = report.supply
         remarks = "Transaction"
         if supply > 0:

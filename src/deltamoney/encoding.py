@@ -20,9 +20,9 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
 - ``TXN_REPORT_FP``, ``>4Q32s32sQ?``, 105 bytes: what
   ``TransactionReport.fingerprint`` hashes (reporter, the pair key,
   pair_seq, pttr, record_digest, timestamp, aborted);
-- ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what the CM's
-  report fingerprint hashes (client_id, new_balance, mhtr, prior_mhtr,
-  peer_provenance, timestamp);
+- ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what
+  ``BalanceReport.fingerprint`` hashes (client_id, new_balance, mhtr,
+  prior_mhtr, peer_provenance, timestamp);
 - ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq);
 - ``RANGE_VO_HEAD``, ``>4Q32s``, 64 bytes: the head of a balance range VO
   (its two keys and the balance-tree root it proves against).

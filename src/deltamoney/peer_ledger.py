@@ -8,13 +8,23 @@ only when both copies produce the same Merkle root.  Plaintext balances
 never enter the shared record, only blinded commitments to them; each
 side keeps its balances in its own balance tree, and ``local_view``
 checks a record's commitments against them.
+
+A replica's whole state is one ``PairReplica``: the pair key, the epoch,
+the ``pair_seq`` the epoch started after, the net carried from archived
+epochs, the archived (epoch, root)s, the current epoch's records and the
+root.  A partner hands it to a crashed client, and a snapshot stores it
+as one section (``PairReplica.to_bytes``): the key's two ids, the epoch
+and the last ``pair_seq`` as ``u64``, the carried net as ``i64``, a
+``u32`` count of archived (``u64`` epoch, root) entries, a ``u64`` count
+of 232-byte records, the records, then the root.  Either way
+``PeerTransactionTree.restore`` rebuilds the tree from it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .encoding import PAIR_RECORD, pair_of
+from .encoding import PAIR_RECORD, Reader, i64, pair_of, u32, u64
 from .errors import (
     CommitmentMismatch,
     EmptyTree,
@@ -102,6 +112,52 @@ class TransactionPairRecord(_PairRecordFields):
         return cls(*PAIR_RECORD.unpack(data))
 
 
+class PairReplica(NamedTuple):
+    """One replica's state, as ``PeerTransactionTree.replica`` reads it.
+
+    A partner hands one to a crashed client (``export_recovery_data``),
+    and a snapshot stores one per pair; both rebuild the tree with
+    ``PeerTransactionTree.restore`` and compare its root with ``root``.
+    """
+
+    pair_key: tuple[int, int]
+    epoch: int
+    epoch_start: int  # pair_seq just before the first of ``records``
+    carried_net_low: int  # archived epochs' net, for the lower id
+    archived_roots: tuple[tuple[int, bytes], ...]  # (epoch, root) each
+    records: tuple[TransactionPairRecord, ...]  # the current epoch's
+    root: bytes
+
+    def to_bytes(self) -> bytes:
+        """The snapshot's pair section, laid out as the module docstring says."""
+        records = self.records
+        parts = [
+            u64(self.pair_key[0]), u64(self.pair_key[1]), u64(self.epoch),
+            u64(self.epoch_start + len(records)), i64(self.carried_net_low),
+            u32(len(self.archived_roots)),
+        ]
+        for epoch, root in self.archived_roots:
+            parts += (u64(epoch), root)
+        parts.append(u64(len(records)))
+        parts += [record.to_bytes() for record in records]
+        parts.append(self.root)
+        return b"".join(parts)
+
+    @classmethod
+    def read(cls, r: Reader) -> "PairReplica":
+        """Read one ``to_bytes`` section; a cut-short one raises ``ValueError``."""
+        pair_key = (r.u64(), r.u64())
+        epoch = r.u64()
+        last_seq = r.u64()
+        carried_net_low = r.i64()
+        archived_roots = tuple((r.u64(), r.take(DIGEST_SIZE))
+                               for _ in range(r.u32()))
+        records = tuple(TransactionPairRecord.from_bytes(r.take(RECORD_SIZE))
+                        for _ in range(r.u64()))
+        return cls(pair_key, epoch, last_seq - len(records), carried_net_low,
+                   archived_roots, records, r.take(DIGEST_SIZE))
+
+
 class TransactionProposal(NamedTuple):
     """Payer half of a record, sent to the payee for completion."""
 
@@ -156,33 +212,31 @@ class PeerTransactionTree:
         return self.last_seq + 1
 
     @classmethod
-    def restore(
-        cls,
-        pair_key: tuple[int, int],
-        records: Iterable[TransactionPairRecord],
-        *,
-        epoch: int,
-        archived_roots: Iterable[tuple[int, bytes]],
-        carried_net_low: int,
-        seq_at_epoch_start: int,
-    ) -> "PeerTransactionTree":
-        """Rebuild a replica from its current epoch's records.
+    def restore(cls, replica: PairReplica) -> "PeerTransactionTree":
+        """Rebuild a replica from its ``PairReplica``; the caller compares roots.
 
         Each record passes ``append_record``'s checks (``_admit``), and
         the tree is then hashed in one ``MerkleTree.build`` pass, each
         record encoded once as it is hashed: n leaves and n - 1 internal
         nodes, instead of n appends of O(log n) hashes each.
         """
-        ptt = cls(*pair_key)
-        ptt.epoch = epoch
-        ptt.archived_roots = list(archived_roots)
-        ptt._carried_net_low = carried_net_low
-        ptt.last_seq = seq_at_epoch_start
-        for record in records:
+        ptt = cls(*replica.pair_key)
+        ptt.epoch = replica.epoch
+        ptt.archived_roots = list(replica.archived_roots)
+        ptt._carried_net_low = replica.carried_net_low
+        ptt.last_seq = replica.epoch_start
+        for record in replica.records:
             ptt._admit(record)
         if ptt.records:
             ptt._tree = MerkleTree.build(map(TransactionPairRecord.to_bytes, ptt.records))
         return ptt
+
+    def replica(self) -> PairReplica:
+        """This replica's state, for a crashed partner or a snapshot."""
+        return PairReplica(
+            self.pair_key, self.epoch, self.epoch_start, self._carried_net_low,
+            tuple(self.archived_roots), tuple(self.records), self.root(),
+        )
 
     @property
     def epoch_start(self) -> int:

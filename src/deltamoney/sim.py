@@ -66,16 +66,16 @@ from typing import Callable, NamedTuple, Optional
 from .client import (
     AbortMsg,
     AcceptMsg,
-    BalanceReport,
     ClientNode,
     CommitMsg,
+    DEFAULT_LIMIT,
     ProposeMsg,
     RejectMsg,
     STALE,
     TREASURY_RESERVE,
     pair_of,
 )
-from .currency_manager import MANAGER_ID, CurrencyManager
+from .currency_manager import MANAGER_ID, BalanceReport, CurrencyManager
 from .data_client import authorize, query_transactions, verify_vo
 from .errors import (
     DeltaMoneyError,
@@ -203,6 +203,24 @@ class SimulationLog:
         return not self.failures
 
 
+def grid_roots(nodes: dict) -> tuple[dict, dict]:
+    """The balance-tree and pair roots a grid is captured from.
+
+    ``nodes`` maps each live client id to its node.  Each client but the
+    treasury gives its balance-tree root, and each pair they hold, treasury
+    pairs aside, its root as held by its lower live member, or else by its
+    other one: a crashed member holds no pair trees.
+    """
+    mhtrs = {cid: nodes[cid].mht.root() for cid in sorted(nodes)
+             if cid != MANAGER_ID}
+    pttrs = {}
+    for cid in sorted(nodes):
+        for key, ptt in nodes[cid].ptts.items():
+            if MANAGER_ID not in key and key not in pttrs:
+                pttrs[key] = ptt.root()
+    return mhtrs, pttrs
+
+
 def _junk(tag: str, size: int) -> bytes:
     out = b""
     counter = 0
@@ -216,12 +234,10 @@ class Simulation:
     """Event loop, actor roster, fault injection, and scripted asserts."""
 
     def __init__(self, seed: int = 0, scheme: str = "stub",
-                 default_limit: int = 2**32,
                  step_limit: int = 100_000) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.keystore = KeyStore(scheme)
-        self.default_limit = default_limit
         self.step_limit = step_limit
         self.now = 0
         self.steps = 0  # delivered events
@@ -508,10 +524,7 @@ class Simulation:
             raise UnknownTarget(f"cm cannot handle {type(report).__name__}")
         client_id = report.client_id
         try:
-            status = self.cm.report_balance(
-                client_id, report.new_balance, report.mhtr, report.prior_mhtr,
-                report.peer_provenance, report.timestamp, report.supply,
-            )
+            status = self.cm.report_balance(report)
         except StaleProvenance as exc:
             self._alert("cm", AlertKind.STALE_PROVENANCE, (client_id,), str(exc))
             return
@@ -543,7 +556,7 @@ class Simulation:
     # scripted operations
 
     def enroll(self, client_id: int, limit: Optional[int] = None) -> None:
-        limit = self.default_limit if limit is None else limit
+        limit = DEFAULT_LIMIT if limit is None else limit
         assigned = self.cm.enroll(b"pk", limit, timestamp=self.now)
         if assigned != client_id:
             raise UnknownTarget(
@@ -590,17 +603,8 @@ class Simulation:
                   StartTransferCmd(payer, payee, amount, self._cmd_seq))
 
     def capture(self, epoch: int):
-        mhtrs = {
-            cid: node.mht.root()
-            for cid, node in sorted(self.clients.items())
-            if cid != MANAGER_ID and cid not in self.crashed
-        }
-        pttrs = {}
-        for key in sorted(self.registered_pairs):
-            if MANAGER_ID in key:
-                continue
-            holder = self.clients[key[0]]
-            pttrs[key] = holder.ptts[key].root()
+        mhtrs, pttrs = grid_roots({cid: node for cid, node in self.clients.items()
+                                   if cid not in self.crashed})
         grid = self.im.capture_grid(epoch, mhtrs, pttrs)
         self.grids.append(grid)
         self.emit("im", "capture",

@@ -211,6 +211,52 @@ def test_state_dir_snapshots_reload(state):
     assert clients[3].balance == 4_075
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+def test_shipped_scenario_state_dir_reloads(name, tmp_path):
+    """Every snapshot a shipped scenario leaves reloads to the live
+    client's balance, balance-tree root and pair roots; a crashed client
+    leaves none.  A replica whose leaf was tampered with (faults.scn) no
+    longer hashes to the root its records rebuild to, so its holder's
+    snapshot is refused instead."""
+    from deltamoney.cli import _load_clients, _load_keystore
+    from deltamoney.client import ClientNode
+    from deltamoney.errors import CorruptSnapshot
+    from deltamoney.peer_ledger import PeerTransactionTree
+    from deltamoney.scenario import parse_scenario, run_scenario
+
+    state_dir = tmp_path / "state"
+    assert main(["run", str(SCENARIOS / name), "--log", str(tmp_path / "run.log"),
+                 "--state-dir", str(state_dir)]) == 0
+    sim = run_scenario(parse_scenario((SCENARIOS / name).read_text()))
+    keystore, _ = _load_keystore(state_dir / "keys.json")
+    live_ids = set(sim.clients) - sim.crashed
+    tampered = {cid for cid in live_ids for ptt in sim.clients[cid].ptts.values()
+                if PeerTransactionTree.restore(ptt.replica()).root() != ptt.root()}
+    assert bool(tampered) == (name == "faults.scn")
+    for cid in tampered:
+        path = state_dir / f"client_{cid}.snap"
+        with pytest.raises(CorruptSnapshot, match="rebuilt root does not match"):
+            ClientNode.load_snapshot(path.read_bytes(), keystore)
+        path.unlink()
+    loaded = _load_clients(state_dir, keystore)
+    assert sorted(loaded) == sorted(live_ids - tampered)
+    for cid, node in loaded.items():
+        live = sim.clients[cid]
+        assert node.balance == live.balance, cid
+        assert node.mht.root() == live.mht.root(), cid
+        assert ({key: ptt.root() for key, ptt in node.ptts.items()}
+                == {key: ptt.root() for key, ptt in live.ptts.items()}), cid
+
+
+def test_verify_grid_accepts_a_grid_captured_while_a_client_is_down(tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    assert main(["run", str(SCENARIOS / "downgrid.scn"), "--log",
+                 str(tmp_path / "run.log"), "--state-dir", str(state_dir)]) == 0
+    assert not (state_dir / "client_1.snap").exists()
+    assert main(["verify-grid", str(state_dir / "grid_0.txt"), str(state_dir)]) == 0
+    assert "verified (2 clients)" in capsys.readouterr().out
+
+
 # sha256 of every file ``run --state-dir`` writes for each shipped
 # scenario: snapshots, balance table, attestations, grids and keys
 STATE_DIGESTS = {
@@ -227,6 +273,22 @@ STATE_DIGESTS = {
             "1b09caa841d7b88fa32546e6f4ef0ab4b292f3790c5b866dbf9ffe46f59428b1",
         "client_3.snap":
             "d9e6532371441bb1d843a58117dc4b3548ea163bc399b7194a78f807286e6713",
+        "keys.json":
+            "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
+    },
+    "downgrid.scn": {
+        "attestations.psv":
+            "89f2bc91e46be9ea4b86bc0dee51ea63fe0e5acbaaee0cdaa0faf8e3f39bb34b",
+        "balances.psv":
+            "797fa0293c77d6a55c45c74070c08d85c6fa8c345f24b430091700ba01c4152b",
+        "client_0.snap":
+            "7c6a377ceced77fde3b31f1792442ef4480b14638a9183d743324ece5e6b01c1",
+        "client_2.snap":
+            "0e83b64ce8c53a0d64dca2364d6c0531c2a67f8a5b73defc2c00cf955e823f0a",
+        "client_3.snap":
+            "33afae13038abda3d09e5d9e38e348d0a1382a2c17371038a9d333b8aad8852b",
+        "grid_0.txt":
+            "3ff6b3ca1849a0a3cca6d85003da8653d42a573a4d3ee744ba9757fa606a7f84",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },

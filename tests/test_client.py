@@ -4,7 +4,6 @@ Histories run through ``Simulation``; a test that pins one handshake step
 calls that step on the simulation's nodes directly.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from deltamoney.client import (
     BalanceReport,
     ClientNode,
     CommitMsg,
-    PartnerRecoveryData,
     ProposeMsg,
     RejectMsg,
     TREASURY_RESERVE,
@@ -387,11 +385,8 @@ def forged_partners(sim, forge):
     data = sim.clients[2].export_recovery_data(1)
     records = list(data.records)
     forge(records)
-    rebuilt = PeerTransactionTree.restore(
-        (1, 2), records, epoch=data.epoch, archived_roots=(),
-        carried_net_low=0, seq_at_epoch_start=data.seq_at_epoch_start)
-    forged = dataclasses.replace(data, records=tuple(records),
-                                 claimed_root=rebuilt.root())
+    forged = data._replace(records=tuple(records))
+    forged = forged._replace(root=PeerTransactionTree.restore(forged).root())
     return [forged, *(sim.clients[p].export_recovery_data(1) for p in (0, 3))]
 
 
@@ -535,15 +530,17 @@ class TestRecovery:
     @pytest.mark.parametrize("case, error", [
         ("archived-epoch", ValueError),
         ("missing-partner", NegativeBalance),
+        ("other-pair", PartnerRootDisagreement),
     ])
     def test_failed_recovery_leaves_the_node_as_it_was(self, case, error):
-        """A replay that raises must not leave a half-recovered node.
+        """A recovery that raises must not leave a half-recovered node.
 
         After an epoch reset the replay drops the archived epoch's net
         (see the xfail above), so a record's balance commitment does not
         match; without the treasury's data the replay lacks the issuance
-        and the first payment would go negative.  Either way the node
-        keeps the state it had before the call.
+        and the first payment would go negative; a replica of pair (2, 3)
+        is not client 1's to rebuild from.  Each way the node keeps the
+        state it had before the call.
         """
         sim = small_world(fund=10_000)
         a, b = sim.clients[1], sim.clients[2]
@@ -556,8 +553,10 @@ class TestRecovery:
                 reset_epoch(node.ptts[key], signatures, a.keystore)
         run_transfers(sim, [(1, 2, 5)])
         partners = [sim.clients[p].export_recovery_data(1) for p in (2, 3)]
-        if case == "archived-epoch":
+        if case != "missing-partner":
             partners.append(sim.treasury.export_recovery_data(1))
+        if case == "other-pair":
+            partners.append(sim.clients[2].export_recovery_data(3))
 
         def state():
             return (a.persist_snapshot(), a.balance, len(a.mht), a.client_seq,
@@ -573,13 +572,7 @@ class TestRecovery:
     def test_partner_claiming_wrong_root_is_caught(self):
         sim = run_traffic()
         data = sim.clients[2].export_recovery_data(1)
-        lying = PartnerRecoveryData(
-            peer_id=data.peer_id, records=data.records,
-            claimed_root=b"\x01" * 32, epoch=data.epoch,
-            archived_roots=data.archived_roots,
-            carried_net_low=data.carried_net_low,
-            seq_at_epoch_start=data.seq_at_epoch_start,
-        )
+        lying = data._replace(root=b"\x01" * 32)
         with pytest.raises(PartnerRootDisagreement):
             sim.clients[1].recover_transactions([lying], lambda key: None)
 
@@ -597,11 +590,11 @@ class TestRecovery:
         """Partners that hand over a truncated history are refused."""
         sim = run_traffic()
         data = sim.clients[2].export_recovery_data(1)
-        truncated = dataclasses.replace(
-            data, records=data.records[:-1],
-            claimed_root=sim.clients[2].ptts[(1, 2)].root_after(
+        truncated = data._replace(
+            records=data.records[:-1],
+            root=sim.clients[2].ptts[(1, 2)].root_after(
                 data.records[-2].pair_seq))
-        validated = (data.records[-1].pair_seq, data.claimed_root)
+        validated = (data.records[-1].pair_seq, data.root)
         with pytest.raises(PartnerRootDisagreement, match="before the validated"):
             sim.clients[1].recover_transactions([truncated], lambda key: validated)
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from deltamoney.currency_manager import (
+    BalanceReport,
     ClientStatus,
     CurrencyManager,
     ReparationRecord,
@@ -39,21 +40,21 @@ def supply(cm, client_id, amount, t, mhtr=None):
     row = cm.table.open_row(client_id)
     if mhtr is None:
         mhtr = digest(f"supply:{client_id}:{len(cm.table.rows)}")
-    return cm.report_balance(client_id, row.valid_balance + amount, mhtr,
-                             prior_mhtr=row.provenance_mhtr,
-                             peer_provenance=digest("treasury"), timestamp=t,
-                             supply=amount)
+    return cm.report_balance(BalanceReport(
+        client_id, row.valid_balance + amount, mhtr,
+        prior_mhtr=row.provenance_mhtr, peer_provenance=digest("treasury"),
+        timestamp=t, supply=amount))
 
 
 def report_transfer(cm, payer, payee, amount, t, payer_prior, payee_prior,
                     payer_new, payee_new, payer_bal, payee_bal):
     """Deliver both legs of a transfer to the manager."""
-    out1 = cm.report_balance(payer, payer_bal, payer_new,
-                             prior_mhtr=payer_prior,
-                             peer_provenance=payee_prior, timestamp=t)
-    out2 = cm.report_balance(payee, payee_bal, payee_new,
-                             prior_mhtr=payee_prior,
-                             peer_provenance=payer_prior, timestamp=t)
+    out1 = cm.report_balance(BalanceReport(
+        payer, payer_bal, payer_new, prior_mhtr=payer_prior,
+        peer_provenance=payee_prior, timestamp=t))
+    out2 = cm.report_balance(BalanceReport(
+        payee, payee_bal, payee_new, prior_mhtr=payee_prior,
+        peer_provenance=payer_prior, timestamp=t))
     return out1, out2
 
 
@@ -123,9 +124,9 @@ def test_redeem_updates_supply_and_rows():
     assert cm.check_conservation().holds
     rows, row = len(cm.table.rows), cm.table.open_row(c1)
     with pytest.raises(InsufficientBalance):
-        cm.report_balance(c1, 0, digest("over"), prior_mhtr=row.provenance_mhtr,
-                          peer_provenance=digest("treasury"), timestamp=4,
-                          supply=-1)
+        cm.report_balance(BalanceReport(
+            c1, 0, digest("over"), prior_mhtr=row.provenance_mhtr,
+            peer_provenance=digest("treasury"), timestamp=4, supply=-1))
     assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 1000
 
 
@@ -134,9 +135,9 @@ def test_negative_report_balance_is_refused_before_it_is_fingerprinted():
     supply(cm, c1, 1000, 1)
     rows, row = len(cm.table.rows), cm.table.open_row(c1)
     with pytest.raises(NegativeBalance):
-        cm.report_balance(c1, -1, digest("over"), prior_mhtr=row.provenance_mhtr,
-                          peer_provenance=digest("treasury"), timestamp=2,
-                          supply=-1001)
+        cm.report_balance(BalanceReport(
+            c1, -1, digest("over"), prior_mhtr=row.provenance_mhtr,
+            peer_provenance=digest("treasury"), timestamp=2, supply=-1001))
     assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 0
 
 
@@ -147,9 +148,9 @@ def test_supply_report_parks_behind_the_report_it_follows():
     m1, m2, n1, r1 = digest("m1"), digest("m2"), digest("n1"), digest("r1")
     supply(cm, c1, 1000, 1, m1)
     supply(cm, c2, 1000, 2, m2)
-    early = cm.report_balance(c1, 1050, r1, prior_mhtr=n1,
-                              peer_provenance=digest("treasury"), timestamp=5,
-                              supply=-50)
+    early = cm.report_balance(BalanceReport(
+        c1, 1050, r1, prior_mhtr=n1, peer_provenance=digest("treasury"),
+        timestamp=5, supply=-50))
     assert early == "parked" and cm.supply.total_redeemed == 0
     report_transfer(cm, c2, c1, 100, 3, m2, m1, digest("n2"), n1, 900, 1100)
     assert cm.parked_count() == 0 and cm.supply.total_redeemed == 50
@@ -163,9 +164,9 @@ def test_refused_parked_redemption_stays_parked():
     m1, m2, n1 = digest("m1"), digest("m2"), digest("n1")
     supply(cm, c1, 1000, 1, m1)
     supply(cm, c2, 1000, 2, m2)
-    cm.report_balance(c1, 0, digest("r1"), prior_mhtr=n1,
-                      peer_provenance=digest("treasury"), timestamp=5,
-                      supply=-1050)
+    cm.report_balance(BalanceReport(
+        c1, 0, digest("r1"), prior_mhtr=n1, peer_provenance=digest("treasury"),
+        timestamp=5, supply=-1050))
     report_transfer(cm, c1, c2, 100, 3, m1, m2, n1, digest("n2"), 900, 1100)
     assert cm.parked_count(c1) == 1
     assert cm.table.open_row(c1).provenance_mhtr == n1
@@ -222,8 +223,8 @@ def test_double_spend_raises_stale_provenance():
                     1500, 1500)
     # second spend from the same prior state m2
     with pytest.raises(StaleProvenance):
-        cm.report_balance(c2, 1200, digest("forged"), prior_mhtr=m2,
-                          peer_provenance=m1, timestamp=4)
+        cm.report_balance(BalanceReport(c2, 1200, digest("forged"), prior_mhtr=m2,
+                                        peer_provenance=m1, timestamp=4))
 
 
 def test_duplicate_report_is_idempotent():
@@ -232,12 +233,12 @@ def test_duplicate_report_is_idempotent():
     supply(cm, c1, 1000, 1, m1)
     supply(cm, c2, 2000, 2, m2)
     args = dict(prior_mhtr=m2, peer_provenance=m1, timestamp=3)
-    first = cm.report_balance(c2, 1500, digest("n2"), **args)
+    first = cm.report_balance(BalanceReport(c2, 1500, digest("n2"), **args))
     assert first == "applied"
-    again = cm.report_balance(c2, 1500, digest("n2"), **args)
+    again = cm.report_balance(BalanceReport(c2, 1500, digest("n2"), **args))
     assert again == "duplicate"
     rows_before = len(cm.table.rows)
-    cm.report_balance(c2, 1500, digest("n2"), **args)
+    cm.report_balance(BalanceReport(c2, 1500, digest("n2"), **args))
     assert len(cm.table.rows) == rows_before
 
 
@@ -247,12 +248,12 @@ def test_out_of_order_reports_park_then_apply():
     supply(cm, c1, 1000, 1, m1)
     a, b = digest("after-first"), digest("after-second")
     # second hop arrives first: prior is a state the manager has not seen
-    out = cm.report_balance(c1, 700, b, prior_mhtr=a,
-                            peer_provenance=digest("peer2"), timestamp=4)
+    out = cm.report_balance(BalanceReport(
+        c1, 700, b, prior_mhtr=a, peer_provenance=digest("peer2"), timestamp=4))
     assert out == "parked"
     assert cm.parked_count(c1) == 1
-    out = cm.report_balance(c1, 900, a, prior_mhtr=m1,
-                            peer_provenance=digest("peer1"), timestamp=3)
+    out = cm.report_balance(BalanceReport(
+        c1, 900, a, prior_mhtr=m1, peer_provenance=digest("peer1"), timestamp=3))
     assert out == "applied"
     assert cm.parked_count() == 0
     assert cm.table.open_row(c1).valid_balance == 700
@@ -262,15 +263,15 @@ def test_out_of_order_reports_park_then_apply():
 def test_report_for_unknown_or_suspended_client():
     cm, c1, _ = manager_with_two_clients()
     with pytest.raises(UnknownClient):
-        cm.report_balance(77, 10, digest("x"), EMPTY_TREE_DIGEST,
-                          digest("p"), 1)
+        cm.report_balance(BalanceReport(77, 10, digest("x"), EMPTY_TREE_DIGEST,
+                                        digest("p"), 1))
     cm.suspend(c1, "alert")
     with pytest.raises(ClientSuspended):
-        cm.report_balance(c1, 10, digest("x"), EMPTY_TREE_DIGEST,
-                          digest("p"), 1)
+        cm.report_balance(BalanceReport(c1, 10, digest("x"), EMPTY_TREE_DIGEST,
+                                        digest("p"), 1))
     # a repeat of the refused report is a duplicate, not a second refusal
-    again = cm.report_balance(c1, 10, digest("x"), EMPTY_TREE_DIGEST,
-                              digest("p"), 1)
+    again = cm.report_balance(BalanceReport(
+        c1, 10, digest("x"), EMPTY_TREE_DIGEST, digest("p"), 1))
     assert again == "duplicate"
 
 
@@ -315,8 +316,9 @@ def test_forged_balance_breaks_conservation():
     cm, c1, c2 = manager_with_two_clients()
     m1 = digest("m1")
     supply(cm, c1, 1000, 1, m1)
-    out = cm.report_balance(c1, 1100, digest("forged-root"), prior_mhtr=m1,
-                            peer_provenance=digest("nobody"), timestamp=2)
+    out = cm.report_balance(BalanceReport(
+        c1, 1100, digest("forged-root"), prior_mhtr=m1,
+        peer_provenance=digest("nobody"), timestamp=2))
     assert out == "applied"
     verdict = cm.check_conservation()
     assert not verdict.holds
@@ -368,7 +370,7 @@ def test_per_client_index_matches_linear_scan():
     clients = [cm.enroll(b"pk%d" % i, 10_000, timestamp=i) for i in range(5)]
     balance = {c: 0 for c in clients}  # each client's own view, ahead of the CM
     root = {c: EMPTY_TREE_DIGEST for c in clients}
-    in_flight = []  # undelivered report_balance arguments
+    in_flight = []  # the fields of each undelivered balance report
 
     def move(who, delta, peer_prior, step, supply=0):
         balance[who] += delta
@@ -398,9 +400,10 @@ def test_per_client_index_matches_linear_scan():
             move(payee, amount, priors[0], step)
         elif in_flight:
             args = in_flight.pop(rng.randrange(len(in_flight)))
-            parked += cm.report_balance(**args, timestamp=tick) == "parked"
+            report = BalanceReport(**args, timestamp=tick)
+            parked += cm.report_balance(report) == "parked"
     for args in in_flight:
-        cm.report_balance(**args, timestamp=tick)
+        cm.report_balance(BalanceReport(**args, timestamp=tick))
     assert parked and cm.parked_count() == 0
     rows = cm.table.rows
     assert len(rows) > 300 and any(r.valid_from == r.valid_to for r in rows)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from deltamoney.balance_tree import BalanceChangeRecord, _key_bytes
-from deltamoney.currency_manager import _Report
+from deltamoney.currency_manager import BalanceReport
 from deltamoney.encoding import i64, u32, u64
 from deltamoney.errors import NegativeBalance, NonPositiveAmount
 from deltamoney.hashing import commit_balance
@@ -75,7 +75,7 @@ def ref_txn_fingerprint(r: TransactionReport) -> bytes:
     )
 
 
-def ref_balance_fingerprint(r: _Report) -> bytes:
+def ref_balance_fingerprint(r: BalanceReport) -> bytes:
     return sha(
         u64(r.client_id) + u64(r.new_balance) + r.mhtr + r.prior_mhtr
         + r.peer_provenance + u64(r.timestamp)
@@ -157,7 +157,7 @@ def test_transaction_report_fingerprint_matches_reference():
 def test_balance_report_fingerprint_matches_reference():
     rng = random.Random(905)
     for _ in range(CASES):
-        report = _Report(
+        report = BalanceReport(
             unsigned(rng), unsigned(rng), digest(rng), digest(rng),
             digest(rng), unsigned(rng),
         )

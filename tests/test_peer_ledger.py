@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from deltamoney.encoding import Reader, i64, u32, u64
 from deltamoney.errors import (
     IndexOutOfRange,
     InsufficientBalance,
@@ -19,6 +20,7 @@ from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, commit_balance, hash
 from deltamoney.merkle import MerkleTree
 from deltamoney.peer_ledger import (
     AccountView,
+    PairReplica,
     PeerTransactionTree,
     TransactionPairRecord,
     accept,
@@ -284,6 +286,37 @@ def test_leaf_digest_reads_the_stored_leaf_by_pair_seq():
     for seq in (1, 4):
         with pytest.raises(IndexOutOfRange):
             ptt.leaf_digest(seq)
+
+
+def test_pair_replica_section_round_trips_after_an_epoch_reset():
+    """The section a snapshot stores for a pair whose lower member paid in
+    an archived epoch (a negative carried net), against a field-by-field
+    reference; it reads back to the same replica and tree, and every
+    cut-short copy raises ``ValueError``."""
+    ks = KeyStore()
+    for cid in (ALICE, BOB):
+        ks.generate(cid)
+    ptt, _ = fresh_pair()
+    ptt.append_record(make_record(ptt, 2000, 1000, 300, payer=ALICE, payee=BOB))
+    archived = ptt.root()
+    reset_epoch(ptt, signed_by(ks, (ALICE, BOB), archived), ks)
+    for amount in (100, 50):
+        ptt.append_record(make_record(ptt, 1300, 1700, amount, timestamp=2))
+    replica = ptt.replica()
+    assert replica[:5] == ((ALICE, BOB), 1, 1, -300, ((0, archived),))
+    blob = replica.to_bytes()
+    assert blob == b"".join([
+        u64(ALICE), u64(BOB), u64(1), u64(3), i64(-300), u32(1), u64(0), archived,
+        u64(2), *(rec.to_bytes() for rec in ptt.records), ptt.root(),
+    ])
+    r = Reader(blob)
+    assert PairReplica.read(r) == replica and r.done()
+    rebuilt = PeerTransactionTree.restore(replica)
+    assert rebuilt.root() == ptt.root() and rebuilt.next_seq() == 4
+    assert net_position(rebuilt, ALICE) == net_position(ptt, ALICE) == -150
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            PairReplica.read(Reader(blob[:cut]))
 
 
 def test_reset_epoch_requires_both_signatures():

@@ -28,6 +28,7 @@ from deltamoney.sim import (
     FaultKind,
     PolicyKind,
     Simulation,
+    grid_roots,
     retry_delay,
 )
 from worlds import small_world
@@ -697,6 +698,30 @@ def test_grid_capture_is_deterministic_and_sensitive():
     assert moved.grid_hash != first.grid_hash
 
 
+def test_grid_capture_with_the_lower_member_of_a_pair_down():
+    """Client 1 is down, so its pair (1, 2) is read from client 2, and the
+    roster, which holds only live clients, leaves that cell out."""
+    sim = Simulation(seed=5)
+    for c in (1, 2, 3):
+        sim.enroll(c)
+        sim.issue(c, 1000)
+    sim.register(1, 2)
+    sim.register(2, 3)
+    sim.advance(30)
+    sim.transfer(1, 2, 10)
+    sim.transfer(2, 3, 5)
+    sim.quiesce()
+    root_12 = sim.clients[1].ptts[(1, 2)].root()
+    sim.inject("crash-client", 1)
+    grid = sim.capture(0)
+    b, c = sim.clients[2], sim.clients[3]
+    assert grid.client_index == (2, 3)
+    assert grid.cells[0] == (b.mht.root(), c.ptts[(2, 3)].root())
+    _, pttrs = grid_roots({2: b, 3: c})
+    assert pttrs == {(1, 2): root_12, (2, 3): c.ptts[(2, 3)].root()}
+    assert sim.log.lines[-1].startswith(f"{sim.now}|im|capture|epoch=0 clients=[2, 3]")
+
+
 def test_step_limit_guards_runaway_scenarios():
     sim = Simulation(seed=1, step_limit=40)
     sim.enroll(1)
@@ -1092,12 +1117,12 @@ def _wire_values():
         client.CommitMsg((1, 2), 1, digest),
         client.AbortMsg((1, 2), 1, digest, "stale"),
         client.RejectMsg((1, 2), 1, "busy"),
-        client.BalanceReport(1, 10, digest, digest, digest, 0),
+        currency_manager.BalanceReport(1, 10, digest, digest, digest, 0),
         proposal,
         peer_ledger.AccountView(1, 10, 100, digest),
         integrity_manager.TransactionReport(1, (1, 2), 1, digest, digest, 0),
         integrity_manager.ValidationOutcome("held"),
-        currency_manager._Report(1, 10, digest, digest, digest, 0),
+        peer_ledger.PairReplica((1, 2), 0, 0, 0, (), (), digest),
         currency_manager.ConservationVerdict(True, 10, 10),
     ]
 
