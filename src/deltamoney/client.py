@@ -401,22 +401,25 @@ class ClientNode:
     ) -> None:
         """Rebuild all pair trees and the balance tree from partner replicas.
 
-        Each ``PairReplica`` must be of a pair this node belongs to.  Its
-        records are checked and hashed into a fresh pair tree in one
-        build pass (``PeerTransactionTree.restore``); the rebuilt root
-        must match the replica's.  When the Integrity Manager has
-        validated a ``(seq, root)`` for the pair, the rebuilt history must
-        reach ``seq`` (a shorter one is truncated) and its prefix root at
+        Each ``PairReplica`` must be keyed by a pair this node belongs to,
+        lower id first, the key the Integrity Manager's ``validated``
+        lookup and ``ptts`` use.  Its records are checked and hashed into
+        a fresh pair tree in one build pass
+        (``PeerTransactionTree.restore``); the rebuilt root must match the
+        replica's.  When the Integrity Manager has validated a
+        ``(seq, root)`` for the pair, the rebuilt history must reach
+        ``seq`` (a shorter one is truncated) and its prefix root at
         ``seq`` must be that root: the IM lags the peers, so an honest
         history may run past what it validated.  A ``seq`` at or before
         the current epoch's start has no prefix in the rebuilt tree, and
-        is compared with its whole root.  The balance records are then replayed in timestamp
-        order, sorted from the pairs' record lists, each citing the root
-        its pair tree had right after it: one ``prefix_roots`` call per
-        pair reads them from the levels that build already stored, no
-        second tree.  Each record's balance change is built by
-        ``_balance_change`` and its commitments checked by ``local_view``,
-        and the balance tree is built from the changes in one pass.
+        is compared with its whole root.  The balance records are then
+        replayed in timestamp order, sorted from the pairs' record lists,
+        each citing the root its pair tree had right after it: one
+        ``prefix_roots`` call per pair reads them from the levels that
+        build already stored, no second tree.  Each record's balance
+        change is built by ``_balance_change`` and its commitments checked
+        by ``local_view``, and the balance tree is built from the changes
+        in one pass.
 
         Costs, for n records: the pair trees hash n leaves and fewer than
         n internal nodes, the prefix roots popcount(size) - 1 for each
@@ -434,9 +437,10 @@ class ClientNode:
         rebuilt: dict[tuple[int, int], PeerTransactionTree] = {}
         for replica in partners:
             key = replica.pair_key
-            if self.id not in key:
+            # a reversed key would miss ``validated`` and its truncation check
+            if not key[0] < key[1] or self.id not in key:
                 raise PartnerRootDisagreement(
-                    f"pair {key} does not include client {self.id}")
+                    f"pair {key} is not client {self.id}'s, lower id first")
             ptt = PeerTransactionTree.restore(replica)
             root = ptt.root()
             if root != replica.root:

@@ -598,6 +598,22 @@ class TestRecovery:
         with pytest.raises(PartnerRootDisagreement, match="before the validated"):
             sim.clients[1].recover_transactions([truncated], lambda key: validated)
 
+    def test_replica_under_a_reversed_pair_key_is_refused(self):
+        """A truncated history keyed (2, 1) would miss the IM's (1, 2)
+        entry and skip the check above, so it is refused for its key."""
+        sim = run_traffic()
+        data = sim.clients[2].export_recovery_data(1)
+        truncated = data._replace(
+            pair_key=(2, 1),
+            records=data.records[:-1],
+            root=sim.clients[2].ptts[(1, 2)].root_after(
+                data.records[-2].pair_seq))
+        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 3)]
+        validated = {pair_of(1, 2): (data.records[-1].pair_seq, data.root)}
+        with pytest.raises(PartnerRootDisagreement, match="lower id first"):
+            sim.clients[1].recover_transactions(partners + [truncated],
+                                                validated.get)
+
     def test_validated_root_agreement_passes(self):
         """The IM's root at the latest seq, or at an earlier one it has
         validated while later reports are still in flight."""
