@@ -5,6 +5,10 @@ snapshot per client, the manager's balance table, signed grid captures,
 the Integrity Manager's attestations, and the key material needed to
 check every signature.  The other subcommands work purely from that
 directory, so they model an offline auditor rather than a live peer.
+A snapshot that does not load is a verification failure of its client:
+``verify-grid`` needs every snapshot and names the one it refused;
+``prove`` reads only the pair's two members and uses the first that
+loads.
 
 Exit codes: 0 pass, 1 assertion or verification failure, 2 usage error.
 """
@@ -19,7 +23,7 @@ from pathlib import Path
 from .client import ClientNode, pair_of
 from .currency_manager import MANAGER_ID
 from .data_client import authorize, query_transactions, parse_vo, verify_vo
-from .errors import DeltaMoneyError
+from .errors import CorruptSnapshot, DeltaMoneyError
 from .hashing import KeyStore, Signature
 from .integrity_manager import (
     IntegrityManager,
@@ -90,10 +94,19 @@ def _load_keystore(path: Path) -> tuple[KeyStore, int]:
     return keystore, info["im_signer"]
 
 
+def _load_client(path: Path, keystore: KeyStore) -> ClientNode:
+    """Load one ``client_N.snap``; a refusal names client N."""
+    try:
+        return ClientNode.load_snapshot(path.read_bytes(), keystore)
+    except CorruptSnapshot as exc:
+        client = path.stem.removeprefix("client_")
+        raise CorruptSnapshot(f"snapshot of client {client} refused: {exc}") from exc
+
+
 def _load_clients(state_dir: Path, keystore: KeyStore) -> dict[int, ClientNode]:
     clients = {}
     for path in sorted(state_dir.glob("client_*.snap")):
-        node = ClientNode.load_snapshot(path.read_bytes(), keystore)
+        node = _load_client(path, keystore)
         clients[node.id] = node
     return clients
 
@@ -138,9 +151,9 @@ def _cmd_run(args) -> int:
 def _cmd_verify_grid(args) -> int:
     state_dir = Path(args.state_dir)
     keystore, im_signer = _load_keystore(state_dir / "keys.json")
-    mhtrs, pttrs = grid_roots(_load_clients(state_dir, keystore))
     im = IntegrityManager(keystore, im_signer)
     try:
+        mhtrs, pttrs = grid_roots(_load_clients(state_dir, keystore))
         grid = parse_grid(Path(args.grid_file).read_text())
         verdict = im.verify_grid(grid, mhtrs, pttrs)
     except (DeltaMoneyError, ValueError) as exc:
@@ -185,16 +198,23 @@ def _cmd_prove(args) -> int:
     a, _, b = args.pair.partition(":")
     key = pair_of(int(a), int(b))
     keystore, _ = _load_keystore(state_dir / "keys.json")
-    clients = _load_clients(state_dir, keystore)
     attestation = _load_attestations(state_dir).get(key)
     if attestation is None:
         print(f"no attestation on file for pair {key}", file=sys.stderr)
         return EXIT_FAIL
-    holder = clients.get(key[0]) or clients.get(key[1])
+    holder = None
+    for client_id in key:
+        path = state_dir / f"client_{client_id}.snap"
+        if path.exists():
+            try:
+                holder = _load_client(path, keystore)
+                break
+            except CorruptSnapshot as exc:
+                print(exc, file=sys.stderr)
     if holder is None or key not in holder.ptts:
         print(f"no stored replica holds pair {key}", file=sys.stderr)
         return EXIT_FAIL
-    grant = authorize(0, holder.id, [key], enrolled=clients)
+    grant = authorize(0, holder.id, [key], enrolled=[holder.id])
     _, vo = query_transactions(grant, key, args.seq, args.seq, holder, attestation)
     blob = vo.to_bytes()
     if args.out:

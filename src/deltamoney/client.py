@@ -50,7 +50,6 @@ from .currency_manager import MANAGER_ID, BalanceReport
 from .encoding import Reader, pair_of, u32, u64
 from .errors import (
     CommitmentMismatch,
-    ConservationViolation,
     CorruptSnapshot,
     NonMonotonicSequence,
     NotQuiescent,
@@ -140,7 +139,6 @@ class ClientNode:
         self.mht = BalanceMHT(fanout)
         self.ptts: dict[tuple[int, int], PeerTransactionTree] = {}
         self.client_seq = 0
-        self.suspended = False
         self.opening_reserve = opening_reserve
         # the exchange in flight: (pair key, proposal sent as payer or
         # record accepted as payee, balance it opened with), or None
@@ -217,7 +215,7 @@ class ClientNode:
                 f"expected seq {ptt.next_seq()}, got {proposal.pair_seq}"
             )
         view = self.account_view()
-        record = accept(proposal, view, suspended=self.suspended)
+        record = accept(proposal, view)
         ptt.append_record(record)
         self._exchange = (key, record, view.balance)
         return AcceptMsg(record, ptt.root())
@@ -492,22 +490,6 @@ class ClientNode:
 
         self.wipe()
         self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
-
-    def recover_balance(self, manager) -> int:
-        """Derive own balance from totals, cross-checked with the manager."""
-        others = sum(
-            row.valid_balance
-            for row in manager.table.open_rows()
-            if row.client_id != self.id
-        )
-        derived = manager.supply.net - others
-        stored = manager.table.open_row(self.id).valid_balance
-        if derived != stored:
-            raise ConservationViolation(
-                f"derived balance {derived} disagrees with the manager's "
-                f"stored balance {stored}"
-            )
-        return derived
 
     # ------------------------------------------------------------------
     # persistence

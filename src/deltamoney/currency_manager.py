@@ -1,11 +1,14 @@
 """Currency Manager: enrollment, issuance, and conservation.
 
-The manager never stores transaction records.  It keeps a temporal
-table of plaintext balances (one open row per client, closed rows kept
-forever), the provenance root each balance claims to descend from, and
-the running totals of issued and redeemed currency.  Double spends
-surface here: a balance report whose prior root matches an already
-closed row is spending from a state that was spent from before.
+The manager never stores transaction records.  It keeps each enrolled
+client's transaction limit, a temporal table of plaintext balances (one
+open row per client, closed rows kept forever), the provenance root each
+balance claims to descend from, and the running totals of issued and
+redeemed currency.  Registering a pair only checks that both members are
+enrolled.  Double spends surface here: a balance report whose prior root
+matches an already closed row is spending from a state that was spent
+from before.  The manager detects and refuses; it takes no remedial
+action against a client.
 
 Every change to a client's row arrives as a ``BalanceReport``, defined
 here as the Integrity Manager defines its ``TransactionReport``: the
@@ -31,19 +34,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .encoding import BALANCE_REPORT_FP, FOREVER, pair_of, u64
+from .encoding import BALANCE_REPORT_FP, FOREVER, u64
 from .errors import (
-    ClientSuspended,
     DeltaMoneyError,
     InsufficientBalance,
     NegativeBalance,
     NonPositiveAmount,
     StaleProvenance,
     UnknownClient,
-    UnknownTransaction,
 )
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, Signature
 
@@ -68,28 +68,10 @@ class BalanceReport(NamedTuple):
         return hashlib.sha256(BALANCE_REPORT_FP.pack(*self[:6])).digest()
 
 
-class ClientStatus(Enum):
-    ACTIVE = "active"
-    SUSPENDED = "suspended"
-
-
 @dataclass
 class RegisteredClient:
     client_id: int
-    public_key: object
-    status: ClientStatus
     transaction_limit: int
-    zone: str
-
-
-@dataclass
-class PairRegistration:
-    pair_key: tuple[int, int]
-    consents: set[int] = field(default_factory=set)
-
-    @property
-    def active(self) -> bool:
-        return set(self.pair_key) <= self.consents
 
 
 @dataclass(slots=True)
@@ -162,12 +144,6 @@ class TemporalBalanceTable:
                 return row
         return None
 
-    def balance_at(self, client_id: int, at: int) -> int:
-        row = self.row_at(client_id, at)
-        if row is None:
-            raise UnknownClient(f"no balance row for client {client_id} at {at}")
-        return row.valid_balance
-
     def open_rows(self) -> list[BalanceRow]:
         return list(self._open.values())
 
@@ -213,15 +189,6 @@ class ConservationVerdict(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ReparationRecord:
-    pair_key: tuple[int, int]
-    original_pair_seq: int
-    compensating_pair_seq: int
-    amount: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
 class MHTRAttestation:
     """A signed statement: this is the client's latest reported root."""
 
@@ -241,75 +208,44 @@ class CurrencyManager:
         if not self.keystore.has(MANAGER_ID):
             self.keystore.generate(MANAGER_ID)
         self.registry: dict[int, RegisteredClient] = {}
-        self.pairs: dict[tuple[int, int], PairRegistration] = {}
         self.table = TemporalBalanceTable()
         self.supply = SupplyLedger()
         self._next_id = 1
         self._seen_reports: set[Digest] = set()
         self._parked: dict[int, list[BalanceReport]] = {}
-        self.suspension_log: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
     # enrollment and registration
 
-    def enroll(self, public_key: object, limit: int, zone: str = "default",
-               timestamp: int = 0) -> int:
+    def enroll(self, limit: int, timestamp: int = 0) -> int:
         client_id = self._next_id
         self._next_id += 1
-        self.registry[client_id] = RegisteredClient(
-            client_id, public_key, ClientStatus.ACTIVE, limit, zone
-        )
+        self.registry[client_id] = RegisteredClient(client_id, limit)
         self.table.start(client_id, timestamp, remarks="Initial Balance")
         return client_id
 
-    def _require(self, client_id: int) -> RegisteredClient:
-        client = self.registry.get(client_id)
-        if client is None:
+    def _require(self, client_id: int) -> None:
+        if client_id not in self.registry:
             raise UnknownClient(f"client {client_id} is not enrolled")
-        return client
 
-    def _require_active(self, client_id: int) -> RegisteredClient:
-        client = self._require(client_id)
-        if client.status is ClientStatus.SUSPENDED:
-            raise ClientSuspended(f"client {client_id} is suspended")
-        return client
-
-    def register_pair(self, a: int, b: int, consent_a: bool,
-                      consent_b: bool) -> PairRegistration:
-        self._require_active(a)
-        self._require_active(b)
-        key = pair_of(a, b)
-        reg = self.pairs.setdefault(key, PairRegistration(key))
-        if consent_a:
-            reg.consents.add(a)
-        if consent_b:
-            reg.consents.add(b)
-        return reg
-
-    def pair_active(self, a: int, b: int) -> bool:
-        key = pair_of(a, b)
-        reg = self.pairs.get(key)
-        if reg is None or not reg.active:
-            return False
-        return all(
-            self.registry[c].status is ClientStatus.ACTIVE
-            for c in key
-            if c in self.registry
-        )
+    def register_pair(self, a: int, b: int) -> None:
+        """Check that both members of a new pair are enrolled."""
+        self._require(a)
+        self._require(b)
 
     # ------------------------------------------------------------------
     # supply
 
     def issue(self, client_id: int, amount: int, timestamp: int) -> None:
         """Check an issuance and book it on the supply ledger."""
-        self._require_active(client_id)
+        self._require(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"issue amount must be positive, got {amount}")
         self.supply.issue(amount, timestamp)
 
     def redeem(self, client_id: int, amount: int, timestamp: int) -> None:
         """Check a redemption against the open row and book it."""
-        self._require_active(client_id)
+        self._require(client_id)
         if amount <= 0:
             raise NonPositiveAmount(f"redeem amount must be positive, got {amount}")
         balance = self.table.open_row(client_id).valid_balance
@@ -326,7 +262,7 @@ class CurrencyManager:
         Returns ``"applied"``, ``"parked"`` or ``"duplicate"``.
 
         A report citing a closed row raises ``StaleProvenance``; a negative
-        balance, a client that is not active or a failed supply check
+        balance, a client that is not enrolled or a failed supply check
         raises too, leaving the row alone.  A repeat is told by its
         fingerprint, and the fingerprint is kept before any check past the
         balance's sign can raise, so a repeat of a refused report is a
@@ -340,7 +276,7 @@ class CurrencyManager:
         if fp in self._seen_reports:
             return "duplicate"
         self._seen_reports.add(fp)
-        self._require_active(client_id)
+        self._require(client_id)
         prior_mhtr = report.prior_mhtr
         if prior_mhtr != self.table.open_row(client_id).provenance_mhtr:
             if prior_mhtr in self.table.closed_provenances(client_id):
@@ -421,37 +357,3 @@ class CurrencyManager:
                     actual += row.valid_balance
             expected = self.supply.net_at(at)
         return ConservationVerdict(actual == expected, expected, actual, at)
-
-    # ------------------------------------------------------------------
-    # suspension and reparation
-
-    def suspend(self, client_id: int, cause: str) -> None:
-        client = self._require(client_id)
-        client.status = ClientStatus.SUSPENDED
-        self.suspension_log.append((client_id, cause))
-
-    def reinstate(self, client_id: int) -> None:
-        self._require(client_id).status = ClientStatus.ACTIVE
-
-    def repair(self, pair_key: tuple[int, int], pair_seq: int,
-               executor: Callable[[tuple[int, int], int], ReparationRecord],
-               ) -> ReparationRecord:
-        """Reverse one committed transaction via a compensating transfer.
-
-        The manager holds no transaction records, so the actual reversal
-        is delegated: ``executor`` must locate the referenced record,
-        run the reverse transfer through the normal commit path, and
-        return what it did.  The manager then annotates both clients'
-        balance rows.
-        """
-        record = executor(pair_key, pair_seq)
-        if not isinstance(record, ReparationRecord):
-            raise UnknownTransaction(
-                f"no committed transaction {pair_seq} for pair {pair_key}"
-            )
-        note = f"Reparation of {pair_seq}"
-        for client_id in pair_key:
-            if client_id in self.table._open:
-                row = self.table.open_row(client_id)
-                row.remarks = (row.remarks + "; " + note).strip("; ")
-        return record

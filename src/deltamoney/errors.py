@@ -59,10 +59,6 @@ class WrongAddressee(DeltaMoneyError):
     pass
 
 
-class PeerSuspended(DeltaMoneyError):
-    pass
-
-
 class NonMonotonicSequence(DeltaMoneyError):
     pass
 
@@ -88,10 +84,6 @@ class InvertedRange(DeltaMoneyError):
 # currency manager
 
 class UnknownClient(DeltaMoneyError):
-    pass
-
-
-class ClientSuspended(DeltaMoneyError):
     pass
 
 
@@ -124,10 +116,6 @@ class PeerUnreachable(DeltaMoneyError):
 
 
 class PartnerRootDisagreement(DeltaMoneyError):
-    pass
-
-
-class ConservationViolation(DeltaMoneyError):
     pass
 
 

@@ -34,7 +34,6 @@ from .errors import (
     NonMonotonicSequence,
     NonPositiveAmount,
     NotRegisteredPeers,
-    PeerSuspended,
     UnknownClient,
     UnregisteredPair,
     WrongAddressee,
@@ -330,15 +329,12 @@ def propose(
 def accept(
     proposal: TransactionProposal,
     payee: AccountView,
-    suspended: bool = False,
 ) -> TransactionPairRecord:
     """Complete the record with the payee's commitments and provenance."""
     if proposal.payee_id != payee.client_id:
         raise WrongAddressee(
             f"proposal addressed to {proposal.payee_id}, not {payee.client_id}"
         )
-    if suspended:
-        raise PeerSuspended(f"client {payee.client_id} is suspended")
     seq = proposal.pair_seq
     return TransactionPairRecord(
         pair_seq=seq,

@@ -557,7 +557,7 @@ class Simulation:
 
     def enroll(self, client_id: int, limit: Optional[int] = None) -> None:
         limit = DEFAULT_LIMIT if limit is None else limit
-        assigned = self.cm.enroll(b"pk", limit, timestamp=self.now)
+        assigned = self.cm.enroll(limit, timestamp=self.now)
         if assigned != client_id:
             raise UnknownTarget(
                 f"enrollment order mismatch: wanted {client_id}, got {assigned}"
@@ -573,7 +573,7 @@ class Simulation:
         self.emit("cm", "enroll", f"client={client_id} limit={limit}")
 
     def register(self, a: int, b: int) -> None:
-        self.cm.register_pair(a, b, consent_a=True, consent_b=True)
+        self.cm.register_pair(a, b)
         self.im.note_pair(a, b)
         self.clients[a].register_peer(b)
         self.clients[b].register_peer(a)

@@ -257,6 +257,36 @@ def test_verify_grid_accepts_a_grid_captured_while_a_client_is_down(tmp_path, ca
     assert "verified (2 clients)" in capsys.readouterr().out
 
 
+def test_verify_grid_names_a_refused_snapshot(state, capsys):
+    path = state / "client_2.snap"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+    assert main(["verify-grid", str(state / "grid_0.txt"), str(state)]) == 1
+    assert ("grid rejected: snapshot of client 2 refused: snapshot checksum "
+            "mismatch") in capsys.readouterr().err
+
+
+def test_prove_loads_only_the_pair_members_and_the_first_that_loads(
+        tmp_path, capsys):
+    """faults.scn leaves client 2's snapshot refused (a rewritten leaf of
+    pair (1, 2)); pair (1, 2) is proved from client 1's snapshot without
+    reading client 2's, and pair (2, 3) from client 3's."""
+    state_dir = tmp_path / "state"
+    assert main(["run", str(SCENARIOS / "faults.scn"), "--log",
+                 str(tmp_path / "run.log"), "--state-dir", str(state_dir)]) == 0
+    keys = str(state_dir / "keys.json")
+    refusal = ("snapshot of client 2 refused: pair (1, 2): rebuilt root does "
+               "not match\n")
+    for pair, notes in (("1:2", ""), ("2:3", refusal)):
+        vo_path = tmp_path / f"{pair.replace(':', '-')}.vo"
+        assert main(["prove", str(state_dir), "--pair", pair, "--seq", "1",
+                     "--out", str(vo_path)]) == 0
+        assert capsys.readouterr().err.startswith(notes + "proof for pair")
+        assert main(["check", str(vo_path), "--keys", keys]) == 0
+        assert "correct=True complete=True" in capsys.readouterr().out
+
+
 # sha256 of every file ``run --state-dir`` writes for each shipped
 # scenario: snapshots, balance table, attestations, grids and keys
 STATE_DIGESTS = {

@@ -24,7 +24,6 @@ from deltamoney.client import (
 from deltamoney.currency_manager import MANAGER_ID
 from deltamoney.errors import (
     CommitmentMismatch,
-    ConservationViolation,
     CorruptSnapshot,
     InsufficientBalance,
     LimitExceeded,
@@ -188,13 +187,16 @@ def test_payer_guards_propagate():
     assert a.balance == 5 and b.balance == 195
 
 
-def test_suspended_payee_refuses():
+def test_payee_refusal_is_logged_and_rejected():
+    """A proposal the payee's checks refuse is logged as its refusal and
+    answered with a reject naming the error; the payer's exchange ends
+    and no money moves."""
     sim = small_world(clients=2, fund=10_000)
-    sim.clients[2].suspended = True
+    del sim.clients[2].ptts[(1, 2)]  # the payee no longer holds the pair
     run_transfers(sim, [(1, 2, 10)])
-    assert ("|client:2|refuse|pair=(1, 2) reason=client 2 is suspended"
+    assert ("|client:2|refuse|pair=(1, 2) reason=pair (1, 2) is not registered"
             in sim.log.text())
-    assert "|client:2|reject|pair=(1, 2) reason=PeerSuspended" in sim.log.text()
+    assert "|client:2|reject|pair=(1, 2) reason=NotRegisteredPeers" in sim.log.text()
     assert not sim.clients[1].busy
     assert sim.clients[1].balance == 10_000
 
@@ -740,15 +742,21 @@ class TestRecovery:
 
 
 class TestRecoverBalance:
+    """A client's balance is recoverable from the manager's open row,
+    which the conservation audit vouches for only while the rows sum to
+    the supply."""
+
     def test_recover_balance_agrees(self):
         sim = small_world(fund=10_000)
-        assert sim.clients[2].recover_balance(sim.cm) == 10_000
+        assert sim.cm.check_conservation().holds
+        assert sim.cm.table.open_row(2).valid_balance == sim.clients[2].balance
+        assert sim.clients[2].balance == 10_000
 
     def test_recover_balance_detects_forged_row(self):
         sim = small_world(fund=10_000)
         sim.inject("forge-balance", 3, 5)
-        with pytest.raises(ConservationViolation):
-            sim.clients[2].recover_balance(sim.cm)
+        verdict = sim.cm.check_conservation()
+        assert not verdict.holds and verdict.discrepancy == 5
 
 
 class TestSnapshots:

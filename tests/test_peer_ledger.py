@@ -11,7 +11,6 @@ from deltamoney.errors import (
     NonMonotonicSequence,
     NonPositiveAmount,
     NotRegisteredPeers,
-    PeerSuspended,
     UnknownClient,
     UnregisteredPair,
     WrongAddressee,
@@ -104,8 +103,6 @@ def test_accept_guards():
     proposal = propose(account(BOB, 2000), a_ptt, ALICE, 500, 1)
     with pytest.raises(WrongAddressee):
         accept(proposal, account(3, 1000))
-    with pytest.raises(PeerSuspended):
-        accept(proposal, account(ALICE, 1000), suspended=True)
 
 
 def test_commit_honest_roots_agree():

@@ -613,15 +613,19 @@ def test_redemption_overtaking_the_transfer_that_funds_it_waits_for_it():
 
 
 def test_cm_refusal_is_logged_and_acknowledged_not_raised():
+    """A redemption the client can afford but its forged manager row
+    cannot is refused by the manager; the run goes on."""
     sim = small_world(seed=12, clients=2)
     sim.quiesce()
-    sim.cm.suspend(1, "x")
-    sim.transfer(1, 2, 10)
+    sim.inject("forge-balance", 1, -900)
+    sim.redeem(1, 500)
+    sim.issue(2, 10)
     sim.quiesce()
     refusals = [line for line in sim.log.lines if "|cm|refuse|" in line]
     assert len(refusals) == 1
-    assert refusals[0].endswith("|cm|refuse|client=1 reason=client 1 is suspended")
-    assert sim.cm.table.open_row(1).valid_balance == 1_000
+    assert refusals[0].endswith(
+        "|cm|refuse|client=1 reason=redeem 500 exceeds balance 100")
+    assert sim.cm.table.open_row(1).valid_balance == 100
     assert sim.cm.table.open_row(2).valid_balance == 2_010
 
 
@@ -629,20 +633,20 @@ def test_duplicated_delivery_of_a_refused_report_is_a_duplicate():
     """Every report lands twice; the repeat of a refused or stale one
     is dropped by its fingerprint, not refused or alerted on again."""
     sim = small_world(seed=12, clients=2)
+    sim.quiesce()
     sim.policy = DeliveryPolicy("duplicate")
-    sim.cm.suspend(1, "x")
+    sim.inject("forge-balance", 1, -900)
     mark = len(sim.log.lines)
-    sim.transfer(1, 2, 10)
+    sim.redeem(1, 500)
     sim.quiesce()
     lines = [line.split("|", 1)[1] for line in sim.log.lines[mark:]
              if "|cm|" in line and "client=1 " in line]
-    assert lines == ["cm|refuse|client=1 reason=client 1 is suspended",
-                     "cm|balance-report|client=1 balance=990 status=duplicate"]
-    sim.cm.reinstate(1)
+    assert lines == ["cm|refuse|client=1 reason=redeem 500 exceeds balance 100",
+                     "cm|redeemed|client=1 amount=500 status=duplicate"]
     sim.inject("double-spend", 2, 500)
     sim.quiesce()
     assert [k for k, _, _ in sim.alerts] == ["StaleProvenance"]
-    assert sim.log.text().count("|cm|balance-report|client=2 balance=2510 "
+    assert sim.log.text().count("|cm|balance-report|client=2 balance=2500 "
                                 "status=duplicate") == 1
 
 
