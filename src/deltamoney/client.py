@@ -128,15 +128,14 @@ class ClientNode:
     """One currency client (or the manager's treasury when id is 0)."""
 
     def __init__(self, client_id: int, keystore: KeyStore,
-                 transaction_limit: int = DEFAULT_LIMIT, fanout: int = 8,
+                 transaction_limit: int = DEFAULT_LIMIT,
                  opening_reserve: int = 0) -> None:
         self.id = client_id
         self.keystore = keystore
         if not keystore.has(client_id):
             keystore.generate(client_id)
         self.transaction_limit = transaction_limit
-        self.fanout = fanout
-        self.mht = BalanceMHT(fanout)
+        self.mht = BalanceMHT()
         self.ptts: dict[tuple[int, int], PeerTransactionTree] = {}
         self.client_seq = 0
         self.opening_reserve = opening_reserve
@@ -260,8 +259,7 @@ class ClientNode:
             # the copy is the latest balance change: its timestamp is the
             # proposal's tick, and nothing commits here until the answer
             ptt.rollback_last()
-            changes = list(self.mht.records_in_order())
-            self.mht = BalanceMHT.build(changes[:-1], self.fanout)
+            self.mht.remove_last()
             self.client_seq -= 1
         return AbortMsg(key, record.pair_seq, b"\x00" * 32, STALE)
 
@@ -386,7 +384,7 @@ class ClientNode:
 
     def wipe(self) -> None:
         """Drop all volatile state, as a crash would."""
-        self.mht = BalanceMHT(self.fanout)
+        self.mht = BalanceMHT()
         self.ptts = {}
         self.client_seq = 0
         self._exchange = None
@@ -422,11 +420,11 @@ class ClientNode:
         Costs, for n records: the pair trees hash n leaves and fewer than
         n internal nodes, the prefix roots popcount(size) - 1 for each
         size of each pair, ``local_view`` two commitments per record, and
-        the balance tree n record digests and one digest per node.  Each
-        record is encoded once for its leaf and its balance change once
-        for its digest.  Around those digests each tree level, and each
-        level of prefix roots, is one comprehension; the replay is one
-        loop of two calls per record.
+        the balance tree n leaves and n - 1 internal nodes.  Each record
+        and its balance change are encoded once, each for its own leaf.
+        Around those digests each tree level, and each level of prefix
+        roots, is one comprehension; the replay is one loop of two calls
+        per record.
 
         All of that is built aside; only once every check has passed is
         the node wiped and the new state swapped in, so a recovery that
@@ -486,7 +484,7 @@ class ClientNode:
             local_view(record, self.id, balance)
             records.append(change)
             balance = change.new_balance
-        mht = BalanceMHT.build(records, self.fanout)
+        mht = BalanceMHT.build(records)
 
         self.wipe()
         self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
@@ -536,7 +534,11 @@ class ClientNode:
         try:
             mht_blob = r.take(r.u64())
             node.mht = BalanceMHT.from_snapshot(mht_blob)
-            node.fanout = node.mht.fanout
+            if client_seq != len(node.mht):
+                # the next balance record would break the tree's numbering
+                raise CorruptSnapshot(
+                    f"client_seq {client_seq} does not count the "
+                    f"{len(node.mht)} balance records")
             node.client_seq = client_seq
             for _ in range(r.u32()):
                 replica = PairReplica.read(r)

@@ -1,7 +1,7 @@
 """Currency Manager: enrollment, issuance, and conservation.
 
-The manager never stores transaction records.  It keeps each enrolled
-client's transaction limit, a temporal table of plaintext balances (one
+The manager never stores transaction records.  It keeps the set of
+enrolled client ids, a temporal table of plaintext balances (one
 open row per client, closed rows kept forever), the provenance root each
 balance claims to descend from, and the running totals of issued and
 redeemed currency.  Registering a pair only checks that both members are
@@ -66,12 +66,6 @@ class BalanceReport(NamedTuple):
     def fingerprint(self) -> Digest:
         """What the manager remembers of the report, to drop a repeat."""
         return hashlib.sha256(BALANCE_REPORT_FP.pack(*self[:6])).digest()
-
-
-@dataclass
-class RegisteredClient:
-    client_id: int
-    transaction_limit: int
 
 
 @dataclass(slots=True)
@@ -207,7 +201,7 @@ class CurrencyManager:
         self.keystore = keystore if keystore is not None else KeyStore()
         if not self.keystore.has(MANAGER_ID):
             self.keystore.generate(MANAGER_ID)
-        self.registry: dict[int, RegisteredClient] = {}
+        self.registry: set[int] = set()
         self.table = TemporalBalanceTable()
         self.supply = SupplyLedger()
         self._next_id = 1
@@ -217,10 +211,10 @@ class CurrencyManager:
     # ------------------------------------------------------------------
     # enrollment and registration
 
-    def enroll(self, limit: int, timestamp: int = 0) -> int:
+    def enroll(self, timestamp: int = 0) -> int:
         client_id = self._next_id
         self._next_id += 1
-        self.registry[client_id] = RegisteredClient(client_id, limit)
+        self.registry.add(client_id)
         self.table.start(client_id, timestamp, remarks="Initial Balance")
         return client_id
 

@@ -10,10 +10,15 @@ root.  Complete means nothing inside the queried range was withheld.
 Fresh means the attested root is still the latest one the relevant
 manager knows.
 
-A transaction VO proves its k records (232 bytes each) with one Merkle
-multiproof of d digests (32 bytes each, d <= 2 * ceil(log2 size) for
-adjacent records) against the attested prefix of ``size`` leaves.
-Checking it costs k leaf and k - 1 + d internal hashes.
+Both VO kinds prove their records with one Merkle multiproof of d
+digests (32 bytes each), checked by ``merkle.verify`` for k leaf and
+k - 1 + d internal hashes, k the leaves proved.  A transaction VO proves
+its records (232 bytes each) against the attested prefix of ``size``
+leaves, d <= 2 * ceil(log2 size) for adjacent records.  A balance VO
+proves its records (80 bytes each) and at most two boundary witnesses
+against the attested tree of n records, d <= 2 * ceil(log2 n); its range
+VO (``balance_tree.RangeVO``) is at most 44 + 160 + 64 * ceil(log2 n)
+bytes.
 """
 
 from __future__ import annotations

@@ -23,9 +23,7 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
 - ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what
   ``BalanceReport.fingerprint`` hashes (client_id, new_balance, mhtr,
   prior_mhtr, peer_provenance, timestamp);
-- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq);
-- ``RANGE_VO_HEAD``, ``>4Q32s``, 64 bytes: the head of a balance range VO
-  (its two keys and the balance-tree root it proves against).
+- ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
 
 Each record is a tuple in its layout's field order, so ``to_bytes`` is
 one ``pack(*record)``. A ``32s`` field pads or truncates silently, so the
@@ -33,10 +31,7 @@ two records check the length of their digest fields in ``__new__``, which
 ``_make`` and ``_replace`` also run. Variable-length
 encodings (verification objects, snapshots) are built from
 ``u64``, ``i64`` and ``u32`` around those layouts and read back with
-``Reader``, one method call per field.  A balance range VO, decoded once
-per balance query, is the exception: ``RangeVO.from_bytes`` walks its
-offsets itself, with one ``RANGE_VO_HEAD``, ``U32`` or ``KEY.iter_unpack``
-call per fixed-width group and one slice per digest or record.
+``Reader``, one method call per field.
 
 A pair of clients is keyed by ``pair_of``, the lower id first, wherever a
 pair names a tree, a registration or a grant.
@@ -54,7 +49,6 @@ BALANCE_COMMIT = struct.Struct(">cQQQ")
 TXN_REPORT_FP = struct.Struct(">4Q32s32sQ?")
 BALANCE_REPORT_FP = struct.Struct(">QQ32s32s32sQ")
 KEY = struct.Struct(">QQ")
-RANGE_VO_HEAD = struct.Struct(">4Q32s")
 
 #: Largest encodable timestamp, used as the open-interval sentinel.
 FOREVER = 2**64 - 1

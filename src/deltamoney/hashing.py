@@ -4,13 +4,17 @@ The tree and commitment hashes are domain-separated by a single prefix byte,
 so a leaf digest can never be replayed as an internal node, a balance
 commitment, or a grid cell:
 
-    0x00  transaction-tree leaf, also the record digest of an IM report
-    0x01  transaction-tree internal node
+    0x00  Merkle leaf, also the record digest of an IM report
+    0x01  Merkle internal node
     0x02  balance commitment
     0x03  empty-tree sentinel
-    0x04  balance-tree leaf node
-    0x05  balance-tree internal node
     0x06  empty grid cell
+
+0x00 and 0x01 serve both logs, the pair trees and the balance trees, as
+one ``merkle.MerkleTree``; their leaves differ in length (232-byte pair
+records against 80-byte balance records), so neither can stand for the
+other.  0x04 and 0x05 are unused; 0x06 keeps its value, which pinned
+grids hash.
 
 Other hashes carry no tag: the grid's row, column and grid digests, the
 report fingerprints the managers deduplicate by, the client snapshot
@@ -21,7 +25,7 @@ adding a tag would change recorded output.
 Every tree, commitment and grid digest is one call of ``digest``:
 SHA-256, at one Python frame over ``hashlib``. It looks ``hashlib.sha256``
 up on every call, so a counter patched over that sees each digest.
-``hash_leaf`` and ``hash_internal`` state the transaction tree's two node
+``hash_leaf`` and ``hash_internal`` state the Merkle trees' two node
 digests; ``merkle`` inlines them, and the tests hold it to them. Root
 signatures are pluggable: a real Ed25519 scheme and a deterministic
 HMAC-style stub ship with the engine.
@@ -44,8 +48,6 @@ TAG_LEAF = b"\x00"
 TAG_INTERNAL = b"\x01"
 TAG_BALANCE = b"\x02"
 TAG_EMPTY_TREE = b"\x03"
-TAG_BTREE_LEAF = b"\x04"
-TAG_BTREE_INTERNAL = b"\x05"
 TAG_EMPTY_CELL = b"\x06"
 
 

@@ -557,7 +557,7 @@ class Simulation:
 
     def enroll(self, client_id: int, limit: Optional[int] = None) -> None:
         limit = DEFAULT_LIMIT if limit is None else limit
-        assigned = self.cm.enroll(limit, timestamp=self.now)
+        assigned = self.cm.enroll(timestamp=self.now)
         if assigned != client_id:
             raise UnknownTarget(
                 f"enrollment order mismatch: wanted {client_id}, got {assigned}"

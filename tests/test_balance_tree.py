@@ -1,41 +1,39 @@
 import hashlib
-import math
 import random
 
 import pytest
 
 from deltamoney.balance_tree import (
-    MAX_DEPTH,
     BalanceChangeRecord,
     BalanceMHT,
     RangeVO,
-    _Internal,
-    _Leaf,
     examine_range,
 )
-from deltamoney.encoding import u32
+from deltamoney.encoding import u32, u64
 from deltamoney.errors import (
     CorruptSnapshot,
+    EmptyTree,
     InvertedRange,
     NegativeBalance,
     NonMonotonicKey,
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST
+from deltamoney.merkle import MerkleTree
+from test_merkle import mth_oracle
+
+EVERYTHING = (0, 0), (2**64 - 1, 2**64 - 1)
 
 
 def sha(data):
     return hashlib.sha256(data).digest()
 
 
-def rebuild_hash(node):
-    """From-scratch recompute of a node's hash, ignoring caches."""
-    if isinstance(node, _Leaf):
-        return sha(b"\x04" + b"".join(sha(r.to_bytes()) for r in node.records))
-    child = b"".join(rebuild_hash(c) for c in node.children)
-    keys = b"".join(
-        k[0].to_bytes(8, "big") + k[1].to_bytes(8, "big") for k in node.keys
-    )
-    return sha(b"\x05" + child + keys)
+def oracle_root(records):
+    """RFC 6962 Merkle Tree Hash of the records' encodings, or the empty
+    sentinel, computed apart from the tree."""
+    if not records:
+        return EMPTY_TREE_DIGEST
+    return mth_oracle([record.to_bytes() for record in records])(0, len(records))
 
 
 def history(n, seed=0, start_tick=1):
@@ -60,38 +58,16 @@ def history(n, seed=0, start_tick=1):
     return records
 
 
-def insert_all(records, fanout=4):
-    tree = BalanceMHT(fanout)
+def insert_all(records):
+    tree = BalanceMHT()
     for rec in records:
         tree.insert(rec)
     return tree
 
 
-def leaves_of(tree):
-    found = []
-    leaf = tree._first_leaf()
-    while leaf is not None:
-        found.append(leaf)
-        leaf = leaf.next
-    return found
-
-
-def depths(node, d=0):
-    if isinstance(node, _Leaf):
-        return [d]
-    out = []
-    for child in node.children:
-        out.extend(depths(child, d + 1))
-    return out
-
-
-def internal_key_counts(node, is_root=True):
-    if isinstance(node, _Leaf):
-        return []
-    out = [] if is_root else [len(node.keys)]
-    for child in node.children:
-        out.extend(internal_key_counts(child, is_root=False))
-    return out
+def bumped(record):
+    """``record`` with its balance off by one."""
+    return record._replace(new_balance=record.new_balance + 1)
 
 
 def test_record_encoding_round_trip():
@@ -116,22 +92,13 @@ def test_empty_tree_sentinel_and_zero_balance():
 def test_single_record_root_is_tagged_leaf_hash():
     rec = BalanceChangeRecord(1, 1, 1, 2, 1000, 1000, sha(b"p"))
     tree = insert_all([rec])
-    assert tree.root() == sha(b"\x04" + sha(rec.to_bytes()))
+    assert tree.root() == sha(b"\x00" + rec.to_bytes())
     assert tree.latest_balance() == 1000
 
 
-def test_fanout_bounds():
-    for bad in (2, 65, 0):
-        with pytest.raises(ValueError):
-            BalanceMHT(bad)
-    BalanceMHT(3)
-    BalanceMHT(64)
-
-
-def test_twenty_inserts_fanout_4_shape_and_order():
+def test_twenty_inserts_keep_key_order():
     records = history(20)
-    tree = insert_all(records, fanout=4)
-    assert isinstance(tree._root, _Internal)
+    tree = insert_all(records)
     assert list(tree.records_in_order()) == records
     assert sorted(r.key for r in records) == [r.key for r in records]
 
@@ -150,133 +117,111 @@ def test_non_monotonic_key_rejected():
 
 def test_running_sum_violation_rejected():
     tree = insert_all(history(3))
-    bad = BalanceChangeRecord(4, 99, 99, 2, 10, tree.latest_balance() + 11, sha(b"x"))
-    with pytest.raises(ValueError):
+    bad = BalanceChangeRecord(4, 99, 4, 2, 10, tree.latest_balance() + 11, sha(b"x"))
+    with pytest.raises(ValueError, match="running sum"):
         tree.insert(bad)
 
 
 def test_latest_balance_matches_delta_fold():
     for seed in range(5):
         records = history(50, seed=seed)
-        tree = insert_all(records, fanout=5)
+        tree = insert_all(records)
         assert tree.latest_balance() == sum(r.delta for r in records)
 
 
 def test_same_history_same_root_changed_delta_changes_root():
     for seed in range(10):
         records = history(30, seed=seed)
-        a, b = insert_all(records, fanout=4), insert_all(records, fanout=4)
+        a, b = insert_all(records), insert_all(records)
         assert a.root() == b.root()
         mutated = list(records)
         idx = seed % len(records)
         victim = mutated[idx]
-        bumped = BalanceChangeRecord(
-            victim.pair_seq, victim.timestamp, victim.client_seq, victim.peer_id,
-            victim.delta + 1, victim.new_balance + 1, victim.causing_pttr,
-        )
-        mutated[idx] = bumped
+        mutated[idx] = victim._replace(delta=victim.delta + 1,
+                                       new_balance=victim.new_balance + 1)
         for j in range(idx + 1, len(mutated)):
-            r = mutated[j]
-            mutated[j] = BalanceChangeRecord(
-                r.pair_seq, r.timestamp, r.client_seq, r.peer_id,
-                r.delta, r.new_balance + 1, r.causing_pttr,
-            )
-        assert insert_all(mutated, fanout=4).root() != a.root()
+            mutated[j] = bumped(mutated[j])
+        assert insert_all(mutated).root() != a.root()
 
 
-@pytest.mark.parametrize("fanout", range(3, 9))
-def test_cached_hashes_equal_full_rebuild(fanout):
-    records = history(200, seed=fanout)
-    tree = insert_all(records, fanout=fanout)
-    assert tree.root() == rebuild_hash(tree._root)
+@pytest.mark.parametrize("seed", range(3, 9))
+def test_cached_hashes_equal_full_rebuild(seed):
+    records = history(200, seed=seed)
+    tree = insert_all(records)
+    assert tree.root() == oracle_root(records)
+    for _ in range(77):
+        tree.remove_last()
+    assert tree.root() == oracle_root(records[:123])
+    assert list(tree.records_in_order()) == records[:123]
 
 
-@pytest.mark.parametrize("fanout", range(3, 9))
-def test_bplus_shape_invariants(fanout):
-    records = history(200, seed=fanout + 10)
-    tree = insert_all(records, fanout=fanout)
-    assert len(set(depths(tree._root))) == 1
-    low = math.ceil(fanout / 2) - 1
-    for count in internal_key_counts(tree._root):
-        assert low <= count <= fanout - 1
-    assert sum(len(l.records) for l in leaves_of(tree)) == 200
+def test_root_matches_the_oracle_at_every_size_and_after_remove_last():
+    """Sizes 0..200 by insert, then back down to 0 by ``remove_last``."""
+    records = history(200, seed=21)
+    tree = BalanceMHT()
+    for n in range(201):
+        if n:
+            tree.insert(records[n - 1])
+        assert tree.root() == oracle_root(records[:n]), n
+    for n in range(199, -1, -1):
+        tree.remove_last()
+        assert len(tree) == n
+        assert tree.root() == oracle_root(records[:n]), n
+        assert tree.latest_balance() == (records[n - 1].new_balance if n else 0)
 
 
-def test_different_fanouts_differ_in_root():
-    records = history(40)
-    assert insert_all(records, 3).root() != insert_all(records, 8).root()
-
-
-def full_range(tree):
-    return (0, 0), (2**64 - 1, 2**64 - 1)
+def test_remove_last_of_an_empty_tree_raises():
+    with pytest.raises(EmptyTree):
+        BalanceMHT().remove_last()
 
 
 def test_full_range_query_verifies():
     records = history(30)
-    tree = insert_all(records, fanout=4)
-    lo, hi = full_range(tree)
-    got, vo = tree.range_query(lo, hi)
+    tree = insert_all(records)
+    got, vo = tree.range_query(*EVERYTHING)
     assert got == records
     assert examine_range(got, vo, tree.root()) == (True, True)
 
 
 def test_subrange_query_and_boundaries():
     records = history(30)
-    tree = insert_all(records, fanout=4)
+    tree = insert_all(records)
     lo, hi = records[7].key, records[19].key
     got, vo = tree.range_query(lo, hi)
     assert got == records[7:20]
+    assert vo.witnesses == (records[6], records[20])
     assert examine_range(got, vo, tree.root()) == (True, True)
 
 
 def test_empty_range_between_adjacent_keys():
     records = history(10)
-    tree = insert_all(records, fanout=4)
+    tree = insert_all(records)
     t = records[4].timestamp
     got, vo = tree.range_query((t, records[4].client_seq + 1), (t + 1, 0))
     assert got == []
+    assert vo.witnesses == (records[4], records[5])
     assert examine_range(got, vo, tree.root()) == (True, True)
     # scan oracle: nothing lies strictly between those records
     assert [r for r in records if (t, records[4].client_seq + 1) <= r.key <= (t + 1, 0)] == []
 
 
-def scan_range_query(tree, key_lo, key_hi):
-    """Reference range query: scan every record in order, then prune every node."""
-    if tree._root is None:
-        return [], RangeVO(key_lo, key_hi, EMPTY_TREE_DIGEST, ("empty",))
-    results = []
-    left_boundary = right_boundary = None
-    for rec in tree.records_in_order():
+def scan_range_query(records, key_lo, key_hi, reference):
+    """Reference range query: scan every record in order, then prove the
+    results and witnesses against the prefix of ``reference``, a tree
+    built at once over a longer history."""
+    results, below, above = [], [], []
+    for rec in records:
         if rec.key < key_lo:
-            left_boundary = rec
+            below = [rec]
         elif rec.key > key_hi:
-            right_boundary = rec
+            above = [rec]
             break
         else:
             results.append(rec)
-    witnesses = {id(left_boundary), id(right_boundary)}
-    index_of = {id(rec): i for i, rec in enumerate(results)}
-
-    def prune(node):
-        if isinstance(node, _Leaf):
-            slots = []
-            keep = False
-            for rec, digest in zip(node.records, node.digests):
-                if id(rec) in index_of:
-                    slots.append(("result", index_of[id(rec)]))
-                    keep = True
-                elif id(rec) in witnesses:
-                    slots.append(("boundary", rec.to_bytes()))
-                    keep = True
-                else:
-                    slots.append(("stub", digest))
-            return ("leaf", tuple(slots)) if keep else ("stub", node.hash)
-        children = [prune(c) for c in node.children]
-        if all(c[0] == "stub" for c in children):
-            return ("stub", node.hash)
-        return ("node", tuple(node.keys), tuple(children))
-
-    return results, RangeVO(key_lo, key_hi, tree._root.hash, prune(tree._root))
+    proved = [rec.client_seq - 1 for rec in below + results + above]
+    proof = tuple(reference.prove(proved, len(records))) if records else ()
+    return results, RangeVO(key_lo, key_hi, len(records),
+                            tuple(below + above), proof)
 
 
 def sample_ranges(rng, n):
@@ -289,7 +234,7 @@ def sample_ranges(rng, n):
         (lo, hi),
         ((0, 0), (1, 0)),  # before the first key
         ((n, n + 1), (2**64 - 1, 2**64 - 1)),  # after the last key
-        ((0, 0), (2**64 - 1, 2**64 - 1)),
+        EVERYTHING,
     ]
     if n:
         k = rng.choice(range(1, n + 1))
@@ -297,115 +242,102 @@ def sample_ranges(rng, n):
     return ranges
 
 
-@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
-def test_range_query_matches_scan_oracle(fanout):
+@pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
+def test_range_query_matches_scan_oracle(seed):
     """Seeded trees of 0..300 records; ranges inside, around and outside the keys."""
-    rng = random.Random(fanout)
-    records = history(300, seed=fanout)
-    tree = BalanceMHT(fanout)
+    rng = random.Random(seed)
+    records = history(300, seed=seed)
+    reference = MerkleTree.build([rec.to_bytes() for rec in records])
+    tree = BalanceMHT()
     for n in range(301):
         if n:
             tree.insert(records[n - 1])
         for key_lo, key_hi in sample_ranges(rng, n):
             got, vo = tree.range_query(key_lo, key_hi)
-            want, want_vo = scan_range_query(tree, key_lo, key_hi)
+            want, want_vo = scan_range_query(records[:n], key_lo, key_hi, reference)
             assert got == want, (n, key_lo, key_hi)
             assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
+            assert examine_range(got, vo, tree.root()) == (True, True)
 
 
-def count_nodes(node):
-    if node is None:
-        return 0
-    if isinstance(node, _Leaf):
-        return 1
-    return 1 + sum(count_nodes(child) for child in node.children)
-
-
-def height(tree):
-    return 0 if tree._root is None else depths(tree._root)[-1] + 1
-
-
-@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
-def test_build_matches_one_insert_at_a_time(fanout):
+@pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
+def test_build_matches_one_insert_at_a_time(seed):
     """build(records[:n]) against n inserts for n = 0..300: same root,
-    snapshot, leaf sizes, depths and range answers."""
-    rng = random.Random(fanout)
-    records = history(300, seed=fanout)
-    inserted = BalanceMHT(fanout)
+    snapshot, records and range answers."""
+    rng = random.Random(seed)
+    records = history(300, seed=seed)
+    inserted = BalanceMHT()
     for n in range(301):
         if n:
             inserted.insert(records[n - 1])
-        built = BalanceMHT.build(records[:n], fanout)
+        built = BalanceMHT.build(records[:n])
         assert built.root() == inserted.root(), n
         assert built.snapshot_bytes() == inserted.snapshot_bytes(), n
         assert len(built) == n
-        assert built._max_record == inserted._max_record
+        assert list(built.records_in_order()) == records[:n]
         assert built.latest_balance() == inserted.latest_balance()
-        assert ([len(leaf.records) for leaf in leaves_of(built)]
-                == [len(leaf.records) for leaf in leaves_of(inserted)]), n
-        if n:
-            assert depths(built._root) == depths(inserted._root), n
         for key_lo, key_hi in sample_ranges(rng, n):
             got, vo = built.range_query(key_lo, key_hi)
             want, want_vo = inserted.range_query(key_lo, key_hi)
             assert got == want, (n, key_lo, key_hi)
-            assert vo.to_bytes() == want_vo.to_bytes(), (n, key_lo, key_hi)
+            assert vo == want_vo, (n, key_lo, key_hi)
 
 
 @pytest.mark.parametrize("split", [0, 1, 2, 3, 7, 50, 199])
 def test_built_tree_keeps_growing_by_insert(split):
     records = history(200, seed=split)
-    tree = BalanceMHT.build(records[:split], fanout=3)
+    tree = BalanceMHT.build(records[:split])
     for record in records[split:]:
         tree.insert(record)
-    assert tree.root() == insert_all(records, fanout=3).root()
-    assert tree.root() == rebuild_hash(tree._root)
+    assert tree.root() == insert_all(records).root()
+    assert tree.root() == oracle_root(records)
 
 
-@pytest.mark.parametrize("fanout", [3, 4, 5, 8, 16])
-def test_build_hashes_each_record_and_each_node_once(fanout, sha256_calls):
+@pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
+def test_build_hashes_each_record_and_each_node_once(seed, sha256_calls):
+    """n leaves and n - 1 internal nodes, and nothing for no records."""
     calls = sha256_calls
-    records = history(300, seed=fanout)
+    records = history(300, seed=seed)
     calls[0] = 0
-    assert BalanceMHT.build([], fanout).root() == EMPTY_TREE_DIGEST
+    assert BalanceMHT.build([]).root() == EMPTY_TREE_DIGEST
     assert calls[0] == 0
-    tree = BalanceMHT.build(records, fanout)
-    assert calls[0] == len(records) + count_nodes(tree._root)
+    BalanceMHT.build(records)
+    assert calls[0] == 2 * len(records) - 1
 
 
-# hashes taken by 300 inserts of history(300, seed=fanout), counted before
-# build existed: insert's cost must not change
-INSERT_HASHES = {3: 3074, 4: 1957, 5: 1855, 8: 1373, 16: 1089}
-
-
-@pytest.mark.parametrize("fanout", sorted(INSERT_HASHES))
-def test_insert_hashes_record_new_path_and_split_halves(fanout, sha256_calls):
-    """An insert hashes its record, each node on the new rightmost path
-    and the left half of each node it split."""
+@pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
+def test_insert_hashes_record_new_path_and_split_halves(seed, sha256_calls):
+    """The insert of leaf i hashes its record and one internal node per set
+    bit of i: the new right edge, whose left halves are cached and not
+    hashed again. The count is the same for every history."""
     calls = sha256_calls
-    records = history(300, seed=fanout)
+    records = history(300, seed=seed)
     calls[0] = 0
-    tree = BalanceMHT(fanout)
-    for record in records:
-        before, nodes, levels = calls[0], count_nodes(tree._root), height(tree)
+    tree = BalanceMHT()
+    for index, record in enumerate(records):
+        before = calls[0]
         tree.insert(record)
-        # every split adds one node, and a new root one more
-        splits = count_nodes(tree._root) - nodes - (height(tree) - levels)
-        assert calls[0] - before == 1 + height(tree) + splits
-    assert calls[0] == INSERT_HASHES[fanout]
+        assert calls[0] - before == 1 + bin(index).count("1")
+    assert calls[0] == 300 + sum(bin(i).count("1") for i in range(300)) == 1480
+
+
+def test_remove_last_hashes_at_most_one_digest_per_level(sha256_calls):
+    calls = sha256_calls
+    tree = insert_all(history(300))
+    while len(tree):
+        before = calls[0]
+        tree.remove_last()
+        assert calls[0] - before <= max(len(tree) - 1, 0).bit_length()
 
 
 def broken_histories():
     records = history(20, seed=3)
     r = records[9]
-    sum_off = BalanceChangeRecord(
-        r.pair_seq, r.timestamp, r.client_seq, r.peer_id, r.delta,
-        r.new_balance + 1, r.causing_pttr,
-    )
     return {
         "repeated key": (records[:10] + [records[9]], NonMonotonicKey),
         "earlier key": (records[:10] + [records[4]], NonMonotonicKey),
-        "broken running sum": (records[:9] + [sum_off], ValueError),
+        "broken running sum": (records[:9] + [bumped(r)], ValueError),
+        "skipped client_seq": (records[:9] + [r._replace(client_seq=11)], ValueError),
     }
 
 
@@ -415,7 +347,7 @@ def test_build_raises_what_insert_raises(case):
     with pytest.raises(error) as inserted:
         insert_all(records)
     with pytest.raises(error) as built:
-        BalanceMHT.build(records, fanout=4)
+        BalanceMHT.build(records)
     assert type(built.value) is type(inserted.value) is error
     assert str(built.value) == str(inserted.value)
 
@@ -424,17 +356,19 @@ def test_build_raises_what_insert_raises(case):
 def test_snapshot_of_a_broken_history_is_corrupt(case):
     records, _ = broken_histories()[case]
     blob = insert_all(records[:-1]).snapshot_bytes()
-    header = blob[:12] + len(records).to_bytes(8, "big")
-    body = blob[20:-32] + records[-1].to_bytes()
+    header = blob[:8] + u64(len(records))
+    body = blob[16:-32] + records[-1].to_bytes()
     with pytest.raises(CorruptSnapshot, match="inconsistent"):
         BalanceMHT.from_snapshot(header + body + blob[-32:])
 
 
-def test_snapshot_with_a_bad_fanout_is_corrupt():
-    blob = bytearray(insert_all(history(5)).snapshot_bytes())
-    blob[8:12] = (2).to_bytes(4, "big")
-    with pytest.raises(CorruptSnapshot, match="fanout"):
-        BalanceMHT.from_snapshot(bytes(blob))
+def test_version_1_snapshot_is_corrupt():
+    """The layout with a fanout field between the version and the count."""
+    tree = insert_all(history(5))
+    blob = tree.snapshot_bytes()
+    old = blob[:4] + u32(1) + u32(8) + blob[8:]
+    with pytest.raises(CorruptSnapshot, match="version 1"):
+        BalanceMHT.from_snapshot(old)
 
 
 def test_inverted_range_rejected():
@@ -451,75 +385,169 @@ def test_empty_tree_range_query():
     assert examine_range(got, vo, sha(b"other")) == (False, True)
 
 
+@pytest.mark.parametrize("where", ["before all keys", "after all keys", "in a gap",
+                                   "over everything", "one key"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_honest_edge_ranges_are_correct_and_complete(where, n):
+    records = history(n, start_tick=10)
+    tree = insert_all(records)
+    key_lo, key_hi = {
+        "before all keys": ((0, 0), (9, 99)),
+        "after all keys": ((n + 10, 0), EVERYTHING[1]),
+        "in a gap": ((10, 2), (10, 99)),
+        "over everything": EVERYTHING,
+        "one key": (records[n // 2].key, records[n // 2].key),
+    }[where]
+    got, vo = tree.range_query(key_lo, key_hi)
+    assert got == [r for r in records if key_lo <= r.key <= key_hi]
+    assert examine_range(got, vo, tree.root()) == (True, True)
+    back = RangeVO.from_bytes(vo.to_bytes())
+    assert back == vo
+    assert examine_range(got, back, tree.root()) == (True, True)
+
+
 def test_dropped_record_detected():
     records = history(30)
-    tree = insert_all(records, fanout=4)
+    tree = insert_all(records)
     lo, hi = records[5].key, records[15].key
     got, vo = tree.range_query(lo, hi)
     assert examine_range(got[:-1], vo, tree.root()) == (False, False)
     assert examine_range(got[1:], vo, tree.root()) == (False, False)
 
 
+def test_withheld_result_with_a_matching_proof_reads_incomplete():
+    """A subject that withholds a result and proves the rest with that
+    leaf's digest in the proof stays correct, but not complete."""
+    records = history(30)
+    tree = insert_all(records)
+    got, vo = tree.range_query(records[5].key, records[15].key)
+    for hidden in range(len(got)):
+        shown = got[:hidden] + got[hidden + 1:]
+        indices = [r.client_seq - 1 for r in (records[4], *shown, records[16])]
+        forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, vo.witnesses,
+                         tuple(tree._tree.prove(indices, vo.size)))
+        assert examine_range(shown, forged, tree.root()) == (True, False)
+
+
 def test_every_single_omission_and_mutation_detected():
     records = history(30, seed=2)
-    tree = insert_all(records, fanout=4)
-    lo, hi = full_range(tree)
-    got, vo = tree.range_query(lo, hi)
+    tree = insert_all(records)
+    got, vo = tree.range_query(*EVERYTHING)
     root = tree.root()
     for i in range(len(got)):
         omitted = got[:i] + got[i + 1 :]
         assert examine_range(omitted, vo, root) == (False, False)
-        r = got[i]
         mutated = list(got)
-        mutated[i] = BalanceChangeRecord(
-            r.pair_seq, r.timestamp, r.client_seq, r.peer_id,
-            r.delta, r.new_balance + 1, r.causing_pttr,
-        )
+        mutated[i] = bumped(got[i])
         correct, _ = examine_range(mutated, vo, root)
         assert not correct
 
 
+def test_mutated_witness_is_incorrect():
+    records = history(12)
+    tree = insert_all(records)
+    got, vo = tree.range_query(records[3].key, records[7].key)
+    for side in (0, 1):
+        witnesses = list(vo.witnesses)
+        witnesses[side] = bumped(witnesses[side])
+        forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, tuple(witnesses), vo.proof)
+        assert examine_range(got, forged, tree.root())[0] is False
+
+
 def test_stale_vo_fails_against_new_root():
     records = history(12)
-    tree = insert_all(records, fanout=4)
+    tree = insert_all(records)
     lo, hi = records[2].key, records[6].key
     got, vo = tree.range_query(lo, hi)
     old_root = tree.root()
     extra = history(13)[-1]
     tree.insert(extra)
+    assert vo.size == 12
     assert examine_range(got, vo, old_root) == (True, True)
     assert examine_range(got, vo, tree.root()) == (False, True)
-    assert examine_range(got, vo, vo.mhtr) == (True, True)
 
 
 def test_hidden_qualifying_record_as_boundary_detected():
+    """records[5] in range, sent as a witness: the same leaves are proved,
+    so the proof still folds, and only completeness fails."""
     records = history(8)
-    tree = insert_all(records, fanout=4)
+    tree = insert_all(records)
     lo, hi = records[2].key, records[5].key
     got, vo = tree.range_query(lo, hi)
-
-    def demote(node):
-        if node[0] == "leaf":
-            slots = []
-            for slot in node[1]:
-                if slot == ("result", 3):
-                    slots.append(("boundary", records[5].to_bytes()))
-                else:
-                    slots.append(slot)
-            return ("leaf", tuple(slots))
-        if node[0] == "node":
-            return ("node", node[1], tuple(demote(c) for c in node[2]))
-        return node
-
-    forged = RangeVO(vo.key_lo, vo.key_hi, vo.mhtr, demote(vo.skeleton))
-    # the hashes still fold to the root; only completeness fails
+    forged = RangeVO(vo.key_lo, vo.key_hi, vo.size,
+                     (records[1], records[5], records[6]), vo.proof)
     assert examine_range(got[:3], forged, tree.root()) == (True, False)
+
+
+def test_two_witnesses_on_one_side_read_incomplete():
+    """The range narrowed to start past records[3], which then goes with
+    records[2] as two witnesses below it: the same leaves are proved."""
+    records = history(10)
+    tree = insert_all(records)
+    got, vo = tree.range_query(records[3].key, records[6].key)
+    low = RangeVO((records[3].key[0], records[3].key[1] + 1), vo.key_hi, vo.size,
+                  (records[2], records[3], records[7]), vo.proof)
+    assert examine_range(got[1:], low, tree.root()) == (True, False)
+
+
+def test_dropped_edge_witness_reads_incomplete_or_incorrect():
+    records = history(10)
+    tree = insert_all(records)
+    got, vo = tree.range_query(records[3].key, records[6].key)
+    for kept in ((vo.witnesses[1],), (vo.witnesses[0],)):
+        forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, kept, vo.proof)
+        assert examine_range(got, forged, tree.root()) != (True, True)
+        # with a proof rebuilt to match: correct, but not complete
+        indices = sorted(r.client_seq - 1 for r in (*kept, *got))
+        forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, kept,
+                         tuple(tree._tree.prove(indices, vo.size)))
+        assert examine_range(got, forged, tree.root()) == (True, False)
+
+
+@pytest.mark.parametrize("size", [6, 7, 9, 11, 16])
+def test_lied_size_at_the_right_edge_never_reads_all_true(size):
+    """The range runs past the last of 10 records, so no upper witness
+    bounds it: a size claimed shorter, with the results cut to it, or
+    longer does not read all-true, with the honest proof or one made for
+    the claimed prefix."""
+    records = history(10)
+    tree = insert_all(records)
+    got, vo = tree.range_query(records[5].key, EVERYTHING[1])
+    assert len(vo.witnesses) == 1
+    shown = got[:size - 5]
+    indices = [r.client_seq - 1 for r in (records[4], *shown)]
+    for proof in (vo.proof, tuple(tree._tree.prove(indices, min(size, 10)))):
+        lied = RangeVO(vo.key_lo, vo.key_hi, size, vo.witnesses, proof)
+        assert examine_range(shown, lied, tree.root()) != (True, True)
+
+
+def test_a_huge_claimed_size_reads_false_false_without_being_built():
+    """No upper witness, so the size bounds the run: one of 2**64 - 1
+    leaves is refused by its length, not by listing its indices."""
+    records = history(3)
+    tree = insert_all(records)
+    got, vo = tree.range_query(*EVERYTHING)
+    huge = RangeVO(vo.key_lo, vo.key_hi, 2**64 - 1, vo.witnesses, vo.proof)
+    assert examine_range(got, huge, tree.root()) == (False, False)
+    back = RangeVO.from_bytes(huge.to_bytes())
+    assert examine_range(got, back, tree.root()) == (False, False)
+
+
+def test_withholding_the_only_record_reads_false_false():
+    records = history(1)
+    tree = insert_all(records)
+    got, vo = tree.range_query(*EVERYTHING)
+    assert got == records and vo.witnesses == () and vo.proof == ()
+    assert examine_range(got, vo, tree.root()) == (True, True)
+    assert examine_range([], vo, tree.root()) == (False, False)
+    empty = RangeVO(vo.key_lo, vo.key_hi, 0, (), ())
+    assert examine_range([], empty, tree.root()) == (False, True)
 
 
 def test_vo_serialization_round_trip():
     records = history(25)
-    tree = insert_all(records, fanout=4)
-    for lo, hi in (((0, 0), (2**64 - 1, 2**64 - 1)),
+    tree = insert_all(records)
+    for lo, hi in (EVERYTHING,
                    (records[3].key, records[9].key),
                    ((records[5].timestamp, records[5].client_seq + 1), (records[5].timestamp + 1, 0))):
         got, vo = tree.range_query(lo, hi)
@@ -528,22 +556,23 @@ def test_vo_serialization_round_trip():
         assert examine_range(got, back, tree.root()) == (True, True)
 
 
-def test_skeleton_nested_past_max_depth_is_refused():
-    """A chain of one-child internal nodes parses up to ``MAX_DEPTH`` of
-    them and raises ``ValueError`` past that, however deep the chain, so
-    outside bytes never reach the interpreter's recursion limit."""
-    def chain(levels):
-        return bytes(64) + (b"\x02" + u32(0) + u32(1)) * levels + b"\x03"
-
-    assert RangeVO.from_bytes(chain(MAX_DEPTH)).skeleton[0] == "node"
-    for levels in (MAX_DEPTH + 1, 5000):
-        with pytest.raises(ValueError, match="internal levels"):
-            RangeVO.from_bytes(chain(levels))
+def test_range_vo_bytes_refuse_a_partial_digest_or_a_cut_header():
+    records = history(25)
+    tree = insert_all(records)
+    _, vo = tree.range_query(records[3].key, records[9].key)
+    data = vo.to_bytes()
+    assert len(data) == 44 + 2 * 80 + 32 * len(vo.proof)
+    for end in range(len(data)):
+        if end < 44 + 2 * 80 or (end - 44 - 2 * 80) % 32:
+            with pytest.raises(ValueError):
+                RangeVO.from_bytes(data[:end])
+    with pytest.raises(ValueError):
+        RangeVO.from_bytes(data + b"\x00")
 
 
 def test_snapshot_round_trip_and_tamper():
     records = history(37, seed=9)
-    tree = insert_all(records, fanout=5)
+    tree = insert_all(records)
     blob = tree.snapshot_bytes()
     loaded = BalanceMHT.from_snapshot(blob)
     assert loaded.root() == tree.root()
@@ -557,7 +586,7 @@ def test_snapshot_round_trip_and_tamper():
 
 
 def test_empty_snapshot_round_trip():
-    tree = BalanceMHT(fanout=6)
+    tree = BalanceMHT()
     loaded = BalanceMHT.from_snapshot(tree.snapshot_bytes())
     assert loaded.root() == EMPTY_TREE_DIGEST
-    assert loaded.fanout == 6
+    assert len(loaded) == 0

@@ -292,165 +292,165 @@ def test_prove_loads_only_the_pair_members_and_the_first_that_loads(
 STATE_DIGESTS = {
     "crash.scn": {
         "attestations.psv":
-            "a97e7f243da00471d872504309ab59f5e80c13730678a568e08224da0b703f02",
+            "198a8101f23a466a0579561d1bdc34e7b88dcc7f7f3987198f7e1cbade005189",
         "balances.psv":
             "e5b404bfebd0da7035235b25708e4d21c17b2b9fb70709eb9b32c388a5801ca6",
         "client_0.snap":
-            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
         "client_1.snap":
-            "db5aea9d6c8fe5525a56121611a64bdafefca82568e01322a050b8cbf92f1be2",
+            "0576552890f9eb0934d9690c65ccfdc0210f001c07e1ff2cb5cf6e5c85ff05ea",
         "client_2.snap":
-            "1b09caa841d7b88fa32546e6f4ef0ab4b292f3790c5b866dbf9ffe46f59428b1",
+            "fd2466a834f4a3a040c9682efad4a092c5acd1e2635ee296637a6d61d06280e6",
         "client_3.snap":
-            "d9e6532371441bb1d843a58117dc4b3548ea163bc399b7194a78f807286e6713",
+            "f056a1a328190cfaee759d10f5eac6697dff7299e68a3ce9a976b1082054aca8",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "downgrid.scn": {
         "attestations.psv":
-            "89f2bc91e46be9ea4b86bc0dee51ea63fe0e5acbaaee0cdaa0faf8e3f39bb34b",
+            "5b781baeed7ee1b754908c44b2ba05fcfc582c87871eef822933262b39463afa",
         "balances.psv":
             "797fa0293c77d6a55c45c74070c08d85c6fa8c345f24b430091700ba01c4152b",
         "client_0.snap":
-            "7c6a377ceced77fde3b31f1792442ef4480b14638a9183d743324ece5e6b01c1",
+            "d97598033c5db26be17c8b731fe5a99bf8f0147dc95206bc62b8d596701f05e9",
         "client_2.snap":
-            "0e83b64ce8c53a0d64dca2364d6c0531c2a67f8a5b73defc2c00cf955e823f0a",
+            "a7d5abb98534e6176686b20f6aca8c5eb3f42833415b4dc855e532c3e1c0827d",
         "client_3.snap":
-            "33afae13038abda3d09e5d9e38e348d0a1382a2c17371038a9d333b8aad8852b",
+            "6cc523cd58aeb7d6fb8f891232f0ea2c87b6b55cb6ad18eca59948097d68f294",
         "grid_0.txt":
-            "3ff6b3ca1849a0a3cca6d85003da8653d42a573a4d3ee744ba9757fa606a7f84",
+            "709895b11a042cecdf40d2f4c2a10aba78f8345a9599de92ef28de70c46719b8",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "faults.scn": {
         "attestations.psv":
-            "dfe4a84751c7a039e48a6a560dddadfad2af76683d9413d57ba5268148da7f68",
+            "040d5fd54fcf11d871fa1da09685969a72811d16494c7ddc8b43f2e0b3468279",
         "balances.psv":
             "1bc7c7d8f18c6faa7f09518e64fa05005f9d88966b03ac23127bc72f09aa7450",
         "client_0.snap":
-            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
         "client_1.snap":
-            "06f810c3d789f24dec685916a2c40175247e38793c7538244b51f394a445b393",
+            "915a6ee68f816b00d4e7dae518099f6bb00ca79ebed51d1d849c03d247d27ded",
         "client_2.snap":
-            "6c0884218c64f81ebc0b46d4506db391e3c1430323a1fc438a2f29f5825b9c55",
+            "cbc0a0972a2ee2b119c9baa07b35cc210a34f80ca7a41bcca90e1c6fca7b9792",
         "client_3.snap":
-            "a42f2ebfbea40c33a79028a48a9cae0265b6ac35133a3f3fd020df67a77e4532",
+            "cf003260dfc0d0fbf86a467ad1e90b5f366faa2c38fe9f17476fc671941305ff",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "grid3.scn": {
         "attestations.psv":
-            "0d4565f520a62c3aebcf40c5e7e0ace81c03e3f5a6bf301d670a544ff6aaf2c2",
+            "8b1ae5cec74871cb8e583d320159b741c681485751f192ff4eef7aeaf0632f17",
         "balances.psv":
             "48491bf78af4211e6641078ebeb22fe31bf54ad5b2d82fc5e258a34969ddfe8c",
         "client_0.snap":
-            "2794c3cd97d82ed2ac3e4ad33bca05139e5f74c5d1fb2a4a92eecf29e99c5c0d",
+            "5138eddc556306dcc65d7e71848af3bcab0656ee6efbbd90b6a114cec7c05983",
         "client_1.snap":
-            "49cbb89232cd15f452fd7170d5b786b3585bf53ae5aa9082a4634f366acdb414",
+            "0bf7af85588eb434d348cbdc9df0428039e848215b387ae65b9afcb004a0e373",
         "client_2.snap":
-            "6cab6bd2d1319770b4d8040437d2122b7c1fe88a2aa75cbf1fbcb530a26d0d67",
+            "7c2c473d206f7b76d9bcbb48df30306352235a93a8b8f5ea5954329691145445",
         "client_3.snap":
-            "5ae2a2a6932537badd4ea39794b5194f496ca4dd65ec2c7694d7ce6a2bb4ae6e",
+            "09849f87485b05c8a3c8977617bbbfe0e4161d5cf38be2bf66a027a4f645bbd7",
         "grid_0.txt":
-            "6869b1fb299f555c34748d8851862fb30d66ff12838f28520ae855ab241caf9e",
+            "4167367daf761478ddb4165ec6fd73d4e0a1181235b58cc6eded415156c3b3d2",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "recover.scn": {
         "attestations.psv":
-            "570210c3b709c9882db3a53a0d0782e41b04c252bab511bc4528266beb885cb6",
+            "1f5cc72534f50013aa1ac06e146fb958dd11d0c8a2ac7afbd6c2de7c5047cf36",
         "balances.psv":
             "260cc5cf2d1ce0d6c7f466a3f7798d7dbafa178b732c0241e41db1f06052b05b",
         "client_0.snap":
-            "9477e551a82e7752b46721adb1b93315ed418215a6da0562c379019206afef24",
+            "45395c9457f8c465fd81ba3bbe34659f7073f131c324c046cc103c7d883e5d91",
         "client_1.snap":
-            "7df56f5fdc59e8ac3428e4e4c9c9ebae60f47324cd2275126dee72a2c9780bf2",
+            "382ea13d0368bef6ca64c5af77e7106005d88ee2ed665ec6321a105185e2674c",
         "client_2.snap":
-            "f26f2f66656f38c84d6ed90ee16f0acda9c595ff130794fa74a6e08d2cea1bf1",
+            "73c53689adc1f0dd2c18c88955b5d8593b8b5deda1afa914affb6369b64ec14d",
         "client_3.snap":
-            "adf6fb6211d33edadab2e8c6fee7b3cba897a625b1efe42e08e3a4eb16ce568c",
+            "970551ba28ea082462449a9675778c17cb36bb474d37ca41d73f6a9f832c3cdb",
         "client_4.snap":
-            "540873dda23875c7f46ef7dca3341a76baefb74bee6caf3019d28da6da825bed",
+            "377d82876c28e268426ec5a4bf6f1eed381b71363495eefd7462bd8d0f9e6a6b",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "reorder.scn": {
         "attestations.psv":
-            "ed48f5ac3e44eba9d008f785fff3b1839aeb5ea371cb45797e615c92044a7127",
+            "f32ab33bc98e6efc91f246a71e6810e9f42918df25f3a1cef6b71fa2d5acf59a",
         "balances.psv":
             "b73b7dcc13f2eb268273eef341413fdc10f6a11d3786a414d0cf001f8f1e1de2",
         "client_0.snap":
-            "89aa931c5d402510cefa6104b85e1a809339d2e5a62336f2c1c1619ccba170b1",
+            "346c4d3b352f1ce15b3539faa833fac1d3c84a5e12fce4c2ecd1d0c3153229c5",
         "client_1.snap":
-            "23d99c1261321893d443a1f13c3ecc0283b3333456386cf1f36f714d6ae15a7e",
+            "5cbb6c6bfc9f7bef41a59a70196179cf8c5516465ede56c3333fa4b99b53052e",
         "client_2.snap":
-            "0fe4cce20e38600563f8de8d81534dd9f462d549c2bd645d63ebfc6e1085da0d",
+            "cc737dbda007ae482dc86a5eafaa983e2fd99e5d41a39dffdbdc634dac5d9c27",
         "client_3.snap":
-            "005e2b4e8ac0792fb61df336a34b76968fbe7d721f11550e1893e465d83985c2",
+            "108391030b2967ecbfd4fc8be1567962e0aebedcad61103efa3be2c0e4201722",
         "client_4.snap":
-            "1e1e26f0acdda4c67567276951958a718500138909c9c743b386e02bf3a2e722",
+            "e908e7b0287175d13dcffe8f3dc42a46f14724fc5ec61736a0aace31a8287462",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "ring.scn": {
         "attestations.psv":
-            "c647f0956a1a09e843344e4437c741e337aa5e094fb1ecf965cccc2ae9ca8ac5",
+            "bcadbd9e3f26c1345fd5dfc47fef3dc6e0d4aedc7d64294dc0ced74d6346a7e0",
         "balances.psv":
             "a722c383562a237e1ef9d5d02b0f48fff088d14801729ad12800ca63a8f57ab2",
         "client_0.snap":
-            "ed31a016067b3e4636ae1f34c68b58a48e9b77e279f6efc4632a9c182cfb6bc9",
+            "e35d52d6b9e76247199c9ff66aaa9b8d836d424f13cebad2047b708757f7472f",
         "client_1.snap":
-            "e3435b22ddb135055fc9447ff5c15c4cc7eb7757275f56c1825f8575850bae53",
+            "75e294b422218da0310a268f65ff59717a1793497ee4ac3af5e78336cc3e8036",
         "client_2.snap":
-            "689aabe6bf64f0b7659089d1aae2310bf655938c43939f23278eb7e595aecec4",
+            "0ced5672f9dfda58211e24932351d74ea701f8d871c0b9439dbc58fb677afc76",
         "client_3.snap":
-            "4308f54dea7202191b5b8ef1cf988c61dd43d20287e4e76967da2e5204535811",
+            "c960b1864ef80221a6f2689a1ded58b5950d14e16a6dd573c865a0b0f92c4d99",
         "client_4.snap":
-            "613eedd8dc403e3586e2efc8bfd54835161a3a300e3f0750f8fdc7304fa966df",
+            "8cadd9904e8f90364acbd759d7c91489a5bd4db86e2f9deba6248b73a1f9a338",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
     "stale.scn": {
         "attestations.psv":
-            "1a8cd890bb0ea4d9deb1d2fa093db7fb32f41bcd0c2691a41f585e0fcd6f4476",
+            "25654274109e2d2631cc847840d9b56f63e9c954ab81edf23eb7775d7deb561d",
         "balances.psv":
             "089ad1d3727a4ad6dc5b2d64f43e573d2d1dee8c73cf7d4f2a885402180b6c74",
         "client_0.snap":
-            "d2d3be9924e252cea243100b115b8258c1850374f6ff311246bfb82bdbd1a41a",
+            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
         "client_1.snap":
-            "4421993cf148a6832b8a939b728954b0e4858d2cf8dd62145942c8a8739d06de",
+            "f865ed5b9fb1b4c86f920fbd51da311c3139322e140e1a3aec557da7bb3dba20",
         "client_2.snap":
-            "a4ab18beaa3f7ceac2ad65ae48ec40a785a83941b8d923843c78e9fa51358e2e",
+            "68f9ad230dc8c0101f20abc4d77091a8096bfb7d61583faaa460fdbec2f510f8",
         "client_3.snap":
-            "c7310e63857c1d228b70bad431f75c9defee4b359594c8c9ebc20171dcff341b",
+            "5df82df569ec9c82c3b128c998c72ca32d991de88a9b0a18034a3b4b56f9ffc4",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
     "supply.scn": {
         "attestations.psv":
-            "7c51010b3f02719e5e07b656ea2d3fad65e121dcd90c5cbbc4afbe89a2d9a9de",
+            "b3bf0a4781a3ccdf4f369e608b68606bf0e76febdd49350497eb27d20adfb42d",
         "balances.psv":
             "6aea38bca6700abfeaa83c455b9acd4d4e872183a8637f1e6eaec320e97a8de0",
         "client_0.snap":
-            "2cc8124acf74941dc179a3e9eee98cd4054ab74a6d3199b200435d8d3302cbca",
+            "97b287178069c6694e957dbb8251e678d9af293e5302c2bd104ab6703cf931dc",
         "client_1.snap":
-            "20f70f194473b92174955ed7cd0349d0ffc934490d6510ff086399eed76970ce",
+            "d9f3ec540fc597b0985a293cb3111e09f9c1b0fc96b7893e417f63d4b62f1404",
         "client_2.snap":
-            "256e665dc00605b63ec6f5ee662b586db5db3f3a41b9e55648ebd8f7659909bf",
+            "eb99829b530b67f22f19df3b830a804f77f913c3137901d78144663714ba348a",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },
     "table4.scn": {
         "attestations.psv":
-            "47c4f9012ff1bdb2c72e4b179d7141ccd34b9c05c7872297b93880db11551f94",
+            "c9a5f55fd327d00c19e06d5c6dc038c760dcfe50d8f55913ea95354406200b80",
         "balances.psv":
             "8ba4bec996b5c5347a000ba735c643a88fc4a2134ac0b4d02ef1a71806970ca7",
         "client_0.snap":
-            "1d679c7db15a0b4ba4f91fc4f7d3c2fd43cf37668ec3084d69eafdae8fcac0d1",
+            "0f84314c82d8b036172a948d32d98e4dad55e0b8de95306adc355dc2eba697b0",
         "client_1.snap":
-            "b8af30cd6707ac02916b5e4bc13ca511721c312ccf37779226b503e8c1b8b7b4",
+            "49ae3b0c740d1937f970a04c978eec5c3b2ad171c6a4189a016713babe167321",
         "client_2.snap":
-            "bf3adcc4f951c1298d868380bd76e1303247494d55f441571fe09f726d3f5ef8",
+            "5ace222bb1290bf71bb441f3a003268842f5f6ced79063cb3f14cb42230d6137",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },

@@ -4,6 +4,7 @@ Histories run through ``Simulation``; a test that pins one handshake step
 calls that step on the simulation's nodes directly.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -345,6 +346,36 @@ def test_commit_after_a_stale_answer_checks_the_opened_balance(copied):
         assert [kind for kind, _ in two.drain_reports()] == ["im", "cm"]
 
 
+def test_stale_answer_rolls_the_balance_tree_back_in_log_time(sha256_calls):
+    """A stale answer drops the copied record's balance change with one
+    ``remove_last``: the root is that of the history without it, and the
+    rollback hashes at most one digest per level of the balance tree."""
+    sim = small_world(fund=10_000)
+    two, three = sim.clients[2], sim.clients[3]
+    run_transfers(sim, (((2, 3) if i % 2 else (3, 2)) + (1 + i,) for i in range(40)))
+    tick = sim.now
+    old_acceptance = three.receive_propose(two.start_transfer(3, 10, tick), tick)
+    sim.inject("crash-client", 2)
+    sim.recover(2)
+    records = list(two.mht.records_in_order())
+    assert records[-1].delta == -10
+    rollbacks = []
+    remove_last = two.mht.remove_last
+
+    def counted_remove_last():
+        before = sha256_calls[0]
+        remove_last()
+        rollbacks.append(sha256_calls[0] - before)
+
+    two.mht.remove_last = counted_remove_last
+    stale = two.receive_accept(old_acceptance, tick + 1)
+    assert isinstance(stale, AbortMsg) and stale.reason == "stale"
+    assert two.mht.root() == BalanceMHT.build(records[:-1]).root()
+    assert len(rollbacks) == 1
+    assert 0 < rollbacks[0] <= len(two.mht).bit_length()
+    assert two.balance == two.expected_balance() == records[-2].new_balance
+
+
 def test_balance_matches_net_positions_after_random_traffic():
     sim = run_traffic(seed=42, n_clients=4, rounds=200)
     log = sim.log.text()
@@ -398,13 +429,6 @@ def view_tuples(node):
             for r in node.mht.records_in_order()]
 
 
-def tree_depth(node):
-    depth = 1
-    while hasattr(node, "children"):
-        node, depth = node.children[0], depth + 1
-    return depth
-
-
 class TestRecovery:
     def test_recovered_state_is_bit_identical(self):
         sim = run_traffic()
@@ -425,22 +449,19 @@ class TestRecovery:
         assert view_tuples(victim) == views_before
 
     def test_deep_balance_tree_recovery_is_bit_identical(self):
-        """A fanout-3 victim with over 200 balance records, so internal
-        nodes split at several levels, and the treasury with its opening
-        reserve record both rebuild the trees they had before the crash."""
+        """A victim with 220 balance records, so its balance tree has
+        nine levels and an unpaired node promoted at two of them, and the
+        treasury with its opening reserve record both rebuild the trees
+        they had before the crash."""
         sim = small_world(seed=5, fund=10_000)
         victim = sim.clients[1]
-        # a one-record tree hashes alike at any fanout, so the balance
-        # report chain the issuance started still holds
-        victim.fanout = 3
-        victim.mht = BalanceMHT.build(list(victim.mht.records_in_order()), 3)
         rng = random.Random(5)
         while len(victim.mht) < 220:
             count = len(victim.mht)
             payer, payee = rng.sample([1, rng.choice((2, 3))], 2)
             run_transfers(sim, [(payer, payee, rng.randint(1, 60))])
             assert len(victim.mht) == count + 1
-        assert tree_depth(victim.mht._root) >= 5
+        assert len(victim.mht._tree._levels) == 9
         assert sim.alerts == [] and sim.cm.check_conservation().holds
 
         def crash_and_recover(node, partners):
@@ -455,7 +476,8 @@ class TestRecovery:
             loaded = ClientNode.load_snapshot(node.persist_snapshot(),
                                               node.keystore)
             assert loaded.mht.root() == node.mht.root()
-            assert loaded.mht.fanout == node.fanout
+            assert list(loaded.mht.records_in_order()) == list(
+                node.mht.records_in_order())
 
         crash_and_recover(victim, [0, 2, 3])
         crash_and_recover(sim.treasury, [1, 2, 3])
@@ -703,14 +725,15 @@ class TestRecovery:
         pays client 2 fifty times.  Every digest is one ``hashlib.sha256``
         call, so a change to the replay or to any tree's hashing shows.
 
-        The recovery's 705: 2 commitments per replayed record in
+        The recovery's 774: 2 commitments per replayed record in
         ``local_view`` (202), the pair trees' 101 leaves and 98 internal
-        nodes, 172 prefix-root folds, and the balance tree's 101 record
-        digests and 31 nodes.  The 50 commits' 1294: per commit, 4
-        commitments, 2 pair-tree leaves and their right-edge nodes, 2
-        balance-tree inserts (record digest and path) and 4 report
-        fingerprints; a live commit checks no commitment and hashes no
-        report digest.
+        nodes, 172 prefix-root folds, and the balance tree's 101 leaves
+        and 100 internal nodes.  The 50 commits' 1366: per commit, 4
+        commitments and 4 report fingerprints (400), 2 pair-tree leaves
+        (100) and their right-edge nodes (366), and 2 balance-tree
+        inserts, clients 1 and 2 each growing from 101 to 151 records
+        (100 leaves and 400 right-edge nodes); a live commit checks no
+        commitment and hashes no report digest.
         """
         sim = Simulation(seed=7)
         pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
@@ -732,13 +755,13 @@ class TestRecovery:
         digests[0] = 0
         sim.recover(1)
         assert len(sim.clients[1].mht) == 101
-        assert digests[0] == 705
+        assert digests[0] == 774
         digests[0] = 0
         for i in range(50):
             sim.transfer(1, 2, 7 + i)
             sim.advance(10)
         sim.quiesce()
-        assert digests[0] == 1294
+        assert digests[0] == 1366
 
 
 class TestRecoverBalance:
@@ -802,6 +825,18 @@ class TestSnapshots:
         ptt.append_record(forged)
         with pytest.raises(CorruptSnapshot, match="prior balance"):
             ClientNode.load_snapshot(a.persist_snapshot(), KeyStore("stub"))
+
+    @pytest.mark.parametrize("off_by", [-1, 1])
+    def test_client_seq_not_counting_the_balance_records_is_corrupt(self, off_by):
+        """A snapshot with a valid checksum whose client_seq is off by one
+        is refused on loading, not by the next commit's balance insert."""
+        a = run_traffic(seed=13).clients[1]
+        body = bytearray(a.persist_snapshot()[:-32])
+        at = 4 + 4 + 8  # magic, version and id, then client_seq
+        body[at:at + 8] = (a.client_seq + off_by).to_bytes(8, "big")
+        blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
+        with pytest.raises(CorruptSnapshot, match="does not count"):
+            ClientNode.load_snapshot(blob, KeyStore("stub"))
 
     def test_truncated_snapshot_is_detected(self):
         blob = small_world(clients=2, fund=10_000).clients[1].persist_snapshot()

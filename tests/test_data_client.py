@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 
 import pytest
 
@@ -337,33 +338,6 @@ def test_parse_vo_rejects_garbage():
         parse_vo(blob + b"\x00")
 
 
-def skeleton_counts_and_tags(node, at):
-    """Offsets of the tag bytes and of the count bytes in the encoding of
-    skeleton ``node`` starting at ``at``, read off the node's tuples, and
-    the offset after it."""
-    widths = {"stub": 32, "result": 4, "boundary": 80}
-    tags, counts = [at], []
-    at += 1
-    if node[0] == "stub":
-        return tags, counts, at + 32
-    if node[0] == "leaf":
-        counts += range(at, at + 4)
-        at += 4
-        for slot in node[1]:
-            tags.append(at)
-            at += 1 + widths[slot[0]]
-        return tags, counts, at
-    counts += range(at, at + 4)
-    at += 4 + 16 * len(node[1])
-    counts += range(at, at + 4)
-    at += 4
-    for child in node[2]:
-        child_tags, child_counts, at = skeleton_counts_and_tags(child, at)
-        tags += child_tags
-        counts += child_counts
-    return tags, counts, at
-
-
 def damaged(blob, offsets):
     """Every strict prefix of ``blob``, ``blob`` plus a byte, and ``blob``
     with the byte at each of ``offsets`` set to 0xFF."""
@@ -376,8 +350,8 @@ def damaged(blob, offsets):
 def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
     """Cut, padded or with a count or tag blown up, a VO either raises
     ``ValueError`` when parsed or reads short of all-true, never an
-    ``IndexError`` or ``struct.error``; a cut range VO always raises.
-    The range VO's skeleton has two internal levels above its leaves."""
+    ``IndexError`` or ``struct.error``.  The range VO carries both
+    boundary witnesses and a proof within 2 * ceil(log2 n) digests."""
     sim = build_world(n_transfers=60)
     ks, a, im, cm = sim.keystore, sim.clients[1], sim.im, sim.cm
 
@@ -406,15 +380,13 @@ def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
     balance_grant = authorize(51, 1, [], enrolled={1, 2}, balance=True)
     _, balance_vo = query_balance_history(balance_grant, key_lo, key_hi, a, att)
     range_vo = RangeVO.from_bytes(balance_vo.range_vo)
-    assert range_vo.skeleton[0] == "node"
-    assert any(child[0] == "node" for child in range_vo.skeleton[2])
-    tags, counts, end = skeleton_counts_and_tags(range_vo.skeleton, 64)
-    assert end == len(balance_vo.range_vo)
+    assert range_vo.to_bytes() == balance_vo.range_vo
+    assert len(range_vo.witnesses) == 2 and range_vo.size == len(records)
+    assert 0 < len(range_vo.proof) <= 2 * math.ceil(math.log2(range_vo.size))
     assert verify_vo(balance_vo, ks, att.mhtr) == Verdict(True, True, True)
-    for end in range(len(balance_vo.range_vo)):  # a cut skeleton never parses
-        with pytest.raises(ValueError):
-            RangeVO.from_bytes(balance_vo.range_vo[:end])
-    for data in damaged(balance_vo.range_vo, tags + counts):
+    # the two keys, then the size and the witness count
+    size_and_count = range(32, 32 + 8 + 4)
+    for data in damaged(balance_vo.range_vo, size_and_count):
         try:
             RangeVO.from_bytes(data)
         except ValueError:

@@ -960,13 +960,13 @@ GOLDEN_RUNS = {
 # sha256 of the event log; a retry tick that moves changes the timestamp
 # of the record committed then, and so every root after it
 @pytest.mark.parametrize("name, digest", [
-    ("table4", "d74b4906f65700029d1c2554c48874df342d3ddf4fd2a45a26486bc30d42b6f6"),
-    ("grid3", "32c0dc35e7814a96f86608eb38ba7b35a39e8ef41bee26f876a6dfcd4d76ab96"),
-    ("recover", "23ea29b96cda060c402eb5bfd840b191946c239e3bc6c20c34e87b1dc2f94536"),
+    ("table4", "65ee7665b9239bd16a831edd48feb04d52ad17113cb00d41c91e2595b7957d30"),
+    ("grid3", "3b256954ca33e3140b297ed6571ec07a4018fc868ba428028d94f62bf0da425b"),
+    ("recover", "e2e33e5d44ed9b3e034e41a166e90585ef7a338f51b7001c9c6d0d583e647a30"),
     ("crash-before-commit",
-     "6dce7d5ec18071b09432ed3a632f551571cbd71162e0b248baea7225843b2b0a"),
-    ("reorder", "aa45110b6a3b5db51defc956b8fa0cf864a852c22e718dd40de52269477abbb5"),
-    ("faults", "7148a21fae42e1abbe1000545b28a9ab3d67b0347cd40cb7c3a73ff4200f7534"),
+     "cb25f93bd1c7fdc9d57b2dc969d71c77682c1789158d88579ad6943d1819a011"),
+    ("reorder", "a8441a93c6f60fdfba9b6754e80ea04b2a08db61c89db2cb1d3fc5c734743f72"),
+    ("faults", "9ec4e778e689f903e8473f943f65b2832d25cea288f0c11ffba170c89c3f3c19"),
 ], ids=list(GOLDEN_RUNS))
 def test_event_logs_match_golden_digests(name, digest):
     log = GOLDEN_RUNS[name]().log.text()
