@@ -16,11 +16,11 @@ client builds it and the transport hands it over unchanged.
 ``report_balance`` is the one path that advances a row: a peer transfer,
 an issuance and a redemption differ only in the report's signed supply
 amount (0, +amount, -amount).  A repeat is dropped by the report's
-``fingerprint``.  Reports arrive independently and possibly
-out of order, so one whose prior root is not yet the open row's is
-parked until the chain catches up; issuances and redemptions chain and
-park exactly like transfers, which puts a redemption's funds check on
-the row it actually follows.
+content, its first six fields.  Reports arrive independently and
+possibly out of order, so one whose prior root is not yet the open
+row's is parked until the chain catches up; issuances and redemptions
+chain and park exactly like transfers, which puts a redemption's funds
+check on the row it actually follows.
 
 Conservation is a property of a settled system, not of each report in
 flight: while one leg of a transfer has landed and the other has not,
@@ -32,11 +32,10 @@ shows there as a discrepancy.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .encoding import BALANCE_REPORT_FP, FOREVER, u64
+from .encoding import FOREVER, u64
 from .errors import (
     DeltaMoneyError,
     InsufficientBalance,
@@ -59,13 +58,9 @@ class BalanceReport(NamedTuple):
     prior_mhtr: Digest
     peer_provenance: Digest
     timestamp: int
-    # 0 for a transfer, +amount issued, -amount redeemed; left out of the
-    # fingerprint, as mhtr already commits to the balance record's delta
+    # 0 for a transfer, +amount issued, -amount redeemed; left out of what
+    # the manager remembers, as mhtr already commits to the record's delta
     supply: int = 0
-
-    def fingerprint(self) -> Digest:
-        """What the manager remembers of the report, to drop a repeat."""
-        return hashlib.sha256(BALANCE_REPORT_FP.pack(*self[:6])).digest()
 
 
 @dataclass(slots=True)
@@ -205,7 +200,8 @@ class CurrencyManager:
         self.table = TemporalBalanceTable()
         self.supply = SupplyLedger()
         self._next_id = 1
-        self._seen_reports: set[Digest] = set()
+        # the first six fields of every report past the sign check
+        self._seen_reports: set[tuple] = set()
         self._parked: dict[int, list[BalanceReport]] = {}
 
     # ------------------------------------------------------------------
@@ -257,19 +253,19 @@ class CurrencyManager:
 
         A report citing a closed row raises ``StaleProvenance``; a negative
         balance, a client that is not enrolled or a failed supply check
-        raises too, leaving the row alone.  A repeat is told by its
-        fingerprint, and the fingerprint is kept before any check past the
-        balance's sign can raise, so a repeat of a refused report is a
-        duplicate, not a second refusal.
+        raises too, leaving the row alone.  A repeat is told by its first
+        six fields, and they are kept before any check past the balance's
+        sign can raise, so a repeat of a refused report is a duplicate, not
+        a second refusal.
         """
         client_id = report.client_id
         if report.new_balance < 0:
             raise NegativeBalance(
                 f"client {client_id} reported balance {report.new_balance}")
-        fp = report.fingerprint()
-        if fp in self._seen_reports:
+        seen = report[:6]
+        if seen in self._seen_reports:
             return "duplicate"
-        self._seen_reports.add(fp)
+        self._seen_reports.add(seen)
         self._require(client_id)
         prior_mhtr = report.prior_mhtr
         if prior_mhtr != self.table.open_row(client_id).provenance_mhtr:
@@ -280,7 +276,8 @@ class CurrencyManager:
             self._parked.setdefault(client_id, []).append(report)
             return "parked"
         self._apply(report)
-        self._drain_parked(client_id)
+        if client_id in self._parked:
+            self._drain_parked(client_id)
         return "applied"
 
     def _apply(self, report: BalanceReport) -> None:

@@ -7,7 +7,7 @@ parties encoding the same record always produce identical bytes.
 
 Every fixed-width layout is packed by one precompiled ``struct.Struct``
 (``Q`` an unsigned and ``q`` a signed 8-byte integer, ``32s`` a digest,
-``c`` one tag byte, ``?`` one 0/1 byte):
+``c`` one tag byte):
 
 - ``PAIR_RECORD``, ``>5Q`` then six ``32s``, 232 bytes: a
   ``TransactionPairRecord`` (pair_seq, timestamp, payer_id, payee_id,
@@ -17,12 +17,6 @@ Every fixed-width layout is packed by one precompiled ``struct.Struct``
   causing_pttr);
 - ``BALANCE_COMMIT``, ``>cQQQ``, 25 bytes: what ``commit_balance`` hashes
   (the 0x02 tag, client_id, seq, balance);
-- ``TXN_REPORT_FP``, ``>4Q32s32sQ?``, 105 bytes: what
-  ``TransactionReport.fingerprint`` hashes (reporter, the pair key,
-  pair_seq, pttr, record_digest, timestamp, aborted);
-- ``BALANCE_REPORT_FP``, ``>QQ32s32s32sQ``, 120 bytes: what
-  ``BalanceReport.fingerprint`` hashes (client_id, new_balance, mhtr,
-  prior_mhtr, peer_provenance, timestamp);
 - ``KEY``, ``>QQ``, 16 bytes: a balance-tree key (timestamp, client_seq).
 
 Each record is a tuple in its layout's field order, so ``to_bytes`` is
@@ -46,8 +40,6 @@ U32 = struct.Struct(">I")
 PAIR_RECORD = struct.Struct(">5Q32s32s32s32s32s32s")
 BALANCE_RECORD = struct.Struct(">4QqQ32s")
 BALANCE_COMMIT = struct.Struct(">cQQQ")
-TXN_REPORT_FP = struct.Struct(">4Q32s32sQ?")
-BALANCE_REPORT_FP = struct.Struct(">QQ32s32s32sQ")
 KEY = struct.Struct(">QQ")
 
 #: Largest encodable timestamp, used as the open-interval sentinel.

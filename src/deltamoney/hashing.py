@@ -17,8 +17,7 @@ other.  0x04 and 0x05 are unused; 0x06 keeps its value, which pinned
 grids hash.
 
 Other hashes carry no tag: the grid's row, column and grid digests, the
-report fingerprints the managers deduplicate by, the client snapshot
-checksum and ``KeyStore``'s key derivation. None of them is ever compared
+client snapshot checksum and ``KeyStore``'s key derivation. None of them is ever compared
 with a tree node; the grid digests are pinned by golden event logs, so
 adding a tag would change recorded output.
 

@@ -7,7 +7,9 @@ naming both peers, and a counterpart that stays silent past the
 reporting deadline is alerted too.  The latest validated root of each
 pair can be attested to data clients.  Aborted exchanges send a separate
 report flavor: their roots are compared the same way but never
-validated, so a retried sequence number stays clean.
+validated, so a retried sequence number stays clean.  A repeated report
+is dropped by its content, kept until its seq validates and then folded,
+with its counterpart, into one entry of their pttr, digest and timestamp.
 
 The manager also snapshots the whole system as a Merkle Hash Grid:
 client balance-tree roots on the diagonal, pair-tree roots above it,
@@ -21,20 +23,17 @@ No balance ever enters this module: it sees digests only.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .encoding import TXN_REPORT_FP, pair_of, u64
-from .errors import (
-    BadSignature,
-    UnknownReporter,
-    UnregisteredPair,
+from .encoding import FOREVER, pair_of, u64
+from .errors import BadSignature, UnknownReporter, UnregisteredPair
+from .hashing import (
+    DIGEST_SIZE, EMPTY_CELL_DIGEST, Digest, KeyStore, Signature, digest,
 )
-from .hashing import EMPTY_CELL_DIGEST, Digest, KeyStore, Signature, digest
 
 DEFAULT_REPORTING_DEADLINE = 10
 
@@ -71,18 +70,6 @@ class TransactionReport(NamedTuple):
     timestamp: int
     aborted: bool = False
 
-    def fingerprint(self) -> Digest:
-        return hashlib.sha256(TXN_REPORT_FP.pack(
-            self.reporter,
-            self.pair_key[0],
-            self.pair_key[1],
-            self.pair_seq,
-            self.pttr,
-            self.record_digest,
-            self.timestamp,
-            self.aborted,
-        )).digest()
-
 
 class ValidationOutcome(NamedTuple):
     status: str  # held | validated | mismatch | replay | duplicate | aborted
@@ -92,6 +79,7 @@ class ValidationOutcome(NamedTuple):
 # the outcomes that carry no alert, shared by every report that gets one
 _HELD = ValidationOutcome("held")
 _VALIDATED = ValidationOutcome("validated")
+_DUPLICATE = ValidationOutcome("duplicate")
 
 
 @dataclass(frozen=True)
@@ -129,10 +117,23 @@ class PTTRAttestation:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingPair:
     first_seen: int
     reports: dict[int, TransactionReport] = field(default_factory=dict)
+
+
+def _compact(report: TransactionReport) -> Optional[bytes]:
+    """What ``_validated`` keeps of a seq whose two reports differ only in
+    reporter: their pttr, record digest and timestamp joined in one new
+    object, which keeps none of a client's digests alive.  The join is
+    exact only for a 32-byte pttr and a u64 timestamp; for any other report
+    it is None, so such a seq keeps its reports in the repeat set and such
+    a report matches no entry.
+    """
+    if len(report.pttr) != DIGEST_SIZE or not 0 <= report.timestamp <= FOREVER:
+        return None
+    return report.pttr + report.record_digest + u64(report.timestamp)
 
 
 def _grid_hashes(cells):
@@ -156,7 +157,9 @@ class IntegrityManager:
         self.known_clients: set[int] = set()
         self.known_pairs: set[tuple[int, int]] = set()
         self.alerts: list[Alert] = []
-        self._seen_reports: set[Digest] = set()
+        # the reports received, less the two of each seq that _validated
+        # holds a compact entry for
+        self._seen_reports: set[TransactionReport] = set()
         self._pending: dict[tuple, _PendingPair] = {}
         # heap of (first_seen, creation number, key, entry) over the pending
         # entries not yet alerted; the creation number is the entry's place
@@ -165,7 +168,7 @@ class IntegrityManager:
         self._due: list[tuple] = []
         self._created = 0
         self._pending_aborts: dict[tuple, dict[int, TransactionReport]] = {}
-        self._validated: set[tuple] = set()
+        self._validated: dict[tuple, Optional[bytes]] = {}
         self.latest_validated: dict[tuple[int, int], tuple[int, Digest]] = {}
 
     # ------------------------------------------------------------------
@@ -197,15 +200,14 @@ class IntegrityManager:
             raise UnknownReporter(
                 f"client {report.reporter} is not a member of {report.pair_key}"
             )
-        fp = report.fingerprint()
-        if fp in self._seen_reports:
-            return ValidationOutcome("duplicate")
-        self._seen_reports.add(fp)
-
+        if report in self._seen_reports:
+            return _DUPLICATE
         key = (report.pair_key, report.pair_seq)
-        if report.aborted:
-            return self._ingest_abort(key, report, now)
-        if key in self._validated:
+        if not report.aborted and key in self._validated:
+            entry = self._validated[key]
+            if entry is not None and entry == _compact(report):
+                return _DUPLICATE
+            self._seen_reports.add(report)
             alert = self._raise_alert(
                 AlertKind.ROOT_MISMATCH,
                 report.pair_key,
@@ -214,6 +216,9 @@ class IntegrityManager:
                 now,
             )
             return ValidationOutcome("replay", alert)
+        self._seen_reports.add(report)
+        if report.aborted:
+            return self._ingest_abort(key, report, now)
 
         pending = self._pending.get(key)
         if pending is None:
@@ -231,7 +236,10 @@ class IntegrityManager:
             self._due = [entry for entry in self._due if self._live(entry)]
             heapify(self._due)
         if left.pttr == right.pttr and left.record_digest == right.record_digest:
-            self._validated.add(key)
+            entry = _compact(left) if left.timestamp == right.timestamp else None
+            if entry is not None:
+                self._seen_reports.difference_update((left, right))
+            self._validated[key] = entry
             # reports may cross on the wire: keep the highest sequence, not
             # the most recently validated one
             current = self.latest_validated.get(report.pair_key)

@@ -17,7 +17,7 @@ delivery policy, which may delay or duplicate.  Each report is sent once
 and is never lost: one that falls due while the managers are partitioned
 is held until the partition ends (see ``_deliver``), as a retransmitting
 transport would deliver it, and both managers drop a repeat by its
-content fingerprint.  So a sender keeps no state for its reports and
+content, field by field.  So a sender keeps no state for its reports and
 nothing acknowledges them.  A report the Currency Manager refuses is
 logged as ``cm|refuse``, and the run goes on.
 

@@ -728,8 +728,8 @@ class TestRecovery:
         The recovery's 774: 2 commitments per replayed record in
         ``local_view`` (202), the pair trees' 101 leaves and 98 internal
         nodes, 172 prefix-root folds, and the balance tree's 101 leaves
-        and 100 internal nodes.  The 50 commits' 1366: per commit, 4
-        commitments and 4 report fingerprints (400), 2 pair-tree leaves
+        and 100 internal nodes.  The 50 commits' 1166: per commit, 4
+        commitments (200), 2 pair-tree leaves
         (100) and their right-edge nodes (366), and 2 balance-tree
         inserts, clients 1 and 2 each growing from 101 to 151 records
         (100 leaves and 400 right-edge nodes); a live commit checks no
@@ -761,7 +761,7 @@ class TestRecovery:
             sim.transfer(1, 2, 7 + i)
             sim.advance(10)
         sim.quiesce()
-        assert digests[0] == 1366
+        assert digests[0] == 1166
 
 
 class TestRecoverBalance:

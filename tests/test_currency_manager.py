@@ -114,14 +114,17 @@ def test_redeem_updates_supply_and_rows():
     assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 1000
 
 
-def test_negative_report_balance_is_refused_before_it_is_fingerprinted():
+def test_negative_report_balance_is_refused_before_it_is_remembered():
+    """Nothing of the report is kept, so its repeat is refused again."""
     cm, c1, _ = manager_with_two_clients()
     supply(cm, c1, 1000, 1)
     rows, row = len(cm.table.rows), cm.table.open_row(c1)
-    with pytest.raises(NegativeBalance):
-        cm.report_balance(BalanceReport(
-            c1, -1, digest("over"), prior_mhtr=row.provenance_mhtr,
-            peer_provenance=digest("treasury"), timestamp=2, supply=-1001))
+    report = BalanceReport(
+        c1, -1, digest("over"), prior_mhtr=row.provenance_mhtr,
+        peer_provenance=digest("treasury"), timestamp=2, supply=-1001)
+    for _ in range(2):
+        with pytest.raises(NegativeBalance):
+            cm.report_balance(report)
     assert len(cm.table.rows) == rows and cm.supply.total_redeemed == 0
 
 

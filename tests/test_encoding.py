@@ -12,11 +12,9 @@ import random
 import pytest
 
 from deltamoney.balance_tree import BalanceChangeRecord, _key_bytes
-from deltamoney.currency_manager import BalanceReport
 from deltamoney.encoding import i64, u32, u64
 from deltamoney.errors import NegativeBalance, NonPositiveAmount
 from deltamoney.hashing import commit_balance
-from deltamoney.integrity_manager import TransactionReport
 from deltamoney.data_client import TransactionInclusionVO, parse_vo
 from deltamoney.hashing import Signature
 from deltamoney.integrity_manager import PTTRAttestation
@@ -65,21 +63,6 @@ def ref_balance_record(r: BalanceChangeRecord) -> bytes:
 
 def ref_commit(client_id, seq, balance) -> bytes:
     return sha(b"\x02" + u64(client_id) + u64(seq) + u64(balance))
-
-
-def ref_txn_fingerprint(r: TransactionReport) -> bytes:
-    return sha(
-        u64(r.reporter) + u64(r.pair_key[0]) + u64(r.pair_key[1])
-        + u64(r.pair_seq) + r.pttr + r.record_digest + u64(r.timestamp)
-        + (b"\x01" if r.aborted else b"\x00")
-    )
-
-
-def ref_balance_fingerprint(r: BalanceReport) -> bytes:
-    return sha(
-        u64(r.client_id) + u64(r.new_balance) + r.mhtr + r.prior_mhtr
-        + r.peer_provenance + u64(r.timestamp)
-    )
 
 
 def ref_transaction_vo(vo: TransactionInclusionVO) -> bytes:
@@ -142,26 +125,6 @@ def test_balance_commitment_layout_matches_reference():
     for _ in range(CASES):
         triple = unsigned(rng), unsigned(rng), unsigned(rng)
         assert commit_balance(*triple) == ref_commit(*triple)
-
-
-def test_transaction_report_fingerprint_matches_reference():
-    rng = random.Random(904)
-    for _ in range(CASES):
-        report = TransactionReport(
-            unsigned(rng), (unsigned(rng), unsigned(rng)), unsigned(rng),
-            digest(rng), digest(rng), unsigned(rng), aborted=rng.random() < 0.5,
-        )
-        assert report.fingerprint() == ref_txn_fingerprint(report)
-
-
-def test_balance_report_fingerprint_matches_reference():
-    rng = random.Random(905)
-    for _ in range(CASES):
-        report = BalanceReport(
-            unsigned(rng), unsigned(rng), digest(rng), digest(rng),
-            digest(rng), unsigned(rng),
-        )
-        assert report.fingerprint() == ref_balance_fingerprint(report)
 
 
 def test_balance_tree_key_layout_matches_reference():

@@ -631,7 +631,7 @@ def test_cm_refusal_is_logged_and_acknowledged_not_raised():
 
 def test_duplicated_delivery_of_a_refused_report_is_a_duplicate():
     """Every report lands twice; the repeat of a refused or stale one
-    is dropped by its fingerprint, not refused or alerted on again."""
+    is dropped by its content, not refused or alerted on again."""
     sim = small_world(seed=12, clients=2)
     sim.quiesce()
     sim.policy = DeliveryPolicy("duplicate")
@@ -648,6 +648,28 @@ def test_duplicated_delivery_of_a_refused_report_is_a_duplicate():
     assert [k for k, _, _ in sim.alerts] == ["StaleProvenance"]
     assert sim.log.text().count("|cm|balance-report|client=2 balance=2500 "
                                 "status=duplicate") == 1
+
+
+def test_duplicated_im_reports_are_dropped_before_and_after_validation():
+    """Every report lands twice: the payer's repeat lands while its seq is
+    pending and the payee's after the seq validated; both are dropped
+    without an alert.  A later replay on the pair still alerts, once."""
+    sim = small_world(seed=12, clients=2)
+    sim.quiesce()
+    sim.policy = DeliveryPolicy("duplicate")
+    mark = len(sim.log.lines)
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    statuses = [line.rsplit("reporter=", 1)[1] for line in sim.log.lines[mark:]
+                if "|im|txn-report|" in line]
+    assert statuses == ["1 status=held", "1 status=duplicate",
+                        "2 status=validated", "2 status=duplicate"]
+    assert sim.alerts == []
+    sim.inject("replay-report", (1, 2))
+    sim.quiesce()
+    assert [kind for kind, _, _ in sim.alerts] == ["RootMismatch"]
+    assert sim.log.text().count(
+        "evidence=replay: pair (1, 2) seq 1 re-reported by 1") == 1
 
 
 @pytest.mark.parametrize("command, args", [
@@ -998,9 +1020,9 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(sha256_calls):
     sim.quiesce()
     # 4 balance commitments (2 in the proposal, 2 in the acceptance), the
     # first leaf of each replica's pair tree (also each IM report's record
-    # digest), a record digest and a leaf rehash in each balance tree, and
-    # one fingerprint per report at the IM and the CM
-    assert sha256_calls[0] == 14
+    # digest), and a record digest and a leaf rehash in each balance tree;
+    # the managers drop repeats by content and hash no report
+    assert sha256_calls[0] == 10
 
 
 @pytest.mark.parametrize("name, ticks", [
