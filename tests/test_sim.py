@@ -963,9 +963,7 @@ def _shipped(name):
 
 
 def test_shipped_scenarios_pass():
-    paths = sorted(SCENARIOS.glob("*.scn"))
-    assert len(paths) >= 4
-    for path in paths:
+    for path in sorted(SCENARIOS.glob("*.scn")):
         assert _shipped(path.name).log.failures == [], path.name
 
 
@@ -976,7 +974,17 @@ GOLDEN_RUNS = {
     "crash-before-commit": crash_before_commit,
     "reorder": lambda: _shipped("reorder.scn"),
     "faults": lambda: _shipped("faults.scn"),
+    "crash": lambda: _shipped("crash.scn"),
+    "downgrid": lambda: _shipped("downgrid.scn"),
+    "ring": lambda: _shipped("ring.scn"),
+    "stale": lambda: _shipped("stale.scn"),
+    "supply": lambda: _shipped("supply.scn"),
 }
+
+
+def test_golden_runs_name_every_shipped_scenario():
+    shipped = sorted(path.stem for path in SCENARIOS.glob("*.scn"))
+    assert shipped and set(shipped) <= set(GOLDEN_RUNS)
 
 
 # sha256 of the event log; a retry tick that moves changes the timestamp
@@ -989,6 +997,11 @@ GOLDEN_RUNS = {
      "cb25f93bd1c7fdc9d57b2dc969d71c77682c1789158d88579ad6943d1819a011"),
     ("reorder", "a8441a93c6f60fdfba9b6754e80ea04b2a08db61c89db2cb1d3fc5c734743f72"),
     ("faults", "9ec4e778e689f903e8473f943f65b2832d25cea288f0c11ffba170c89c3f3c19"),
+    ("crash", "eccd8135de3156e3b761185a51a9cce089b899c501dc5d78299707023035336c"),
+    ("downgrid", "7e58790f704ec8f0e12d02f4097c409de0703b20e13610ed2c9d3eaf1c6bffac"),
+    ("ring", "bb9193d09b9df9109c4b7228d6a6bc9dda94ba73133d0af614d0d8319eacdfc8"),
+    ("stale", "939512aec83bcc99ddd0721b4137dc7c916144eea19535cd078311775e4ac007"),
+    ("supply", "0b7949f535e43faea5438d568f8fca0a4fe49dc080e2e97ed40195a268319df1"),
 ], ids=list(GOLDEN_RUNS))
 def test_event_logs_match_golden_digests(name, digest):
     log = GOLDEN_RUNS[name]().log.text()
@@ -1032,6 +1045,11 @@ def test_faultfree_transfer_hashes_a_fixed_number_of_digests(sha256_calls):
     ("crash-before-commit", [34]),
     ("reorder", [11, 64]),
     ("faults", [42, 48, 50, 52, 58]),
+    ("crash", [40]),
+    ("downgrid", [55]),
+    ("ring", [11, 77]),
+    ("stale", [34, 39]),
+    ("supply", [53]),
 ], ids=list(GOLDEN_RUNS))
 def test_quiesce_ends_on_the_tick_of_the_last_timer(name, ticks):
     """The last thing due is a report landing or a busy head's retry: no
