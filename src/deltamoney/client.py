@@ -21,6 +21,17 @@ checked against them (``local_view``); a live commit checks only that
 the balance is still the one the exchange opened with, the one its
 commitments were computed over (``_finalize``).
 
+A payer's transfer commands wait in its ``queue``; only the head
+proposes, once the slot is free, and a commit, abort, refusal or any
+reject but ``busy`` ends it.  A head that a busy payee rejected retries
+after ``retry_delay`` ticks, at most ``RETRY_MAX_ATTEMPTS`` times, then
+logs ``give-up``.  ``handle`` runs all of that without I/O: it takes one
+message and the tick, and returns the node's outbox, in order.  Each
+entry is a send, ``(target, message, delay)``: a client id and the ticks
+until delivery, or ``"im"`` or ``"cm"`` and None for the manager
+delivery policy; or a log line, ``(event, details)``.  So the simulation
+and a test that feeds messages by hand run the same protocol.
+
 Transactions with the manager's treasury (client id 0) are issuance and
 redemption.  They run through the same handshake, and the client queues
 the same balance report as for a transfer, carrying the signed supply
@@ -43,6 +54,7 @@ messages apart by type (``isinstance``), never by comparing them.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
@@ -51,10 +63,12 @@ from .encoding import Reader, pair_of, u32, u64
 from .errors import (
     CommitmentMismatch,
     CorruptSnapshot,
+    DeltaMoneyError,
     NonMonotonicSequence,
     NotQuiescent,
     NotRegisteredPeers,
     PartnerRootDisagreement,
+    UnknownTarget,
 )
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, hash_leaf
 from .integrity_manager import TransactionReport
@@ -72,6 +86,9 @@ from .peer_ledger import (
 
 DEFAULT_LIMIT = 2**32
 TREASURY_RESERVE = 2**48
+RETRY_BASE = 4
+RETRY_CAP = 64
+RETRY_MAX_ATTEMPTS = 40
 
 #: Abort reason for an acceptance that reaches a payer holding no proposal
 STALE = "stale"
@@ -80,8 +97,41 @@ STALE = "stale"
 ONE_SIDED_ABORTS = frozenset({"unreachable", STALE})
 
 
+def retry_delay(key: int, attempt: int) -> int:
+    """Ticks a busy-rejected transfer command ``key`` waits before retry
+    ``attempt + 1``.
+
+    The first retry waits ``RETRY_BASE`` ticks, and retry k+1 somewhere in
+    [span/2, span], span = min(RETRY_BASE * 2**k, RETRY_CAP), picked by
+    hashing k with the command's own number, so colliding clients leave
+    lockstep without drawing from a seeded rng.
+    """
+    if attempt == 0:
+        return RETRY_BASE
+    span = min(RETRY_BASE << attempt, RETRY_CAP)
+    mix = hashlib.blake2b(f"{key}:{attempt}".encode(), digest_size=8).digest()
+    return span // 2 + int.from_bytes(mix, "big") % (span // 2 + 1)
+
+
 # ----------------------------------------------------------------------
 # protocol messages
+
+
+class StartTransferCmd(NamedTuple):
+    """A request that ``payer`` pay ``payee``; it joins the payer's queue."""
+
+    payer: int
+    payee: int
+    amount: int
+    key: int  # the command's own number; seeds the jitter of its retries
+
+    def give_up(self, reason: str) -> tuple[str, str]:
+        """The log line of this command ending without an exchange."""
+        return "give-up", f"payee={self.payee} amount={self.amount} reason={reason}"
+
+
+class RetryMsg(NamedTuple):
+    """A payer's own timer: the head backing off from a busy payee may go."""
 
 
 class ProposeMsg(NamedTuple):
@@ -124,6 +174,26 @@ def record_digest(record: TransactionPairRecord) -> Digest:
     return hash_leaf(record.to_bytes())
 
 
+_PAIR_TEXTS: dict[tuple[int, int], str] = {}
+
+
+def pair_text(key: tuple[int, int]) -> str:
+    """``key`` as log lines print it, formatted once per pair."""
+    return _PAIR_TEXTS.get(key) or _PAIR_TEXTS.setdefault(key, str(key))
+
+
+def _outcome(msg, ended=True) -> tuple[str, str]:
+    """The log line of the exchange end a commit, abort or reject reads, or
+    of ignoring a commit or abort that found no exchange (``ended`` None)."""
+    event = "commit" if isinstance(msg, CommitMsg) else "abort"
+    head = f"pair={pair_text(msg.pair_key)} seq={msg.pair_seq}"
+    if ended is None:
+        return "ignore", f"{head} msg={event}"
+    if event == "commit":
+        return event, f"{head} root={msg.payer_root[:8].hex()}"
+    return event, f"{head} reason={msg.reason}"
+
+
 class ClientNode:
     """One currency client (or the manager's treasury when id is 0)."""
 
@@ -142,7 +212,11 @@ class ClientNode:
         # the exchange in flight: (pair key, proposal sent as payer or
         # record accepted as payee, balance it opened with), or None
         self._exchange: Optional[tuple] = None
-        self._reports: list[tuple[str, object]] = []
+        # the payer's transfer commands, head first, and the head's busy
+        # retries so far and the tick before which it does not propose
+        self.queue: deque[StartTransferCmd] = deque()
+        self.attempts = self.due = 0
+        self.outbox: list[tuple] = []  # see ``handle``
         if opening_reserve:
             self.client_seq = 1
             self.mht.insert(self._opening_record())
@@ -183,9 +257,80 @@ class ClientNode:
             net_position(ptt, self.id) for ptt in self.ptts.values()
         )
 
-    def drain_reports(self) -> list[tuple[str, object]]:
-        out, self._reports = self._reports, []
+    # ------------------------------------------------------------------
+    # the node's side of the protocol
+
+    def handle(self, sender, message, now: int) -> list[tuple]:
+        """Take ``message`` from ``sender``, the client a reply goes to, at
+        tick ``now``; return the outbox (see the module docstring)."""
+        out = self.outbox
+        head_may_go = True
+        if isinstance(message, StartTransferCmd):
+            self.queue.append(message)
+        elif isinstance(message, ProposeMsg):
+            try:
+                reply = self.receive_propose(message, now)
+            except DeltaMoneyError as exc:
+                proposal = message.proposal
+                key = pair_of(proposal.payer_id, proposal.payee_id)
+                out.append(("refuse", f"pair={pair_text(key)} reason={exc}"))
+                reply = RejectMsg(key, proposal.pair_seq, type(exc).__name__)
+            if isinstance(reply, RejectMsg):
+                out.append(("reject", f"pair={pair_text(reply.pair_key)} "
+                                      f"reason={reply.reason}"))
+            out.append((sender, reply, 1))
+            head_may_go = False
+        elif isinstance(message, AcceptMsg):
+            mark = len(out)
+            result = self.receive_accept(message, now)
+            # the answer goes before the reports the commit queued
+            out[mark:mark] = [_outcome(result), (sender, result, 1)]
+            if not isinstance(result, AbortMsg) or result.reason != STALE:
+                self._pop_head()  # the head's exchange ended
+        elif isinstance(message, CommitMsg):
+            out.append(_outcome(message, self.receive_commit(message, now)))
+        elif isinstance(message, AbortMsg):
+            out.append(_outcome(message, self.receive_abort(message, now)))
+        elif isinstance(message, RejectMsg):
+            if self.receive_reject(message, now) is None:
+                head_may_go = False  # not this payer's exchange in flight
+            elif message.reason == "busy" and self.attempts < RETRY_MAX_ATTEMPTS:
+                delay = retry_delay(self.queue[0].key, self.attempts)
+                self.attempts, self.due = self.attempts + 1, now + delay
+                out.append((self.id, RetryMsg(), delay))
+                head_may_go = False
+            else:
+                if message.reason == "busy":
+                    out.append(self.queue[0].give_up("busy"))
+                elif message.reason == "unreachable":
+                    out.append(_outcome(message))
+                self._pop_head()
+        elif not isinstance(message, RetryMsg):
+            raise UnknownTarget(f"unhandled message {type(message).__name__}")
+        if head_may_go:
+            self._propose_head(now)
+        self.outbox = []
         return out
+
+    def _pop_head(self) -> None:
+        self.queue.popleft()
+        self.attempts = self.due = 0
+
+    def _propose_head(self, now: int) -> None:
+        """Propose the head command once the slot is free and it is due."""
+        queue, out = self.queue, self.outbox
+        while queue and self._exchange is None and self.due <= now:
+            cmd = queue[0]
+            try:
+                msg = self.start_transfer(cmd.payee, cmd.amount, now)
+            except DeltaMoneyError as exc:
+                out.append(("refuse", f"payee={cmd.payee} amount={cmd.amount} "
+                                      f"reason={exc}"))
+                self._pop_head()
+                continue
+            out.append(("propose", f"pair={pair_text(pair_of(cmd.payer, cmd.payee))} "
+                                   f"seq={msg.proposal.pair_seq} amount={cmd.amount}"))
+            out.append((cmd.payee, msg, 1))
 
     # ------------------------------------------------------------------
     # handshake steps
@@ -263,29 +408,30 @@ class ClientNode:
             self.client_seq -= 1
         return AbortMsg(key, record.pair_seq, b"\x00" * 32, STALE)
 
-    def receive_commit(self, msg: CommitMsg, now: int) -> None:
+    def receive_commit(self, msg: CommitMsg, now: int):
+        """End the payee's exchange; returns the slot it emptied, or None."""
         slot = self._release(msg.pair_key, TransactionPairRecord)
-        if slot is None:
-            return
-        key, record, opened = slot
-        root = self.ptts[key].root()
-        if root != msg.payer_root:
-            # should have been an abort; report the divergence
-            self.ptts[key].rollback_last()
-            self._report_divergence(record, root)
-            return
-        self._finalize(key, record, root, opened)
+        if slot is not None:
+            key, record, opened = slot
+            root = self.ptts[key].root()
+            if root == msg.payer_root:
+                self._finalize(key, record, root, opened)
+            else:  # should have been an abort; report the divergence
+                self.ptts[key].rollback_last()
+                self._report_divergence(record, root)
+        return slot
 
-    def receive_abort(self, msg: AbortMsg, now: int) -> None:
+    def receive_abort(self, msg: AbortMsg, now: int):
+        """Roll the payee's exchange back; returns the slot it emptied, or None."""
         slot = self._release(msg.pair_key, TransactionPairRecord)
-        if slot is None:
-            return
-        key, record, _ = slot
-        ptt = self.ptts[key]
-        divergent_root = ptt.root()
-        ptt.rollback_last()
-        if msg.reason not in ONE_SIDED_ABORTS:
-            self._report_divergence(record, divergent_root)
+        if slot is not None:
+            key, record, _ = slot
+            ptt = self.ptts[key]
+            divergent_root = ptt.root()
+            ptt.rollback_last()
+            if msg.reason not in ONE_SIDED_ABORTS:
+                self._report_divergence(record, divergent_root)
+        return slot
 
     def receive_reject(self, msg: RejectMsg, now: int):
         return self._release(msg.pair_key, TransactionProposal)
@@ -315,10 +461,10 @@ class ClientNode:
         key = pair_of(record.payer_id, record.payee_id)
         if MANAGER_ID in key:
             return
-        self._reports.append(("im", TransactionReport(
+        self.outbox.append(("im", TransactionReport(
             self.id, key, record.pair_seq, my_root, record_digest(record),
             record.timestamp, aborted=True,
-        )))
+        ), None))
 
     def _balance_change(self, record: TransactionPairRecord,
                         prior_balance: int, client_seq: int,
@@ -366,14 +512,14 @@ class ClientNode:
             supply = change.delta
         else:
             supply = 0
-            self._reports.append(("im", TransactionReport(
+            self.outbox.append(("im", TransactionReport(
                 self.id, key, record.pair_seq, root,
                 self.ptts[key].leaf_digest(record.pair_seq), record.timestamp,
-            )))
-        self._reports.append(("cm", BalanceReport(
+            ), None))
+        self.outbox.append(("cm", BalanceReport(
             self.id, change.new_balance, self.mht.root(), prior_mhtr,
             peer_provenance, record.timestamp, supply,
-        )))
+        ), None))
 
     # ------------------------------------------------------------------
     # recovery
@@ -382,13 +528,20 @@ class ClientNode:
         """What this node hands a wiped partner about their shared pair."""
         return self.ptts[pair_of(self.id, peer_id)].replica()
 
-    def wipe(self) -> None:
-        """Drop all volatile state, as a crash would."""
+    def wipe(self) -> list[tuple[str, str]]:
+        """Drop all volatile state, as a crash would.
+
+        Returns the ``give-up`` log line of each queued command it drops.
+        """
+        gave_up = [cmd.give_up("crashed") for cmd in self.queue]
         self.mht = BalanceMHT()
         self.ptts = {}
         self.client_seq = 0
         self._exchange = None
-        self._reports = []
+        self.queue = deque()
+        self.attempts = self.due = 0
+        self.outbox = []
+        return gave_up
 
     def recover_transactions(
         self,
@@ -486,7 +639,8 @@ class ClientNode:
             balance = change.new_balance
         mht = BalanceMHT.build(records)
 
-        self.wipe()
+        # a crash left no command; a live node's give up in its next output
+        self.outbox = self.wipe()
         self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
 
     # ------------------------------------------------------------------

@@ -21,27 +21,13 @@ content, field by field.  So a sender keeps no state for its reports and
 nothing acknowledges them.  A report the Currency Manager refuses is
 logged as ``cm|refuse``, and the run goes on.
 
-Each payer's transfer commands wait in one queue of their own; only the
-head proposes, once the payer's slot is free, and a commit, abort,
-refusal or any reject but ``busy`` ends it.  A head that a busy payee
-rejected retries: the first retry waits ``RETRY_BASE`` ticks, and retry
-k+1 waits somewhere in [span/2, span], span = min(RETRY_BASE * 2**k,
-RETRY_CAP), picked by hashing k with the command's own number, so
-colliding clients leave lockstep without a draw from the seeded rng.  A
-head gets ``RETRY_MAX_ATTEMPTS`` retries, then a ``give-up`` line.  A
+Each client node runs its own side of the protocol (``ClientNode.handle``);
+the simulation delivers what it sends and logs what it reports.  A
 handshake message is lost only at a crashed client; the transport answers
 the drop on that tick, as a refused connection would: a proposal with a
-reject, an acceptance with an abort, both ``reason=unreachable``.  A
-crashed payer's queued commands, and any sent to it while down, give up
-``reason=crashed``; an acceptance that reaches the payer once it is
-rebuilt is aborted ``reason=stale`` (see ``ClientNode.receive_accept``).
-
-Every message, report and record is an immutable ``NamedTuple``, built
-several times per transfer at a fraction of a frozen dataclass's cost.
-They compare as plain tuples, so a message of one type can equal one of
-another; the actors dispatch on type, never on ``==``, and a queue
-entry's unique insertion number keeps the heap from ever comparing two
-messages.
+reject, an acceptance with an abort, both ``reason=unreachable``, and a
+command with a ``give-up``, ``reason=crashed``.  A queue entry's unique
+insertion number keeps the heap from ever comparing two messages.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
 spends, report replays, forged manager rows, client crashes, manager
@@ -59,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -67,13 +52,13 @@ from .client import (
     AbortMsg,
     AcceptMsg,
     ClientNode,
-    CommitMsg,
     DEFAULT_LIMIT,
     ProposeMsg,
     RejectMsg,
-    STALE,
+    StartTransferCmd,
     TREASURY_RESERVE,
     pair_of,
+    pair_text,
 )
 from .currency_manager import MANAGER_ID, BalanceReport, CurrencyManager
 from .data_client import authorize, query_transactions, verify_vo
@@ -92,34 +77,7 @@ from .integrity_manager import (
 )
 
 IM_SIGNER = 10_000
-RETRY_BASE = 4
-RETRY_CAP = 64
-RETRY_MAX_ATTEMPTS = 40
 MANAGER_ACTORS = frozenset(("cm", "im"))
-
-
-def retry_delay(key: int, attempt: int) -> int:
-    """Ticks a busy-rejected transfer command ``key`` waits before retry
-    ``attempt + 1``."""
-    if attempt == 0:
-        return RETRY_BASE
-    span = min(RETRY_BASE << attempt, RETRY_CAP)
-    mix = hashlib.blake2b(f"{key}:{attempt}".encode(), digest_size=8).digest()
-    return span // 2 + int.from_bytes(mix, "big") % (span // 2 + 1)
-
-
-# ----------------------------------------------------------------------
-# sim-internal messages
-
-
-@dataclass
-class StartTransferCmd:
-    payer: int
-    payee: int
-    amount: int
-    key: int  # the command's own number; seeds the jitter of its retries
-    attempts: int = 0  # busy retries so far
-    due: int = 0  # a head backing off from a busy payee waits for this tick
 
 
 @dataclass(frozen=True)
@@ -198,10 +156,6 @@ class SimulationLog:
     def text(self) -> str:
         return "\n".join(self.lines)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def grid_roots(nodes: dict) -> tuple[dict, dict]:
     """The balance-tree and pair roots a grid is captured from.
@@ -252,16 +206,12 @@ class Simulation:
                                    transaction_limit=2**62,
                                    opening_reserve=TREASURY_RESERVE)
         self.clients: dict[int, ClientNode] = {MANAGER_ID: self.treasury}
-        # actor name <-> client id, both ways, formatted once per client
-        self._actor_ids: dict[str, int] = {}
-        self._actor_names: dict[int, str] = {}
-        self._add_actor(MANAGER_ID)
-        # registered pair key -> its log text, formatted once per pair
-        self.registered_pairs: dict[tuple[int, int], str] = {}
+        # client id -> its actor name in log lines, formatted once per client
+        self._actor_names: dict[int, str] = {MANAGER_ID: f"client:{MANAGER_ID}"}
+        self.registered_pairs: set[tuple[int, int]] = set()
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
         self.partitions: list = []  # (start, end) manager unreachability
-        self.outbox: dict[int, deque] = defaultdict(deque)  # payer -> commands
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
         self.last_verdict = None
         self.grids: list = []
@@ -272,11 +222,12 @@ class Simulation:
     def emit(self, actor: str, event: str, details: str = "") -> None:
         self.log.lines.append(f"{self.now}|{actor}|{event}|{details}")
 
-    def send(self, target: str, sender: str, message,
+    def send(self, target, sender, message,
              policy: bool = False, delay: int = 1) -> None:
         """Queue ``message`` for delivery ``delay`` ticks from now.
 
-        With ``policy`` the delivery policy sets the ticks instead: next
+        ``target`` and ``sender`` are each a client id or a name (``"cm"``,
+        ``"im"``, ``"sim"``).  With ``policy`` the delivery policy sets the ticks instead: next
         tick under ``normal``, otherwise the offsets of its row in
         ``POLICIES``, each delivered as an event of its own.
         """
@@ -292,17 +243,6 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self.queue,
                        (self.now + delay, self._seq, target, sender, message))
-
-    def _client_actor(self, client_id: int) -> str:
-        return self._actor_names.get(client_id) or f"client:{client_id}"
-
-    def _add_actor(self, client_id: int) -> None:
-        name = f"client:{client_id}"
-        self._actor_ids[name] = client_id
-        self._actor_names[client_id] = name
-
-    def _pair_text(self, key: tuple[int, int]) -> str:
-        return self.registered_pairs.get(key) or str(key)
 
     def _alert(self, actor: str, kind: AlertKind, subjects: tuple,
                evidence: str) -> None:
@@ -361,7 +301,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # delivery and actors
 
-    def _deliver(self, target: str, sender: str, message) -> None:
+    def _deliver(self, target, sender, message) -> None:
         """Hand ``message`` to its target actor.
 
         A message for a manager that falls due inside a partition is held:
@@ -391,13 +331,14 @@ class Simulation:
                 self.emit("net", "hold", f"target={target} until={end}")
                 self.send(target, sender, message, delay=end - now)
                 return
-        client_id = self._actor_ids.get(target)
-        if client_id is not None:
-            if client_id in self.crashed:
-                self.emit("net", "drop", f"target={target} reason=crashed")
+        node = self.clients.get(target)
+        if node is not None:
+            if target in self.crashed:
+                self.emit("net", "drop",
+                          f"target={self._actor_names[target]} reason=crashed")
                 self._answer_drop(target, sender, message)
                 return
-            self._handle_client(client_id, target, sender, message)
+            self._act(target, node.handle(sender, message, self.now))
         elif target == "cm":
             self._handle_cm(message)
         elif target == "im":
@@ -405,7 +346,7 @@ class Simulation:
         else:
             raise UnknownTarget(f"no actor {target}")
 
-    def _answer_drop(self, target: str, sender: str, message) -> None:
+    def _answer_drop(self, target: int, sender, message) -> None:
         """Answer the drop now: a later recovery could copy an open record."""
         if isinstance(message, ProposeMsg):
             p = message.proposal
@@ -415,101 +356,18 @@ class Simulation:
             r = message.record
             self.send(sender, target, AbortMsg(pair_of(r.payer_id, r.payee_id),
                       r.pair_seq, b"\x00" * 32, "unreachable"), delay=0)
-        elif isinstance(message, StartTransferCmd) and not message.attempts:
-            self._give_up(target, message, "crashed")
+        elif isinstance(message, StartTransferCmd):  # not a retry's wake-up
+            self._act(target, [message.give_up("crashed")])
 
-    def _give_up(self, actor: str, cmd: StartTransferCmd, reason: str) -> None:
-        self.emit(actor, "give-up",
-                  f"payee={cmd.payee} amount={cmd.amount} reason={reason}")
-
-    # -- client actor ---------------------------------------------------
-
-    def _handle_client(self, client_id: int, actor: str, sender: str,
-                       message) -> None:
-        node = self.clients[client_id]
-        if isinstance(message, StartTransferCmd):
-            if not message.attempts:  # a retry wakes the head it already is
-                self.outbox[client_id].append(message)
-        elif isinstance(message, ProposeMsg):
-            try:
-                reply = node.receive_propose(message, self.now)
-            except DeltaMoneyError as exc:
-                key = pair_of(message.proposal.payer_id, message.proposal.payee_id)
-                self.emit(actor, "refuse",
-                          f"pair={self._pair_text(key)} reason={exc}")
-                reply = RejectMsg(key, message.proposal.pair_seq,
-                                  type(exc).__name__)
-            if isinstance(reply, RejectMsg):
-                self.emit(actor, "reject",
-                          f"pair={self._pair_text(reply.pair_key)} "
-                          f"reason={reply.reason}")
-            self.send(sender, actor, reply)
-            return
-        elif isinstance(message, AcceptMsg):
-            result = node.receive_accept(message, self.now)
-            pair = self._pair_text(result.pair_key)
-            if isinstance(result, CommitMsg):
-                self.emit(actor, "commit", f"pair={pair} seq={result.pair_seq} "
-                          f"root={result.payer_root[:8].hex()}")
-            else:
-                self.emit(actor, "abort", f"pair={pair} seq={result.pair_seq} "
-                          f"reason={result.reason}")
-            if not isinstance(result, AbortMsg) or result.reason != STALE:
-                self.outbox[client_id].popleft()  # the head's exchange ended
-            self.send(sender, actor, result)
-            self._flush_reports(node, actor)
-        elif isinstance(message, CommitMsg):
-            node.receive_commit(message, self.now)
-            self.emit(actor, "commit",
-                      f"pair={self._pair_text(message.pair_key)} "
-                      f"seq={message.pair_seq} root={message.payer_root[:8].hex()}")
-            self._flush_reports(node, actor)
-        elif isinstance(message, AbortMsg):
-            node.receive_abort(message, self.now)
-            self.emit(actor, "abort",
-                      f"pair={self._pair_text(message.pair_key)} "
-                      f"seq={message.pair_seq} reason={message.reason}")
-            self._flush_reports(node, actor)
-        elif isinstance(message, RejectMsg):
-            if node.receive_reject(message, self.now) is None:
-                return  # not this payer's exchange in flight
-            head = self.outbox[client_id][0]
-            if message.reason == "busy" and head.attempts < RETRY_MAX_ATTEMPTS:
-                delay = retry_delay(head.key, head.attempts)
-                head.attempts, head.due = head.attempts + 1, self.now + delay
-                self.send(actor, actor, head, delay=delay)
-                return
-            if message.reason == "busy":
-                self._give_up(actor, head, "busy")
-            elif message.reason == "unreachable":
-                self.emit(actor, "abort",
-                          f"pair={self._pair_text(message.pair_key)} "
-                          f"seq={message.pair_seq} reason=unreachable")
-            self.outbox[client_id].popleft()
-        else:
-            raise UnknownTarget(f"unhandled message {type(message).__name__}")
-        self._propose_head(node, actor)
-
-    def _propose_head(self, node: ClientNode, actor: str) -> None:
-        """Propose the payer's head command once its slot is free."""
-        queued = self.outbox.get(node.id)
-        while queued and not node.busy and queued[0].due <= self.now:
-            cmd = queued[0]
-            try:
-                msg = node.start_transfer(cmd.payee, cmd.amount, self.now)
-            except DeltaMoneyError as exc:
-                self.emit(actor, "refuse",
-                          f"payee={cmd.payee} amount={cmd.amount} reason={exc}")
-                queued.popleft()
+    def _act(self, client_id: int, out: list) -> None:
+        """Log and send what a client node returned (see ``ClientNode.handle``)."""
+        actor = self._actor_names[client_id]
+        for entry in out:
+            if len(entry) == 2:
+                self.emit(actor, entry[0], entry[1])
                 continue
-            self.emit(actor, "propose",
-                      f"pair={self._pair_text(pair_of(cmd.payer, cmd.payee))} "
-                      f"seq={msg.proposal.pair_seq} amount={cmd.amount}")
-            self.send(self._client_actor(cmd.payee), actor, msg)
-
-    def _flush_reports(self, node: ClientNode, actor: str) -> None:
-        for kind, payload in node.drain_reports():
-            self.send(kind, actor, payload, policy=True)
+            target, message, delay = entry
+            self.send(target, client_id, message, policy=delay is None, delay=delay)
 
     # -- manager actors ---------------------------------------------------
 
@@ -546,7 +404,7 @@ class Simulation:
             raise UnknownTarget(f"im cannot handle {type(report).__name__}")
         outcome = self.im.ingest_report(report, now=self.now)
         self.emit("im", "txn-report",
-                  f"pair={self._pair_text(report.pair_key)} seq={report.pair_seq} "
+                  f"pair={pair_text(report.pair_key)} seq={report.pair_seq} "
                   f"reporter={report.reporter} status={outcome.status}")
         alert = outcome.alert
         if alert is not None:
@@ -564,12 +422,11 @@ class Simulation:
             )
         node = ClientNode(client_id, self.keystore, transaction_limit=limit)
         self.clients[client_id] = node
-        self._add_actor(client_id)
+        self._actor_names[client_id] = f"client:{client_id}"
         self.im.note_client(client_id)
         self.treasury.register_peer(client_id)
         node.register_peer(MANAGER_ID)
-        key = pair_of(MANAGER_ID, client_id)
-        self.registered_pairs[key] = str(key)
+        self.registered_pairs.add(pair_of(MANAGER_ID, client_id))
         self.emit("cm", "enroll", f"client={client_id} limit={limit}")
 
     def register(self, a: int, b: int) -> None:
@@ -578,8 +435,8 @@ class Simulation:
         self.clients[a].register_peer(b)
         self.clients[b].register_peer(a)
         key = pair_of(a, b)
-        self.registered_pairs[key] = str(key)
-        self.emit("cm", "register", f"pair={self.registered_pairs[key]}")
+        self.registered_pairs.add(key)
+        self.emit("cm", "register", f"pair={pair_text(key)}")
 
     def issue(self, client_id: int, amount: int) -> None:
         self._command(MANAGER_ID, client_id, amount)
@@ -599,7 +456,7 @@ class Simulation:
             if client_id not in self.clients:
                 raise UnknownTarget(f"client {client_id} is not enrolled")
         self._cmd_seq += 1
-        self.send(self._client_actor(payer), "sim",
+        self.send(payer, "sim",
                   StartTransferCmd(payer, payee, amount, self._cmd_seq))
 
     def capture(self, epoch: int):
@@ -641,7 +498,7 @@ class Simulation:
         data = [self.clients[p].export_recovery_data(client_id) for p in partners]
         node.recover_transactions(data, self.im.latest_validated.get)
         self.crashed.discard(client_id)
-        self.emit(self._client_actor(client_id), "recover",
+        self.emit(self._actor_names[client_id], "recover",
                   f"partners={partners} balance={node.balance} "
                   f"mhtr={node.mht.root()[:8].hex()}")
 
@@ -701,7 +558,7 @@ class Simulation:
             _junk(f"ds-peer:{client_id}:{self.now}", 32),
             self.now,
         )
-        self.send("cm", self._client_actor(client_id), forged, policy=True)
+        self.send("cm", client_id, forged, policy=True)
 
     def _fault_replay_report(self, pair) -> None:
         key = pair_of(*pair)
@@ -713,7 +570,7 @@ class Simulation:
             key[0], key, seq, root,
             _junk(f"replay:{key}:{self.now}", 32), self.now,
         )
-        self.send("im", self._client_actor(key[0]), forged, policy=True)
+        self.send("im", key[0], forged, policy=True)
 
     def _fault_forge_balance(self, client_id: int, delta: int) -> None:
         if client_id not in self.clients or client_id == MANAGER_ID:
@@ -723,11 +580,10 @@ class Simulation:
     def _fault_crash_client(self, client_id: int) -> None:
         if client_id not in self.clients or client_id == MANAGER_ID:
             raise UnknownTarget(f"cannot crash {client_id}")
-        self.clients[client_id].wipe()
+        gave_up = self.clients[client_id].wipe()
         self.crashed.add(client_id)
-        self.emit(self._client_actor(client_id), "crash", "")
-        for cmd in self.outbox.pop(client_id, ()):
-            self._give_up(self._client_actor(client_id), cmd, "crashed")
+        self.emit(self._actor_names[client_id], "crash", "")
+        self._act(client_id, gave_up)
 
     def _fault_partition(self, ticks: int) -> None:
         if ticks < 1:

@@ -1,7 +1,8 @@
 """Client node tests: handshake, finalization, recovery, snapshots.
 
 Histories run through ``Simulation``; a test that pins one handshake step
-calls that step on the simulation's nodes directly.
+calls that step on the simulation's nodes directly, and the protocol tests
+feed bare nodes each other's messages by hand.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import pytest
 
 from deltamoney.balance_tree import BalanceMHT
 from deltamoney.client import (
+    RETRY_BASE,
+    RETRY_MAX_ATTEMPTS,
     AbortMsg,
     AcceptMsg,
     BalanceReport,
@@ -18,9 +21,11 @@ from deltamoney.client import (
     CommitMsg,
     ProposeMsg,
     RejectMsg,
+    StartTransferCmd,
     TREASURY_RESERVE,
     pair_of,
     record_digest,
+    retry_delay,
 )
 from deltamoney.currency_manager import MANAGER_ID
 from deltamoney.errors import (
@@ -38,6 +43,13 @@ from deltamoney.integrity_manager import TransactionReport
 from deltamoney.peer_ledger import PeerTransactionTree, net_position, reset_epoch
 from deltamoney.sim import Simulation
 from worlds import run_transfers, small_world
+
+
+def drain_reports(node):
+    """The (manager, report) pairs ``node`` queued in its outbox, taken out."""
+    reports = [(target, report) for target, report, _ in node.outbox]
+    node.outbox.clear()
+    return reports
 
 
 def test_direct_transfer_commits_and_moves_balances():
@@ -59,7 +71,7 @@ def test_commit_queues_one_im_and_one_cm_report_per_side():
     accepted = b.receive_propose(a.start_transfer(2, 50, sim.now), sim.now)
     b.receive_commit(a.receive_accept(accepted, sim.now), sim.now)
     for node in (a, b):
-        reports = node.drain_reports()
+        reports = drain_reports(node)
         kinds = [kind for kind, _ in reports]
         assert kinds == ["im", "cm"]
         im_report = reports[0][1]
@@ -69,7 +81,7 @@ def test_commit_queues_one_im_and_one_cm_report_per_side():
         assert im_report.pttr == node.ptts[pair_of(1, 2)].root()
         assert cm_report.new_balance == node.balance
         assert cm_report.mhtr == node.mht.root()
-    assert node.drain_reports() == []
+    assert drain_reports(node) == []
 
 
 def test_treasury_pair_queues_only_a_chained_supply_report():
@@ -79,26 +91,26 @@ def test_treasury_pair_queues_only_a_chained_supply_report():
     accepted = client.receive_propose(
         treasury.start_transfer(1, 10_000, sim.now), sim.now)
     client.receive_commit(treasury.receive_accept(accepted, sim.now), sim.now)
-    reports = client.drain_reports()
+    reports = drain_reports(client)
     assert [k for k, _ in reports] == ["cm"]
     issued = reports[0][1]
     assert isinstance(issued, BalanceReport)
     assert (issued.client_id, issued.supply, issued.new_balance) == (1, 10_000, 10_000)
     assert issued.prior_mhtr == EMPTY_TREE_DIGEST
     assert issued.mhtr == client.mht.root()
-    assert treasury.drain_reports() == []
+    assert drain_reports(treasury) == []
     assert client.balance == 10_000
     assert treasury.balance == TREASURY_RESERVE - 10_000
 
     accepted = treasury.receive_propose(
         client.start_transfer(MANAGER_ID, 400, sim.now), sim.now)
     treasury.receive_commit(client.receive_accept(accepted, sim.now), sim.now)
-    [(kind, redeemed)] = client.drain_reports()
+    [(kind, redeemed)] = drain_reports(client)
     assert kind == "cm"
     assert (redeemed.supply, redeemed.new_balance) == (-400, 9_600)
     assert redeemed.prior_mhtr == issued.mhtr
     assert redeemed.mhtr == client.mht.root()
-    assert treasury.drain_reports() == []
+    assert drain_reports(treasury) == []
 
 
 def test_handshake_is_three_messages_and_none_to_managers():
@@ -167,6 +179,90 @@ def test_stray_messages_leave_a_busy_client_busy():
         assert node.balance == node.expected_balance()
 
 
+# ----------------------------------------------------------------------
+# the protocol between bare nodes: each returned message fed by hand
+
+
+def bare_nodes(*ids, reserve=1_000):
+    """Nodes with an opening reserve and every pair registered; no Simulation."""
+    keystore = KeyStore("stub")
+    nodes = {c: ClientNode(c, keystore, opening_reserve=reserve) for c in ids}
+    for a in ids:
+        for b in ids:
+            if a != b:
+                nodes[a].register_peer(b)
+    return nodes
+
+
+def split(out):
+    """A node's outbox as its sends and its log lines, each in order."""
+    return ([entry for entry in out if len(entry) == 3],
+            [entry for entry in out if len(entry) == 2])
+
+
+def test_busy_payee_makes_the_head_retry_then_give_up():
+    nodes = bare_nodes(1, 2, 3)
+    one, two = nodes[1], nodes[2]
+    # client 2 opens an exchange with 3, which never answers: 2 stays busy
+    [(target, _, _)], _ = split(two.handle(None, StartTransferCmd(2, 3, 5, 1), 0))
+    assert target == 3 and two.busy
+    sends, logs = split(one.handle(None, StartTransferCmd(1, 2, 10, 7), 0))
+    assert logs == [("propose", "pair=(1, 2) seq=1 amount=10")]
+    now, waits = 0, []
+    for attempt in range(RETRY_MAX_ATTEMPTS + 1):
+        [(target, proposal, delay)] = sends
+        assert (target, type(proposal), delay) == (2, ProposeMsg, 1)
+        now += 1
+        [(target, reject, delay)], logs = split(two.handle(1, proposal, now))
+        assert (target, reject.reason, delay) == (1, "busy", 1)
+        assert logs == [("reject", "pair=(1, 2) reason=busy")]
+        now += 1
+        sends, logs = split(one.handle(2, reject, now))
+        if attempt == RETRY_MAX_ATTEMPTS:
+            break
+        [(target, wake, delay)] = sends
+        assert (target, delay, logs) == (1, retry_delay(7, attempt), [])
+        assert (one.attempts, one.due) == (attempt + 1, now + delay)
+        assert not one.busy and one.handle(1, wake, now + delay - 1) == []
+        waits.append(delay)
+        now += delay
+        sends, logs = split(one.handle(1, wake, now))
+        assert logs == [("propose", "pair=(1, 2) seq=1 amount=10")]
+    # the first retry waits RETRY_BASE; the second a span its key jitters
+    assert waits[0] == RETRY_BASE
+    assert RETRY_BASE <= waits[1] == retry_delay(7, 1) <= 2 * RETRY_BASE
+    assert sends == [] and logs == [("give-up", "payee=2 amount=10 reason=busy")]
+    assert not one.queue and not one.busy and (one.attempts, one.due) == (0, 0)
+    assert one.balance == 1_000 and two.busy
+
+
+def test_refused_head_frees_the_queue_on_the_same_tick():
+    nodes = bare_nodes(1, 2, 3)
+    one, two = nodes[1], nodes[2]
+    [(_, proposal, _)], _ = split(one.handle(None, StartTransferCmd(1, 2, 600, 1), 0))
+    # both wait behind the head; the first will exceed what it leaves
+    assert one.handle(None, StartTransferCmd(1, 3, 900, 2), 0) == []
+    assert one.handle(None, StartTransferCmd(1, 3, 300, 3), 0) == []
+    [(_, accepted, _)], _ = split(two.handle(1, proposal, 1))
+    sends, logs = split(one.handle(2, accepted, 2))
+    assert [event for event, _ in logs] == ["commit", "refuse", "propose"]
+    assert logs[1][1].startswith("payee=3 amount=900 reason=")
+    assert logs[2] == ("propose", "pair=(1, 3) seq=1 amount=300")
+    assert [(target, type(msg), delay) for target, msg, delay in sends] == [
+        (2, CommitMsg, 1), ("im", TransactionReport, None),
+        ("cm", BalanceReport, None), (3, ProposeMsg, 1)]
+    assert list(one.queue) == [StartTransferCmd(1, 3, 300, 3)] and one.busy
+
+
+def test_commit_or_abort_with_no_exchange_is_logged_ignore():
+    three = bare_nodes(1, 3)[3]
+    for msg, kind in ((CommitMsg((1, 3), 1, b"\x00" * 32), "commit"),
+                      (AbortMsg((1, 3), 1, b"\x00" * 32, "stray"), "abort")):
+        assert three.handle(1, msg, 5) == [
+            ("ignore", f"pair=(1, 3) seq=1 msg={kind}")]
+    assert three.ptts[(1, 3)].last_seq == 0 and three.balance == 1_000
+
+
 def test_payer_guards_propagate():
     sim = small_world(clients=2, fund=100, limit=50)
     a, b = sim.clients[1], sim.clients[2]
@@ -226,14 +322,14 @@ def test_commit_and_abort_reports_carry_the_record_digest():
     assert record_digest(record) == want
     for node in (a, b):
         assert node.ptts[key].leaf_digest(record.pair_seq) == want
-        assert node.drain_reports()[0][1].record_digest == want
+        assert drain_reports(node)[0][1].record_digest == want
     msg = a.start_transfer(2, 40, tick + 1)
     reply = b.receive_propose(msg, tick + 1)
     result = a.receive_accept(AcceptMsg(reply.record, b"\x55" * 32), tick + 1)
     b.receive_abort(result, tick + 1)
     want = hash_leaf(reply.record.to_bytes())
     for node in (a, b):
-        report = node.drain_reports()[0][1]
+        report = drain_reports(node)[0][1]
         assert report.aborted and report.record_digest == want
 
 
@@ -254,8 +350,8 @@ def test_divergent_payee_root_aborts_and_rolls_back():
     assert a.balance == 10_000 and b.balance == 10_000
     assert not a.busy and not b.busy
     # a forged message aborts honest replicas, so both abort reports agree
-    a_reports = a.drain_reports()
-    b_reports = b.drain_reports()
+    a_reports = drain_reports(a)
+    b_reports = drain_reports(b)
     assert [k for k, _ in a_reports] == ["im"]
     assert [k for k, _ in b_reports] == ["im"]
     assert a_reports[0][1].aborted and b_reports[0][1].aborted
@@ -274,8 +370,8 @@ def test_tampered_replica_aborts_with_divergent_reports():
     result = a.receive_accept(reply, tick + 1)
     assert isinstance(result, AbortMsg)
     b.receive_abort(result, tick + 1)
-    report_a = a.drain_reports()[0][1]
-    report_b = b.drain_reports()[0][1]
+    report_a = drain_reports(a)[0][1]
+    report_b = drain_reports(b)[0][1]
     assert report_a.aborted and report_b.aborted
     assert report_a.pttr != report_b.pttr
     # the Integrity Manager turns the divergent pair into one alert
@@ -302,7 +398,7 @@ def test_byzantine_commit_root_is_rolled_back_and_reported():
     b.receive_commit(forged, tick)
     assert b.ptts[key].root() == before
     assert b.balance == 10_000
-    assert [k for k, _ in b.drain_reports()] == ["im"]
+    assert [k for k, _ in drain_reports(b)] == ["im"]
 
 
 @pytest.mark.parametrize("copied", [True, False],
@@ -343,7 +439,7 @@ def test_commit_after_a_stale_answer_checks_the_opened_balance(copied):
     else:
         two.receive_commit(commit, tick + 3)
         assert two.balance == 10_005 == two.expected_balance()
-        assert [kind for kind, _ in two.drain_reports()] == ["im", "cm"]
+        assert [kind for kind, _ in drain_reports(two)] == ["im", "cm"]
 
 
 def test_stale_answer_rolls_the_balance_tree_back_in_log_time(sha256_calls):

@@ -18,18 +18,20 @@ from deltamoney.currency_manager import CurrencyManager
 from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
 from deltamoney import scenario
 from deltamoney.scenario import STEPS, Step, parse_scenario, run_scenario
-from deltamoney.sim import (
-    FAULTS,
-    POLICIES,
+from deltamoney.client import (
     RETRY_BASE,
     RETRY_CAP,
     RETRY_MAX_ATTEMPTS,
+    retry_delay,
+)
+from deltamoney.sim import (
+    FAULTS,
+    POLICIES,
     DeliveryPolicy,
     FaultKind,
     PolicyKind,
     Simulation,
     grid_roots,
-    retry_delay,
 )
 from worlds import small_world
 
@@ -205,7 +207,7 @@ def test_crashed_payer_gives_up_each_queued_command_once():
                         for payee, amount in ((2, 11), (2, 12), (2, 13), (3, 14))]
     assert "|client:2|reject|pair=(1, 2) reason=busy" in sim.log.text()
     assert (sim.clients[2].balance, sim.clients[3].balance) == (1_995, 3_005)
-    assert sim.alerts == [] and not sim.outbox.get(1)
+    assert sim.alerts == [] and not sim.clients[1].queue
 
 
 def test_proposal_dropped_at_a_crashed_payee_aborts_and_frees_the_payer():
@@ -236,6 +238,25 @@ def test_payer_crash_after_acceptance_rolls_the_payee_back():
     assert not sim.clients[3].busy
     # the payer never appended, so the payee's rollback files no report
     assert sim.im._pending_aborts == {}
+
+
+def test_commit_reaching_a_rebuilt_payee_with_no_exchange_is_logged_ignore():
+    """Client 1 accepted (1, 3) seq 1, then crashed and was rebuilt before
+    the commit landed: the commit finds no exchange and changes nothing,
+    so the log does not call it a commit.  The lost record still breaks
+    conservation here (ROADMAP item 14)."""
+    sim = small_world(seed=11)
+    for payer, payee, amount in ((1, 2, 10), (3, 1, 5), (1, 2, 11)):
+        sim.transfer(payer, payee, amount)
+    sim.advance(1)
+    sim.transfer(3, 1, 6)
+    sim.advance(7)
+    sim.inject("crash-client", 1)
+    sim.recover(1)
+    sim.quiesce()
+    assert "40|client:1|ignore|pair=(1, 3) seq=1 msg=commit" in sim.log.lines
+    assert not any("|client:1|commit|pair=(1, 3) seq=1 " in line
+                   for line in sim.log.lines)
 
 
 def assert_settled(sim, pair):
