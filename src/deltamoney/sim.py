@@ -227,9 +227,9 @@ class Simulation:
         """Queue ``message`` for delivery ``delay`` ticks from now.
 
         ``target`` and ``sender`` are each a client id or a name (``"cm"``,
-        ``"im"``, ``"sim"``).  With ``policy`` the delivery policy sets the ticks instead: next
-        tick under ``normal``, otherwise the offsets of its row in
-        ``POLICIES``, each delivered as an event of its own.
+        ``"im"``, ``"sim"``).  With ``policy`` the delivery policy sets the
+        ticks instead: next tick under ``normal``, otherwise the offsets of
+        its row in ``POLICIES``, each delivered as an event of its own.
         """
         if policy:
             kind = self.policy.kind
