@@ -639,7 +639,7 @@ class ClientNode:
             balance = change.new_balance
         mht = BalanceMHT.build(records)
 
-        # a crash left no command; a live node's give up in its next output
+        # a live node's queued commands give up in its outbox; a crashed one has none
         self.outbox = self.wipe()
         self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
 
