@@ -24,7 +24,7 @@ from .client import ClientNode, pair_of
 from .currency_manager import MANAGER_ID
 from .data_client import authorize, query_transactions, parse_vo, verify_vo
 from .errors import CorruptSnapshot, DeltaMoneyError
-from .hashing import KeyStore, Signature
+from .hashing import SCHEMES, KeyStore, Signature
 from .integrity_manager import (
     IntegrityManager,
     PTTRAttestation,
@@ -47,7 +47,7 @@ def _write_state(sim: Simulation, state_dir: Path) -> None:
     state_dir.mkdir(parents=True, exist_ok=True)
     keys = {
         "scheme": sim.keystore.scheme,
-        "seed": sim.keystore._seed.hex(),
+        "seed": sim.keystore.seed.hex(),
         "im_signer": IM_SIGNER,
         "signers": sorted(
             set(sim.clients) | {MANAGER_ID, IM_SIGNER}
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log", default=None, help="write the event log here")
     p_run.add_argument("--state-dir", default=None,
                        help="persist snapshots, balances, grids, and keys")
-    p_run.add_argument("--scheme", default="stub", choices=("stub", "ed25519"))
+    p_run.add_argument("--scheme", default="stub", choices=tuple(SCHEMES))
     p_run.set_defaults(func=_cmd_run)
 
     p_grid = sub.add_parser("verify-grid", help="recheck a captured grid")

@@ -92,9 +92,11 @@ RETRY_MAX_ATTEMPTS = 40
 
 #: Abort reason for an acceptance that reaches a payer holding no proposal
 STALE = "stale"
+#: Abort reason for an acceptance whose record is not the payer's proposal
+MISMATCH = "record does not match proposal"
 #: Abort reasons of exchanges the payer never appended: there is no second
 #: root to compare, so the payee's rollback reports nothing
-ONE_SIDED_ABORTS = frozenset({"unreachable", STALE})
+ONE_SIDED_ABORTS = frozenset({"unreachable", STALE, MISMATCH})
 
 
 def retry_delay(key: int, attempt: int) -> int:
@@ -152,7 +154,6 @@ class CommitMsg(NamedTuple):
 class AbortMsg(NamedTuple):
     pair_key: tuple[int, int]
     pair_seq: int
-    payer_root: Digest
     reason: str
 
 
@@ -202,12 +203,10 @@ class ClientNode:
                  opening_reserve: int = 0) -> None:
         self.id = client_id
         self.keystore = keystore
-        if not keystore.has(client_id):
-            keystore.generate(client_id)
+        keystore.generate(client_id)
         self.transaction_limit = transaction_limit
         self.mht = BalanceMHT()
         self.ptts: dict[tuple[int, int], PeerTransactionTree] = {}
-        self.client_seq = 0
         self.opening_reserve = opening_reserve
         # the exchange in flight: (pair key, proposal sent as payer or
         # record accepted as payee, balance it opened with), or None
@@ -218,7 +217,6 @@ class ClientNode:
         self.attempts = self.due = 0
         self.outbox: list[tuple] = []  # see ``handle``
         if opening_reserve:
-            self.client_seq = 1
             self.mht.insert(self._opening_record())
 
     def _opening_record(self) -> BalanceChangeRecord:
@@ -378,13 +376,14 @@ class ClientNode:
                 proposal.payee_id, proposal.payer_prior_commit,
                 proposal.payer_new_commit, proposal.payer_provenance,
                 proposal.timestamp):
-            return self._abort(key, record, "record does not match proposal")
+            return AbortMsg(key, record.pair_seq, MISMATCH)
         ptt = self.ptts[key]
         ptt.append_record(record)
         my_root = ptt.root()
         if my_root != msg.payee_root:
             ptt.rollback_last()
-            return self._abort(key, record, "root mismatch", my_root)
+            self._report_divergence(record, my_root)
+            return AbortMsg(key, record.pair_seq, "root mismatch")
         self._finalize(key, record, my_root, opened)
         return CommitMsg(key, record.pair_seq, my_root)
 
@@ -405,8 +404,7 @@ class ClientNode:
             # proposal's tick, and nothing commits here until the answer
             ptt.rollback_last()
             self.mht.remove_last()
-            self.client_seq -= 1
-        return AbortMsg(key, record.pair_seq, b"\x00" * 32, STALE)
+        return AbortMsg(key, record.pair_seq, STALE)
 
     def receive_commit(self, msg: CommitMsg, now: int):
         """End the payee's exchange; returns the slot it emptied, or None."""
@@ -450,12 +448,6 @@ class ClientNode:
         self._exchange = None
         return slot
 
-    def _abort(self, key, record, reason: str,
-               my_root: Optional[Digest] = None) -> AbortMsg:
-        if my_root is not None:
-            self._report_divergence(record, my_root)
-        return AbortMsg(key, record.pair_seq, my_root or b"\x00" * 32, reason)
-
     def _report_divergence(self, record: TransactionPairRecord,
                            my_root: Digest) -> None:
         key = pair_of(record.payer_id, record.payee_id)
@@ -498,9 +490,8 @@ class ClientNode:
                 "prior balance does not match the record's commitment")
         prior_mhtr = self.mht.root()
         change = self._balance_change(
-            record, prior_balance, self.client_seq + 1, root
+            record, prior_balance, len(self.mht) + 1, root
         )
-        self.client_seq += 1
         self.mht.insert(change)
         if self.id == MANAGER_ID:
             return
@@ -536,7 +527,6 @@ class ClientNode:
         gave_up = [cmd.give_up("crashed") for cmd in self.queue]
         self.mht = BalanceMHT()
         self.ptts = {}
-        self.client_seq = 0
         self._exchange = None
         self.queue = deque()
         self.attempts = self.due = 0
@@ -623,17 +613,14 @@ class ClientNode:
                        for record, root in zip(ptt.records, ptt.prefix_roots())]
         replay.sort()
         balance = self.opening_reserve
-        client_seq = 0
         records = []
         if self.opening_reserve:
-            client_seq = 1
             records.append(self._opening_record())
         for _, _, _, record, root in replay:
-            client_seq += 1
             # built first, so a replay that drives the balance negative
             # raises ``NegativeBalance`` before ``local_view`` finds the
             # prior balance off the record's commitment
-            change = self._balance_change(record, balance, client_seq, root)
+            change = self._balance_change(record, balance, len(records) + 1, root)
             local_view(record, self.id, balance)
             records.append(change)
             balance = change.new_balance
@@ -641,7 +628,7 @@ class ClientNode:
 
         # a live node's queued commands give up in its outbox; a crashed one has none
         self.outbox = self.wipe()
-        self.ptts, self.client_seq, self.mht = rebuilt, client_seq, mht
+        self.ptts, self.mht = rebuilt, mht
 
     # ------------------------------------------------------------------
     # persistence
@@ -656,7 +643,7 @@ class ClientNode:
             self.SNAPSHOT_MAGIC,
             u32(self.SNAPSHOT_VERSION),
             u64(self.id),
-            u64(self.client_seq),
+            u64(len(self.mht)),
             u64(self.transaction_limit),
             u64(self.opening_reserve),
         ]
@@ -693,7 +680,6 @@ class ClientNode:
                 raise CorruptSnapshot(
                     f"client_seq {client_seq} does not count the "
                     f"{len(node.mht)} balance records")
-            node.client_seq = client_seq
             for _ in range(r.u32()):
                 replica = PairReplica.read(r)
                 ptt = PeerTransactionTree.restore(replica)

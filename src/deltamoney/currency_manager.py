@@ -194,8 +194,7 @@ class CurrencyManager:
 
     def __init__(self, keystore: Optional[KeyStore] = None) -> None:
         self.keystore = keystore if keystore is not None else KeyStore()
-        if not self.keystore.has(MANAGER_ID):
-            self.keystore.generate(MANAGER_ID)
+        self.keystore.generate(MANAGER_ID)
         self.registry: set[int] = set()
         self.table = TemporalBalanceTable()
         self.supply = SupplyLedger()

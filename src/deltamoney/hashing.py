@@ -17,9 +17,9 @@ other.  0x04 and 0x05 are unused; 0x06 keeps its value, which pinned
 grids hash.
 
 Other hashes carry no tag: the grid's row, column and grid digests, the
-client snapshot checksum and ``KeyStore``'s key derivation. None of them is ever compared
-with a tree node; the grid digests are pinned by golden event logs, so
-adding a tag would change recorded output.
+client snapshot checksum and ``KeyStore``'s key derivation. None of them
+is ever compared with a tree node; the grid digests are pinned by golden
+event logs, so adding a tag would change recorded output.
 
 Every tree, commitment and grid digest is one call of ``digest``:
 SHA-256, at one Python frame over ``hashlib``. It looks ``hashlib.sha256``
@@ -27,7 +27,8 @@ up on every call, so a counter patched over that sees each digest.
 ``hash_leaf`` and ``hash_internal`` state the Merkle trees' two node
 digests; ``merkle`` inlines them, and the tests hold it to them. Root
 signatures are pluggable: a real Ed25519 scheme and a deterministic
-HMAC-style stub ship with the engine.
+HMAC-style stub ship with the engine.  Each signer has one key object
+that both signs and verifies, and ``KeyStore`` keeps one per signer id.
 """
 
 from __future__ import annotations
@@ -94,14 +95,13 @@ class Signature:
     signer_id: int
 
 
-class StubKeyPair:
+class StubKey:
     """Deterministic signing double for simulations and tests.
 
-    Signatures are keyed digests of the message; the "public" half carries
-    the secret, which is fine for a test scheme that never leaves a process.
+    Signatures are keyed digests of the message, so one secret both signs
+    and verifies, which is fine for a test scheme that never leaves a
+    process.
     """
-
-    scheme = "stub"
 
     def __init__(self, signer_id: int, secret: bytes):
         self.signer_id = signer_id
@@ -111,106 +111,66 @@ class StubKeyPair:
         mac = hmac.new(self._secret, message, hashlib.sha256).digest()
         return Signature(mac, self.signer_id)
 
-    def public_key(self) -> "StubPublicKey":
-        return StubPublicKey(self.signer_id, self._secret)
-
-
-class StubPublicKey:
-    scheme = "stub"
-
-    def __init__(self, signer_id: int, secret: bytes):
-        self.signer_id = signer_id
-        self._secret = secret
-
     def verify(self, message: bytes, signature: Signature) -> bool:
         expected = hmac.new(self._secret, message, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signature.bytes)
 
 
-class Ed25519KeyPair:
-    """Real asymmetric scheme; deterministic given a 32-byte seed."""
+class Ed25519Key:
+    """Real asymmetric scheme; deterministic given a 32-byte seed.
 
-    scheme = "ed25519"
+    The public key is derived once, here, and checks every signature.
+    """
 
     def __init__(self, signer_id: int, seed: bytes):
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
         self.signer_id = signer_id
         self._private = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
+        self._public = self._private.public_key()
 
     def sign(self, message: bytes) -> Signature:
         return Signature(self._private.sign(message), self.signer_id)
-
-    def public_key(self) -> "Ed25519PublicKey":
-        from cryptography.hazmat.primitives import serialization
-
-        raw = self._private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return Ed25519PublicKey(self.signer_id, raw)
-
-
-class Ed25519PublicKey:
-    scheme = "ed25519"
-
-    def __init__(self, signer_id: int, raw: bytes):
-        from cryptography.hazmat.primitives.asymmetric import ed25519
-
-        self.signer_id = signer_id
-        self.raw = raw
-        self._key = ed25519.Ed25519PublicKey.from_public_bytes(raw)
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         from cryptography.exceptions import InvalidSignature
 
         try:
-            self._key.verify(signature.bytes, message)
+            self._public.verify(signature.bytes, message)
             return True
         except InvalidSignature:
             return False
 
 
-class KeyStore:
-    """Per-participant key handles, indexed by signer id.
+#: The key class of each signature scheme, by the name ``keys.json`` records
+SCHEMES = {"stub": StubKey, "ed25519": Ed25519Key}
 
-    Each signer's public half is derived once, when its pair is
-    generated, and every later ``public`` and ``verify`` reuses it.
-    """
+
+class KeyStore:
+    """One key per signer, indexed by signer id, derived from ``seed``."""
 
     def __init__(self, scheme: str = "stub", seed: bytes = b"deltamoney"):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown signature scheme {scheme!r}")
         self.scheme = scheme
-        self._seed = seed
-        self._pairs: dict[int, object] = {}
-        self._publics: dict[int, object] = {}
+        self.seed = seed
+        self._keys: dict[int, StubKey | Ed25519Key] = {}
 
-    def generate(self, signer_id: int):
-        material = hashlib.sha256(self._seed + u64(signer_id)).digest()
-        if self.scheme == "ed25519":
-            pair = Ed25519KeyPair(signer_id, material)
-        else:
-            pair = StubKeyPair(signer_id, material)
-        self._pairs[signer_id] = pair
-        self._publics[signer_id] = pair.public_key()
-        return pair
-
-    def has(self, signer_id: int) -> bool:
-        return signer_id in self._pairs
-
-    def pair(self, signer_id: int):
-        try:
-            return self._pairs[signer_id]
-        except KeyError:
-            raise UnknownKey(f"no key registered for signer {signer_id}") from None
+    def generate(self, signer_id: int) -> StubKey | Ed25519Key:
+        """The signer's key, derived on the first call and kept."""
+        key = self._keys.get(signer_id)
+        if key is None:
+            material = hashlib.sha256(self.seed + u64(signer_id)).digest()
+            key = self._keys[signer_id] = SCHEMES[self.scheme](signer_id, material)
+        return key
 
     def sign(self, signer_id: int, message: bytes) -> Signature:
-        return self.pair(signer_id).sign(message)
-
-    def public(self, signer_id: int):
         try:
-            return self._publics[signer_id]
+            key = self._keys[signer_id]
         except KeyError:
             raise UnknownKey(f"no key registered for signer {signer_id}") from None
+        return key.sign(message)
 
     def verify(self, signature: Signature, message: bytes) -> bool:
-        public = self._publics.get(signature.signer_id)
-        return public is not None and public.verify(message, signature)
+        key = self._keys.get(signature.signer_id)
+        return key is not None and key.verify(message, signature)

@@ -151,8 +151,7 @@ class IntegrityManager:
                  reporting_deadline: int = DEFAULT_REPORTING_DEADLINE) -> None:
         self.keystore = keystore
         self.signer_id = signer_id
-        if not keystore.has(signer_id):
-            keystore.generate(signer_id)
+        keystore.generate(signer_id)
         self.reporting_deadline = reporting_deadline
         self.known_clients: set[int] = set()
         self.known_pairs: set[tuple[int, int]] = set()

@@ -35,7 +35,7 @@ written ``A:B``.  The grammar:
 Commands are scheduled, not executed, until an ``advance`` or ``quiesce``
 runs the clock.  Each payer runs its transfers one at a time, in order.
 A proposal that meets a busy payee is retried on a jittered backoff (4,
-then up to 8, 16, 32 and 64 ticks; see ``deltamoney.sim``).  Each manager
+then up to 8, 16, 32 and 64 ticks; see ``deltamoney.client``).  Each manager
 report is sent once; ``partition-manager`` holds the reports that fall
 due during it and delivers them when it ends.  A message dropped at a
 crashed client is answered ``unreachable``, a crashed payer gives up its

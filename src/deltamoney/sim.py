@@ -355,7 +355,7 @@ class Simulation:
         elif isinstance(message, AcceptMsg):
             r = message.record
             self.send(sender, target, AbortMsg(pair_of(r.payer_id, r.payee_id),
-                      r.pair_seq, b"\x00" * 32, "unreachable"), delay=0)
+                      r.pair_seq, "unreachable"), delay=0)
         elif isinstance(message, StartTransferCmd):  # not a retry's wake-up
             self._act(target, [message.give_up("crashed")])
 

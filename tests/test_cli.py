@@ -287,6 +287,44 @@ def test_prove_loads_only_the_pair_members_and_the_first_that_loads(
         assert "correct=True complete=True" in capsys.readouterr().out
 
 
+def test_ed25519_state_dir_passes_the_offline_audit_and_reruns_identically(
+        tmp_path, capsys):
+    """grid3.scn signed with Ed25519: the grid verifies, a proof checks
+    against keys.json alone, a forged grid signature is refused, and a
+    second run leaves the same bytes (RFC 8032 signing is deterministic)."""
+    def run(name):
+        state_dir = tmp_path / name
+        assert main(["run", str(SCENARIOS / "grid3.scn"), "--scheme", "ed25519",
+                     "--log", str(tmp_path / f"{name}.log"),
+                     "--state-dir", str(state_dir)]) == 0
+        return state_dir
+
+    state_dir = run("first")
+    keys = state_dir / "keys.json"
+    assert json.loads(keys.read_text())["scheme"] == "ed25519"
+    grid_file = state_dir / "grid_0.txt"
+    assert main(["verify-grid", str(grid_file), str(state_dir)]) == 0
+    vo_path = tmp_path / "p.vo"
+    assert main(["prove", str(state_dir), "--pair", "1:2", "--seq", "1",
+                 "--out", str(vo_path)]) == 0
+    assert main(["check", str(vo_path), "--keys", str(keys)]) == 0
+    assert "correct=True complete=True" in capsys.readouterr().out
+
+    again = run("second")
+    names = sorted(p.name for p in state_dir.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (state_dir / name).read_bytes() == (again / name).read_bytes(), name
+
+    lines = grid_file.read_text().splitlines()
+    tag, signer, sig = lines[-1].split("|")
+    assert tag == "signature" and len(bytes.fromhex(sig)) == 64
+    forged = f"{sig[:-2]}{int(sig[-2:], 16) ^ 1:02x}"
+    grid_file.write_text("\n".join(lines[:-1] + [f"{tag}|{signer}|{forged}"]) + "\n")
+    assert main(["verify-grid", str(grid_file), str(state_dir)]) == 1
+    assert "grid signature does not verify" in capsys.readouterr().err
+
+
 # sha256 of every file ``run --state-dir`` writes for each shipped
 # scenario: snapshots, balance table, attestations, grids and keys
 STATE_DIGESTS = {

@@ -156,7 +156,7 @@ def test_stray_messages_leave_a_busy_client_busy():
     opened = three.start_transfer(2, 100, tick)
     accepted = two.receive_propose(opened, tick)
     assert isinstance(accepted, AcceptMsg)
-    two.receive_abort(AbortMsg((1, 2), 1, b"\x00" * 32, "stray"), tick)
+    two.receive_abort(AbortMsg((1, 2), 1, "stray"), tick)
     two.receive_commit(CommitMsg((1, 2), 1, b"\x00" * 32), tick)
     two.receive_reject(RejectMsg((2, 3), 1, "stray"), tick)
     assert two.busy
@@ -164,7 +164,7 @@ def test_stray_messages_leave_a_busy_client_busy():
     # pair, and a commit or abort for its own pair, which only a payee gets
     three.receive_reject(RejectMsg((1, 3), 1, "stray"), tick)
     three.receive_commit(CommitMsg((2, 3), 1, b"\x00" * 32), tick)
-    three.receive_abort(AbortMsg((2, 3), 1, b"\x00" * 32, "stray"), tick)
+    three.receive_abort(AbortMsg((2, 3), 1, "stray"), tick)
     assert three.busy
     second = one.start_transfer(2, 40, tick)
     assert two.receive_propose(second, tick).reason == "busy"
@@ -257,7 +257,7 @@ def test_refused_head_frees_the_queue_on_the_same_tick():
 def test_commit_or_abort_with_no_exchange_is_logged_ignore():
     three = bare_nodes(1, 3)[3]
     for msg, kind in ((CommitMsg((1, 3), 1, b"\x00" * 32), "commit"),
-                      (AbortMsg((1, 3), 1, b"\x00" * 32, "stray"), "abort")):
+                      (AbortMsg((1, 3), 1, "stray"), "abort")):
         assert three.handle(1, msg, 5) == [
             ("ignore", f"pair=(1, 3) seq=1 msg={kind}")]
     assert three.ptts[(1, 3)].last_seq == 0 and three.balance == 1_000
@@ -356,6 +356,38 @@ def test_divergent_payee_root_aborts_and_rolls_back():
     assert [k for k, _ in b_reports] == ["im"]
     assert a_reports[0][1].aborted and b_reports[0][1].aborted
     assert a_reports[0][1].pttr == b_reports[0][1].pttr
+
+
+def test_acceptance_of_another_record_aborts_one_sided():
+    """An acceptance whose record is not the proposal aborts before the
+    payer appends anything, so there is no second root to compare:
+    neither side reports, and the Integrity Manager holds nothing."""
+    sim = small_world(clients=2, fund=10_000)
+    a, b, tick = sim.clients[1], sim.clients[2], sim.now
+    key = pair_of(1, 2)
+    root_before = b.ptts[key].root()
+    _, (_, propose, _) = a.handle(None, StartTransferCmd(1, 2, 40, 1), tick)
+    (_, accepted, _), = b.handle(1, propose, tick)
+    forged = AcceptMsg(accepted.record._replace(amount=41), accepted.payee_root)
+    payer_out = a.handle(2, forged, tick)
+    abort = payer_out[1][1]
+    assert payer_out == [
+        ("abort", "pair=(1, 2) seq=1 reason=record does not match proposal"),
+        (2, abort, 1),
+    ]
+    payee_out = b.handle(1, abort, tick)
+    assert payee_out == [
+        ("abort", "pair=(1, 2) seq=1 reason=record does not match proposal"),
+    ]
+    assert b.ptts[key].root() == root_before and len(b.ptts[key]) == 0
+    assert not a.busy and not b.busy and not a.queue
+    assert a.balance == b.balance == 10_000
+    for entry in payer_out + payee_out:
+        if entry[0] == "im":
+            sim.im.ingest_report(entry[1], now=tick)
+    sim.advance(50)
+    assert sim.im._pending_aborts == {} and sim.im.next_deadline() is None
+    assert sim.alerts == []
 
 
 def test_tampered_replica_aborts_with_divergent_reports():
@@ -533,14 +565,14 @@ class TestRecovery:
         balance_before = victim.balance
         ptt_roots_before = {k: p.root() for k, p in victim.ptts.items()}
         views_before = view_tuples(victim)
-        seq_before = victim.client_seq
+        seq_before = len(victim.mht)
 
         partners = [sim.clients[i].export_recovery_data(1) for i in (0, 2, 3)]
         victim.recover_transactions(partners, lambda key: None)
 
         assert victim.mht.root() == mhtr_before
         assert victim.balance == balance_before
-        assert victim.client_seq == seq_before
+        assert len(victim.mht) == seq_before
         assert {k: p.root() for k, p in victim.ptts.items()} == ptt_roots_before
         assert view_tuples(victim) == views_before
 
@@ -564,11 +596,11 @@ class TestRecovery:
             partners = [sim.clients[p].export_recovery_data(node.id)
                         for p in partners]
             before = (node.mht.root(), node.persist_snapshot(),
-                      node.client_seq, view_tuples(node))
+                      len(node.mht), view_tuples(node))
             node.wipe()
             node.recover_transactions(partners, lambda key: None)
             assert (node.mht.root(), node.persist_snapshot(),
-                    node.client_seq, view_tuples(node)) == before
+                    len(node.mht), view_tuples(node)) == before
             loaded = ClientNode.load_snapshot(node.persist_snapshot(),
                                               node.keystore)
             assert loaded.mht.root() == node.mht.root()
@@ -679,7 +711,7 @@ class TestRecovery:
             partners.append(sim.clients[2].export_recovery_data(3))
 
         def state():
-            return (a.persist_snapshot(), a.balance, len(a.mht), a.client_seq,
+            return (a.persist_snapshot(), a.balance, len(a.mht),
                     a.mht.root(), view_tuples(a),
                     {k: p.root() for k, p in a.ptts.items()})
 
@@ -886,7 +918,7 @@ class TestSnapshots:
         loaded = ClientNode.load_snapshot(blob, ks)
         assert loaded.id == node.id
         assert loaded.balance == node.balance
-        assert loaded.client_seq == node.client_seq
+        assert len(loaded.mht) == len(node.mht)
         assert loaded.mht.root() == node.mht.root()
         assert loaded.transaction_limit == node.transaction_limit
         assert {k: p.root() for k, p in loaded.ptts.items()} == {
@@ -929,7 +961,7 @@ class TestSnapshots:
         a = run_traffic(seed=13).clients[1]
         body = bytearray(a.persist_snapshot()[:-32])
         at = 4 + 4 + 8  # magic, version and id, then client_seq
-        body[at:at + 8] = (a.client_seq + off_by).to_bytes(8, "big")
+        body[at:at + 8] = (len(a.mht) + off_by).to_bytes(8, "big")
         blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
         with pytest.raises(CorruptSnapshot, match="does not count"):
             ClientNode.load_snapshot(blob, KeyStore("stub"))

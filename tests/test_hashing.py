@@ -6,10 +6,10 @@ import pytest
 from deltamoney.encoding import u64
 from deltamoney.errors import EmptyPayload, NegativeBalance, UnknownKey
 from deltamoney.hashing import (
-    Ed25519KeyPair,
+    Ed25519Key,
     KeyStore,
     Signature,
-    StubKeyPair,
+    StubKey,
     commit_balance,
     hash_internal,
     hash_leaf,
@@ -82,30 +82,41 @@ def test_commit_balance_binding_over_random_triples():
     assert len(seen) == len(set(seen.values()))
 
 
-@pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])
-def test_sign_verify_round_trip(pair_cls):
-    pair = pair_cls(9, b"\x11" * 32)
+@pytest.mark.parametrize("key_cls", [StubKey, Ed25519Key])
+def test_sign_verify_round_trip(key_cls):
+    key = key_cls(9, b"\x11" * 32)
     root = hash_leaf(b"root")
-    sig = pair.sign(root)
-    assert pair.public_key().verify(root, sig)
+    sig = key.sign(root)
+    assert sig.signer_id == 9
+    assert key.verify(root, sig)
 
 
-@pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])
-def test_verify_rejects_flipped_root(pair_cls):
-    pair = pair_cls(9, b"\x11" * 32)
+@pytest.mark.parametrize("key_cls", [StubKey, Ed25519Key])
+def test_verify_rejects_flipped_root(key_cls):
+    key = key_cls(9, b"\x11" * 32)
     root = hash_leaf(b"root")
-    sig = pair.sign(root)
+    sig = key.sign(root)
     flipped = bytes([root[0] ^ 1]) + root[1:]
-    assert not pair.public_key().verify(flipped, sig)
+    assert not key.verify(flipped, sig)
 
 
-@pytest.mark.parametrize("pair_cls", [StubKeyPair, Ed25519KeyPair])
-def test_verify_rejects_other_signer(pair_cls):
-    pair = pair_cls(9, b"\x11" * 32)
-    other = pair_cls(10, b"\x22" * 32)
+@pytest.mark.parametrize("key_cls", [StubKey, Ed25519Key])
+def test_verify_rejects_other_signer(key_cls):
+    key = key_cls(9, b"\x11" * 32)
+    other = key_cls(10, b"\x22" * 32)
     root = hash_leaf(b"root")
-    sig = pair.sign(root)
-    assert not other.public_key().verify(root, sig)
+    sig = key.sign(root)
+    assert not other.verify(root, sig)
+
+
+def test_ed25519_signature_checks_under_the_seeds_own_public_key():
+    # an independent verifier, built from the seed outside the module
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    seed, root = b"\x11" * 32, hash_leaf(b"root")
+    sig = Ed25519Key(9, seed).sign(root)
+    public = ed25519.Ed25519PrivateKey.from_private_bytes(seed).public_key()
+    public.verify(sig.bytes, root)  # raises InvalidSignature on a bad one
 
 
 def test_keystore_unknown_handle():
@@ -114,20 +125,25 @@ def test_keystore_unknown_handle():
         store.sign(42, b"msg")
 
 
+def test_keystore_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match="nonesuch"):
+        KeyStore("nonesuch")
+
+
 def test_keystore_round_trip():
     store = KeyStore(scheme="ed25519")
-    store.generate(3)
+    key = store.generate(3)
     sig = store.sign(3, b"msg")
-    assert store.public(3).verify(b"msg", sig)
+    assert isinstance(key, Ed25519Key) and key.verify(b"msg", sig)
 
 
 @pytest.mark.parametrize("scheme", ["stub", "ed25519"])
 def test_keystore_keeps_one_public_key_per_signer(scheme):
     store = KeyStore(scheme=scheme)
-    store.generate(3)
-    assert store.public(3) is store.public(3)
+    key = store.generate(3)
+    assert store.generate(3) is key
     sig = store.sign(3, b"msg")
     assert store.verify(sig, b"msg") and not store.verify(sig, b"other")
     assert not store.verify(Signature(sig.bytes, 4), b"msg")
     with pytest.raises(UnknownKey):
-        store.public(4)
+        store.sign(4, b"msg")

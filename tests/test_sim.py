@@ -287,7 +287,7 @@ def test_acceptance_reaching_a_rebuilt_payer_aborts_stale(ticks, recovered_balan
     assert "34|client:2|abort|pair=(1, 2) seq=1 reason=stale" in sim.log.lines
     assert [sim.clients[c].balance for c in (1, 2, 3)] == [1_000, 2_000, 3_000]
     assert len(sim.clients[1].ptts[(1, 2)]) == 0
-    assert sim.clients[1].client_seq == 1  # the issuance only
+    assert len(sim.clients[1].mht) == 1  # the issuance only
     assert_settled(sim, (1, 2))
     sim.transfer(1, 2, 25)
     sim.quiesce()
@@ -1180,7 +1180,7 @@ def _wire_values():
         client.ProposeMsg(proposal),
         client.AcceptMsg(None, digest),
         client.CommitMsg((1, 2), 1, digest),
-        client.AbortMsg((1, 2), 1, digest, "stale"),
+        client.AbortMsg((1, 2), 1, "stale"),
         client.RejectMsg((1, 2), 1, "busy"),
         currency_manager.BalanceReport(1, 10, digest, digest, digest, 0),
         proposal,
