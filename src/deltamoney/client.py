@@ -549,11 +549,9 @@ class ClientNode:
         ``(seq, root)`` for the pair, the rebuilt history must reach
         ``seq`` (a shorter one is truncated) and its prefix root at
         ``seq`` must be that root: the IM lags the peers, so an honest
-        history may run past what it validated.  A ``seq`` at or before
-        the current epoch's start has no prefix in the rebuilt tree, and
-        is compared with its whole root.  The balance records are then
-        replayed in timestamp order, sorted from the pairs' record lists,
-        each citing the root its pair tree had right after it: one
+        history may run past what it validated.  The balance records are
+        then replayed in timestamp order, sorted from the pairs' record
+        lists, each citing the root its pair tree had right after it: one
         ``prefix_roots`` call per pair reads them from the levels that
         build already stored, no second tree.  Each record's balance
         change is built by ``_balance_change`` and its commitments checked
@@ -595,7 +593,7 @@ class ClientNode:
                         f"pair {key}: rebuilt history ends at seq {ptt.last_seq}, "
                         f"before the validated seq {seq}"
                     )
-                if ptt.epoch_start < seq < ptt.last_seq:
+                if seq < ptt.last_seq:
                     root = ptt.root_after(seq)
                 if root != trusted:
                     raise PartnerRootDisagreement(
@@ -634,7 +632,7 @@ class ClientNode:
     # persistence
 
     SNAPSHOT_MAGIC = b"DMCS"
-    SNAPSHOT_VERSION = 1
+    SNAPSHOT_VERSION = 2
 
     def persist_snapshot(self) -> bytes:
         if self.busy:

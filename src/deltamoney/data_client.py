@@ -95,15 +95,14 @@ def _read_sig(r: Reader) -> Signature:
 class TransactionInclusionVO:
     """Records of one pair over a seq range and one multiproof for them all.
 
-    The proof is against the attested prefix, ``attestation.pair_seq -
-    epoch_start`` leaves, a size never sent.  Bytes: the header fields and
-    attestation, the record count, the records, then digests to the end.
+    The proof is against the attested prefix, ``attestation.pair_seq``
+    leaves, a size never sent.  Bytes: the header fields and attestation,
+    the record count, the records, then digests to the end.
     """
 
     pair_key: tuple[int, int]
     seq_lo: int
     seq_hi: int
-    epoch_start: int  # pair_seq of the current epoch's first leaf, minus one
     records: tuple[bytes, ...]
     proof: tuple[Digest, ...]
     attestation: PTTRAttestation
@@ -115,7 +114,7 @@ class TransactionInclusionVO:
         parts = [
             bytes([self.kind]),
             u64(self.pair_key[0]), u64(self.pair_key[1]),
-            u64(self.seq_lo), u64(self.seq_hi), u64(self.epoch_start),
+            u64(self.seq_lo), u64(self.seq_hi),
             u64(att.pair_seq), att.root, _sig_bytes(att.signature),
             u32(len(self.records)),
         ]
@@ -129,7 +128,7 @@ class TransactionInclusionVO:
         if r.take(1)[0] != cls.kind:
             raise ValueError("not a transaction inclusion VO")
         pair_key = (r.u64(), r.u64())
-        seq_lo, seq_hi, epoch_start = r.u64(), r.u64(), r.u64()
+        seq_lo, seq_hi = r.u64(), r.u64()
         att_seq = r.u64()
         att_root = r.take(DIGEST_SIZE)
         sig = _read_sig(r)
@@ -138,7 +137,7 @@ class TransactionInclusionVO:
                       for _ in range((len(data) - r.offset) // DIGEST_SIZE))
         if not r.done():
             raise ValueError("VO proof is not a whole number of digests")
-        return cls(pair_key, seq_lo, seq_hi, epoch_start, records, proof,
+        return cls(pair_key, seq_lo, seq_hi, records, proof,
                    PTTRAttestation(pair_key, att_seq, att_root, sig))
 
 
@@ -218,19 +217,16 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
         raise NotRegisteredPeers(f"subject has no pair {key}")
     if attestation is None:
         raise UnknownTransaction(f"no validated root on file for pair {key}")
-    # leaf i of the current epoch holds pair_seq epoch_start + 1 + i
-    epoch_start = ptt.epoch_start
-    size = attestation.pair_seq - epoch_start
-    if not 1 <= size <= len(ptt.records):
-        raise UnknownTransaction(f"subject's epoch of {key} holds seqs "
-                                 f"{epoch_start + 1}..{ptt.last_seq}, not "
-                                 f"the attested {attestation.pair_seq}")
-    indices = [i for i in range(max(seq_lo - epoch_start - 1, 0),
-                                min(seq_hi - epoch_start, size))
+    # leaf i holds pair_seq i + 1
+    size = attestation.pair_seq
+    if not 1 <= size <= ptt.last_seq:
+        raise UnknownTransaction(f"subject's pair {key} holds seqs "
+                                 f"1..{ptt.last_seq}, not the attested {size}")
+    indices = [i for i in range(max(seq_lo - 1, 0), min(seq_hi, size))
                if ptt.records[i].pair_seq not in omit]
     records = [ptt.records[i] for i in indices]
     vo = TransactionInclusionVO(
-        key, seq_lo, seq_hi, epoch_start,
+        key, seq_lo, seq_hi,
         tuple(record.to_bytes() for record in records),
         tuple(ptt._tree.prove(indices, size)), attestation,
     )
@@ -277,10 +273,10 @@ def verify_transaction_vo(vo: TransactionInclusionVO, keystore: KeyStore,
         if (pair_of(record.payer_id, record.payee_id) != vo.pair_key
                 or not vo.seq_lo <= record.pair_seq <= vo.seq_hi):
             correct = False
-    # leaf i holds pair_seq epoch_start + 1 + i; an unparsed record left correct False
-    indices = [seq - vo.epoch_start - 1 for seq in seqs]
+    # leaf i holds pair_seq i + 1; an unparsed record left correct False
+    indices = [seq - 1 for seq in seqs]
     correct = correct and verify_inclusion(
-        vo.records, indices, att.pair_seq - vo.epoch_start, vo.proof, att.root
+        vo.records, indices, att.pair_seq, vo.proof, att.root
     )
     expected = list(range(vo.seq_lo, min(vo.seq_hi, att.pair_seq) + 1))
     complete = sorted(seqs) == expected

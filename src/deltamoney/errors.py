@@ -63,10 +63,6 @@ class NonMonotonicSequence(DeltaMoneyError):
     pass
 
 
-class MissingCounterSignature(DeltaMoneyError):
-    pass
-
-
 class CommitmentMismatch(DeltaMoneyError, ValueError):
     """A party's plaintext balance does not open its commitment in a record."""
 

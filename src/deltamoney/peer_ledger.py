@@ -9,28 +9,24 @@ never enter the shared record, only blinded commitments to them; each
 side keeps its balances in its own balance tree, and ``local_view``
 checks a record's commitments against them.
 
-A replica's whole state is one ``PairReplica``: the pair key, the epoch,
-the ``pair_seq`` the epoch started after, the net carried from archived
-epochs, the archived (epoch, root)s, the current epoch's records and the
-root.  A partner hands it to a crashed client, and a snapshot stores it
-as one section (``PairReplica.to_bytes``): the key's two ids, the epoch
-and the last ``pair_seq`` as ``u64``, the carried net as ``i64``, a
-``u32`` count of archived (``u64`` epoch, root) entries, a ``u64`` count
-of 232-byte records, the records, then the root.  Either way
-``PeerTransactionTree.restore`` rebuilds the tree from it.
+A replica's whole state is one ``PairReplica``: the pair key, the
+records and the root.  A partner hands it to a crashed client, and a
+snapshot stores it as one section (``PairReplica.to_bytes``): the key's
+two ids as ``u64``, a ``u64`` count of 232-byte records, the records,
+then the root.  Either way ``PeerTransactionTree.restore`` rebuilds the
+tree from it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .encoding import PAIR_RECORD, Reader, i64, pair_of, u32, u64
+from .encoding import PAIR_RECORD, Reader, pair_of, u64
 from .errors import (
     CommitmentMismatch,
     EmptyTree,
     InsufficientBalance,
     LimitExceeded,
-    MissingCounterSignature,
     NonMonotonicSequence,
     NonPositiveAmount,
     NotRegisteredPeers,
@@ -38,13 +34,7 @@ from .errors import (
     UnregisteredPair,
     WrongAddressee,
 )
-from .hashing import (
-    DIGEST_SIZE,
-    EMPTY_TREE_DIGEST,
-    KeyStore,
-    Signature,
-    commit_balance,
-)
+from .hashing import DIGEST_SIZE, EMPTY_TREE_DIGEST, commit_balance
 from .merkle import MerkleTree
 
 RECORD_SIZE = PAIR_RECORD.size  # 232
@@ -120,25 +110,14 @@ class PairReplica(NamedTuple):
     """
 
     pair_key: tuple[int, int]
-    epoch: int
-    epoch_start: int  # pair_seq just before the first of ``records``
-    carried_net_low: int  # archived epochs' net, for the lower id
-    archived_roots: tuple[tuple[int, bytes], ...]  # (epoch, root) each
-    records: tuple[TransactionPairRecord, ...]  # the current epoch's
+    records: tuple[TransactionPairRecord, ...]
     root: bytes
 
     def to_bytes(self) -> bytes:
         """The snapshot's pair section, laid out as the module docstring says."""
-        records = self.records
-        parts = [
-            u64(self.pair_key[0]), u64(self.pair_key[1]), u64(self.epoch),
-            u64(self.epoch_start + len(records)), i64(self.carried_net_low),
-            u32(len(self.archived_roots)),
-        ]
-        for epoch, root in self.archived_roots:
-            parts += (u64(epoch), root)
-        parts.append(u64(len(records)))
-        parts += [record.to_bytes() for record in records]
+        parts = [u64(self.pair_key[0]), u64(self.pair_key[1]),
+                 u64(len(self.records))]
+        parts += [record.to_bytes() for record in self.records]
         parts.append(self.root)
         return b"".join(parts)
 
@@ -146,15 +125,9 @@ class PairReplica(NamedTuple):
     def read(cls, r: Reader) -> "PairReplica":
         """Read one ``to_bytes`` section; a cut-short one raises ``ValueError``."""
         pair_key = (r.u64(), r.u64())
-        epoch = r.u64()
-        last_seq = r.u64()
-        carried_net_low = r.i64()
-        archived_roots = tuple((r.u64(), r.take(DIGEST_SIZE))
-                               for _ in range(r.u32()))
         records = tuple(TransactionPairRecord.from_bytes(r.take(RECORD_SIZE))
                         for _ in range(r.u64()))
-        return cls(pair_key, epoch, last_seq - len(records), carried_net_low,
-                   archived_roots, records, r.take(DIGEST_SIZE))
+        return cls(pair_key, records, r.take(DIGEST_SIZE))
 
 
 class TransactionProposal(NamedTuple):
@@ -188,23 +161,23 @@ class PeerTransactionTree:
     """One client's replica of the transaction tree for a peer pair.
 
     Honest replicas hold byte-identical leaf sequences, so their roots
-    agree.  ``pair_seq`` keeps increasing across epoch resets; the net
-    amount of archived epochs is carried forward (stored from the lower
-    client id's perspective so both replicas stay identical).
+    agree.  The record with ``pair_seq`` s is leaf s - 1, so ``last_seq``
+    counts the records.
     """
 
     def __init__(self, client_a: int, client_b: int) -> None:
         if client_a == client_b:
             raise ValueError("a pair needs two distinct clients")
         self.pair_key = pair_of(client_a, client_b)
-        self.epoch = 0
         self.records: list[TransactionPairRecord] = []
-        self.archived_roots: list[tuple[int, bytes]] = []
-        self.last_seq = 0
-        self._carried_net_low = 0
         self._tree = MerkleTree()
 
     def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def last_seq(self) -> int:
+        """``pair_seq`` of the last record, 0 before the first."""
         return len(self.records)
 
     def next_seq(self) -> int:
@@ -220,10 +193,6 @@ class PeerTransactionTree:
         nodes, instead of n appends of O(log n) hashes each.
         """
         ptt = cls(*replica.pair_key)
-        ptt.epoch = replica.epoch
-        ptt.archived_roots = list(replica.archived_roots)
-        ptt._carried_net_low = replica.carried_net_low
-        ptt.last_seq = replica.epoch_start
         for record in replica.records:
             ptt._admit(record)
         if ptt.records:
@@ -232,15 +201,7 @@ class PeerTransactionTree:
 
     def replica(self) -> PairReplica:
         """This replica's state, for a crashed partner or a snapshot."""
-        return PairReplica(
-            self.pair_key, self.epoch, self.epoch_start, self._carried_net_low,
-            tuple(self.archived_roots), tuple(self.records), self.root(),
-        )
-
-    @property
-    def epoch_start(self) -> int:
-        """``pair_seq`` just before the current epoch's first leaf."""
-        return self.last_seq - len(self.records)
+        return PairReplica(self.pair_key, tuple(self.records), self.root())
 
     def append_record(self, record: TransactionPairRecord) -> None:
         self._admit(record)
@@ -261,29 +222,27 @@ class PeerTransactionTree:
                 f"expected pair_seq {self.last_seq + 1}, got {record.pair_seq}"
             )
         self.records.append(record)
-        self.last_seq = record.pair_seq
 
     def rollback_last(self) -> None:
         if not self.records:
             raise EmptyTree("nothing to roll back")
         self.records.pop()
         self._tree.remove_last()
-        self.last_seq -= 1
 
     def root(self) -> bytes:
         return self._tree.root() if self.records else EMPTY_TREE_DIGEST
 
     def leaf_digest(self, pair_seq: int) -> bytes:
-        """Tree leaf of the current epoch's record ``pair_seq``:
-        ``hash_leaf`` of its encoding, stored when it was appended."""
-        return self._tree.leaf(pair_seq - self.epoch_start - 1)
+        """Tree leaf of record ``pair_seq``: ``hash_leaf`` of its
+        encoding, stored when it was appended."""
+        return self._tree.leaf(pair_seq - 1)
 
     def root_after(self, pair_seq: int) -> bytes:
-        """Root the current epoch's tree had right after ``pair_seq`` was appended."""
-        return self._tree.root_at(pair_seq - self.epoch_start)
+        """Root the tree had right after ``pair_seq`` was appended."""
+        return self._tree.root_at(pair_seq)
 
     def prefix_roots(self) -> list[bytes]:
-        """``root_after`` each record of the current epoch, in order."""
+        """``root_after`` each record, in order."""
         return self._tree.prefix_roots()
 
     def tamper_leaf(self, index: int, payload: bytes) -> None:
@@ -391,34 +350,5 @@ def net_position(ptt: PeerTransactionTree, self_id: int) -> int:
     net = 0
     for rec in ptt.records:
         net += rec.amount if rec.payee_id == self_id else -rec.amount
-    carried = ptt._carried_net_low
-    net += carried if self_id == ptt.pair_key[0] else -carried
     return net
 
-
-def reset_epoch(
-    ptt: PeerTransactionTree,
-    signatures: Iterable[Signature],
-    keystore: KeyStore,
-) -> PeerTransactionTree:
-    """Archive the current root and start a fresh epoch, same tree object.
-
-    Both peers must countersign the root being archived: only a signature
-    that ``keystore`` verifies over that root counts.
-    """
-    current = ptt.root()
-    signers = {sig.signer_id for sig in signatures if keystore.verify(sig, current)}
-    missing = set(ptt.pair_key) - signers
-    if missing:
-        raise MissingCounterSignature(
-            f"missing valid signatures from clients {sorted(missing)}"
-        )
-    low = ptt.pair_key[0]
-    ptt._carried_net_low += sum(
-        rec.amount if rec.payee_id == low else -rec.amount for rec in ptt.records
-    )
-    ptt.archived_roots.append((ptt.epoch, current))
-    ptt.epoch += 1
-    ptt.records = []
-    ptt._tree = MerkleTree()
-    return ptt

@@ -334,13 +334,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "e5b404bfebd0da7035235b25708e4d21c17b2b9fb70709eb9b32c388a5801ca6",
         "client_0.snap":
-            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
+            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
         "client_1.snap":
-            "0576552890f9eb0934d9690c65ccfdc0210f001c07e1ff2cb5cf6e5c85ff05ea",
+            "007bb603123b0ee97c2c917648d6269f4d5c9fab9e12e8c75cf8e5cc3396ccb1",
         "client_2.snap":
-            "fd2466a834f4a3a040c9682efad4a092c5acd1e2635ee296637a6d61d06280e6",
+            "df40aefbeea06c78c010634e68e6c26b7ccbd8fb9540672608f1bdb9f320be67",
         "client_3.snap":
-            "f056a1a328190cfaee759d10f5eac6697dff7299e68a3ce9a976b1082054aca8",
+            "356d5900e4b44a5391b6002029b3c1325a346194f7967d54b3d4535badca4913",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -350,11 +350,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "797fa0293c77d6a55c45c74070c08d85c6fa8c345f24b430091700ba01c4152b",
         "client_0.snap":
-            "d97598033c5db26be17c8b731fe5a99bf8f0147dc95206bc62b8d596701f05e9",
+            "09577a01147245520127ccda11e450664d3eaae773a71d96fe65ed39565852b6",
         "client_2.snap":
-            "a7d5abb98534e6176686b20f6aca8c5eb3f42833415b4dc855e532c3e1c0827d",
+            "b8ba00e424cc9963cefb4b8d4508b376f9ee5f50a56abff0bc27b503851b9966",
         "client_3.snap":
-            "6cc523cd58aeb7d6fb8f891232f0ea2c87b6b55cb6ad18eca59948097d68f294",
+            "7b7f42e2a9fa733d6a795b5895dd01d354ee9c892d8c5ce61fc502f386f507a3",
         "grid_0.txt":
             "709895b11a042cecdf40d2f4c2a10aba78f8345a9599de92ef28de70c46719b8",
         "keys.json":
@@ -366,13 +366,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "1bc7c7d8f18c6faa7f09518e64fa05005f9d88966b03ac23127bc72f09aa7450",
         "client_0.snap":
-            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
+            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
         "client_1.snap":
-            "915a6ee68f816b00d4e7dae518099f6bb00ca79ebed51d1d849c03d247d27ded",
+            "b767b27a9de6b6e0e5c6b3327ddb631c8970995f6cdfd2b9d1223e90065c3586",
         "client_2.snap":
-            "cbc0a0972a2ee2b119c9baa07b35cc210a34f80ca7a41bcca90e1c6fca7b9792",
+            "3df3f36442a784279f93045e1be2fb6c5c2e8e5ce5d328536499add0fa97e2c9",
         "client_3.snap":
-            "cf003260dfc0d0fbf86a467ad1e90b5f366faa2c38fe9f17476fc671941305ff",
+            "5737960a9d0a92c47b44ea657c6fa94a2fd76f0786528333dbdcc19eeb0ff575",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -382,13 +382,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "48491bf78af4211e6641078ebeb22fe31bf54ad5b2d82fc5e258a34969ddfe8c",
         "client_0.snap":
-            "5138eddc556306dcc65d7e71848af3bcab0656ee6efbbd90b6a114cec7c05983",
+            "b7e841fd4005ad6e45ce1424e26f0d4e94e5a71715c41905ebfb97c5f1a03a41",
         "client_1.snap":
-            "0bf7af85588eb434d348cbdc9df0428039e848215b387ae65b9afcb004a0e373",
+            "18d0506627dad8db7e24355f98ab6bce86b581bd8c0ab2f51f276646dad131e9",
         "client_2.snap":
-            "7c2c473d206f7b76d9bcbb48df30306352235a93a8b8f5ea5954329691145445",
+            "aa72e237cd32dcb17cff4f3eae55ea5ca80896390a181edbf7c8e872e6cac7d3",
         "client_3.snap":
-            "09849f87485b05c8a3c8977617bbbfe0e4161d5cf38be2bf66a027a4f645bbd7",
+            "9d05275b0850effb753575f08932a8557fa169a6807b8553619ef753c9671913",
         "grid_0.txt":
             "4167367daf761478ddb4165ec6fd73d4e0a1181235b58cc6eded415156c3b3d2",
         "keys.json":
@@ -400,15 +400,15 @@ STATE_DIGESTS = {
         "balances.psv":
             "260cc5cf2d1ce0d6c7f466a3f7798d7dbafa178b732c0241e41db1f06052b05b",
         "client_0.snap":
-            "45395c9457f8c465fd81ba3bbe34659f7073f131c324c046cc103c7d883e5d91",
+            "81f74854c837df1c334604faf73c3989d022dc57b63ae853ff353d30055f0b51",
         "client_1.snap":
-            "382ea13d0368bef6ca64c5af77e7106005d88ee2ed665ec6321a105185e2674c",
+            "8ff0f4b13a1f321a317f48a3260eacf8c2a09871c388e30401671fe381cbf463",
         "client_2.snap":
-            "73c53689adc1f0dd2c18c88955b5d8593b8b5deda1afa914affb6369b64ec14d",
+            "898efd1b6febec383bf31ed267980e33d0c467b0323bb5dee6eff49365140a64",
         "client_3.snap":
-            "970551ba28ea082462449a9675778c17cb36bb474d37ca41d73f6a9f832c3cdb",
+            "ef883f001ed2d05cf045541daa1806013bc2dd2bd8fe11062e507f2d9955b648",
         "client_4.snap":
-            "377d82876c28e268426ec5a4bf6f1eed381b71363495eefd7462bd8d0f9e6a6b",
+            "7dc17d8ec00d1d6efa11a927ce02ed890d5d884f0fb79461ac0966066e01fc07",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -418,15 +418,15 @@ STATE_DIGESTS = {
         "balances.psv":
             "b73b7dcc13f2eb268273eef341413fdc10f6a11d3786a414d0cf001f8f1e1de2",
         "client_0.snap":
-            "346c4d3b352f1ce15b3539faa833fac1d3c84a5e12fce4c2ecd1d0c3153229c5",
+            "cd2fb8e2be983ab35da57d70b187f45aa2f5e3b699cb4ea268378a2a9be923bc",
         "client_1.snap":
-            "5cbb6c6bfc9f7bef41a59a70196179cf8c5516465ede56c3333fa4b99b53052e",
+            "f2ef9638bd573d295b2abf3dee9fb25c9c3430a4d7ed10f4aabccffe074d1f11",
         "client_2.snap":
-            "cc737dbda007ae482dc86a5eafaa983e2fd99e5d41a39dffdbdc634dac5d9c27",
+            "abd7969fadb788b1446ff17381939a19942c2f3142460c759d5bfca37b42f617",
         "client_3.snap":
-            "108391030b2967ecbfd4fc8be1567962e0aebedcad61103efa3be2c0e4201722",
+            "89e799b5fb5b801b3ec54e637c95c71d9575c2eb6a58069a42a288bef9c1e61f",
         "client_4.snap":
-            "e908e7b0287175d13dcffe8f3dc42a46f14724fc5ec61736a0aace31a8287462",
+            "ce9cbeee4233fc126360465c56ea34cd223ad9bef96ab53898a93b639517359a",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -436,15 +436,15 @@ STATE_DIGESTS = {
         "balances.psv":
             "a722c383562a237e1ef9d5d02b0f48fff088d14801729ad12800ca63a8f57ab2",
         "client_0.snap":
-            "e35d52d6b9e76247199c9ff66aaa9b8d836d424f13cebad2047b708757f7472f",
+            "fbf7e34aaab4f242d2f857b2fe5d39f397ee0cf8f39b843f38d783fa0db86852",
         "client_1.snap":
-            "75e294b422218da0310a268f65ff59717a1793497ee4ac3af5e78336cc3e8036",
+            "e6e5d8d9e57ce559bcfeda7dbb305dc4e16437893ff8fe1f194d9f798317d752",
         "client_2.snap":
-            "0ced5672f9dfda58211e24932351d74ea701f8d871c0b9439dbc58fb677afc76",
+            "9cbacf59eaae029ad4bcea4aae98538f626435ee8c793a802711a537645357cc",
         "client_3.snap":
-            "c960b1864ef80221a6f2689a1ded58b5950d14e16a6dd573c865a0b0f92c4d99",
+            "d02a5ca7f2b53131f3c193c35955b325b68ccc62b82b612c4333a0edca90a017",
         "client_4.snap":
-            "8cadd9904e8f90364acbd759d7c91489a5bd4db86e2f9deba6248b73a1f9a338",
+            "0cffde7693e9b18cb947dbe047e8a44cfdb6003a9624bb22e4d8fd2233215f82",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -454,13 +454,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "089ad1d3727a4ad6dc5b2d64f43e573d2d1dee8c73cf7d4f2a885402180b6c74",
         "client_0.snap":
-            "7757f8922dc5a77a323056d90eb8f0cba9886803c955e8318c37d9b18d27e746",
+            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
         "client_1.snap":
-            "f865ed5b9fb1b4c86f920fbd51da311c3139322e140e1a3aec557da7bb3dba20",
+            "bc1a820822c10055b7f3c60fe0985ecb723e76359b085df176a9b30222fe050e",
         "client_2.snap":
-            "68f9ad230dc8c0101f20abc4d77091a8096bfb7d61583faaa460fdbec2f510f8",
+            "e2d3e76850ac29d29b140a33fbe23a8f802251b0d13e5b1d84d8d970cd7519c3",
         "client_3.snap":
-            "5df82df569ec9c82c3b128c998c72ca32d991de88a9b0a18034a3b4b56f9ffc4",
+            "9fff446d01409828502f68f80f78cb658e3dee2ba4311850f7fa5bf6da0f1105",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -470,11 +470,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "6aea38bca6700abfeaa83c455b9acd4d4e872183a8637f1e6eaec320e97a8de0",
         "client_0.snap":
-            "97b287178069c6694e957dbb8251e678d9af293e5302c2bd104ab6703cf931dc",
+            "497a31d0f836b99d386ebbfdcc9afa9f3cc2803f8db28a5ccb59d4bdf9eaa2c0",
         "client_1.snap":
-            "d9f3ec540fc597b0985a293cb3111e09f9c1b0fc96b7893e417f63d4b62f1404",
+            "cc47b3baa9174a4dc550a53122d9c34fb072787ca2020e2ddf030767367928bc",
         "client_2.snap":
-            "eb99829b530b67f22f19df3b830a804f77f913c3137901d78144663714ba348a",
+            "9167201f85c9d132a342c3d5664527f09a6c42bd72162070e174be0fe6c459a0",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },
@@ -484,11 +484,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "8ba4bec996b5c5347a000ba735c643a88fc4a2134ac0b4d02ef1a71806970ca7",
         "client_0.snap":
-            "0f84314c82d8b036172a948d32d98e4dad55e0b8de95306adc355dc2eba697b0",
+            "b23edd3c8cdf2a8ea23339f9d2930c63b34bd34b0541b04150cf51b989756a34",
         "client_1.snap":
-            "49ae3b0c740d1937f970a04c978eec5c3b2ad171c6a4189a016713babe167321",
+            "623a176a6d2a21dbe5d15789be2fd06ce10ce5b60bdf4463b3b64c9e40df4c5d",
         "client_2.snap":
-            "5ace222bb1290bf71bb441f3a003268842f5f6ced79063cb3f14cb42230d6137",
+            "42d90963d998c6e18c8adb922b4bc4aacd6243e3c1ceb76b80524d7905b263da",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },

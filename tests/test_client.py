@@ -40,7 +40,7 @@ from deltamoney.errors import (
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, hash_leaf
 from deltamoney.integrity_manager import TransactionReport
-from deltamoney.peer_ledger import PeerTransactionTree, net_position, reset_epoch
+from deltamoney.peer_ledger import PeerTransactionTree, net_position
 from deltamoney.sim import Simulation
 from worlds import run_transfers, small_world
 
@@ -628,83 +628,32 @@ class TestRecovery:
         assert list(a.mht.records_in_order()) == records
         assert a.persist_snapshot() == snapshot
 
-    def test_recovery_after_epoch_reset_is_bit_identical(self):
-        """Records after an epoch reset cite roots of the new epoch's tree.
-
-        Partners hand over only the current epoch, so the pre-crash state
-        is the one left by a first recovery after the reset; the archived
-        epoch nets to zero for client 1, so its balance is unaffected.  A
-        second crash must rebuild that state byte for byte.
-        """
-        sim = small_world(fund=10_000)
-        a, b = sim.clients[1], sim.clients[2]
-        run_transfers(sim, [(1, 2, 25), (2, 1, 25)] * 2)
-        key = pair_of(1, 2)
-        root = a.ptts[key].root()
-        signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
-        for node in (a, b):
-            reset_epoch(node.ptts[key], signatures, a.keystore)
-
-        def crash_and_recover():
-            partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
-            a.wipe()
-            a.recover_transactions(partners, lambda key: None)
-
-        crash_and_recover()
-        run_transfers(sim, [(1, 2, 30), (2, 1, 12), (1, 3, 7), (1, 2, 5),
-                            (3, 1, 3)])
-        assert a.ptts[key].epoch_start == 4
-        mhtr_before, blob_before = a.mht.root(), a.persist_snapshot()
-        crash_and_recover()
-        assert a.mht.root() == mhtr_before
-        assert a.persist_snapshot() == blob_before
-        assert a.balance == a.expected_balance() == 10_000 - 30 + 12 - 7 - 5 + 3
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "recover_transactions starts the balance replay at the opening "
-        "reserve and drops each pair's carried_net_low; ROADMAP item 6 "
-        "fixes this and removes the marker"))
-    def test_recovery_keeps_the_net_of_an_archived_epoch(self):
-        sim = small_world(fund=10_000)
-        a, b = sim.clients[1], sim.clients[2]
-        run_transfers(sim, [(1, 2, 10), (1, 2, 11), (1, 2, 12)])
-        key = pair_of(1, 2)
-        root = a.ptts[key].root()
-        signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
-        for node in (a, b):
-            reset_epoch(node.ptts[key], signatures, a.keystore)
-        partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
-        a.wipe()
-        a.recover_transactions(partners, lambda key: None)
-        assert a.expected_balance() == 10_000 - 10 - 11 - 12
-        assert a.balance == a.expected_balance()
-
     @pytest.mark.parametrize("case, error", [
-        ("archived-epoch", ValueError),
+        ("forged-commitment", CommitmentMismatch),
         ("missing-partner", NegativeBalance),
         ("other-pair", PartnerRootDisagreement),
     ])
     def test_failed_recovery_leaves_the_node_as_it_was(self, case, error):
         """A recovery that raises must not leave a half-recovered node.
 
-        After an epoch reset the replay drops the archived epoch's net
-        (see the xfail above), so a record's balance commitment does not
-        match; without the treasury's data the replay lacks the issuance
-        and the first payment would go negative; a replica of pair (2, 3)
-        is not client 1's to rebuild from.  Each way the node keeps the
-        state it had before the call.
+        A partner's record whose balance commitment is junk, under a root
+        rebuilt to match it, passes the rebuild and fails the replay late;
+        without the treasury's data the replay lacks the issuance and the
+        first payment would go negative; a replica of pair (2, 3) is not
+        client 1's to rebuild from.  Each way the node keeps the state it
+        had before the call.
         """
         sim = small_world(fund=10_000)
-        a, b = sim.clients[1], sim.clients[2]
-        run_transfers(sim, [(1, 2, 10), (1, 2, 11), (1, 2, 12)])
-        key = pair_of(1, 2)
-        if case == "archived-epoch":
-            root = a.ptts[key].root()
-            signatures = [a.keystore.sign(1, root), a.keystore.sign(2, root)]
-            for node in (a, b):
-                reset_epoch(node.ptts[key], signatures, a.keystore)
-        run_transfers(sim, [(1, 2, 5)])
+        a = sim.clients[1]
+        run_transfers(sim, [(1, 2, 10), (1, 2, 11), (1, 2, 12), (1, 2, 5)])
         partners = [sim.clients[p].export_recovery_data(1) for p in (2, 3)]
+        if case == "forged-commitment":
+            replica = partners[0]
+            records = list(replica.records)
+            records[1] = records[1]._replace(payer_new_commit=b"\x03" * 32)
+            forged = replica._replace(records=tuple(records))
+            partners[0] = forged._replace(
+                root=PeerTransactionTree.restore(forged).root())
         if case != "missing-partner":
             partners.append(sim.treasury.export_recovery_data(1))
         if case == "other-pair":
@@ -964,6 +913,17 @@ class TestSnapshots:
         body[at:at + 8] = (len(a.mht) + off_by).to_bytes(8, "big")
         blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
         with pytest.raises(CorruptSnapshot, match="does not count"):
+            ClientNode.load_snapshot(blob, KeyStore("stub"))
+
+    def test_snapshot_of_the_previous_version_is_refused(self):
+        """A version-1 snapshot laid its pair sections out differently; with
+        a valid checksum it is still refused, by its version."""
+        a = run_traffic(seed=13).clients[1]
+        body = bytearray(a.persist_snapshot()[:-32])
+        body[4:8] = (1).to_bytes(4, "big")  # the u32 after the magic
+        blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
+        with pytest.raises(CorruptSnapshot,
+                           match="^unsupported snapshot version 1$"):
             ClientNode.load_snapshot(blob, KeyStore("stub"))
 
     def test_truncated_snapshot_is_detected(self):

@@ -28,7 +28,6 @@ from deltamoney.errors import (
 )
 from deltamoney.hashing import Signature
 from deltamoney.integrity_manager import PTTRAttestation
-from deltamoney.peer_ledger import reset_epoch
 from deltamoney.sim import DeliveryPolicy
 from worlds import run_transfers, small_world
 
@@ -211,18 +210,13 @@ def test_forged_attestation_signature_fails_correctness():
 @pytest.mark.parametrize("lo,hi", [(1, 12), (8, 9), (9, 9), (3, 8), (1, 6),
                                    (11, 20), (9, 8), (-3, 0)])
 def test_query_returns_exactly_the_requested_range_of_the_epoch(lo, hi):
-    # pair_seq 1..6 are archived by the epoch reset; the current epoch holds 7..10
-    sim = build_world()
-    ks, a, im = sim.keystore, sim.clients[1], sim.im
-    root = a.ptts[(1, 2)].root()
-    for node in (a, sim.clients[2]):
-        reset_epoch(node.ptts[(1, 2)], [ks.sign(1, root), ks.sign(2, root)], ks)
-    run_transfers(sim, [(1, 2, 10 + i) for i in range(4)])
+    sim = build_world(n_transfers=10)
+    a, im = sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})
     records, vo = query_transactions(grant, (1, 2), lo, hi, a,
                                      im.attest_pttr((1, 2)))
-    assert vo.epoch_start == 6
-    assert [r.pair_seq for r in records] == [s for s in range(7, 11) if lo <= s <= hi]
+    assert a.ptts[(1, 2)].last_seq == 10
+    assert [r.pair_seq for r in records] == [s for s in range(1, 11) if lo <= s <= hi]
 
 
 def test_subject_without_pair_refused():
@@ -359,8 +353,8 @@ def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
     _, txn_vo = query_transactions(grant, (1, 2), 20, 23, a, im.attest_pttr((1, 2)))
     blob = txn_vo.to_bytes()
     signature = txn_vo.attestation.signature.bytes
-    # the kind byte, six u64 fields, the attested root and the signer id
-    sig_len_at = 1 + 6 * 8 + 32 + 8
+    # the kind byte, five u64 fields, the attested root and the signer id
+    sig_len_at = 1 + 5 * 8 + 32 + 8
     record_count_at = sig_len_at + 4 + len(signature)
     assert blob[sig_len_at:sig_len_at + 4] == u32(len(signature))
     assert blob[record_count_at:record_count_at + 4] == u32(4)

@@ -69,7 +69,7 @@ def ref_transaction_vo(vo: TransactionInclusionVO) -> bytes:
     att, sig = vo.attestation, vo.attestation.signature
     return (
         bytes([0x01]) + u64(vo.pair_key[0]) + u64(vo.pair_key[1])
-        + u64(vo.seq_lo) + u64(vo.seq_hi) + u64(vo.epoch_start)
+        + u64(vo.seq_lo) + u64(vo.seq_hi)
         + u64(att.pair_seq) + att.root
         + u64(sig.signer_id) + u32(len(sig.bytes)) + sig.bytes
         + u32(len(vo.records)) + b"".join(vo.records) + b"".join(vo.proof)
@@ -145,12 +145,12 @@ def test_inclusion_proof_layout_matches_reference_and_round_trips():
                       for _ in range(rng.choice([0, 1, rng.randrange(40)])))
         signature = Signature(rng.randbytes(rng.choice([0, 32, 64])), unsigned(rng))
         vo = TransactionInclusionVO(
-            pair_key, unsigned(rng), unsigned(rng), unsigned(rng), records, proof,
+            pair_key, unsigned(rng), unsigned(rng), records, proof,
             PTTRAttestation(pair_key, unsigned(rng), digest(rng), signature),
         )
         data = vo.to_bytes()
         assert data == ref_transaction_vo(vo)
-        assert len(data) == (97 + len(signature.bytes)
+        assert len(data) == (89 + len(signature.bytes)
                              + 232 * len(records) + 32 * len(proof))
         assert parse_vo(data) == vo
 

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from deltamoney.encoding import Reader, i64, u32, u64
+from deltamoney.encoding import Reader, u64
 from deltamoney.errors import (
     IndexOutOfRange,
     InsufficientBalance,
     LimitExceeded,
-    MissingCounterSignature,
     NonMonotonicSequence,
     NonPositiveAmount,
     NotRegisteredPeers,
@@ -15,7 +14,7 @@ from deltamoney.errors import (
     UnregisteredPair,
     WrongAddressee,
 )
-from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, commit_balance, hash_leaf
+from deltamoney.hashing import EMPTY_TREE_DIGEST, commit_balance, hash_leaf
 from deltamoney.merkle import MerkleTree
 from deltamoney.peer_ledger import (
     AccountView,
@@ -26,7 +25,6 @@ from deltamoney.peer_ledger import (
     local_view,
     net_position,
     propose,
-    reset_epoch,
 )
 
 ALICE, BOB = 1, 2
@@ -209,10 +207,6 @@ def test_net_position_matches_linear_scan_oracle():
     assert net_position(b_ptt, ALICE) == expected_alice
 
 
-def signed_by(keystore, ids, root):
-    return [keystore.sign(i, root) for i in ids]
-
-
 def test_pair_rolled_back_to_empty_reads_as_a_fresh_one():
     ptt, _ = fresh_pair()
     rec = make_record(ptt, 2000, 1000, 500)
@@ -226,85 +220,36 @@ def test_pair_rolled_back_to_empty_reads_as_a_fresh_one():
     assert ptt.root() == MerkleTree.build([rec.to_bytes()]).root()
 
 
-def test_reset_epoch_archives_root_and_keeps_net():
-    ks = KeyStore()
-    for cid in (ALICE, BOB):
-        ks.generate(cid)
-    a_ptt, b_ptt = fresh_pair()
-    bal = {ALICE: 1000, BOB: 2000}
-    for i, amount in enumerate((500, 100, 50)):
-        rec = make_record(a_ptt, bal[BOB], bal[ALICE], amount, timestamp=i + 1)
-        append_both(a_ptt, b_ptt, rec)
-        bal[BOB] -= amount
-        bal[ALICE] += amount
-    pre_root = a_ptt.root()
-    pre_net = net_position(a_ptt, ALICE)
-    reset_epoch(a_ptt, signed_by(ks, (ALICE, BOB), pre_root), ks)
-    assert a_ptt.archived_roots == [(0, pre_root)]
-    assert a_ptt.epoch == 1
-    assert len(a_ptt) == 0
-    assert a_ptt.root() == EMPTY_TREE_DIGEST
-    assert net_position(a_ptt, ALICE) == pre_net
-    assert net_position(a_ptt, BOB) == -pre_net
-
-
-def test_commit_after_reset_starts_fresh_tree():
-    ks = KeyStore()
-    for cid in (ALICE, BOB):
-        ks.generate(cid)
-    a_ptt, b_ptt = fresh_pair()
-    rec = make_record(a_ptt, 2000, 1000, 500)
-    append_both(a_ptt, b_ptt, rec)
-    root0 = a_ptt.root()
-    for ptt in (a_ptt, b_ptt):
-        reset_epoch(ptt, signed_by(ks, (ALICE, BOB), root0), ks)
-    rec2 = make_record(a_ptt, 1500, 1500, 100, timestamp=2)
-    assert rec2.pair_seq == 2  # sequence continues across epochs
-    append_both(a_ptt, b_ptt, rec2)
-    assert a_ptt.root() == b_ptt.root() and len(a_ptt) == 1
-    assert a_ptt.archived_roots == [(0, root0)]
-
-
 def test_leaf_digest_reads_the_stored_leaf_by_pair_seq():
-    """Sequence numbers run on across an epoch reset; a leaf is read by
-    its record's ``pair_seq``, and only the current epoch's leaves are."""
-    ks = KeyStore()
-    for cid in (ALICE, BOB):
-        ks.generate(cid)
+    """A leaf is read by its record's ``pair_seq``: record s is leaf s - 1,
+    and a seq before the first record or past the last one has no leaf."""
     ptt, _ = fresh_pair()
-    ptt.append_record(make_record(ptt, 2000, 1000, 500))
-    reset_epoch(ptt, signed_by(ks, (ALICE, BOB), ptt.root()), ks)
     records = []
-    for amount in (100, 50):
-        records.append(make_record(ptt, 1500, 1500, amount, timestamp=2))
+    for i, amount in enumerate((500, 100, 50)):
+        records.append(make_record(ptt, 2000, 1000, amount, timestamp=i + 1))
         ptt.append_record(records[-1])
     for rec in records:
         assert ptt.leaf_digest(rec.pair_seq) == hash_leaf(rec.to_bytes())
-    for seq in (1, 4):
+    for seq in (0, ptt.last_seq + 1):
         with pytest.raises(IndexOutOfRange):
             ptt.leaf_digest(seq)
 
 
-def test_pair_replica_section_round_trips_after_an_epoch_reset():
-    """The section a snapshot stores for a pair whose lower member paid in
-    an archived epoch (a negative carried net), against a field-by-field
-    reference; it reads back to the same replica and tree, and every
+def test_pair_replica_section_round_trips():
+    """The section a snapshot stores for a pair, against a field-by-field
+    reference: the key's two ids, the record count, the records, then
+    the root.  It reads back to the same replica and tree, and every
     cut-short copy raises ``ValueError``."""
-    ks = KeyStore()
-    for cid in (ALICE, BOB):
-        ks.generate(cid)
     ptt, _ = fresh_pair()
     ptt.append_record(make_record(ptt, 2000, 1000, 300, payer=ALICE, payee=BOB))
-    archived = ptt.root()
-    reset_epoch(ptt, signed_by(ks, (ALICE, BOB), archived), ks)
     for amount in (100, 50):
         ptt.append_record(make_record(ptt, 1300, 1700, amount, timestamp=2))
     replica = ptt.replica()
-    assert replica[:5] == ((ALICE, BOB), 1, 1, -300, ((0, archived),))
+    assert replica == ((ALICE, BOB), tuple(ptt.records), ptt.root())
     blob = replica.to_bytes()
     assert blob == b"".join([
-        u64(ALICE), u64(BOB), u64(1), u64(3), i64(-300), u32(1), u64(0), archived,
-        u64(2), *(rec.to_bytes() for rec in ptt.records), ptt.root(),
+        u64(ALICE), u64(BOB), u64(3),
+        *(rec.to_bytes() for rec in ptt.records), ptt.root(),
     ])
     r = Reader(blob)
     assert PairReplica.read(r) == replica and r.done()
@@ -314,18 +259,3 @@ def test_pair_replica_section_round_trips_after_an_epoch_reset():
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             PairReplica.read(Reader(blob[:cut]))
-
-
-def test_reset_epoch_requires_both_signatures():
-    ks = KeyStore()
-    for cid in (ALICE, BOB):
-        ks.generate(cid)
-    a_ptt, b_ptt = fresh_pair()
-    append_both(a_ptt, b_ptt, make_record(a_ptt, 2000, 1000, 500))
-    root = a_ptt.root()
-    with pytest.raises(MissingCounterSignature):
-        reset_epoch(a_ptt, signed_by(ks, (ALICE,), root), ks)
-    # a signature over the wrong message does not count either
-    bad = ks.sign(BOB, b"\x00" * 32)
-    with pytest.raises(MissingCounterSignature):
-        reset_epoch(a_ptt, [ks.sign(ALICE, root), bad], ks)

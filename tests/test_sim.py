@@ -1187,7 +1187,7 @@ def _wire_values():
         peer_ledger.AccountView(1, 10, 100, digest),
         integrity_manager.TransactionReport(1, (1, 2), 1, digest, digest, 0),
         integrity_manager.ValidationOutcome("held"),
-        peer_ledger.PairReplica((1, 2), 0, 0, 0, (), (), digest),
+        peer_ledger.PairReplica((1, 2), (), digest),
         currency_manager.ConservationVerdict(True, 10, 10),
     ]
 
