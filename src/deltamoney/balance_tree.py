@@ -20,9 +20,10 @@ records' indices with no further hashing.
 
 Costs: an insert hashes the record's leaf and at most one node per level
 (``MerkleTree.append``), as does ``remove_last``.  ``build`` checks each
-record in order and hashes n leaves and n - 1 internal nodes, as recovery
-and snapshot loading do.  A range query returning k records costs
-O(log n + k) before its proof.
+record in order and hashes n leaves and n - 1 internal nodes; recovery
+builds the tree with it, and so does a snapshot load, which replays the
+stored pair records through recovery (no snapshot stores this tree).  A
+range query returning k records costs O(log n + k) before its proof.
 """
 
 from __future__ import annotations
@@ -34,17 +35,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import merkle
 from .encoding import BALANCE_RECORD, KEY, Reader, u32, u64
-from .errors import (
-    CorruptSnapshot,
-    InvertedRange,
-    NegativeBalance,
-    NonMonotonicKey,
-)
+from .errors import InvertedRange, NegativeBalance, NonMonotonicKey
 from .hashing import DIGEST_SIZE, EMPTY_TREE_DIGEST, Digest
 
 RECORD_SIZE = BALANCE_RECORD.size  # 80
-SNAPSHOT_MAGIC = b"DMHT"
-SNAPSHOT_VERSION = 2
 
 Key = tuple[int, int]  # (timestamp, client_seq)
 
@@ -205,36 +199,6 @@ class BalanceMHT:
         witnesses = tuple(records[start:first] + records[stop:end])
         proof = tuple(self._tree.prove(range(start, end), size)) if size else ()
         return records[first:stop], RangeVO(key_lo, key_hi, size, witnesses, proof)
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def snapshot_bytes(self) -> bytes:
-        header = SNAPSHOT_MAGIC + u32(SNAPSHOT_VERSION) + u64(len(self._records))
-        body = b"".join(record.to_bytes() for record in self._records)
-        return header + body + self.root()
-
-    @classmethod
-    def from_snapshot(cls, data: bytes) -> "BalanceMHT":
-        if len(data) < 16 + DIGEST_SIZE or data[:4] != SNAPSHOT_MAGIC:
-            raise CorruptSnapshot("bad snapshot header")
-        r = Reader(data, 4)
-        version = r.u32()
-        if version != SNAPSHOT_VERSION:
-            raise CorruptSnapshot(f"unsupported snapshot version {version}")
-        count = r.u64()
-        if len(data) != 16 + count * RECORD_SIZE + DIGEST_SIZE:
-            raise CorruptSnapshot("snapshot length does not match record count")
-        try:
-            tree = cls.build(
-                BalanceChangeRecord.from_bytes(r.take(RECORD_SIZE))
-                for _ in range(count)
-            )
-        except (ValueError, NonMonotonicKey, NegativeBalance) as exc:
-            raise CorruptSnapshot(f"snapshot records are inconsistent: {exc}") from exc
-        if tree.root() != r.take(DIGEST_SIZE):
-            raise CorruptSnapshot("recomputed root does not match stored checksum")
-        return tree
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ full the client rejects incoming proposals and refuses to start new
 ones; only a message about that pair, for that role, empties it.  That
 serializes its balance commitments, which bind the exact before/after
 amounts into the shared record, so a proposal never needs to reserve
-funds.  Plaintext balances live only in the balance tree.  A record
-replayed in a recovery or loaded from a snapshot has its commitments
-checked against them (``local_view``); a live commit checks only that
-the balance is still the one the exchange opened with, the one its
+funds.  Plaintext balances live only in the balance tree, and that tree
+is derived from the pair records: a recovery, and a snapshot load, which
+stores only the pair replicas, rebuild it by replaying them, each record
+checked against the balances (``local_view``); a live commit checks only
+that the balance is still the one the exchange opened with, the one its
 commitments were computed over (``_finalize``).
 
 A payer's transfer commands wait in its ``queue``; only the head
@@ -538,7 +539,9 @@ class ClientNode:
         partners: Iterable[PairReplica],
         validated: Callable[[tuple[int, int]], Optional[tuple[int, Digest]]],
     ) -> None:
-        """Rebuild all pair trees and the balance tree from partner replicas.
+        """Rebuild all pair trees and the balance tree from pair replicas,
+        a crashed node's from its partners', a loaded one's from its
+        snapshot (``load_snapshot``).
 
         Each ``PairReplica`` must be keyed by a pair this node belongs to,
         lower id first, the key the Integrity Manager's ``validated``
@@ -582,8 +585,8 @@ class ClientNode:
             root = ptt.root()
             if root != replica.root:
                 raise PartnerRootDisagreement(
-                    f"pair {key}: partner claims {replica.root[:8].hex()}, "
-                    f"records rebuild to {root[:8].hex()}"
+                    f"pair {key}: records rebuild to root {root[:8].hex()}, "
+                    f"not the replica's {replica.root[:8].hex()}"
                 )
             latest = validated(key)
             if latest is not None:
@@ -632,29 +635,32 @@ class ClientNode:
     # persistence
 
     SNAPSHOT_MAGIC = b"DMCS"
-    SNAPSHOT_VERSION = 2
+    SNAPSHOT_VERSION = 3
 
     def persist_snapshot(self) -> bytes:
+        """The header (magic, version, id, limit, opening reserve), a
+        ``u32`` count of pair sections (``PairReplica.to_bytes``), lower
+        key first, then the sha256 of all that.  The balance tree is not
+        stored: it is derived from the pair records."""
         if self.busy:
             raise NotQuiescent("an exchange is still in flight")
         parts = [
             self.SNAPSHOT_MAGIC,
             u32(self.SNAPSHOT_VERSION),
             u64(self.id),
-            u64(len(self.mht)),
             u64(self.transaction_limit),
             u64(self.opening_reserve),
+            u32(len(self.ptts)),
         ]
-        mht_blob = self.mht.snapshot_bytes()
-        parts.append(u64(len(mht_blob)))
-        parts.append(mht_blob)
-        parts.append(u32(len(self.ptts)))
         parts += [self.ptts[key].replica().to_bytes() for key in sorted(self.ptts)]
         body = b"".join(parts)
         return body + hashlib.sha256(body).digest()
 
     @classmethod
     def load_snapshot(cls, data: bytes, keystore: KeyStore) -> "ClientNode":
+        """Rebuild the node a ``persist_snapshot`` wrote, as a crashed one is
+        rebuilt: ``recover_transactions`` over its stored replicas, with no
+        validated roots.  Any refusal raises ``CorruptSnapshot``."""
         if len(data) < 36 or data[:4] != cls.SNAPSHOT_MAGIC:
             raise CorruptSnapshot("bad snapshot header")
         body, trailer = data[:-32], data[-32:]
@@ -664,45 +670,17 @@ class ClientNode:
         version = r.u32()
         if version != cls.SNAPSHOT_VERSION:
             raise CorruptSnapshot(f"unsupported snapshot version {version}")
-        client_id = r.u64()
-        client_seq = r.u64()
-        limit = r.u64()
-        reserve = r.u64()
+        try:
+            client_id, limit, reserve = r.u64(), r.u64(), r.u64()
+            replicas = [PairReplica.read(r) for _ in range(r.u32())]
+        except Exception as exc:
+            raise CorruptSnapshot(f"snapshot does not parse: {exc}") from exc
+        if not r.done():
+            raise CorruptSnapshot("trailing bytes after the last section")
         node = cls(client_id, keystore, transaction_limit=limit)
         node.opening_reserve = reserve
         try:
-            mht_blob = r.take(r.u64())
-            node.mht = BalanceMHT.from_snapshot(mht_blob)
-            if client_seq != len(node.mht):
-                # the next balance record would break the tree's numbering
-                raise CorruptSnapshot(
-                    f"client_seq {client_seq} does not count the "
-                    f"{len(node.mht)} balance records")
-            for _ in range(r.u32()):
-                replica = PairReplica.read(r)
-                ptt = PeerTransactionTree.restore(replica)
-                if ptt.root() != replica.root:
-                    raise CorruptSnapshot(
-                        f"pair {ptt.pair_key}: rebuilt root does not match"
-                    )
-                node.ptts[ptt.pair_key] = ptt
-            if not r.done():
-                raise CorruptSnapshot("trailing bytes after the last section")
-            node._check_commitments()
-        except CorruptSnapshot:
-            raise
-        except Exception as exc:
-            raise CorruptSnapshot(f"snapshot does not parse: {exc}") from exc
+            node.recover_transactions(replicas, lambda key: None)
+        except DeltaMoneyError as exc:
+            raise CorruptSnapshot(str(exc)) from exc
         return node
-
-    def _check_commitments(self) -> None:
-        """Check each pair record against the balance record it caused."""
-        by_peer_seq = {}
-        for mrec in self.mht.records_in_order():
-            by_peer_seq[(mrec.peer_id, mrec.pair_seq)] = mrec
-        for key, ptt in self.ptts.items():
-            peer = key[0] if key[1] == self.id else key[1]
-            for record in ptt.records:
-                mrec = by_peer_seq.get((peer, record.pair_seq))
-                if mrec is not None:
-                    local_view(record, self.id, mrec.new_balance - mrec.delta)

@@ -13,8 +13,9 @@ A replica's whole state is one ``PairReplica``: the pair key, the
 records and the root.  A partner hands it to a crashed client, and a
 snapshot stores it as one section (``PairReplica.to_bytes``): the key's
 two ids as ``u64``, a ``u64`` count of 232-byte records, the records,
-then the root.  Either way ``PeerTransactionTree.restore`` rebuilds the
-tree from it.
+then the root.  Either way ``ClientNode.recover_transactions`` rebuilds
+the tree from it (``PeerTransactionTree.restore``) and the holder's
+balance tree from the records, which no snapshot stores.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class PairReplica(NamedTuple):
     """One replica's state, as ``PeerTransactionTree.replica`` reads it.
 
     A partner hands one to a crashed client (``export_recovery_data``),
-    and a snapshot stores one per pair; both rebuild the tree with
-    ``PeerTransactionTree.restore`` and compare its root with ``root``.
+    and a snapshot stores one per pair; both are rebuilt by
+    ``ClientNode.recover_transactions``, which compares the rebuilt root
+    with ``root``.
     """
 
     pair_key: tuple[int, int]
@@ -320,7 +322,7 @@ def local_view(
     ``prior_balance`` is the party's balance before the record; both it
     and the balance after must open that party's two commitments, or
     ``CommitmentMismatch`` is raised.  It checks each record a recovery
-    replays from a partner and each one a snapshot loads; a live commit
+    replays, from a partner's replica or from a snapshot's; a live commit
     checks only that the balance is still the one its exchange opened
     with (``ClientNode._finalize``).
     """

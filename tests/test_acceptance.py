@@ -468,7 +468,8 @@ def test_criterion_09_eventual_consistency():
                       if trial % 4 == 0 else DeliveryPolicy("duplicate"))
         run = _policy_run(policy, sim_seed=1000 + trial)
         same = all(
-            run.clients[c].persist_snapshot() == base.clients[c].persist_snapshot()
+            (run.clients[c].persist_snapshot(), run.clients[c].mht.root())
+            == (base.clients[c].persist_snapshot(), base.clients[c].mht.root())
             for c in (1, 2, 3)
         )
         same = same and (

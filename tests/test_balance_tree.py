@@ -9,9 +9,7 @@ from deltamoney.balance_tree import (
     RangeVO,
     examine_range,
 )
-from deltamoney.encoding import u32, u64
 from deltamoney.errors import (
-    CorruptSnapshot,
     EmptyTree,
     InvertedRange,
     NegativeBalance,
@@ -263,7 +261,7 @@ def test_range_query_matches_scan_oracle(seed):
 @pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
 def test_build_matches_one_insert_at_a_time(seed):
     """build(records[:n]) against n inserts for n = 0..300: same root,
-    snapshot, records and range answers."""
+    records and range answers."""
     rng = random.Random(seed)
     records = history(300, seed=seed)
     inserted = BalanceMHT()
@@ -272,7 +270,6 @@ def test_build_matches_one_insert_at_a_time(seed):
             inserted.insert(records[n - 1])
         built = BalanceMHT.build(records[:n])
         assert built.root() == inserted.root(), n
-        assert built.snapshot_bytes() == inserted.snapshot_bytes(), n
         assert len(built) == n
         assert list(built.records_in_order()) == records[:n]
         assert built.latest_balance() == inserted.latest_balance()
@@ -350,25 +347,6 @@ def test_build_raises_what_insert_raises(case):
         BalanceMHT.build(records)
     assert type(built.value) is type(inserted.value) is error
     assert str(built.value) == str(inserted.value)
-
-
-@pytest.mark.parametrize("case", sorted(broken_histories()))
-def test_snapshot_of_a_broken_history_is_corrupt(case):
-    records, _ = broken_histories()[case]
-    blob = insert_all(records[:-1]).snapshot_bytes()
-    header = blob[:8] + u64(len(records))
-    body = blob[16:-32] + records[-1].to_bytes()
-    with pytest.raises(CorruptSnapshot, match="inconsistent"):
-        BalanceMHT.from_snapshot(header + body + blob[-32:])
-
-
-def test_version_1_snapshot_is_corrupt():
-    """The layout with a fanout field between the version and the count."""
-    tree = insert_all(history(5))
-    blob = tree.snapshot_bytes()
-    old = blob[:4] + u32(1) + u32(8) + blob[8:]
-    with pytest.raises(CorruptSnapshot, match="version 1"):
-        BalanceMHT.from_snapshot(old)
 
 
 def test_inverted_range_rejected():
@@ -568,25 +546,3 @@ def test_range_vo_bytes_refuse_a_partial_digest_or_a_cut_header():
                 RangeVO.from_bytes(data[:end])
     with pytest.raises(ValueError):
         RangeVO.from_bytes(data + b"\x00")
-
-
-def test_snapshot_round_trip_and_tamper():
-    records = history(37, seed=9)
-    tree = insert_all(records)
-    blob = tree.snapshot_bytes()
-    loaded = BalanceMHT.from_snapshot(blob)
-    assert loaded.root() == tree.root()
-    assert loaded.latest_balance() == tree.latest_balance()
-    assert list(loaded.records_in_order()) == records
-    for pos in (0, 7, 25, len(blob) - 1):
-        bad = bytearray(blob)
-        bad[pos] ^= 0x40
-        with pytest.raises(CorruptSnapshot):
-            BalanceMHT.from_snapshot(bytes(bad))
-
-
-def test_empty_snapshot_round_trip():
-    tree = BalanceMHT()
-    loaded = BalanceMHT.from_snapshot(tree.snapshot_bytes())
-    assert loaded.root() == EMPTY_TREE_DIGEST
-    assert len(loaded) == 0

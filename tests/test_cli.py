@@ -214,10 +214,11 @@ def test_state_dir_snapshots_reload(state):
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
 def test_shipped_scenario_state_dir_reloads(name, tmp_path):
     """Every snapshot a shipped scenario leaves reloads to the live
-    client's balance, balance-tree root and pair roots; a crashed client
-    leaves none.  A replica whose leaf was tampered with (faults.scn) no
-    longer hashes to the root its records rebuild to, so its holder's
-    snapshot is refused instead."""
+    client's balance, balance records and pair roots, and its balance is
+    the net of its pair records; a crashed client leaves none.  A replica
+    whose leaf was tampered with (faults.scn) no longer hashes to the
+    root its records rebuild to, so its holder's snapshot is refused
+    instead."""
     from deltamoney.cli import _load_clients, _load_keystore
     from deltamoney.client import ClientNode
     from deltamoney.errors import CorruptSnapshot
@@ -235,14 +236,17 @@ def test_shipped_scenario_state_dir_reloads(name, tmp_path):
     assert bool(tampered) == (name == "faults.scn")
     for cid in tampered:
         path = state_dir / f"client_{cid}.snap"
-        with pytest.raises(CorruptSnapshot, match="rebuilt root does not match"):
+        with pytest.raises(CorruptSnapshot, match="records rebuild to root "
+                           "[0-9a-f]{16}, not the replica's"):
             ClientNode.load_snapshot(path.read_bytes(), keystore)
         path.unlink()
     loaded = _load_clients(state_dir, keystore)
     assert sorted(loaded) == sorted(live_ids - tampered)
     for cid, node in loaded.items():
         live = sim.clients[cid]
-        assert node.balance == live.balance, cid
+        assert node.balance == live.balance == node.expected_balance(), cid
+        assert (list(node.mht.records_in_order())
+                == list(live.mht.records_in_order())), cid
         assert node.mht.root() == live.mht.root(), cid
         assert ({key: ptt.root() for key, ptt in node.ptts.items()}
                 == {key: ptt.root() for key, ptt in live.ptts.items()}), cid
@@ -276,8 +280,8 @@ def test_prove_loads_only_the_pair_members_and_the_first_that_loads(
     assert main(["run", str(SCENARIOS / "faults.scn"), "--log",
                  str(tmp_path / "run.log"), "--state-dir", str(state_dir)]) == 0
     keys = str(state_dir / "keys.json")
-    refusal = ("snapshot of client 2 refused: pair (1, 2): rebuilt root does "
-               "not match\n")
+    refusal = ("snapshot of client 2 refused: pair (1, 2): records rebuild to "
+               "root 4fb0876137fafeb9, not the replica's d8edd62ac5e2815d\n")
     for pair, notes in (("1:2", ""), ("2:3", refusal)):
         vo_path = tmp_path / f"{pair.replace(':', '-')}.vo"
         assert main(["prove", str(state_dir), "--pair", pair, "--seq", "1",
@@ -334,13 +338,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "e5b404bfebd0da7035235b25708e4d21c17b2b9fb70709eb9b32c388a5801ca6",
         "client_0.snap":
-            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
+            "5b11b23c48f9bde38df336dcadba8775243bfe9f3375cb3327351a83042af085",
         "client_1.snap":
-            "007bb603123b0ee97c2c917648d6269f4d5c9fab9e12e8c75cf8e5cc3396ccb1",
+            "fc1dfa3eddb9f6f937d9a484a427086bdf6333901de46a08684b8704459d84f4",
         "client_2.snap":
-            "df40aefbeea06c78c010634e68e6c26b7ccbd8fb9540672608f1bdb9f320be67",
+            "f94104ffa0acacc6dde414a94e5b33a7920943fbbf8bdb8c1db34ca0e2425cea",
         "client_3.snap":
-            "356d5900e4b44a5391b6002029b3c1325a346194f7967d54b3d4535badca4913",
+            "4fde0bc6c4359930b60a410612fa47239db8393f5a7756e567bcb812595e704d",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -350,11 +354,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "797fa0293c77d6a55c45c74070c08d85c6fa8c345f24b430091700ba01c4152b",
         "client_0.snap":
-            "09577a01147245520127ccda11e450664d3eaae773a71d96fe65ed39565852b6",
+            "1850bc903ed079f57cac4f6fe060d5ed56b0a4f9a997adce47d344b3ce5bf278",
         "client_2.snap":
-            "b8ba00e424cc9963cefb4b8d4508b376f9ee5f50a56abff0bc27b503851b9966",
+            "67982763d7700d5a351ae15ae22eaf1af48b551532348233769b9b9e12f4c873",
         "client_3.snap":
-            "7b7f42e2a9fa733d6a795b5895dd01d354ee9c892d8c5ce61fc502f386f507a3",
+            "eb499db098fcdbaa9326891e6dd614fde2c8cd6477b802e1c68958a1a96a333f",
         "grid_0.txt":
             "709895b11a042cecdf40d2f4c2a10aba78f8345a9599de92ef28de70c46719b8",
         "keys.json":
@@ -366,13 +370,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "1bc7c7d8f18c6faa7f09518e64fa05005f9d88966b03ac23127bc72f09aa7450",
         "client_0.snap":
-            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
+            "5b11b23c48f9bde38df336dcadba8775243bfe9f3375cb3327351a83042af085",
         "client_1.snap":
-            "b767b27a9de6b6e0e5c6b3327ddb631c8970995f6cdfd2b9d1223e90065c3586",
+            "5d6a1730a424c5bdb89b2ad076e98f31699f07367496b8747044a710630e72b9",
         "client_2.snap":
-            "3df3f36442a784279f93045e1be2fb6c5c2e8e5ce5d328536499add0fa97e2c9",
+            "fb8413f74b12a51d9f1b8a427489cf1aebacef68adb1ebebdf32abd197eba0a1",
         "client_3.snap":
-            "5737960a9d0a92c47b44ea657c6fa94a2fd76f0786528333dbdcc19eeb0ff575",
+            "4384de55dcc33f71029eb0095535aa0b3c2a86a4613f25ec06fa6dcfeb524a11",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -382,13 +386,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "48491bf78af4211e6641078ebeb22fe31bf54ad5b2d82fc5e258a34969ddfe8c",
         "client_0.snap":
-            "b7e841fd4005ad6e45ce1424e26f0d4e94e5a71715c41905ebfb97c5f1a03a41",
+            "6e22feb81fca0fa0dfe5498875ac6be00e9decea9c8ce65cc7382b7b890bceea",
         "client_1.snap":
-            "18d0506627dad8db7e24355f98ab6bce86b581bd8c0ab2f51f276646dad131e9",
+            "7af088e339354e8c58feafdb08791f2f9790f154e49999fd81c49789e4836b6a",
         "client_2.snap":
-            "aa72e237cd32dcb17cff4f3eae55ea5ca80896390a181edbf7c8e872e6cac7d3",
+            "ca9e48671bcc9f80591116593527edafa593450af50b9f5436216dbd691625ec",
         "client_3.snap":
-            "9d05275b0850effb753575f08932a8557fa169a6807b8553619ef753c9671913",
+            "b6603e81711177c6bd1f9c2eb3351d2a836c8f36c7fee3f458c4b218a9a1c735",
         "grid_0.txt":
             "4167367daf761478ddb4165ec6fd73d4e0a1181235b58cc6eded415156c3b3d2",
         "keys.json":
@@ -400,15 +404,17 @@ STATE_DIGESTS = {
         "balances.psv":
             "260cc5cf2d1ce0d6c7f466a3f7798d7dbafa178b732c0241e41db1f06052b05b",
         "client_0.snap":
-            "81f74854c837df1c334604faf73c3989d022dc57b63ae853ff353d30055f0b51",
+            "4ef9700f06e26710f9e2a34a8869475bf9f19277aafa1aeffec4af5b08d8580a",
         "client_1.snap":
-            "8ff0f4b13a1f321a317f48a3260eacf8c2a09871c388e30401671fe381cbf463",
+            "93c7801d7586b926cf6e5c7341b1e7b6c82802eaa0c170208f9d28b0f61d0b0e",
         "client_2.snap":
-            "898efd1b6febec383bf31ed267980e33d0c467b0323bb5dee6eff49365140a64",
+            "4899fc605ea77773d0ce4b469b91689ef22bdb59a16ff4411f08d6521cb0247a",
         "client_3.snap":
-            "ef883f001ed2d05cf045541daa1806013bc2dd2bd8fe11062e507f2d9955b648",
+            "c9669dcc4e1f053b36c4363127565beb97222e29eb4450643b4ade3d871002ba",
         "client_4.snap":
-            "7dc17d8ec00d1d6efa11a927ce02ed890d5d884f0fb79461ac0966066e01fc07",
+            "f356944a20e32c1b05459e862c6d61971e32135e286e1e3e8d1363b782d73b0b",
+        "grid_0.txt":
+            "fc9dfb65e76a83cbeda94608b8ea0d808e5ad677e955048bc4d7fbd271424b0e",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -418,15 +424,15 @@ STATE_DIGESTS = {
         "balances.psv":
             "b73b7dcc13f2eb268273eef341413fdc10f6a11d3786a414d0cf001f8f1e1de2",
         "client_0.snap":
-            "cd2fb8e2be983ab35da57d70b187f45aa2f5e3b699cb4ea268378a2a9be923bc",
+            "6e0c9d14a25a05943a98e52f1b9b4718b2532e53ab3ecebd7d015a619f07fed8",
         "client_1.snap":
-            "f2ef9638bd573d295b2abf3dee9fb25c9c3430a4d7ed10f4aabccffe074d1f11",
+            "d7be427160c6181cff5b3bb351f442f41492f85ab02ca798b0f53136ba6de96e",
         "client_2.snap":
-            "abd7969fadb788b1446ff17381939a19942c2f3142460c759d5bfca37b42f617",
+            "134c442750c6bdef4252fda82271c2b98e8aaaeeca7dc1c1c087fbcc523a1b70",
         "client_3.snap":
-            "89e799b5fb5b801b3ec54e637c95c71d9575c2eb6a58069a42a288bef9c1e61f",
+            "d158f881e7b21c5703a832b79765f7af6760e4af99e142eaef82a3eff635858a",
         "client_4.snap":
-            "ce9cbeee4233fc126360465c56ea34cd223ad9bef96ab53898a93b639517359a",
+            "60cec5f04351c15d7176f8aeccd1fded57194d0152b95d4fd497184280f8e3fe",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -436,15 +442,15 @@ STATE_DIGESTS = {
         "balances.psv":
             "a722c383562a237e1ef9d5d02b0f48fff088d14801729ad12800ca63a8f57ab2",
         "client_0.snap":
-            "fbf7e34aaab4f242d2f857b2fe5d39f397ee0cf8f39b843f38d783fa0db86852",
+            "2342a0c9e32fbb291f20ffd825316f6e18f2bd76927d89b099e40fc02f7a5cd4",
         "client_1.snap":
-            "e6e5d8d9e57ce559bcfeda7dbb305dc4e16437893ff8fe1f194d9f798317d752",
+            "09847275450b46ce1fb89b3eecc907d5de9f5a8fd70814143d3aacdc80628c34",
         "client_2.snap":
-            "9cbacf59eaae029ad4bcea4aae98538f626435ee8c793a802711a537645357cc",
+            "876511a74bb0e43180b473872cb00615f1fd9249ff70cc6fb59b513d03361fb1",
         "client_3.snap":
-            "d02a5ca7f2b53131f3c193c35955b325b68ccc62b82b612c4333a0edca90a017",
+            "ecce7dbae16aef2c02e32df0ada05cad203d07fd6b0a9712a1e6710c39d249f4",
         "client_4.snap":
-            "0cffde7693e9b18cb947dbe047e8a44cfdb6003a9624bb22e4d8fd2233215f82",
+            "56acc0732857744c00a2aade6b10fde8d0eccfbf60f7695424fd334c74aaf3c0",
         "keys.json":
             "eb43f0b91db7cba7ce686051970f2424c6cadab2ba728327616f2f62bfa73aef",
     },
@@ -454,13 +460,13 @@ STATE_DIGESTS = {
         "balances.psv":
             "089ad1d3727a4ad6dc5b2d64f43e573d2d1dee8c73cf7d4f2a885402180b6c74",
         "client_0.snap":
-            "3ccb6b36f5ae6f41741d4428cc520e31c06d415a4441a72b0f1cd4c16f5ebd6e",
+            "5b11b23c48f9bde38df336dcadba8775243bfe9f3375cb3327351a83042af085",
         "client_1.snap":
-            "bc1a820822c10055b7f3c60fe0985ecb723e76359b085df176a9b30222fe050e",
+            "a103ce0a17a8ee20fa78c34a2c38e06511f86eae37c360d2604354e7660e89e5",
         "client_2.snap":
-            "e2d3e76850ac29d29b140a33fbe23a8f802251b0d13e5b1d84d8d970cd7519c3",
+            "53e765fa72bcc25d484ba124b015f6f03dd52691a06570e4857bdd9c72c453a8",
         "client_3.snap":
-            "9fff446d01409828502f68f80f78cb658e3dee2ba4311850f7fa5bf6da0f1105",
+            "6e065add94d48017793b4eece69eeac4b326b35ed52a4e7148911591b5295caf",
         "keys.json":
             "43ffcded543f2745cfb0b310650b60258b262fb01bf4c71a66624223e659da69",
     },
@@ -470,11 +476,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "6aea38bca6700abfeaa83c455b9acd4d4e872183a8637f1e6eaec320e97a8de0",
         "client_0.snap":
-            "497a31d0f836b99d386ebbfdcc9afa9f3cc2803f8db28a5ccb59d4bdf9eaa2c0",
+            "9e30449a0a93d07e891bff9781fa4d132c12d13ec4a841fa4a33daf03f33adf0",
         "client_1.snap":
-            "cc47b3baa9174a4dc550a53122d9c34fb072787ca2020e2ddf030767367928bc",
+            "f77d0908a26d68e92e56580b37cdcfd261a6ac675113f82a7ca88c65896b6b67",
         "client_2.snap":
-            "9167201f85c9d132a342c3d5664527f09a6c42bd72162070e174be0fe6c459a0",
+            "a6cb9189b614e8d204a728ba9d5e922218c6d6745a7bbe212883389baac42df9",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },
@@ -484,11 +490,11 @@ STATE_DIGESTS = {
         "balances.psv":
             "8ba4bec996b5c5347a000ba735c643a88fc4a2134ac0b4d02ef1a71806970ca7",
         "client_0.snap":
-            "b23edd3c8cdf2a8ea23339f9d2930c63b34bd34b0541b04150cf51b989756a34",
+            "a1c3259af5971b778a139a2f77f7ab48cb3ec758d8c1dfd7a4430a6ab9c302a3",
         "client_1.snap":
-            "623a176a6d2a21dbe5d15789be2fd06ce10ce5b60bdf4463b3b64c9e40df4c5d",
+            "994d9b5e29d4cf92cb946be23b27f5a234126093c0359f1426d1a1ee895d476f",
         "client_2.snap":
-            "42d90963d998c6e18c8adb922b4bc4aacd6243e3c1ceb76b80524d7905b263da",
+            "9bc9e6c0d08159022584e981255b89182da94983be8c2bae53a1f839daaf7ff5",
         "keys.json":
             "22bfa27fa90f8e84592cfc4094db9ca66b910ae118d4937bb9a550fa45e38469",
     },

@@ -737,11 +737,11 @@ class TestRecovery:
             records[1] = records[1]._replace(timestamp=records[0].timestamp - 1)
 
         victim = sim.clients[1]
-        before = victim.persist_snapshot()
+        before = victim.persist_snapshot(), victim.mht.root()
         with pytest.raises(ValueError, match="prior balance"):
             victim.recover_transactions(forged_partners(sim, fall_back),
                                         lambda key: None)
-        assert victim.persist_snapshot() == before
+        assert (victim.persist_snapshot(), victim.mht.root()) == before
 
     def test_forged_new_commitment_mid_history_is_refused(self):
         """Client 1's new-balance commitment forged on a record halfway
@@ -756,10 +756,10 @@ class TestRecovery:
             records[i] = record._replace(**{f"{side}_new_commit": b"\x11" * 32})
 
         victim = sim.clients[1]
-        before = victim.persist_snapshot()
+        before = victim.persist_snapshot(), victim.mht.root()
         with pytest.raises(CommitmentMismatch, match="new balance"):
             victim.recover_transactions(forged_partners(sim, forge), lambda key: None)
-        assert victim.persist_snapshot() == before
+        assert (victim.persist_snapshot(), victim.mht.root()) == before
 
     @pytest.mark.parametrize("first", ["commitment", "overdraft"])
     def test_replay_raises_on_the_earliest_forged_record(self, first):
@@ -785,28 +785,32 @@ class TestRecovery:
                 records[i] = fault(records[i])
 
         victim = sim.clients[1]
-        before = victim.persist_snapshot()
+        before = victim.persist_snapshot(), victim.mht.root()
         if first == "commitment":
             expected = pytest.raises(CommitmentMismatch, match="prior balance")
         else:
             expected = pytest.raises(NegativeBalance, match="may not go negative")
         with expected:
             victim.recover_transactions(forged_partners(sim, forge), lambda key: None)
-        assert victim.persist_snapshot() == before
+        assert (victim.persist_snapshot(), victim.mht.root()) == before
 
     def test_recovery_and_later_commits_keep_their_digest_counts(self, sha256_calls):
-        """SHA-256 digests of one recovery and of the commits after it.
+        """SHA-256 digests of one recovery, of loading its snapshot, and of
+        the commits after it.
 
         Four clients on a ring of four pairs, each issued 10**6, run 200
-        transfers; client 1 crashes and is rebuilt from 101 records, then
-        pays client 2 fifty times.  Every digest is one ``hashlib.sha256``
-        call, so a change to the replay or to any tree's hashing shows.
+        transfers; client 1 crashes and is rebuilt from 101 records, its
+        snapshot is loaded, then it pays client 2 fifty times.  Every
+        digest is one ``hashlib.sha256`` call, so a change to the replay or
+        to any tree's hashing shows.
 
         The recovery's 774: 2 commitments per replayed record in
         ``local_view`` (202), the pair trees' 101 leaves and 98 internal
         nodes, 172 prefix-root folds, and the balance tree's 101 leaves
-        and 100 internal nodes.  The 50 commits' 1166: per commit, 4
-        commitments (200), 2 pair-tree leaves
+        and 100 internal nodes.  A load replays the same records through
+        the same recovery, plus the snapshot's checksum and the key
+        derivation of its fresh node: 776.  The 50 commits' 1166: per
+        commit, 4 commitments (200), 2 pair-tree leaves
         (100) and their right-edge nodes (366), and 2 balance-tree
         inserts, clients 1 and 2 each growing from 101 to 151 records
         (100 leaves and 400 right-edge nodes); a live commit checks no
@@ -833,6 +837,11 @@ class TestRecovery:
         sim.recover(1)
         assert len(sim.clients[1].mht) == 101
         assert digests[0] == 774
+        snapshot, keystore = sim.clients[1].persist_snapshot(), KeyStore("stub")
+        digests[0] = 0
+        loaded = ClientNode.load_snapshot(snapshot, keystore)
+        assert loaded.mht.root() == sim.clients[1].mht.root()
+        assert digests[0] == 774 + 2
         digests[0] = 0
         for i in range(50):
             sim.transfer(1, 2, 7 + i)
@@ -892,7 +901,7 @@ class TestSnapshots:
 
     def test_record_disagreeing_with_the_balance_tree_is_corrupt(self):
         """A well-formed snapshot whose pair record does not commit to the
-        balances in the balance tree; every checksum is valid."""
+        balances its replay derives; every checksum is valid."""
         sim = small_world(clients=2, fund=10_000)
         a = sim.clients[1]
         run_transfers(sim, [(1, 2, 30)])
@@ -903,27 +912,41 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot, match="prior balance"):
             ClientNode.load_snapshot(a.persist_snapshot(), KeyStore("stub"))
 
-    @pytest.mark.parametrize("off_by", [-1, 1])
-    def test_client_seq_not_counting_the_balance_records_is_corrupt(self, off_by):
-        """A snapshot with a valid checksum whose client_seq is off by one
-        is refused on loading, not by the next commit's balance insert."""
-        a = run_traffic(seed=13).clients[1]
+    @pytest.mark.parametrize("forgery, refusal", [
+        ("made-up root", "records rebuild to root"),
+        ("amount the balances do not open", "new balance does not match"),
+    ])
+    def test_forged_pair_records_are_refused(self, forgery, refusal):
+        """A snapshot stores no balance record, so a forged balance or
+        causing PTTR can only be written through the pair records, and
+        every checksum is recomputed: a replica root its records do not
+        rebuild to, or a record whose amount (root rebuilt to match) moves
+        the balance off its commitment."""
+        sim = small_world(clients=2, fund=10_000)
+        a = sim.clients[1]
+        run_transfers(sim, [(1, 2, 30)])
+        if forgery != "made-up root":
+            ptt = a.ptts[pair_of(1, 2)]
+            forged = ptt.records[-1]._replace(amount=70)
+            ptt.rollback_last()
+            ptt.append_record(forged)
         body = bytearray(a.persist_snapshot()[:-32])
-        at = 4 + 4 + 8  # magic, version and id, then client_seq
-        body[at:at + 8] = (len(a.mht) + off_by).to_bytes(8, "big")
+        if forgery == "made-up root":
+            body[-32:] = b"\x07" * 32  # the last pair section's root
         blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
-        with pytest.raises(CorruptSnapshot, match="does not count"):
+        with pytest.raises(CorruptSnapshot, match=refusal):
             ClientNode.load_snapshot(blob, KeyStore("stub"))
 
     def test_snapshot_of_the_previous_version_is_refused(self):
-        """A version-1 snapshot laid its pair sections out differently; with
-        a valid checksum it is still refused, by its version."""
+        """A version-2 snapshot stored a balance tree beside its pair
+        sections; with a valid checksum it is still refused, by its
+        version."""
         a = run_traffic(seed=13).clients[1]
         body = bytearray(a.persist_snapshot()[:-32])
-        body[4:8] = (1).to_bytes(4, "big")  # the u32 after the magic
+        body[4:8] = (2).to_bytes(4, "big")  # the u32 after the magic
         blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
         with pytest.raises(CorruptSnapshot,
-                           match="^unsupported snapshot version 1$"):
+                           match="^unsupported snapshot version 2$"):
             ClientNode.load_snapshot(blob, KeyStore("stub"))
 
     def test_truncated_snapshot_is_detected(self):

@@ -595,8 +595,8 @@ def test_eventual_consistency_matches_instant_delivery(policy):
 
     base, run_p = run(DeliveryPolicy()), run(policy)
     for c in (1, 2):
-        assert (run_p.clients[c].persist_snapshot()
-                == base.clients[c].persist_snapshot())
+        assert ((run_p.clients[c].persist_snapshot(), run_p.clients[c].mht.root())
+                == (base.clients[c].persist_snapshot(), base.clients[c].mht.root()))
     assert ({r.client_id: r.valid_balance for r in run_p.cm.table.open_rows()}
             == {r.client_id: r.valid_balance for r in base.cm.table.open_rows()})
     assert dict(run_p.im.latest_validated) == dict(base.im.latest_validated)
@@ -1013,7 +1013,7 @@ def test_golden_runs_name_every_shipped_scenario():
 @pytest.mark.parametrize("name, digest", [
     ("table4", "65ee7665b9239bd16a831edd48feb04d52ad17113cb00d41c91e2595b7957d30"),
     ("grid3", "3b256954ca33e3140b297ed6571ec07a4018fc868ba428028d94f62bf0da425b"),
-    ("recover", "e2e33e5d44ed9b3e034e41a166e90585ef7a338f51b7001c9c6d0d583e647a30"),
+    ("recover", "ca3333c4ba1109d676bec13bf28d47ddc470c15dc812af4dbce9fdff85c6a24a"),
     ("crash-before-commit",
      "cb25f93bd1c7fdc9d57b2dc969d71c77682c1789158d88579ad6943d1819a011"),
     ("reorder", "a8441a93c6f60fdfba9b6754e80ea04b2a08db61c89db2cb1d3fc5c734743f72"),
