@@ -18,12 +18,15 @@ Verifying it hashes its k + w leaves (w witnesses) and k + w - 1 + d
 internal nodes, d the number of digests; completeness is read from the
 records' indices with no further hashing.
 
-Costs: an insert hashes the record's leaf and at most one node per level
-(``MerkleTree.append``), as does ``remove_last``.  ``build`` checks each
-record in order and hashes n leaves and n - 1 internal nodes; recovery
-builds the tree with it, and so does a snapshot load, which replays the
-stored pair records through recovery (no snapshot stores this tree).  A
-range query returning k records costs O(log n + k) before its proof.
+Costs: inserting record i + 1 hashes its leaf, each parent it completes
+and the fold of the larger peaks into the root, 1 + popcount(i) digests
+(``MerkleTree.append``); ``remove_last`` rewrites no stored node and only
+refolds the root of the m records left, popcount(m) - 1 digests.
+``build`` checks each record in order and hashes n leaves and n - 1
+internal nodes; recovery builds the tree with it, and so does a snapshot
+load, which replays the stored pair records through recovery (no
+snapshot stores this tree).  A range query returning k records costs
+O(log n + k) before its proof.
 """
 
 from __future__ import annotations
@@ -152,13 +155,14 @@ class BalanceMHT:
         return iter(self._records)
 
     def insert(self, record: BalanceChangeRecord) -> None:
-        """Check and append ``record``: one leaf and the right edge above it."""
+        """Check and append ``record``: its leaf, the parents it completes
+        and the refolded root."""
         _check_next(self._records, record)
         self._tree.append(record.to_bytes())
         self._records.append(record)
 
     def remove_last(self) -> None:
-        """Drop the latest record, rehashing only the new right edge."""
+        """Drop the latest record: hashes only the new root's peak fold."""
         self._tree.remove_last()
         self._records.pop()
 

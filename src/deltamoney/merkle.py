@@ -1,25 +1,30 @@
 """Append-capable binary Merkle tree with multiproofs over its prefixes.
 
-Leaves are hashed with the leaf tag, adjacent nodes are paired left to right
-with the internal tag, and an unpaired rightmost node is promoted unchanged
-to the next level (no duplicate-and-hash, which is malleable). The root is a
-pure function of the ordered leaf payloads, and equals RFC 6962's Merkle
-Tree Hash (section 2.1) of them.
+Leaves are hashed with the leaf tag and adjacent nodes are paired left to
+right with the internal tag.  The tree stores only perfect subtrees, the
+nodes no later append or removal changes (Crosby and Wallach's frozen
+nodes, USENIX Security 2009): level h holds one node per whole block of
+2**h leaves.  Any run of leaves that ends a prefix splits into such
+subtrees, its peaks, one per set bit of its length, and its digest is the
+peaks folded from the right.  That is RFC 6962's Merkle Tree Hash
+(section 2.1) of the ordered leaf payloads; no node is ever paired with a
+copy of itself (duplicate-and-hash, which is malleable).  ``_fold_peaks``
+is that one fold; the root, ``root_at``, ``prove`` and ``verify`` all go
+through it.
 
-Costs: appending or removing the last leaf changes only the right edge,
-one node per level, so it hashes at most one node per level.  The edge is
-walked with bit arithmetic on the leaf index: a node at an odd index has a
-left sibling and is hashed with it, one at an even index is the unpaired
-rightmost node and is carried up as is.  An append fills new slots up to
-the first odd index and overwrites existing ones above it; a removal trims
-each level to its new size and rehashes the edge of the last leaf left.
-Replacing a leaf, which only fault injection does, refolds every level
-above the leaves.  ``build`` hashes n leaves and n - 1 internal nodes, one
-comprehension per level.  ``prefix_roots`` gives the root of every prefix
-for popcount(size) - 1 hashes each, all read from the stored levels with
-no leaf rehashed, in one comprehension per half-block offset or per block
-of each level.  Every digest is one ``hashing.digest`` call on the tagged
-bytes, with no helper frame in between.
+Costs: appending leaf i hashes the leaf and each parent it completes (one
+per trailing set bit of i), then folds the larger peaks into the cached
+root: 1 + popcount(i) hashes in all.  Removing the last leaf truncates
+every level to the whole blocks left, hashing nothing, and refolds the
+root of the m leaves left for popcount(m) - 1 hashes.  No stored node is
+ever rewritten.  Replacing a leaf, which only fault injection does,
+refolds every level above the leaves.  ``build`` hashes n leaves and
+n - 1 internal nodes, one comprehension per level and the peak fold.
+``prefix_roots`` gives the root of every prefix for popcount(size) - 1
+hashes each, all read from the stored levels with no leaf rehashed, in one
+comprehension per half-block offset or per block of each level.  Every
+digest is one ``hashing.digest`` call on the tagged bytes, with no helper
+frame in between.
 
 A proof shows sorted leaves against the root of the first ``size`` leaves
 (RFC 9162 section 2.1.3's subtree split, extended to many leaves as in
@@ -43,14 +48,16 @@ from .hashing import TAG_INTERNAL, TAG_LEAF, Digest, digest
 class MerkleTree:
     """Binary hash tree over an ordered list of byte payloads.
 
-    ``_levels[0]`` holds the leaf digests and each later level the nodes one
-    step up, so the last level is the root. Every mutation keeps all levels
-    current, which makes ``root`` a plain read and every perfect subtree of
-    any prefix a stored node.
+    ``_levels[0]`` holds the leaf digests and ``_levels[h]`` the ``n >> h``
+    perfect subtrees of 2**h leaves over the ``n`` leaves, so there are
+    ``max(n.bit_length(), 1)`` levels and every perfect subtree of any
+    prefix is a stored node.  ``_root`` caches the peaks' fold, which
+    makes ``root`` a plain read.
     """
 
     def __init__(self):
         self._levels: list[list[Digest]] = [[]]
+        self._root: Digest | None = None
 
     @classmethod
     def build(cls, leaf_payloads) -> "MerkleTree":
@@ -59,7 +66,7 @@ class MerkleTree:
         if not leaves:
             raise EmptyTree("cannot build a tree with no leaves")
         tree = cls()
-        tree._levels = _fold_levels(leaves)
+        tree._pair_up(leaves)
         return tree
 
     def append(self, payload: bytes) -> None:
@@ -69,49 +76,29 @@ class MerkleTree:
         levels = self._levels
         index = len(levels[0])
         levels[0].append(node)
-        # an even index is the unpaired rightmost node, promoted into a
-        # parent slot that is new as long as the node itself is new
+        # a node at an odd index completes its parent, one level up
         depth = 0
-        while index and not index & 1:
+        while index & 1:
+            node = digest(TAG_INTERNAL + levels[depth][index - 1] + node)
             index >>= 1
             depth += 1
-            levels[depth].append(node)
-        if index == 1:
-            # the leaf index was a power of two: the old root gains a
-            # right sibling, and the tree a level
-            levels.append([digest(TAG_INTERNAL + levels[depth][0] + node)])
-            return
-        # past the first odd index every parent slot exists already
-        while index:
-            if index & 1:
-                node = digest(TAG_INTERNAL + levels[depth][index - 1] + node)
-            index >>= 1
-            depth += 1
-            levels[depth][index] = node
+            if depth < len(levels):
+                levels[depth].append(node)
+            else:
+                levels.append([node])
+        # node is now the smallest peak; the larger ones end where it starts
+        rest = index << depth
+        self._root = _fold_peaks(levels, rest, rest, node)
 
     def remove_last(self) -> None:
         levels = self._levels
-        leaves = levels[0]
-        if not leaves:
+        size = len(levels[0]) - 1
+        if size < 0:
             raise EmptyTree("nothing to remove")
-        leaves.pop()
-        last = len(leaves) - 1
-        if last < 0:
-            del levels[1:]
-            return
-        # a tree whose last leaf is ``last`` has last.bit_length() + 1
-        # levels, and level h ends at node last >> h
-        del levels[last.bit_length() + 1:]
-        node = leaves[last]
-        index, depth = last, 0
-        while index:
-            if index & 1:
-                node = digest(TAG_INTERNAL + levels[depth][index - 1] + node)
-            index >>= 1
-            depth += 1
-            level = levels[depth]
-            del level[index + 1:]
-            level[index] = node
+        del levels[max(size.bit_length(), 1):]
+        for depth, level in enumerate(levels):
+            del level[size >> depth:]
+        self._root = _fold_peaks(levels, size, size)
 
     def replace_leaf(self, leaf_index: int, payload: bytes) -> None:
         """Overwrite one leaf and refold the levels above (fault injection)."""
@@ -121,15 +108,19 @@ class MerkleTree:
             raise EmptyPayload("leaf payload must be non-empty")
         leaves = self._levels[0]
         leaves[leaf_index] = digest(TAG_LEAF + payload)
+        self._pair_up(leaves)
+
+    def _pair_up(self, leaves: list[Digest]) -> None:
         self._levels = _fold_levels(leaves)
+        self._root = _fold_peaks(self._levels, len(leaves), len(leaves))
 
     def __len__(self) -> int:
         return len(self._levels[0])
 
     def root(self) -> Digest:
-        if not self._levels[0]:
+        if self._root is None:
             raise EmptyTree("tree has no leaves")
-        return self._levels[-1][0]
+        return self._root
 
     def leaf(self, index: int) -> Digest:
         """Digest of leaf ``index``, as stored: no payload is rehashed."""
@@ -142,7 +133,7 @@ class MerkleTree:
         """Root the tree had when it held only its first ``size`` leaves."""
         if not 1 <= size <= len(self._levels[0]):
             raise IndexOutOfRange(f"prefix {size} outside tree of {len(self)}")
-        return self._subtree(0, size)
+        return _fold_peaks(self._levels, size, size)
 
     def prefix_roots(self) -> list[Digest]:
         """``root_at(size)`` for every size from 1 to ``len(self)``, in order.
@@ -153,20 +144,21 @@ class MerkleTree:
         A level changes only the indices in the right half of a block: the
         last one, whose block is then whole, takes the stored parent (so an
         odd leaf takes its stored parent), and every other one hashes the
-        stored left half with its running root.  The prefix ending at leaf
+        stored left half with its running root.  The top level has no
+        parents, for its one block is not whole.  The prefix ending at leaf
         i so costs one hash per set bit of i above its trailing ones, the
-        popcount(i + 1) - 1 of ``_subtree``.  A level runs one
+        popcount(i + 1) - 1 of ``_fold_peaks``.  A level runs one
         comprehension per half-block offset or per block, whichever is
         fewer, so no per-size Python loop is left.
         """
         levels = self._levels
         roots = list(levels[0])
         n = len(roots)
-        for h in range(len(levels) - 1):
+        for h, parents in enumerate([*levels[1:], []]):
             half, block = 1 << h, 2 << h
-            lefts, parents = levels[h], levels[h + 1]
+            lefts = levels[h]
             # the last index of each whole block takes the stored parent
-            roots[block - 1::block] = parents[:n // block]
+            roots[block - 1::block] = parents
             if half <= n // block:  # few offsets, many blocks: stride them
                 left_halves = lefts[::2]
                 for offset in range(half, block - 1):
@@ -181,27 +173,6 @@ class MerkleTree:
                                          for root in roots[start:stop]]
         return roots
 
-    def _subtree(self, lo: int, hi: int) -> Digest:
-        """Digest of leaves ``[lo, hi)``, a node of the split of a prefix.
-
-        Such a node is perfect, or ends the prefix with ``lo`` a multiple
-        of the power of two above ``hi - lo``.  Either way it splits into
-        perfect subtrees stored in ``_levels``, one per set bit of ``hi -
-        lo`` and the largest leftmost (level h, index i covers leaves
-        [i * 2**h, (i + 1) * 2**h)).  Promoting unpaired nodes makes the
-        digest these peaks folded from the right, RFC 6962's Merkle Tree
-        Hash: popcount(hi - lo) - 1 hashes, and no leaf rehashed.
-        """
-        levels = self._levels
-        rest, node = hi - lo, None
-        while rest:
-            bit = rest & -rest
-            depth = bit.bit_length() - 1
-            peak = levels[depth][(hi >> depth) - 1]
-            node = peak if node is None else digest(TAG_INTERNAL + peak + node)
-            rest ^= bit
-        return node
-
     def prove(self, indices: Sequence[int], size: int) -> list[Digest]:
         """Multiproof of leaves ``indices`` against ``root_at(size)``.
 
@@ -209,7 +180,8 @@ class MerkleTree:
         the digest of every maximal subtree that holds none of ``indices``
         and skipping any subtree whose leaves are all proved.
         """
-        if not (size <= len(self._levels[0]) and _well_formed(indices, size)):
+        levels = self._levels
+        if not (size <= len(levels[0]) and _well_formed(indices, size)):
             raise IndexOutOfRange(f"leaves {list(indices)} do not rise strictly "
                                   f"in a prefix {size} of a tree of {len(self)}")
         proof: list[Digest] = []
@@ -217,7 +189,7 @@ class MerkleTree:
         def walk(lo: int, hi: int, i: int, j: int) -> None:
             # indices[i:j] are the proved leaves inside [lo, hi)
             if i == j:
-                proof.append(self._subtree(lo, hi))
+                proof.append(_fold_peaks(levels, hi, hi - lo))
             elif j - i < hi - lo:
                 mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
                 m = bisect_left(indices, mid, i, j)
@@ -234,17 +206,39 @@ def _well_formed(indices: Sequence[int], size: int) -> bool:
 
 
 def _fold_levels(leaves: list[Digest]) -> list[list[Digest]]:
-    """Every level of the tree over ``leaves``, leaves first, root last."""
+    """The perfect subtrees over ``leaves``, a level each, leaves first.
+
+    Level h pairs the nodes of level h - 1, leaving an unpaired last one
+    out, so it holds ``len(leaves) >> h`` nodes.
+    """
     levels = [leaves]
     level = leaves
     while len(level) > 1:
         pairs = iter(level)  # zip(pairs, pairs) yields nodes 0 and 1, 2 and 3, ...
-        nxt = [digest(TAG_INTERNAL + left + right) for left, right in zip(pairs, pairs)]
-        if len(level) & 1:  # the unpaired rightmost node is promoted
-            nxt.append(level[-1])
-        levels.append(nxt)
-        level = nxt
+        level = [digest(TAG_INTERNAL + left + right) for left, right in zip(pairs, pairs)]
+        levels.append(level)
     return levels
+
+
+def _fold_peaks(levels: list[list[Digest]], hi: int, width: int,
+                node: Digest | None = None) -> Digest | None:
+    """Digest of the ``width`` leaves ending at ``hi``, folded onto ``node``.
+
+    The run must be a node of the split of a prefix: perfect, or ending
+    the prefix with its start a multiple of the power of two above
+    ``width``.  Either way it splits into peaks stored in ``levels``, one
+    per set bit of ``width`` and the largest leftmost (level h, index i
+    covers leaves [i * 2**h, (i + 1) * 2**h)).  Folding them from the
+    right is RFC 6962's Merkle Tree Hash: popcount(width) - 1 hashes, one
+    more with a ``node``, and no leaf rehashed; None for no leaves.
+    """
+    while width:
+        bit = width & -width
+        depth = bit.bit_length() - 1
+        peak = levels[depth][(hi >> depth) - 1]
+        node = peak if node is None else digest(TAG_INTERNAL + peak + node)
+        width ^= bit
+    return node
 
 
 def _empty_payload() -> NoReturn:
@@ -269,7 +263,7 @@ def verify(leaf_payloads: Sequence[bytes], indices: Sequence[int], size: int,
         if i == j:
             return next(digests)
         if j - i == hi - lo:
-            return _fold_levels(leaves[i:j])[-1][0]
+            return _fold_peaks(_fold_levels(leaves[i:j]), j - i, j - i)
         mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
         m = bisect_left(indices, mid, i, j)
         return digest(TAG_INTERNAL + fold(lo, mid, i, m) + fold(mid, hi, m, j))

@@ -211,7 +211,7 @@ class Simulation:
         self.registered_pairs: set[tuple[int, int]] = set()
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
-        self.partitions: list = []  # (start, end) manager unreachability
+        self.partitions: list = []  # (start, end) manager unreachability, until it ends
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
         self.last_verdict = None
         self.grids: list = []
@@ -322,12 +322,17 @@ class Simulation:
         that overlap count as one outage, from the first start to the last
         end.  A longer outage cannot be told apart from a silent party,
         and the alert it may draw is correct.
+
+        Every partition began on or before this tick, and one that has
+        ended is dropped here: the clock never goes back, so it can cover
+        no later delivery.
         """
         if self.partitions and target in MANAGER_ACTORS:
             now = self.now
-            end = max((end for start, end in self.partitions if start <= now < end),
-                      default=None)
-            if end is not None:
+            self.partitions = [(start, end) for start, end in self.partitions
+                               if end > now]
+            if self.partitions:
+                end = max(end for _, end in self.partitions)
                 self.emit("net", "hold", f"target={target} until={end}")
                 self.send(target, sender, message, delay=end - now)
                 return

@@ -305,8 +305,9 @@ def test_build_hashes_each_record_and_each_node_once(seed, sha256_calls):
 @pytest.mark.parametrize("seed", [3, 4, 5, 8, 16])
 def test_insert_hashes_record_new_path_and_split_halves(seed, sha256_calls):
     """The insert of leaf i hashes its record and one internal node per set
-    bit of i: the new right edge, whose left halves are cached and not
-    hashed again. The count is the same for every history."""
+    bit of i: the parents it completes and the fold of the larger peaks,
+    which are stored and not hashed again. The count is the same for every
+    history."""
     calls = sha256_calls
     records = history(300, seed=seed)
     calls[0] = 0

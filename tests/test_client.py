@@ -577,10 +577,10 @@ class TestRecovery:
         assert view_tuples(victim) == views_before
 
     def test_deep_balance_tree_recovery_is_bit_identical(self):
-        """A victim with 220 balance records, so its balance tree has
-        nine levels and an unpaired node promoted at two of them, and the
-        treasury with its opening reserve record both rebuild the trees
-        they had before the crash."""
+        """A victim with 220 balance records, so its balance tree stores
+        eight levels and folds its root from five peaks, and the treasury
+        with its opening reserve record both rebuild the trees they had
+        before the crash."""
         sim = small_world(seed=5, fund=10_000)
         victim = sim.clients[1]
         rng = random.Random(5)
@@ -589,7 +589,7 @@ class TestRecovery:
             payer, payee = rng.sample([1, rng.choice((2, 3))], 2)
             run_transfers(sim, [(payer, payee, rng.randint(1, 60))])
             assert len(victim.mht) == count + 1
-        assert len(victim.mht._tree._levels) == 9
+        assert len(victim.mht._tree._levels) == 8
         assert sim.alerts == [] and sim.cm.check_conservation().holds
 
         def crash_and_recover(node, partners):
@@ -810,11 +810,11 @@ class TestRecovery:
         and 100 internal nodes.  A load replays the same records through
         the same recovery, plus the snapshot's checksum and the key
         derivation of its fresh node: 776.  The 50 commits' 1166: per
-        commit, 4 commitments (200), 2 pair-tree leaves
-        (100) and their right-edge nodes (366), and 2 balance-tree
-        inserts, clients 1 and 2 each growing from 101 to 151 records
-        (100 leaves and 400 right-edge nodes); a live commit checks no
-        commitment and hashes no report digest.
+        commit, 4 commitments (200), 2 pair-tree leaves (100) with the
+        parents they complete and their root folds (366), and 2
+        balance-tree inserts, clients 1 and 2 each growing from 101 to 151
+        records (100 leaves and 400 parents and root folds); a live commit
+        checks no commitment and hashes no report digest.
         """
         sim = Simulation(seed=7)
         pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]

@@ -209,7 +209,7 @@ def test_forged_attestation_signature_fails_correctness():
 
 @pytest.mark.parametrize("lo,hi", [(1, 12), (8, 9), (9, 9), (3, 8), (1, 6),
                                    (11, 20), (9, 8), (-3, 0)])
-def test_query_returns_exactly_the_requested_range_of_the_epoch(lo, hi):
+def test_query_returns_exactly_the_requested_range(lo, hi):
     sim = build_world(n_transfers=10)
     a, im = sim.clients[1], sim.im
     grant = authorize(50, 1, [(1, 2)], enrolled={1, 2})

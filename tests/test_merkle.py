@@ -226,7 +226,7 @@ def test_incremental_updates_match_rebuild():
         n = len(items)
         built = MerkleTree.build(items)
         assert len(tree) == n
-        assert len(tree._levels) == len(built._levels) == math.ceil(math.log2(n)) + 1
+        assert len(tree._levels) == len(built._levels) == n.bit_length()
         assert tree.root() == built.root() == brute_force_root(items)
         for i in range(n):
             assert tree.prove([i], n) == built.prove([i], n)
@@ -246,14 +246,17 @@ def test_emptied_tree_grows_again():
 
 
 def test_append_then_root_hashes_one_path(sha256_calls):
-    # a two-leaf root needs two hashes, so the bound starts at n = 2
+    """Leaf i costs its leaf digest, one parent per trailing set bit of i
+    and one fold per larger peak: 1 + popcount(i).  ``root`` then reads
+    the cached fold and hashes nothing."""
     calls = sha256_calls
-    tree = MerkleTree.build(payloads(2))
-    for n in range(2, 301):
+    tree = MerkleTree()
+    for i in range(400):
         calls[0] = 0
-        tree.append(b"payload-%d" % n)
+        tree.append(b"payload-%d" % i)
         tree.root()
-        assert calls[0] <= math.ceil(math.log2(n)) + 1, n
+        tree.root()
+        assert calls[0] == 1 + bin(i).count("1"), i
 
 
 def test_root_at_equals_prefix_build():
@@ -312,7 +315,12 @@ OPERATIONS = st.lists(
 @given(OPERATIONS)
 @settings(max_examples=150, deadline=None)
 def test_incremental_levels_equal_build(operations):
-    """Every stored node, not only the root, matches a fresh build."""
+    """Every stored node, not only the root, matches a fresh build.
+
+    Level h holds exactly the n >> h perfect subtrees of 2**h leaves, each
+    the MTH of its block, and the root is the MTH of all n leaves: no node
+    is left stale, partial or past the end after any mutation.
+    """
     items = [b"first"]
     tree = MerkleTree.build(items)
     for step, op in enumerate(operations):
@@ -330,10 +338,37 @@ def test_incremental_levels_equal_build(operations):
             index = op[1] % len(items)
             items[index] = b"replaced-%d" % step
             tree.replace_leaf(index, items[index])
+        n = len(items)
+        mth = mth_oracle(tuple(items))
+        assert len(tree._levels) == max(n.bit_length(), 1)
+        for h, level in enumerate(tree._levels):
+            assert level == [mth(i << h, (i + 1) << h) for i in range(n >> h)]
         if items:
             assert tree._levels == MerkleTree.build(items)._levels
+            assert tree.root() == mth(0, n)
         else:
             assert tree._levels == [[]]
+
+
+def test_remove_last_hashes_only_the_fold_of_the_peaks_left(sha256_calls):
+    """Removing down to m leaves truncates the levels, hashing nothing, and
+    refolds the root of the m leaves: popcount(m) - 1 digests, 1260 over
+    m = 398 down to 1."""
+    calls = sha256_calls
+    items = payloads(399)
+    mth = mth_oracle(items)
+    tree = MerkleTree.build(items)
+    total = 0
+    for m in range(398, 0, -1):
+        calls[0] = 0
+        tree.remove_last()
+        assert calls[0] == bin(m).count("1") - 1, m
+        total += calls[0]
+        assert tree.root() == mth(0, m), m
+    assert total == 1260
+    calls[0] = 0
+    tree.remove_last()
+    assert calls[0] == 0 and tree._levels == [[]]
 
 
 def test_root_at_hashes_one_per_extra_peak(sha256_calls):

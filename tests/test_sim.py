@@ -1099,6 +1099,23 @@ def test_held_reports_land_when_the_partition_ends():
     assert sim.alerts == []
 
 
+def test_a_partition_is_dropped_once_it_has_ended():
+    """A manager delivery drops every partition that has ended, so the
+    list does not grow with each partition a long run injects."""
+    sim = small_world(seed=27)
+    sim.inject("partition-manager", 40)  # ticks 30 to 69
+    sim.inject("partition-manager", 5)  # ticks 30 to 34
+    sim.transfer(1, 2, 100)
+    sim.advance(4)
+    assert sim.partitions == [(30, 70), (30, 35)]
+    sim.advance(1)  # the payee's reports are held at 35, past the short one
+    assert sim.partitions == [(30, 70)]
+    sim.quiesce()  # they land at 70, when the long one has ended too
+    assert sim.now == 70 and sim.partitions == []
+    assert "70|im|txn-report|pair=(1, 2) seq=1 reporter=2 status=validated" \
+        in sim.log.lines
+
+
 def test_reports_sent_before_a_crash_still_land():
     sim = small_world(seed=12)
     sim.quiesce()
