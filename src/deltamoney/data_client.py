@@ -295,7 +295,7 @@ def verify_balance_vo(vo: BalanceRangeVO, keystore: KeyStore,
     try:
         records = [BalanceChangeRecord.from_bytes(b) for b in vo.records]
         range_vo = RangeVO.from_bytes(vo.range_vo)
-    except Exception:
+    except (ValueError, DeltaMoneyError):  # any field the records refuse
         return Verdict(False, False, fresh)
     correct, complete = examine_range(records, range_vo, att.mhtr)
     return Verdict(correct and sig_ok, complete, fresh)

@@ -21,12 +21,17 @@ client snapshot checksum and ``KeyStore``'s key derivation. None of them
 is ever compared with a tree node; the grid digests are pinned by golden
 event logs, so adding a tag would change recorded output.
 
-Every tree, commitment and grid digest is one call of ``digest``:
-SHA-256, at one Python frame over ``hashlib``. It looks ``hashlib.sha256``
-up on every call, so a counter patched over that sees each digest.
-``hash_leaf`` and ``hash_internal`` state the Merkle trees' two node
-digests; ``merkle`` inlines them, and the tests hold it to them. Root
-signatures are pluggable: a real Ed25519 scheme and a deterministic
+Every digest is SHA-256 taken through ``hashlib.sha256``, looked up on
+every call and never bound at import, so a counter patched over it (the
+benchmark tracer, the tests' ``sha256_calls``) sees each one. On the hot
+paths, every tree node in ``merkle`` and every ``commit_balance``, the
+digest is one inline ``hashlib.sha256(data).digest()`` with no helper
+frame, for a recovery hashes thousands of them. ``digest`` is that call
+as a function, for the cold callers (the grid, the sentinels) and the
+tests. ``hash_leaf`` and ``hash_internal`` state the Merkle trees' two
+node digests; ``merkle`` inlines them, and the tests hold it to them.
+
+Root signatures are pluggable: a real Ed25519 scheme and a deterministic
 HMAC-style stub ship with the engine.  Each signer has one key object
 that both signs and verifies, and ``KeyStore`` keeps one per signer id.
 """
@@ -83,7 +88,8 @@ def commit_balance(client_id: int, seq: int, balance: int) -> Digest:
     """
     if balance < 0:
         raise NegativeBalance(f"cannot commit negative balance {balance}")
-    return digest(BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance))
+    return hashlib.sha256(
+        BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance)).digest()
 
 
 # --- root signatures -------------------------------------------------------

@@ -336,6 +336,8 @@ def broken_histories():
         "earlier key": (records[:10] + [records[4]], NonMonotonicKey),
         "broken running sum": (records[:9] + [bumped(r)], ValueError),
         "skipped client_seq": (records[:9] + [r._replace(client_seq=11)], ValueError),
+        "falling timestamp": (records[:9] + [r._replace(timestamp=r.timestamp - 2)],
+                              NonMonotonicKey),
     }
 
 

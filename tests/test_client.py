@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from deltamoney.balance_tree import BalanceMHT
+from deltamoney.balance_tree import BalanceChangeRecord, BalanceMHT
 from deltamoney.client import (
     RETRY_BASE,
     RETRY_MAX_ATTEMPTS,
@@ -34,13 +34,19 @@ from deltamoney.errors import (
     InsufficientBalance,
     LimitExceeded,
     NegativeBalance,
+    NonMonotonicSequence,
     NotQuiescent,
     NotRegisteredPeers,
     PartnerRootDisagreement,
+    UnregisteredPair,
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST, KeyStore, hash_leaf
 from deltamoney.integrity_manager import TransactionReport
-from deltamoney.peer_ledger import PeerTransactionTree, net_position
+from deltamoney.peer_ledger import (
+    PeerTransactionTree,
+    TransactionPairRecord,
+    net_position,
+)
 from deltamoney.sim import Simulation
 from worlds import run_transfers, small_world
 
@@ -551,6 +557,34 @@ def forged_partners(sim, forge):
     return [forged, *(sim.clients[p].export_recovery_data(1) for p in (0, 3))]
 
 
+def misfiled_replica(sim, forgery):
+    """Client 2's replica of pair (1, 2), still keyed (1, 2), with its
+    records forged so ``_admit`` refuses one: a seq skipped, a seq
+    repeated, or record 2 swapped for pair (2, 3)'s record 2.  Returned
+    with the error that appending the records one by one to a fresh
+    pair tree raises."""
+    replica = sim.clients[2].export_recovery_data(1)
+    records = list(replica.records)
+    if forgery == "skipped seq":
+        del records[1]
+    elif forgery == "repeated seq":
+        records.insert(2, records[1])
+    else:
+        records[1] = sim.clients[2].ptts[(2, 3)].records[1]
+    appended = PeerTransactionTree(1, 2)
+    with pytest.raises((NonMonotonicSequence, UnregisteredPair)) as refused:
+        for record in records:
+            appended.append_record(record)
+    return replica._replace(records=tuple(records)), refused.value
+
+
+MISFILED = pytest.mark.parametrize("forgery, error", [
+    ("skipped seq", NonMonotonicSequence),
+    ("repeated seq", NonMonotonicSequence),
+    ("other pair's record", UnregisteredPair),
+])
+
+
 def view_tuples(node):
     """(peer, pair_seq, prior, new) of each balance change, in tree order."""
     return [(r.peer_id, r.pair_seq, r.new_balance - r.delta, r.new_balance)
@@ -669,6 +703,24 @@ class TestRecovery:
         with pytest.raises(error):
             a.recover_transactions(partners, lambda key: None)
         assert state() == before
+
+    @MISFILED
+    def test_misfiled_replica_is_refused_as_appending_would(self, forgery, error):
+        """A partner's replica of the right pair whose records skip a seq,
+        repeat one or take in another pair's record is refused with the
+        error and message appending them raises, and the node keeps its
+        state."""
+        sim = run_traffic()
+        forged, expected = misfiled_replica(sim, forgery)
+        victim = sim.clients[1]
+        partners = [forged, *(sim.clients[p].export_recovery_data(1)
+                              for p in (0, 3))]
+        before = victim.persist_snapshot(), victim.mht.root()
+        with pytest.raises(error) as refused:
+            victim.recover_transactions(partners, lambda key: None)
+        assert type(expected) is error
+        assert str(refused.value) == str(expected)
+        assert (victim.persist_snapshot(), victim.mht.root()) == before
 
     def test_partner_claiming_wrong_root_is_caught(self):
         sim = run_traffic()
@@ -794,9 +846,11 @@ class TestRecovery:
             victim.recover_transactions(forged_partners(sim, forge), lambda key: None)
         assert (victim.persist_snapshot(), victim.mht.root()) == before
 
-    def test_recovery_and_later_commits_keep_their_digest_counts(self, sha256_calls):
+    def test_recovery_and_later_commits_keep_their_digest_counts(
+            self, sha256_calls, monkeypatch):
         """SHA-256 digests of one recovery, of loading its snapshot, and of
-        the commits after it.
+        the commits after it, and the record encodes of the recovery and
+        the load.
 
         Four clients on a ring of four pairs, each issued 10**6, run 200
         transfers; client 1 crashes and is rebuilt from 101 records, its
@@ -815,7 +869,23 @@ class TestRecovery:
         balance-tree inserts, clients 1 and 2 each growing from 101 to 151
         records (100 leaves and 400 parents and root folds); a live commit
         checks no commitment and hashes no report digest.
+
+        The recovery and the load each encode every one of the 101 pair
+        records and every one of the 101 balance records exactly once,
+        each through its ``to_bytes``, for its tree's leaf.
         """
+        encodes = {TransactionPairRecord: 0, BalanceChangeRecord: 0}
+
+        def counted(cls):
+            to_bytes = cls.to_bytes
+
+            def counting(record):
+                encodes[cls] += 1
+                return to_bytes(record)
+            return counting
+
+        for cls in encodes:
+            monkeypatch.setattr(cls, "to_bytes", counted(cls))
         sim = Simulation(seed=7)
         pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
         for c in range(1, 5):
@@ -834,14 +904,19 @@ class TestRecovery:
 
         digests = sha256_calls
         digests[0] = 0
+        encodes.update(dict.fromkeys(encodes, 0))
         sim.recover(1)
         assert len(sim.clients[1].mht) == 101
+        assert sum(map(len, sim.clients[1].ptts.values())) == 101
         assert digests[0] == 774
+        assert encodes == {TransactionPairRecord: 101, BalanceChangeRecord: 101}
         snapshot, keystore = sim.clients[1].persist_snapshot(), KeyStore("stub")
         digests[0] = 0
+        encodes.update(dict.fromkeys(encodes, 0))
         loaded = ClientNode.load_snapshot(snapshot, keystore)
         assert loaded.mht.root() == sim.clients[1].mht.root()
         assert digests[0] == 774 + 2
+        assert encodes == {TransactionPairRecord: 101, BalanceChangeRecord: 101}
         digests[0] = 0
         for i in range(50):
             sim.transfer(1, 2, 7 + i)
@@ -948,6 +1023,26 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot,
                            match="^unsupported snapshot version 2$"):
             ClientNode.load_snapshot(blob, KeyStore("stub"))
+
+    @MISFILED
+    def test_misfiled_pair_section_is_corrupt(self, forgery, error):
+        """A snapshot whose pair section for (1, 2) skips a seq, repeats
+        one or takes in another pair's record, checksum recomputed, is a
+        ``CorruptSnapshot`` carrying the message appending the records
+        raises."""
+        sim = run_traffic()
+        forged, expected = misfiled_replica(sim, forgery)
+        a = sim.clients[1]
+        body = a.persist_snapshot()[:-32]
+        section = a.ptts[(1, 2)].replica().to_bytes()
+        assert body.count(section) == 1
+        body = body.replace(section, forged.to_bytes())
+        blob = body + hashlib.sha256(body).digest()
+        with pytest.raises(CorruptSnapshot) as refused:
+            ClientNode.load_snapshot(blob, KeyStore("stub"))
+        assert type(expected) is error
+        assert type(refused.value.__cause__) is error
+        assert str(refused.value) == str(expected)
 
     def test_truncated_snapshot_is_detected(self):
         blob = small_world(clients=2, fund=10_000).clients[1].persist_snapshot()

@@ -302,6 +302,25 @@ class TestBalanceVO:
         )
         assert verify_vo(cut, ks, att.mhtr) == Verdict(False, False, True)
 
+    def test_only_a_refused_decode_reads_as_a_failing_verdict(self, monkeypatch):
+        """Damaged bytes read a failing verdict, as for a transaction VO;
+        any other error while decoding is a fault of the verifier and
+        propagates instead of reading as an incorrect VO."""
+        ks, a, b, cm, tick = self.setup_world()
+        att = cm.attest_mhtr(1)
+        records, vo = query_balance_history(
+            self.grant_for(1), (0, 0), (tick, 999), a, att
+        )
+        cut = dataclasses.replace(vo, range_vo=vo.range_vo[:-1])
+        assert verify_vo(cut, ks, att.mhtr) == Verdict(False, False, True)
+
+        def broken(data):
+            raise TypeError("a fault of the decoder")
+
+        monkeypatch.setattr(RangeVO, "from_bytes", broken)
+        with pytest.raises(TypeError, match="a fault of the decoder"):
+            verify_vo(vo, ks, att.mhtr)
+
     def test_stale_balance_attestation_fails_freshness(self):
         ks, a, b, cm, tick = self.setup_world()
         grant = self.grant_for(1)

@@ -259,3 +259,42 @@ def test_pair_replica_section_round_trips():
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             PairReplica.read(Reader(blob[:cut]))
+
+
+def misfiled_histories():
+    """Records for a (ALICE, BOB) replica that skip a seq, repeat one, or
+    take in a record of pair (3, 4), by name."""
+    ptt, _ = fresh_pair()
+    for amount in (300, 100, 50):
+        ptt.append_record(make_record(ptt, 2000, 1000, amount))
+    records = ptt.records
+    other = PeerTransactionTree(3, 4)
+    other.append_record(make_record(other, 900, 100, 50, payer=3, payee=4))
+    other.append_record(make_record(other, 850, 150, 20, payer=3, payee=4))
+    return {
+        "skipped seq": [records[0], records[2]],
+        "repeated seq": [records[0], records[1], records[1], records[2]],
+        "other pair's record": [records[0], other.records[1], records[2]],
+    }
+
+
+@pytest.mark.parametrize("case, error", [
+    ("skipped seq", NonMonotonicSequence),
+    ("repeated seq", NonMonotonicSequence),
+    ("other pair's record", UnregisteredPair),
+])
+def test_restore_refuses_what_appending_refuses(case, error):
+    """A replica keyed to the right pair whose records are out of line is
+    refused with the exception and message ``append_record`` raises for
+    the first bad record."""
+    records = misfiled_histories()[case]
+    appended = PeerTransactionTree(ALICE, BOB)
+    with pytest.raises(error) as refused_by_append:
+        for record in records:
+            appended.append_record(record)
+    replica = PairReplica((ALICE, BOB), tuple(records), EMPTY_TREE_DIGEST)
+    with pytest.raises(error) as refused_by_restore:
+        PeerTransactionTree.restore(replica)
+    assert type(refused_by_restore.value) is error
+    assert str(refused_by_restore.value) == str(refused_by_append.value)
+
