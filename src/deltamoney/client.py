@@ -31,7 +31,9 @@ message and the tick, and returns the node's outbox, in order.  Each
 entry is a send, ``(target, message, delay)``: a client id and the ticks
 until delivery, or ``"im"`` or ``"cm"`` and None for the manager
 delivery policy; or a log line, ``(event, details)``.  So the simulation
-and a test that feeds messages by hand run the same protocol.
+and a test that feeds messages by hand run the same protocol.  A message
+lost at a crashed client is answered here too: ``answer_unreachable``
+returns the outbox the down peer would have, which the transport sends.
 
 Transactions with the manager's treasury (client id 0) are issuance and
 redemption.  They run through the same handshake, and the client queues
@@ -44,7 +46,9 @@ treasury itself reports nothing.
 The handshake messages are immutable ``NamedTuple``s, as are the balance
 report (``currency_manager.BalanceReport``), both kinds of record and
 the ``PairReplica`` a partner hands over for recovery, each defined in
-the module that reads it: a transfer builds several of them, a recovery
+the module that reads it.  The proposal is its own wire type: the payer
+sends its ``TransactionProposal`` as is, the way ``AcceptMsg`` carries
+the completed record.  A transfer builds several of them, a recovery
 one balance record per replayed pair record, and a tuple is built in a
 fraction of the time a frozen dataclass takes.  The records run their
 field checks in ``__new__``.  They compare as plain tuples, so two
@@ -71,7 +75,7 @@ from .errors import (
     PartnerRootDisagreement,
     UnknownTarget,
 )
-from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, hash_leaf
+from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore
 from .integrity_manager import TransactionReport
 from .peer_ledger import (
     AccountView,
@@ -91,13 +95,16 @@ RETRY_BASE = 4
 RETRY_CAP = 64
 RETRY_MAX_ATTEMPTS = 40
 
+#: Reject and abort reason for a proposal or acceptance dropped at a
+#: crashed client (``answer_unreachable``)
+UNREACHABLE = "unreachable"
 #: Abort reason for an acceptance that reaches a payer holding no proposal
 STALE = "stale"
 #: Abort reason for an acceptance whose record is not the payer's proposal
 MISMATCH = "record does not match proposal"
 #: Abort reasons of exchanges the payer never appended: there is no second
 #: root to compare, so the payee's rollback reports nothing
-ONE_SIDED_ABORTS = frozenset({"unreachable", STALE, MISMATCH})
+ONE_SIDED_ABORTS = frozenset({UNREACHABLE, STALE, MISMATCH})
 
 
 def retry_delay(key: int, attempt: int) -> int:
@@ -137,10 +144,6 @@ class RetryMsg(NamedTuple):
     """A payer's own timer: the head backing off from a busy payee may go."""
 
 
-class ProposeMsg(NamedTuple):
-    proposal: TransactionProposal
-
-
 class AcceptMsg(NamedTuple):
     record: TransactionPairRecord
     payee_root: Digest
@@ -164,16 +167,21 @@ class RejectMsg(NamedTuple):
     reason: str
 
 
-def record_digest(record: TransactionPairRecord) -> Digest:
-    """What a report tells the IM the reporter holds for one exchange.
-
-    The record's pair-tree leaf, ``hash_leaf`` of its 232-byte
-    ``PAIR_RECORD`` encoding, as an RFC 6962 log names an entry.  A
-    commit report reads the leaf its tree stored on append
-    (``PeerTransactionTree.leaf_digest``); an abort report comes after
-    the rollback, so it hashes the record afresh here.
-    """
-    return hash_leaf(record.to_bytes())
+def answer_unreachable(sender, message) -> list[tuple]:
+    """The outbox entries of a crashed client for ``message`` from
+    ``sender``, dropped on the wire: a proposal's reject and an
+    acceptance's abort, sent back at once as a refused connection would
+    be, a command's ``give-up``, and nothing for a retry's wake-up."""
+    if isinstance(message, TransactionProposal):
+        key = pair_of(message.payer_id, message.payee_id)
+        return [(sender, RejectMsg(key, message.pair_seq, UNREACHABLE), 0)]
+    if isinstance(message, AcceptMsg):
+        record = message.record
+        key = pair_of(record.payer_id, record.payee_id)
+        return [(sender, AbortMsg(key, record.pair_seq, UNREACHABLE), 0)]
+    if isinstance(message, StartTransferCmd):
+        return [message.give_up("crashed")]
+    return []
 
 
 _PAIR_TEXTS: dict[tuple[int, int], str] = {}
@@ -266,14 +274,13 @@ class ClientNode:
         head_may_go = True
         if isinstance(message, StartTransferCmd):
             self.queue.append(message)
-        elif isinstance(message, ProposeMsg):
+        elif isinstance(message, TransactionProposal):
             try:
                 reply = self.receive_propose(message, now)
             except DeltaMoneyError as exc:
-                proposal = message.proposal
-                key = pair_of(proposal.payer_id, proposal.payee_id)
+                key = pair_of(message.payer_id, message.payee_id)
                 out.append(("refuse", f"pair={pair_text(key)} reason={exc}"))
-                reply = RejectMsg(key, proposal.pair_seq, type(exc).__name__)
+                reply = RejectMsg(key, message.pair_seq, type(exc).__name__)
             if isinstance(reply, RejectMsg):
                 out.append(("reject", f"pair={pair_text(reply.pair_key)} "
                                       f"reason={reply.reason}"))
@@ -301,7 +308,7 @@ class ClientNode:
             else:
                 if message.reason == "busy":
                     out.append(self.queue[0].give_up("busy"))
-                elif message.reason == "unreachable":
+                elif message.reason == UNREACHABLE:
                     out.append(_outcome(message))
                 self._pop_head()
         elif not isinstance(message, RetryMsg):
@@ -321,32 +328,32 @@ class ClientNode:
         while queue and self._exchange is None and self.due <= now:
             cmd = queue[0]
             try:
-                msg = self.start_transfer(cmd.payee, cmd.amount, now)
+                proposal = self.start_transfer(cmd.payee, cmd.amount, now)
             except DeltaMoneyError as exc:
                 out.append(("refuse", f"payee={cmd.payee} amount={cmd.amount} "
                                       f"reason={exc}"))
                 self._pop_head()
                 continue
             out.append(("propose", f"pair={pair_text(pair_of(cmd.payer, cmd.payee))} "
-                                   f"seq={msg.proposal.pair_seq} amount={cmd.amount}"))
-            out.append((cmd.payee, msg, 1))
+                                   f"seq={proposal.pair_seq} amount={cmd.amount}"))
+            out.append((cmd.payee, proposal, 1))
 
     # ------------------------------------------------------------------
     # handshake steps
 
     def start_transfer(self, peer_id: int, amount: int,
-                       now: int) -> Optional[ProposeMsg]:
-        """Open an exchange as payer; None means busy, try again later."""
+                       now: int) -> Optional[TransactionProposal]:
+        """Open an exchange as payer and return the proposal to send; None
+        means busy, try again later."""
         if self._exchange is not None:
             return None
         key = pair_of(self.id, peer_id)
         view = self.account_view()
         proposal = propose(view, self.ptts.get(key), peer_id, amount, now)
         self._exchange = (key, proposal, view.balance)
-        return ProposeMsg(proposal)
+        return proposal
 
-    def receive_propose(self, msg: ProposeMsg, now: int):
-        proposal = msg.proposal
+    def receive_propose(self, proposal: TransactionProposal, now: int):
         key = pair_of(proposal.payer_id, proposal.payee_id)
         if self._exchange is not None:
             return RejectMsg(key, proposal.pair_seq, "busy")
@@ -370,20 +377,16 @@ class ClientNode:
         if slot is None:
             return self._answer_stale(key, record)
         _, proposal, opened = slot
-        if (record.pair_seq, record.amount, record.payer_id, record.payee_id,
-                record.payer_prior_commit, record.payer_new_commit,
-                record.payer_provenance, record.timestamp) != (
-                proposal.pair_seq, proposal.amount, proposal.payer_id,
-                proposal.payee_id, proposal.payer_prior_commit,
-                proposal.payer_new_commit, proposal.payer_provenance,
-                proposal.timestamp):
+        # a proposal is a record's first seven fields plus the payer's
+        # provenance, which the record moves behind the payee's commitments
+        if (record[:7] != proposal[:7]
+                or record.payer_provenance != proposal.payer_provenance):
             return AbortMsg(key, record.pair_seq, MISMATCH)
         ptt = self.ptts[key]
         ptt.append_record(record)
         my_root = ptt.root()
         if my_root != msg.payee_root:
-            ptt.rollback_last()
-            self._report_divergence(record, my_root)
+            self._roll_back(key, record)
             return AbortMsg(key, record.pair_seq, "root mismatch")
         self._finalize(key, record, my_root, opened)
         return CommitMsg(key, record.pair_seq, my_root)
@@ -403,7 +406,7 @@ class ClientNode:
         if ptt is not None and ptt.records and ptt.records[-1] == record:
             # the copy is the latest balance change: its timestamp is the
             # proposal's tick, and nothing commits here until the answer
-            ptt.rollback_last()
+            self._roll_back(key, record, report=False)
             self.mht.remove_last()
         return AbortMsg(key, record.pair_seq, STALE)
 
@@ -416,8 +419,7 @@ class ClientNode:
             if root == msg.payer_root:
                 self._finalize(key, record, root, opened)
             else:  # should have been an abort; report the divergence
-                self.ptts[key].rollback_last()
-                self._report_divergence(record, root)
+                self._roll_back(key, record)
         return slot
 
     def receive_abort(self, msg: AbortMsg, now: int):
@@ -425,11 +427,7 @@ class ClientNode:
         slot = self._release(msg.pair_key, TransactionPairRecord)
         if slot is not None:
             key, record, _ = slot
-            ptt = self.ptts[key]
-            divergent_root = ptt.root()
-            ptt.rollback_last()
-            if msg.reason not in ONE_SIDED_ABORTS:
-                self._report_divergence(record, divergent_root)
+            self._roll_back(key, record, report=msg.reason not in ONE_SIDED_ABORTS)
         return slot
 
     def receive_reject(self, msg: RejectMsg, now: int):
@@ -449,15 +447,21 @@ class ClientNode:
         self._exchange = None
         return slot
 
-    def _report_divergence(self, record: TransactionPairRecord,
-                           my_root: Digest) -> None:
-        key = pair_of(record.payer_id, record.payee_id)
-        if MANAGER_ID in key:
-            return
-        self.outbox.append(("im", TransactionReport(
-            self.id, key, record.pair_seq, my_root, record_digest(record),
-            record.timestamp, aborted=True,
-        ), None))
+    def _roll_back(self, key: tuple[int, int], record: TransactionPairRecord,
+                   report: bool = True) -> None:
+        """Drop ``record``, the last of pair ``key``'s tree.
+
+        With ``report``, and unless the pair is the treasury's, queue the
+        aborted ``TransactionReport`` of the root and leaf the tree held
+        with it: the divergent root the Integrity Manager compares.
+        """
+        ptt = self.ptts[key]
+        if report and MANAGER_ID not in key:
+            self.outbox.append(("im", TransactionReport(
+                self.id, key, record.pair_seq, ptt.root(),
+                ptt.leaf_digest(record.pair_seq), record.timestamp, aborted=True,
+            ), None))
+        ptt.rollback_last()
 
     def _balance_change(self, record: TransactionPairRecord,
                         prior_balance: int, client_seq: int,

@@ -85,17 +85,16 @@ class TemporalBalanceTable:
     """Valid-time balance history: closed rows are immutable facts.
 
     Besides the full history in write order, the table indexes each
-    client's rows and its one open row, so per-client lookups and the
-    conservation audit never scan other clients' history.
+    client's rows, the last of which is its one open row, so per-client
+    lookups and the conservation audit never scan other clients' history.
     """
 
     def __init__(self) -> None:
         self.rows: list[BalanceRow] = []
-        self._open: dict[int, BalanceRow] = {}
         self._by_client: dict[int, list[BalanceRow]] = {}
 
     def open_row(self, client_id: int) -> BalanceRow:
-        return self._open[client_id]
+        return self._by_client[client_id][-1]
 
     def start(self, client_id: int, timestamp: int, remarks: str = "") -> BalanceRow:
         row = BalanceRow(
@@ -112,7 +111,7 @@ class TemporalBalanceTable:
         mhtr: Digest,
         remarks: str = "",
     ) -> BalanceRow:
-        prev = self._open[client_id]
+        prev = self._by_client[client_id][-1]
         prev.valid_to = timestamp
         prev.txn_timestamp = timestamp  # closed rows are re-stamped, as updates
         row = BalanceRow(
@@ -123,7 +122,6 @@ class TemporalBalanceTable:
 
     def _add(self, row: BalanceRow) -> None:
         self.rows.append(row)
-        self._open[row.client_id] = row
         self._by_client.setdefault(row.client_id, []).append(row)
 
     def row_at(self, client_id: int, at: int) -> Optional[BalanceRow]:
@@ -134,7 +132,7 @@ class TemporalBalanceTable:
         return None
 
     def open_rows(self) -> list[BalanceRow]:
-        return list(self._open.values())
+        return [rows[-1] for rows in self._by_client.values()]
 
     def closed_provenances(self, client_id: int) -> set[Digest]:
         return {
@@ -337,7 +335,7 @@ class CurrencyManager:
         # re-summed from the rows on every audit, so a row edited in place
         # (a forged balance) shows up as a discrepancy
         if at is None:
-            actual = sum(row.valid_balance for row in self.table._open.values())
+            actual = sum(row.valid_balance for row in self.table.open_rows())
             expected = self.supply.net
         else:
             actual = 0

@@ -24,8 +24,9 @@ one ``pack(*record)``. A ``32s`` field pads or truncates silently, so the
 two records check the length of their digest fields in ``__new__``, which
 ``_make`` and ``_replace`` also run. Variable-length
 encodings (verification objects, snapshots) are built from
-``u64``, ``i64`` and ``u32`` around those layouts and read back with
-``Reader``, one method call per field.
+``u64`` and ``u32`` around those layouts and read back with
+``Reader``, one method call per field; ``i64`` packs a signed field
+(a balance delta) on its own.
 
 A pair of clients is keyed by ``pair_of``, the lower id first, wherever a
 pair names a tree, a registration or a grant.
@@ -72,9 +73,6 @@ class Reader:
 
     def u64(self) -> int:
         return self._unpack(U64, 8)
-
-    def i64(self) -> int:
-        return self._unpack(I64, 8)
 
     def u32(self) -> int:
         return self._unpack(U32, 4)

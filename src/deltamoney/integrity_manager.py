@@ -57,9 +57,9 @@ class TransactionReport(NamedTuple):
 
     ``pttr`` is the reporter's pair-tree root after the exchange and
     ``record_digest`` the record's pair-tree leaf; a seq validates only
-    when both reports agree on both.  A commit report reads the leaf its
-    tree stored on append; an abort report rehashes the record
-    (``client.record_digest``).
+    when both reports agree on both.  Both kinds of report read the leaf
+    the reporter's tree stored on append, an abort report before the
+    rollback drops it (``PeerTransactionTree.leaf_digest``).
     """
 
     reporter: int

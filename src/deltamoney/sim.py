@@ -23,10 +23,11 @@ logged as ``cm|refuse``, and the run goes on.
 
 Each client node runs its own side of the protocol (``ClientNode.handle``);
 the simulation delivers what it sends and logs what it reports.  A
-handshake message is lost only at a crashed client; the transport answers
-the drop on that tick, as a refused connection would: a proposal with a
-reject, an acceptance with an abort, both ``reason=unreachable``, and a
-command with a ``give-up``, ``reason=crashed``.  A queue entry's unique
+handshake message is lost only at a crashed client; the transport hands
+the drop to ``client.answer_unreachable`` and sends its answer on that
+tick, as a refused connection would: a proposal gets a reject, an
+acceptance an abort, both ``reason=unreachable``, and a command a
+``give-up``, ``reason=crashed``.  A queue entry's unique
 insertion number keeps the heap from ever comparing two messages.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
@@ -49,14 +50,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .client import (
-    AbortMsg,
-    AcceptMsg,
     ClientNode,
     DEFAULT_LIMIT,
-    ProposeMsg,
-    RejectMsg,
     StartTransferCmd,
     TREASURY_RESERVE,
+    answer_unreachable,
     pair_of,
     pair_text,
 )
@@ -223,15 +221,15 @@ class Simulation:
         self.log.lines.append(f"{self.now}|{actor}|{event}|{details}")
 
     def send(self, target, sender, message,
-             policy: bool = False, delay: int = 1) -> None:
+             delay: Optional[int] = 1) -> None:
         """Queue ``message`` for delivery ``delay`` ticks from now.
 
         ``target`` and ``sender`` are each a client id or a name (``"cm"``,
-        ``"im"``, ``"sim"``).  With ``policy`` the delivery policy sets the
-        ticks instead: next tick under ``normal``, otherwise the offsets of
-        its row in ``POLICIES``, each delivered as an event of its own.
+        ``"im"``, ``"sim"``).  A ``delay`` of None leaves the ticks to the
+        delivery policy: next tick under ``normal``, otherwise the offsets
+        of its row in ``POLICIES``, each delivered as an event of its own.
         """
-        if policy:
+        if delay is None:
             kind = self.policy.kind
             if kind != "normal":
                 for offset in POLICIES[kind].offsets(self.policy, self.rng):
@@ -341,7 +339,7 @@ class Simulation:
             if target in self.crashed:
                 self.emit("net", "drop",
                           f"target={self._actor_names[target]} reason=crashed")
-                self._answer_drop(target, sender, message)
+                self._act(target, answer_unreachable(sender, message))
                 return
             self._act(target, node.handle(sender, message, self.now))
         elif target == "cm":
@@ -351,19 +349,6 @@ class Simulation:
         else:
             raise UnknownTarget(f"no actor {target}")
 
-    def _answer_drop(self, target: int, sender, message) -> None:
-        """Answer the drop now: a later recovery could copy an open record."""
-        if isinstance(message, ProposeMsg):
-            p = message.proposal
-            self.send(sender, target, RejectMsg(
-                pair_of(p.payer_id, p.payee_id), p.pair_seq, "unreachable"), delay=0)
-        elif isinstance(message, AcceptMsg):
-            r = message.record
-            self.send(sender, target, AbortMsg(pair_of(r.payer_id, r.payee_id),
-                      r.pair_seq, "unreachable"), delay=0)
-        elif isinstance(message, StartTransferCmd):  # not a retry's wake-up
-            self._act(target, [message.give_up("crashed")])
-
     def _act(self, client_id: int, out: list) -> None:
         """Log and send what a client node returned (see ``ClientNode.handle``)."""
         actor = self._actor_names[client_id]
@@ -372,7 +357,7 @@ class Simulation:
                 self.emit(actor, entry[0], entry[1])
                 continue
             target, message, delay = entry
-            self.send(target, client_id, message, policy=delay is None, delay=delay)
+            self.send(target, client_id, message, delay)
 
     # -- manager actors ---------------------------------------------------
 
@@ -563,7 +548,7 @@ class Simulation:
             _junk(f"ds-peer:{client_id}:{self.now}", 32),
             self.now,
         )
-        self.send("cm", client_id, forged, policy=True)
+        self.send("cm", client_id, forged, None)
 
     def _fault_replay_report(self, pair) -> None:
         key = pair_of(*pair)
@@ -575,7 +560,7 @@ class Simulation:
             key[0], key, seq, root,
             _junk(f"replay:{key}:{self.now}", 32), self.now,
         )
-        self.send("im", key[0], forged, policy=True)
+        self.send("im", key[0], forged, None)
 
     def _fault_forge_balance(self, client_id: int, delta: int) -> None:
         if client_id not in self.clients or client_id == MANAGER_ID:

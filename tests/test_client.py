@@ -14,17 +14,18 @@ from deltamoney.balance_tree import BalanceChangeRecord, BalanceMHT
 from deltamoney.client import (
     RETRY_BASE,
     RETRY_MAX_ATTEMPTS,
+    ONE_SIDED_ABORTS,
     AbortMsg,
     AcceptMsg,
     BalanceReport,
     ClientNode,
     CommitMsg,
-    ProposeMsg,
     RejectMsg,
+    RetryMsg,
     StartTransferCmd,
     TREASURY_RESERVE,
+    answer_unreachable,
     pair_of,
-    record_digest,
     retry_delay,
 )
 from deltamoney.currency_manager import MANAGER_ID
@@ -45,6 +46,7 @@ from deltamoney.integrity_manager import TransactionReport
 from deltamoney.peer_ledger import (
     PeerTransactionTree,
     TransactionPairRecord,
+    TransactionProposal,
     net_position,
 )
 from deltamoney.sim import Simulation
@@ -130,7 +132,7 @@ def test_handshake_is_three_messages_and_none_to_managers():
     result = a.receive_accept(reply, tick + 2)
     wire.append(result)
     b.receive_commit(result, tick + 3)
-    assert [type(m) for m in wire] == [ProposeMsg, AcceptMsg, CommitMsg]
+    assert [type(m) for m in wire] == [TransactionProposal, AcceptMsg, CommitMsg]
     # reports exist but only after the commit, off the critical path
     assert a.balance == 9_925 and b.balance == 10_075
 
@@ -174,7 +176,7 @@ def test_stray_messages_leave_a_busy_client_busy():
     assert three.busy
     second = one.start_transfer(2, 40, tick)
     assert two.receive_propose(second, tick).reason == "busy"
-    one.receive_reject(RejectMsg((1, 2), second.proposal.pair_seq, "busy"), tick)
+    one.receive_reject(RejectMsg((1, 2), second.pair_seq, "busy"), tick)
     result = three.receive_accept(accepted, tick)
     assert isinstance(result, CommitMsg)
     two.receive_commit(result, tick)
@@ -217,7 +219,7 @@ def test_busy_payee_makes_the_head_retry_then_give_up():
     now, waits = 0, []
     for attempt in range(RETRY_MAX_ATTEMPTS + 1):
         [(target, proposal, delay)] = sends
-        assert (target, type(proposal), delay) == (2, ProposeMsg, 1)
+        assert (target, type(proposal), delay) == (2, TransactionProposal, 1)
         now += 1
         [(target, reject, delay)], logs = split(two.handle(1, proposal, now))
         assert (target, reject.reason, delay) == (1, "busy", 1)
@@ -256,7 +258,7 @@ def test_refused_head_frees_the_queue_on_the_same_tick():
     assert logs[2] == ("propose", "pair=(1, 3) seq=1 amount=300")
     assert [(target, type(msg), delay) for target, msg, delay in sends] == [
         (2, CommitMsg, 1), ("im", TransactionReport, None),
-        ("cm", BalanceReport, None), (3, ProposeMsg, 1)]
+        ("cm", BalanceReport, None), (3, TransactionProposal, 1)]
     assert list(one.queue) == [StartTransferCmd(1, 3, 300, 3)] and one.busy
 
 
@@ -316,8 +318,8 @@ def test_unregistered_pair_refuses():
 
 
 def test_commit_and_abort_reports_carry_the_record_digest():
-    """A report names the record by its pair-tree leaf: a commit report
-    reads the leaf each reporter stored, an abort report rehashes it."""
+    """A report names the record by its pair-tree leaf: both a commit and
+    an abort report read the leaf the reporter's tree stored."""
     sim = small_world(clients=2, fund=10_000)
     a, b, tick = sim.clients[1], sim.clients[2], sim.now
     key = pair_of(1, 2)
@@ -325,7 +327,6 @@ def test_commit_and_abort_reports_carry_the_record_digest():
     b.receive_commit(a.receive_accept(accepted, tick), tick)
     record = a.ptts[key].records[-1]
     want = hash_leaf(record.to_bytes())
-    assert record_digest(record) == want
     for node in (a, b):
         assert node.ptts[key].leaf_digest(record.pair_seq) == want
         assert drain_reports(node)[0][1].record_digest == want
@@ -437,6 +438,73 @@ def test_byzantine_commit_root_is_rolled_back_and_reported():
     assert b.ptts[key].root() == before
     assert b.balance == 10_000
     assert [k for k, _ in drain_reports(b)] == ["im"]
+
+
+def _payer_root_mismatch(a, b, reply):
+    a.receive_accept(AcceptMsg(reply.record, b"\x55" * 32), 0)
+    return a
+
+
+def _forged_commit_root(a, b, reply):
+    b.receive_commit(CommitMsg((1, 2), reply.record.pair_seq, b"\x77" * 32), 0)
+    return b
+
+
+def _root_mismatch_abort(a, b, reply):
+    b.receive_abort(AbortMsg((1, 2), reply.record.pair_seq, "root mismatch"), 0)
+    return b
+
+
+@pytest.mark.parametrize("roll_back", [
+    _payer_root_mismatch, _forged_commit_root, _root_mismatch_abort,
+], ids=lambda roll_back: roll_back.__name__.strip("_"))
+def test_reported_rollback_reports_the_root_and_leaf_it_dropped(roll_back):
+    """Each rollback that reports restores the pair root and queues one
+    aborted report of the root it held before and the record's leaf."""
+    sim = small_world(clients=2, fund=10_000)
+    a, b = sim.clients[1], sim.clients[2]
+    before = {node: node.ptts[(1, 2)].root() for node in (a, b)}
+    reply = b.receive_propose(a.start_transfer(2, 40, sim.now), sim.now)
+    node = roll_back(a, b, reply)
+    assert node.ptts[(1, 2)].root() == before[node]
+    [(target, report)] = drain_reports(node)
+    assert target == "im" and report.aborted
+    assert (report.reporter, report.pair_key, report.pair_seq) == (
+        node.id, (1, 2), reply.record.pair_seq)
+    # an honest payer's root after the append is the payee's
+    assert report.pttr == reply.payee_root
+    assert report.record_digest == hash_leaf(reply.record.to_bytes())
+
+
+@pytest.mark.parametrize("reason", sorted(ONE_SIDED_ABORTS))
+def test_one_sided_abort_rolls_the_payee_back_and_reports_nothing(reason):
+    sim = small_world(clients=2, fund=10_000)
+    a, b = sim.clients[1], sim.clients[2]
+    before = b.ptts[(1, 2)].root()
+    reply = b.receive_propose(a.start_transfer(2, 40, sim.now), sim.now)
+    b.receive_abort(AbortMsg((1, 2), reply.record.pair_seq, reason), sim.now)
+    assert b.ptts[(1, 2)].root() == before and not b.busy
+    assert drain_reports(b) == []
+
+
+_DIGEST = b"\x01" * 32
+
+
+@pytest.mark.parametrize("message, answer", [
+    (TransactionProposal(3, 0, 2, 1, 5, _DIGEST, _DIGEST, _DIGEST),
+     [(2, RejectMsg((1, 2), 3, "unreachable"), 0)]),
+    (AcceptMsg(TransactionPairRecord(4, 0, 1, 2, 5, *[_DIGEST] * 6), _DIGEST),
+     [(2, AbortMsg((1, 2), 4, "unreachable"), 0)]),
+    (StartTransferCmd(1, 2, 5, 9), [("give-up", "payee=2 amount=5 reason=crashed")]),
+    (RetryMsg(), []),
+], ids=["TransactionProposal", "AcceptMsg", "StartTransferCmd", "RetryMsg"])
+def test_answer_unreachable_answers_for_the_down_client(message, answer):
+    """The entries a crashed client's outbox would hold for ``message``
+    from client 2; a reply goes back to the sender at once."""
+    out = answer_unreachable(2, message)
+    # equal tuples of different message types compare equal, so the types too
+    assert out == answer
+    assert [type(entry[1]) for entry in out] == [type(entry[1]) for entry in answer]
 
 
 @pytest.mark.parametrize("copied", [True, False],

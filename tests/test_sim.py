@@ -1194,7 +1194,6 @@ def _wire_values():
     digest = b"\x01" * 32
     proposal = peer_ledger.TransactionProposal(1, 0, 1, 2, 5, digest, digest, digest)
     return [
-        client.ProposeMsg(proposal),
         client.AcceptMsg(None, digest),
         client.CommitMsg((1, 2), 1, digest),
         client.AbortMsg((1, 2), 1, "stale"),
