@@ -64,7 +64,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
 from .currency_manager import MANAGER_ID, BalanceReport
-from .encoding import Reader, pair_of, u32, u64
+from .encoding import Reader, pair_of, pair_text, u32, u64
 from .errors import (
     CommitmentMismatch,
     CorruptSnapshot,
@@ -182,14 +182,6 @@ def answer_unreachable(sender, message) -> list[tuple]:
     if isinstance(message, StartTransferCmd):
         return [message.give_up("crashed")]
     return []
-
-
-_PAIR_TEXTS: dict[tuple[int, int], str] = {}
-
-
-def pair_text(key: tuple[int, int]) -> str:
-    """``key`` as log lines print it, formatted once per pair."""
-    return _PAIR_TEXTS.get(key) or _PAIR_TEXTS.setdefault(key, str(key))
 
 
 def _outcome(msg, ended=True) -> tuple[str, str]:

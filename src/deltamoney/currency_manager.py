@@ -20,7 +20,9 @@ content, its first six fields.  Reports arrive independently and
 possibly out of order, so one whose prior root is not yet the open
 row's is parked until the chain catches up; issuances and redemptions
 chain and park exactly like transfers, which puts a redemption's funds
-check on the row it actually follows.
+check on the row it actually follows.  ``handle`` returns an outbox, as
+a client node's does: the line that logs what became of a report, or a
+``StaleProvenance`` alert.  A report it refuses is logged, not raised.
 
 Conservation is a property of a settled system, not of each report in
 flight: while one leg of a transfer has landed and the other has not,
@@ -43,8 +45,10 @@ from .errors import (
     NonPositiveAmount,
     StaleProvenance,
     UnknownClient,
+    UnknownTarget,
 )
 from .hashing import EMPTY_TREE_DIGEST, Digest, KeyStore, Signature
+from .integrity_manager import Alert, AlertKind
 
 MANAGER_ID = 0
 
@@ -242,6 +246,32 @@ class CurrencyManager:
 
     # ------------------------------------------------------------------
     # balance reports
+
+    def handle(self, sender, report, now: int) -> list:
+        """Take one report at tick ``now``; return the line that logs it.
+
+        A supply report logs ``issued`` or ``redeemed`` with its amount,
+        plus ``status=`` when it did not apply at once; a transfer's
+        report logs ``balance-report`` with its status.  One that
+        ``report_balance`` refuses logs ``refuse``, or from a spent state
+        gives a ``StaleProvenance`` alert instead.
+        """
+        if type(report) is not BalanceReport:
+            raise UnknownTarget(f"cm cannot handle {type(report).__name__}")
+        client_id = report.client_id
+        try:
+            status = self.report_balance(report)
+        except StaleProvenance as exc:
+            return [Alert(AlertKind.STALE_PROVENANCE, (client_id,), str(exc), now)]
+        except DeltaMoneyError as exc:
+            return [("refuse", f"client={client_id} reason={exc}")]
+        if not report.supply:
+            return [("balance-report", f"client={client_id} "
+                     f"balance={report.new_balance} status={status}")]
+        details = f"client={client_id} amount={abs(report.supply)}"
+        if status != "applied":
+            details += f" status={status}"
+        return [("issued" if report.supply > 0 else "redeemed", details)]
 
     def report_balance(self, report: BalanceReport) -> str:
         """Apply a report that follows the open row, or park it until it does.

@@ -29,7 +29,8 @@ encodings (verification objects, snapshots) are built from
 (a balance delta) on its own.
 
 A pair of clients is keyed by ``pair_of``, the lower id first, wherever a
-pair names a tree, a registration or a grant.
+pair names a tree, a registration or a grant, and printed in log lines by
+``pair_text``.
 """
 
 import struct
@@ -50,6 +51,14 @@ FOREVER = 2**64 - 1
 def pair_of(a: int, b: int) -> tuple[int, int]:
     """Canonical key of the pair of clients ``a`` and ``b``: lower id first."""
     return (a, b) if a < b else (b, a)
+
+
+_PAIR_TEXTS: dict[tuple[int, int], str] = {}
+
+
+def pair_text(key: tuple[int, int]) -> str:
+    """``key`` as log lines print it, formatted once per pair."""
+    return _PAIR_TEXTS.get(key) or _PAIR_TEXTS.setdefault(key, str(key))
 
 
 def u64(value: int) -> bytes:

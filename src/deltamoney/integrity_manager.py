@@ -11,6 +11,10 @@ validated, so a retried sequence number stays clean.  A repeated report
 is dropped by its content, kept until its seq validates and then folded,
 with its counterpart, into one entry of their pttr, digest and timestamp.
 
+``handle`` takes one report and returns an outbox, as a client node's
+does: the report's status line and any alert.  A report ``ingest_report``
+refuses is logged, not raised, so a malformed report cannot end a run.
+
 The manager also snapshots the whole system as a Merkle Hash Grid:
 client balance-tree roots on the diagonal, pair-tree roots above it,
 row and column hashes over the cells, and a signed hash over both hash
@@ -29,8 +33,10 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .encoding import FOREVER, pair_of, u64
-from .errors import BadSignature, UnknownReporter, UnregisteredPair
+from .encoding import FOREVER, pair_of, pair_text, u64
+from .errors import (
+    BadSignature, DeltaMoneyError, UnknownReporter, UnknownTarget, UnregisteredPair,
+)
 from .hashing import (
     DIGEST_SIZE, EMPTY_CELL_DIGEST, Digest, KeyStore, Signature, digest,
 )
@@ -44,8 +50,7 @@ class AlertKind(Enum):
     STALE_PROVENANCE = "StaleProvenance"  # raised by the Currency Manager
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     kind: AlertKind
     subjects: tuple[int, ...]
     evidence: str
@@ -136,6 +141,26 @@ def _compact(report: TransactionReport) -> Optional[bytes]:
     return report.pttr + report.record_digest + u64(report.timestamp)
 
 
+def _grid_cells(mhtrs: dict, pttrs: dict) -> tuple:
+    """The client index and the cells of a grid over these roots."""
+    if not mhtrs:
+        raise ValueError("a grid needs at least one client")
+    index = tuple(sorted(mhtrs))  # ids are assigned in enrollment order
+    n = len(index)
+    cells = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(mhtrs[index[i]])
+            elif i < j:
+                row.append(pttrs.get((index[i], index[j]), EMPTY_CELL_DIGEST))
+            else:
+                row.append(EMPTY_CELL_DIGEST)
+        cells.append(tuple(row))
+    return index, tuple(cells)
+
+
 def _grid_hashes(cells):
     n = len(cells)
     rows = tuple(digest(b"".join(cells[i][j] for j in range(n))) for i in range(n))
@@ -187,6 +212,20 @@ class IntegrityManager:
         alert = Alert(kind, tuple(subjects), evidence, at)
         self.alerts.append(alert)
         return alert
+
+    def handle(self, sender, report, now: int) -> list:
+        """Take one report at tick ``now``; return its ``txn-report`` line
+        and any alert, or a ``refuse`` line if ``ingest_report`` raises."""
+        if type(report) is not TransactionReport:
+            raise UnknownTarget(f"im cannot handle {type(report).__name__}")
+        head = (f"pair={pair_text(report.pair_key)} seq={report.pair_seq} "
+                f"reporter={report.reporter}")
+        try:
+            outcome = self.ingest_report(report, now)
+        except DeltaMoneyError as exc:
+            return [("refuse", f"{head} reason={exc}")]
+        line = ("txn-report", f"{head} status={outcome.status}")
+        return [line] if outcome.alert is None else [line, outcome.alert]
 
     def ingest_report(self, report: TransactionReport,
                       now: Optional[int] = None) -> ValidationOutcome:
@@ -345,22 +384,7 @@ class IntegrityManager:
 
     def capture_grid(self, epoch: int, mhtrs: dict[int, Digest],
                      pttrs: dict[tuple[int, int], Digest]) -> MerkleHashGrid:
-        if not mhtrs:
-            raise ValueError("a grid needs at least one client")
-        index = tuple(sorted(mhtrs))  # ids are assigned in enrollment order
-        n = len(index)
-        cells = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(mhtrs[index[i]])
-                elif i < j:
-                    row.append(pttrs.get((index[i], index[j]), EMPTY_CELL_DIGEST))
-                else:
-                    row.append(EMPTY_CELL_DIGEST)
-            cells.append(tuple(row))
-        cells = tuple(cells)
+        index, cells = _grid_cells(mhtrs, pttrs)
         rows, cols, grid_hash = _grid_hashes(cells)
         return MerkleHashGrid(
             epoch, index, cells, rows, cols, grid_hash,
@@ -375,22 +399,20 @@ class IntegrityManager:
             raise BadSignature("grid hashes do not recompute from its cells")
         if not self.keystore.verify(grid.signature, grid.grid_hash):
             raise BadSignature("grid signature does not verify")
-        current = self.capture_grid(grid.epoch, mhtrs, pttrs)
-        if current.client_index != grid.client_index:
+        index, cells = _grid_cells(mhtrs, pttrs)
+        if index != grid.client_index:
             raise ValueError("grid covers a different client roster")
-        if current.grid_hash == grid.grid_hash:
+        rows, cols, grid_hash = _grid_hashes(cells)
+        if grid_hash == grid.grid_hash:
             return GridVerdict(True)
-        bad_rows = [i for i, h in enumerate(current.row_hashes)
-                    if h != grid.row_hashes[i]]
-        bad_cols = [j for j, h in enumerate(current.column_hashes)
-                    if h != grid.column_hashes[j]]
-        cells = tuple(
+        bad_rows = [i for i, h in enumerate(rows) if h != grid.row_hashes[i]]
+        bad_cols = [j for j, h in enumerate(cols) if h != grid.column_hashes[j]]
+        return GridVerdict(False, tuple(
             (i, j)
             for i in bad_rows
             for j in bad_cols
-            if current.cells[i][j] != grid.cells[i][j]
-        )
-        return GridVerdict(False, cells)
+            if cells[i][j] != grid.cells[i][j]
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -18,16 +18,17 @@ and is never lost: one that falls due while the managers are partitioned
 is held until the partition ends (see ``_deliver``), as a retransmitting
 transport would deliver it, and both managers drop a repeat by its
 content, field by field.  So a sender keeps no state for its reports and
-nothing acknowledges them.  A report the Currency Manager refuses is
-logged as ``cm|refuse``, and the run goes on.
+nothing acknowledges them.
 
-Each client node runs its own side of the protocol (``ClientNode.handle``);
-the simulation delivers what it sends and logs what it reports.  A
-handshake message is lost only at a crashed client; the transport hands
-the drop to ``client.answer_unreachable`` and sends its answer on that
-tick, as a refused connection would: a proposal gets a reject, an
-acceptance an abort, both ``reason=unreachable``, and a command a
-``give-up``, ``reason=crashed``.  A queue entry's unique
+Every actor, a client node and both managers alike, runs its own side of
+the protocol: its ``handle`` returns an outbox of sends, log lines and
+alerts, which the simulation delivers, logs and records.  A report either
+manager refuses is logged as ``cm|refuse`` or ``im|refuse``, and the run
+goes on.  A handshake message is lost only at a crashed client; the
+transport hands the drop to ``client.answer_unreachable`` and sends its
+answer on that tick, as a refused connection would: a proposal gets a
+reject, an acceptance an abort, both ``reason=unreachable``, and a
+command a ``give-up``, ``reason=crashed``.  A queue entry's unique
 insertion number keeps the heap from ever comparing two messages.
 
 Fault injection covers the adversary catalogue: leaf tampering, double
@@ -55,27 +56,15 @@ from .client import (
     StartTransferCmd,
     TREASURY_RESERVE,
     answer_unreachable,
-    pair_of,
-    pair_text,
 )
 from .currency_manager import MANAGER_ID, BalanceReport, CurrencyManager
 from .data_client import authorize, query_transactions, verify_vo
-from .errors import (
-    DeltaMoneyError,
-    PeerUnreachable,
-    StaleProvenance,
-    StepLimitExceeded,
-    UnknownTarget,
-)
+from .encoding import pair_of, pair_text
+from .errors import PeerUnreachable, StepLimitExceeded, UnknownTarget
 from .hashing import KeyStore
-from .integrity_manager import (
-    AlertKind,
-    IntegrityManager,
-    TransactionReport,
-)
+from .integrity_manager import Alert, IntegrityManager, TransactionReport
 
 IM_SIGNER = 10_000
-MANAGER_ACTORS = frozenset(("cm", "im"))
 
 
 @dataclass(frozen=True)
@@ -204,12 +193,14 @@ class Simulation:
                                    transaction_limit=2**62,
                                    opening_reserve=TREASURY_RESERVE)
         self.clients: dict[int, ClientNode] = {MANAGER_ID: self.treasury}
-        # client id -> its actor name in log lines, formatted once per client
-        self._actor_names: dict[int, str] = {MANAGER_ID: f"client:{MANAGER_ID}"}
+        self._managers = {"cm": self.cm, "im": self.im}
+        # actor -> its name in log lines, formatted once per client
+        self._actor_names: dict = {MANAGER_ID: f"client:{MANAGER_ID}",
+                                   "cm": "cm", "im": "im"}
         self.registered_pairs: set[tuple[int, int]] = set()
         self.crashed: set = set()
         self.alerts: list = []  # (kind name, subjects tuple, tick)
-        self.partitions: list = []  # (start, end) manager unreachability, until it ends
+        self.partition_end = 0  # managers are unreachable before this tick
         self.query_omissions: dict = {}  # (subject, pair) -> set of seqs
         self.last_verdict = None
         self.grids: list = []
@@ -242,12 +233,12 @@ class Simulation:
         heapq.heappush(self.queue,
                        (self.now + delay, self._seq, target, sender, message))
 
-    def _alert(self, actor: str, kind: AlertKind, subjects: tuple,
-               evidence: str) -> None:
+    def _alert(self, actor: str, alert: Alert) -> None:
         """Record an alert raised now, and log it."""
-        self.alerts.append((kind.value, subjects, self.now))
-        self.emit(actor, "alert", f"kind={kind.value} subjects={list(subjects)} "
-                  f"evidence={evidence}")
+        kind = alert.kind.value
+        self.alerts.append((kind, alert.subjects, self.now))
+        self.emit(actor, "alert", f"kind={kind} subjects={list(alert.subjects)} "
+                  f"evidence={alert.evidence}")
 
     # ------------------------------------------------------------------
     # event loop
@@ -267,7 +258,7 @@ class Simulation:
                 return
             self.now = max(stop, self.now + 1)
             for alert in im.check_deadlines(self.now):
-                self._alert("im", alert.kind, alert.subjects, alert.evidence)
+                self._alert("im", alert)
 
     def run_until(self, target_tick: Optional[int]) -> None:
         """Deliver events up to target_tick; None means drain everything."""
@@ -300,12 +291,15 @@ class Simulation:
     # delivery and actors
 
     def _deliver(self, target, sender, message) -> None:
-        """Hand ``message`` to its target actor.
+        """Hand ``message`` to its target, a client node or a manager, and
+        act on the outbox its ``handle`` returns; a manager logs a report
+        it refuses instead of raising.
 
-        A message for a manager that falls due inside a partition is held:
-        it is queued again for the latest end among the partitions that
-        cover this tick, and logged ``net|hold``.  So a partition delays a
-        report but never loses it.
+        A message for a manager that falls due before ``partition_end``,
+        the latest end injected so far, is held: every partition begins on
+        the tick it is injected, so the one that ends last covers this tick.
+        The message is queued again for that tick, and logged ``net|hold``.
+        So a partition delays a report but never loses it.
 
         The bound on a harmless outage: the payee reports one tick after
         the payer, and a report's first copy lands at most m ticks after
@@ -320,85 +314,37 @@ class Simulation:
         that overlap count as one outage, from the first start to the last
         end.  A longer outage cannot be told apart from a silent party,
         and the alert it may draw is correct.
-
-        Every partition began on or before this tick, and one that has
-        ended is dropped here: the clock never goes back, so it can cover
-        no later delivery.
         """
-        if self.partitions and target in MANAGER_ACTORS:
-            now = self.now
-            self.partitions = [(start, end) for start, end in self.partitions
-                               if end > now]
-            if self.partitions:
-                end = max(end for _, end in self.partitions)
+        actor = self.clients.get(target)
+        if actor is None:
+            actor = self._managers.get(target)
+            if actor is None:
+                raise UnknownTarget(f"no actor {target}")
+            end = self.partition_end
+            if end > self.now:
                 self.emit("net", "hold", f"target={target} until={end}")
-                self.send(target, sender, message, delay=end - now)
+                self.send(target, sender, message, delay=end - self.now)
                 return
-        node = self.clients.get(target)
-        if node is not None:
-            if target in self.crashed:
-                self.emit("net", "drop",
-                          f"target={self._actor_names[target]} reason=crashed")
-                self._act(target, answer_unreachable(sender, message))
-                return
-            self._act(target, node.handle(sender, message, self.now))
-        elif target == "cm":
-            self._handle_cm(message)
-        elif target == "im":
-            self._handle_im(message)
-        else:
-            raise UnknownTarget(f"no actor {target}")
+        elif target in self.crashed:
+            self.emit("net", "drop",
+                      f"target={self._actor_names[target]} reason=crashed")
+            self._act(target, answer_unreachable(sender, message))
+            return
+        self._act(target, actor.handle(sender, message, self.now))
 
-    def _act(self, client_id: int, out: list) -> None:
-        """Log and send what a client node returned (see ``ClientNode.handle``)."""
-        actor = self._actor_names[client_id]
+    def _act(self, actor_id, out: list) -> None:
+        """Act on an outbox in order: a pair is a log line, a triple a send
+        (see ``ClientNode.handle``), anything else an ``Alert``."""
+        actor = self._actor_names[actor_id]
         for entry in out:
-            if len(entry) == 2:
+            size = len(entry)
+            if size == 2:
                 self.emit(actor, entry[0], entry[1])
-                continue
-            target, message, delay = entry
-            self.send(target, client_id, message, delay)
-
-    # -- manager actors ---------------------------------------------------
-
-    def _handle_cm(self, report) -> None:
-        """Hand one balance report to the CM and log what it made of it.
-
-        A supply report logs ``issued`` or ``redeemed`` with its amount,
-        plus ``status=`` when it did not apply at once; a transfer's
-        report logs ``balance-report`` with its status.
-        """
-        if type(report) is not BalanceReport:
-            raise UnknownTarget(f"cm cannot handle {type(report).__name__}")
-        client_id = report.client_id
-        try:
-            status = self.cm.report_balance(report)
-        except StaleProvenance as exc:
-            self._alert("cm", AlertKind.STALE_PROVENANCE, (client_id,), str(exc))
-            return
-        except DeltaMoneyError as exc:
-            self.emit("cm", "refuse", f"client={client_id} reason={exc}")
-            return
-        if not report.supply:
-            self.emit("cm", "balance-report",
-                      f"client={client_id} balance={report.new_balance} "
-                      f"status={status}")
-            return
-        details = f"client={client_id} amount={abs(report.supply)}"
-        if status != "applied":
-            details += f" status={status}"
-        self.emit("cm", "issued" if report.supply > 0 else "redeemed", details)
-
-    def _handle_im(self, report) -> None:
-        if type(report) is not TransactionReport:
-            raise UnknownTarget(f"im cannot handle {type(report).__name__}")
-        outcome = self.im.ingest_report(report, now=self.now)
-        self.emit("im", "txn-report",
-                  f"pair={pair_text(report.pair_key)} seq={report.pair_seq} "
-                  f"reporter={report.reporter} status={outcome.status}")
-        alert = outcome.alert
-        if alert is not None:
-            self._alert("im", alert.kind, alert.subjects, alert.evidence)
+            elif size == 3:
+                target, message, delay = entry
+                self.send(target, actor_id, message, delay)
+            else:
+                self._alert(actor, entry)
 
     # ------------------------------------------------------------------
     # scripted operations
@@ -578,7 +524,7 @@ class Simulation:
     def _fault_partition(self, ticks: int) -> None:
         if ticks < 1:
             raise UnknownTarget(f"a partition lasts at least 1 tick, got {ticks}")
-        self.partitions.append((self.now, self.now + ticks))
+        self.partition_end = max(self.partition_end, self.now + ticks)
 
     def _fault_omit_record(self, subject: int, pair, seq: int) -> None:
         key = pair_of(*pair)

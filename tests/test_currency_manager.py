@@ -17,6 +17,7 @@ from deltamoney.errors import (
     UnknownClient,
 )
 from deltamoney.hashing import EMPTY_TREE_DIGEST
+from deltamoney.integrity_manager import Alert, AlertKind
 
 
 def digest(tag):
@@ -259,6 +260,36 @@ def test_report_for_unknown_client_or_refused_redemption():
     # a repeat of the refused report is a duplicate, not a second refusal
     assert cm.report_balance(overdraw) == "duplicate"
     assert cm.table.open_row(c1).provenance_mhtr == EMPTY_TREE_DIGEST
+
+
+def test_handle_returns_the_line_or_alert_of_each_outcome():
+    """``handle`` answers each report with one entry: the line that logs
+    what became of it, or the alert of a report from a spent state."""
+    cm, c1, c2 = manager_with_two_clients()
+    m1, m2, n1 = digest("m1"), digest("m2"), digest("n1")
+    treasury = digest("treasury")
+    assert cm.handle(0, BalanceReport(c1, 1000, m1, EMPTY_TREE_DIGEST, treasury,
+                                      3, supply=1000), 5) == [
+        ("issued", f"client={c1} amount=1000")]
+    assert cm.handle(0, BalanceReport(c2, 1990, m2, digest("later"), treasury,
+                                      4, supply=-10), 5) == [
+        ("redeemed", f"client={c2} amount=10 status=parked")]
+    move = BalanceReport(c1, 900, n1, m1, digest("peer"), 6)
+    assert cm.handle(c1, move, 7) == [
+        ("balance-report", f"client={c1} balance=900 status=applied")]
+    assert cm.handle(c1, move, 7) == [
+        ("balance-report", f"client={c1} balance=900 status=duplicate")]
+    assert cm.handle(c1, BalanceReport(c1, 800, digest("x"), digest("ahead"),
+                                       digest("peer"), 8), 9) == [
+        ("balance-report", f"client={c1} balance=800 status=parked")]
+    assert cm.handle(77, BalanceReport(77, 10, digest("y"), EMPTY_TREE_DIGEST,
+                                       digest("peer"), 8), 9) == [
+        ("refuse", "client=77 reason=client 77 is not enrolled")]
+    assert cm.handle(c1, BalanceReport(c1, 1200, digest("again"), m1,
+                                       digest("peer"), 10), 11) == [
+        Alert(AlertKind.STALE_PROVENANCE, (c1,),
+              f"client {c1} reported from an already spent state", 11)]
+    assert cm.table.open_row(c1).valid_balance == 900
 
 
 def test_forged_balance_breaks_conservation():

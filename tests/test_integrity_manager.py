@@ -11,6 +11,7 @@ from deltamoney.errors import (
 )
 from deltamoney.hashing import EMPTY_CELL_DIGEST, KeyStore, Signature
 from deltamoney.integrity_manager import (
+    Alert,
     AlertKind,
     IntegrityManager,
     TransactionReport,
@@ -69,6 +70,39 @@ def test_reporter_guards():
         im2.ingest_report(report(1, (1, 2), 1, digest("r")))
     with pytest.raises(UnknownReporter):
         im.ingest_report(report(3, (1, 2), 1, digest("r")))
+
+
+def test_handle_returns_the_line_and_alert_of_each_outcome():
+    """``handle`` logs each report's status, then gives its alert."""
+    im = fresh_im()
+    first = report(1, (1, 2), 1, digest("root"))
+    assert im.handle(1, first, 7) == [
+        ("txn-report", "pair=(1, 2) seq=1 reporter=1 status=held")]
+    assert im.handle(1, first, 7) == [
+        ("txn-report", "pair=(1, 2) seq=1 reporter=1 status=duplicate")]
+    assert im.handle(2, report(2, (1, 2), 1, digest("root")), 8) == [
+        ("txn-report", "pair=(1, 2) seq=1 reporter=2 status=validated")]
+    im.handle(1, report(1, (1, 2), 2, digest("honest")), 9)
+    out = im.handle(2, report(2, (1, 2), 2, digest("tampered")), 9)
+    assert out == [
+        ("txn-report", "pair=(1, 2) seq=2 reporter=2 status=mismatch"),
+        Alert(AlertKind.ROOT_MISMATCH, (1, 2),
+              f"pair (1, 2) seq 2: 1 says {digest('honest')[:8].hex()}, "
+              f"2 says {digest('tampered')[:8].hex()}", 9),
+    ]
+    assert im.alerts == [out[1]]
+
+
+@pytest.mark.parametrize("reporter, pair, reason", [
+    (3, (1, 2), "client 3 is not a member of (1, 2)"),
+    (9, (1, 2), "client 9 is not enrolled"),
+    (1, (1, 5), "pair (1, 5) is not registered"),
+], ids=["non-member", "unenrolled", "unregistered-pair"])
+def test_handle_logs_a_refused_report(reporter, pair, reason):
+    im = fresh_im()
+    assert im.handle(reporter, report(reporter, pair, 1, digest("r")), 4) == [
+        ("refuse", f"pair={pair} seq=1 reporter={reporter} reason={reason}")]
+    assert im.alerts == [] and im.next_deadline() is None
 
 
 def test_identical_duplicate_is_idempotent():
@@ -271,6 +305,25 @@ def test_verify_grid_honest():
     grid = im.capture_grid(0, mhtrs, pttrs)
     verdict = im.verify_grid(grid, mhtrs, pttrs)
     assert verdict.matches and verdict.mismatched_cells == ()
+
+
+def test_verify_grid_signs_nothing(monkeypatch):
+    """Verifying compares hashes; only a captured grid is signed."""
+    im = fresh_im()
+    mhtrs, pttrs = three_peer_state()
+    grid = im.capture_grid(0, mhtrs, pttrs)
+    signed = []
+    sign = KeyStore.sign
+
+    def counted(keystore, *args):
+        signed.append(args)
+        return sign(keystore, *args)
+
+    monkeypatch.setattr(KeyStore, "sign", counted)
+    assert im.verify_grid(grid, mhtrs, pttrs).matches
+    mhtrs[2] = digest("drift")
+    assert im.verify_grid(grid, mhtrs, pttrs).mismatched_cells == ((1, 1),)
+    assert signed == []
 
 
 def four_peer_state():

@@ -14,8 +14,12 @@ from deltamoney.errors import (
     StepLimitExceeded,
     UnknownTarget,
 )
-from deltamoney.currency_manager import CurrencyManager
-from deltamoney.integrity_manager import DEFAULT_REPORTING_DEADLINE, AlertKind
+from deltamoney.currency_manager import BalanceReport, CurrencyManager
+from deltamoney.integrity_manager import (
+    DEFAULT_REPORTING_DEADLINE,
+    AlertKind,
+    TransactionReport,
+)
 from deltamoney import scenario
 from deltamoney.scenario import STEPS, Step, parse_scenario, run_scenario
 from deltamoney.client import (
@@ -546,7 +550,7 @@ class TestFaultDetection:
         logged = list(sim.log.lines)
         with pytest.raises(UnknownTarget, match="at least 1 tick"):
             sim.inject("partition-manager", ticks)
-        assert sim.partitions == [] and sim.log.lines == logged
+        assert sim.partition_end == 0 and sim.log.lines == logged
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -1100,20 +1104,26 @@ def test_held_reports_land_when_the_partition_ends():
 
 
 def test_a_partition_is_dropped_once_it_has_ended():
-    """A manager delivery drops every partition that has ended, so the
-    list does not grow with each partition a long run injects."""
+    """Only the latest end injected so far is kept: a shorter partition
+    inside a longer one changes nothing, and once the clock reaches that
+    end, manager deliveries are no longer held."""
     sim = small_world(seed=27)
     sim.inject("partition-manager", 40)  # ticks 30 to 69
     sim.inject("partition-manager", 5)  # ticks 30 to 34
+    assert sim.partition_end == 70
     sim.transfer(1, 2, 100)
-    sim.advance(4)
-    assert sim.partitions == [(30, 70), (30, 35)]
-    sim.advance(1)  # the payee's reports are held at 35, past the short one
-    assert sim.partitions == [(30, 70)]
+    sim.advance(5)  # the payee's reports are held at 35, past the short one
+    assert "35|net|hold|target=im until=70" in sim.log.lines
+    assert sim.partition_end == 70
     sim.quiesce()  # they land at 70, when the long one has ended too
-    assert sim.now == 70 and sim.partitions == []
+    assert sim.now == 70 and sim.partition_end == 70
     assert "70|im|txn-report|pair=(1, 2) seq=1 reporter=2 status=validated" \
         in sim.log.lines
+    held = sum("|net|hold|" in line for line in sim.log.lines)
+    sim.transfer(1, 2, 10)
+    sim.quiesce()
+    assert sum("|net|hold|" in line for line in sim.log.lines) == held
+    assert sim.im.latest_validated[(1, 2)][0] == 2
 
 
 def test_reports_sent_before_a_crash_still_land():
@@ -1140,6 +1150,43 @@ def test_delivery_to_an_unknown_client_actor_is_rejected():
     sim.send("client:99", "sim", object())
     with pytest.raises(UnknownTarget):
         sim.quiesce()
+
+
+@pytest.mark.parametrize("target, message", [
+    ("cm", TransactionReport(1, (1, 2), 1, b"r" * 32, b"d" * 32, 31)),
+    ("im", BalanceReport(1, 10, b"m" * 32, b"p" * 32, b"q" * 32, 31)),
+])
+def test_a_manager_rejects_a_message_of_another_type(target, message):
+    sim = small_world(seed=13)
+    sim.send(target, 1, message)
+    with pytest.raises(UnknownTarget,
+                       match=f"{target} cannot handle {type(message).__name__}"):
+        sim.quiesce()
+
+
+@pytest.mark.parametrize("reporter, pair, reason", [
+    (3, (1, 2), "client 3 is not a member of (1, 2)"),
+    (9, (1, 2), "client 9 is not enrolled"),
+    (1, (1, 4), "pair (1, 4) is not registered"),
+], ids=["non-member", "unenrolled", "unregistered-pair"])
+def test_a_report_the_im_refuses_is_logged_and_the_run_goes_on(
+        reporter, pair, reason):
+    """A report the Integrity Manager refuses logs one ``im|refuse`` line
+    and raises nothing, and a later transfer on its pair validates."""
+    sim = small_world(seed=14)
+    sim.enroll(4)
+    tick = sim.now + 1
+    sim.send("im", reporter,
+             TransactionReport(reporter, pair, 1, b"r" * 32, b"d" * 32, sim.now))
+    sim.quiesce()
+    assert [line for line in sim.log.lines if "|im|refuse|" in line] == [
+        f"{tick}|im|refuse|pair={pair} seq=1 reporter={reporter} reason={reason}"]
+    if pair not in sim.registered_pairs:
+        sim.register(*pair)
+    sim.transfer(*pair, 10)
+    sim.quiesce()
+    assert sim.im.latest_validated[pair][0] == 1
+    assert sim.alerts == []
 
 
 def test_scenario_fault_steps_drive_detection():
