@@ -64,7 +64,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .balance_tree import BalanceChangeRecord, BalanceMHT
 from .currency_manager import MANAGER_ID, BalanceReport
-from .encoding import Reader, pair_of, pair_text, u32, u64
+from .encoding import PAIR_TEXTS, Reader, pair_of, pair_text, u32, u64
 from .errors import (
     CommitmentMismatch,
     CorruptSnapshot,
@@ -243,6 +243,7 @@ class ClientNode:
         key = pair_of(self.id, peer_id)
         if key not in self.ptts:
             self.ptts[key] = PeerTransactionTree(*key)
+            PAIR_TEXTS.setdefault(key, str(key))
         return self.ptts[key]
 
     def account_view(self) -> AccountView:
@@ -396,8 +397,8 @@ class ClientNode:
         """
         ptt = self.ptts.get(key)
         if ptt is not None and ptt.records and ptt.records[-1] == record:
-            # the copy is the latest balance change: its timestamp is the
-            # proposal's tick, and nothing commits here until the answer
+            # known gap: the copy is taken to be the latest balance change,
+            # which a commit on another pair since the rebuild makes false
             self._roll_back(key, record, report=False)
             self.mht.remove_last()
         return AbortMsg(key, record.pair_seq, STALE)

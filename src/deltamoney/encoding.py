@@ -53,12 +53,13 @@ def pair_of(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-_PAIR_TEXTS: dict[tuple[int, int], str] = {}
+PAIR_TEXTS: dict[tuple[int, int], str] = {}  # ClientNode.register_peer fills it
 
 
 def pair_text(key: tuple[int, int]) -> str:
-    """``key`` as log lines print it, formatted once per pair."""
-    return _PAIR_TEXTS.get(key) or _PAIR_TEXTS.setdefault(key, str(key))
+    """``key`` as log lines print it; only a registered pair's text is kept,
+    so a pair read from a message cannot grow ``PAIR_TEXTS``."""
+    return PAIR_TEXTS.get(key) or str(key)
 
 
 def u64(value: int) -> bytes:

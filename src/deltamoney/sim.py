@@ -2,23 +2,25 @@
 
 Actors (currency clients, the treasury, the Currency Manager, the
 Integrity Manager) are isolated state machines exchanging typed messages
-through a single event queue ordered by (tick, insertion order).  The
-clock jumps straight to the next event, stopping on the way only at
-ticks where an Integrity Manager reporting deadline falls due, so idle
-ticks cost nothing.  ``steps`` counts the events delivered.  With a
-fixed seed the run is fully deterministic: same scenario, same log, byte
-for byte.
+through a single event queue ordered by (tick, insertion order).
+``step`` delivers one event, and ``steps`` counts them.  The clock jumps
+straight to the next event, stopping on the way only at ticks where an
+Integrity Manager reporting deadline falls due, so idle ticks cost
+nothing.  With a fixed seed the run is fully deterministic: same
+scenario, same log, byte for byte.
 
-The three-message transfer handshake travels the peer channel and is
-always delivered next tick.  Manager traffic (transaction reports for the
-Integrity Manager, and the balance reports of transfers, issuances and
-redemptions for the Currency Manager) goes through the configurable
-delivery policy, which may delay or duplicate.  Each report is sent once
-and is never lost: one that falls due while the managers are partitioned
-is held until the partition ends (see ``_deliver``), as a retransmitting
-transport would deliver it, and both managers drop a repeat by its
-content, field by field.  So a sender keeps no state for its reports and
-nothing acknowledges them.
+The three-message transfer handshake travels the peer channel: a peer
+message lands next tick, the answer for a crashed peer (below) on this
+one, and a busy payer's retry after its ``retry_delay``.  Manager
+traffic (transaction reports for the Integrity Manager, and the balance
+reports of transfers, issuances and redemptions for the Currency
+Manager) goes through the configurable delivery policy, which may delay
+or duplicate.  Each report is sent once and is never lost: one that
+falls due while the managers are partitioned is held until the
+partition ends (see ``_deliver``), as a retransmitting transport would
+deliver it, and both managers drop a repeat by its content, field by
+field.  So a sender keeps no state for its reports and nothing
+acknowledges them.
 
 Every actor, a client node and both managers alike, runs its own side of
 the protocol: its ``handle`` returns an outbox of sends, log lines and
@@ -69,7 +71,7 @@ IM_SIGNER = 10_000
 
 @dataclass(frozen=True)
 class DeliveryPolicy:
-    """How manager-bound messages travel; peers always get next-tick.
+    """How manager-bound messages travel; peer messages never meet it.
 
     ``kind`` names a row of ``POLICIES``.  Checked when built: a kind with
     no row, a negative delay and a probability outside [0, 1] raise
@@ -216,22 +218,15 @@ class Simulation:
         """Queue ``message`` for delivery ``delay`` ticks from now.
 
         ``target`` and ``sender`` are each a client id or a name (``"cm"``,
-        ``"im"``, ``"sim"``).  A ``delay`` of None leaves the ticks to the
-        delivery policy: next tick under ``normal``, otherwise the offsets
-        of its row in ``POLICIES``, each delivered as an event of its own.
+        ``"im"``, ``"sim"``).  A ``delay`` of None takes the offsets of the
+        delivery policy's row in ``POLICIES``, one event for each.
         """
-        if delay is None:
-            kind = self.policy.kind
-            if kind != "normal":
-                for offset in POLICIES[kind].offsets(self.policy, self.rng):
-                    self._seq += 1
-                    heapq.heappush(self.queue, (self.now + offset, self._seq,
-                                                target, sender, message))
-                return
-            delay = 1
-        self._seq += 1
-        heapq.heappush(self.queue,
-                       (self.now + delay, self._seq, target, sender, message))
+        offsets = ([delay] if delay is not None
+                   else POLICIES[self.policy.kind].offsets(self.policy, self.rng))
+        for offset in offsets:
+            self._seq += 1
+            heapq.heappush(self.queue, (self.now + offset, self._seq,
+                                        target, sender, message))
 
     def _alert(self, actor: str, alert: Alert) -> None:
         """Record an alert raised now, and log it."""
@@ -260,22 +255,24 @@ class Simulation:
             for alert in im.check_deadlines(self.now):
                 self._alert("im", alert)
 
+    def step(self) -> None:
+        """Deliver the earliest queued event: move the clock to its tick,
+        count it against ``step_limit`` and hand it to its target.  The
+        limit is checked before the pop, so a caught limit loses no event."""
+        if self.steps >= self.step_limit:
+            raise StepLimitExceeded(
+                f"reached {self.step_limit} events at tick {self.now}")
+        tick, _, target, sender, message = heapq.heappop(self.queue)
+        if tick > self.now:
+            self._advance_time_to(tick)
+        self.steps += 1
+        self._deliver(target, sender, message)
+
     def run_until(self, target_tick: Optional[int]) -> None:
         """Deliver events up to target_tick; None means drain everything."""
-        queue, heappop = self.queue, heapq.heappop
-        while queue:
-            tick = queue[0][0]
-            if target_tick is not None and tick > target_tick:
-                break
-            _, _, target, sender, message = heappop(queue)
-            if tick > self.now:
-                self._advance_time_to(tick)
-            self.steps += 1
-            if self.steps > self.step_limit:
-                raise StepLimitExceeded(
-                    f"exceeded {self.step_limit} events at tick {self.now}"
-                )
-            self._deliver(target, sender, message)
+        queue, step = self.queue, self.step
+        while queue and (target_tick is None or queue[0][0] <= target_tick):
+            step()
         if target_tick is not None and target_tick > self.now:
             self._advance_time_to(target_tick)
 

@@ -20,9 +20,11 @@ from deltamoney.integrity_manager import (
     AlertKind,
     TransactionReport,
 )
-from deltamoney import scenario
+from deltamoney import encoding, scenario
+from deltamoney.peer_ledger import TransactionProposal
 from deltamoney.scenario import STEPS, Step, parse_scenario, run_scenario
 from deltamoney.client import (
+    CommitMsg,
     RETRY_BASE,
     RETRY_CAP,
     RETRY_MAX_ATTEMPTS,
@@ -37,7 +39,7 @@ from deltamoney.sim import (
     Simulation,
     grid_roots,
 )
-from worlds import small_world
+from worlds import broken_invariants, small_world
 
 
 def crash_before_commit():
@@ -264,14 +266,10 @@ def test_commit_reaching_a_rebuilt_payee_with_no_exchange_is_logged_ignore():
 
 
 def assert_settled(sim, pair):
-    """Equal replica roots, CM rows equal to balances, no alert, all free."""
-    a, b = pair
-    assert sim.clients[a].ptts[pair].root() == sim.clients[b].ptts[pair].root()
-    rows = {r.client_id: r.valid_balance for r in sim.cm.table.open_rows()}
-    assert rows == {c: sim.clients[c].balance for c in rows}
-    assert sim.alerts == [] and sim.cm.check_conservation().holds
-    assert not any(node.busy for node in sim.clients.values())
-    assert sim.im._pending_aborts == {}
+    """``pair`` is registered, and every invariant of
+    ``worlds.broken_invariants`` holds, its equal roots among them."""
+    assert pair in sim.registered_pairs
+    assert broken_invariants(sim) == []
 
 
 @pytest.mark.parametrize("ticks, recovered_balance", [
@@ -786,6 +784,25 @@ def test_step_limit_guards_runaway_scenarios():
             sim.advance(4)
 
 
+def test_a_caught_step_limit_loses_no_event():
+    """The limit stops the loop before the event leaves the queue, so a
+    caller that raises the limit and goes on finishes the history."""
+    sim = small_world(seed=11)
+    sim.step_limit = sim.steps + 5
+    sim.transfer(1, 2, 10)
+    with pytest.raises(StepLimitExceeded):
+        sim.quiesce()
+    assert sim.steps == sim.step_limit
+    queued = list(sim.queue)
+    with pytest.raises(StepLimitExceeded):
+        sim.step()
+    assert sim.steps == sim.step_limit and sim.queue == queued
+    sim.step_limit += 100
+    sim.quiesce()
+    assert [sim.clients[c].balance for c in (1, 2, 3)] == [990, 2_010, 3_000]
+    assert broken_invariants(sim) == []
+
+
 # ----------------------------------------------------------------------
 # scenario grammar
 
@@ -1187,6 +1204,31 @@ def test_a_report_the_im_refuses_is_logged_and_the_run_goes_on(
     sim.quiesce()
     assert sim.im.latest_validated[pair][0] == 1
     assert sim.alerts == []
+
+
+def test_pairs_read_from_messages_are_not_kept_as_log_text():
+    """Only a registered pair's log text is kept.  A refused report, a
+    refused proposal and a stray commit on an unregistered pair print the
+    same text, but add nothing to the cache."""
+    sim = small_world(seed=14)
+    kept = dict(encoding.PAIR_TEXTS)
+    digest = b"d" * 32
+    for other in range(10_000, 10_100):
+        pair = (1, other)
+        sim.send("im", 1, TransactionReport(1, pair, 1, digest, digest, sim.now))
+        sim.send(1, 3, TransactionProposal(1, sim.now, other, 1, 5,
+                                           digest, digest, digest))
+        sim.send(2, 1, CommitMsg(pair, 1, digest))
+        sim.quiesce()
+    assert encoding.PAIR_TEXTS == kept
+    tick = sim.now - 1  # the reject lands at client 3 a tick later
+    assert sim.log.lines[-5:-1] == [
+        f"{tick}|im|refuse|pair=(1, 10099) seq=1 reporter=1 "
+        f"reason=pair (1, 10099) is not registered",
+        f"{tick}|client:1|refuse|pair=(1, 10099) reason=pair (1, 10099) is not registered",
+        f"{tick}|client:1|reject|pair=(1, 10099) reason=NotRegisteredPeers",
+        f"{tick}|client:2|ignore|pair=(1, 10099) seq=1 msg=commit",
+    ]
 
 
 def test_scenario_fault_steps_drive_detection():
