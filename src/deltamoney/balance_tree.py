@@ -18,15 +18,17 @@ Verifying it hashes its k + w leaves (w witnesses) and k + w - 1 + d
 internal nodes, d the number of digests; completeness is read from the
 records' indices with no further hashing.
 
-Costs: inserting record i + 1 hashes its leaf, each parent it completes
-and the fold of the larger peaks into the root, 1 + popcount(i) digests
-(``MerkleTree.append``); ``remove_last`` rewrites no stored node and only
-refolds the root of the m records left, popcount(m) - 1 digests.
-``build`` checks each record in order and hashes n leaves and n - 1
-internal nodes; recovery builds the tree with it, and so does a snapshot
-load, which replays the stored pair records through recovery (no
-snapshot stores this tree).  A range query returning k records costs
-O(log n + k) before its proof.
+``BalanceMHT`` is a ``merkle.RecordLog``, which holds its append
+(``insert``), ``remove_last`` and ``build``; this module adds the
+admission check.  Costs: inserting record i + 1 hashes its leaf, each
+parent it completes and the fold of the larger peaks into the root,
+1 + popcount(i) digests (``MerkleTree.append``); ``remove_last``
+rewrites no stored node and only refolds the root of the m records
+left, popcount(m) - 1 digests.  ``build`` checks each record in order
+and hashes n leaves and n - 1 internal nodes; recovery builds the tree
+with it, and so does a snapshot load, which replays the stored pair
+records through recovery (no snapshot stores this tree).  A range query
+returning k records costs O(log n + k) before its proof.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import merkle
 from .encoding import BALANCE_RECORD, KEY, Reader, u32, u64
@@ -105,30 +107,7 @@ def _key_bytes(key: Key) -> bytes:
     return KEY.pack(*key)
 
 
-def _check_next(records: list[BalanceChangeRecord],
-                record: BalanceChangeRecord) -> None:
-    """Raise unless ``record`` may follow ``records``."""
-    prior = 0
-    if records:
-        last = records[-1]
-        if record.key <= last.key:
-            raise NonMonotonicKey(
-                f"key {record.key} not greater than current max {last.key}"
-            )
-        prior = last.new_balance
-    if record.client_seq != len(records) + 1:
-        raise ValueError(
-            f"client_seq must count the records: expected {len(records) + 1}, "
-            f"got {record.client_seq}"
-        )
-    if record.new_balance != prior + record.delta:
-        raise ValueError(
-            "new_balance breaks the running sum: "
-            f"{prior} + {record.delta} != {record.new_balance}"
-        )
-
-
-class BalanceMHT:
+class BalanceMHT(merkle.RecordLog):
     """Balance-change records beside the Merkle log of their encodings.
 
     Keys are (timestamp, client_seq) and must strictly increase, so the
@@ -136,53 +115,33 @@ class BalanceMHT:
     i + 1.
     """
 
-    def __init__(self) -> None:
-        self._records: list[BalanceChangeRecord] = []
-        self._tree = merkle.MerkleTree()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def root(self) -> Digest:
-        if not self._records:
-            return EMPTY_TREE_DIGEST
-        return self._tree.root()
+    # the name the benchmark tracer wraps on this class
+    insert = merkle.RecordLog.append
 
     def latest_balance(self) -> int:
-        return self._records[-1].new_balance if self._records else 0
+        return self.records[-1].new_balance if self.records else 0
 
-    def records_in_order(self) -> Iterator[BalanceChangeRecord]:
-        return iter(self._records)
-
-    def insert(self, record: BalanceChangeRecord) -> None:
-        """Check and append ``record``: its leaf, the parents it completes
-        and the refolded root."""
-        _check_next(self._records, record)
-        self._tree.append(record.to_bytes())
-        self._records.append(record)
-
-    def remove_last(self) -> None:
-        """Drop the latest record: hashes only the new root's peak fold."""
-        self._tree.remove_last()
-        self._records.pop()
-
-    @classmethod
-    def build(cls, records: Iterable[BalanceChangeRecord]) -> "BalanceMHT":
-        """The tree that inserting ``records`` in order would give.
-
-        Records pass insert's checks (``_check_next``) in order, and are
-        then hashed in one ``MerkleTree.build``: n leaves and n - 1
-        internal nodes.
-        """
-        tree = cls()
-        entries = tree._records
-        for record in records:
-            _check_next(entries, record)
-            entries.append(record)
-        if entries:
-            tree._tree = merkle.MerkleTree.build(
-                [record.to_bytes() for record in entries])
-        return tree
+    def _check(self, record: BalanceChangeRecord) -> None:
+        """Raise unless ``record`` may follow ``records``."""
+        records = self.records
+        prior = 0
+        if records:
+            last = records[-1]
+            if record.key <= last.key:
+                raise NonMonotonicKey(
+                    f"key {record.key} not greater than current max {last.key}"
+                )
+            prior = last.new_balance
+        if record.client_seq != len(records) + 1:
+            raise ValueError(
+                f"client_seq must count the records: expected {len(records) + 1}, "
+                f"got {record.client_seq}"
+            )
+        if record.new_balance != prior + record.delta:
+            raise ValueError(
+                "new_balance breaks the running sum: "
+                f"{prior} + {record.delta} != {record.new_balance}"
+            )
 
     # ------------------------------------------------------------------
     # verifiable range queries
@@ -195,13 +154,13 @@ class BalanceMHT:
         """
         if key_lo > key_hi:
             raise InvertedRange(f"range [{key_lo}, {key_hi}] is inverted")
-        records = self._records
+        records = self.records
         size = len(records)
         first = bisect_left(records, key_lo, key=_record_key)
         stop = bisect_right(records, key_hi, key=_record_key)
         start, end = max(first - 1, 0), min(stop + 1, size)
         witnesses = tuple(records[start:first] + records[stop:end])
-        proof = tuple(self._tree.prove(range(start, end), size)) if size else ()
+        proof = tuple(self.tree.prove(range(start, end), size)) if size else ()
         return records[first:stop], RangeVO(key_lo, key_hi, size, witnesses, proof)
 
 

@@ -594,7 +594,7 @@ class ClientNode:
                         f"before the validated seq {seq}"
                     )
                 if seq < ptt.last_seq:
-                    root = ptt.root_after(seq)
+                    root = ptt.tree.root_at(seq)
                 if root != trusted:
                     raise PartnerRootDisagreement(
                         f"pair {key}: rebuilt root {root[:8].hex()} at seq {seq} "
@@ -607,8 +607,9 @@ class ClientNode:
         # are already in that order, so the sort only interleaves the pairs
         replay = []
         for key, ptt in rebuilt.items():
+            roots = ptt.tree.prefix_roots()
             replay += [(record.timestamp, key, record.pair_seq, record, root)
-                       for record, root in zip(ptt.records, ptt.prefix_roots())]
+                       for record, root in zip(ptt.records, roots)]
         replay.sort()
         balance = self.opening_reserve
         records = []

@@ -228,7 +228,7 @@ def query_transactions(grant: Grant, pair_key, seq_lo: int, seq_hi: int,
     vo = TransactionInclusionVO(
         key, seq_lo, seq_hi,
         tuple(record.to_bytes() for record in records),
-        tuple(ptt._tree.prove(indices, size)), attestation,
+        tuple(ptt.tree.prove(indices, size)), attestation,
     )
     return records, vo
 
@@ -278,8 +278,10 @@ def verify_transaction_vo(vo: TransactionInclusionVO, keystore: KeyStore,
     correct = correct and verify_inclusion(
         vo.records, indices, att.pair_seq, vo.proof, att.root
     )
-    expected = list(range(vo.seq_lo, min(vo.seq_hi, att.pair_seq) + 1))
-    complete = sorted(seqs) == expected
+    stop = min(vo.seq_hi, att.pair_seq) + 1
+    # the count first, so a claimed range is never materialised
+    complete = (len(seqs) == max(stop - vo.seq_lo, 0)
+                and sorted(seqs) == list(range(vo.seq_lo, stop)))
     fresh = latest is not None and att.root == latest
     return Verdict(correct, complete, fresh)
 

@@ -67,6 +67,10 @@ class CommitmentMismatch(DeltaMoneyError, ValueError):
     """A party's plaintext balance does not open its commitment in a record."""
 
 
+class MalformedRecord(DeltaMoneyError, ValueError):
+    """A field or balance its encoding cannot hold, or one client on both sides."""
+
+
 # balance tree
 
 class NonMonotonicKey(DeltaMoneyError):

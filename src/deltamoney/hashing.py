@@ -11,10 +11,10 @@ commitment, or a grid cell:
     0x06  empty grid cell
 
 0x00 and 0x01 serve both logs, the pair trees and the balance trees, as
-one ``merkle.MerkleTree``; their leaves differ in length (232-byte pair
-records against 80-byte balance records), so neither can stand for the
-other.  0x04 and 0x05 are unused; 0x06 keeps its value, which pinned
-grids hash.
+one ``merkle.RecordLog`` over a ``merkle.MerkleTree``; their leaves
+differ in length (232-byte pair records against 80-byte balance
+records), so neither can stand for the other.  0x04 and 0x05 are
+unused; 0x06 keeps its value, which pinned grids hash.
 
 Other hashes carry no tag: the grid's row, column and grid digests, the
 client snapshot checksum and ``KeyStore``'s key derivation. None of them
@@ -42,8 +42,8 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from .encoding import BALANCE_COMMIT, u64
-from .errors import EmptyPayload, NegativeBalance, UnknownKey
+from .encoding import BALANCE_COMMIT, FOREVER, u64
+from .errors import EmptyPayload, MalformedRecord, NegativeBalance, UnknownKey
 
 Digest = bytes
 
@@ -88,6 +88,8 @@ def commit_balance(client_id: int, seq: int, balance: int) -> Digest:
     """
     if balance < 0:
         raise NegativeBalance(f"cannot commit negative balance {balance}")
+    if balance > FOREVER:
+        raise MalformedRecord(f"cannot commit balance {balance} above {FOREVER}")
     return hashlib.sha256(
         BALANCE_COMMIT.pack(TAG_BALANCE, client_id, seq, balance)).digest()
 

@@ -39,16 +39,20 @@ split of ``[0, size)`` that holds no proved leaf; indices and ``size`` fix
 its shape, so it needs no side bytes.  Verifying k leaves hashes them and
 k - 1 + d internal nodes, d the number of digests: at most ceil(log2 size)
 for one leaf and 2 * ceil(log2 size) for a window of adjacent leaves.
+
+``RecordLog``, under both the pair trees and the balance trees, is the
+one checked append, rollback (``remove_last``) and build of records over
+such a tree, at the costs above, each record encoded once for its leaf.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import EmptyPayload, EmptyTree, IndexOutOfRange
-from .hashing import TAG_INTERNAL, TAG_LEAF, Digest
+from .hashing import EMPTY_TREE_DIGEST, TAG_INTERNAL, TAG_LEAF, Digest
 
 
 class MerkleTree:
@@ -205,6 +209,55 @@ class MerkleTree:
 
         walk(0, size, 0, len(indices))
         return proof
+
+
+class RecordLog:
+    """Checked records beside the ``MerkleTree`` of their encodings.
+
+    Record i is leaf i, hashed over ``record.to_bytes()``.  A subclass
+    defines ``_check``, which raises unless a record may follow
+    ``records``.  ``append`` checks and encodes a record and appends its
+    leaf before ``records`` takes it, so one that fails either step
+    changes nothing and ``records`` and ``tree`` always hold the same
+    count.  An empty log's root is ``EMPTY_TREE_DIGEST``.
+    """
+
+    def __init__(self) -> None:
+        self.records: list = []
+        self.tree = MerkleTree()
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def root(self) -> Digest:
+        return self.tree.root() if self.records else EMPTY_TREE_DIGEST
+
+    def append(self, record) -> None:
+        """Check ``record``, append its leaf, then keep it."""
+        self._check(record)
+        self.tree.append(record.to_bytes())
+        self.records.append(record)
+
+    def remove_last(self) -> None:
+        """Drop the last record and its leaf; ``EmptyTree`` when empty."""
+        self.tree.remove_last()
+        self.records.pop()
+
+    @classmethod
+    def build(cls, records: Iterable, *args) -> "RecordLog":
+        """The log that appending ``records`` in order to ``cls(*args)`` gives.
+
+        Each record passes ``_check`` in order, and the tree is then
+        hashed in one ``MerkleTree.build``: n leaves and n - 1 internal
+        nodes, instead of n appends of O(log n) hashes each.
+        """
+        log = cls(*args)
+        for record in records:
+            log._check(record)
+            log.records.append(record)
+        if log.records:
+            log.tree = MerkleTree.build([record.to_bytes() for record in log.records])
+        return log
 
 
 def _well_formed(indices: Sequence[int], size: int) -> bool:

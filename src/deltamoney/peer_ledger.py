@@ -16,18 +16,23 @@ two ids as ``u64``, a ``u64`` count of 232-byte records, the records,
 then the root.  Either way ``ClientNode.recover_transactions`` rebuilds
 the tree from it (``PeerTransactionTree.restore``) and the holder's
 balance tree from the records, which no snapshot stores.
+
+``PeerTransactionTree`` is a ``merkle.RecordLog``, which holds its append
+(``append_record``), rollback (``rollback_last``) and one-pass build
+(``restore``: n leaves and n - 1 internal nodes for n records, not n
+appends of O(log n) hashes); this module adds the admission check.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .encoding import PAIR_RECORD, Reader, pair_of, u64
+from .encoding import FOREVER, PAIR_RECORD, Reader, pair_of, u64
 from .errors import (
     CommitmentMismatch,
-    EmptyTree,
     InsufficientBalance,
     LimitExceeded,
+    MalformedRecord,
     NonMonotonicSequence,
     NonPositiveAmount,
     NotRegisteredPeers,
@@ -35,8 +40,8 @@ from .errors import (
     UnregisteredPair,
     WrongAddressee,
 )
-from .hashing import DIGEST_SIZE, EMPTY_TREE_DIGEST, commit_balance
-from .merkle import MerkleTree
+from .hashing import DIGEST_SIZE, commit_balance
+from .merkle import RecordLog
 
 RECORD_SIZE = PAIR_RECORD.size  # 232
 
@@ -72,10 +77,15 @@ class TransactionPairRecord(_PairRecordFields):
         if amount <= 0:
             raise NonPositiveAmount(f"amount must be positive, got {amount}")
         if payer_id == payee_id:
-            raise ValueError("payer and payee must be distinct clients")
+            raise MalformedRecord("payer and payee must be distinct clients")
         fields = (pair_seq, timestamp, payer_id, payee_id, amount,
                   payer_prior_commit, payer_new_commit, payee_prior_commit,
                   payee_new_commit, payer_provenance, payee_provenance)
+        if not (0 <= pair_seq <= FOREVER and 0 <= timestamp <= FOREVER
+                and 0 <= payer_id <= FOREVER and 0 <= payee_id <= FOREVER
+                and amount <= FOREVER):
+            raise MalformedRecord(f"{', '.join(cls._fields[:5])} must lie in "
+                                  f"[0, {FOREVER}], got {fields[:5]}")
         # one chained comparison per record; the loop only names the field
         if not (len(payer_prior_commit) == len(payer_new_commit)
                 == len(payee_prior_commit) == len(payee_new_commit)
@@ -83,7 +93,7 @@ class TransactionPairRecord(_PairRecordFields):
                 == DIGEST_SIZE):
             for name, value in zip(cls._fields[5:], fields[5:]):
                 if len(value) != DIGEST_SIZE:
-                    raise ValueError(
+                    raise MalformedRecord(
                         f"{name} must be {DIGEST_SIZE} bytes, got {len(value)}"
                     )
         return _tuple_new(cls, fields)
@@ -159,7 +169,7 @@ class AccountView(NamedTuple):
     provenance: bytes
 
 
-class PeerTransactionTree:
+class PeerTransactionTree(RecordLog):
     """One client's replica of the transaction tree for a peer pair.
 
     Honest replicas hold byte-identical leaf sequences, so their roots
@@ -170,12 +180,13 @@ class PeerTransactionTree:
     def __init__(self, client_a: int, client_b: int) -> None:
         if client_a == client_b:
             raise ValueError("a pair needs two distinct clients")
+        super().__init__()
         self.pair_key = pair_of(client_a, client_b)
-        self.records: list[TransactionPairRecord] = []
-        self._tree = MerkleTree()
 
-    def __len__(self) -> int:
-        return len(self.records)
+    # the names the benchmark tracer wraps on this class
+    append_record = RecordLog.append
+    rollback_last = RecordLog.remove_last
+    root = RecordLog.root
 
     @property
     def last_seq(self) -> int:
@@ -187,30 +198,16 @@ class PeerTransactionTree:
 
     @classmethod
     def restore(cls, replica: PairReplica) -> "PeerTransactionTree":
-        """Rebuild a replica from its ``PairReplica``; the caller compares roots.
-
-        Each record passes ``append_record``'s checks (``_admit``), and
-        the tree is then hashed in one ``MerkleTree.build`` pass, each
-        record encoded once as it is hashed: n leaves and n - 1 internal
-        nodes, instead of n appends of O(log n) hashes each.
-        """
-        ptt = cls(*replica.pair_key)
-        for record in replica.records:
-            ptt._admit(record)
-        if ptt.records:
-            ptt._tree = MerkleTree.build(map(TransactionPairRecord.to_bytes, ptt.records))
-        return ptt
+        """Rebuild a replica from its ``PairReplica`` in one ``build`` pass;
+        the caller compares roots."""
+        return cls.build(replica.records, *replica.pair_key)
 
     def replica(self) -> PairReplica:
         """This replica's state, for a crashed partner or a snapshot."""
         return PairReplica(self.pair_key, tuple(self.records), self.root())
 
-    def append_record(self, record: TransactionPairRecord) -> None:
-        self._admit(record)
-        self._tree.append(record.to_bytes())
-
-    def _admit(self, record: TransactionPairRecord) -> None:
-        """Check that ``record`` is this pair's next one and take it in."""
+    def _check(self, record: TransactionPairRecord) -> None:
+        """Raise unless ``record`` is this pair's next one."""
         # a record's two parties differ, so either order of them matches
         key = self.pair_key
         if ((record.payer_id, record.payee_id) != key
@@ -223,33 +220,11 @@ class PeerTransactionTree:
             raise NonMonotonicSequence(
                 f"expected pair_seq {self.last_seq + 1}, got {record.pair_seq}"
             )
-        self.records.append(record)
-
-    def rollback_last(self) -> None:
-        if not self.records:
-            raise EmptyTree("nothing to roll back")
-        self.records.pop()
-        self._tree.remove_last()
-
-    def root(self) -> bytes:
-        return self._tree.root() if self.records else EMPTY_TREE_DIGEST
 
     def leaf_digest(self, pair_seq: int) -> bytes:
         """Tree leaf of record ``pair_seq``: ``hash_leaf`` of its
         encoding, stored when it was appended."""
-        return self._tree.leaf(pair_seq - 1)
-
-    def root_after(self, pair_seq: int) -> bytes:
-        """Root the tree had right after ``pair_seq`` was appended."""
-        return self._tree.root_at(pair_seq)
-
-    def prefix_roots(self) -> list[bytes]:
-        """``root_after`` each record, in order."""
-        return self._tree.prefix_roots()
-
-    def tamper_leaf(self, index: int, payload: bytes) -> None:
-        """Overwrite a raw leaf payload in place (fault injection only)."""
-        self._tree.replace_leaf(index, payload)
+        return self.tree.leaf(pair_seq - 1)
 
 
 def propose(

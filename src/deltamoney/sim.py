@@ -470,7 +470,7 @@ class Simulation:
             raise UnknownTarget(f"client {client_id} has no pair {key}")
         if not 0 <= index < len(node.ptts[key].records):
             raise UnknownTarget(f"pair {key} has no leaf {index}")
-        node.ptts[key].tamper_leaf(
+        node.ptts[key].tree.replace_leaf(
             index, _junk(f"tamper:{client_id}:{key}:{index}", 232)
         )
 

@@ -97,7 +97,7 @@ def test_single_record_root_is_tagged_leaf_hash():
 def test_twenty_inserts_keep_key_order():
     records = history(20)
     tree = insert_all(records)
-    assert list(tree.records_in_order()) == records
+    assert tree.records == records
     assert sorted(r.key for r in records) == [r.key for r in records]
 
 
@@ -150,7 +150,7 @@ def test_cached_hashes_equal_full_rebuild(seed):
     for _ in range(77):
         tree.remove_last()
     assert tree.root() == oracle_root(records[:123])
-    assert list(tree.records_in_order()) == records[:123]
+    assert tree.records == records[:123]
 
 
 def test_root_matches_the_oracle_at_every_size_and_after_remove_last():
@@ -271,7 +271,7 @@ def test_build_matches_one_insert_at_a_time(seed):
         built = BalanceMHT.build(records[:n])
         assert built.root() == inserted.root(), n
         assert len(built) == n
-        assert list(built.records_in_order()) == records[:n]
+        assert built.records == records[:n]
         assert built.latest_balance() == inserted.latest_balance()
         for key_lo, key_hi in sample_ranges(rng, n):
             got, vo = built.range_query(key_lo, key_hi)
@@ -406,7 +406,7 @@ def test_withheld_result_with_a_matching_proof_reads_incomplete():
         shown = got[:hidden] + got[hidden + 1:]
         indices = [r.client_seq - 1 for r in (records[4], *shown, records[16])]
         forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, vo.witnesses,
-                         tuple(tree._tree.prove(indices, vo.size)))
+                         tuple(tree.tree.prove(indices, vo.size)))
         assert examine_range(shown, forged, tree.root()) == (True, False)
 
 
@@ -481,7 +481,7 @@ def test_dropped_edge_witness_reads_incomplete_or_incorrect():
         # with a proof rebuilt to match: correct, but not complete
         indices = sorted(r.client_seq - 1 for r in (*kept, *got))
         forged = RangeVO(vo.key_lo, vo.key_hi, vo.size, kept,
-                         tuple(tree._tree.prove(indices, vo.size)))
+                         tuple(tree.tree.prove(indices, vo.size)))
         assert examine_range(got, forged, tree.root()) == (True, False)
 
 
@@ -497,7 +497,7 @@ def test_lied_size_at_the_right_edge_never_reads_all_true(size):
     assert len(vo.witnesses) == 1
     shown = got[:size - 5]
     indices = [r.client_seq - 1 for r in (records[4], *shown)]
-    for proof in (vo.proof, tuple(tree._tree.prove(indices, min(size, 10)))):
+    for proof in (vo.proof, tuple(tree.tree.prove(indices, min(size, 10)))):
         lied = RangeVO(vo.key_lo, vo.key_hi, size, vo.witnesses, proof)
         assert examine_range(shown, lied, tree.root()) != (True, True)
 

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from deltamoney.cli import main
+from deltamoney.data_client import TransactionInclusionVO
+from deltamoney.hashing import Signature
+from deltamoney.integrity_manager import PTTRAttestation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -190,6 +193,18 @@ def test_check_rejects_tampered_and_truncated_vos(state, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_reads_a_huge_claimed_range_as_a_failing_verdict(
+        state, tmp_path, capsys):
+    """A VO claiming seqs 1..2**62 with no record fails its check with a
+    verdict line, not an allocation of the claimed range."""
+    attestation = PTTRAttestation((1, 2), 2**62, bytes(32), Signature(bytes(32), 0))
+    vo_path = tmp_path / "huge.vo"
+    vo_path.write_bytes(TransactionInclusionVO(
+        (1, 2), 1, 2**62, (), (), attestation).to_bytes())
+    assert main(["check", str(vo_path), "--keys", str(state / "keys.json")]) == 1
+    assert capsys.readouterr().out == "correct=False complete=False fresh=False\n"
+
+
 def test_prove_unknown_pair_fails(state, capsys):
     assert main(["prove", str(state), "--pair", "1:9", "--seq", "1"]) == 1
     capsys.readouterr()
@@ -245,8 +260,7 @@ def test_shipped_scenario_state_dir_reloads(name, tmp_path):
     for cid, node in loaded.items():
         live = sim.clients[cid]
         assert node.balance == live.balance == node.expected_balance(), cid
-        assert (list(node.mht.records_in_order())
-                == list(live.mht.records_in_order())), cid
+        assert node.mht.records == live.mht.records, cid
         assert node.mht.root() == live.mht.root(), cid
         assert ({key: ptt.root() for key, ptt in node.ptts.items()}
                 == {key: ptt.root() for key, ptt in live.ptts.items()}), cid

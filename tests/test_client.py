@@ -48,6 +48,7 @@ from deltamoney.peer_ledger import (
     TransactionPairRecord,
     TransactionProposal,
     net_position,
+    propose,
 )
 from deltamoney.sim import Simulation
 from worlds import run_transfers, small_world
@@ -306,6 +307,29 @@ def test_payee_refusal_is_logged_and_rejected():
     assert sim.clients[1].balance == 10_000
 
 
+@pytest.mark.parametrize("field, value", [
+    ("payer_prior_commit", bytes(31)),
+    ("timestamp", -1),
+    ("timestamp", 2**64),
+    ("amount", 2**64),
+], ids=["short-commit", "negative-timestamp", "timestamp-past-u64",
+        "amount-past-u64"])
+def test_a_malformed_proposal_is_refused_not_raised(field, value):
+    """A proposal whose record the payee cannot build or encode (a short
+    commitment, a field outside u64, a balance past it) is refused like
+    any other: logged, answered with a reject, and nothing appended."""
+    sim = small_world(seed=11)
+    one = sim.clients[1]
+    proposal = propose(one.account_view(), one.ptts[(1, 2)], 2, 10, sim.now)
+    sim.send(2, 1, proposal._replace(**{field: value}), 1)
+    sim.quiesce()
+    assert "|client:2|refuse|pair=(1, 2) reason=" in sim.log.text()
+    assert "|client:2|reject|pair=(1, 2) reason=MalformedRecord" in sim.log.text()
+    two = sim.clients[2]
+    assert not two.busy
+    assert len(two.ptts[(1, 2)].records) == len(two.ptts[(1, 2)].tree) == 0
+
+
 def test_unregistered_pair_refuses():
     sim = small_world(clients=2)
     stranger = ClientNode(2, KeyStore("stub"))  # holds no pair with client 1
@@ -403,7 +427,7 @@ def test_tampered_replica_aborts_with_divergent_reports():
     run_transfers(sim, [(1, 2, 10)])
     tick = sim.now
     key = pair_of(1, 2)
-    b.ptts[key].tamper_leaf(0, b"\xde" * 232)
+    b.ptts[key].tree.replace_leaf(0, b"\xde" * 232)
     msg = a.start_transfer(2, 20, tick + 1)
     reply = b.receive_propose(msg, tick + 1)
     result = a.receive_accept(reply, tick + 1)
@@ -559,7 +583,7 @@ def test_stale_answer_rolls_the_balance_tree_back_in_log_time(sha256_calls):
     old_acceptance = three.receive_propose(two.start_transfer(3, 10, tick), tick)
     sim.inject("crash-client", 2)
     sim.recover(2)
-    records = list(two.mht.records_in_order())
+    records = list(two.mht.records)
     assert records[-1].delta == -10
     rollbacks = []
     remove_last = two.mht.remove_last
@@ -595,7 +619,7 @@ def test_mht_records_cross_reference_ptt_roots():
     a = sim.clients[1]
     run_transfers(sim, [(1, 2, 10), (2, 1, 4)])
     key = pair_of(1, 2)
-    records = [r for r in a.mht.records_in_order() if r.peer_id == 2]
+    records = [r for r in a.mht.records if r.peer_id == 2]
     assert records[-1].causing_pttr == a.ptts[key].root()
 
 
@@ -627,7 +651,7 @@ def forged_partners(sim, forge):
 
 def misfiled_replica(sim, forgery):
     """Client 2's replica of pair (1, 2), still keyed (1, 2), with its
-    records forged so ``_admit`` refuses one: a seq skipped, a seq
+    records forged so ``_check`` refuses one: a seq skipped, a seq
     repeated, or record 2 swapped for pair (2, 3)'s record 2.  Returned
     with the error that appending the records one by one to a fresh
     pair tree raises."""
@@ -656,7 +680,7 @@ MISFILED = pytest.mark.parametrize("forgery, error", [
 def view_tuples(node):
     """(peer, pair_seq, prior, new) of each balance change, in tree order."""
     return [(r.peer_id, r.pair_seq, r.new_balance - r.delta, r.new_balance)
-            for r in node.mht.records_in_order()]
+            for r in node.mht.records]
 
 
 class TestRecovery:
@@ -691,7 +715,7 @@ class TestRecovery:
             payer, payee = rng.sample([1, rng.choice((2, 3))], 2)
             run_transfers(sim, [(payer, payee, rng.randint(1, 60))])
             assert len(victim.mht) == count + 1
-        assert len(victim.mht._tree._levels) == 8
+        assert len(victim.mht.tree._levels) == 8
         assert sim.alerts == [] and sim.cm.check_conservation().holds
 
         def crash_and_recover(node, partners):
@@ -706,8 +730,7 @@ class TestRecovery:
             loaded = ClientNode.load_snapshot(node.persist_snapshot(),
                                               node.keystore)
             assert loaded.mht.root() == node.mht.root()
-            assert list(loaded.mht.records_in_order()) == list(
-                node.mht.records_in_order())
+            assert loaded.mht.records == node.mht.records
 
         crash_and_recover(victim, [0, 2, 3])
         crash_and_recover(sim.treasury, [1, 2, 3])
@@ -722,12 +745,12 @@ class TestRecovery:
         run_transfers(sim, (((1, 2) if index % 3 else (2, 1)) + (1 + index % 5,)
                             for index in range(count)))
         assert len(a.ptts[(1, 2)]) == count
-        records = list(a.mht.records_in_order())
+        records = list(a.mht.records)
         snapshot = a.persist_snapshot()
         partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2)]
         a.wipe()
         a.recover_transactions(partners, lambda key: None)
-        assert list(a.mht.records_in_order()) == records
+        assert a.mht.records == records
         assert a.persist_snapshot() == snapshot
 
     @pytest.mark.parametrize("case, error", [
@@ -813,7 +836,7 @@ class TestRecovery:
         data = sim.clients[2].export_recovery_data(1)
         truncated = data._replace(
             records=data.records[:-1],
-            root=sim.clients[2].ptts[(1, 2)].root_after(
+            root=sim.clients[2].ptts[(1, 2)].tree.root_at(
                 data.records[-2].pair_seq))
         validated = (data.records[-1].pair_seq, data.root)
         with pytest.raises(PartnerRootDisagreement, match="before the validated"):
@@ -827,7 +850,7 @@ class TestRecovery:
         truncated = data._replace(
             pair_key=(2, 1),
             records=data.records[:-1],
-            root=sim.clients[2].ptts[(1, 2)].root_after(
+            root=sim.clients[2].ptts[(1, 2)].tree.root_at(
                 data.records[-2].pair_seq))
         partners = [sim.clients[p].export_recovery_data(1) for p in (0, 3)]
         validated = {pair_of(1, 2): (data.records[-1].pair_seq, data.root)}
@@ -844,7 +867,7 @@ class TestRecovery:
         last = data.records[-1].pair_seq
         partners = [sim.clients[p].export_recovery_data(1) for p in (0, 2, 3)]
         for seq in (last, last - 1):
-            trusted = {pair_of(1, 2): (seq, ptt.root_after(seq))}
+            trusted = {pair_of(1, 2): (seq, ptt.tree.root_at(seq))}
             sim.clients[1].recover_transactions(partners, trusted.get)
 
 

@@ -26,7 +26,7 @@ from deltamoney.errors import (
     UnknownSubject,
     UnknownTransaction,
 )
-from deltamoney.hashing import Signature
+from deltamoney.hashing import KeyStore, Signature
 from deltamoney.integrity_manager import PTTRAttestation
 from deltamoney.sim import DeliveryPolicy
 from worlds import run_transfers, small_world
@@ -242,7 +242,7 @@ class TestBalanceVO:
         grant = self.grant_for(1)
         att = cm.attest_mhtr(1)
         records, vo = query_balance_history(grant, (0, 0), (tick, 999), a, att)
-        assert len(records) == len(list(a.mht.records_in_order()))
+        assert len(records) == len(a.mht.records)
         verdict = verify_vo(vo, ks, cm.attest_mhtr(1).mhtr)
         assert verdict == Verdict(True, True, True)
         # byte round trip preserves the verdict
@@ -388,7 +388,7 @@ def test_damaged_vo_bytes_fail_only_with_value_error_or_a_failing_verdict():
         assert verify_vo(vo, ks, latest) != Verdict(True, True, True), data.hex()
 
     att = cm.attest_mhtr(1)
-    records = list(a.mht.records_in_order())
+    records = a.mht.records
     key_lo, key_hi = records[20].key, records[30].key
     balance_grant = authorize(51, 1, [], enrolled={1, 2}, balance=True)
     _, balance_vo = query_balance_history(balance_grant, key_lo, key_hi, a, att)
@@ -433,3 +433,15 @@ def test_delayed_report_does_not_accuse_an_honest_subject():
     assert [r.pair_seq for r in records] == [2, 3]
     assert verify_vo(parse_vo(vo.to_bytes()), sim.keystore,
                      latest_for(sim.im, (1, 2))) == Verdict(True, True, True)
+
+
+def test_a_claimed_range_is_counted_before_it_is_listed():
+    """Completeness compares the record count with the claimed range
+    first, so a VO claiming seqs 1..2**62 with no record, no proof and an
+    unsigned attestation reads incomplete without the range being built
+    as a list."""
+    attestation = PTTRAttestation((1, 2), 2**62, bytes(32), Signature(bytes(32), 0))
+    data = TransactionInclusionVO((1, 2), 1, 2**62, (), (), attestation).to_bytes()
+    assert len(data) == 121
+    verdict = verify_vo(parse_vo(data), KeyStore("stub"), None)
+    assert verdict == Verdict(False, False, False)

@@ -1,15 +1,18 @@
 import hashlib
 import math
 import random
+import struct
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltamoney.balance_tree import BalanceChangeRecord, BalanceMHT
 from deltamoney.errors import EmptyPayload, EmptyTree, IndexOutOfRange
 from deltamoney.hashing import hash_internal, hash_leaf
 from deltamoney.merkle import MerkleTree, verify
+from deltamoney.peer_ledger import PeerTransactionTree, TransactionPairRecord
 
 
 def brute_force_root(payloads):
@@ -489,3 +492,25 @@ def test_multiproof_forgeries_rejected():
                                   forged_proof, root), (size, indices)
                 checked += 1
     assert checked > 2000
+
+
+@pytest.mark.parametrize("new_log, good, unpackable", [
+    (lambda: PeerTransactionTree(1, 2),
+     TransactionPairRecord(1, 5, 1, 2, 10, *[bytes(32)] * 6),
+     (2, 2**64, 1, 2, 10, *[bytes(32)] * 6)),  # timestamp past u64
+    (BalanceMHT,
+     BalanceChangeRecord(1, 5, 1, 2, 10, 10, bytes(32)),
+     (2, 6, 2, 2, 2**63, 10 + 2**63, bytes(32))),  # delta past i64
+], ids=["pair", "balance"])
+def test_a_record_that_fails_to_encode_leaves_the_log_as_it_was(
+        new_log, good, unpackable):
+    """``RecordLog.append`` checks, encodes and hashes a record before
+    ``records`` takes it: one that passes ``_check`` (built past the
+    record's own checks) but does not pack raises and changes nothing."""
+    log = new_log()
+    log.append(good)
+    root = log.root()
+    with pytest.raises(struct.error):
+        log.append(tuple.__new__(type(good), unpackable))
+    assert len(log.records) == len(log.tree) == 1
+    assert log.root() == root

@@ -134,7 +134,7 @@ def test_commit_mismatch_rolls_both_back():
     # adversary flips a byte of its committed prior leaf
     forged = bytearray(first.to_bytes())
     forged[0] ^= 1
-    b_ptt.tamper_leaf(0, bytes(forged))
+    b_ptt.tree.replace_leaf(0, bytes(forged))
     second = make_record(a_ptt, 1500, 1500, 200, timestamp=2)
     append_both(a_ptt, b_ptt, second)
     assert a_ptt.root() != b_ptt.root()
@@ -213,9 +213,9 @@ def test_pair_rolled_back_to_empty_reads_as_a_fresh_one():
     ptt.append_record(rec)
     ptt.rollback_last()
     assert ptt.root() == EMPTY_TREE_DIGEST
-    assert ptt.prefix_roots() == []
+    assert ptt.tree.prefix_roots() == []
     with pytest.raises(IndexOutOfRange):
-        ptt.root_after(1)
+        ptt.tree.root_at(1)
     ptt.append_record(rec)
     assert ptt.root() == MerkleTree.build([rec.to_bytes()]).root()
 
